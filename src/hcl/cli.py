@@ -14,6 +14,8 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -142,15 +144,18 @@ def _chi_from(domain: GridDomain, spec, base_dir: Path) -> HermitianField:
     raise ConfigError(f"bad chi spec {spec!r}")
 
 
-def _problem_from(cfg: dict, base_dir: Path) -> hsolve.ProblemSpec:
-    domain = _domain_from(cfg["domain"])
-    family = _family_from(cfg["family"])
-    chi = _chi_from(domain, cfg.get("chi", "identity"), base_dir)
-    psi = _expression_field(domain, cfg["psi"], base_dir)
-    phi = None
-    if cfg.get("phi") is not None:
-        phi = _expression_field(domain, cfg["phi"], base_dir)
-    mode = cfg.get("mode", "dirichlet")
+def _problem_from(cfg: dict, mode: str) -> hsolve.ProblemSpec:
+    base_dir = Path(cfg.get("base_dir", "."))
+    try:
+        domain = _domain_from(cfg["domain"])
+        family = _family_from(cfg["family"])
+        chi = _chi_from(domain, cfg.get("chi", "identity"), base_dir)
+        psi = _expression_field(domain, cfg["psi"], base_dir)
+        phi = None
+        if cfg.get("phi") is not None:
+            phi = _expression_field(domain, cfg["phi"], base_dir)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad problem config: {exc}") from exc
     try:
         return hsolve.ProblemSpec(domain, family, chi, psi, phi, mode)
     except DomainError as exc:
@@ -173,20 +178,22 @@ def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
 
 
 def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
-    rows = []
     if isinstance(cfg, list) or "instances" in cfg:
         instances = cfg if isinstance(cfg, list) else cfg["instances"]
         work = []
         for idx, inst in enumerate(instances):
-            d = inst["d"]
-            a = np.asarray(inst["a_re"], dtype=float) + 1j * np.asarray(
-                inst["a_im"], dtype=float
-            )
-            eps = float(inst["epsilon"])
-            b0 = spectra.BorderedHermitian.make(d, a, 0.0)
-            for mult in inst["corner_multipliers"]:
-                corner = float(mult) * spectra.growth_threshold(b0, eps)
-                work.append((idx, b0.with_corner(corner), eps, float(mult)))
+            try:
+                a = np.asarray(inst["a_re"], dtype=float) + 1j * np.asarray(
+                    inst["a_im"], dtype=float
+                )
+                b0 = spectra.BorderedHermitian.make(inst["d"], a, 0.0)
+                eps = float(inst["epsilon"])
+                mults = [float(m) for m in inst["corner_multipliers"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad lemma instance #{idx}: {exc}") from exc
+            for mult in mults:
+                corner = mult * spectra.growth_threshold(b0, eps)
+                work.append((idx, b0.with_corner(corner), eps, mult))
     else:
         battery = cfg.get("battery", {})
         count = int(battery.get("count", 1000))
@@ -275,7 +282,7 @@ def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     return EXIT_FINDINGS if neither else EXIT_OK
 
 
-def _result_row(writer, run_id, spec, result, report=None):
+def _result_row(writer, run_id, result, report=None):
     writer.add(
         run_id,
         result.iterations,
@@ -292,19 +299,18 @@ _RESULT_COLUMNS = ["run_id", "iterations", "residual", "c", "ratio2nd",
 
 
 def _cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool, mode: str) -> int:
-    base = Path(cfg.get("base_dir", "."))
-    spec = _problem_from({**cfg, "mode": mode}, base)
+    spec = _problem_from(cfg, mode)
     opts = _options_from(cfg, seed)
     writer = hio.CsvWriter(out / "results.csv", _RESULT_COLUMNS, seed)
     if mode == "closed":
         result = hsolve.solve_closed(spec, opts)
-        _result_row(writer, "closed-0", spec, result)
+        _result_row(writer, "closed-0", result)
     else:
-        result = hsolve.solve_dirichlet(spec, opts)
         usub, _ = hsolve.build_subsolution(spec, opts.delta)
+        result = hsolve.solve_dirichlet(spec, replace(opts, subsolution=usub))
         usuper = hsolve.build_supersolution(spec)
         report = hsolve.verify_estimates(result, spec, usub, usuper)
-        _result_row(writer, "dirichlet-0", spec, result, report)
+        _result_row(writer, "dirichlet-0", result, report)
     writer.flush()
     hio.write_scalar_field(out / "u_0.hcl", result.u)
     if not quiet:
@@ -317,8 +323,7 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool, mode: str) -> int:
 
 
 def _cmd_degenerate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    base = Path(cfg.get("base_dir", "."))
-    spec = _problem_from({**cfg, "mode": "dirichlet"}, base)
+    spec = _problem_from(cfg, "dirichlet")
     opts = _options_from(cfg, seed)
     ladder = cfg.get("ladder", [1.0, 0.5, 0.25, 0.125])
     shift = cfg.get("boundary_shift")
@@ -351,8 +356,7 @@ def _cmd_degenerate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
 
 def _cmd_exhaustion(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    base = Path(cfg.get("base_dir", "."))
-    spec = _problem_from({**cfg, "mode": "dirichlet"}, base)
+    spec = _problem_from(cfg, "dirichlet")
     opts = _options_from(cfg, seed)
     report = hsolve.domain_exhaustion(spec, cfg["levels"], opts)
     writer = hio.CsvWriter(
@@ -370,20 +374,18 @@ def _cmd_exhaustion(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
 
 def _cmd_estimate_report(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    base = Path(cfg.get("base_dir", "."))
-    spec = _problem_from({**cfg, "mode": "dirichlet"}, base)
+    spec = _problem_from(cfg, "dirichlet")
     opts = _options_from(cfg, seed)
     amplitudes = cfg.get("amplitudes", [0.25, 0.5, 1.0])
     writer = hio.CsvWriter(out / "estimates.csv", _RESULT_COLUMNS, seed)
     for i, amp in enumerate(amplitudes):
         psi_a = ScalarField(spec.domain, float(amp) * spec.psi.values)
-        spec_a = hsolve.ProblemSpec(spec.domain, spec.family, spec.chi, psi_a,
-                                    spec.phi, spec.mode)
+        spec_a = replace(spec, psi=psi_a)
         usub, _ = hsolve.build_subsolution(spec_a, opts.delta)
-        result = hsolve.solve_dirichlet(spec_a, opts)
+        result = hsolve.solve_dirichlet(spec_a, replace(opts, subsolution=usub))
         usuper = hsolve.build_supersolution(spec_a)
         report = hsolve.verify_estimates(result, spec_a, usub, usuper)
-        _result_row(writer, f"amp-{amp}", spec_a, result, report)
+        _result_row(writer, f"amp-{amp}", result, report)
     writer.flush()
     if not quiet:
         print(f"estimate-report: {len(amplitudes)} amplitude runs")
@@ -397,6 +399,8 @@ _COMMANDS = {
     "degenerate-sweep": _cmd_degenerate,
     "exhaustion": _cmd_exhaustion,
     "estimate-report": _cmd_estimate_report,
+    "solve-closed": partial(_cmd_solve, mode="closed"),
+    "solve-dirichlet": partial(_cmd_solve, mode="dirichlet"),
 }
 
 
@@ -405,8 +409,7 @@ def main(argv=None) -> int:
         prog="hcl",
         description="Numerical laboratory for complex Hessian-type equations",
     )
-    parser.add_argument("command", choices=sorted(list(_COMMANDS) +
-                                                  ["solve-closed", "solve-dirichlet"]))
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
@@ -421,10 +424,6 @@ def main(argv=None) -> int:
             raise ConfigError("array configs are only valid for lemma-check")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "solve-closed":
-            return _cmd_solve(cfg, out, args.seed, args.quiet, "closed")
-        if args.command == "solve-dirichlet":
-            return _cmd_solve(cfg, out, args.seed, args.quiet, "dirichlet")
         return _COMMANDS[args.command](cfg, out, args.seed, args.quiet)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -364,9 +364,9 @@ def gradient_sup(u: ScalarField) -> float:
 def boundary_normal_derivatives(u: ScalarField):
     """Inward one-sided 3-point normal derivatives on each non-periodic face.
 
-    Yields (axis, side, face_index_tuple, derivative_slice) where side is 0
-    for the low face and -1 for the high face; the derivative points into the
-    domain.
+    Returns a list of (axis, side, derivative) tuples where side is 0 for the
+    low face and -1 for the high face, and derivative is the array over that
+    face; the derivative points into the domain.
     """
     dom = u.domain
     d = len(dom.shape)

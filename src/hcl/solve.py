@@ -1,13 +1,14 @@
 """Newton/continuation solvers for f(lambda[chi + i ddbar u]) = psi.
 
-Closed mode solves for the pair (u, c) in f(...) = psi + c on a fully
-periodic domain with a zero-mean gauge on the updates and sup u = 0 applied
-after convergence.  Dirichlet mode runs damped Newton from a strict
-subsolution: every accepted step must keep lambda(g[u]) inside the cone at
-all interior nodes and decrease the sup-norm residual.  Linear sub-solves use
-diagonally preconditioned CG for the symmetric constant-coefficient systems
-and a sparse direct factorization (BiCGStab above the size threshold) for the
-nonsymmetric Newton systems.
+One damped-Newton core serves both modes: every accepted step must keep
+lambda(g[u]) inside the cone at all interior nodes and decrease the sup-norm
+residual.  Closed mode solves for the pair (u, c) in f(...) = psi + c on a
+fully periodic domain with a zero-mean gauge on the updates and sup u = 0
+applied after convergence.  Dirichlet mode starts from a strict subsolution
+with u = phi on the boundary, optionally along a continuation ladder.  Linear
+sub-solves use diagonally preconditioned CG for the symmetric
+constant-coefficient systems and a sparse direct factorization (BiCGStab above
+the size threshold) for the nonsymmetric Newton systems.
 """
 
 from __future__ import annotations
@@ -470,38 +471,46 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int,
 # ------------------------------------------------------------------ Newton
 
 
-def _newton_dirichlet(spec: ProblemSpec, u0: ScalarField, opts: SolverOptions):
-    dom = spec.domain
-    interior = dom.interior
-    u = u0.values.copy()
-    u[dom.boundary] = spec.phi.values[dom.boundary]
-    tol = opts.residual_scale * (1.0 + float(np.max(np.abs(spec.psi.values[~dom.exterior]))))
-    history: list[float] = []
+def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
+    """Damped Newton on the interior values of u, and on c in closed mode.
 
-    r, adm, _ = residual_field(spec, u)
+    Each step linearizes at u and solves for the update: the bordered system
+    with the zero-mean gauge in closed mode, the plain Newton system in
+    Dirichlet mode (boundary values stay fixed).  The step is halved until the
+    iterate stays admissible and the sup-norm residual decreases.
+    Returns (u, c, residual history).
+    """
+    dom = spec.domain
+    tol = opts.residual_scale * (1.0 + float(np.max(np.abs(spec.psi.values[~dom.exterior]))))
+    c = 0.0
+    r, adm, _ = residual_field(spec, u, c)
     if not adm:
         raise AdmissibilityError("initial iterate not admissible")
     res = float(np.max(np.abs(r)))
-    history.append(res)
-    for it in range(opts.max_newton):
+    history = [res]
+    for _ in range(opts.max_newton):
         if res <= tol:
-            return ScalarField(dom, u), it, history
+            break
         g = _g_interior(spec.chi.values, u, dom)
         lam_g, p = np.linalg.eigh(g)
         coeff = np.einsum("nik,nk,njk->nij", p, grad_f(spec.family, lam_g), p.conj())
         a, _ = assemble_linearized(dom, coeff)
-        v = _solve_general(a, -r, opts)
+        if spec.mode == "closed":
+            v, dc = _solve_bordered(a, r, r.size, opts)
+        else:
+            v, dc = _solve_general(a, -r, opts), 0.0
         step = 1.0
         admissible_seen = False
         while step >= opts.damping_min:
             trial = u.copy()
-            trial[interior] += step * v
-            r_t, adm_t, _ = residual_field(spec, trial)
+            trial[dom.interior] += step * v
+            c_t = c + step * dc
+            r_t, adm_t, _ = residual_field(spec, trial, c_t)
             if adm_t:
                 admissible_seen = True
                 res_t = float(np.max(np.abs(r_t)))
                 if res_t < res:
-                    u, r, res = trial, r_t, res_t
+                    u, c, r, res = trial, c_t, r_t, res_t
                     history.append(res)
                     break
             step *= 0.5
@@ -513,9 +522,9 @@ def _newton_dirichlet(spec: ProblemSpec, u0: ScalarField, opts: SolverOptions):
             raise StallError(
                 f"damping underflow at residual {res:.3e} (tol {tol:.3e})"
             )
-    if res <= tol:
-        return ScalarField(dom, u), opts.max_newton, history
-    raise StallError(f"Newton did not reach tol {tol:.3e}; residual {res:.3e}")
+    if res > tol:
+        raise StallError(f"Newton did not reach tol {tol:.3e}; residual {res:.3e}")
+    return u, c, history
 
 
 def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
@@ -532,18 +541,22 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
         usub = opts.subsolution
     else:
         usub, _ = build_subsolution(spec, opts.delta)
+    dom = spec.domain
+    u0 = usub.values.copy()
+    u0[dom.boundary] = spec.phi.values[dom.boundary]
     if opts.continuation is None:
         try:
-            u, iters, history = _newton_dirichlet(spec, usub, opts)
-            return SolveResult(u, None, iters, history, True)
+            u, _, history = _damped_newton(spec, u0, opts)
+            return SolveResult(ScalarField(dom, u), None, len(history) - 1,
+                               history, True)
         except StallError:
             opts = replace(opts, continuation=8)
     # continuation ladder from the subsolution level
-    g0 = _g_interior(spec.chi.values, usub.values, spec.domain)
+    g0 = _g_interior(spec.chi.values, usub.values, dom)
     lam0 = np.linalg.eigvalsh(g0)
-    f0 = np.zeros(spec.domain.shape)
-    f0[spec.domain.interior] = eval_f(spec.family, lam0)
-    current = usub
+    f0 = np.zeros(dom.shape)
+    f0[dom.interior] = eval_f(spec.family, lam0)
+    current = u0
     s_values = list(np.linspace(0.0, 1.0, opts.continuation + 1)[1:])
     total_iters = 0
     history_all: list[float] = []
@@ -551,14 +564,11 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
     guard = 0
     while s_values:
         s = s_values[0]
-        psi_s = ScalarField(
-            spec.domain, (1.0 - s) * f0 + s * spec.psi.values
-        )
-        spec_s = ProblemSpec(spec.domain, spec.family, spec.chi, psi_s,
-                             spec.phi, spec.mode)
+        psi_s = ScalarField(dom, (1.0 - s) * f0 + s * spec.psi.values)
         try:
-            current, iters, history = _newton_dirichlet(spec_s, current, opts)
-            total_iters += iters
+            current, _, history = _damped_newton(replace(spec, psi=psi_s),
+                                                 current, opts)
+            total_iters += len(history) - 1
             history_all.extend(history)
             s_prev = s
             s_values.pop(0)
@@ -567,7 +577,7 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
             if guard > 24 or s - s_prev < 1e-6:
                 raise
             s_values.insert(0, 0.5 * (s_prev + s))
-    return SolveResult(current, None, total_iters, history_all, True)
+    return SolveResult(ScalarField(dom, current), None, total_iters, history_all, True)
 
 
 def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
@@ -576,50 +586,10 @@ def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveR
     opts = opts or SolverOptions()
     if spec.mode != "closed":
         raise DomainError("solve_closed needs closed mode")
-    dom = spec.domain
-    u = np.zeros(dom.shape)
-    g = _g_interior(spec.chi.values, u, dom)
-    if not np.all(in_cone(np.linalg.eigvalsh(g), spec.family.k)):
-        raise AdmissibilityError("background form chi is not admissible")
-    c = 0.0
-    tol = opts.residual_scale * (1.0 + float(np.max(np.abs(spec.psi.values))))
-    n_nodes = int(np.prod(dom.shape))
-    history: list[float] = []
-    r, _, _ = residual_field(spec, u, c)
-    res = float(np.max(np.abs(r)))
-    history.append(res)
-    for it in range(opts.max_newton):
-        if res <= tol:
-            break
-        gmats = _g_interior(spec.chi.values, u, dom)
-        lam_g, p = np.linalg.eigh(gmats)
-        coeff = np.einsum("nik,nk,njk->nij", p, grad_f(spec.family, lam_g), p.conj())
-        a, _ = assemble_linearized(dom, coeff)
-        v, dc = _solve_bordered(a, r, n_nodes, opts)
-        step = 1.0
-        admissible_seen = False
-        while step >= opts.damping_min:
-            trial = u + step * v.reshape(dom.shape)
-            c_t = c + step * dc
-            r_t, adm_t, _ = residual_field(spec, trial, c_t)
-            if adm_t:
-                admissible_seen = True
-                res_t = float(np.max(np.abs(r_t)))
-                if res_t < res:
-                    u, c, r, res = trial, c_t, r_t, res_t
-                    history.append(res)
-                    break
-            step *= 0.5
-        else:
-            if not admissible_seen:
-                raise ConeExitError("no damped step restored admissibility")
-            raise StallError(f"closed-mode damping underflow at residual {res:.3e}")
-    else:
-        if res > tol:
-            raise StallError(f"closed Newton did not converge: residual {res:.3e}")
-    shift = float(np.max(u))
-    u = u - shift  # the equation sees only the Hessian; c is unchanged
-    return SolveResult(ScalarField(dom, u), float(c), len(history) - 1, history, True)
+    u, c, history = _damped_newton(spec, np.zeros(spec.domain.shape), opts)
+    u = u - float(np.max(u))  # the equation sees only the Hessian; c is unchanged
+    return SolveResult(ScalarField(spec.domain, u), float(c), len(history) - 1,
+                       history, True)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -653,10 +623,8 @@ def degenerate_sweep(
     for eps in ladder:
         rho = 0.5 * eps
         psi_k = ScalarField(spec.domain, spec.psi.values + rho)
-        spec_k = ProblemSpec(spec.domain, spec.family, spec.chi, psi_k,
-                             spec.phi, spec.mode)
         try:
-            res = solve_dirichlet(spec_k, opts)
+            res = solve_dirichlet(replace(spec, psi=psi_k), opts)
         except Exception as exc:
             report.error = f"solve at eps={eps} failed: {exc}"
             return report
@@ -670,10 +638,8 @@ def degenerate_sweep(
         prev = res.u
     if perturbed_phi is not None and report.results:
         psi_k = ScalarField(spec.domain, spec.psi.values + 0.5 * ladder[-1])
-        spec_p = ProblemSpec(spec.domain, spec.family, spec.chi, psi_k,
-                             perturbed_phi, spec.mode)
         try:
-            res_p = solve_dirichlet(spec_p, opts)
+            res_p = solve_dirichlet(replace(spec, psi=psi_k, phi=perturbed_phi), opts)
         except Exception as exc:
             report.error = f"perturbed solve failed: {exc}"
             return report
@@ -704,13 +670,12 @@ def domain_exhaustion(
     prev = None
     for alpha in levels:
         sub = spec.domain.restrict(h.values < -alpha)
-        spec_k = ProblemSpec(
-            sub,
-            spec.family,
-            HermitianField(sub, spec.chi.values),
-            ScalarField(sub, spec.psi.values),
-            ScalarField(sub, spec.phi.values),
-            "dirichlet",
+        spec_k = replace(
+            spec,
+            domain=sub,
+            chi=HermitianField(sub, spec.chi.values),
+            psi=ScalarField(sub, spec.psi.values),
+            phi=ScalarField(sub, spec.phi.values),
         )
         res = solve_dirichlet(spec_k, opts)
         report.levels.append(alpha)

@@ -520,15 +520,6 @@ def _ladder(t_max: float) -> np.ndarray:
     return 2.0 ** np.arange(0, rungs + 1)
 
 
-def _ray_tail_bounded(family: FuncFamily, lam: np.ndarray, t_max: float) -> bool:
-    """True iff f(t*lam) looks bounded below on the geometric t-ladder."""
-    ladder = _ladder(t_max)
-    vals = np.array([eval_f(family, t * lam) for t in ladder])
-    tol = 1e-9 * (1.0 + abs(vals[0]))
-    tail = np.diff(vals[len(vals) // 2 :])
-    return bool(np.all(tail >= -tol))
-
-
 def gamma_g_criteria(
     family: FuncFamily,
     lam,

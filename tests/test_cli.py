@@ -96,6 +96,22 @@ class TestExitCodes:
         assert main(["solve-dirichlet", "--config", path,
                      "--out", str(tmp_path / "out"), "--quiet"]) == 3
 
+    @pytest.mark.parametrize("command, payload", [
+        ("solve-dirichlet",
+         {k: v for k, v in DIRICHLET_SMALL.items() if k != "psi"}),
+        ("lemma-check",
+         {"instances": [{"n": 2, "d": [0.0], "a_im": [0.0], "epsilon": 0.1,
+                         "corner_multipliers": [1.0]}]}),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, psi={"path": "x"})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, psi="const:abc")),
+    ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const"])
+    def test_malformed_config_exit_four(self, tmp_path, capsys, command,
+                                        payload):
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "config error" in capsys.readouterr().err
+
     def test_cone_check(self, tmp_path):
         cfg = write_config(
             tmp_path, "cone.json",
@@ -179,6 +195,27 @@ class TestArtifacts:
         for row in rows[3:]:
             ratio = float(row.split(",")[4])
             assert np.isfinite(ratio)
+
+    @pytest.mark.parametrize("command, extra, builds", [
+        ("solve-dirichlet", {}, 1),
+        ("estimate-report", {"amplitudes": [0.5, 1.0]}, 2),
+    ])
+    def test_one_subsolution_build_per_solve(self, tmp_path, monkeypatch,
+                                              command, extra, builds):
+        import hcl.solve
+
+        calls = []
+        real = hcl.solve.build_subsolution
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hcl.solve, "build_subsolution", counting)
+        path = write_config(tmp_path, "d.json", dict(DIRICHLET_SMALL, **extra))
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert len(calls) == builds
 
     def test_degenerate_sweep_command(self, tmp_path):
         cfg = dict(DIRICHLET_SMALL)

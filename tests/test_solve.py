@@ -11,6 +11,7 @@ from hcl.errors import (
     ConstructionError,
     DomainError,
     ResolutionError,
+    StallError,
 )
 from hcl.grid import (
     GridDomain,
@@ -202,6 +203,13 @@ class TestDirichletSolve:
         _, adm, _ = residual_field(spec, res.u.values)
         assert adm
 
+    def test_handed_subsolution_matches_built_one(self):
+        spec = small_dirichlet_spec(psi_value=0.4)
+        usub, _ = build_subsolution(spec, 0.1)
+        handed = solve_dirichlet(spec, SolverOptions(subsolution=usub))
+        np.testing.assert_array_equal(handed.u.values,
+                                      solve_dirichlet(spec).u.values)
+
     def test_continuation_ladder_path(self):
         spec, ustar = manufactured_dirichlet_spec(8)
         res = solve_dirichlet(spec, SolverOptions(continuation=4))
@@ -314,6 +322,17 @@ class TestClosedSolve:
         spec = small_dirichlet_spec()
         with pytest.raises(DomainError):
             solve_closed(spec)
+
+
+@pytest.mark.parametrize("solver, make_spec", [
+    (solve_closed, manufactured_closed_spec),
+    (solve_dirichlet, manufactured_dirichlet_spec),
+], ids=["closed", "dirichlet"])
+def test_newton_budget_exhausted_stalls(solver, make_spec):
+    # both modes need several Newton steps; one is not enough
+    spec, _ = make_spec(8)
+    with pytest.raises(StallError):
+        solver(spec, SolverOptions(max_newton=1))
 
 
 @pytest.fixture(scope="module")
