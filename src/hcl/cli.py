@@ -1,8 +1,7 @@
 """Command-line front end: lemma batteries, cone checks, solver runs.
 
 Exit codes: 0 success, 2 lemma-violation findings, 3 numeric errors,
-4 configuration errors.  HCL_THREADS caps battery parallelism (defaults to
-the machine core count).  All CSV artifacts carry the schema line
+4 configuration errors.  All CSV artifacts carry the schema line
 "# hcl-schema v1" and the seed, and are byte-deterministic for a fixed
 (config, seed).
 """
@@ -11,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -36,16 +33,6 @@ EXIT_OK = 0
 EXIT_FINDINGS = 2
 EXIT_NUMERIC = 3
 EXIT_CONFIG = 4
-
-
-def thread_count() -> int:
-    env = os.environ.get("HCL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"HCL_THREADS not an integer: {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 # ------------------------------------------------------------ config loading
@@ -164,14 +151,21 @@ def _problem_from(cfg: dict, mode: str) -> hsolve.ProblemSpec:
 
 def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
     opts = cfg.get("options", {})
-    return hsolve.SolverOptions(
-        residual_scale=float(opts.get("residual_scale", 1e-9)),
-        max_newton=int(opts.get("max_newton", 80)),
-        delta=float(opts.get("delta", 0.1)),
-        linear_solver=opts.get("linear_solver", "auto"),
-        continuation=opts.get("continuation"),
-        seed=seed,
-    )
+    try:
+        linear_solver = opts.get("linear_solver", "auto")
+        if linear_solver not in ("auto", "direct", "iterative"):
+            raise ValueError(f"unknown linear_solver {linear_solver!r}")
+        continuation = opts.get("continuation")
+        return hsolve.SolverOptions(
+            residual_scale=float(opts.get("residual_scale", 1e-9)),
+            max_newton=int(opts.get("max_newton", 80)),
+            delta=float(opts.get("delta", 0.1)),
+            linear_solver=linear_solver,
+            continuation=None if continuation is None else int(continuation),
+            seed=seed,
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad solver options: {exc}") from exc
 
 
 # ----------------------------------------------------------------- commands
@@ -196,21 +190,29 @@ def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
                 work.append((idx, b0.with_corner(corner), eps, mult))
     else:
         battery = cfg.get("battery", {})
-        count = int(battery.get("count", 1000))
-        bseed = int(battery.get("seed", seed))
+        try:
+            count = int(battery.get("count", 1000))
+            bseed = int(battery.get("seed", seed))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad battery config: {exc}") from exc
         work = [
             (i, b, eps, mult)
             for i, (b, eps, mult) in enumerate(spectra.battery_instances(count, bseed))
         ]
 
-    def check(item):
-        idx, b, eps, mult = item
-        v = spectra.localize(b, eps)
-        return (idx, b.n, eps, mult, b.corner, v.threshold, v.satisfied,
-                v.max_offset, v.top_boundary_hit)
-
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        rows = list(pool.map(check, work))
+    # one stacked oracle call per matrix size, rows kept in input order
+    by_size: dict[int, list[int]] = {}
+    for pos, (_, b, _, _) in enumerate(work):
+        by_size.setdefault(b.n, []).append(pos)
+    rows = [None] * len(work)
+    for positions in by_size.values():
+        lams = spectra.eig_hermitian(
+            np.stack([work[pos][1].embed() for pos in positions]))
+        for pos, lam in zip(positions, lams):
+            idx, b, eps, mult = work[pos]
+            v = spectra.localization_verdict(b, eps, lam)
+            rows[pos] = (idx, b.n, eps, mult, b.corner, v.threshold,
+                         v.satisfied, v.max_offset, v.top_boundary_hit)
 
     writer = hio.CsvWriter(
         out / "lemma_check.csv",
@@ -230,7 +232,10 @@ def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
 
 def _cmd_cone_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     family = _family_from(cfg["family"])
-    samples = int(cfg.get("samples", 100))
+    try:
+        samples = int(cfg.get("samples", 100))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad samples: {exc}") from exc
     rep = symfunc.check_structure(family, samples, seed)
     writer = hio.CsvWriter(
         out / "cone_check.csv",
@@ -249,15 +254,15 @@ def _cmd_cone_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
 def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     family = _family_from(cfg["family"])
-    ctx = subsol.build_context(
-        family,
-        float(cfg["sigma"]),
-        np.asarray(cfg["mu"], dtype=float),
-        float(cfg["delta"]),
-        float(cfg["radius"]),
-        seed=seed,
-    )
-    samples = int(cfg.get("samples", 500))
+    try:
+        sigma = float(cfg["sigma"])
+        mu = np.asarray(cfg["mu"], dtype=float)
+        delta = float(cfg["delta"])
+        radius = float(cfg["radius"])
+        samples = int(cfg.get("samples", 500))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad subsol-check config: {exc}") from exc
+    ctx = subsol.build_context(family, sigma, mu, delta, radius, seed=seed)
     pts = subsol.sample_level_set(family, ctx.sigma, samples, seed)
     writer = hio.CsvWriter(
         out / "subsol_check.csv",
@@ -325,11 +330,15 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool, mode: str) -> int:
 def _cmd_degenerate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     spec = _problem_from(cfg, "dirichlet")
     opts = _options_from(cfg, seed)
-    ladder = cfg.get("ladder", [1.0, 0.5, 0.25, 0.125])
     shift = cfg.get("boundary_shift")
+    try:
+        ladder = [float(e) for e in cfg.get("ladder", [1.0, 0.5, 0.25, 0.125])]
+        shift = None if shift is None else float(shift)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad degenerate-sweep config: {exc}") from exc
     perturbed = None
     if shift is not None:
-        perturbed = ScalarField(spec.domain, spec.phi.values + float(shift))
+        perturbed = ScalarField(spec.domain, spec.phi.values + shift)
     report = hsolve.degenerate_sweep(spec, ladder, opts, perturbed_phi=perturbed)
     writer = hio.CsvWriter(
         out / "degenerate_sweep.csv",
@@ -358,7 +367,11 @@ def _cmd_degenerate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 def _cmd_exhaustion(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     spec = _problem_from(cfg, "dirichlet")
     opts = _options_from(cfg, seed)
-    report = hsolve.domain_exhaustion(spec, cfg["levels"], opts)
+    try:
+        levels = [float(a) for a in cfg["levels"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad exhaustion levels: {exc}") from exc
+    report = hsolve.domain_exhaustion(spec, levels, opts)
     writer = hio.CsvWriter(
         out / "exhaustion.csv",
         ["level", "interior_nodes", "diff_to_full", "diff_to_previous"],
@@ -377,9 +390,13 @@ def _cmd_estimate_report(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     spec = _problem_from(cfg, "dirichlet")
     opts = _options_from(cfg, seed)
     amplitudes = cfg.get("amplitudes", [0.25, 0.5, 1.0])
+    try:
+        scales = [float(a) for a in amplitudes]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad amplitudes: {exc}") from exc
     writer = hio.CsvWriter(out / "estimates.csv", _RESULT_COLUMNS, seed)
-    for i, amp in enumerate(amplitudes):
-        psi_a = ScalarField(spec.domain, float(amp) * spec.psi.values)
+    for amp, scale in zip(amplitudes, scales):
+        psi_a = ScalarField(spec.domain, scale * spec.psi.values)
         spec_a = replace(spec, psi=psi_a)
         usub, _ = hsolve.build_subsolution(spec_a, opts.delta)
         result = hsolve.solve_dirichlet(spec_a, replace(opts, subsolution=usub))

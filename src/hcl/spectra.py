@@ -15,6 +15,8 @@ polynomial identity and the interval census from the deformation proof.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = [
     "refinement_threshold",
     "LocalizationVerdict",
     "localize",
+    "localization_verdict",
     "RefinementVerdict",
     "refinement_localize",
     "char_poly_terms",
@@ -48,88 +51,200 @@ _MAX_SWEEPS = 100
 
 
 def hermitize(a) -> np.ndarray:
-    """Symmetrize to exact conjugate symmetry: (A + A^H)/2."""
+    """Symmetrize to exact conjugate symmetry: (A + A^H)/2, per matrix of a
+    (B, n, n) stack."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DomainError("expected a square matrix or a stack of them")
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
+def _not_converged(sweeps: int, off: float, target: float) -> NumericError:
+    return NumericError(
+        f"Jacobi did not converge after {sweeps} sweeps "
+        f"(off-diagonal {off:.3e} vs target {target:.3e})"
+    )
+
+
+def _check_invariants(lost_trace: bool, lost_norm: bool) -> None:
+    """Raise if the rotations, which preserve both, lost the trace or the
+    Frobenius norm beyond 1e-10 (relative to 1 + |trace| and to the norm)."""
+    if lost_trace:
+        raise NumericError("Jacobi lost the trace beyond tolerance")
+    if lost_norm:
+        raise NumericError("Jacobi lost the Frobenius norm beyond tolerance")
+
+
+def _off_norm(m: list) -> float:
+    return math.hypot(*[abs(x) for i, row in enumerate(m)
+                        for j, x in enumerate(row) if i != j])
+
+
+def _jacobi(a, accumulate: bool):
+    """Cyclic complex Jacobi sweeps on one matrix, in Python scalars; returns
+    (diagonal, unitary or None).  The reference path for the stacked sweep."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("expected a square matrix")
-    return 0.5 * (a + a.conj().T)
+    m = a.tolist()
+    n = len(m)
+    # one pass, in place: hermitize to (A + A^H)/2 (exactly conjugate-symmetric,
+    # with a real diagonal) and sum the trace and the squares on and off the
+    # diagonal; entry (j, i) below the diagonal is read before it is written
+    trace0 = diag_sq = off_sq = 0.0
+    for i, row in enumerate(m):
+        x = row[i].real
+        row[i] = complex(x)
+        trace0 += x
+        diag_sq += x * x
+        for j in range(i + 1, n):
+            x = 0.5 * (row[j] + m[j][i].conjugate())
+            row[j] = x
+            m[j][i] = x.conjugate()
+            off_sq += 2.0 * (x.real * x.real + x.imag * x.imag)
+    if not all(cmath.isfinite(x) for row in m for x in row):
+        raise DomainError("matrix has non-finite entries")
+    v = np.eye(n, dtype=complex).tolist() if accumulate else None
+    norm = math.sqrt(diag_sq + off_sq)
+    off = math.sqrt(off_sq)
+    target = _OFF_TOL * norm
+    # entries this small cannot block convergence; rotating on them would
+    # overflow the phase for subnormal magnitudes
+    skip = max(1e-18 * norm, 5e-308)
+    sweeps = 0
+    while off > target:
+        if sweeps == _MAX_SWEEPS:
+            raise _not_converged(sweeps, off, target)
+        sweeps += 1
+        for p in range(n - 1):
+            mp = m[p]
+            for q in range(p + 1, n):
+                mq = m[q]
+                g = mp[q]
+                ag = abs(g)
+                if ag <= skip:
+                    continue
+                w = g / ag
+                tau = (mq[q].real - mp[p].real) / (2.0 * ag)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                # A <- U^H A U with U = [[c, s], [-s conj(w), c conj(w)]] on (p, q)
+                u10, u11 = -s * w.conjugate(), c * w.conjugate()
+                for row in (m if v is None else m + v):
+                    x, y = row[p], row[q]
+                    row[p] = x * c + y * u10
+                    row[q] = x * s + y * u11
+                h01, h11 = -s * w, c * w
+                for k in range(n):
+                    x, y = mp[k], mq[k]
+                    mp[k] = c * x + h01 * y
+                    mq[k] = s * x + h11 * y
+                mp[q] = mq[p] = 0j
+        off = _off_norm(m)
+    d = [m[i][i].real for i in range(n)]
+    _check_invariants(abs(sum(d) - trace0) > 1e-10 * (1.0 + abs(trace0)),
+                      abs(math.sqrt(sum([x * x for x in d])) - norm) > 1e-10 * norm)
+    return d, (None if v is None else np.array(v))
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _jacobi_stack(a) -> np.ndarray:
+    """Cyclic complex Jacobi over a (B, n, n) stack; returns the (B, n) diagonals.
 
-
-def _jacobi(a: np.ndarray, accumulate: bool):
-    """Cyclic complex Jacobi sweeps; returns (diagonalized copy, unitary or None)."""
+    Every matrix of the stack rotates pair (p, q) at once with the rotation of
+    the single-matrix sweep; a matrix whose off-diagonal norm has met the
+    target leaves the live set and is not rotated again.
+    """
     a = hermitize(a)
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix has non-finite entries")
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a))
-    v = np.eye(n, dtype=complex) if accumulate else None
-    if n == 1:
-        return a, v
-    trace0 = float(np.trace(a).real)
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        if _off_norm(a) <= _OFF_TOL * norm:
-            converged = True
+    n = a.shape[-1]
+    norm = np.linalg.norm(a, axis=(1, 2))
+    trace0 = np.trace(a, axis1=1, axis2=2).real
+    target = _OFF_TOL * norm
+    skip = np.maximum(1e-18 * norm, 5e-308)
+    offdiag = ~np.eye(n, dtype=bool)
+
+    def off_norms(x):
+        # directly, not as |A|^2 - |diag|^2: that difference cancels and never
+        # meets the target
+        return np.sqrt(np.sum(np.abs(x[:, offdiag]) ** 2, axis=1))
+
+    live = np.arange(len(a))
+    off = off_norms(a)
+    sweeps = 0
+    while True:
+        keep = off > target[live]
+        live, off = live[keep], off[keep]
+        if not live.size:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                ag = abs(g)
-                # entries this small cannot block convergence; rotating on
-                # them would overflow the phase for subnormal magnitudes
-                if ag <= max(1e-18 * norm, 5e-308):
-                    continue
-                w = g / ag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * ag)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                u = np.array(
-                    [[c, s], [-s * np.conj(w), c * np.conj(w)]], dtype=complex
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ u
-                a[[p, q], :] = u.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if accumulate:
-                    v[:, [p, q]] = v[:, [p, q]] @ u
-    if not converged and _off_norm(a) > _OFF_TOL * norm:
-        raise NumericError(
-            f"Jacobi did not converge after {_MAX_SWEEPS} sweeps "
-            f"(off-diagonal {_off_norm(a):.3e} vs target {_OFF_TOL * norm:.3e})"
-        )
-    if norm > 0.0:
-        d = np.diag(a).real
-        if abs(d.sum() - trace0) > 1e-10 * (1.0 + abs(trace0)):
-            raise NumericError("Jacobi lost the trace beyond tolerance")
-        if abs(np.linalg.norm(d) - norm) > 1e-10 * norm:
-            raise NumericError("Jacobi lost the Frobenius norm beyond tolerance")
-    return a, v
+        if sweeps == _MAX_SWEEPS:
+            raise _not_converged(sweeps, float(off[0]), float(target[live[0]]))
+        sweeps += 1
+        sub = a[live]
+        _sweep_stack(sub, skip[live])
+        a[live] = sub
+        off = off_norms(sub)
+    d = np.diagonal(a, axis1=1, axis2=2).real
+    _check_invariants(
+        bool(np.any(np.abs(d.sum(axis=1) - trace0) > 1e-10 * (1.0 + np.abs(trace0)))),
+        bool(np.any(np.abs(np.linalg.norm(d, axis=1) - norm) > 1e-10 * norm)),
+    )
+    return d
+
+
+def _sweep_stack(a: np.ndarray, skip: np.ndarray) -> None:
+    """One cyclic sweep over every (p, q) pair of every matrix of a, in place;
+    a matrix whose |a_pq| is within its skip bound gets the identity."""
+    n = a.shape[-1]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            g = a[:, p, q]
+            ag = np.abs(g)
+            rot = ag > skip
+            if not rot.any():
+                continue
+            ag = np.where(rot, ag, 1.0)
+            w = np.where(rot, g / ag, 1.0)
+            tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * ag)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = np.where(rot, 1.0 / np.hypot(1.0, t), 1.0)
+            s = np.where(rot, t * c, 0.0)
+            cc, ss = c[:, None], s[:, None]
+            wc = np.conj(w)
+            x, y = a[:, :, p].copy(), a[:, :, q].copy()
+            a[:, :, p] = x * cc + y * (-s * wc)[:, None]
+            a[:, :, q] = x * ss + y * (c * wc)[:, None]
+            x, y = a[:, p, :].copy(), a[:, q, :].copy()
+            a[:, p, :] = cc * x + (-s * w)[:, None] * y
+            a[:, q, :] = ss * x + (c * w)[:, None] * y
+            a[rot, p, q] = 0.0
+            a[rot, q, p] = 0.0
 
 
 def eig_hermitian(a) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, by cyclic Jacobi rotations."""
-    diag, _ = _jacobi(a, accumulate=False)
-    return np.sort(np.diag(diag).real)
+    """Eigenvalues, ascending, by cyclic Jacobi rotations.
+
+    A matrix (n, n) gives (n,); a stack (B, n, n) gives (B, n), one row per
+    matrix, from one vectorized sweep over the whole stack.
+    """
+    if np.ndim(a) == 3:
+        return np.sort(_jacobi_stack(a), axis=-1)
+    d, _ = _jacobi(a, accumulate=False)
+    return np.array(sorted(d))
 
 
 def eig_hermitian_with_vectors(a):
     """(eigenvalues ascending, unitary eigenframe) with A = P diag(lam) P^H."""
-    diag, v = _jacobi(a, accumulate=True)
-    lam = np.diag(diag).real
+    d, v = _jacobi(a, accumulate=True)
+    lam = np.array(d)
     order = np.argsort(lam, kind="stable")
     return lam[order], v[:, order]
 
 
 def closed_form_2x2(d1: float, a1: complex, corner: float) -> tuple[float, float]:
     """Exact eigenvalue pair of [[d1, a1], [conj(a1), corner]]."""
-    root = np.hypot(corner - d1, 2.0 * abs(a1))
+    root = math.hypot(corner - d1, 2.0 * abs(a1))
     return 0.5 * (corner + d1 - root), 0.5 * (corner + d1 + root)
 
 
@@ -147,11 +262,7 @@ class BorderedHermitian:
 
     @classmethod
     def make(cls, d, a, corner: float) -> "BorderedHermitian":
-        return cls(
-            tuple(float(x) for x in d),
-            tuple(complex(x) for x in a),
-            float(corner),
-        )
+        return cls(tuple(map(float, d)), tuple(map(complex, a)), float(corner))
 
     @property
     def n(self) -> int:
@@ -164,10 +275,9 @@ class BorderedHermitian:
         """The full n x n Hermitian matrix."""
         n = self.n
         m = np.zeros((n, n), dtype=complex)
-        m[np.arange(n - 1), np.arange(n - 1)] = self.d
-        m[: n - 1, n - 1] = self.a
-        m[n - 1, : n - 1] = np.conj(self.a)
-        m[n - 1, n - 1] = self.corner
+        m.flat[:: n + 1] = self.d + (self.corner,)
+        m[:-1, -1] = self.a
+        m[-1, :-1] = [x.conjugate() for x in self.a]
         return m
 
 
@@ -209,40 +319,42 @@ class LocalizationVerdict:
 
 
 def localize(b: BorderedHermitian, eps: float, slack_scale: float = 1e-10) -> LocalizationVerdict:
-    """Check the quantitative localization conclusion for a bordered matrix.
-
-    Eigenvalues come from the Jacobi oracle.  The n-1 smallest are matched to
-    the diagonal entries by the minimal-total-displacement assignment (sort
-    both sides and pair in order; the conclusion is only claimed up to a
-    proper permutation).  Strict inequalities are relaxed by
-    slack_scale * (1 + |A|_F) to absorb eigensolver error.
-    """
+    """Check the quantitative localization conclusion for a bordered matrix,
+    with eigenvalues from the Jacobi oracle (see localization_verdict)."""
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    a = b.embed()
-    lam = eig_hermitian(a)
-    slack = slack_scale * (1.0 + float(np.linalg.norm(a)))
+    return localization_verdict(b, eps, eig_hermitian(b.embed()), slack_scale)
+
+
+def localization_verdict(
+    b: BorderedHermitian, eps: float, lam, slack_scale: float = 1e-10
+) -> LocalizationVerdict:
+    """Match the ascending eigenvalues lam of b.embed() to the localization
+    intervals.
+
+    The n-1 smallest are matched to the diagonal entries by the
+    minimal-total-displacement assignment (sort both sides and pair in order;
+    the conclusion is only claimed up to a proper permutation).  Strict
+    inequalities are relaxed by slack_scale * (1 + |A|_F) to absorb eigensolver
+    error, with |A|_F = |lam|_2 for the Hermitian A.
+    """
+    lam = np.asarray(lam, dtype=float).tolist()
+    slack = slack_scale * (1.0 + math.hypot(*lam))
     n = b.n
-    d = np.asarray(b.d)
-    order = np.argsort(d, kind="stable")
-    low = lam[: n - 1]
-    offsets = np.abs(low - d[order])
+    offsets = [abs(x - di) for x, di in zip(lam[: n - 1], sorted(b.d))]
     top = lam[-1]
     hi_lim = b.corner + (n - 1) * eps
-    ok = bool(
-        np.all(offsets < eps + slack)
-        and top >= b.corner - slack
-        and top < hi_lim + slack
-    )
+    ok = (all(x < eps + slack for x in offsets)
+          and b.corner - slack <= top < hi_lim + slack)
     return LocalizationVerdict(
         epsilon=float(eps),
         threshold=growth_threshold(b, eps),
         intervals=tuple((di - eps, di + eps) for di in b.d),
         top_interval=(b.corner, hi_lim),
         satisfied=ok,
-        witness=tuple(float(x) for x in lam),
-        top_boundary_hit=bool(abs(top - b.corner) <= slack),
-        max_offset=float(np.max(offsets)),
+        witness=tuple(lam),
+        top_boundary_hit=abs(top - b.corner) <= slack,
+        max_offset=max(offsets),
     )
 
 
@@ -369,8 +481,8 @@ def interval_census(b: BorderedHermitian, eps: float, corners) -> CensusReport:
     ]
     counts = []
     top_flags = []
-    for c in corners:
-        lam = eig_hermitian(b.with_corner(c).embed())
+    ladder = np.array([b.with_corner(c).embed() for c in corners]).reshape(-1, n, n)
+    for lam in eig_hermitian(ladder):
         low = lam[: n - 1]
         counts.append(
             tuple(

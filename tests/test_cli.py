@@ -104,7 +104,24 @@ class TestExitCodes:
                          "corner_multipliers": [1.0]}]}),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, psi={"path": "x"})),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, psi="const:abc")),
-    ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const"])
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": "x"})),
+        ("lemma-check", {"battery": {"count": "many"}}),
+        ("cone-check",
+         {"family": {"kind": "sigma-root", "k": 2, "n": 3}, "samples": "x"}),
+        ("subsol-check",
+         {"family": {"kind": "sigma-root", "k": 1, "n": 3},
+          "mu": [2.0, 2.0, 2.0], "delta": 0.5, "radius": 2.0}),
+        ("exhaustion", dict(DIRICHLET_SMALL)),
+        ("degenerate-sweep", dict(DIRICHLET_SMALL, boundary_shift="x")),
+        ("degenerate-sweep", dict(DIRICHLET_SMALL, ladder=["x"])),
+        ("estimate-report", dict(DIRICHLET_SMALL, amplitudes=["x"])),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": "x"})),
+        ("solve-dirichlet",
+         dict(DIRICHLET_SMALL, options={"linear_solver": "bogus"})),
+    ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
+            "bad-option", "bad-count", "bad-samples", "missing-sigma",
+            "missing-levels", "bad-boundary-shift", "bad-ladder",
+            "bad-amplitude", "bad-continuation", "unknown-linear-solver"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -129,24 +146,6 @@ class TestExitCodes:
         )
         assert main(["subsol-check", "--config", cfg,
                      "--out", str(tmp_path / "out"), "--quiet"]) == 0
-
-
-class TestThreadCap:
-    def test_env_override(self, monkeypatch):
-        from hcl.cli import thread_count
-
-        monkeypatch.setenv("HCL_THREADS", "2")
-        assert thread_count() == 2
-        monkeypatch.delenv("HCL_THREADS")
-        assert thread_count() >= 1
-
-    def test_bad_value_rejected(self, monkeypatch):
-        from hcl.cli import thread_count
-        from hcl.errors import ConfigError
-
-        monkeypatch.setenv("HCL_THREADS", "many")
-        with pytest.raises(ConfigError):
-            thread_count()
 
 
 class TestArtifacts:

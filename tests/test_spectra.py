@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcl.errors import AdmissibilityError, DomainError, PreconditionError
+from hcl import spectra
+from hcl.errors import AdmissibilityError, DomainError, NumericError, PreconditionError
 from hcl.spectra import (
     BorderedHermitian,
     battery_instances,
@@ -15,6 +16,7 @@ from hcl.spectra import (
     growth_threshold,
     hermitize,
     interval_census,
+    localization_verdict,
     localize,
     matrix_derivative,
     random_instance,
@@ -69,6 +71,70 @@ class TestEig:
 
     def test_zero_matrix(self):
         np.testing.assert_allclose(eig_hermitian(np.zeros((3, 3))), np.zeros(3))
+
+    def test_subnormal_diagonal(self):
+        # the squares underflow to zero, so the norm checks see |A|_F = 0
+        m = BorderedHermitian.make([2.2250738585e-313], [0j], 0.0).embed()
+        want = [0.0, 2.2250738585e-313]
+        np.testing.assert_array_equal(eig_hermitian(m), want)
+        np.testing.assert_array_equal(eig_hermitian(m[None]), [want])
+
+
+def assert_spectra_close(got, want):
+    """Within 1e-12 of each matrix's largest |eigenvalue| (exact for zero)."""
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestStackedEig:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_single_path_and_lapack(self, rng, n):
+        scales = 10.0 ** rng.uniform(-3, 3, 40)
+        stack = np.array([s * random_hermitian(rng, n) for s in scales])
+        lam = eig_hermitian(stack)
+        assert lam.shape == (40, n)
+        assert_spectra_close(lam, np.array([eig_hermitian(m) for m in stack]))
+        assert_spectra_close(lam, np.linalg.eigvalsh(stack))
+
+    def test_special_matrices_in_one_stack(self, rng):
+        subnormal = np.array([[1.0, 1e-310, 0.0],
+                              [1e-310, 2.0, 0.5],
+                              [0.0, 0.5, 3.0]], dtype=complex)
+        stack = np.array([
+            np.zeros((3, 3)),
+            np.diag([3.0, -1.0, 2.0]),
+            subnormal,
+            random_hermitian(rng, 3),
+        ])
+        lam = eig_hermitian(stack)
+        np.testing.assert_array_equal(lam[0], np.zeros(3))
+        np.testing.assert_array_equal(lam[1], [-1.0, 2.0, 3.0])
+        assert_spectra_close(lam, np.array([eig_hermitian(m) for m in stack]))
+        assert_spectra_close(lam, np.linalg.eigvalsh(stack))
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 3), (4, 3, 3)])
+    def test_nan_anywhere_rejected(self, rng, where):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        stack[where] = np.nan
+        with pytest.raises(DomainError):
+            eig_hermitian(stack)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (3, 6, 6)])
+    def test_sweep_cap_raises(self, rng, monkeypatch, shape):
+        a = rng.normal(0, 1, shape) + 1j * rng.normal(0, 1, shape)
+        monkeypatch.setattr(spectra, "_MAX_SWEEPS", 1)
+        with pytest.raises(NumericError):
+            eig_hermitian(a)
+
+    def test_stacked_verdicts_match_localize(self):
+        items = [(b, eps) for b, eps, _ in battery_instances(60, 8) if b.n == 4]
+        lam = eig_hermitian(np.array([b.embed() for b, _ in items]))
+        for (b, eps), row in zip(items, lam):
+            want = localize(b, eps)
+            got = localization_verdict(b, eps, row)
+            assert got.satisfied == want.satisfied
+            assert got.top_boundary_hit == want.top_boundary_hit
+            assert got.max_offset == pytest.approx(want.max_offset, abs=1e-12)
 
 
 class TestGrowthThreshold:
