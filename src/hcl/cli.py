@@ -231,11 +231,11 @@ def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
 
 
 def _cmd_cone_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    family = _family_from(cfg["family"])
     try:
+        family = _family_from(cfg["family"])
         samples = int(cfg.get("samples", 100))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad samples: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad cone-check config: {exc}") from exc
     rep = symfunc.check_structure(family, samples, seed)
     writer = hio.CsvWriter(
         out / "cone_check.csv",
@@ -253,8 +253,8 @@ def _cmd_cone_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
 
 def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    family = _family_from(cfg["family"])
     try:
+        family = _family_from(cfg["family"])
         sigma = float(cfg["sigma"])
         mu = np.asarray(cfg["mu"], dtype=float)
         delta = float(cfg["delta"])
@@ -262,6 +262,8 @@ def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         samples = int(cfg.get("samples", 500))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad subsol-check config: {exc}") from exc
+    if samples < 1:
+        raise ConfigError("subsol-check needs samples >= 1")
     ctx = subsol.build_context(family, sigma, mu, delta, radius, seed=seed)
     pts = subsol.sample_level_set(family, ctx.sigma, samples, seed)
     writer = hio.CsvWriter(
@@ -270,13 +272,12 @@ def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         seed,
     )
     neither = 0
-    for i, lam in enumerate(pts):
-        try:
-            o = subsol.dichotomy_check(ctx, lam)
-            writer.add(i, o.case1, o.case2, o.margin1, o.margin2, o.weight)
-        except LemmaViolationError:
+    for i, o in enumerate(subsol.dichotomy_rows(ctx, pts)):
+        if o is None:
             neither += 1
             writer.add(i, False, False, float("nan"), float("nan"), float("nan"))
+        else:
+            writer.add(i, o.case1, o.case2, o.margin1, o.margin2, o.weight)
     writer.flush()
     if not quiet:
         print(

@@ -32,6 +32,8 @@ from .errors import (
 from .symfunc import (
     LADDER_T_MAX,
     FuncFamily,
+    _bisect_rows,
+    _grow_rows,
     boundary_sup,
     eval_f,
     grad_f,
@@ -48,6 +50,7 @@ __all__ = [
     "certify_bounded_intersection",
     "build_context",
     "dichotomy_check",
+    "dichotomy_rows",
     "is_c_subsolution",
 ]
 
@@ -55,44 +58,71 @@ _R0_MARGIN = 1.2  # multiplicative safety on the smallest admissible clearance
 _LEVEL_TOL = 1e-10
 
 
-def _cone_entry(family: FuncFamily, base: np.ndarray, direction: np.ndarray) -> float:
-    """Smallest t >= 0 with base + t*direction in Gamma, by doubling + bisection.
+def _enter(family: FuncFamily, base: np.ndarray, direction: np.ndarray):
+    """(t, f(base + t dir)) per row of (m, n) stacks, t = 1e-9 (1 + t0) past
+    the smallest t0 >= 0 in Gamma (doubling to 2^49, about 1e15, then
+    bisection); NaN for a ray that never enters the cone."""
+    rows = np.flatnonzero(~in_cone(base, family.k))
 
-    Requires the ray to enter the cone eventually (direction with positive
-    entries always does).
-    """
-    if in_cone(base, family.k):
-        return 0.0
-    hi = 1.0
-    while not in_cone(base + hi * direction, family.k):
-        hi *= 2.0
-        if hi > 1e15:
-            raise RangeError("ray never enters the cone")
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-13 * (1.0 + hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if in_cone(base + mid * direction, family.k):
-            hi = mid
+    def inside(r, s):
+        return in_cone(base[r] + s[:, None] * direction[r], family.k)
+
+    lo, hi = np.zeros(base.shape[0]), np.ones(base.shape[0])
+    entered = np.flatnonzero(_grow_rows(inside, hi, rows, 50))
+    _bisect_rows(inside, lo, hi, entered, 200,
+                 settled=lambda r: hi[r] - lo[r] <= 1e-13 * (1.0 + hi[r]))
+    t = np.zeros(lo.shape)
+    t[rows] = np.nan
+    t[entered] = hi[entered]
+    t = t + 1e-9 * (1.0 + t)
+    f = np.full(t.shape, np.nan)
+    rows = np.flatnonzero(~np.isnan(t))
+    f[rows] = eval_f(family, base[rows] + t[rows, None] * direction[rows])
+    return t, f
+
+
+def _walk_to_level(family, sigma, base, direction, t_lo, t_hi, rows):
+    """Row-wise t_hi with f(base + t_hi dir) = sigma, f increasing on each
+    ray: doubles t_hi (200 probes) until f > sigma, then bisects until f at
+    t_hi, kept from the probes, is within 1e-10 * (1 + |sigma|).  Returns
+    (mask of the rows whose doubling reached the level, f at t_hi)."""
+    f_hi = np.full(t_hi.shape, np.nan)
+
+    def probe(r, t, strict):
+        val = eval_f(family, base[r] + t[:, None] * direction[r])
+        up = val > sigma if strict else ~(val < sigma)
+        f_hi[r[up]] = val[up]
+        return up
+
+    tol = _LEVEL_TOL * (1.0 + abs(sigma))
+    reached = _grow_rows(lambda r, t: probe(r, t, True), t_hi, rows, 200)
+    _bisect_rows(lambda r, t: probe(r, t, False), t_lo, t_hi, np.flatnonzero(reached),
+                 200, settled=lambda r: np.abs(f_hi[r] - sigma) <= tol)
+    return reached, f_hi
+
+
+def _shift_to_level(family: FuncFamily, sigma: float, bases: np.ndarray):
+    """Walk each row of `bases` along +1 to the level sigma, where f is
+    increasing by ellipticity.  Returns (points, errors): errors[i] is None
+    or the RangeError message of a ray that misses the level."""
+    ones = np.ones(bases.shape)
+    t_lo, f_lo = _enter(family, bases, ones)
+    t_hi = np.maximum(1.0, 2.0 * t_lo)
+    reached, f_hi = _walk_to_level(family, sigma, bases, ones, t_lo, t_hi,
+                                   np.flatnonzero(f_lo <= sigma))
+    errors = []
+    for f, hit, val in zip(f_lo, reached, f_hi):
+        if np.isnan(f):
+            errors.append("ray never enters the cone")
+        elif f > sigma:  # entry value already above the level
+            errors.append(f"level {sigma} below the ray's attained range")
+        elif not hit:
+            errors.append(f"level {sigma} not attained on the shifted ray")
+        elif abs(val - sigma) > 1e-8 * (1.0 + abs(sigma)):
+            errors.append(f"bisection stalled at f={val} for level {sigma}")
         else:
-            lo = mid
-    return hi
-
-
-def _bisect_level(family, sigma, base, direction, t_lo, t_hi) -> float:
-    """t with f(base + t dir) = sigma, assuming f increasing on [t_lo, t_hi]."""
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if eval_f(family, base + mid * direction) < sigma:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if abs(eval_f(family, base + t_hi * direction) - sigma) <= _LEVEL_TOL * (
-            1.0 + abs(sigma)
-        ):
-            break
-    return t_hi
+            errors.append(None)
+    return bases + t_hi[:, None] * ones, errors
 
 
 def level_set_point(
@@ -106,61 +136,41 @@ def level_set_point(
     well-posed.
     """
     direction = lambda_tuple(direction)
-    ones = np.ones(family.n)
     if mode == "shift":
-        base = direction
-        t_enter = _cone_entry(family, base, ones)
-        t_lo = t_enter + 1e-9 * (1.0 + abs(t_enter))
-        t_hi = max(1.0, 2.0 * t_lo)
-        for _ in range(200):
-            if eval_f(family, base + t_hi * ones) > sigma:
-                break
-            t_hi *= 2.0
-        else:
-            raise RangeError(f"level {sigma} not attained on the shifted ray")
-        if eval_f(family, base + t_lo * ones) > sigma:
-            # entry value already above the level: the ray misses the level set
-            raise RangeError(f"level {sigma} below the ray's attained range")
-        t = _bisect_level(family, sigma, base, ones, t_lo, t_hi)
-        point = base + t * ones
-    else:
-        if not in_cone(direction, family.k):
-            raise DomainError("ray mode needs a direction inside Gamma")
-        t_lo, t_hi = 1.0, 1.0
-        for _ in range(200):
-            if eval_f(family, t_lo * direction) < sigma:
-                break
-            t_lo *= 0.5
-        else:
-            raise RangeError(f"level {sigma} below the attained range on the ray")
-        for _ in range(200):
-            if eval_f(family, t_hi * direction) > sigma:
-                break
-            t_hi *= 2.0
-        else:
-            raise RangeError(f"level {sigma} above the attained range on the ray")
-        t = _bisect_level(family, sigma, np.zeros(family.n), direction, t_lo, t_hi)
-        point = t * direction
-    val = eval_f(family, point)
-    if abs(val - sigma) > 1e-8 * (1.0 + abs(sigma)):
-        raise RangeError(f"bisection stalled at f={val} for level {sigma}")
-    return point
+        points, errors = _shift_to_level(family, sigma, direction[None, :])
+        if errors[0]:
+            raise RangeError(errors[0])
+        return points[0]
+    if not in_cone(direction, family.k):
+        raise DomainError("ray mode needs a direction inside Gamma")
+    ray, row = direction[None, :], np.arange(1)
+    t_lo, t_hi = np.ones(1), np.ones(1)
+    if not _grow_rows(lambda r, t: eval_f(family, t[:, None] * ray) < sigma,
+                      t_lo, row, 200, factor=0.5)[0]:
+        raise RangeError(f"level {sigma} below the attained range on the ray")
+    reached, f_hi = _walk_to_level(family, sigma, np.zeros(ray.shape), ray,
+                                   t_lo, t_hi, row)
+    if not reached[0]:
+        raise RangeError(f"level {sigma} above the attained range on the ray")
+    if abs(f_hi[0] - sigma) > 1e-8 * (1.0 + abs(sigma)):
+        raise RangeError(f"bisection stalled at f={f_hi[0]} for level {sigma}")
+    return t_hi[0] * direction
 
 
 def sample_level_set(
     family: FuncFamily, sigma: float, count: int, seed: int, spread: float = 2.0
 ) -> np.ndarray:
-    """Fan of level-set points from 1-shift rays through quasi-random bases."""
+    """Fan of level-set points from 1-shift rays through quasi-random bases;
+    each round draws a base per missing point and drops those that miss."""
     rng = np.random.default_rng(seed)
     pts = np.empty((count, family.n))
     got = 0
     while got < count:
-        base = rng.normal(0.0, spread, family.n)
-        try:
-            pts[got] = level_set_point(family, sigma, base, mode="shift")
-        except RangeError:
-            continue
-        got += 1
+        found, errors = _shift_to_level(
+            family, sigma, rng.normal(0.0, spread, (count - got, family.n)))
+        keep = [i for i, err in enumerate(errors) if err is None]
+        pts[got : got + len(keep)] = found[keep]
+        got += len(keep)
     return pts
 
 
@@ -181,26 +191,22 @@ def certify_bounded_intersection(
     """
     mu = lambda_tuple(mu)
     rng = np.random.default_rng(seed)
-    base = mu - 2.0 * delta * np.ones(family.n)
+    dirs = np.abs(rng.normal(0.0, 1.0, (rays, family.n))) + 1e-12
+    for e in dirs:
+        e /= np.linalg.norm(e)  # the 1-D norm: axis=-1 differs in the last bit
+    base = np.broadcast_to(mu - 2.0 * delta * np.ones(family.n), dirs.shape)
+    t_lo, f_lo = _enter(family, base, dirs)
+    at_entry = f_lo >= sigma  # level reached at the cone entrance
+    t_hi = np.maximum(1.0, 2.0 * t_lo)
+    reached, _ = _walk_to_level(family, sigma, base, dirs, t_lo, t_hi,
+                                np.flatnonzero(f_lo < sigma))
+    t = np.where(at_entry, t_lo, t_hi)
     worst = 0.0
-    for _ in range(rays):
-        e = np.abs(rng.normal(0.0, 1.0, family.n)) + 1e-12
-        e /= np.linalg.norm(e)
-        t0 = _cone_entry(family, base, e)
-        t_lo = t0 + 1e-9 * (1.0 + t0)
-        if eval_f(family, base + t_lo * e) >= sigma:
-            crossing = base + t_lo * e  # level reached at the cone entrance
-        else:
-            t_hi = max(1.0, 2.0 * t_lo)
-            for _ in range(200):
-                if eval_f(family, base + t_hi * e) > sigma:
-                    break
-                t_hi *= 2.0
-            else:
-                continue  # level never attained along this ray
-            t = _bisect_level(family, sigma, base, e, t_lo, t_hi)
-            crossing = base + t * e
-        worst = max(worst, float(np.linalg.norm(crossing)))
+    for i in range(rays):
+        if np.isnan(f_lo[i]):
+            raise RangeError("ray never enters the cone")
+        if at_entry[i] or reached[i]:  # else the level is never attained
+            worst = max(worst, float(np.linalg.norm(base[i] + t[i] * dirs[i])))
         if worst > radius:
             raise HypothesisError(
                 f"level-set crossing at norm {worst:.6g} escapes B_{radius}"
@@ -242,57 +248,42 @@ def build_context(
     six-term minimum.  eps depends only on (sigma, mu, delta, radius, f).
     """
     mu = lambda_tuple(mu)
+    if mu.shape != (family.n,):
+        raise DomainError(f"mu needs {family.n} entries, got shape {mu.shape}")
     if delta <= 0.0 or radius <= 0.0:
         raise DomainError("delta and radius must be positive")
     if not in_cone(mu, family.k):
         raise DomainError("mu must lie in Gamma")
-    sup_bd = boundary_sup(family)
-    if not sigma > sup_bd:
+    if not sigma > boundary_sup(family):
         raise DomainError("level sigma must exceed the boundary sup of f")
     fan_norm = certify_bounded_intersection(
         family, sigma, mu, delta, radius, rays=rays, seed=seed
     )
 
-    n = family.n
-    mu_t = mu - delta * np.ones(n)
+    mu_t = mu - delta * np.ones(family.n)
 
-    def clear_ok(r0: float) -> bool:
-        if np.min(mu_t) + r0 <= radius:
-            return False
-        for i in range(n):
-            p = mu_t + r0 * _axis(n, i)
-            if not in_cone(p, family.k) or eval_f(family, p) <= sigma:
-                return False
-        return True
+    def clear_ok(rows, r0):
+        r = float(r0[0])
+        return np.array([np.min(mu_t) + r > radius and _axis_values(
+            family, sigma, mu_t, r, (1.0,)) is not None])
 
-    hi = max(1.0, radius - float(np.min(mu_t)) + 1.0)
-    while not clear_ok(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            raise HypothesisError("no axis clearance R0 found")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if clear_ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    r0 = _R0_MARGIN * hi
+    # one row: probes hi, 2 hi, 4 hi, ... while <= 1e12, then 80 bisections
+    hi, row = np.array([max(1.0, radius - float(np.min(mu_t)) + 1.0)]), np.arange(1)
+    tries = 1 + int(np.sum(hi[0] * 2.0 ** np.arange(1, 41) <= 1e12))
+    if not _grow_rows(clear_ok, hi, row, tries)[0]:
+        raise HypothesisError("no axis clearance R0 found")
+    _bisect_rows(clear_ok, np.zeros(1), hi, row, 80)
+    r0 = _R0_MARGIN * float(hi[0])
 
     eps1 = 0.5
     while eps1 > 1e-12:
-        if _scaled_ok(family, mu_t, r0, eps1, sigma):
+        vals = _axis_values(family, sigma, mu_t, r0, (1.0 + eps1, 1.0 - eps1))
+        if vals is not None:
             break
         eps1 *= 0.5
     else:
         raise HypothesisError("no scaling slack eps1 found")
-
-    margins = []
-    for i in range(n):
-        e = _axis(n, i)
-        for s in (1.0 + eps1, 1.0 - eps1):
-            margins.append(eval_f(family, s * mu_t + r0 * e) - sigma)
-    delta0 = float(min(margins))
+    delta0 = float(np.min(vals - sigma))
 
     eps = min(
         delta0 / (2.0 * r0),
@@ -318,21 +309,13 @@ def build_context(
     )
 
 
-def _axis(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
-def _scaled_ok(family, mu_t, r0, eps1, sigma) -> bool:
+def _axis_values(family, sigma, mu_t, r0, scales):
+    """f at the points s*mu_t + r0*e_i (i outer, s inner), from one call;
+    None unless all of them lie in Gamma with f > sigma."""
     n = mu_t.shape[-1]
-    for i in range(n):
-        e = _axis(n, i)
-        for s in (1.0 + eps1, 1.0 - eps1):
-            p = s * mu_t + r0 * e
-            if not in_cone(p, family.k) or eval_f(family, p) <= sigma:
-                return False
-    return True
+    pts = (np.multiply.outer(scales, mu_t) + r0 * np.eye(n)[:, None, :]).reshape(-1, n)
+    vals = eval_f(family, pts) if np.all(in_cone(pts, family.k)) else None
+    return None if vals is None or np.any(vals <= sigma) else vals
 
 
 @dataclass(frozen=True)
@@ -345,11 +328,32 @@ class DichotomyOutcome:
     margin1: float  # lhs1 - eps * weight
     margin2: float  # lhs2 - eps * weight
 
-    @property
-    def label(self) -> str:
-        if self.case1 and self.case2:
-            return "Both"
-        return "Case1" if self.case1 else "Case2"
+
+def _dichotomy_terms(ctx: DichotomyContext, lams: np.ndarray):
+    """(weight, lhs1, lhs2) per row of an (m, n) stack of level-set points."""
+    val = eval_f(ctx.family, lams)
+    off = np.flatnonzero(np.abs(val - ctx.sigma) > 1e-6 * (1.0 + abs(ctx.sigma)))
+    if off.size:
+        raise DomainError(
+            f"point is not on the level set: f={val[off[0]]} vs {ctx.sigma}")
+    f = grad_f(ctx.family, lams)
+    weight = 1.0 + np.sum(f, axis=-1) + np.abs(np.sum(f * lams, axis=-1))
+    lhs1 = np.sum(f * (np.asarray(ctx.mu) - lams), axis=-1)
+    return weight, lhs1, np.min(f, axis=-1)
+
+
+def dichotomy_rows(ctx: DichotomyContext, lams) -> list[DichotomyOutcome | None]:
+    """dichotomy_check at each row of an (m, n) stack, from one eval_f and one
+    grad_f call; None where neither case holds."""
+    weight, lhs1, lhs2 = (x.tolist() for x in _dichotomy_terms(ctx, lambda_tuple(lams)))
+    out = []
+    for w, a, b in zip(weight, lhs1, lhs2):
+        tol = 1e-10 * w
+        case1 = a >= ctx.epsilon * w - tol
+        case2 = b >= ctx.epsilon * w - tol
+        out.append(DichotomyOutcome(case1, case2, w, a - ctx.epsilon * w, b - ctx.epsilon * w)
+                   if case1 or case2 else None)
+    return out
 
 
 def dichotomy_check(ctx: DichotomyContext, lam) -> DichotomyOutcome:
@@ -361,30 +365,14 @@ def dichotomy_check(ctx: DichotomyContext, lam) -> DichotomyOutcome:
     when neither case holds beyond tolerance.
     """
     lam = lambda_tuple(lam)
-    fam = ctx.family
-    val = eval_f(fam, lam)
-    if abs(val - ctx.sigma) > 1e-6 * (1.0 + abs(ctx.sigma)):
-        raise DomainError(f"point is not on the level set: f={val} vs {ctx.sigma}")
-    f = grad_f(fam, lam)
-    mu = np.asarray(ctx.mu)
-    weight = 1.0 + float(np.sum(f)) + abs(float(np.sum(f * lam)))
-    lhs1 = float(np.sum(f * (mu - lam)))
-    lhs2 = float(np.min(f))
-    tol = 1e-10 * weight
-    case1 = lhs1 >= ctx.epsilon * weight - tol
-    case2 = lhs2 >= ctx.epsilon * weight - tol
-    if not (case1 or case2):
+    (outcome,) = dichotomy_rows(ctx, lam[None, :])
+    if outcome is None:
+        weight, lhs1, lhs2 = (float(x[0]) for x in _dichotomy_terms(ctx, lam[None, :]))
         raise LemmaViolationError(
             f"neither dichotomy case at lambda={lam.tolist()}: "
             f"lhs1={lhs1:.6g}, lhs2={lhs2:.6g}, eps*W={ctx.epsilon * weight:.6g}"
         )
-    return DichotomyOutcome(
-        case1=case1,
-        case2=case2,
-        weight=weight,
-        margin1=lhs1 - ctx.epsilon * weight,
-        margin2=lhs2 - ctx.epsilon * weight,
-    )
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -418,7 +406,7 @@ def is_c_subsolution(
     exceeded = np.zeros(n, dtype=bool)
     rising = np.zeros(n, dtype=bool)
     for i in range(n):
-        e = _axis(n, i)
+        e = np.eye(n)[i]
         vals = [eval_f(family, lam_sub)]
         for t in rungs:
             vals.append(eval_f(family, lam_sub + t * e))

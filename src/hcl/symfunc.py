@@ -193,12 +193,14 @@ class ConeVerdict:
             raise DomainError("ray-bounded sub-cone is contained in Gamma")
 
 
-def _require_admissible(family: FuncFamily, lam: np.ndarray) -> None:
-    ok = in_cone(lam, family.k)
-    if not np.all(ok):
+def _admissible_sigmas(family: FuncFamily, lam: np.ndarray) -> np.ndarray:
+    """elementary_all(lam), after checking that every row lies in Gamma_k."""
+    e = elementary_all(lam)
+    if not np.all(e[..., 1 : family.k + 1] > 0.0):
         raise AdmissibilityError(
             f"eigenvalues outside Gamma_{family.k} for {family.label()}"
         )
+    return e
 
 
 def eval_f(family: FuncFamily, lam) -> np.ndarray | float:
@@ -206,8 +208,7 @@ def eval_f(family: FuncFamily, lam) -> np.ndarray | float:
     lam = lambda_tuple(lam)
     if lam.shape[-1] != family.n:
         raise DomainError("eigenvalue tuple length does not match family dimension")
-    _require_admissible(family, lam)
-    e = elementary_all(lam)
+    e = _admissible_sigmas(family, lam)
     k = family.k
     if family.kind == "log-det":
         val = np.sum(np.log(lam), axis=-1)
@@ -230,11 +231,10 @@ def eval_f(family: FuncFamily, lam) -> np.ndarray | float:
 def grad_f(family: FuncFamily, lam) -> np.ndarray:
     """Gradient (f_1, ..., f_n); strictly positive on the cone (ellipticity)."""
     lam = lambda_tuple(lam)
-    _require_admissible(family, lam)
+    e = _admissible_sigmas(family, lam)
     n, k = family.n, family.k
     if family.kind == "log-det":
         return 1.0 / lam
-    e = elementary_all(lam)
     ex = _sigma_all_excluding(lam)  # ex[..., i, j] = sigma_j(lam | i)
     if family.kind == "sigma-root":
         sk = e[..., k : k + 1]
@@ -325,10 +325,9 @@ def hess_f(family: FuncFamily, lam, method: str = "analytic",
                 hess[i, j] = hess[j, i] = mixed
         return hess
 
-    _require_admissible(family, lam)
+    e = _admissible_sigmas(family, lam)
     if family.kind == "log-det":
         return np.diag(-1.0 / lam**2)
-    e = elementary_all(lam)
 
     def quotient_parts(num: int, den: int):
         """Value, gradient and Hessian of sigma_num / sigma_den."""
@@ -387,6 +386,37 @@ def boundary_sup(family: FuncFamily) -> float:
     return 0.0
 
 
+def _grow_rows(hit, t: np.ndarray, rows: np.ndarray, tries: int,
+               factor: float = 2.0) -> np.ndarray:
+    """Row-wise doubling: scale t[rows] by `factor` until hit(rows, t[rows])
+    holds, at most `tries` probes per row and one call per round on the live
+    rows.  Updates t in place; returns the mask of the rows that hit."""
+    found = np.zeros(t.shape, dtype=bool)
+    for _ in range(tries):
+        if rows.size == 0:
+            break
+        ok = hit(rows, t[rows])
+        found[rows[ok]] = True
+        rows = rows[~ok]
+        t[rows] *= factor
+    return found
+
+
+def _bisect_rows(probe, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
+                 steps: int, settled=None) -> None:
+    """Row-wise bisection of [lo, hi] for `rows`, one probe(rows, mid) call
+    per step on the live rows: true moves hi to mid, false moves lo.  Rows
+    where settled(rows) holds after a step leave.  Updates lo, hi in place."""
+    for _ in range(steps):
+        if rows.size == 0:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        up = probe(rows, mid)
+        hi[rows[up]], lo[rows[~up]] = mid[up], mid[~up]
+        if settled is not None:
+            rows = rows[~settled(rows)]
+
+
 def sample_cone(
     family: FuncFamily,
     count: int,
@@ -402,21 +432,20 @@ def sample_cone(
     """
     rng = np.random.default_rng(seed)
     n, k = family.n, family.k
-    pts = np.empty((count, n))
+    lam, shear = np.empty((count, n)), np.empty(count)
     for m in range(count):
-        lam = rng.exponential(spread, n)
-        # largest shift of -1 keeping the point in the cone, by doubling + bisection
-        lo, hi = 0.0, 1.0
-        while in_cone(lam - hi, k) and hi < 1e12:
-            lo, hi = hi, 2.0 * hi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if in_cone(lam - mid, k):
-                lo = mid
-            else:
-                hi = mid
-        pts[m] = lam - rng.uniform(0.0, shear_limit) * lo
-    return pts
+        lam[m], shear[m] = rng.exponential(spread, n), rng.uniform(0.0, shear_limit)
+
+    def outside(rows, t):
+        return ~in_cone(lam[rows] - t[:, None], k)
+
+    # largest shift of -1 keeping each point in the cone: doubling over
+    # 1, 2, ..., 2^39 (below 1e12), then 60 bisection steps
+    hi, rows = np.ones(count), np.arange(count)
+    _grow_rows(outside, hi, rows, 40)
+    lo = np.where(hi > 1.0, 0.5 * hi, 0.0)
+    _bisect_rows(outside, lo, hi, rows, 60)
+    return lam - (shear * lo)[:, None]
 
 
 @dataclass(frozen=True)
@@ -491,18 +520,12 @@ def check_structure(family: FuncFamily, samples: int, seed: int) -> StructureRep
     good = np.flatnonzero(well_conditioned(family, pts))
     if good.size == 0:
         good = np.array([int(np.argmax(cone_margin(pts, family.k)))])
-    worst_fd = 0.0
-    h = 1e-5
-    for idx in good[:25]:
-        lam, g = pts[idx], grads[idx]
-        fd = np.empty(family.n)
-        for i in range(family.n):
-            ei = np.zeros(family.n)
-            ei[i] = h * (1.0 + abs(lam[i]))
-            fd[i] = (eval_f(family, lam + ei) - eval_f(family, lam - ei)) / (2 * ei[i])
-        worst_fd = max(
-            worst_fd, float(np.max(np.abs(fd - g) / (1.0 + np.abs(g))))
-        )
+    lam, g = pts[good[:25]], grads[good[:25]]
+    step = 1e-5 * (1.0 + np.abs(lam))
+    shift = step[:, None, :] * np.eye(family.n)  # [p, i] = step_i e_i at point p
+    fd = (eval_f(family, lam[:, None] + shift)
+          - eval_f(family, lam[:, None] - shift)) / (2 * step)
+    worst_fd = max(0.0, float(np.max(np.abs(fd - g) / (1.0 + np.abs(g)))))
 
     return StructureReport(
         family=family,

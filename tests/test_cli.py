@@ -33,6 +33,12 @@ DIRICHLET_SMALL = {
     "phi": "zero",
 }
 
+SUBSOL = {
+    "family": {"kind": "sigma-root", "k": 1, "n": 3},
+    "sigma": 3.0, "mu": [2.0, 2.0, 2.0], "delta": 0.5, "radius": 2.0,
+    "samples": 40,
+}
+
 
 class TestExitCodes:
     def test_solve_closed_constants(self, tmp_path):
@@ -118,10 +124,17 @@ class TestExitCodes:
         ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": "x"})),
         ("solve-dirichlet",
          dict(DIRICHLET_SMALL, options={"linear_solver": "bogus"})),
+        ("subsol-check", {k: v for k, v in SUBSOL.items() if k != "family"}),
+        ("cone-check", {"samples": 40}),
+        ("subsol-check", dict(SUBSOL, mu=[2.0, 2.0])),
+        ("subsol-check", dict(SUBSOL, samples=-3)),
+        ("subsol-check", dict(SUBSOL, samples=0)),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
-            "bad-amplitude", "bad-continuation", "unknown-linear-solver"])
+            "bad-amplitude", "bad-continuation", "unknown-linear-solver",
+            "subsol-missing-family", "cone-missing-family", "short-mu",
+            "negative-samples", "zero-samples"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -138,12 +151,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
     def test_subsol_check(self, tmp_path):
-        cfg = write_config(
-            tmp_path, "s.json",
-            {"family": {"kind": "sigma-root", "k": 1, "n": 3},
-             "sigma": 3.0, "mu": [2.0, 2.0, 2.0], "delta": 0.5,
-             "radius": 2.0, "samples": 40},
-        )
+        cfg = write_config(tmp_path, "s.json", SUBSOL)
         assert main(["subsol-check", "--config", cfg,
                      "--out", str(tmp_path / "out"), "--quiet"]) == 0
 

@@ -1,0 +1,157 @@
+"""The stacked ray walks against the scalar loops they replaced.
+
+`scalar_reference` keeps the one-ray-at-a-time versions.  The stacked code
+must reproduce them bit for bit: the same points, the same contexts and the
+same error texts, across families and seeds.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scalar_reference as ref
+
+from hcl.errors import HclError
+from hcl.subsol import (
+    build_context,
+    certify_bounded_intersection,
+    dichotomy_check,
+    dichotomy_rows,
+    level_set_point,
+    sample_level_set,
+)
+from hcl.symfunc import FuncFamily, check_structure, eval_f, sample_cone
+
+FAMILIES = [
+    FuncFamily.log_det(2),
+    FuncFamily.sigma_root(2, 3),
+    FuncFamily.log_sigma(2, 4),
+    FuncFamily.quotient_log(2, (0.0, 1.0), 3),
+    FuncFamily.sigma_root(3, 6),
+]
+SEEDS = [0, 7, 29]
+
+
+def family_id(fam):
+    return fam.label()
+
+
+def level_for(fam):
+    """A level just below f(2, ..., 2), so the shifted rays from 1 meet it."""
+    return eval_f(fam, 2.0 * np.ones(fam.n)) - 0.3
+
+
+def outcome(fn, *args, **kwargs):
+    """The value of fn, or the type and text of the HclError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except HclError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=family_id)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sample_cone_matches_scalar(fam, seed):
+    assert np.array_equal(sample_cone(fam, 50, seed), ref.sample_cone(fam, 50, seed))
+
+
+def test_sample_cone_empty():
+    assert sample_cone(FAMILIES[1], 0, 3).shape == (0, 3)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=family_id)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sample_level_set_matches_scalar(fam, seed):
+    sigma = level_for(fam)
+    assert np.array_equal(sample_level_set(fam, sigma, 40, seed),
+                          ref.sample_level_set(fam, sigma, 40, seed))
+
+
+def test_retry_path_matches_scalar():
+    # sigma_2^(1/2), n = 3 at level 3: about 4% of the seed-3 bases enter the
+    # cone above the level and are redrawn
+    fam, sigma, seed = FAMILIES[1], 3.0, 3
+    bases = np.random.default_rng(seed).normal(0.0, 2.0, (150, fam.n))
+    misses = 0
+    for base in bases:
+        want = outcome(ref.level_set_point, fam, sigma, base, mode="shift")
+        assert_same(outcome(level_set_point, fam, sigma, base, mode="shift"), want)
+        misses += isinstance(want, tuple)
+    assert misses >= 3
+    assert np.array_equal(sample_level_set(fam, sigma, 150, seed),
+                          ref.sample_level_set(fam, sigma, 150, seed))
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=family_id)
+def test_ray_mode_matches_scalar(fam):
+    directions = sample_cone(fam, 12, 5)
+    for sigma in (0.5, level_for(fam), -1.0):
+        for d in directions:
+            assert_same(outcome(level_set_point, fam, sigma, d),
+                        outcome(ref.level_set_point, fam, sigma, d))
+
+
+def test_ray_mode_rejects_direction_outside_cone():
+    fam = FAMILIES[0]
+    assert outcome(level_set_point, fam, 0.0, [-1.0, 2.0]) == outcome(
+        ref.level_set_point, fam, 0.0, [-1.0, 2.0])
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=family_id)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_build_context_matches_scalar(fam, seed):
+    mu = 2.0 * np.ones(fam.n)
+    sigma = level_for(fam)
+    got = build_context(fam, sigma, mu, 0.5, 8.0, rays=60, seed=seed)
+    assert got == ref.build_context(fam, sigma, mu, 0.5, 8.0, rays=60, seed=seed)
+
+
+@pytest.mark.parametrize("fam", FAMILIES[:2], ids=family_id)
+def test_crossing_norms_match_scalar(fam):
+    # one ray per seed, so each seed's fan norm is one crossing norm
+    mu, sigma = 2.0 * np.ones(fam.n), level_for(fam)
+    for seed in range(40):
+        assert certify_bounded_intersection(fam, sigma, mu, 0.5, 8.0, 1, seed) == (
+            ref.certify_bounded_intersection(fam, sigma, mu, 0.5, 8.0, 1, seed))
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=family_id)
+def test_too_small_radius_text_matches_scalar(fam):
+    mu = 2.0 * np.ones(fam.n)
+    sigma = level_for(fam)
+    got = outcome(build_context, fam, sigma, mu, 0.5, 2.0, seed=3)
+    assert got == outcome(ref.build_context, fam, sigma, mu, 0.5, 2.0, seed=3)
+    assert got[0] == "HypothesisError"
+
+
+def test_dichotomy_rows_match_per_point_checks():
+    fam = FAMILIES[1]
+    ctx = build_context(fam, 3.0, [2.0, 2.0, 2.0], 0.5, 6.0, seed=3)
+    pts = sample_level_set(fam, ctx.sigma, 120, 3)
+    # the derived epsilon gives every point a case; a larger one leaves some
+    # points with neither
+    for eps in (ctx.epsilon, 0.2):
+        c = replace(ctx, epsilon=eps)
+        rows = dichotomy_rows(c, pts)
+        for lam, row in zip(pts, rows):
+            want = outcome(ref.dichotomy_check, c, lam)
+            assert outcome(dichotomy_check, c, lam) == want
+            if row is None:
+                assert want[0] == "LemmaViolationError"
+            else:
+                assert row == want
+    assert None not in dichotomy_rows(ctx, pts)
+    neither = dichotomy_rows(replace(ctx, epsilon=0.2), pts).count(None)
+    assert 0 < neither < len(pts)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=family_id)
+def test_check_structure_matches_scalar(fam):
+    assert check_structure(fam, 60, 7) == ref.check_structure(fam, 60, 7)
