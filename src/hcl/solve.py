@@ -5,15 +5,21 @@ lambda(g[u]) inside the cone at all interior nodes and decrease the sup-norm
 residual.  Closed mode solves for the pair (u, c) in f(...) = psi + c on a
 fully periodic domain with a zero-mean gauge on the updates and sup u = 0
 applied after convergence.  Dirichlet mode starts from a strict subsolution
-with u = phi on the boundary, optionally along a continuation ladder.  Linear
-sub-solves use diagonally preconditioned CG for the symmetric
-constant-coefficient systems and a sparse direct factorization (BiCGStab above
-the size threshold) for the nonsymmetric Newton systems.
+with u = phi on the boundary, optionally along a continuation ladder.
+
+Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
+unmasked box it inverts a constant-coefficient operator exactly by a DFT along
+the periodic axes and a DST-I along the bounded ones.  It solves the Poisson
+problems directly (diagonally preconditioned CG remains for masked domains and
+as a refinement when the sup-norm certificate fails) and, frozen at the mean
+Newton coefficient, preconditions BiCGStab on the nonsymmetric Newton systems
+(a sparse direct factorization below the size threshold).  Each linear solve
+is recorded in `SolveResult.linear_solves`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -126,6 +132,9 @@ class SolveResult:
     residual_history: list[float]
     admissible: bool
     estimates: EstimateReport | None = None
+    # one (path, krylov_iters) per linear solve, path "direct", "bicgstab" or
+    # "spsolve-fallback"; diagnostics only, written to no artifact
+    linear_solves: list[tuple[str, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -178,6 +187,17 @@ def residual_field(spec: ProblemSpec, u_vals: np.ndarray, c: float = 0.0):
     return r, True, lam
 
 
+def _mixed_pieces(j: int, k: int, c):
+    """(axis a, axis b, factor) for the real mixed differences D_ab that make up
+    the (j, kbar) and (k, jbar) terms with coefficient c = F^{j kbar}, j < k."""
+    return (
+        (2 * j, 2 * k, 0.5 * c.real),
+        (2 * j + 1, 2 * k + 1, 0.5 * c.real),
+        (2 * j, 2 * k + 1, -0.5 * c.imag),
+        (2 * j + 1, 2 * k, 0.5 * c.imag),
+    )
+
+
 def _stencil_entries(family_n: int, spacings, coeff: np.ndarray):
     """Map offset tuple -> coefficient array over interior nodes for the
     linearized operator sum_{j,k} F^{j kbar} (Hess v)_{j kbar}."""
@@ -205,15 +225,7 @@ def _stencil_entries(family_n: int, spacings, coeff: np.ndarray):
             add([0] * d, -2.0 * w)
     for j in range(family_n):
         for k in range(j + 1, family_n):
-            c_re = coeff[:, j, k].real
-            c_im = coeff[:, j, k].imag
-            pieces = (
-                (2 * j, 2 * k, 0.5 * c_re),
-                (2 * j + 1, 2 * k + 1, 0.5 * c_re),
-                (2 * j, 2 * k + 1, -0.5 * c_im),
-                (2 * j + 1, 2 * k, 0.5 * c_im),
-            )
-            for ax_a, ax_b, fac in pieces:
+            for ax_a, ax_b, fac in _mixed_pieces(j, k, coeff[:, j, k]):
                 w = fac / (4.0 * spacings[ax_a] * spacings[ax_b])
                 for sa in (+1, -1):
                     for sb in (+1, -1):
@@ -276,6 +288,68 @@ def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
     return a, b
 
 
+def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
+    """Exact inverse of the constant-coefficient operator
+    sum_{j,k} fbar^{j kbar} (Hess v)_{j kbar} on the interior box, as a map of
+    flat interior vectors; None for a masked domain.
+
+    A DFT along the periodic axes and an orthonormal DST-I along the others
+    (m = N - 2 interior nodes) diagonalize each second difference, symbol
+    -(4/h^2) sin^2(theta/2), and each mixed difference of two periodic axes,
+    symbol -(sin theta_a / h_a)(sin theta_b / h_b).  Mixed terms that involve a
+    non-periodic axis are dropped (DST-I does not diagonalize them), so the map
+    is exact for the identity and on the torus and a preconditioner otherwise.
+    On a fully periodic domain the zero mode (the constants) is passed through.
+    """
+    box = tuple(slice(None) if p else slice(1, -1) for p in domain.periodic)
+    roles = domain.roles[box]
+    if np.count_nonzero(domain.interior) != roles.size or np.any(roles != INTERIOR):
+        return None
+    import scipy.fft as sfft
+
+    shape, d, h = roles.shape, roles.ndim, domain.spacings
+    p_axes = [a for a in range(d) if domain.periodic[a]]
+    s_axes = [a for a in range(d) if not domain.periodic[a]]
+    second, sine = [], []
+    for a, m in enumerate(shape):
+        if not domain.periodic[a]:
+            theta = np.pi * np.arange(1, m + 1) / (m + 1)
+        elif a == p_axes[-1]:  # the half spectrum of rfftn
+            theta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
+        else:
+            theta = 2.0 * np.pi * np.fft.fftfreq(m)
+        view = [1] * d
+        view[a] = theta.size
+        second.append((-4.0 / h[a] ** 2 * np.sin(0.5 * theta) ** 2).reshape(view))
+        sine.append((np.sin(theta) / h[a]).reshape(view))
+    sym = 0.0
+    for j in range(domain.n):
+        sym = sym + 0.25 * fbar[j, j].real * (second[2 * j] + second[2 * j + 1])
+        for k in range(j + 1, domain.n):
+            for ax_a, ax_b, fac in _mixed_pieces(j, k, fbar[j, k]):
+                if domain.periodic[ax_a] and domain.periodic[ax_b]:
+                    sym = sym - fac * sine[ax_a] * sine[ax_b]
+    if not s_axes:
+        sym[(0,) * d] = 1.0
+    if not np.all(np.isfinite(sym)) or np.any(sym == 0.0):
+        return None
+    p_shape = [shape[a] for a in p_axes]
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        x = np.reshape(r, shape)
+        if s_axes:
+            x = sfft.dstn(x, type=1, axes=s_axes, norm="ortho")
+        if p_axes:
+            x = sfft.irfftn(sfft.rfftn(x, axes=p_axes) / sym, s=p_shape, axes=p_axes)
+        else:
+            x = x / sym
+        if s_axes:
+            x = sfft.dstn(x, type=1, axes=s_axes, norm="ortho")
+        return x.reshape(-1)
+
+    return apply
+
+
 def _solve_spd(a_neg: sp.csr_matrix, b: np.ndarray, sup_target: float):
     """Diagonally preconditioned CG on the SPD system; certify the sup-norm.
 
@@ -304,28 +378,52 @@ def _solve_spd(a_neg: sp.csr_matrix, b: np.ndarray, sup_target: float):
     return x
 
 
-def _solve_general(a: sp.csr_matrix, b: np.ndarray, opts: SolverOptions):
-    """Nonsymmetric sparse solve: diagonally preconditioned BiCGStab with a
-    fixed seeded start, falling back to a direct factorization when the
-    iteration fails to certify its relative tolerance."""
+def _solve_general(a: sp.csr_matrix, b: np.ndarray, opts: SolverOptions,
+                   precond=None):
+    """Nonsymmetric sparse solve; returns (x, (path, krylov_iters)).
+
+    Below the size threshold (or with linear_solver="direct") a sparse direct
+    factorization.  Otherwise BiCGStab from a fixed seeded start, preconditioned
+    by `precond` (a map of vectors, such as `_spectral_inverse` at the mean
+    coefficient) or else by the diagonal.  The system is scaled to sup |b| = 1
+    first: scipy's breakdown tests are absolute (|rho| < eps^2), and the small
+    right-hand sides of the last Newton steps would trip them.  A run that
+    converges without certifying the true residual restarts once from its
+    result; only a second miss or a breakdown falls back to factorization.
+    """
     n = a.shape[0]
     if opts.linear_solver == "direct" or (
         opts.linear_solver == "auto" and n <= 2000
     ):
-        return spla.spsolve(a.tocsc(), b)
-    diag = a.diagonal()
-    diag = np.where(np.abs(diag) > 0, diag, 1.0)
-    m = sp.diags(1.0 / diag)
+        return spla.spsolve(a.tocsc(), b), ("direct", 0)
+    if precond is None:
+        diag = a.diagonal()
+        diag = np.where(np.abs(diag) > 0, diag, 1.0)
+        m = sp.diags(1.0 / diag)
+    else:
+        m = spla.LinearOperator(a.shape, matvec=precond, dtype=float)
+    scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
+    bs = b / scale
+    bnorm = float(np.linalg.norm(bs))
     rng = np.random.default_rng(opts.seed)
-    bnorm = float(np.linalg.norm(b))
     x0 = 1e-3 * rng.standard_normal(n) * (bnorm / np.sqrt(n) + 1e-30)
-    x, info = spla.bicgstab(a, b, x0=x0, rtol=opts.lin_tol, atol=0.0, M=m,
-                            maxiter=40 * int(np.sqrt(n) + 10))
-    if info != 0 or not np.all(np.isfinite(x)) or (
-        float(np.linalg.norm(a @ x - b)) > 10.0 * opts.lin_tol * (bnorm + 1e-30)
-    ):
-        x = spla.spsolve(a.tocsc(), b)
-    return x
+    iters = 0
+
+    def count(_xk):
+        nonlocal iters
+        iters += 1
+
+    def certified(x):  # false for non-finite x too
+        return float(np.linalg.norm(a @ x - bs)) <= 10.0 * opts.lin_tol * (bnorm + 1e-30)
+
+    krylov = dict(rtol=opts.lin_tol, atol=0.0, M=m,
+                  maxiter=40 * int(np.sqrt(n) + 10), callback=count)
+    x, info = spla.bicgstab(a, bs, x0=x0, **krylov)
+    if info == 0 and not certified(x):  # converged on the recurrence residual only
+        x, info = spla.bicgstab(a, bs, x0=x, **krylov)
+    if info != 0 or not certified(x):
+        return scale * spla.spsolve(a.tocsc(), bs), ("spsolve-fallback", iters)
+    return scale * x, ("bicgstab", iters)
 
 
 # ------------------------------------------------------------------ Poisson
@@ -336,8 +434,10 @@ def poisson_dirichlet(
 ) -> ScalarField:
     """Solve chern_laplacian(h) = rhs with h = bc on the boundary.
 
-    Conjugate gradient on the symmetric positive-definite (negated) 5-point
-    system; sup-norm residual certified at sup_tol * (1 + |rhs|_inf).
+    The spectral inverse solves the system directly on an unmasked box; the
+    sup-norm residual is certified at sup_tol * (1 + |rhs|_inf), and only when
+    that certificate fails (or on a masked domain) does diagonally
+    preconditioned CG on the negated symmetric system refine the solution.
     """
     if not domain.boundary.any():
         raise DomainError("poisson_dirichlet needs a domain with boundary")
@@ -354,7 +454,11 @@ def poisson_dirichlet(
     u_b = bc_vals.reshape(-1)[domain.roles.reshape(-1) == BOUNDARY]
     rhs_eff = rhs_vals[domain.interior] - b @ u_b
     target = sup_tol * (1.0 + float(np.max(np.abs(rhs_vals[domain.interior]))))
-    x = _solve_spd(-a, -rhs_eff, target)
+    solve = _spectral_inverse(domain, np.eye(n))
+    x = np.zeros(rhs_eff.size) if solve is None else solve(rhs_eff)
+    resid = rhs_eff - a @ x
+    if float(np.max(np.abs(resid), initial=0.0)) > target:
+        x = x + _solve_spd(-a, -resid, target)
     out = np.zeros(domain.shape)
     out[domain.boundary] = bc_vals[domain.boundary]
     out[domain.interior] = x
@@ -431,44 +535,73 @@ def build_supersolution(spec: ProblemSpec) -> ScalarField:
     return poisson_dirichlet(spec.domain, ScalarField(spec.domain, -tr), spec.phi)
 
 
+def _pin_row0(a: sp.csr_matrix) -> sp.csr_matrix:
+    """A copy of the CSR matrix a with row 0 replaced by the unit row e_0."""
+    hi = a.indptr[1]
+    return sp.csr_matrix(
+        (np.concatenate(([1.0], a.data[hi:])),
+         np.concatenate(([0], a.indices[hi:])),
+         np.concatenate(([0], a.indptr[1:] - (hi - 1)))),
+        shape=a.shape,
+    )
+
+
 def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int,
-                    opts: SolverOptions):
+                    opts: SolverOptions, precond=None):
     """Solve the (N+1)-dimensional bordered system
 
         A v - dc * 1 = -r,   sum(v) = 0
 
     by block elimination: A annihilates constants, so pinning node 0 makes the
     operator invertible; two solves with the pinned operator recover (v, dc)
-    exactly."""
-    a_csr = a.tocsr()
-    pinned = a.tolil()
-    pinned.rows[0] = [0]
-    pinned.data[0] = [1.0]
-    pinned = pinned.tocsr()
+    exactly.  Returns (v, dc, the two linear-solve records)."""
+    a = a.tocsr()
+    hi = a.indptr[1]
+    cols0, vals0 = a.indices[:hi], a.data[:hi]  # row 0 of A
+    pinned = _pin_row0(a)
     b1 = -r.copy()
     b1[0] = 0.0
     b2 = np.ones(n_nodes)
     b2[0] = 0.0
     try:
-        x1 = _solve_general(pinned, b1, opts)
-        x2 = _solve_general(pinned, b2, opts)
+        x1, rec1 = _solve_general(pinned, b1, opts, precond)
+        x2, rec2 = _solve_general(pinned, b2, opts, precond)
     except Exception as exc:
         raise GaugeError(f"augmented system failed: {exc}") from exc
     if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
         raise GaugeError("augmented system produced non-finite update")
     # enforce the original row 0 and the zero-mean gauge
-    row0_x1 = float((a_csr[0] @ x1)[0])
-    row0_x2 = float((a_csr[0] @ x2)[0])
+    row0_x1 = float(vals0 @ x1[cols0])
+    row0_x2 = float(vals0 @ x2[cols0])
     denom = row0_x2 - 1.0
     if abs(denom) < 1e-14:
         raise GaugeError("bordered system singular: gauge column degenerate")
     dc = -(float(r[0]) + row0_x1) / denom
     v = x1 + dc * x2
     v -= v.sum() / n_nodes
-    return v, float(dc)
+    return v, float(dc), [rec1, rec2]
 
 
 # ------------------------------------------------------------------ Newton
+
+# Largest spread max/min of the Newton coefficient's diagonal ratios
+# F_jj / fbar_jj for which the spectral preconditioner is used.  Beyond it the
+# frozen operator no longer resembles the Newton operator: on a near-touching
+# log-det instance (psi = log(1e-4 + r^2), 17^2 S nodes) steps of spread
+# 80-600 took 25-75 spectral iterations, each about 4x the cost of a diagonal
+# one, against 60-80 diagonally preconditioned iterations.
+_SPECTRAL_CONTRAST = 30.0
+
+
+def _newton_preconditioner(domain: GridDomain, coeff: np.ndarray):
+    """The spectral inverse at the mean Newton coefficient fbar, or None (the
+    diagonal) when the ratios F_jj / fbar_jj over the nodes and directions
+    spread by more than _SPECTRAL_CONTRAST."""
+    fbar = coeff.mean(axis=0)
+    ratio = np.einsum("nii->ni", coeff).real / np.diagonal(fbar).real
+    if not ratio.max() <= _SPECTRAL_CONTRAST * ratio.min():
+        return None
+    return _spectral_inverse(domain, fbar)
 
 
 def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
@@ -478,7 +611,8 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     with the zero-mean gauge in closed mode, the plain Newton system in
     Dirichlet mode (boundary values stay fixed).  The step is halved until the
     iterate stays admissible and the sup-norm residual decreases.
-    Returns (u, c, residual history).
+    Each step's Krylov solves are preconditioned by `_newton_preconditioner`.
+    Returns (u, c, residual history, linear-solve records).
     """
     dom = spec.domain
     tol = opts.residual_scale * (1.0 + float(np.max(np.abs(spec.psi.values[~dom.exterior]))))
@@ -488,6 +622,7 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
         raise AdmissibilityError("initial iterate not admissible")
     res = float(np.max(np.abs(r)))
     history = [res]
+    solves: list[tuple[str, int]] = []
     for _ in range(opts.max_newton):
         if res <= tol:
             break
@@ -495,10 +630,13 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
         lam_g, p = np.linalg.eigh(g)
         coeff = np.einsum("nik,nk,njk->nij", p, grad_f(spec.family, lam_g), p.conj())
         a, _ = assemble_linearized(dom, coeff)
+        precond = _newton_preconditioner(dom, coeff)
         if spec.mode == "closed":
-            v, dc = _solve_bordered(a, r, r.size, opts)
+            v, dc, records = _solve_bordered(a, r, r.size, opts, precond)
         else:
-            v, dc = _solve_general(a, -r, opts), 0.0
+            v, record = _solve_general(a, -r, opts, precond)
+            dc, records = 0.0, [record]
+        solves.extend(records)
         step = 1.0
         admissible_seen = False
         while step >= opts.damping_min:
@@ -524,7 +662,7 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
             )
     if res > tol:
         raise StallError(f"Newton did not reach tol {tol:.3e}; residual {res:.3e}")
-    return u, c, history
+    return u, c, history, solves
 
 
 def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
@@ -546,9 +684,9 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
     u0[dom.boundary] = spec.phi.values[dom.boundary]
     if opts.continuation is None:
         try:
-            u, _, history = _damped_newton(spec, u0, opts)
+            u, _, history, solves = _damped_newton(spec, u0, opts)
             return SolveResult(ScalarField(dom, u), None, len(history) - 1,
-                               history, True)
+                               history, True, linear_solves=solves)
         except StallError:
             opts = replace(opts, continuation=8)
     # continuation ladder from the subsolution level
@@ -560,16 +698,18 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
     s_values = list(np.linspace(0.0, 1.0, opts.continuation + 1)[1:])
     total_iters = 0
     history_all: list[float] = []
+    solves_all: list[tuple[str, int]] = []
     s_prev = 0.0
     guard = 0
     while s_values:
         s = s_values[0]
         psi_s = ScalarField(dom, (1.0 - s) * f0 + s * spec.psi.values)
         try:
-            current, _, history = _damped_newton(replace(spec, psi=psi_s),
-                                                 current, opts)
+            current, _, history, solves = _damped_newton(
+                replace(spec, psi=psi_s), current, opts)
             total_iters += len(history) - 1
             history_all.extend(history)
+            solves_all.extend(solves)
             s_prev = s
             s_values.pop(0)
         except StallError:
@@ -577,7 +717,8 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
             if guard > 24 or s - s_prev < 1e-6:
                 raise
             s_values.insert(0, 0.5 * (s_prev + s))
-    return SolveResult(ScalarField(dom, current), None, total_iters, history_all, True)
+    return SolveResult(ScalarField(dom, current), None, total_iters, history_all,
+                       True, linear_solves=solves_all)
 
 
 def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
@@ -586,10 +727,10 @@ def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveR
     opts = opts or SolverOptions()
     if spec.mode != "closed":
         raise DomainError("solve_closed needs closed mode")
-    u, c, history = _damped_newton(spec, np.zeros(spec.domain.shape), opts)
+    u, c, history, solves = _damped_newton(spec, np.zeros(spec.domain.shape), opts)
     u = u - float(np.max(u))  # the equation sees only the Hessian; c is unchanged
     return SolveResult(ScalarField(spec.domain, u), float(c), len(history) - 1,
-                       history, True)
+                       history, True, linear_solves=solves)
 
 
 # ------------------------------------------------------------------ sweeps

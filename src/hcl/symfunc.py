@@ -20,6 +20,7 @@ All evaluators are vectorized over leading axes: `lam` may have shape
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -543,6 +544,15 @@ def _ladder(t_max: float) -> np.ndarray:
     return 2.0 ** np.arange(0, rungs + 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _probe_set(family: FuncFamily, probes: int, seed: int) -> np.ndarray:
+    """The seeded `sample_cone` probe set of `gamma_g_criteria`, drawn once per
+    (family, probes, seed) and returned read-only."""
+    mus = sample_cone(family, probes, seed)
+    mus.flags.writeable = False
+    return mus
+
+
 def gamma_g_criteria(
     family: FuncFamily,
     lam,
@@ -565,7 +575,7 @@ def gamma_g_criteria(
     crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
     slopes = vals[-4:] / ladder[-4:]
     crit2 = bool(np.max(slopes) >= -1e-7 * scale)
-    mus = [sample_cone(family, probes, seed)]
+    mus = [_probe_set(family, probes, seed)]
     for t_big in (2.0 ** 8, 2.0 ** 14, 2.0 ** 20):
         mus.append(t_big * mus[0][: max(probes // 4, 1)])
         mus.append(t_big * lam[None, :])

@@ -17,12 +17,20 @@ from hcl.grid import (
     GridDomain,
     ScalarField,
     boundary_normal_derivatives,
+    chern_laplacian,
     constant_chi,
     identity_chi,
 )
+import hcl.solve as solve_mod
 from hcl.solve import (
     ProblemSpec,
     SolverOptions,
+    _newton_preconditioner,
+    _pin_row0,
+    _solve_bordered,
+    _solve_general,
+    _solve_spd,
+    _spectral_inverse,
     assemble_linearized,
     build_subsolution,
     build_supersolution,
@@ -92,6 +100,167 @@ class TestPoisson:
         dom = GridDomain.torus(1, (8, 8))
         with pytest.raises(DomainError):
             poisson_dirichlet(dom, 1.0, 0.0)
+
+
+def constant_operator(dom, fbar):
+    """Interior operator of sum fbar^{j kbar} (Hess v)_{j kbar}, fbar constant."""
+    fbar = np.asarray(fbar, dtype=complex)
+    nint = int(dom.interior.sum())
+    a, _ = assemble_linearized(dom, np.broadcast_to(fbar, (nint,) + fbar.shape))
+    return a
+
+
+def smooth_coefficient(dom, amp):
+    """A Hermitian positive-definite coefficient field varying over the nodes."""
+    x = dom.meshgrid()
+    coeff = np.zeros(dom.shape + (2, 2), dtype=complex)
+    coeff[..., 0, 0] = 1.0 + amp * np.sin(x[0])
+    coeff[..., 1, 1] = 1.0 + amp * np.cos(x[-1])
+    coeff[..., 0, 1] = 0.5 * amp * np.sin(x[1] + x[-2])
+    coeff[..., 1, 0] = coeff[..., 0, 1]
+    return coeff[dom.interior]
+
+
+class TestSpectralInverse:
+    @pytest.mark.parametrize("dom, fbar", [
+        (GridDomain.product(1, s_shape=(17, 13)), np.eye(1)),
+        (GridDomain.product(2, x_shape=(8, 6), s_shape=(11, 9)),
+         np.diag([1.3, 0.7])),
+        # a full Hermitian fbar: the mixed symbols and their signs enter
+        (GridDomain.torus(2, (8, 6, 10, 4), (1.0, 2.0, 3.0, 1.5)),
+         np.array([[1.2, 0.3 + 0.4j], [0.3 - 0.4j, 0.9]])),
+    ], ids=["product-n1", "product-n2-diagonal", "torus-n2-hermitian"])
+    def test_inverts_constant_operator(self, dom, fbar):
+        a = constant_operator(dom, fbar)
+        solve = _spectral_inverse(dom, fbar)
+        v = np.random.default_rng(3).standard_normal(a.shape[0])
+        if all(dom.periodic):
+            v -= v.mean()  # constants span the kernel on the torus
+            np.testing.assert_allclose(solve(np.ones(v.size)), 1.0, atol=1e-12)
+        w = solve(a @ v)
+        if all(dom.periodic):
+            w -= w.mean()
+        assert np.max(np.abs(w - v)) <= 1e-12
+
+    @pytest.mark.parametrize("nodes", [33, 65])
+    def test_poisson_matches_cg(self, nodes):
+        dom = GridDomain.product(1, s_shape=(nodes, nodes))
+        rhs = np.random.default_rng(nodes).normal(0, 1, dom.shape)
+        h = poisson_dirichlet(dom, ScalarField(dom, rhs), 0.0)
+        a = constant_operator(dom, np.eye(1))
+        target = 1e-10 * (1.0 + np.max(np.abs(rhs[dom.interior])))
+        x = _solve_spd(-a, -rhs[dom.interior], target)
+        assert np.max(np.abs(h.values[dom.interior] - x)) <= 1e-12
+
+    def test_masked_domain_goes_through_cg(self, monkeypatch):
+        dom = GridDomain.product(1, s_shape=(33, 33))
+        calls = []
+        cg = solve_mod.spla.cg
+
+        def counting_cg(*args, **kwargs):
+            calls.append(1)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(solve_mod.spla, "cg", counting_cg)
+        h = poisson_dirichlet(dom, 1.0, 0.0)
+        assert calls == []  # the box is solved directly
+        sub = dom.restrict(h.values < -0.02)
+        assert _spectral_inverse(sub, np.eye(1)) is None
+        h_sub = poisson_dirichlet(sub, 1.0, 0.0)
+        assert calls
+        resid = chern_laplacian(h_sub).values[sub.interior] - 1.0
+        assert np.max(np.abs(resid)) <= 2e-10
+
+    def test_krylov_iterations_flat_under_refinement(self):
+        peak = []
+        for nodes in (17, 65):
+            dom = GridDomain.product(2, x_shape=(4, 4), s_shape=(nodes, nodes))
+            x0, _, s0, s1 = dom.meshgrid()
+            psi = (0.4 + 0.1 * np.sin(x0) * np.cos(np.pi * s0)
+                   + 0.1 * np.sin(np.pi * s1))
+            spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
+                               ScalarField(dom, psi), ScalarField.zeros(dom),
+                               "dirichlet")
+            res = solve_dirichlet(spec, SolverOptions(linear_solver="iterative"))
+            assert {path for path, _ in res.linear_solves} == {"bicgstab"}
+            assert len(res.linear_solves) == res.iterations
+            peak.append(max(iters for _, iters in res.linear_solves))
+        # diagonal preconditioning needs about 4x the iterations at 65^2
+        assert peak[1] <= peak[0] + 5
+
+    @pytest.mark.parametrize("linear_solver", ["direct", "iterative"])
+    def test_bordered_solve_meets_every_row(self, linear_solver):
+        dom = GridDomain.torus(2, (8, 4, 6, 4))
+        coeff = smooth_coefficient(dom, 0.3)
+        a, _ = assemble_linearized(dom, coeff)
+        r = np.random.default_rng(7).standard_normal(a.shape[0])
+        v, dc, records = _solve_bordered(
+            a, r, r.size, SolverOptions(linear_solver=linear_solver),
+            _newton_preconditioner(dom, coeff))
+        assert [path for path, _ in records] == [
+            "direct" if linear_solver == "direct" else "bicgstab"] * 2
+        assert np.max(np.abs(a @ v - dc + r)) <= 1e-9
+        assert abs(v.sum()) <= 1e-9
+
+    def test_newton_preconditioner_contrast_guard(self):
+        dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
+        coeff = smooth_coefficient(dom, 0.3)
+        assert _newton_preconditioner(dom, coeff) is not None
+        # one direction 100x stiffer at a single node, as near a touching point
+        coeff[0, 1, 1] *= 100.0
+        assert _newton_preconditioner(dom, coeff) is None
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-8])
+    def test_tiny_rhs_needs_no_factorization(self, scale, monkeypatch):
+        # scipy's absolute breakdown test |rho| < eps^2 used to end BiCGStab
+        # on right-hand sides this small and fall back to spsolve
+        dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(17, 17))
+        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        x0, _, s0, s1 = dom.meshgrid()
+        b = scale * (np.sin(x0) * np.sin(np.pi * s0) * np.sin(np.pi * s1))[
+            dom.interior]
+
+        def no_spsolve(*args, **kwargs):
+            raise AssertionError("spsolve called")
+
+        monkeypatch.setattr(solve_mod.spla, "spsolve", no_spsolve)
+        opts = SolverOptions(linear_solver="iterative")
+        x, (path, iters) = _solve_general(a, b, opts)
+        assert path == "bicgstab" and iters > 0
+        assert np.linalg.norm(a @ x - b) <= 10 * opts.lin_tol * np.linalg.norm(b)
+
+    def test_uncertified_run_restarts_before_factorization(self, monkeypatch):
+        dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
+        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        b = np.random.default_rng(5).standard_normal(a.shape[0])
+        bicgstab, runs = solve_mod.spla.bicgstab, []
+
+        def first_run_misses(*args, **kwargs):
+            x, info = bicgstab(*args, **kwargs)
+            runs.append(info)
+            return (x + 1e-3 if len(runs) == 1 else x), info
+
+        def no_spsolve(*args, **kwargs):
+            raise AssertionError("spsolve called")
+
+        monkeypatch.setattr(solve_mod.spla, "bicgstab", first_run_misses)
+        monkeypatch.setattr(solve_mod.spla, "spsolve", no_spsolve)
+        opts = SolverOptions(linear_solver="iterative")
+        x, (path, _) = _solve_general(a, b, opts)
+        assert runs == [0, 0] and path == "bicgstab"
+        assert np.linalg.norm(a @ x - b) <= 10 * opts.lin_tol * np.linalg.norm(b)
+
+    def test_pinned_matrix_matches_lil_build(self):
+        dom = GridDomain.torus(2, (8, 4, 6, 4))
+        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        old = a.tolil()
+        old.rows[0] = [0]
+        old.data[0] = [1.0]
+        old = old.tocsr()
+        new = _pin_row0(a)
+        assert (new - old).nnz == 0
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(new, attr), getattr(old, attr))
 
 
 class TestSubsolution:
@@ -317,6 +486,11 @@ class TestClosedSolve:
             errs.append(np.max(np.abs(res.u.values - (ustar - ustar.max()))))
         assert cs[0] / cs[1] >= 3.0
         assert errs[0] / errs[1] >= 3.0
+
+    def test_linear_solves_recorded(self):
+        spec, _ = manufactured_closed_spec(8)
+        res = solve_closed(spec)  # 2048 unknowns: the direct path
+        assert res.linear_solves == [("direct", 0)] * (2 * res.iterations)
 
     def test_requires_torus(self):
         spec = small_dirichlet_spec()

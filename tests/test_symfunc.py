@@ -248,6 +248,16 @@ class TestGammaG:
             analytic = sigma_k(lam, 3) >= 0.0
             assert c1 == c2 == c3 == analytic
 
+    def test_probe_set_drawn_once(self, monkeypatch):
+        from hcl import symfunc
+
+        probes = symfunc._probe_set(MIXED, 32, 0)
+        assert not probes.flags.writeable
+        np.testing.assert_array_equal(probes, sample_cone(MIXED, 32, 0))
+        monkeypatch.setattr(symfunc, "sample_cone", None)  # any new draw fails
+        assert gamma_g_criteria(MIXED, [1.0, 1.0, 1.0]) == (True, True, True)
+        assert symfunc._probe_set(MIXED, 32, 0) is probes
+
     def test_verdict_invariant(self):
         with pytest.raises(DomainError):
             from hcl.symfunc import ConeVerdict
