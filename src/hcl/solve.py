@@ -20,6 +20,7 @@ is recorded in `SolveResult.linear_solves`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -384,24 +385,27 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, opts: SolverOptions,
 
     Below the size threshold (or with linear_solver="direct") a sparse direct
     factorization.  Otherwise BiCGStab from a fixed seeded start, preconditioned
-    by `precond` (a map of vectors, such as `_spectral_inverse` at the mean
-    coefficient) or else by the diagonal.  The system is scaled to sup |b| = 1
-    first: scipy's breakdown tests are absolute (|rho| < eps^2), and the small
-    right-hand sides of the last Newton steps would trip them.  A run that
-    converges without certifying the true residual restarts once from its
-    result; only a second miss or a breakdown falls back to factorization.
+    by the map of vectors that the zero-argument builder `precond` returns
+    (such as `_spectral_inverse` at the mean coefficient; it is called on this
+    branch only) or, when there is none, by the diagonal.  The system is
+    scaled to sup |b| = 1 first: scipy's breakdown tests are absolute
+    (|rho| < eps^2), and the small right-hand sides of the last Newton steps
+    would trip them.  A run that converges without certifying the true
+    residual restarts once from its result; only a second miss or a breakdown
+    falls back to factorization.
     """
     n = a.shape[0]
     if opts.linear_solver == "direct" or (
         opts.linear_solver == "auto" and n <= 2000
     ):
         return spla.spsolve(a.tocsc(), b), ("direct", 0)
-    if precond is None:
+    inverse = precond() if precond is not None else None
+    if inverse is None:
         diag = a.diagonal()
         diag = np.where(np.abs(diag) > 0, diag, 1.0)
         m = sp.diags(1.0 / diag)
     else:
-        m = spla.LinearOperator(a.shape, matvec=precond, dtype=float)
+        m = spla.LinearOperator(a.shape, matvec=inverse, dtype=float)
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
     bs = b / scale
     bnorm = float(np.linalg.norm(bs))
@@ -554,7 +558,8 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int,
 
     by block elimination: A annihilates constants, so pinning node 0 makes the
     operator invertible; two solves with the pinned operator recover (v, dc)
-    exactly.  Returns (v, dc, the two linear-solve records)."""
+    exactly; both share the preconditioner builder `precond` of
+    `_solve_general`.  Returns (v, dc, the two linear-solve records)."""
     a = a.tocsr()
     hi = a.indptr[1]
     cols0, vals0 = a.indices[:hi], a.data[:hi]  # row 0 of A
@@ -584,26 +589,6 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int,
 
 # ------------------------------------------------------------------ Newton
 
-# Largest spread max/min of the Newton coefficient's diagonal ratios
-# F_jj / fbar_jj for which the spectral preconditioner is used.  Beyond it the
-# frozen operator no longer resembles the Newton operator: on a near-touching
-# log-det instance (psi = log(1e-4 + r^2), 17^2 S nodes) steps of spread
-# 80-600 took 25-75 spectral iterations, each about 4x the cost of a diagonal
-# one, against 60-80 diagonally preconditioned iterations.
-_SPECTRAL_CONTRAST = 30.0
-
-
-def _newton_preconditioner(domain: GridDomain, coeff: np.ndarray):
-    """The spectral inverse at the mean Newton coefficient fbar, or None (the
-    diagonal) when the ratios F_jj / fbar_jj over the nodes and directions
-    spread by more than _SPECTRAL_CONTRAST."""
-    fbar = coeff.mean(axis=0)
-    ratio = np.einsum("nii->ni", coeff).real / np.diagonal(fbar).real
-    if not ratio.max() <= _SPECTRAL_CONTRAST * ratio.min():
-        return None
-    return _spectral_inverse(domain, fbar)
-
-
 def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     """Damped Newton on the interior values of u, and on c in closed mode.
 
@@ -611,7 +596,8 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     with the zero-mean gauge in closed mode, the plain Newton system in
     Dirichlet mode (boundary values stay fixed).  The step is halved until the
     iterate stays admissible and the sup-norm residual decreases.
-    Each step's Krylov solves are preconditioned by `_newton_preconditioner`.
+    Each step's Krylov solves are preconditioned by `_spectral_inverse` at the
+    mean Newton coefficient, built once per step and only for a Krylov solve.
     Returns (u, c, residual history, linear-solve records).
     """
     dom = spec.domain
@@ -630,7 +616,8 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
         lam_g, p = np.linalg.eigh(g)
         coeff = np.einsum("nik,nk,njk->nij", p, grad_f(spec.family, lam_g), p.conj())
         a, _ = assemble_linearized(dom, coeff)
-        precond = _newton_preconditioner(dom, coeff)
+        # the first Krylov solve of the step builds it; direct solves never do
+        precond = cache(lambda coeff=coeff: _spectral_inverse(dom, coeff.mean(axis=0)))
         if spec.mode == "closed":
             v, dc, records = _solve_bordered(a, r, r.size, opts, precond)
         else:

@@ -25,7 +25,6 @@ import hcl.solve as solve_mod
 from hcl.solve import (
     ProblemSpec,
     SolverOptions,
-    _newton_preconditioner,
     _pin_row0,
     _solve_bordered,
     _solve_general,
@@ -196,19 +195,28 @@ class TestSpectralInverse:
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         v, dc, records = _solve_bordered(
             a, r, r.size, SolverOptions(linear_solver=linear_solver),
-            _newton_preconditioner(dom, coeff))
+            lambda: _spectral_inverse(dom, coeff.mean(axis=0)))
         assert [path for path, _ in records] == [
             "direct" if linear_solver == "direct" else "bicgstab"] * 2
         assert np.max(np.abs(a @ v - dc + r)) <= 1e-9
         assert abs(v.sum()) <= 1e-9
 
-    def test_newton_preconditioner_contrast_guard(self):
-        dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
-        coeff = smooth_coefficient(dom, 0.3)
-        assert _newton_preconditioner(dom, coeff) is not None
-        # one direction 100x stiffer at a single node, as near a touching point
-        coeff[0, 1, 1] *= 100.0
-        assert _newton_preconditioner(dom, coeff) is None
+    @pytest.mark.parametrize("linear_solver", ["direct", "iterative"])
+    def test_preconditioner_built_only_for_krylov_steps(self, linear_solver,
+                                                        monkeypatch):
+        spec, _ = manufactured_closed_spec(8)
+        builds, inverse = [], solve_mod._spectral_inverse
+
+        def counting_inverse(*args):
+            builds.append(1)
+            return inverse(*args)
+
+        monkeypatch.setattr(solve_mod, "_spectral_inverse", counting_inverse)
+        res = solve_closed(spec, SolverOptions(linear_solver=linear_solver))
+        # the two pinned solves of a step share one build; direct solves need none
+        assert len(builds) == (0 if linear_solver == "direct" else res.iterations)
+        assert {path for path, _ in res.linear_solves} == {
+            "direct" if linear_solver == "direct" else "bicgstab"}
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-8])
     def test_tiny_rhs_needs_no_factorization(self, scale, monkeypatch):
