@@ -149,18 +149,21 @@ def _problem_from(cfg: dict, mode: str) -> hsolve.ProblemSpec:
         raise ConfigError(f"inconsistent problem spec: {exc}") from exc
 
 
+_OPTION_KEYS = ("residual_scale", "max_newton", "delta", "linear_solver", "continuation")
+
+
 def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
     opts = cfg.get("options", {})
     try:
-        linear_solver = opts.get("linear_solver", "auto")
-        if linear_solver not in ("auto", "direct", "iterative"):
-            raise ValueError(f"unknown linear_solver {linear_solver!r}")
+        unknown = sorted(set(opts) - set(_OPTION_KEYS))
+        if unknown:
+            raise ValueError("unknown option " + ", ".join(map(repr, unknown)))
         continuation = opts.get("continuation")
         return hsolve.SolverOptions(
             residual_scale=float(opts.get("residual_scale", 1e-9)),
             max_newton=int(opts.get("max_newton", 80)),
             delta=float(opts.get("delta", 0.1)),
-            linear_solver=linear_solver,
+            linear_solver=opts.get("linear_solver", "auto"),
             continuation=None if continuation is None else int(continuation),
             seed=seed,
         )

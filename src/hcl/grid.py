@@ -61,9 +61,10 @@ class GridDomain:
     @classmethod
     def torus(cls, n: int, shape, lengths=None) -> "GridDomain":
         shape = tuple(int(s) for s in shape)
-        if len(shape) != 2 * n:
-            raise DomainError("torus needs 2n node counts")
+        if n < 1 or len(shape) != 2 * n:
+            raise DomainError("torus needs n >= 1 and 2n node counts")
         lengths = tuple(float(x) for x in (lengths or (2.0 * np.pi,) * (2 * n)))
+        _check_axes(shape, lengths)
         roles = np.zeros(shape, dtype=np.uint8)
         return cls(n, shape, lengths, (True,) * (2 * n), "torus", roles)
 
@@ -81,8 +82,8 @@ class GridDomain:
         with boundary).  An annulus is a rectangle with the angular axis
         periodic."""
         x_shape = tuple(int(s) for s in x_shape)
-        if len(x_shape) != 2 * (n - 1):
-            raise DomainError("product needs 2(n-1) node counts for the X factor")
+        if n < 1 or len(x_shape) != 2 * (n - 1):
+            raise DomainError("product needs n >= 1 and 2(n-1) node counts for X")
         s_shape = tuple(int(s) for s in s_shape)
         if len(s_shape) != 2:
             raise DomainError("S factor is one complex variable: 2 axes")
@@ -93,6 +94,7 @@ class GridDomain:
             float(x) for x in (x_lengths or (2.0 * np.pi,) * (2 * (n - 1)))
         )
         lengths = x_lengths + tuple(float(x) for x in s_lengths)
+        _check_axes(shape, lengths)
         periodic = (True,) * (2 * (n - 1)) + tuple(bool(p) for p in s_periodic)
         roles = np.zeros(shape, dtype=np.uint8)
         for ax in range(2 * (n - 1), 2 * n):
@@ -178,6 +180,13 @@ class GridDomain:
                 )
         return GridDomain(self.n, self.shape, self.lengths, self.periodic,
                           self.kind, roles)
+
+
+def _check_axes(shape: tuple[int, ...], lengths: tuple[float, ...]) -> None:
+    if len(lengths) != len(shape):
+        raise DomainError("one length per axis needed")
+    if min(shape) < 1 or not all(x > 0 for x in lengths):  # also rejects NaN
+        raise DomainError("node counts must be >= 1 and lengths > 0")
 
 
 @dataclass

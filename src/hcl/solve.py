@@ -15,12 +15,18 @@ as a refinement when the sup-norm certificate fails) and, frozen at the mean
 Newton coefficient, preconditions BiCGStab on the nonsymmetric Newton systems
 (a sparse direct factorization below the size threshold).  Each linear solve
 is recorded in `SolveResult.linear_solves`.
+
+For n = 2 the eigenvalues and the Newton coefficient are closed forms on the
+stacked 2 x 2 matrices (`_eigvalsh`, `_newton_coefficient`); n >= 3 uses
+LAPACK.  `assemble_linearized` builds the CSR pattern of its stencil once per
+domain (a small cache keyed on the shape and the node roles) and afterwards
+only refills the values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,6 +120,17 @@ class SolverOptions:
     seed: int = 0
     subsolution: ScalarField | None = None
 
+    def __post_init__(self):
+        # a zero damping floor would halve the line-search step forever
+        if not (self.residual_scale > 0 and self.damping_min > 0 and self.lin_tol > 0):
+            raise DomainError("residual_scale, damping_min and lin_tol must be positive")
+        if self.max_newton < 1:
+            raise DomainError("max_newton must be at least 1")
+        if self.continuation is not None and self.continuation < 1:
+            raise DomainError("continuation needs at least one step")
+        if self.linear_solver not in ("auto", "direct", "iterative"):
+            raise DomainError(f"unknown linear_solver {self.linear_solver!r}")
+
 
 @dataclass
 class EstimateReport:
@@ -161,14 +178,6 @@ class ExhaustionReport:
 # ----------------------------------------------------------------- helpers
 
 
-def _interior_info(domain: GridDomain):
-    roles = domain.roles.reshape(-1)
-    int_flat = np.flatnonzero(roles == INTERIOR)
-    rank = np.full(roles.size, -1, dtype=np.int64)
-    rank[int_flat] = np.arange(int_flat.size)
-    return int_flat, rank
-
-
 def _g_interior(spec_chi: np.ndarray, u_vals: np.ndarray, domain: GridDomain):
     """chi + complex Hessian of u at the interior nodes, stacked (N_int, n, n)."""
     hess = complex_hessian(ScalarField(domain, u_vals)).values
@@ -176,16 +185,53 @@ def _g_interior(spec_chi: np.ndarray, u_vals: np.ndarray, domain: GridDomain):
     return g[domain.interior]
 
 
+def _eigvalsh(g: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (N, n, n) Hermitian stack: m -+ r with
+    m = (p + q)/2 and r = hypot((p - q)/2, |b|) for n = 2, LAPACK otherwise."""
+    if g.shape[-1] != 2:
+        return np.linalg.eigvalsh(g)
+    p, q = g[:, 0, 0].real, g[:, 1, 1].real
+    m = 0.5 * (p + q)
+    r = np.hypot(0.5 * (p - q), np.abs(g[:, 0, 1]))
+    return np.stack((m - r, m + r), axis=-1)
+
+
+def _newton_coefficient(family: FuncFamily, g: np.ndarray, lam: np.ndarray):
+    """F = sum_k f_k(lambda) P_k, the derivative of f(lambda[g]) in g, for a
+    stack g with eigenvalues lam (from `_eigvalsh`).
+
+    For n = 2 by spectral calculus without eigenvectors:
+    F = alpha I + beta (g - m I) with alpha = (f_1 + f_2)/2 and
+    beta = (f_2 - f_1)/(lambda_2 - lambda_1), beta = 0 on a double eigenvalue.
+    Otherwise from LAPACK's eigenvectors.
+    """
+    if g.shape[-1] != 2:
+        lam_g, p = np.linalg.eigh(g)
+        return np.einsum("nik,nk,njk->nij", p, grad_f(family, lam_g), p.conj())
+    f = grad_f(family, lam)
+    alpha = 0.5 * (f[:, 0] + f[:, 1])
+    gap = lam[:, 1] - lam[:, 0]
+    beta = np.divide(f[:, 1] - f[:, 0], gap, out=np.zeros_like(gap), where=gap > 0)
+    half = beta * 0.5 * (g[:, 0, 0].real - g[:, 1, 1].real)
+    coeff = np.empty_like(g)
+    coeff[:, 0, 0] = alpha + half
+    coeff[:, 1, 1] = alpha - half
+    coeff[:, 0, 1] = beta * g[:, 0, 1]
+    coeff[:, 1, 0] = coeff[:, 0, 1].conj()
+    return coeff
+
+
 def residual_field(spec: ProblemSpec, u_vals: np.ndarray, c: float = 0.0):
-    """(residual over interior nodes, admissible flag, eigenvalues)."""
+    """(residual over interior nodes, admissible flag, eigenvalues, g), where
+    g = chi + i ddbar u is the stacked interior matrix the eigenvalues are of."""
     g = _g_interior(spec.chi.values, u_vals, spec.domain)
-    lam = np.linalg.eigvalsh(g)
+    lam = _eigvalsh(g)
     ok = in_cone(lam, spec.family.k)
     if not np.all(ok):
-        return None, False, lam
+        return None, False, lam, g
     psi_int = spec.psi.values[spec.domain.interior]
     r = eval_f(spec.family, lam) - psi_int - c
-    return r, True, lam
+    return r, True, lam, g
 
 
 def _mixed_pieces(j: int, k: int, c):
@@ -199,42 +245,107 @@ def _mixed_pieces(j: int, k: int, c):
     )
 
 
-def _stencil_entries(family_n: int, spacings, coeff: np.ndarray):
-    """Map offset tuple -> coefficient array over interior nodes for the
-    linearized operator sum_{j,k} F^{j kbar} (Hess v)_{j kbar}."""
-    entries: dict[tuple[int, ...], np.ndarray] = {}
-    d = 2 * family_n
-
-    def add(off, val):
-        off = tuple(off)
-        if off in entries:
-            entries[off] = entries[off] + val
-        else:
-            entries[off] = val.copy() if isinstance(val, np.ndarray) else val
-
-    def unit(ax, s):
-        off = [0] * d
-        off[ax] = s
-        return off
-
-    for j in range(family_n):
+def _stencil_values(spacings, coeff: np.ndarray) -> np.ndarray:
+    """Stencil weights of sum_{j,k} F^{j kbar} (Hess v)_{j kbar}, one row per
+    offset of `_stencil_offsets` and one column per interior node."""
+    n = coeff.shape[-1]
+    # the centre, two offsets per real axis, sixteen per pair of complex axes
+    out = np.empty((1 + 4 * n + 8 * n * (n - 1), coeff.shape[0]))
+    out[0] = 0.0
+    rows = iter(out[1:])
+    for j in range(n):
         fjj = coeff[:, j, j].real
         for ax in (2 * j, 2 * j + 1):
-            w = 0.25 * fjj / spacings[ax] ** 2
-            add(unit(ax, +1), w)
-            add(unit(ax, -1), w)
-            add([0] * d, -2.0 * w)
-    for j in range(family_n):
-        for k in range(j + 1, family_n):
+            w = np.divide(0.25 * fjj, spacings[ax] ** 2, out=next(rows))
+            next(rows)[:] = w
+            out[0] -= 2.0 * w
+    for j in range(n):
+        for k in range(j + 1, n):
             for ax_a, ax_b, fac in _mixed_pieces(j, k, coeff[:, j, k]):
                 w = fac / (4.0 * spacings[ax_a] * spacings[ax_b])
-                for sa in (+1, -1):
-                    for sb in (+1, -1):
-                        off = [0] * d
-                        off[ax_a] = sa
-                        off[ax_b] = sb
-                        add(off, w * sa * sb)
-    return entries
+                for sign in (+1, -1, -1, +1):  # sa * sb at the corners
+                    np.multiply(w, sign, out=next(rows))
+    return out
+
+
+def _stencil_offsets(n: int) -> np.ndarray:
+    """The centre, -+1 along each real axis, then the four corners of each
+    mixed axis pair: the row order of `_stencil_values`."""
+    eye = np.eye(2 * n, dtype=int)
+    offs = [0 * eye[0]] + [s * eye[ax] for ax in range(2 * n) for s in (+1, -1)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            for ax_a, ax_b, _ in _mixed_pieces(j, k, 0j):
+                offs += [sa * eye[ax_a] + sb * eye[ax_b]
+                         for sa in (+1, -1) for sb in (+1, -1)]
+    return np.array(offs)
+
+
+@dataclass(frozen=True)
+class _CsrPattern:
+    """Canonical CSR structure plus the stencil weights that fill each slot:
+    slot i sums the flat stencil values src[starts[i]:starts[i + 1]] (one
+    value per slot unless two offsets reach the same neighbour)."""
+
+    shape: tuple[int, int]
+    indices: np.ndarray
+    indptr: np.ndarray
+    src: np.ndarray
+    starts: np.ndarray | None  # None when every slot has one value
+
+    @classmethod
+    def build(cls, rows, cols, src, shape):
+        order = np.lexsort((cols, rows))
+        rows, cols, src = rows[order], cols[order], src[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first)
+        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows[starts], minlength=shape[0]), out=indptr[1:])
+        pattern = cls(shape, cols[starts], indptr, src,
+                      None if starts.size == src.size else starts)
+        for arr in (pattern.indices, indptr, src, starts):
+            arr.flags.writeable = False  # shared by every matrix it fills
+        return pattern
+
+    def fill(self, values: np.ndarray) -> sp.csr_matrix:
+        data = values.take(self.src)
+        if self.starts is not None:
+            data = np.add.reduceat(data, self.starts)
+        m = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        m.has_canonical_format = True
+        return m
+
+
+@lru_cache(maxsize=4)
+def _stencil_pattern(shape: tuple[int, ...], roles_bytes: bytes):
+    """CSR patterns of the interior block A and the boundary block B of
+    `assemble_linearized` on one grid, keyed by its node roles (two
+    restrictions of one grid differ only there).  Every axis wraps; on a
+    bounded axis no interior node reaches the wrap."""
+    roles = np.frombuffer(roles_bytes, dtype=np.uint8)
+    int_flat = np.flatnonzero(roles == INTERIOR)
+    bdry_flat = np.flatnonzero(roles == BOUNDARY)
+    rank = np.full(roles.size, -1, dtype=np.int32)
+    rank[int_flat] = np.arange(int_flat.size)
+    rank[bdry_flat] = np.arange(bdry_flat.size)
+    grid = np.arange(roles.size, dtype=np.int32).reshape(shape)
+    axes = tuple(range(len(shape)))
+    nb = np.stack([
+        np.roll(grid, tuple(-off), axis=axes).reshape(-1)[int_flat]
+        for off in _stencil_offsets(len(shape) // 2)
+    ])
+    nb_roles = roles[nb]
+    if np.any(nb_roles == EXTERIOR):
+        raise DomainError("stencil reached an exterior node; bad mask")
+    n_int = int_flat.size
+    rows = np.broadcast_to(np.arange(n_int, dtype=np.int32), nb.shape)
+    src = np.arange(nb.size, dtype=np.int32).reshape(nb.shape)
+    return tuple(
+        _CsrPattern.build(rows[hit], rank[nb[hit]], src[hit], (n_int, n_cols))
+        for hit, n_cols in ((nb_roles == INTERIOR, n_int),
+                            (nb_roles == BOUNDARY, bdry_flat.size))
+    )
 
 
 def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
@@ -242,51 +353,12 @@ def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
     matrices F (shape (N_int, n, n), Hermitian).
 
     Returns (A, B) with A acting on interior values and B on boundary values,
-    so that the discrete operator is A v_int + B v_bdry.
+    so that the discrete operator is A v_int + B v_bdry.  The CSR patterns are
+    built once per domain and cached; each call only refills the data.
     """
-    int_flat, rank = _interior_info(domain)
-    roles = domain.roles.reshape(-1)
-    flat = np.arange(roles.size).reshape(domain.shape)
-    entries = _stencil_entries(domain.n, domain.spacings, coeff)
-
-    bdry_flat = np.flatnonzero(roles == BOUNDARY)
-    bdry_rank = np.full(roles.size, -1, dtype=np.int64)
-    bdry_rank[bdry_flat] = np.arange(bdry_flat.size)
-
-    rows_a, cols_a, vals_a = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    n_int = int_flat.size
-    for off, val in entries.items():
-        nb = flat
-        for ax, s in enumerate(off):
-            if s:
-                nb = np.roll(nb, -s, axis=ax)
-        nb_flat = nb.reshape(-1)[int_flat]
-        nb_roles = roles[nb_flat]
-        if np.any(nb_roles == EXTERIOR):
-            raise DomainError("stencil reached an exterior node; bad mask")
-        vv = val if isinstance(val, np.ndarray) else np.full(n_int, val)
-        m_int = nb_roles == INTERIOR
-        rows_a.append(np.arange(n_int)[m_int])
-        cols_a.append(rank[nb_flat[m_int]])
-        vals_a.append(vv[m_int])
-        m_b = ~m_int
-        if m_b.any():
-            rows_b.append(np.arange(n_int)[m_b])
-            cols_b.append(bdry_rank[nb_flat[m_b]])
-            vals_b.append(vv[m_b])
-    a = sp.csr_matrix(
-        (np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
-        shape=(n_int, n_int),
-    )
-    if rows_b:
-        b = sp.csr_matrix(
-            (np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-            shape=(n_int, bdry_flat.size),
-        )
-    else:
-        b = sp.csr_matrix((n_int, bdry_flat.size))
-    return a, b
+    pat_a, pat_b = _stencil_pattern(domain.shape, domain.roles.tobytes())
+    values = _stencil_values(domain.spacings, coeff).reshape(-1)
+    return pat_a.fill(values), pat_b.fill(values)
 
 
 def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
@@ -513,7 +585,7 @@ def build_subsolution(
     for t in ladder:
         u_vals = spec.phi.values + t * h.values
         g = _g_interior(spec.chi.values, u_vals, spec.domain)
-        lam = np.linalg.eigvalsh(g)
+        lam = _eigvalsh(g)
         ok = in_cone(lam, spec.family.k)
         if not np.all(ok):
             bad = int(np.flatnonzero(~ok)[0])
@@ -595,15 +667,15 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     Each step linearizes at u and solves for the update: the bordered system
     with the zero-mean gauge in closed mode, the plain Newton system in
     Dirichlet mode (boundary values stay fixed).  The step is halved until the
-    iterate stays admissible and the sup-norm residual decreases.
-    Each step's Krylov solves are preconditioned by `_spectral_inverse` at the
+    iterate stays admissible and the sup-norm residual decreases; the accepted
+    trial's g and eigenvalues give the next step's coefficient.  Each step's Krylov solves are preconditioned by `_spectral_inverse` at the
     mean Newton coefficient, built once per step and only for a Krylov solve.
     Returns (u, c, residual history, linear-solve records).
     """
     dom = spec.domain
     tol = opts.residual_scale * (1.0 + float(np.max(np.abs(spec.psi.values[~dom.exterior]))))
     c = 0.0
-    r, adm, _ = residual_field(spec, u, c)
+    r, adm, lam, g = residual_field(spec, u, c)
     if not adm:
         raise AdmissibilityError("initial iterate not admissible")
     res = float(np.max(np.abs(r)))
@@ -612,9 +684,7 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     for _ in range(opts.max_newton):
         if res <= tol:
             break
-        g = _g_interior(spec.chi.values, u, dom)
-        lam_g, p = np.linalg.eigh(g)
-        coeff = np.einsum("nik,nk,njk->nij", p, grad_f(spec.family, lam_g), p.conj())
+        coeff = _newton_coefficient(spec.family, g, lam)
         a, _ = assemble_linearized(dom, coeff)
         # the first Krylov solve of the step builds it; direct solves never do
         precond = cache(lambda coeff=coeff: _spectral_inverse(dom, coeff.mean(axis=0)))
@@ -630,12 +700,12 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
             trial = u.copy()
             trial[dom.interior] += step * v
             c_t = c + step * dc
-            r_t, adm_t, _ = residual_field(spec, trial, c_t)
+            r_t, adm_t, lam_t, g_t = residual_field(spec, trial, c_t)
             if adm_t:
                 admissible_seen = True
                 res_t = float(np.max(np.abs(r_t)))
                 if res_t < res:
-                    u, c, r, res = trial, c_t, r_t, res_t
+                    u, c, r, res, lam, g = trial, c_t, r_t, res_t, lam_t, g_t
                     history.append(res)
                     break
             step *= 0.5
@@ -678,7 +748,7 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
             opts = replace(opts, continuation=8)
     # continuation ladder from the subsolution level
     g0 = _g_interior(spec.chi.values, usub.values, dom)
-    lam0 = np.linalg.eigvalsh(g0)
+    lam0 = _eigvalsh(g0)
     f0 = np.zeros(dom.shape)
     f0[dom.interior] = eval_f(spec.family, lam0)
     current = u0
@@ -843,7 +913,7 @@ def verify_estimates(
     u = result.u
     hess = complex_hessian(u).values
     live = ~dom.exterior
-    lam_u = np.linalg.eigvalsh(hess[dom.interior])
+    lam_u = _eigvalsh(hess[dom.interior])
     sup_dbar = float(np.max(np.abs(lam_u))) if lam_u.size else 0.0
     grad_sq = gradient_sup(u)
     ratio2nd = sup_dbar / (1.0 + grad_sq)

@@ -553,6 +553,24 @@ def _probe_set(family: FuncFamily, probes: int, seed: int) -> np.ndarray:
     return mus
 
 
+def _ray_criteria(family: FuncFamily, lam: np.ndarray, t_max: float, probes: int,
+                  seed: int):
+    """(ladder, f on the ladder, scale, crit1, crit3) of `gamma_g_criteria`,
+    the whole ladder in one stacked `eval_f` call."""
+    ladder = _ladder(t_max)
+    vals = eval_f(family, ladder[:, None] * lam)
+    scale = 1.0 + abs(float(vals[0]))
+    crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
+    mus = [_probe_set(family, probes, seed)]
+    for t_big in (2.0 ** 8, 2.0 ** 14, 2.0 ** 20):
+        mus.append(t_big * mus[0][: max(probes // 4, 1)])
+        mus.append(t_big * lam[None, :])
+    mus = np.vstack(mus)
+    pairings = np.sum(grad_f(family, mus) * lam, axis=-1)
+    crit3 = bool(np.min(pairings) >= -1e-9 * (1.0 + np.max(np.abs(pairings))))
+    return ladder, vals, scale, crit1, crit3
+
+
 def gamma_g_criteria(
     family: FuncFamily,
     lam,
@@ -568,20 +586,9 @@ def gamma_g_criteria(
         contains quasi-random cone points at several scales and far-out points
         of the tested ray itself (where the pairing degenerates first).
     """
-    lam = lambda_tuple(lam)
-    ladder = _ladder(t_max)
-    vals = np.array([eval_f(family, t * lam) for t in ladder])
-    scale = 1.0 + abs(float(vals[0]))
-    crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
-    slopes = vals[-4:] / ladder[-4:]
-    crit2 = bool(np.max(slopes) >= -1e-7 * scale)
-    mus = [_probe_set(family, probes, seed)]
-    for t_big in (2.0 ** 8, 2.0 ** 14, 2.0 ** 20):
-        mus.append(t_big * mus[0][: max(probes // 4, 1)])
-        mus.append(t_big * lam[None, :])
-    mus = np.vstack(mus)
-    pairings = np.sum(grad_f(family, mus) * lam, axis=-1)
-    crit3 = bool(np.min(pairings) >= -1e-9 * (1.0 + np.max(np.abs(pairings))))
+    ladder, vals, scale, crit1, crit3 = _ray_criteria(
+        family, lambda_tuple(lam), t_max, probes, seed)
+    crit2 = bool(np.max(vals[-4:] / ladder[-4:]) >= -1e-7 * scale)
     return crit1, crit2, crit3
 
 
@@ -616,7 +623,7 @@ def in_gamma_g(
     else:
         analytic = True
 
-    crit1, _crit2, crit3 = gamma_g_criteria(family, lam, t_max, probes, seed)
+    _, _, _, crit1, crit3 = _ray_criteria(family, lam, t_max, probes, seed)
     indeterminate = False
     if analytic != crit1 or analytic != crit3:
         # re-examine: trust the analytic verdict unless both numerics disagree

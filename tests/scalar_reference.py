@@ -4,7 +4,8 @@ These are the one-ray-at-a-time loops that `hcl.subsol` and
 `hcl.symfunc.sample_cone` used before the walks were stacked: each probe makes
 one `in_cone`/`eval_f` call on one point.  `check_structure` is the version
 whose finite-difference gradient check made one `eval_f` call per point and
-axis.  They are kept verbatim (only the
+axis, and `gamma_g_criteria` the one that evaluated its t-ladder one rung per
+`eval_f` call.  They are kept verbatim (only the
 imports differ) so the tests can require bit-identical points, contexts,
 verdicts and error messages from the stacked code.
 """
@@ -28,6 +29,9 @@ from hcl.symfunc import (
     eval_f,
     grad_f,
     hess_f,
+    LADDER_T_MAX,
+    _ladder,
+    _probe_set,
     in_cone,
     lambda_tuple,
     well_conditioned,
@@ -422,3 +426,35 @@ def check_structure(family: FuncFamily, samples: int, seed: int) -> StructureRep
         worst_chord_violation=max(chord_viol, 0.0),
         worst_fd_gradient_mismatch=worst_fd,
     )
+
+
+def gamma_g_criteria(
+    family: FuncFamily,
+    lam,
+    t_max: float = LADDER_T_MAX,
+    probes: int = 32,
+    seed: int = 0,
+) -> tuple[bool, bool, bool]:
+    """The three equivalent ray-boundedness criteria, evaluated numerically.
+
+    (1) f(t*lam) bounded below on the ladder;
+    (2) limsup_t f(t*lam)/t >= 0, the limsup approximated on the ladder tail;
+    (3) sum_i f_i(mu) lam_i >= 0 for sampled mu in Gamma, where the probe set
+        contains quasi-random cone points at several scales and far-out points
+        of the tested ray itself (where the pairing degenerates first).
+    """
+    lam = lambda_tuple(lam)
+    ladder = _ladder(t_max)
+    vals = np.array([eval_f(family, t * lam) for t in ladder])
+    scale = 1.0 + abs(float(vals[0]))
+    crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
+    slopes = vals[-4:] / ladder[-4:]
+    crit2 = bool(np.max(slopes) >= -1e-7 * scale)
+    mus = [_probe_set(family, probes, seed)]
+    for t_big in (2.0 ** 8, 2.0 ** 14, 2.0 ** 20):
+        mus.append(t_big * mus[0][: max(probes // 4, 1)])
+        mus.append(t_big * lam[None, :])
+    mus = np.vstack(mus)
+    pairings = np.sum(grad_f(family, mus) * lam, axis=-1)
+    crit3 = bool(np.min(pairings) >= -1e-9 * (1.0 + np.max(np.abs(pairings))))
+    return crit1, crit2, crit3

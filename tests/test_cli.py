@@ -129,18 +129,42 @@ class TestExitCodes:
         ("subsol-check", dict(SUBSOL, mu=[2.0, 2.0])),
         ("subsol-check", dict(SUBSOL, samples=-3)),
         ("subsol-check", dict(SUBSOL, samples=0)),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": -3})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"residual_scale": 0})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": 0})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"lin_tol": "x"})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"damping_min": 0})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newtom": 5})),
+        ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
+            CLOSED_CONSTANTS["domain"], shape=[8, 0, 8, 4]))),
+        ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
+            CLOSED_CONSTANTS["domain"], lengths=[1.0, 0.0, 1.0, 1.0]))),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, domain=dict(
+            DIRICHLET_SMALL["domain"], s_lengths=[1.0, 0.0]))),
+        ("solve-closed", dict(CLOSED_CONSTANTS, domain={
+            "kind": "torus", "n": 0, "shape": []})),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
             "bad-amplitude", "bad-continuation", "unknown-linear-solver",
             "subsol-missing-family", "cone-missing-family", "short-mu",
-            "negative-samples", "zero-samples"])
+            "negative-samples", "zero-samples", "negative-max-newton",
+            "zero-residual-scale", "zero-continuation", "unread-lin-tol",
+            "unread-damping-min", "misspelt-option", "zero-node-count",
+            "zero-torus-length", "zero-s-length", "zero-dimension"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload):
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 4
         assert "config error" in capsys.readouterr().err
+
+    def test_unknown_option_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "typo.json",
+                           dict(DIRICHLET_SMALL, options={"max_newtom": 5}))
+        assert main(["solve-dirichlet", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "'max_newtom'" in capsys.readouterr().err
 
     def test_cone_check(self, tmp_path):
         cfg = write_config(

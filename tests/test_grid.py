@@ -54,6 +54,24 @@ class TestDomains:
         with pytest.raises(DomainError):
             GridDomain.product(1, s_shape=(8, 8), s_periodic=(True, True))
 
+    @pytest.mark.parametrize("make", [
+        lambda: GridDomain.torus(2, (8, 0, 8, 8)),
+        lambda: GridDomain.torus(2, (8, 8, 8, -1)),
+        lambda: GridDomain.torus(2, (8, 8, 8, 8), (1.0, 0.0, 1.0, 1.0)),
+        lambda: GridDomain.torus(2, (8, 8, 8, 8), (1.0, 1.0, 1.0)),
+        lambda: GridDomain.torus(1, (8, 8), (1.0, float("nan"))),
+        lambda: GridDomain.torus(0, ()),
+        lambda: GridDomain.product(0),
+        lambda: GridDomain.product(1, s_shape=(9, 0)),
+        lambda: GridDomain.product(1, s_lengths=(1.0, -1.0)),
+        lambda: GridDomain.product(2, x_shape=(4, 4), x_lengths=(0.0, 1.0)),
+    ], ids=["zero-nodes", "negative-nodes", "zero-length", "short-lengths",
+            "nan-length", "torus-n0", "product-n0", "zero-s-nodes",
+            "negative-s-length", "zero-x-length"])
+    def test_rejects_degenerate_axes(self, make):
+        with pytest.raises(DomainError):
+            make()
+
     def test_restrict_roles_and_errors(self):
         dom = GridDomain.product(1, s_shape=(17, 17))
         xs, ys = dom.meshgrid()

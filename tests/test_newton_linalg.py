@@ -1,0 +1,245 @@
+"""The Newton-step linear algebra against the code it replaced.
+
+`newton_reference` keeps the roll-loop assembly and the LAPACK coefficient.
+The cached stencil pattern must refill the same CSR matrices (bit for bit where
+no two stencil offsets reach the same neighbour), and the closed-form n = 2
+eigenvalues and Newton coefficient must match `np.linalg.eigvalsh` and the
+`eigh`/`einsum` coefficient.
+"""
+
+import newton_reference as ref
+import numpy as np
+import pytest
+
+import hcl.solve as solve_mod
+from hcl.errors import DomainError
+from hcl.grid import EXTERIOR, GridDomain
+from hcl.solve import (
+    SolverOptions,
+    _eigvalsh,
+    _newton_coefficient,
+    assemble_linearized,
+    build_subsolution,
+    poisson_dirichlet,
+    pullback_from_s,
+    residual_field,
+    s_factor_domain,
+)
+from hcl.symfunc import FuncFamily, grad_f
+
+from conftest import manufactured_closed_spec, manufactured_dirichlet_spec
+
+
+def hermitian_stack(rng, count, n=2, scale=1.0, shift=0.0):
+    """Random Hermitian (count, n, n) matrices, positive definite for shift > 0."""
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    g = a @ a.conj().transpose(0, 2, 1) if shift > 0 else a + a.conj().transpose(0, 2, 1)
+    return scale * (g + shift * np.eye(n))
+
+
+def random_unitaries(rng, count):
+    q, _ = np.linalg.qr(rng.standard_normal((count, 2, 2))
+                        + 1j * rng.standard_normal((count, 2, 2)))
+    return q
+
+
+def newton_like_coefficient(dom, seed):
+    rng = np.random.default_rng(seed)
+    return hermitian_stack(rng, int(dom.interior.sum()), dom.n, shift=0.5)
+
+
+def exhaustion_domain(alpha, s_nodes=(21, 21)):
+    dom = GridDomain.product(2, x_shape=(8, 4), s_shape=s_nodes)
+    h = pullback_from_s(dom, poisson_dirichlet(s_factor_domain(dom), 1.0, 0.0))
+    return dom.restrict(h.values < -alpha)
+
+
+def assert_same_csr(new, old, rtol=0.0):
+    np.testing.assert_array_equal(new.indptr, old.indptr)
+    np.testing.assert_array_equal(new.indices, old.indices)
+    if rtol == 0.0:
+        np.testing.assert_array_equal(new.data, old.data)
+    else:
+        scale = np.max(np.abs(old.data), initial=0.0)
+        assert np.max(np.abs(new.data - old.data), initial=0.0) <= rtol * scale
+
+
+class TestCachedAssembly:
+    @pytest.mark.parametrize("dom", [
+        GridDomain.product(2, x_shape=(16, 4), s_shape=(33, 33),
+                           x_lengths=(6.2832, 6.2832)),
+        GridDomain.torus(2, (16, 8, 16, 8)),
+        GridDomain.product(2, x_shape=(8, 4), s_shape=(13, 17),
+                           s_periodic=(False, True)),
+        exhaustion_domain(0.02),
+        GridDomain.product(1, s_shape=(17, 13)),
+        GridDomain.product(3, x_shape=(4, 3, 3, 4), s_shape=(7, 6)),
+    ], ids=["dirichlet-newton", "closed-torus", "annulus", "exhaustion",
+            "s-factor", "n3-product"])
+    def test_refill_matches_roll_loop(self, dom):
+        for seed in (0, 1):  # the second call refills the cached pattern
+            coeff = newton_like_coefficient(dom, seed)
+            a, b = assemble_linearized(dom, coeff)
+            a_ref, b_ref = ref.assemble_linearized(dom, coeff)
+            assert_same_csr(a, a_ref)
+            assert_same_csr(b, b_ref)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (1, 4, 4, 4)])
+    def test_offsets_reaching_one_neighbour_are_summed(self, shape):
+        # on axes of 1 or 2 nodes several stencil offsets reach one neighbour
+        dom = GridDomain.torus(2, shape)
+        for seed in (0, 1):
+            coeff = newton_like_coefficient(dom, seed)
+            a, _ = assemble_linearized(dom, coeff)
+            assert_same_csr(a, ref.assemble_linearized(dom, coeff)[0], rtol=1e-15)
+
+    def test_restrictions_of_one_grid_keep_their_own_patterns(self):
+        small, large = exhaustion_domain(0.04), exhaustion_domain(0.01)
+        assert small == large  # GridDomain equality ignores the roles
+        assert small.interior.sum() < large.interior.sum()
+        for dom in (small, large, small):
+            coeff = newton_like_coefficient(dom, 3)
+            a, b = assemble_linearized(dom, coeff)
+            a_ref, b_ref = ref.assemble_linearized(dom, coeff)
+            assert_same_csr(a, a_ref)
+            assert_same_csr(b, b_ref)
+
+    def test_matrices_do_not_share_writable_arrays(self):
+        dom = GridDomain.torus(2, (6, 4, 6, 4))
+        coeff = newton_like_coefficient(dom, 0)
+        a1, _ = assemble_linearized(dom, coeff)
+        a2, _ = assemble_linearized(dom, 2.0 * coeff)
+        assert not np.shares_memory(a1.data, a2.data)
+        assert not a1.indices.flags.writeable and not a1.indptr.flags.writeable
+        np.testing.assert_array_equal(2.0 * a1.data, a2.data)
+
+    def test_exterior_neighbour_still_rejected(self):
+        dom = exhaustion_domain(0.02)
+        roles = dom.roles.copy()
+        roles[dom.boundary] = EXTERIOR  # interior nodes now touch exterior
+        bad = GridDomain(dom.n, dom.shape, dom.lengths, dom.periodic, dom.kind, roles)
+        with pytest.raises(DomainError):
+            assemble_linearized(bad, newton_like_coefficient(bad, 0))
+
+
+def assert_eigenvalues_close(g, tol=1e-12):
+    lam, lam_ref = _eigvalsh(g), np.linalg.eigvalsh(g)
+    size = np.max(np.abs(lam_ref), axis=-1)
+    assert np.all(np.abs(lam - lam_ref) <= tol * size[:, None])
+
+
+class TestClosedFormEigenvalues:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_random_stacks(self, scale):
+        g = hermitian_stack(np.random.default_rng(11), 4000, scale=scale)
+        assert_eigenvalues_close(g)
+
+    def test_near_singular_psd(self):
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal((4000, 2)) + 1j * rng.standard_normal((4000, 2))
+        tiny = 10.0 ** rng.uniform(-16, -6, 4000)
+        g = v[:, :, None] * v[:, None, :].conj() + tiny[:, None, None] * np.eye(2)
+        assert_eigenvalues_close(g)
+
+    def test_touching_instance(self):
+        # the touching instance psi = log(1e-4 + r^2) depends on S only, so
+        # its g carries the eigenvalues (1e-4 + r^2, 1); rotations make the
+        # closed form cancel in m - r
+        dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(17, 17))
+        _, _, x2, y2 = dom.meshgrid()
+        r2 = (((x2 - 0.5) ** 2 + (y2 - 0.5) ** 2) / 0.5)[dom.interior]
+        q = random_unitaries(np.random.default_rng(13), r2.size)
+        lam = np.stack((1e-4 + r2, np.ones_like(r2)), axis=-1)
+        g = np.einsum("nik,nk,njk->nij", q, lam, q.conj())
+        assert_eigenvalues_close(g)
+        assert np.allclose(_eigvalsh(g), lam, rtol=0.0, atol=1e-12)
+
+    def test_larger_n_keeps_lapack(self):
+        g = hermitian_stack(np.random.default_rng(14), 50, n=3)
+        np.testing.assert_array_equal(_eigvalsh(g), np.linalg.eigvalsh(g))
+
+
+FAMILIES_N2 = [
+    FuncFamily.log_det(2),
+    FuncFamily.sigma_root(1, 2),
+    FuncFamily.log_sigma(2, 2),
+    FuncFamily.sigma_quotient(2, 1, 2),
+    FuncFamily.quotient_log(1, (0.5,), 2),
+]
+
+
+class TestNewtonCoefficient:
+    @pytest.mark.parametrize("family", FAMILIES_N2, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_eigh_coefficient(self, family, scale):
+        g = hermitian_stack(np.random.default_rng(21), 3000, shift=0.2, scale=scale)
+        coeff = _newton_coefficient(family, g, _eigvalsh(g))
+        expect = ref.newton_coefficient(family, g)
+        size = np.max(np.abs(expect), axis=(1, 2))
+        assert np.all(np.abs(coeff - expect) <= 1e-12 * size[:, None, None])
+
+    @pytest.mark.parametrize("family", FAMILIES_N2, ids=lambda f: f.kind)
+    def test_double_eigenvalue_gives_alpha_identity(self, family):
+        c = np.array([1e-3, 0.3, 1.0, 7.0, 1e3])
+        g = c[:, None, None] * np.eye(2).astype(complex)
+        lam = _eigvalsh(g)
+        coeff = _newton_coefficient(family, g, lam)
+        alpha = grad_f(family, lam)[:, 0]
+        expect = alpha[:, None, None] * np.eye(2)
+        np.testing.assert_array_equal(coeff, expect)
+
+    def test_larger_n_keeps_lapack(self):
+        family = FuncFamily.log_det(3)
+        g = hermitian_stack(np.random.default_rng(22), 50, n=3, shift=0.5)
+        np.testing.assert_array_equal(
+            _newton_coefficient(family, g, _eigvalsh(g)),
+            ref.newton_coefficient(family, g))
+
+    def test_jacobian_matches_directional_derivative(self):
+        spec, _ = manufactured_dirichlet_spec(8)
+        dom = spec.domain
+        u = spec.phi.values * 0.9
+        _, adm, lam, g = residual_field(spec, u)
+        assert adm
+        a, _ = assemble_linearized(dom, _newton_coefficient(spec.family, g, lam))
+        v = np.zeros(dom.shape)
+        v[dom.interior] = np.random.default_rng(23).normal(0, 1, a.shape[0])
+        t = 1e-6
+        fd = (residual_field(spec, u + t * v)[0]
+              - residual_field(spec, u - t * v)[0]) / (2 * t)
+        jv = a @ v[dom.interior]
+        assert np.max(np.abs(fd - jv)) <= 1e-5 * (np.max(np.abs(jv)) + 1.0)
+
+
+class TestNewtonLoop:
+    @pytest.mark.parametrize("make_spec", [
+        manufactured_closed_spec, manufactured_dirichlet_spec,
+    ], ids=["closed", "dirichlet"])
+    def test_one_hessian_per_iterate_and_no_lapack(self, make_spec, monkeypatch):
+        spec, _ = make_spec(8)
+        if spec.mode == "closed":
+            u0 = np.zeros(spec.domain.shape)
+        else:
+            u0 = build_subsolution(spec, 0.1)[0].values
+        hessians, evals = [], []
+        hessian, residual = solve_mod.complex_hessian, solve_mod.residual_field
+
+        def counting_hessian(u):
+            hessians.append(1)
+            return hessian(u)
+
+        def counting_residual(*args):
+            evals.append(1)
+            return residual(*args)
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called for n = 2")
+
+        monkeypatch.setattr(solve_mod, "complex_hessian", counting_hessian)
+        monkeypatch.setattr(solve_mod, "residual_field", counting_residual)
+        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        _, _, history, _ = solve_mod._damped_newton(spec, u0, SolverOptions())
+        assert len(history) >= 3 and history[-1] <= 1e-8
+        # every Hessian is one residual evaluation's; steps reuse the accepted g
+        assert len(hessians) == len(evals) >= len(history)

@@ -20,7 +20,13 @@ from hcl.subsol import (
     level_set_point,
     sample_level_set,
 )
-from hcl.symfunc import FuncFamily, check_structure, eval_f, sample_cone
+from hcl.symfunc import (
+    FuncFamily,
+    check_structure,
+    eval_f,
+    gamma_g_criteria,
+    sample_cone,
+)
 
 FAMILIES = [
     FuncFamily.log_det(2),
@@ -155,3 +161,15 @@ def test_dichotomy_rows_match_per_point_checks():
 @pytest.mark.parametrize("fam", FAMILIES, ids=family_id)
 def test_check_structure_matches_scalar(fam):
     assert check_structure(fam, 60, 7) == ref.check_structure(fam, 60, 7)
+
+
+@pytest.mark.parametrize("fam", FAMILIES[:4], ids=family_id)
+def test_gamma_g_criteria_match_per_rung_ladder(fam):
+    # 100 points per family, 400 criteria tuples in all
+    mixed = 0
+    for lam in sample_cone(fam, 100, seed=5):
+        got = gamma_g_criteria(fam, lam)
+        assert got == ref.gamma_g_criteria(fam, lam)
+        mixed += got != (True, True, True)
+    if fam.kind == "quotient-log":
+        assert mixed > 0  # the comparison sees both verdicts

@@ -282,7 +282,7 @@ class TestSubsolution:
         spec = small_dirichlet_spec(psi_value=0.5)
         usub, t = build_subsolution(spec, 0.1)
         assert t >= 1.0
-        r, adm, lam = residual_field(spec, usub.values)
+        r, adm, lam, _ = residual_field(spec, usub.values)
         assert adm
         assert np.min(eval_f(LOGDET2, lam) - (0.5 + 0.1)) >= 0.0
 
@@ -333,7 +333,7 @@ class TestDirichletSolve:
     def test_subsolution_level_is_exact_solution(self):
         spec = small_dirichlet_spec(psi_value=0.5)
         usub, _ = build_subsolution(spec, 0.1)
-        r, adm, lam = residual_field(spec, usub.values)
+        r, adm, lam, _ = residual_field(spec, usub.values)
         psi_exact = np.zeros(spec.domain.shape)
         psi_exact[spec.domain.interior] = eval_f(LOGDET2, lam)
         spec_exact = ProblemSpec(
@@ -377,7 +377,7 @@ class TestDirichletSolve:
     def test_iterates_stay_admissible(self):
         spec, _ = manufactured_dirichlet_spec(8)
         res = solve_dirichlet(spec)
-        _, adm, _ = residual_field(spec, res.u.values)
+        _, adm, _, _ = residual_field(spec, res.u.values)
         assert adm
 
     def test_handed_subsolution_matches_built_one(self):
@@ -443,8 +443,8 @@ class TestLinearization:
         v = np.zeros(dom.shape)
         v[dom.interior] = v_int
         t = 1e-6
-        rp, _, _ = residual_field(spec, u + t * v)
-        rm, _, _ = residual_field(spec, u - t * v)
+        rp, _, _, _ = residual_field(spec, u + t * v)
+        rm, _, _, _ = residual_field(spec, u - t * v)
         fd = (rp - rm) / (2 * t)
         jv = a @ v_int
         scale = np.max(np.abs(jv)) + 1.0
@@ -515,6 +515,17 @@ def test_newton_budget_exhausted_stalls(solver, make_spec):
     spec, _ = make_spec(8)
     with pytest.raises(StallError):
         solver(spec, SolverOptions(max_newton=1))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("damping_min", 0.0), ("residual_scale", 0.0), ("lin_tol", -1e-11),
+    ("residual_scale", float("nan")), ("max_newton", 0), ("continuation", 0),
+    ("linear_solver", "bogus"),
+])
+def test_options_reject_values_that_cannot_converge(field, value):
+    # damping_min = 0 used to halve the line-search step forever
+    with pytest.raises(DomainError):
+        SolverOptions(**{field: value})
 
 
 @pytest.fixture(scope="module")
