@@ -152,19 +152,29 @@ def _problem_from(cfg: dict, mode: str) -> hsolve.ProblemSpec:
 _OPTION_KEYS = ("residual_scale", "max_newton", "delta", "linear_solver", "continuation")
 
 
+def _int_option(opts: dict, key: str, default):
+    """opts[key] as an int: a JSON integer or an integral float, never a bool
+    and never truncated."""
+    value = opts.get(key, default)
+    if value is None or type(value) is int:  # bool is a subclass of int
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key!r} must be an integer, got {value!r}")
+
+
 def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
     opts = cfg.get("options", {})
     try:
         unknown = sorted(set(opts) - set(_OPTION_KEYS))
         if unknown:
             raise ValueError("unknown option " + ", ".join(map(repr, unknown)))
-        continuation = opts.get("continuation")
         return hsolve.SolverOptions(
             residual_scale=float(opts.get("residual_scale", 1e-9)),
-            max_newton=int(opts.get("max_newton", 80)),
+            max_newton=_int_option(opts, "max_newton", 80),
             delta=float(opts.get("delta", 0.1)),
             linear_solver=opts.get("linear_solver", "auto"),
-            continuation=None if continuation is None else int(continuation),
+            continuation=_int_option(opts, "continuation", None),
             seed=seed,
         )
     except (AttributeError, TypeError, ValueError) as exc:

@@ -13,8 +13,10 @@ the periodic axes and a DST-I along the bounded ones.  It solves the Poisson
 problems directly (diagonally preconditioned CG remains for masked domains and
 as a refinement when the sup-norm certificate fails) and, frozen at the mean
 Newton coefficient, preconditions BiCGStab on the nonsymmetric Newton systems
-(a sparse direct factorization below the size threshold).  Each linear solve
-is recorded in `SolveResult.linear_solves`.
+(a sparse direct factorization below the size threshold).  Closed mode solves
+the bordered (N+1) system for the update and the constant at once, with the
+mean-coefficient bordered operator inverted exactly as its preconditioner.
+Each Newton step makes one linear solve, recorded in `SolveResult.linear_solves`.
 
 For n = 2 the eigenvalues and the Newton coefficient are closed forms on the
 stacked 2 x 2 matrices (`_eigvalsh`, `_newton_coefficient`); n >= 3 uses
@@ -26,7 +28,7 @@ only refills the values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,8 +152,8 @@ class SolveResult:
     residual_history: list[float]
     admissible: bool
     estimates: EstimateReport | None = None
-    # one (path, krylov_iters) per linear solve, path "direct", "bicgstab" or
-    # "spsolve-fallback"; diagnostics only, written to no artifact
+    # one (path, krylov_iters) per Newton step in both modes, path "direct",
+    # "bicgstab" or "spsolve-fallback"; diagnostics only, written to no artifact
     linear_solves: list[tuple[str, int]] = field(default_factory=list)
 
 
@@ -452,11 +454,11 @@ def _solve_spd(a_neg: sp.csr_matrix, b: np.ndarray, sup_target: float):
 
 
 def _solve_general(a: sp.csr_matrix, b: np.ndarray, opts: SolverOptions,
-                   precond=None):
+                   precond=None, nodes: int | None = None):
     """Nonsymmetric sparse solve; returns (x, (path, krylov_iters)).
 
-    Below the size threshold (or with linear_solver="direct") a sparse direct
-    factorization.  Otherwise BiCGStab from a fixed seeded start, preconditioned
+    Up to 2000 nodes (the rows of a unless `nodes` says otherwise) or with
+    linear_solver="direct", a sparse direct factorization.  Otherwise BiCGStab from a fixed seeded start, preconditioned
     by the map of vectors that the zero-argument builder `precond` returns
     (such as `_spectral_inverse` at the mean coefficient; it is called on this
     branch only) or, when there is none, by the diagonal.  The system is
@@ -467,9 +469,8 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, opts: SolverOptions,
     falls back to factorization.
     """
     n = a.shape[0]
-    if opts.linear_solver == "direct" or (
-        opts.linear_solver == "auto" and n <= 2000
-    ):
+    if opts.linear_solver == "direct" or (opts.linear_solver == "auto"
+                                          and (nodes or n) <= 2000):
         return spla.spsolve(a.tocsc(), b), ("direct", 0)
     inverse = precond() if precond is not None else None
     if inverse is None:
@@ -611,52 +612,49 @@ def build_supersolution(spec: ProblemSpec) -> ScalarField:
     return poisson_dirichlet(spec.domain, ScalarField(spec.domain, -tr), spec.phi)
 
 
-def _pin_row0(a: sp.csr_matrix) -> sp.csr_matrix:
-    """A copy of the CSR matrix a with row 0 replaced by the unit row e_0."""
-    hi = a.indptr[1]
+def _bordered_matrix(a: sp.csr_matrix) -> sp.csr_matrix:
+    """[[A, -1], [1^T, 0]] for a square CSR matrix A: a -1 appended to every
+    row and a last row of ones, written straight into the CSR arrays."""
+    n, ends = a.shape[0], a.indptr[1:]
     return sp.csr_matrix(
-        (np.concatenate(([1.0], a.data[hi:])),
-         np.concatenate(([0], a.indices[hi:])),
-         np.concatenate(([0], a.indptr[1:] - (hi - 1)))),
-        shape=a.shape,
+        (np.concatenate((np.insert(a.data, ends, -1.0), np.ones(n))),
+         np.concatenate((np.insert(a.indices, ends, n), np.arange(n))),
+         np.append(a.indptr + np.arange(n + 1), a.indptr[-1] + 2 * n)),
+        shape=(n + 1, n + 1),
     )
 
 
-def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int,
-                    opts: SolverOptions, precond=None):
+def _bordered_inverse(inverse):
+    """The exact inverse of [[Abar, -1], [1^T, 0]] from a map P that inverts a
+    constant-coefficient torus operator Abar on zero-mean vectors (constants
+    span both its null spaces; P passes them through): for the right-hand
+    side (f, s), dc = -mean(f) and v = P(f - mean f) + s / N.  None for None."""
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        f = y[:-1]
+        mean = f.mean()
+        return np.append(inverse(f - mean) + y[-1] / f.size, -mean)
+
+    return None if inverse is None else apply
+
+
+def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, opts: SolverOptions, precond):
     """Solve the (N+1)-dimensional bordered system
 
         A v - dc * 1 = -r,   sum(v) = 0
 
-    by block elimination: A annihilates constants, so pinning node 0 makes the
-    operator invertible; two solves with the pinned operator recover (v, dc)
-    exactly; both share the preconditioner builder `precond` of
-    `_solve_general`.  Returns (v, dc, the two linear-solve records)."""
-    a = a.tocsr()
-    hi = a.indptr[1]
-    cols0, vals0 = a.indices[:hi], a.data[:hi]  # row 0 of A
-    pinned = _pin_row0(a)
-    b1 = -r.copy()
-    b1[0] = 0.0
-    b2 = np.ones(n_nodes)
-    b2[0] = 0.0
+    by one `_solve_general` call that picks its path on the node count N; a
+    Krylov solve is preconditioned by `_bordered_inverse` of the map that the
+    builder `precond` returns.  Returns (v, dc, the linear-solve record)."""
+    n = r.size
     try:
-        x1, rec1 = _solve_general(pinned, b1, opts, precond)
-        x2, rec2 = _solve_general(pinned, b2, opts, precond)
+        x, record = _solve_general(_bordered_matrix(a), np.append(-r, 0.0), opts,
+                                   lambda: _bordered_inverse(precond()), nodes=n)
     except Exception as exc:
         raise GaugeError(f"augmented system failed: {exc}") from exc
-    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+    if not np.all(np.isfinite(x)):
         raise GaugeError("augmented system produced non-finite update")
-    # enforce the original row 0 and the zero-mean gauge
-    row0_x1 = float(vals0 @ x1[cols0])
-    row0_x2 = float(vals0 @ x2[cols0])
-    denom = row0_x2 - 1.0
-    if abs(denom) < 1e-14:
-        raise GaugeError("bordered system singular: gauge column degenerate")
-    dc = -(float(r[0]) + row0_x1) / denom
-    v = x1 + dc * x2
-    v -= v.sum() / n_nodes
-    return v, float(dc), [rec1, rec2]
+    return x[:n] - x[:n].sum() / n, float(x[n]), record
 
 
 # ------------------------------------------------------------------ Newton
@@ -668,8 +666,9 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     with the zero-mean gauge in closed mode, the plain Newton system in
     Dirichlet mode (boundary values stay fixed).  The step is halved until the
     iterate stays admissible and the sup-norm residual decreases; the accepted
-    trial's g and eigenvalues give the next step's coefficient.  Each step's Krylov solves are preconditioned by `_spectral_inverse` at the
-    mean Newton coefficient, built once per step and only for a Krylov solve.
+    trial's g and eigenvalues give the next step's coefficient.  Each step
+    makes one linear solve; on the Krylov path it builds `_spectral_inverse`
+    at the mean Newton coefficient as the preconditioner.
     Returns (u, c, residual history, linear-solve records).
     """
     dom = spec.domain
@@ -686,14 +685,12 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
             break
         coeff = _newton_coefficient(spec.family, g, lam)
         a, _ = assemble_linearized(dom, coeff)
-        # the first Krylov solve of the step builds it; direct solves never do
-        precond = cache(lambda coeff=coeff: _spectral_inverse(dom, coeff.mean(axis=0)))
+        precond = lambda: _spectral_inverse(dom, coeff.mean(axis=0))  # Krylov only
         if spec.mode == "closed":
-            v, dc, records = _solve_bordered(a, r, r.size, opts, precond)
+            v, dc, record = _solve_bordered(a, r, opts, precond)
         else:
-            v, record = _solve_general(a, -r, opts, precond)
-            dc, records = 0.0, [record]
-        solves.extend(records)
+            (v, record), dc = _solve_general(a, -r, opts, precond), 0.0
+        solves.append(record)
         step = 1.0
         admissible_seen = False
         while step >= opts.damping_min:

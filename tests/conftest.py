@@ -83,6 +83,17 @@ def manufactured_closed_spec(N, amplitude=0.1, ny=4):
     return spec, ustar
 
 
+def smooth_coefficient(dom, amp):
+    """A Hermitian positive-definite coefficient field varying over the nodes."""
+    x = dom.meshgrid()
+    coeff = np.zeros(dom.shape + (2, 2), dtype=complex)
+    coeff[..., 0, 0] = 1.0 + amp * np.sin(x[0])
+    coeff[..., 1, 1] = 1.0 + amp * np.cos(x[-1])
+    coeff[..., 0, 1] = 0.5 * amp * np.sin(x[1] + x[-2])
+    coeff[..., 1, 0] = coeff[..., 0, 1]
+    return coeff[dom.interior]
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240813)

@@ -7,7 +7,10 @@ conversion sort them and sum duplicates.  `_stencil_entries`,
 `_interior_info` and `_mixed_pieces` are its helpers.  They are kept verbatim
 (only the imports differ).  `newton_coefficient` is the LAPACK coefficient
 F = P diag(grad f(lambda)) P^* that the Newton loop formed with `eigh` and
-`einsum` before the closed form for n = 2.
+`einsum` before the closed form for n = 2.  `_solve_bordered` is the
+closed-mode Newton solve that pinned node 0 and eliminated the gauge constant
+with two solves of the pinned matrix (`_pin_row0`), before one solve of the
+bordered (N+1) system replaced it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from hcl.errors import DomainError
+from hcl.errors import DomainError, GaugeError
 from hcl.grid import BOUNDARY, EXTERIOR, INTERIOR, GridDomain
+from hcl.solve import SolverOptions, _solve_general
 from hcl.symfunc import FuncFamily, grad_f
 
 
@@ -132,3 +136,51 @@ def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
     else:
         b = sp.csr_matrix((n_int, bdry_flat.size))
     return a, b
+
+
+def _pin_row0(a: sp.csr_matrix) -> sp.csr_matrix:
+    """A copy of the CSR matrix a with row 0 replaced by the unit row e_0."""
+    hi = a.indptr[1]
+    return sp.csr_matrix(
+        (np.concatenate(([1.0], a.data[hi:])),
+         np.concatenate(([0], a.indices[hi:])),
+         np.concatenate(([0], a.indptr[1:] - (hi - 1)))),
+        shape=a.shape,
+    )
+
+
+def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int,
+                    opts: SolverOptions, precond=None):
+    """Solve the (N+1)-dimensional bordered system
+
+        A v - dc * 1 = -r,   sum(v) = 0
+
+    by block elimination: A annihilates constants, so pinning node 0 makes the
+    operator invertible; two solves with the pinned operator recover (v, dc)
+    exactly; both share the preconditioner builder `precond` of
+    `_solve_general`.  Returns (v, dc, the two linear-solve records)."""
+    a = a.tocsr()
+    hi = a.indptr[1]
+    cols0, vals0 = a.indices[:hi], a.data[:hi]  # row 0 of A
+    pinned = _pin_row0(a)
+    b1 = -r.copy()
+    b1[0] = 0.0
+    b2 = np.ones(n_nodes)
+    b2[0] = 0.0
+    try:
+        x1, rec1 = _solve_general(pinned, b1, opts, precond)
+        x2, rec2 = _solve_general(pinned, b2, opts, precond)
+    except Exception as exc:
+        raise GaugeError(f"augmented system failed: {exc}") from exc
+    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+        raise GaugeError("augmented system produced non-finite update")
+    # enforce the original row 0 and the zero-mean gauge
+    row0_x1 = float(vals0 @ x1[cols0])
+    row0_x2 = float(vals0 @ x2[cols0])
+    denom = row0_x2 - 1.0
+    if abs(denom) < 1e-14:
+        raise GaugeError("bordered system singular: gauge column degenerate")
+    dc = -(float(r[0]) + row0_x1) / denom
+    v = x1 + dc * x2
+    v -= v.sum() / n_nodes
+    return v, float(dc), [rec1, rec2]

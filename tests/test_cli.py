@@ -143,6 +143,9 @@ class TestExitCodes:
             DIRICHLET_SMALL["domain"], s_lengths=[1.0, 0.0]))),
         ("solve-closed", dict(CLOSED_CONSTANTS, domain={
             "kind": "torus", "n": 0, "shape": []})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": 1.9})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": True})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": 2.5})),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
@@ -151,7 +154,9 @@ class TestExitCodes:
             "negative-samples", "zero-samples", "negative-max-newton",
             "zero-residual-scale", "zero-continuation", "unread-lin-tol",
             "unread-damping-min", "misspelt-option", "zero-node-count",
-            "zero-torus-length", "zero-s-length", "zero-dimension"])
+            "zero-torus-length", "zero-s-length", "zero-dimension",
+            "fractional-max-newton", "boolean-max-newton",
+            "fractional-continuation"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -165,6 +170,22 @@ class TestExitCodes:
         assert main(["solve-dirichlet", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 4
         assert "'max_newtom'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_newton", 1.9), ("max_newton", True), ("continuation", 2.5),
+    ])
+    def test_non_integral_option_is_named(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "frac.json",
+                           dict(DIRICHLET_SMALL, options={key: value}))
+        assert main(["solve-dirichlet", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        assert repr(key) in capsys.readouterr().err
+
+    def test_integral_float_option_runs(self, tmp_path):
+        cfg = write_config(tmp_path, "whole.json",
+                           dict(DIRICHLET_SMALL, options={"max_newton": 80.0}))
+        assert main(["solve-dirichlet", "--config", cfg,
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
     def test_cone_check(self, tmp_path):
         cfg = write_config(

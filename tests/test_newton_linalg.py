@@ -4,20 +4,26 @@
 The cached stencil pattern must refill the same CSR matrices (bit for bit where
 no two stencil offsets reach the same neighbour), and the closed-form n = 2
 eigenvalues and Newton coefficient must match `np.linalg.eigvalsh` and the
-`eigh`/`einsum` coefficient.
+`eigh`/`einsum` coefficient.  It also keeps the closed-mode solve that pinned
+node 0 and made two solves per Newton step; the single bordered solve must
+give the same (v, dc).
 """
 
 import newton_reference as ref
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hcl.solve as solve_mod
 from hcl.errors import DomainError
 from hcl.grid import EXTERIOR, GridDomain
 from hcl.solve import (
     SolverOptions,
+    _bordered_matrix,
     _eigvalsh,
     _newton_coefficient,
+    _solve_bordered,
+    _spectral_inverse,
     assemble_linearized,
     build_subsolution,
     poisson_dirichlet,
@@ -27,7 +33,11 @@ from hcl.solve import (
 )
 from hcl.symfunc import FuncFamily, grad_f
 
-from conftest import manufactured_closed_spec, manufactured_dirichlet_spec
+from conftest import (
+    manufactured_closed_spec,
+    manufactured_dirichlet_spec,
+    smooth_coefficient,
+)
 
 
 def hermitian_stack(rng, count, n=2, scale=1.0, shift=0.0):
@@ -243,3 +253,49 @@ class TestNewtonLoop:
         assert len(history) >= 3 and history[-1] <= 1e-8
         # every Hessian is one residual evaluation's; steps reuse the accepted g
         assert len(hessians) == len(evals) >= len(history)
+
+
+class TestBorderedSolve:
+    @pytest.mark.parametrize("shape", [(8, 4, 6, 4), (16, 8, 16, 8)])
+    def test_matrix_matches_bmat(self, shape):
+        dom = GridDomain.torus(2, shape)
+        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        ones = np.ones((a.shape[0], 1))
+        old = sp.bmat([[a, -ones], [ones.T, None]], format="csr")
+        old.sort_indices()
+        assert_same_csr(_bordered_matrix(a), old)
+
+    def test_pinned_matrix_matches_lil_build(self):
+        dom = GridDomain.torus(2, (8, 4, 6, 4))
+        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        old = a.tolil()
+        old.rows[0] = [0]
+        old.data[0] = [1.0]
+        old = old.tocsr()
+        new = ref._pin_row0(a)
+        assert (new - old).nnz == 0
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(new, attr), getattr(old, attr))
+
+    @pytest.mark.parametrize("shape", [(8, 4, 6, 4), (8, 8, 8, 8)])
+    @pytest.mark.parametrize("linear_solver", ["direct", "iterative"])
+    def test_matches_pinned_reference(self, shape, linear_solver):
+        dom = GridDomain.torus(2, shape)
+        coeff = smooth_coefficient(dom, 0.3)
+        a, _ = assemble_linearized(dom, coeff)
+        r = np.random.default_rng(7).standard_normal(a.shape[0])
+        # a tolerance below the default keeps both Krylov errors well under 1e-10
+        opts = SolverOptions(linear_solver=linear_solver, lin_tol=1e-12)
+        path = "direct" if linear_solver == "direct" else "bicgstab"
+        builds = []
+
+        def precond():
+            builds.append(1)
+            return _spectral_inverse(dom, coeff.mean(axis=0))
+
+        v, dc, record = _solve_bordered(a, r, opts, precond)
+        v_ref, dc_ref, records = ref._solve_bordered(a, r, r.size, opts, precond)
+        assert record[0] == path and [p for p, _ in records] == [path] * 2
+        assert len(builds) == (0 if path == "direct" else 3)
+        assert np.max(np.abs(v - v_ref)) <= 1e-10
+        assert abs(dc - dc_ref) <= 1e-10
