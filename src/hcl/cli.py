@@ -149,18 +149,19 @@ def _problem_from(cfg: dict, mode: str) -> hsolve.ProblemSpec:
         raise ConfigError(f"inconsistent problem spec: {exc}") from exc
 
 
-_OPTION_KEYS = ("residual_scale", "max_newton", "delta", "linear_solver", "continuation")
+_OPTION_KEYS = ("residual_scale", "max_newton", "delta", "continuation")
 
 
-def _int_option(opts: dict, key: str, default):
-    """opts[key] as an int: a JSON integer or an integral float, never a bool
-    and never truncated."""
+def _number_option(opts: dict, key: str, default, integral: bool = False):
+    """opts[key] as a float, or with `integral` as an int: a JSON number,
+    never a bool or a string, and an integral one never truncated."""
     value = opts.get(key, default)
-    if value is None or type(value) is int:  # bool is a subclass of int
+    if value is None and default is None:  # an optional option left unset
         return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if type(value) in (int, float) and (not integral or float(value).is_integer()):
+        return int(value) if integral else float(value)
+    kind = "an integer" if integral else "a number"
+    raise ValueError(f"{key!r} must be {kind}, got {value!r}")
 
 
 def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
@@ -170,14 +171,13 @@ def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
         if unknown:
             raise ValueError("unknown option " + ", ".join(map(repr, unknown)))
         return hsolve.SolverOptions(
-            residual_scale=float(opts.get("residual_scale", 1e-9)),
-            max_newton=_int_option(opts, "max_newton", 80),
-            delta=float(opts.get("delta", 0.1)),
-            linear_solver=opts.get("linear_solver", "auto"),
-            continuation=_int_option(opts, "continuation", None),
+            residual_scale=_number_option(opts, "residual_scale", 1e-9),
+            max_newton=_number_option(opts, "max_newton", 80, integral=True),
+            delta=_number_option(opts, "delta", 0.1),
+            continuation=_number_option(opts, "continuation", None, integral=True),
             seed=seed,
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
 

@@ -12,11 +12,11 @@ unmasked box it inverts a constant-coefficient operator exactly by a DFT along
 the periodic axes and a DST-I along the bounded ones.  It solves the Poisson
 problems directly (diagonally preconditioned CG remains for masked domains and
 as a refinement when the sup-norm certificate fails) and, frozen at the mean
-Newton coefficient, preconditions BiCGStab on the nonsymmetric Newton systems
-(a sparse direct factorization below the size threshold).  Closed mode solves
-the bordered (N+1) system for the update and the constant at once, with the
-mean-coefficient bordered operator inverted exactly as its preconditioner.
-Each Newton step makes one linear solve, recorded in `SolveResult.linear_solves`.
+Newton coefficient, preconditions BiCGStab, the only Newton-system solver.
+Closed mode solves the bordered (N+1) system for the update and the constant
+at once, with the mean-coefficient bordered operator inverted exactly as its
+preconditioner.  Each Newton step makes one Krylov solve; its iterations are
+recorded in `SolveResult.linear_solves`.
 
 For n = 2 the eigenvalues and the Newton coefficient are closed forms on the
 stacked 2 x 2 matrices (`_eigvalsh`, `_newton_coefficient`); n >= 3 uses
@@ -117,7 +117,6 @@ class SolverOptions:
     damping_min: float = 1e-12
     delta: float = 0.1  # subsolution strictness
     lin_tol: float = 1e-11
-    linear_solver: str = "auto"  # auto | direct | iterative
     continuation: int | None = None  # number of uniform steps; None = direct
     seed: int = 0
     subsolution: ScalarField | None = None
@@ -130,8 +129,6 @@ class SolverOptions:
             raise DomainError("max_newton must be at least 1")
         if self.continuation is not None and self.continuation < 1:
             raise DomainError("continuation needs at least one step")
-        if self.linear_solver not in ("auto", "direct", "iterative"):
-            raise DomainError(f"unknown linear_solver {self.linear_solver!r}")
 
 
 @dataclass
@@ -152,9 +149,9 @@ class SolveResult:
     residual_history: list[float]
     admissible: bool
     estimates: EstimateReport | None = None
-    # one (path, krylov_iters) per Newton step in both modes, path "direct",
-    # "bicgstab" or "spsolve-fallback"; diagnostics only, written to no artifact
-    linear_solves: list[tuple[str, int]] = field(default_factory=list)
+    # the BiCGStab iterations of each Newton step in both modes (a final half
+    # step counts as one); diagnostics only, written to no artifact
+    linear_solves: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -454,53 +451,50 @@ def _solve_spd(a_neg: sp.csr_matrix, b: np.ndarray, sup_target: float):
 
 
 def _solve_general(a: sp.csr_matrix, b: np.ndarray, opts: SolverOptions,
-                   precond=None, nodes: int | None = None):
-    """Nonsymmetric sparse solve; returns (x, (path, krylov_iters)).
+                   inverse=None):
+    """BiCGStab on a nonsymmetric sparse system; returns (x, krylov_iters).
 
-    Up to 2000 nodes (the rows of a unless `nodes` says otherwise) or with
-    linear_solver="direct", a sparse direct factorization.  Otherwise BiCGStab from a fixed seeded start, preconditioned
-    by the map of vectors that the zero-argument builder `precond` returns
-    (such as `_spectral_inverse` at the mean coefficient; it is called on this
-    branch only) or, when there is none, by the diagonal.  The system is
-    scaled to sup |b| = 1 first: scipy's breakdown tests are absolute
-    (|rho| < eps^2), and the small right-hand sides of the last Newton steps
-    would trip them.  A run that converges without certifying the true
-    residual restarts once from its result; only a second miss or a breakdown
-    falls back to factorization.
+    The run starts from a fixed seeded start and is preconditioned by the map
+    of vectors `inverse` (such as `_spectral_inverse` at the mean coefficient)
+    or, when there is none, by the diagonal.  The system is scaled to
+    sup |b| = 1 first: scipy's breakdown tests are absolute (|rho| < eps^2),
+    and the small right-hand sides of the last Newton steps would trip them.
+    A run that converges without certifying the true residual restarts once
+    from its result; a breakdown or a second miss raises `NumericError`.
+    Iterations are counted as preconditioner applications, two per iteration
+    and one on a final half step, which scipy's `callback` misses.
     """
     n = a.shape[0]
-    if opts.linear_solver == "direct" or (opts.linear_solver == "auto"
-                                          and (nodes or n) <= 2000):
-        return spla.spsolve(a.tocsc(), b), ("direct", 0)
-    inverse = precond() if precond is not None else None
     if inverse is None:
         diag = a.diagonal()
-        diag = np.where(np.abs(diag) > 0, diag, 1.0)
-        m = sp.diags(1.0 / diag)
-    else:
-        m = spla.LinearOperator(a.shape, matvec=inverse, dtype=float)
+        inv_diag = 1.0 / np.where(np.abs(diag) > 0, diag, 1.0)
+        inverse = lambda r: inv_diag * r
+    applied = [0]  # preconditioner applications per run
+
+    def precondition(r):
+        applied[-1] += 1
+        return inverse(r)
+
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
     bs = b / scale
     bnorm = float(np.linalg.norm(bs))
     rng = np.random.default_rng(opts.seed)
     x0 = 1e-3 * rng.standard_normal(n) * (bnorm / np.sqrt(n) + 1e-30)
-    iters = 0
-
-    def count(_xk):
-        nonlocal iters
-        iters += 1
 
     def certified(x):  # false for non-finite x too
         return float(np.linalg.norm(a @ x - bs)) <= 10.0 * opts.lin_tol * (bnorm + 1e-30)
 
-    krylov = dict(rtol=opts.lin_tol, atol=0.0, M=m,
-                  maxiter=40 * int(np.sqrt(n) + 10), callback=count)
+    krylov = dict(rtol=opts.lin_tol, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
+                  M=spla.LinearOperator(a.shape, matvec=precondition, dtype=float))
     x, info = spla.bicgstab(a, bs, x0=x0, **krylov)
     if info == 0 and not certified(x):  # converged on the recurrence residual only
+        applied.append(0)
         x, info = spla.bicgstab(a, bs, x0=x, **krylov)
+    iters = sum((k + 1) // 2 for k in applied)
     if info != 0 or not certified(x):
-        return scale * spla.spsolve(a.tocsc(), bs), ("spsolve-fallback", iters)
-    return scale * x, ("bicgstab", iters)
+        raise NumericError(f"BiCGStab failed on {n} unknowns after {iters} "
+                           f"iterations (info={info})")
+    return scale * x, iters
 
 
 # ------------------------------------------------------------------ Poisson
@@ -638,23 +632,20 @@ def _bordered_inverse(inverse):
     return None if inverse is None else apply
 
 
-def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, opts: SolverOptions, precond):
+def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, opts: SolverOptions, inverse):
     """Solve the (N+1)-dimensional bordered system
 
         A v - dc * 1 = -r,   sum(v) = 0
 
-    by one `_solve_general` call that picks its path on the node count N; a
-    Krylov solve is preconditioned by `_bordered_inverse` of the map that the
-    builder `precond` returns.  Returns (v, dc, the linear-solve record)."""
+    by one `_solve_general` call, preconditioned by `_bordered_inverse` of the
+    map `inverse`.  Returns (v, dc, the Krylov iterations)."""
     n = r.size
     try:
-        x, record = _solve_general(_bordered_matrix(a), np.append(-r, 0.0), opts,
-                                   lambda: _bordered_inverse(precond()), nodes=n)
-    except Exception as exc:
+        x, iters = _solve_general(_bordered_matrix(a), np.append(-r, 0.0), opts,
+                                  _bordered_inverse(inverse))
+    except NumericError as exc:
         raise GaugeError(f"augmented system failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise GaugeError("augmented system produced non-finite update")
-    return x[:n] - x[:n].sum() / n, float(x[n]), record
+    return x[:n] - x[:n].sum() / n, float(x[n]), iters
 
 
 # ------------------------------------------------------------------ Newton
@@ -667,9 +658,9 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     Dirichlet mode (boundary values stay fixed).  The step is halved until the
     iterate stays admissible and the sup-norm residual decreases; the accepted
     trial's g and eigenvalues give the next step's coefficient.  Each step
-    makes one linear solve; on the Krylov path it builds `_spectral_inverse`
-    at the mean Newton coefficient as the preconditioner.
-    Returns (u, c, residual history, linear-solve records).
+    makes one BiCGStab solve, preconditioned by `_spectral_inverse` at the
+    mean Newton coefficient.
+    Returns (u, c, residual history, Krylov iterations per step).
     """
     dom = spec.domain
     tol = opts.residual_scale * (1.0 + float(np.max(np.abs(spec.psi.values[~dom.exterior]))))
@@ -679,18 +670,18 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
         raise AdmissibilityError("initial iterate not admissible")
     res = float(np.max(np.abs(r)))
     history = [res]
-    solves: list[tuple[str, int]] = []
+    solves: list[int] = []
     for _ in range(opts.max_newton):
         if res <= tol:
             break
         coeff = _newton_coefficient(spec.family, g, lam)
         a, _ = assemble_linearized(dom, coeff)
-        precond = lambda: _spectral_inverse(dom, coeff.mean(axis=0))  # Krylov only
+        inverse = _spectral_inverse(dom, coeff.mean(axis=0))
         if spec.mode == "closed":
-            v, dc, record = _solve_bordered(a, r, opts, precond)
+            v, dc, iters = _solve_bordered(a, r, opts, inverse)
         else:
-            (v, record), dc = _solve_general(a, -r, opts, precond), 0.0
-        solves.append(record)
+            (v, iters), dc = _solve_general(a, -r, opts, inverse), 0.0
+        solves.append(iters)
         step = 1.0
         admissible_seen = False
         while step >= opts.damping_min:
@@ -752,7 +743,7 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
     s_values = list(np.linspace(0.0, 1.0, opts.continuation + 1)[1:])
     total_iters = 0
     history_all: list[float] = []
-    solves_all: list[tuple[str, int]] = []
+    solves_all: list[int] = []
     s_prev = 0.0
     guard = 0
     while s_values:

@@ -10,13 +10,16 @@ F = P diag(grad f(lambda)) P^* that the Newton loop formed with `eigh` and
 `einsum` before the closed form for n = 2.  `_solve_bordered` is the
 closed-mode Newton solve that pinned node 0 and eliminated the gauge constant
 with two solves of the pinned matrix (`_pin_row0`), before one solve of the
-bordered (N+1) system replaced it.
+bordered (N+1) system replaced it.  `solve_bordered_direct` factors the
+bordered system with `spsolve`, as `hcl.solve` did for systems of up to 2000
+nodes before BiCGStab became its only Newton solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hcl.errors import DomainError, GaugeError
 from hcl.grid import BOUNDARY, EXTERIOR, INTERIOR, GridDomain
@@ -150,15 +153,15 @@ def _pin_row0(a: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int,
-                    opts: SolverOptions, precond=None):
+                    opts: SolverOptions, inverse=None):
     """Solve the (N+1)-dimensional bordered system
 
         A v - dc * 1 = -r,   sum(v) = 0
 
     by block elimination: A annihilates constants, so pinning node 0 makes the
     operator invertible; two solves with the pinned operator recover (v, dc)
-    exactly; both share the preconditioner builder `precond` of
-    `_solve_general`.  Returns (v, dc, the two linear-solve records)."""
+    exactly; both share the preconditioner map `inverse` of
+    `_solve_general`.  Returns (v, dc, the Krylov iterations of both solves)."""
     a = a.tocsr()
     hi = a.indptr[1]
     cols0, vals0 = a.indices[:hi], a.data[:hi]  # row 0 of A
@@ -168,8 +171,8 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int,
     b2 = np.ones(n_nodes)
     b2[0] = 0.0
     try:
-        x1, rec1 = _solve_general(pinned, b1, opts, precond)
-        x2, rec2 = _solve_general(pinned, b2, opts, precond)
+        x1, rec1 = _solve_general(pinned, b1, opts, inverse)
+        x2, rec2 = _solve_general(pinned, b2, opts, inverse)
     except Exception as exc:
         raise GaugeError(f"augmented system failed: {exc}") from exc
     if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
@@ -184,3 +187,12 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int,
     v = x1 + dc * x2
     v -= v.sum() / n_nodes
     return v, float(dc), [rec1, rec2]
+
+
+def solve_bordered_direct(a: sp.csr_matrix, r: np.ndarray):
+    """(v, dc) of [[A, -1], [1^T, 0]] (v, dc) = (-r, 0) by one sparse LU
+    factorization of the matrix that `sp.bmat` builds."""
+    ones = np.ones((a.shape[0], 1))
+    x = spla.spsolve(sp.bmat([[a, -ones], [ones.T, None]], format="csc"),
+                     np.append(-r, 0.0))
+    return x[:-1], float(x[-1])

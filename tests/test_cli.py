@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import hcl.solve as solve_mod
 from hcl.cli import main
 
 
@@ -146,6 +147,13 @@ class TestExitCodes:
         ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": 1.9})),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": True})),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": 2.5})),
+        ("solve-dirichlet",
+         dict(DIRICHLET_SMALL, options={"linear_solver": "auto"})),
+        ("solve-dirichlet",
+         dict(DIRICHLET_SMALL, options={"residual_scale": True})),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"delta": "0.1"})),
+        ("solve-dirichlet",
+         dict(DIRICHLET_SMALL, options={"residual_scale": 10 ** 400})),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
@@ -156,7 +164,8 @@ class TestExitCodes:
             "unread-damping-min", "misspelt-option", "zero-node-count",
             "zero-torus-length", "zero-s-length", "zero-dimension",
             "fractional-max-newton", "boolean-max-newton",
-            "fractional-continuation"])
+            "fractional-continuation", "removed-linear-solver",
+            "boolean-residual-scale", "string-delta", "huge-residual-scale"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -165,14 +174,32 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     def test_unknown_option_is_named(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "typo.json",
-                           dict(DIRICHLET_SMALL, options={"max_newtom": 5}))
-        assert main(["solve-dirichlet", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == 4
-        assert "'max_newtom'" in capsys.readouterr().err
+        # linear_solver chose a direct factorization before BiCGStab became
+        # the only Newton solver; it is now an unknown option like a typo
+        for key, value in (("max_newtom", 5), ("linear_solver", "auto")):
+            cfg = write_config(tmp_path, "typo.json",
+                               dict(DIRICHLET_SMALL, options={key: value}))
+            assert main(["solve-dirichlet", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 4
+            assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload", [
+        ("solve-closed", dict(CLOSED_CONSTANTS, psi="sinx:0.4")),
+        ("solve-dirichlet", DIRICHLET_SMALL),
+    ], ids=["closed", "dirichlet"])
+    def test_failed_krylov_solve_exit_three(self, tmp_path, capsys,
+                                            monkeypatch, command, payload):
+        monkeypatch.setattr(solve_mod.spla, "bicgstab",
+                            lambda a, b, x0=None, **kwargs: (x0, -10))
+        cfg = write_config(tmp_path, "krylov.json", payload)
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error" in err and "info=-10" in err
 
     @pytest.mark.parametrize("key, value", [
         ("max_newton", 1.9), ("max_newton", True), ("continuation", 2.5),
+        ("residual_scale", True), ("delta", "0.1"),
     ])
     def test_non_integral_option_is_named(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, "frac.json",

@@ -5,8 +5,9 @@ The cached stencil pattern must refill the same CSR matrices (bit for bit where
 no two stencil offsets reach the same neighbour), and the closed-form n = 2
 eigenvalues and Newton coefficient must match `np.linalg.eigvalsh` and the
 `eigh`/`einsum` coefficient.  It also keeps the closed-mode solve that pinned
-node 0 and made two solves per Newton step; the single bordered solve must
-give the same (v, dc).
+node 0 and made two solves per Newton step, and a sparse LU factorization
+of the bordered system; the single bordered Krylov solve must give the same
+(v, dc) as both.
 """
 
 import newton_reference as ref
@@ -278,24 +279,27 @@ class TestBorderedSolve:
             np.testing.assert_array_equal(getattr(new, attr), getattr(old, attr))
 
     @pytest.mark.parametrize("shape", [(8, 4, 6, 4), (8, 8, 8, 8)])
-    @pytest.mark.parametrize("linear_solver", ["direct", "iterative"])
-    def test_matches_pinned_reference(self, shape, linear_solver):
+    def test_matches_pinned_reference(self, shape):
         dom = GridDomain.torus(2, shape)
         coeff = smooth_coefficient(dom, 0.3)
         a, _ = assemble_linearized(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         # a tolerance below the default keeps both Krylov errors well under 1e-10
-        opts = SolverOptions(linear_solver=linear_solver, lin_tol=1e-12)
-        path = "direct" if linear_solver == "direct" else "bicgstab"
-        builds = []
+        opts = SolverOptions(lin_tol=1e-12)
+        inverse = _spectral_inverse(dom, coeff.mean(axis=0))
+        v, dc, iters = _solve_bordered(a, r, opts, inverse)
+        v_ref, dc_ref, ref_iters = ref._solve_bordered(a, r, r.size, opts, inverse)
+        assert iters > 0 and min(ref_iters) > 0
+        assert np.max(np.abs(v - v_ref)) <= 1e-10
+        assert abs(dc - dc_ref) <= 1e-10
 
-        def precond():
-            builds.append(1)
-            return _spectral_inverse(dom, coeff.mean(axis=0))
-
-        v, dc, record = _solve_bordered(a, r, opts, precond)
-        v_ref, dc_ref, records = ref._solve_bordered(a, r, r.size, opts, precond)
-        assert record[0] == path and [p for p, _ in records] == [path] * 2
-        assert len(builds) == (0 if path == "direct" else 3)
+    def test_matches_factorization(self):
+        dom = GridDomain.torus(2, (8, 4, 6, 4))
+        coeff = smooth_coefficient(dom, 0.3)
+        a, _ = assemble_linearized(dom, coeff)
+        r = np.random.default_rng(7).standard_normal(a.shape[0])
+        v, dc, _ = _solve_bordered(a, r, SolverOptions(lin_tol=1e-12),
+                                   _spectral_inverse(dom, coeff.mean(axis=0)))
+        v_ref, dc_ref = ref.solve_bordered_direct(a, r)
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10
