@@ -44,174 +44,176 @@ def _load_config(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int of > 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
+          str: "a string", dict: "an object"}
+
+
+def _read(cfg: dict, key: str, kind, default=..., low=None):
+    """cfg[key] as `kind` (int, float, bool, str, dict, or object for any
+    value), or as a JSON array of them, written [kind].  A number is a finite
+    JSON number, never a bool or a string, and an int is never truncated (80.0
+    reads as 80).  A missing or null key gives `default`, an error if that is
+    `...`; `low` bounds a number, or an array's length.  Errors name the key."""
+    value = cfg.get(key)
+    if value is None:
+        if default is ...:
+            raise ConfigError(f"missing {key!r}")
+        return default
+
+    def typed(v, kind):
+        if isinstance(kind, list):
+            if type(v) is list:
+                return [typed(x, kind[0]) for x in v]
+        elif kind in (int, float):
+            if (type(v) in (int, float) and abs(v) <= sys.float_info.max
+                    and (kind is float or float(v).is_integer())):
+                return kind(v)
+        elif kind is object or type(v) is kind:
+            return v
+        what = "an array" if isinstance(kind, list) else _NAMES[kind]
+        raise ConfigError(f"{key!r} needs {what}, got {v!r}")
+
+    value = typed(value, kind)
+    if low is not None and (len(value) if isinstance(kind, list) else value) < low:
+        what = f"at least {low} entries" if isinstance(kind, list) else f">= {low}"
+        raise ConfigError(f"{key!r} needs {what}, got {value!r}")
+    return value
+
+
+# the keys each family kind reads before n, in constructor order
+_FAMILIES = {
+    "log-det": (symfunc.FuncFamily.log_det, {}),
+    "sigma-root": (symfunc.FuncFamily.sigma_root, {"k": int}),
+    "log-sigma": (symfunc.FuncFamily.log_sigma, {"k": int}),
+    "sigma-quotient": (symfunc.FuncFamily.sigma_quotient, {"k": int, "l": int}),
+    "quotient-log": (symfunc.FuncFamily.quotient_log, {"k": int, "betas": [float]}),
+}
+
+
 def _family_from(cfg: dict) -> symfunc.FuncFamily:
-    try:
-        kind = cfg["kind"]
-        n = int(cfg["n"])
-        if kind == "log-det":
-            return symfunc.FuncFamily.log_det(n)
-        if kind == "sigma-root":
-            return symfunc.FuncFamily.sigma_root(int(cfg["k"]), n)
-        if kind == "log-sigma":
-            return symfunc.FuncFamily.log_sigma(int(cfg["k"]), n)
-        if kind == "sigma-quotient":
-            return symfunc.FuncFamily.sigma_quotient(int(cfg["k"]), int(cfg["l"]), n)
-        if kind == "quotient-log":
-            return symfunc.FuncFamily.quotient_log(int(cfg["k"]), cfg["betas"], n)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad family config: {exc}") from exc
-    raise ConfigError(f"unknown family kind {cfg.get('kind')!r}")
+    kind = _read(cfg, "kind", str)
+    if kind not in _FAMILIES:
+        raise ConfigError(f"unknown family kind {kind!r}")
+    make, keys = _FAMILIES[kind]
+    args = [_read(cfg, key, how) for key, how in keys.items()]
+    return make(*args, _read(cfg, "n", int))
 
 
 def _domain_from(cfg: dict) -> GridDomain:
-    try:
-        kind = cfg["kind"]
-        n = int(cfg["n"])
-        if kind == "torus":
-            return GridDomain.torus(n, cfg["shape"], cfg.get("lengths"))
-        if kind == "product":
-            return GridDomain.product(
-                n,
-                x_shape=cfg.get("x_shape", ()),
-                s_shape=cfg.get("s_shape", (17, 17)),
-                x_lengths=cfg.get("x_lengths"),
-                s_lengths=cfg.get("s_lengths", (1.0, 1.0)),
-                s_periodic=cfg.get("s_periodic", (False, False)),
-            )
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"bad domain config: {exc}") from exc
-    raise ConfigError(f"unknown domain kind {cfg.get('kind')!r}")
+    kind, n = _read(cfg, "kind", str), _read(cfg, "n", int)
+    if kind == "torus":
+        return GridDomain.torus(n, _read(cfg, "shape", [int]),
+                                _read(cfg, "lengths", [float], None))
+    if kind == "product":  # keys left unset keep GridDomain.product's defaults
+        kinds = {"x_shape": [int], "s_shape": [int], "x_lengths": [float],
+                 "s_lengths": [float], "s_periodic": [bool]}
+        given = {key: _read(cfg, key, how, None) for key, how in kinds.items()}
+        return GridDomain.product(
+            n, **{key: v for key, v in given.items() if v is not None})
+    raise ConfigError(f"unknown domain kind {kind!r}")
 
 
 def _expression_field(domain: GridDomain, spec, base_dir: Path) -> ScalarField:
     if isinstance(spec, dict):
-        path = base_dir / spec["file"]
-        if not path.exists():
+        path = base_dir / _read(spec, "file", str)
+        if not path.is_file():
             raise ConfigError(f"field file missing: {path}")
         return hio.read_scalar_field(path, domain)
     if not isinstance(spec, str):
         raise ConfigError(f"bad field spec {spec!r}")
-    if spec == "zero":
-        return ScalarField.zeros(domain)
-    if spec == "one":
-        return ScalarField.full(domain, 1.0)
-    if spec.startswith("const:"):
-        return ScalarField.full(domain, float(spec.split(":", 1)[1]))
-    if spec.startswith("sinx:"):
-        amp = float(spec.split(":", 1)[1])
+    name, _, arg = {"zero": "const:0", "one": "const:1"}.get(spec, spec).partition(":")
+    if name not in ("const", "sinx", "logbump"):
+        raise ConfigError(f"unknown field expression {spec!r}")
+    try:
+        value = float(arg)
+    except ValueError:
+        raise ConfigError(f"bad number in field expression {spec!r}") from None
+    if name == "const":
+        return ScalarField.full(domain, value)
+    if name == "sinx":
         x0 = domain.meshgrid()[0]
         scale = 2.0 * np.pi / domain.lengths[0]
-        return ScalarField(domain, amp * np.sin(scale * x0))
-    if spec.startswith("logbump:"):
-        # log(eta + normalized squared distance from the S-factor center)
-        eta = float(spec.split(":", 1)[1])
-        mesh = domain.meshgrid()
-        d = len(domain.shape)
-        xs, ys = mesh[d - 2], mesh[d - 1]
-        cx, cy = 0.5 * domain.lengths[d - 2], 0.5 * domain.lengths[d - 1]
-        r2 = ((xs - cx) ** 2 + (ys - cy) ** 2) / (cx**2 + cy**2)
-        return ScalarField(domain, np.log(eta + r2))
-    raise ConfigError(f"unknown field expression {spec!r}")
+        return ScalarField(domain, value * np.sin(scale * x0))
+    # logbump: log(eta + normalized squared distance from the S-factor center)
+    mesh = domain.meshgrid()
+    d = len(domain.shape)
+    xs, ys = mesh[d - 2], mesh[d - 1]
+    cx, cy = 0.5 * domain.lengths[d - 2], 0.5 * domain.lengths[d - 1]
+    r2 = ((xs - cx) ** 2 + (ys - cy) ** 2) / (cx**2 + cy**2)
+    return ScalarField(domain, np.log(value + r2))
 
 
 def _chi_from(domain: GridDomain, spec, base_dir: Path) -> HermitianField:
-    if spec == "identity" or spec is None:
+    if spec == "identity":
         return identity_chi(domain)
     if isinstance(spec, dict) and "constant" in spec:
-        return constant_chi(domain, np.asarray(spec["constant"], dtype=complex))
+        rows = _read(spec, "constant", [[float]])
+        if any(len(row) != len(rows) for row in rows):
+            raise ConfigError(f"'constant' must be a square matrix, got {rows!r}")
+        return constant_chi(domain, rows)
     if isinstance(spec, dict) and "file" in spec:
-        path = base_dir / spec["file"]
-        if not path.exists():
+        path = base_dir / _read(spec, "file", str)
+        if not path.is_file():
             raise ConfigError(f"field file missing: {path}")
         return hio.read_hermitian_values(path, domain)
     raise ConfigError(f"bad chi spec {spec!r}")
 
 
 def _problem_from(cfg: dict, mode: str) -> hsolve.ProblemSpec:
-    base_dir = Path(cfg.get("base_dir", "."))
-    try:
-        domain = _domain_from(cfg["domain"])
-        family = _family_from(cfg["family"])
-        chi = _chi_from(domain, cfg.get("chi", "identity"), base_dir)
-        psi = _expression_field(domain, cfg["psi"], base_dir)
-        phi = None
-        if cfg.get("phi") is not None:
-            phi = _expression_field(domain, cfg["phi"], base_dir)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad problem config: {exc}") from exc
-    try:
-        return hsolve.ProblemSpec(domain, family, chi, psi, phi, mode)
-    except DomainError as exc:
-        raise ConfigError(f"inconsistent problem spec: {exc}") from exc
+    base_dir = Path(_read(cfg, "base_dir", str, "."))
+    domain = _domain_from(_read(cfg, "domain", dict))
+    family = _family_from(_read(cfg, "family", dict))
+    chi = _chi_from(domain, _read(cfg, "chi", object, "identity"), base_dir)
+    psi = _expression_field(domain, _read(cfg, "psi", object), base_dir)
+    phi = _read(cfg, "phi", object, None)
+    phi = None if phi is None else _expression_field(domain, phi, base_dir)
+    return hsolve.ProblemSpec(domain, family, chi, psi, phi, mode)
 
 
-_OPTION_KEYS = ("residual_scale", "max_newton", "delta", "continuation")
-
-
-def _number_option(opts: dict, key: str, default, integral: bool = False):
-    """opts[key] as a float, or with `integral` as an int: a JSON number,
-    never a bool or a string, and an integral one never truncated."""
-    value = opts.get(key, default)
-    if value is None and default is None:  # an optional option left unset
-        return value
-    if type(value) in (int, float) and (not integral or float(value).is_integer()):
-        return int(value) if integral else float(value)
-    kind = "an integer" if integral else "a number"
-    raise ValueError(f"{key!r} must be {kind}, got {value!r}")
+# option -> (kind, default, low); SolverOptions checks the rest
+_OPTIONS = {"residual_scale": (float, 1e-9), "max_newton": (int, 80, 1),
+            "delta": (float, 0.1), "continuation": (int, None, 1)}
 
 
 def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
-    opts = cfg.get("options", {})
-    try:
-        unknown = sorted(set(opts) - set(_OPTION_KEYS))
-        if unknown:
-            raise ValueError("unknown option " + ", ".join(map(repr, unknown)))
-        return hsolve.SolverOptions(
-            residual_scale=_number_option(opts, "residual_scale", 1e-9),
-            max_newton=_number_option(opts, "max_newton", 80, integral=True),
-            delta=_number_option(opts, "delta", 0.1),
-            continuation=_number_option(opts, "continuation", None, integral=True),
-            seed=seed,
-        )
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver options: {exc}") from exc
+    opts = _read(cfg, "options", dict, {})
+    unknown = sorted(set(opts) - set(_OPTIONS))
+    if unknown:
+        raise ConfigError("unknown option " + ", ".join(map(repr, unknown)))
+    return hsolve.SolverOptions(
+        seed=seed, **{key: _read(opts, key, *how) for key, how in _OPTIONS.items()})
 
 
 # ----------------------------------------------------------------- commands
 
 
 def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
-    if isinstance(cfg, list) or "instances" in cfg:
-        instances = cfg if isinstance(cfg, list) else cfg["instances"]
+    if isinstance(cfg, list):
+        cfg = {"instances": cfg}
+    if "instances" in cfg:
         work = []
-        for idx, inst in enumerate(instances):
-            try:
-                a = np.asarray(inst["a_re"], dtype=float) + 1j * np.asarray(
-                    inst["a_im"], dtype=float
-                )
-                b0 = spectra.BorderedHermitian.make(inst["d"], a, 0.0)
-                eps = float(inst["epsilon"])
-                mults = [float(m) for m in inst["corner_multipliers"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad lemma instance #{idx}: {exc}") from exc
-            for mult in mults:
+        for idx, inst in enumerate(_read(cfg, "instances", [dict], low=1)):
+            n, d = _read(inst, "n", int), _read(inst, "d", [float])
+            a_re, a_im = _read(inst, "a_re", [float]), _read(inst, "a_im", [float])
+            if not n - 1 == len(d) == len(a_re) == len(a_im):
+                raise ConfigError(f"instance #{idx}: 'd', 'a_re' and 'a_im' need "
+                                  f"'n' - 1 entries each, got 'n' = {n}")
+            b0 = spectra.BorderedHermitian.make(
+                d, np.asarray(a_re) + 1j * np.asarray(a_im), 0.0)
+            eps = _read(inst, "epsilon", float)
+            for mult in _read(inst, "corner_multipliers", [float], low=1):
                 corner = mult * spectra.growth_threshold(b0, eps)
                 work.append((idx, b0.with_corner(corner), eps, mult))
     else:
-        battery = cfg.get("battery", {})
-        try:
-            count = int(battery.get("count", 1000))
-            bseed = int(battery.get("seed", seed))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad battery config: {exc}") from exc
-        work = [
-            (i, b, eps, mult)
-            for i, (b, eps, mult) in enumerate(spectra.battery_instances(count, bseed))
-        ]
+        battery = _read(cfg, "battery", dict, {})
+        count = _read(battery, "count", int, 1000, low=1)
+        bseed = _read(battery, "seed", int, seed, low=0)
+        work = [(i, *inst) for i, inst in
+                enumerate(spectra.battery_instances(count, bseed))]
 
     # one stacked oracle call per matrix size, rows kept in input order
     by_size: dict[int, list[int]] = {}
@@ -244,11 +246,8 @@ def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
 
 
 def _cmd_cone_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    try:
-        family = _family_from(cfg["family"])
-        samples = int(cfg.get("samples", 100))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cone-check config: {exc}") from exc
+    family = _family_from(_read(cfg, "family", dict))
+    samples = _read(cfg, "samples", int, 100, low=1)
     rep = symfunc.check_structure(family, samples, seed)
     writer = hio.CsvWriter(
         out / "cone_check.csv",
@@ -266,17 +265,10 @@ def _cmd_cone_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
 
 def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    try:
-        family = _family_from(cfg["family"])
-        sigma = float(cfg["sigma"])
-        mu = np.asarray(cfg["mu"], dtype=float)
-        delta = float(cfg["delta"])
-        radius = float(cfg["radius"])
-        samples = int(cfg.get("samples", 500))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad subsol-check config: {exc}") from exc
-    if samples < 1:
-        raise ConfigError("subsol-check needs samples >= 1")
+    family = _family_from(_read(cfg, "family", dict))
+    sigma, delta, radius = (_read(cfg, k, float) for k in ("sigma", "delta", "radius"))
+    mu = np.asarray(_read(cfg, "mu", [float]))
+    samples = _read(cfg, "samples", int, 500, low=1)
     ctx = subsol.build_context(family, sigma, mu, delta, radius, seed=seed)
     pts = subsol.sample_level_set(family, ctx.sigma, samples, seed)
     writer = hio.CsvWriter(
@@ -302,19 +294,26 @@ def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
 
 def _result_row(writer, run_id, result, report=None):
-    writer.add(
-        run_id,
-        result.iterations,
-        result.residual_history[-1],
-        result.c if result.c is not None else float("nan"),
-        report.ratio2nd if report else float("nan"),
-        report.bdry_ratio if report else float("nan"),
-        report.sandwich_ok if report else True,
-    )
+    nan = float("nan")
+    writer.add(run_id, result.iterations, result.residual_history[-1],
+               nan if result.c is None else result.c,
+               report.ratio2nd if report else nan,
+               report.bdry_ratio if report else nan,
+               report.sandwich_ok if report else True)
 
 
 _RESULT_COLUMNS = ["run_id", "iterations", "residual", "c", "ratio2nd",
                    "bdry_ratio", "sandwich_ok"]
+
+
+def _dirichlet_run(writer, run_id, spec, opts) -> hsolve.SolveResult:
+    """Subsolution, Dirichlet solve from it, estimate check and result row."""
+    usub, _ = hsolve.build_subsolution(spec, opts.delta)
+    result = hsolve.solve_dirichlet(spec, replace(opts, subsolution=usub))
+    usuper = hsolve.build_supersolution(spec)
+    report = hsolve.verify_estimates(result, spec, usub, usuper)
+    _result_row(writer, run_id, result, report)
+    return result
 
 
 def _cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool, mode: str) -> int:
@@ -325,34 +324,23 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool, mode: str) -> int:
         result = hsolve.solve_closed(spec, opts)
         _result_row(writer, "closed-0", result)
     else:
-        usub, _ = hsolve.build_subsolution(spec, opts.delta)
-        result = hsolve.solve_dirichlet(spec, replace(opts, subsolution=usub))
-        usuper = hsolve.build_supersolution(spec)
-        report = hsolve.verify_estimates(result, spec, usub, usuper)
-        _result_row(writer, "dirichlet-0", result, report)
+        result = _dirichlet_run(writer, "dirichlet-0", spec, opts)
     writer.flush()
     hio.write_scalar_field(out / "u_0.hcl", result.u)
     if not quiet:
         c_txt = f", c={result.c:.3e}" if result.c is not None else ""
-        print(
-            f"solve-{mode}: {result.iterations} iterations, "
-            f"residual {result.residual_history[-1]:.3e}{c_txt}"
-        )
+        print(f"solve-{mode}: {result.iterations} iterations, "
+              f"residual {result.residual_history[-1]:.3e}{c_txt}")
     return EXIT_OK
 
 
 def _cmd_degenerate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     spec = _problem_from(cfg, "dirichlet")
     opts = _options_from(cfg, seed)
-    shift = cfg.get("boundary_shift")
-    try:
-        ladder = [float(e) for e in cfg.get("ladder", [1.0, 0.5, 0.25, 0.125])]
-        shift = None if shift is None else float(shift)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad degenerate-sweep config: {exc}") from exc
-    perturbed = None
-    if shift is not None:
-        perturbed = ScalarField(spec.domain, spec.phi.values + shift)
+    ladder = _read(cfg, "ladder", [float], [1.0, 0.5, 0.25, 0.125], low=1)
+    shift = _read(cfg, "boundary_shift", float, None)
+    perturbed = None if shift is None else ScalarField(
+        spec.domain, spec.phi.values + shift)
     report = hsolve.degenerate_sweep(spec, ladder, opts, perturbed_phi=perturbed)
     writer = hio.CsvWriter(
         out / "degenerate_sweep.csv",
@@ -381,10 +369,7 @@ def _cmd_degenerate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 def _cmd_exhaustion(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     spec = _problem_from(cfg, "dirichlet")
     opts = _options_from(cfg, seed)
-    try:
-        levels = [float(a) for a in cfg["levels"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad exhaustion levels: {exc}") from exc
+    levels = _read(cfg, "levels", [float], low=1)
     report = hsolve.domain_exhaustion(spec, levels, opts)
     writer = hio.CsvWriter(
         out / "exhaustion.csv",
@@ -403,20 +388,13 @@ def _cmd_exhaustion(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 def _cmd_estimate_report(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     spec = _problem_from(cfg, "dirichlet")
     opts = _options_from(cfg, seed)
-    amplitudes = cfg.get("amplitudes", [0.25, 0.5, 1.0])
-    try:
-        scales = [float(a) for a in amplitudes]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad amplitudes: {exc}") from exc
+    scales = _read(cfg, "amplitudes", [float], [0.25, 0.5, 1.0], low=1)
+    # run ids keep the JSON spelling of each amplitude: amp-1 is not amp-1.0
+    amplitudes = cfg.get("amplitudes") or scales
     writer = hio.CsvWriter(out / "estimates.csv", _RESULT_COLUMNS, seed)
     for amp, scale in zip(amplitudes, scales):
         psi_a = ScalarField(spec.domain, scale * spec.psi.values)
-        spec_a = replace(spec, psi=psi_a)
-        usub, _ = hsolve.build_subsolution(spec_a, opts.delta)
-        result = hsolve.solve_dirichlet(spec_a, replace(opts, subsolution=usub))
-        usuper = hsolve.build_supersolution(spec_a)
-        report = hsolve.verify_estimates(result, spec_a, usub, usuper)
-        _result_row(writer, f"amp-{amp}", result, report)
+        _dirichlet_run(writer, f"amp-{amp}", replace(spec, psi=psi_a), opts)
     writer.flush()
     if not quiet:
         print(f"estimate-report: {len(amplitudes)} amplitude runs")
@@ -453,9 +431,9 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object or array")
         if isinstance(cfg, list) and args.command != "lemma-check":
             raise ConfigError("array configs are only valid for lemma-check")
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.seed, args.quiet)
+        seed = _read(vars(args), "seed", int, low=0)  # numpy seeds are >= 0
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](cfg, Path(args.out), seed, args.quiet)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hcl.solve as solve_mod
-from hcl.cli import main
+from hcl.cli import _domain_from, main
 
 
 def write_config(tmp_path, name, payload):
@@ -33,6 +33,11 @@ DIRICHLET_SMALL = {
     "psi": "const:0.4",
     "phi": "zero",
 }
+
+CONE = {"family": {"kind": "sigma-root", "k": 2, "n": 3}, "samples": 40}
+
+INSTANCE = {"n": 3, "d": [0.4, -0.2], "a_re": [0.5, 0.1], "a_im": [0.0, 0.3],
+            "epsilon": 0.3, "corner_multipliers": [1.0, 10.0]}
 
 SUBSOL = {
     "family": {"kind": "sigma-root", "k": 1, "n": 3},
@@ -64,6 +69,18 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["lemma-check", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 4
+
+    def test_undecodable_config_and_negative_seed(self, tmp_path, capsys):
+        # each of these ended in a traceback (exit 1)
+        for name, raw in (("bytes.json", b"\xff\xfe"),
+                          ("digits.json", b'{"samples": ' + b"9" * 5000 + b"}")):
+            (tmp_path / name).write_bytes(raw)
+            assert main(["cone-check", "--config", str(tmp_path / name),
+                         "--out", str(tmp_path / "o")]) == 4
+        cfg = write_config(tmp_path, "l.json", {"battery": {"count": 5}})
+        assert main(["lemma-check", "--config", cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "'seed'" in capsys.readouterr().err
 
     def test_lemma_battery_success(self, tmp_path):
         cfg = write_config(tmp_path, "l.json", {"battery": {"count": 45,
@@ -103,57 +120,115 @@ class TestExitCodes:
         assert main(["solve-dirichlet", "--config", path,
                      "--out", str(tmp_path / "out"), "--quiet"]) == 3
 
-    @pytest.mark.parametrize("command, payload", [
+    # key: the config key the message must name; None where GridDomain,
+    # SolverOptions, build_context or the field-expression parser rejects it
+    @pytest.mark.parametrize("command, payload, key", [
         ("solve-dirichlet",
-         {k: v for k, v in DIRICHLET_SMALL.items() if k != "psi"}),
+         {k: v for k, v in DIRICHLET_SMALL.items() if k != "psi"}, "psi"),
         ("lemma-check",
          {"instances": [{"n": 2, "d": [0.0], "a_im": [0.0], "epsilon": 0.1,
-                         "corner_multipliers": [1.0]}]}),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, psi={"path": "x"})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, psi="const:abc")),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": "x"})),
-        ("lemma-check", {"battery": {"count": "many"}}),
+                         "corner_multipliers": [1.0]}]}, "a_re"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, psi={"path": "x"}), "file"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, psi="const:abc"), None),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": "x"}),
+         "max_newton"),
+        ("lemma-check", {"battery": {"count": "many"}}, "count"),
         ("cone-check",
-         {"family": {"kind": "sigma-root", "k": 2, "n": 3}, "samples": "x"}),
+         {"family": {"kind": "sigma-root", "k": 2, "n": 3}, "samples": "x"},
+         "samples"),
         ("subsol-check",
          {"family": {"kind": "sigma-root", "k": 1, "n": 3},
-          "mu": [2.0, 2.0, 2.0], "delta": 0.5, "radius": 2.0}),
-        ("exhaustion", dict(DIRICHLET_SMALL)),
-        ("degenerate-sweep", dict(DIRICHLET_SMALL, boundary_shift="x")),
-        ("degenerate-sweep", dict(DIRICHLET_SMALL, ladder=["x"])),
-        ("estimate-report", dict(DIRICHLET_SMALL, amplitudes=["x"])),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": "x"})),
+          "mu": [2.0, 2.0, 2.0], "delta": 0.5, "radius": 2.0}, "sigma"),
+        ("exhaustion", dict(DIRICHLET_SMALL), "levels"),
+        ("degenerate-sweep", dict(DIRICHLET_SMALL, boundary_shift="x"),
+         "boundary_shift"),
+        ("degenerate-sweep", dict(DIRICHLET_SMALL, ladder=["x"]), "ladder"),
+        ("estimate-report", dict(DIRICHLET_SMALL, amplitudes=["x"]),
+         "amplitudes"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": "x"}),
+         "continuation"),
         ("solve-dirichlet",
-         dict(DIRICHLET_SMALL, options={"linear_solver": "bogus"})),
-        ("subsol-check", {k: v for k, v in SUBSOL.items() if k != "family"}),
-        ("cone-check", {"samples": 40}),
-        ("subsol-check", dict(SUBSOL, mu=[2.0, 2.0])),
-        ("subsol-check", dict(SUBSOL, samples=-3)),
-        ("subsol-check", dict(SUBSOL, samples=0)),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": -3})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"residual_scale": 0})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": 0})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"lin_tol": "x"})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"damping_min": 0})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newtom": 5})),
+         dict(DIRICHLET_SMALL, options={"linear_solver": "bogus"}),
+         "linear_solver"),
+        ("subsol-check", {k: v for k, v in SUBSOL.items() if k != "family"},
+         "family"),
+        ("cone-check", {"samples": 40}, "family"),
+        ("subsol-check", dict(SUBSOL, mu=[2.0, 2.0]), None),
+        ("subsol-check", dict(SUBSOL, samples=-3), "samples"),
+        ("subsol-check", dict(SUBSOL, samples=0), "samples"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": -3}),
+         "max_newton"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"residual_scale": 0}),
+         None),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": 0}),
+         "continuation"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"lin_tol": "x"}),
+         "lin_tol"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"damping_min": 0}),
+         "damping_min"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newtom": 5}),
+         "max_newtom"),
         ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
-            CLOSED_CONSTANTS["domain"], shape=[8, 0, 8, 4]))),
+            CLOSED_CONSTANTS["domain"], shape=[8, 0, 8, 4])), None),
         ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
-            CLOSED_CONSTANTS["domain"], lengths=[1.0, 0.0, 1.0, 1.0]))),
+            CLOSED_CONSTANTS["domain"], lengths=[1.0, 0.0, 1.0, 1.0])), None),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, domain=dict(
-            DIRICHLET_SMALL["domain"], s_lengths=[1.0, 0.0]))),
+            DIRICHLET_SMALL["domain"], s_lengths=[1.0, 0.0])), None),
         ("solve-closed", dict(CLOSED_CONSTANTS, domain={
-            "kind": "torus", "n": 0, "shape": []})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": 1.9})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": True})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": 2.5})),
+            "kind": "torus", "n": 0, "shape": []}), None),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": 1.9}),
+         "max_newton"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": True}),
+         "max_newton"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": 2.5}),
+         "continuation"),
         ("solve-dirichlet",
-         dict(DIRICHLET_SMALL, options={"linear_solver": "auto"})),
+         dict(DIRICHLET_SMALL, options={"linear_solver": "auto"}),
+         "linear_solver"),
         ("solve-dirichlet",
-         dict(DIRICHLET_SMALL, options={"residual_scale": True})),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"delta": "0.1"})),
+         dict(DIRICHLET_SMALL, options={"residual_scale": True}),
+         "residual_scale"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"delta": "0.1"}),
+         "delta"),
         ("solve-dirichlet",
-         dict(DIRICHLET_SMALL, options={"residual_scale": 10 ** 400})),
+         dict(DIRICHLET_SMALL, options={"residual_scale": 10 ** 400}),
+         "residual_scale"),
+        # misreads: each of these ran on a truncated or reinterpreted value
+        ("cone-check", dict(CONE, family=dict(CONE["family"], k=2.9)), "k"),
+        ("cone-check", dict(CONE, family=dict(CONE["family"], n=3.6)), "n"),
+        ("cone-check", dict(CONE, family=dict(CONE["family"], n="3")), "n"),
+        ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
+            CLOSED_CONSTANTS["domain"], shape=[8.7, 4, 8, 4])), "shape"),
+        ("subsol-check", dict(SUBSOL, sigma="3"), "sigma"),
+        ("cone-check", dict(CONE, samples=40.7), "samples"),
+        ("cone-check", dict(CONE, samples=True), "samples"),
+        ("lemma-check", {"battery": {"count": 7.9}}, "count"),
+        ("lemma-check", {"battery": {"count": 7, "seed": "3"}}, "seed"),
+        ("lemma-check", {"battery": {"count": 7, "seed": -3}}, "seed"),
+        ("lemma-check", {"instances": [dict(INSTANCE, corner_multipliers="15")]},
+         "corner_multipliers"),
+        ("degenerate-sweep", dict(DIRICHLET_SMALL, ladder="5"), "ladder"),
+        ("estimate-report", dict(DIRICHLET_SMALL, amplitudes="1"), "amplitudes"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, base_dir=5), "base_dir"),
+        ("lemma-check", {"instances": 5}, "instances"),
+        ("lemma-check", {"instances": [dict(INSTANCE, n=5)]}, "n"),
+        ("lemma-check", {"instances": [dict(INSTANCE, a_im=[0.3])]},
+         "a_im"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, family="log-det"), "family"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, chi={"constant": [[1.0, 0.0],
+                                                                    [0.0]]}),
+         "constant"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, psi={"file": "."}), None),
+        # empty work: each of these wrote a header-only CSV and exited 0
+        ("lemma-check", {"battery": {"count": 0}}, "count"),
+        ("lemma-check", {"battery": {"count": -5}}, "count"),
+        ("lemma-check", {"instances": []}, "instances"),
+        ("lemma-check", [], "instances"),
+        ("lemma-check", {"instances": [dict(INSTANCE, corner_multipliers=[])]},
+         "corner_multipliers"),
+        ("degenerate-sweep", dict(DIRICHLET_SMALL, ladder=[]), "ladder"),
+        ("exhaustion", dict(DIRICHLET_SMALL, levels=[]), "levels"),
+        ("estimate-report", dict(DIRICHLET_SMALL, amplitudes=[]), "amplitudes"),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
@@ -165,13 +240,25 @@ class TestExitCodes:
             "zero-torus-length", "zero-s-length", "zero-dimension",
             "fractional-max-newton", "boolean-max-newton",
             "fractional-continuation", "removed-linear-solver",
-            "boolean-residual-scale", "string-delta", "huge-residual-scale"])
+            "boolean-residual-scale", "string-delta", "huge-residual-scale",
+            "fractional-family-k", "fractional-family-n", "string-family-n",
+            "fractional-shape", "string-sigma", "fractional-samples",
+            "boolean-samples", "fractional-count", "string-battery-seed",
+            "negative-battery-seed", "string-multipliers", "string-ladder",
+            "string-amplitudes", "numeric-base-dir", "numeric-instances",
+            "wrong-instance-n", "short-a_im", "string-family",
+            "ragged-chi-constant", "directory-field-file", "zero-count", "negative-count",
+            "empty-instances", "empty-bare-array", "empty-multipliers",
+            "empty-ladder", "empty-levels", "empty-amplitudes"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
-                                        payload):
+                                        payload, key):
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 4
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if key is not None:
+            assert repr(key) in err
 
     def test_unknown_option_is_named(self, tmp_path, capsys):
         # linear_solver chose a direct factorization before BiCGStab became
@@ -213,6 +300,15 @@ class TestExitCodes:
                            dict(DIRICHLET_SMALL, options={"max_newton": 80.0}))
         assert main(["solve-dirichlet", "--config", cfg,
                      "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+    def test_null_and_empty_values_that_stay_valid(self, tmp_path):
+        # null reads as the default; an empty x_shape is the n = 1 product
+        cfg = write_config(tmp_path, "null.json", dict(
+            DIRICHLET_SMALL, chi=None, options={"continuation": None}))
+        assert main(["solve-dirichlet", "--config", cfg,
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        dom = _domain_from({"kind": "product", "n": 1, "x_shape": []})
+        assert dom.shape == (17, 17)
 
     def test_cone_check(self, tmp_path):
         cfg = write_config(
@@ -271,6 +367,8 @@ class TestArtifacts:
                      "--quiet"]) == 0
         rows = (out / "estimates.csv").read_text().splitlines()
         assert len(rows) == 3 + 2
+        # run ids keep each amplitude as the config spells it
+        assert [row.split(",")[0] for row in rows[3:]] == ["amp-0.5", "amp-1.0"]
         for row in rows[3:]:
             ratio = float(row.split(",")[4])
             assert np.isfinite(ratio)
