@@ -8,11 +8,13 @@ applied after convergence.  Dirichlet mode starts from a strict subsolution
 with u = phi on the boundary, optionally along a continuation ladder.
 
 Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
-unmasked box it inverts a constant-coefficient operator exactly by a DFT along
-the periodic axes and a DST-I along the bounded ones.  It solves the Poisson
-problems directly (diagonally preconditioned CG remains for masked domains and
-as a refinement when the sup-norm certificate fails) and, frozen at the mean
-Newton coefficient, preconditions BiCGStab, the only Newton-system solver.
+unmasked box it inverts a constant-coefficient operator by a real FFT along
+the axes that a mixed term pairs with another periodic axis and by a small
+dense eigenbasis (DST-I or real Fourier, one matmul) along every other axis.
+It solves the Poisson problems directly (diagonally preconditioned CG remains
+for masked domains and as a refinement when the sup-norm certificate fails)
+and, frozen at the mean Newton coefficient, preconditions BiCGStab, the only
+Newton-system solver.
 Closed mode solves the bordered (N+1) system for the update and the constant
 at once, with the mean-coefficient bordered operator inverted exactly as its
 preconditioner.  Each Newton step makes one Krylov solve; its iterations are
@@ -360,17 +362,52 @@ def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
     return pat_a.fill(values), pat_b.fill(values)
 
 
+@lru_cache(maxsize=16)
+def _axis_basis(m: int, periodic: bool):
+    """(Q, theta) for one axis of m nodes: the columns of the orthonormal real
+    matrix Q are eigenvectors of its second difference, with symbol
+    -(4/h^2) sin^2(theta/2).  A bounded axis takes the DST-I matrix (m interior
+    nodes), a periodic one the real Fourier basis: the constant, cos/sin pairs
+    and, for even m, the alternating column.  Cached and read-only."""
+    i = np.arange(m)
+    if periodic:
+        k = (i + 1) // 2  # wavenumbers 0, 1, 1, 2, 2, ...
+        angle = 2.0 * np.pi * (np.outer(i, k) % m) / m
+        q = np.sqrt(2.0 / m) * np.where(i % 2 == 1, np.cos(angle), np.sin(angle))
+        q[:, 0] = 1.0 / np.sqrt(m)
+        if m % 2 == 0:
+            q[:, -1] = (-1.0) ** i / np.sqrt(m)
+        theta = 2.0 * np.pi * k / m
+    else:
+        angle = np.pi * (np.outer(i + 1, i + 1) % (2 * m + 2)) / (m + 1)
+        q = np.sqrt(2.0 / (m + 1)) * np.sin(angle)
+        theta = np.pi * (i + 1) / (m + 1)
+    q.flags.writeable = theta.flags.writeable = False
+    return q, theta
+
+
+def _along(x: np.ndarray, axis: int, q: np.ndarray) -> np.ndarray:
+    """q applied along one axis of x by one matmul on a reshaped view:
+    (rest, m) @ q^T for the last axis, q @ (before, m, after) otherwise
+    (`tensordot` with `moveaxis` copies and is slower)."""
+    shape, m = x.shape, x.shape[axis]
+    if axis == x.ndim - 1:
+        return (x.reshape(-1, m) @ q.T).reshape(shape)
+    return (q @ x.reshape(-1, m, int(np.prod(shape[axis + 1:])))).reshape(shape)
+
+
 def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
-    """Exact inverse of the constant-coefficient operator
+    """Inverse of the constant-coefficient operator
     sum_{j,k} fbar^{j kbar} (Hess v)_{j kbar} on the interior box, as a map of
     flat interior vectors; None for a masked domain.
 
-    A DFT along the periodic axes and an orthonormal DST-I along the others
-    (m = N - 2 interior nodes) diagonalize each second difference, symbol
-    -(4/h^2) sin^2(theta/2), and each mixed difference of two periodic axes,
-    symbol -(sin theta_a / h_a)(sin theta_b / h_b).  Mixed terms that involve a
-    non-periodic axis are dropped (DST-I does not diagonalize them), so the map
-    is exact for the identity and on the torus and a preconditioner otherwise.
+    Each second difference is diagonalized along its axis, symbol
+    -(4/h^2) sin^2(theta/2); a mixed difference only by a DFT along both of its
+    axes, symbol -(sin theta_a / h_a)(sin theta_b / h_b).  So the axes of the
+    mixed pieces that pair two periodic axes take `rfftn`; every other axis
+    takes the small dense eigenbasis of `_axis_basis`, one matmul each way.
+    Mixed terms that involve a non-periodic axis are dropped, so the map is
+    exact for the identity and on the torus and a preconditioner otherwise.
     On a fully periodic domain the zero mode (the constants) is passed through.
     """
     box = tuple(slice(None) if p else slice(1, -1) for p in domain.periodic)
@@ -379,14 +416,17 @@ def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
         return None
     import scipy.fft as sfft
 
-    shape, d, h = roles.shape, roles.ndim, domain.spacings
-    p_axes = [a for a in range(d) if domain.periodic[a]]
-    s_axes = [a for a in range(d) if not domain.periodic[a]]
+    shape, d, h, periodic = roles.shape, roles.ndim, domain.spacings, domain.periodic
+    fft_axes = sorted({ax for j in range(domain.n) for k in range(j + 1, domain.n)
+                       for a, b, _ in _mixed_pieces(j, k, 0j)
+                       if periodic[a] and periodic[b] for ax in (a, b)})
+    dense = {a: _axis_basis(m, periodic[a])
+             for a, m in enumerate(shape) if a not in fft_axes}
     second, sine = [], []
     for a, m in enumerate(shape):
-        if not domain.periodic[a]:
-            theta = np.pi * np.arange(1, m + 1) / (m + 1)
-        elif a == p_axes[-1]:  # the half spectrum of rfftn
+        if a in dense:
+            theta = dense[a][1]
+        elif a == fft_axes[-1]:  # the half spectrum of rfftn
             theta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
         else:
             theta = 2.0 * np.pi * np.fft.fftfreq(m)
@@ -399,24 +439,25 @@ def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
         sym = sym + 0.25 * fbar[j, j].real * (second[2 * j] + second[2 * j + 1])
         for k in range(j + 1, domain.n):
             for ax_a, ax_b, fac in _mixed_pieces(j, k, fbar[j, k]):
-                if domain.periodic[ax_a] and domain.periodic[ax_b]:
+                if periodic[ax_a] and periodic[ax_b]:
                     sym = sym - fac * sine[ax_a] * sine[ax_b]
-    if not s_axes:
+    if all(periodic):  # mode 0 is the constant on every axis
         sym[(0,) * d] = 1.0
     if not np.all(np.isfinite(sym)) or np.any(sym == 0.0):
         return None
-    p_shape = [shape[a] for a in p_axes]
+    fft_shape = [shape[a] for a in fft_axes]
 
     def apply(r: np.ndarray) -> np.ndarray:
         x = np.reshape(r, shape)
-        if s_axes:
-            x = sfft.dstn(x, type=1, axes=s_axes, norm="ortho")
-        if p_axes:
-            x = sfft.irfftn(sfft.rfftn(x, axes=p_axes) / sym, s=p_shape, axes=p_axes)
+        for a, (q, _) in dense.items():
+            x = _along(x, a, q.T)
+        if fft_axes:
+            x = sfft.irfftn(sfft.rfftn(x, axes=fft_axes) / sym, s=fft_shape,
+                            axes=fft_axes)
         else:
             x = x / sym
-        if s_axes:
-            x = sfft.dstn(x, type=1, axes=s_axes, norm="ortho")
+        for a, (q, _) in dense.items():
+            x = _along(x, a, q)
         return x.reshape(-1)
 
     return apply
@@ -843,11 +884,17 @@ def domain_exhaustion(
     spec: ProblemSpec, levels, opts: SolverOptions | None = None
 ) -> ExhaustionReport:
     """Solve on the nested sub-domains {h < -alpha_k} cut by the S-factor
-    Poisson potential, and report sup-norm differences on common interiors."""
+    Poisson potential, and report sup-norm differences on common interiors.
+    The levels alpha_k must be positive and strictly decreasing, so that the
+    sub-domains grow and nest."""
     opts = opts or SolverOptions()
     if spec.domain.kind != "product":
         raise DomainError("exhaustion needs a product domain")
     levels = [float(a) for a in levels]
+    if any(a <= 0 for a in levels) or any(
+        b >= a for a, b in zip(levels, levels[1:])
+    ):
+        raise DomainError("levels must be positive and strictly decreasing")
     s_dom = s_factor_domain(spec.domain)
     h = pullback_from_s(spec.domain, poisson_dirichlet(s_dom, 1.0, 0.0))
     full = solve_dirichlet(spec, opts)

@@ -12,7 +12,11 @@ closed-mode Newton solve that pinned node 0 and eliminated the gauge constant
 with two solves of the pinned matrix (`_pin_row0`), before one solve of the
 bordered (N+1) system replaced it.  `solve_bordered_direct` factors the
 bordered system with `spsolve`, as `hcl.solve` did for systems of up to 2000
-nodes before BiCGStab became its only Newton solver.
+nodes before BiCGStab became its only Newton solver.  `spectral_inverse`
+is the constant-coefficient inverse that `hcl.solve` applied with
+`scipy.fft.dstn` along every bounded axis and `rfftn` along every periodic
+one, before the axes that no kept mixed term couples took small dense
+eigenbases.
 """
 
 from __future__ import annotations
@@ -196,3 +200,65 @@ def solve_bordered_direct(a: sp.csr_matrix, r: np.ndarray):
     x = spla.spsolve(sp.bmat([[a, -ones], [ones.T, None]], format="csc"),
                      np.append(-r, 0.0))
     return x[:-1], float(x[-1])
+
+
+def spectral_inverse(domain: GridDomain, fbar: np.ndarray):
+    """Exact inverse of the constant-coefficient operator
+    sum_{j,k} fbar^{j kbar} (Hess v)_{j kbar} on the interior box, as a map of
+    flat interior vectors; None for a masked domain.
+
+    A DFT along the periodic axes and an orthonormal DST-I along the others
+    (m = N - 2 interior nodes) diagonalize each second difference, symbol
+    -(4/h^2) sin^2(theta/2), and each mixed difference of two periodic axes,
+    symbol -(sin theta_a / h_a)(sin theta_b / h_b).  Mixed terms that involve a
+    non-periodic axis are dropped (DST-I does not diagonalize them), so the map
+    is exact for the identity and on the torus and a preconditioner otherwise.
+    On a fully periodic domain the zero mode (the constants) is passed through.
+    """
+    box = tuple(slice(None) if p else slice(1, -1) for p in domain.periodic)
+    roles = domain.roles[box]
+    if np.count_nonzero(domain.interior) != roles.size or np.any(roles != INTERIOR):
+        return None
+    import scipy.fft as sfft
+
+    shape, d, h = roles.shape, roles.ndim, domain.spacings
+    p_axes = [a for a in range(d) if domain.periodic[a]]
+    s_axes = [a for a in range(d) if not domain.periodic[a]]
+    second, sine = [], []
+    for a, m in enumerate(shape):
+        if not domain.periodic[a]:
+            theta = np.pi * np.arange(1, m + 1) / (m + 1)
+        elif a == p_axes[-1]:  # the half spectrum of rfftn
+            theta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
+        else:
+            theta = 2.0 * np.pi * np.fft.fftfreq(m)
+        view = [1] * d
+        view[a] = theta.size
+        second.append((-4.0 / h[a] ** 2 * np.sin(0.5 * theta) ** 2).reshape(view))
+        sine.append((np.sin(theta) / h[a]).reshape(view))
+    sym = 0.0
+    for j in range(domain.n):
+        sym = sym + 0.25 * fbar[j, j].real * (second[2 * j] + second[2 * j + 1])
+        for k in range(j + 1, domain.n):
+            for ax_a, ax_b, fac in _mixed_pieces(j, k, fbar[j, k]):
+                if domain.periodic[ax_a] and domain.periodic[ax_b]:
+                    sym = sym - fac * sine[ax_a] * sine[ax_b]
+    if not s_axes:
+        sym[(0,) * d] = 1.0
+    if not np.all(np.isfinite(sym)) or np.any(sym == 0.0):
+        return None
+    p_shape = [shape[a] for a in p_axes]
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        x = np.reshape(r, shape)
+        if s_axes:
+            x = sfft.dstn(x, type=1, axes=s_axes, norm="ortho")
+        if p_axes:
+            x = sfft.irfftn(sfft.rfftn(x, axes=p_axes) / sym, s=p_shape, axes=p_axes)
+        else:
+            x = x / sym
+        if s_axes:
+            x = sfft.dstn(x, type=1, axes=s_axes, norm="ortho")
+        return x.reshape(-1)
+
+    return apply

@@ -21,6 +21,8 @@ CLOSED_CONSTANTS = {
     "phi": None,
 }
 
+LEVELS_ERROR = "levels must be positive and strictly decreasing"
+
 DIRICHLET_SMALL = {
     "domain": {
         "kind": "product", "n": 2,
@@ -229,6 +231,9 @@ class TestExitCodes:
         ("degenerate-sweep", dict(DIRICHLET_SMALL, ladder=[]), "ladder"),
         ("exhaustion", dict(DIRICHLET_SMALL, levels=[]), "levels"),
         ("estimate-report", dict(DIRICHLET_SMALL, amplitudes=[]), "amplitudes"),
+        # levels that cut no nested exhaustion: each of these exited 0
+        ("exhaustion", dict(DIRICHLET_SMALL, levels=[-0.1, 0.0]), LEVELS_ERROR),
+        ("exhaustion", dict(DIRICHLET_SMALL, levels=[0.02, 0.04]), LEVELS_ERROR),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
@@ -249,7 +254,8 @@ class TestExitCodes:
             "wrong-instance-n", "short-a_im", "string-family",
             "ragged-chi-constant", "directory-field-file", "zero-count", "negative-count",
             "empty-instances", "empty-bare-array", "empty-multipliers",
-            "empty-ladder", "empty-levels", "empty-amplitudes"])
+            "empty-ladder", "empty-levels", "empty-amplitudes",
+            "non-positive-levels", "increasing-levels"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload, key):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -257,8 +263,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert "config error" in err
-        if key is not None:
-            assert repr(key) in err
+        if key is not None:  # a quoted config key, or a solver's message
+            assert (key if " " in key else repr(key)) in err
 
     def test_unknown_option_is_named(self, tmp_path, capsys):
         # linear_solver chose a direct factorization before BiCGStab became

@@ -7,7 +7,9 @@ eigenvalues and Newton coefficient must match `np.linalg.eigvalsh` and the
 `eigh`/`einsum` coefficient.  It also keeps the closed-mode solve that pinned
 node 0 and made two solves per Newton step, and a sparse LU factorization
 of the bordered system; the single bordered Krylov solve must give the same
-(v, dc) as both.
+(v, dc) as both.  Last, it keeps the constant-coefficient inverse that applied
+`dstn` and `rfftn` along every axis; the dense-eigenbasis map must apply the
+same preconditioner, exact or not.
 """
 
 import newton_reference as ref
@@ -20,6 +22,7 @@ from hcl.errors import DomainError
 from hcl.grid import EXTERIOR, GridDomain
 from hcl.solve import (
     SolverOptions,
+    _axis_basis,
     _bordered_matrix,
     _eigvalsh,
     _newton_coefficient,
@@ -303,3 +306,63 @@ class TestBorderedSolve:
         v_ref, dc_ref = ref.solve_bordered_direct(a, r)
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10
+
+
+HERMITIAN2 = np.array([[1.2, 0.3 + 0.4j], [0.3 - 0.4j, 0.9]])
+HERMITIAN3 = np.array([[1.1, 0.2 - 0.1j, 0.3 + 0.2j],
+                       [0.2 + 0.1j, 0.8, -0.1 + 0.25j],
+                       [0.3 - 0.2j, -0.1 - 0.25j, 1.4]])
+
+
+class TestSpectralInverseReference:
+    @pytest.mark.parametrize("m, periodic", [
+        (1, True), (2, True), (7, True), (8, True), (1, False), (9, False),
+        (31, False)])
+    def test_axis_basis_diagonalizes_second_difference(self, m, periodic):
+        q, theta = _axis_basis(m, periodic)
+        d2 = -2.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
+        if periodic:
+            d2[0, -1] += 1.0
+            d2[-1, 0] += 1.0
+        np.testing.assert_allclose(q.T @ q, np.eye(m), atol=1e-14)
+        np.testing.assert_allclose(d2 @ q, q * (-4.0 * np.sin(0.5 * theta) ** 2),
+                                   atol=1e-13)
+        assert not q.flags.writeable and not theta.flags.writeable
+
+    @pytest.mark.parametrize("dom, fbar", [
+        (GridDomain.product(1, s_shape=(17, 13)), np.array([[1.3]])),
+        (GridDomain.product(2, x_shape=(8, 6), s_shape=(11, 9)),
+         np.diag([1.3, 0.7])),
+        (GridDomain.product(3, x_shape=(6, 4, 5, 4), s_shape=(7, 9),
+                            x_lengths=(1.0, 2.0, 1.5, 1.0)), HERMITIAN3),
+        (GridDomain.torus(2, (8, 6, 10, 4), (1.0, 2.0, 3.0, 1.5)), HERMITIAN2),
+        (GridDomain.product(1, s_shape=(9, 12), s_periodic=(False, True)),
+         np.array([[0.8]])),
+        # not an inverse: the X-S mixed terms of this fbar are dropped
+        (GridDomain.product(2, x_shape=(7, 4), s_shape=(11, 9)), HERMITIAN2),
+    ], ids=["product-n1", "product-n2-diagonal", "product-n3-hermitian",
+            "torus-n2-hermitian", "annulus-n1", "product-n2-hermitian"])
+    def test_matches_dst_reference(self, dom, fbar):
+        rng = np.random.default_rng(11)
+        new, old = _spectral_inverse(dom, fbar), ref.spectral_inverse(dom, fbar)
+        for _ in range(3):
+            r = rng.standard_normal(int(dom.interior.sum()))
+            want = old(r)
+            assert np.max(np.abs(new(r) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dom, ffts", [
+        (GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9)), 0),
+        (GridDomain.torus(2, (8, 4, 6, 4)), 1),
+    ], ids=["product-n2-dense", "torus-n2-fft"])
+    def test_fft_only_on_periodic_mixed_pairs(self, dom, ffts, monkeypatch):
+        import scipy.fft as sfft
+        calls, rfftn = [], sfft.rfftn
+
+        def counting_rfftn(*args, **kwargs):
+            calls.append(kwargs.get("axes"))
+            return rfftn(*args, **kwargs)
+
+        monkeypatch.setattr(sfft, "rfftn", counting_rfftn)
+        # a diagonal fbar: the split follows the axes, not the coefficients
+        _spectral_inverse(dom, np.eye(2))(np.ones(int(dom.interior.sum())))
+        assert calls == [[0, 1, 2, 3]] * ffts

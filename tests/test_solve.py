@@ -121,7 +121,19 @@ class TestSpectralInverse:
         # a full Hermitian fbar: the mixed symbols and their signs enter
         (GridDomain.torus(2, (8, 6, 10, 4), (1.0, 2.0, 3.0, 1.5)),
          np.array([[1.2, 0.3 + 0.4j], [0.3 - 0.4j, 0.9]])),
-    ], ids=["product-n1", "product-n2-diagonal", "torus-n2-hermitian"])
+        # odd periodic lengths: no alternating column in the Fourier basis
+        (GridDomain.product(2, x_shape=(7, 5), s_shape=(11, 9)),
+         np.diag([0.8, 1.1])),
+        # one periodic S axis: a dense Fourier basis next to a DST-I
+        (GridDomain.product(1, s_shape=(9, 12), s_periodic=(False, True)),
+         np.eye(1)),
+        # X axes on the FFT (a Hermitian X block), S axes on dense bases
+        (GridDomain.product(3, x_shape=(6, 4, 5, 4), s_shape=(7, 9),
+                            x_lengths=(1.0, 2.0, 1.5, 1.0)),
+         np.array([[1.2, 0.3 + 0.4j, 0.0], [0.3 - 0.4j, 0.9, 0.0],
+                   [0.0, 0.0, 1.4]])),
+    ], ids=["product-n1", "product-n2-diagonal", "torus-n2-hermitian",
+            "product-n2-odd-x", "annulus-n1", "product-n3-block"])
     def test_inverts_constant_operator(self, dom, fbar):
         a = constant_operator(dom, fbar)
         solve = _spectral_inverse(dom, fbar)
@@ -588,6 +600,12 @@ class TestExhaustion:
         spec = small_dirichlet_spec(psi_value=0.4)
         with pytest.raises(ResolutionError):
             domain_exhaustion(spec, [100.0])
+
+    @pytest.mark.parametrize("levels", [[-0.1, 0.0], [0.02, 0.04], [0.02, 0.02]])
+    def test_bad_levels(self, levels):
+        spec = small_dirichlet_spec(psi_value=0.4)
+        with pytest.raises(DomainError, match="positive and strictly decreasing"):
+            domain_exhaustion(spec, levels)
 
 
 class TestEstimates:
