@@ -48,16 +48,18 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-_NAMES = {int: "an integer", float: "a number", bool: "a boolean",
-          str: "a string", dict: "an object"}
+_NAMES = {int: "an integer of magnitude <= 2**53", float: "a number",
+          bool: "a boolean", str: "a string", dict: "an object"}
+_LIMITS = {int: 2**53, float: sys.float_info.max}  # 2**53: floats stop being exact
 
 
-def _read(cfg: dict, key: str, kind, default=..., low=None):
+def _read(cfg: dict, key: str, kind, default=..., low=None, high=None):
     """cfg[key] as `kind` (int, float, bool, str, dict, or object for any
     value), or as a JSON array of them, written [kind].  A number is a finite
     JSON number, never a bool or a string, and an int is never truncated (80.0
-    reads as 80).  A missing or null key gives `default`, an error if that is
-    `...`; `low` bounds a number, or an array's length.  Errors name the key."""
+    reads as 80) and at most 2**53 in magnitude, where floats stop being exact.
+    A missing or null key gives `default`, an error if that is `...`; `low` and
+    `high` bound a number, `low` also an array's length.  Errors name the key."""
     value = cfg.get(key)
     if value is None:
         if default is ...:
@@ -69,7 +71,7 @@ def _read(cfg: dict, key: str, kind, default=..., low=None):
             if type(v) is list:
                 return [typed(x, kind[0]) for x in v]
         elif kind in (int, float):
-            if (type(v) in (int, float) and abs(v) <= sys.float_info.max
+            if (type(v) in (int, float) and abs(v) <= _LIMITS[kind]
                     and (kind is float or float(v).is_integer())):
                 return kind(v)
         elif kind is object or type(v) is kind:
@@ -81,6 +83,8 @@ def _read(cfg: dict, key: str, kind, default=..., low=None):
     if low is not None and (len(value) if isinstance(kind, list) else value) < low:
         what = f"at least {low} entries" if isinstance(kind, list) else f">= {low}"
         raise ConfigError(f"{key!r} needs {what}, got {value!r}")
+    if high is not None and value > high:
+        raise ConfigError(f"{key!r} needs <= {high}, got {value!r}")
     return value
 
 
@@ -191,57 +195,59 @@ def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
 # ----------------------------------------------------------------- commands
 
 
+# battery.count: the battery is drawn and checked as arrays, all at once
+BATTERY_CAP = 100_000
+
+
+def _lemma_blocks(cfg: dict, seed: int) -> list:
+    """(rows, instance ids, instances with corner 0, eps, multipliers) per
+    matrix size, from either lemma-check config form."""
+    if "instances" not in cfg:
+        battery = _read(cfg, "battery", dict, {})
+        count = _read(battery, "count", int, 1000, low=1, high=BATTERY_CAP)
+        bseed = _read(battery, "seed", int, seed, low=0)
+        return [(rows, rows, *rest) for rows, *rest in spectra.battery(count, bseed)]
+    by_size: dict[int, list] = {}
+    rows = 0
+    for idx, inst in enumerate(_read(cfg, "instances", [dict], low=1)):
+        n, d = _read(inst, "n", int, low=2), _read(inst, "d", [float])
+        a_re, a_im = _read(inst, "a_re", [float]), _read(inst, "a_im", [float])
+        if not n - 1 == len(d) == len(a_re) == len(a_im):
+            raise ConfigError(f"instance #{idx}: 'd', 'a_re' and 'a_im' need "
+                              f"'n' - 1 entries each, got 'n' = {n}")
+        eps = _read(inst, "epsilon", float)
+        for mult in _read(inst, "corner_multipliers", [float], low=1):
+            by_size.setdefault(n, []).append((rows, idx, d, a_re, a_im, eps, mult))
+            rows += 1
+    blocks = (map(np.array, zip(*items)) for items in by_size.values())
+    return [(pos, ids, spectra.BorderedStack(d, re + 1j * im, np.zeros(pos.size)), eps, mult)
+            for pos, ids, d, re, im, eps, mult in blocks]
+
+
 def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
     if isinstance(cfg, list):
         cfg = {"instances": cfg}
-    if "instances" in cfg:
-        work = []
-        for idx, inst in enumerate(_read(cfg, "instances", [dict], low=1)):
-            n, d = _read(inst, "n", int), _read(inst, "d", [float])
-            a_re, a_im = _read(inst, "a_re", [float]), _read(inst, "a_im", [float])
-            if not n - 1 == len(d) == len(a_re) == len(a_im):
-                raise ConfigError(f"instance #{idx}: 'd', 'a_re' and 'a_im' need "
-                                  f"'n' - 1 entries each, got 'n' = {n}")
-            b0 = spectra.BorderedHermitian.make(
-                d, np.asarray(a_re) + 1j * np.asarray(a_im), 0.0)
-            eps = _read(inst, "epsilon", float)
-            for mult in _read(inst, "corner_multipliers", [float], low=1):
-                corner = mult * spectra.growth_threshold(b0, eps)
-                work.append((idx, b0.with_corner(corner), eps, mult))
-    else:
-        battery = _read(cfg, "battery", dict, {})
-        count = _read(battery, "count", int, 1000, low=1)
-        bseed = _read(battery, "seed", int, seed, low=0)
-        work = [(i, *inst) for i, inst in
-                enumerate(spectra.battery_instances(count, bseed))]
-
-    # one stacked oracle call per matrix size, rows kept in input order
-    by_size: dict[int, list[int]] = {}
-    for pos, (_, b, _, _) in enumerate(work):
-        by_size.setdefault(b.n, []).append(pos)
-    rows = [None] * len(work)
-    for positions in by_size.values():
-        lams = spectra.eig_hermitian(
-            np.stack([work[pos][1].embed() for pos in positions]))
-        for pos, lam in zip(positions, lams):
-            idx, b, eps, mult = work[pos]
-            v = spectra.localization_verdict(b, eps, lam)
-            rows[pos] = (idx, b.n, eps, mult, b.corner, v.threshold,
-                         v.satisfied, v.max_offset, v.top_boundary_hit)
-
-    writer = hio.CsvWriter(
-        out / "lemma_check.csv",
-        ["instance", "n", "epsilon", "multiplier", "corner", "threshold",
-         "satisfied", "max_offset", "top_boundary_hit"],
-        seed,
-    )
-    bad = 0
-    for row in rows:
-        writer.add(*row)
-        bad += 0 if row[6] else 1
+    # per matrix size: thresholds, corners and one stacked oracle call
+    parts = []
+    for rows, ids, b, eps, mult in _lemma_blocks(cfg, seed):
+        thr = spectra.growth_threshold(b, eps)
+        b = replace(b, corner=mult * thr)
+        if not np.all(np.isfinite(b.corner)):  # a threshold that overflowed
+            raise ConfigError(f"instance #{ids[~np.isfinite(b.corner)][0]}: corner "
+                              "multiplier * growth threshold is not finite")
+        v = spectra.localize(b, eps)
+        parts.append((rows, ids, np.full(rows.size, b.n), eps, mult, b.corner, thr,
+                      v.satisfied, v.max_offset, v.top_boundary_hit))
+    rows, *table = map(np.concatenate, zip(*parts))
+    order = np.argsort(rows)  # rows back in input order
+    writer = hio.CsvWriter(out / "lemma_check.csv", [
+        "instance", "n", "epsilon", "multiplier", "corner", "threshold",
+        "satisfied", "max_offset", "top_boundary_hit"], seed)
+    writer.extend(*(col[order] for col in table))
     writer.flush()
+    bad = int(np.count_nonzero(~table[6]))
     if not quiet:
-        print(f"lemma-check: {len(rows)} verdicts, {bad} violations")
+        print(f"lemma-check: {rows.size} verdicts, {bad} violations")
     return EXIT_FINDINGS if bad else EXIT_OK
 
 
@@ -276,13 +282,12 @@ def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         ["index", "case1", "case2", "margin1", "margin2", "weight"],
         seed,
     )
-    neither = 0
-    for i, o in enumerate(subsol.dichotomy_rows(ctx, pts)):
-        if o is None:
-            neither += 1
-            writer.add(i, False, False, float("nan"), float("nan"), float("nan"))
-        else:
-            writer.add(i, o.case1, o.case2, o.margin1, o.margin2, o.weight)
+    nan = float("nan")
+    outcomes = subsol.dichotomy_rows(ctx, pts)
+    for i, o in enumerate(outcomes):
+        writer.add(i, *((False, False, nan, nan, nan) if o is None else
+                        (o.case1, o.case2, o.margin1, o.margin2, o.weight)))
+    neither = outcomes.count(None)
     writer.flush()
     if not quiet:
         print(
@@ -376,9 +381,8 @@ def _cmd_exhaustion(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         ["level", "interior_nodes", "diff_to_full", "diff_to_previous"],
         seed,
     )
-    for i, lev in enumerate(report.levels):
-        prev = report.consecutive_diffs[i - 1] if i >= 1 else float("nan")
-        writer.add(lev, report.interior_counts[i], report.diffs_to_full[i], prev)
+    writer.extend(report.levels, report.interior_counts, report.diffs_to_full,
+                  [float("nan"), *report.consecutive_diffs])
     writer.flush()
     if not quiet:
         print(f"exhaustion: {len(report.levels)} nested solves")

@@ -91,46 +91,56 @@ def read_hermitian_values(path, domain: GridDomain) -> HermitianField:
 def export_csv(path, f: ScalarField) -> None:
     """Axis indices plus value, one node per row."""
     d = len(f.domain.shape)
-    header = ",".join(f"i{a}" for a in range(d)) + ",value"
+    columns = [*np.indices(f.domain.shape).reshape(d, -1), f.values.reshape(-1)]
     with open(path, "w", newline="") as fh:
-        fh.write(SCHEMA_LINE + "\n")
-        fh.write(header + "\n")
-        for idx in np.ndindex(*f.domain.shape):
-            fh.write(",".join(str(i) for i in idx)
-                     + "," + format(f.values[idx], ".17g") + "\n")
+        fh.write(SCHEMA_LINE + "\n" + "".join(f"i{a}," for a in range(d)) + "value\n")
+        fh.writelines(",".join(row) + "\n"
+                      for row in zip(*(_cells(c.tolist()) for c in columns)))
 
 
-def _cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
+def _formatter(kind):
+    """The cell format of one value type: bools as true/false, integers in
+    decimal, floats to 17 significant digits, anything else by str."""
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda x: "true" if x else "false"
+    if issubclass(kind, (int, np.integer)):
+        return lambda x: str(int(x))
+    if issubclass(kind, (float, np.floating)):
+        return lambda x: "%.17g" % float(x)
+    return str
+
+
+def _cells(column: list) -> list[str]:
+    """A column's cells, formatted once per value type it holds."""
+    fmts = {kind: _formatter(kind) for kind in set(map(type, column))}
+    return [fmts[type(x)](x) for x in column]
 
 
 class CsvWriter:
     """Single-writer CSV emission with the frozen schema header.
 
-    Identical (columns, rows, seed) produce identical bytes.
+    Rows are kept as columns and formatted column by column.  Identical
+    (columns, rows, seed) produce identical bytes.
     """
 
     def __init__(self, path, columns, seed):
         self.path = Path(path)
         self.columns = list(columns)
         self.seed = seed
-        self._rows: list[list] = []
+        self._cols: list[list] = [[] for _ in self.columns]
 
     def add(self, *row) -> None:
-        if len(row) != len(self.columns):
+        self.extend(*([x] for x in row))
+
+    def extend(self, *columns) -> None:
+        """Append one row per entry of equally long columns (lists or arrays)."""
+        if len(columns) != len(self.columns) or len(set(map(len, columns))) != 1:
             raise ConfigError("row width does not match the column schema")
-        self._rows.append(list(row))
+        for col, values in zip(self._cols, columns):
+            col.extend(values.tolist() if isinstance(values, np.ndarray) else values)
 
     def flush(self) -> None:
         with open(self.path, "w", newline="") as fh:
-            fh.write(SCHEMA_LINE + "\n")
-            fh.write(f"# seed {self.seed}\n")
-            fh.write(",".join(self.columns) + "\n")
-            for row in self._rows:
-                fh.write(",".join(_cell(x) for x in row) + "\n")
+            fh.write(f"{SCHEMA_LINE}\n# seed {self.seed}\n{','.join(self.columns)}\n")
+            fh.writelines(",".join(row) + "\n"
+                          for row in zip(*map(_cells, self._cols)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "eig_hermitian_with_vectors",
     "closed_form_2x2",
     "BorderedHermitian",
+    "BorderedStack",
     "growth_threshold",
     "refinement_threshold",
     "LocalizationVerdict",
@@ -43,7 +45,7 @@ __all__ = [
     "interval_census",
     "matrix_derivative",
     "random_instance",
-    "battery_instances",
+    "battery",
 ]
 
 _OFF_TOL = 1e-12
@@ -271,64 +273,88 @@ class BorderedHermitian:
     def with_corner(self, corner: float) -> "BorderedHermitian":
         return BorderedHermitian(self.d, self.a, float(corner))
 
+    def stack(self) -> "BorderedStack":  # as a one-row stack
+        return BorderedStack(np.array([self.d]), np.array([self.a], dtype=complex),
+                             np.array([self.corner]))
+
     def embed(self) -> np.ndarray:
         """The full n x n Hermitian matrix."""
-        n = self.n
-        m = np.zeros((n, n), dtype=complex)
-        m.flat[:: n + 1] = self.d + (self.corner,)
-        m[:-1, -1] = self.a
-        m[-1, :-1] = [x.conjugate() for x in self.a]
-        return m
+        return self.stack().embed()[0]
 
 
-def growth_threshold(b: BorderedHermitian, eps: float) -> float:
+@dataclass(frozen=True)
+class BorderedStack:
+    """m bordered instances of one size n as arrays: row i has diagonal block
+    d[i], border a[i] and corner corner[i]."""
+
+    d: np.ndarray  # (m, n-1) real
+    a: np.ndarray  # (m, n-1) complex
+    corner: np.ndarray  # (m,)
+
+    @property
+    def n(self) -> int:
+        return self.d.shape[1] + 1
+
+    def embed(self) -> np.ndarray:
+        """The (m, n, n) stack of full Hermitian matrices."""
+        m, n = len(self.corner), self.n
+        out = np.zeros((m, n, n), dtype=complex)
+        out.reshape(m, n * n)[:, :: n + 1] = np.column_stack([self.d, self.corner])
+        out[:, :-1, -1] = self.a
+        out[:, -1, :-1] = np.conj(self.a)
+        return out
+
+
+def _positive(eps):
+    if np.any(np.asarray(eps) <= 0.0):
+        raise DomainError("eps must be positive")
+
+
+def growth_threshold(b, eps):
     """Quadratic growth threshold for the corner at localization width eps.
 
     (2n-3)/eps * sum|a_i|^2 + (n-1) * sum|d_i| + (n-2) eps / (2n-3);
-    for n = 2 this reduces to |a_1|^2/eps + |d_1|.
+    for n = 2 this reduces to |a_1|^2/eps + |d_1|.  A BorderedHermitian gives
+    a float, a BorderedStack (eps scalar or per row) its (m,) thresholds; an
+    overflow reads inf.  Sums run left to right, |a_i|^2 as hypot ** 2.
     """
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    n = b.n
-    a2 = sum(abs(x) ** 2 for x in b.a)
-    d1 = sum(abs(x) for x in b.d)
-    return (2 * n - 3) / eps * a2 + (n - 1) * d1 + (n - 2) * eps / (2 * n - 3)
+    _positive(eps)
+    s = b if isinstance(b, BorderedStack) else b.stack()
+    n = s.n
+    with np.errstate(over="ignore"):
+        a2 = sum(np.float_power(np.hypot(s.a.real, s.a.imag), 2.0).T)
+        d1 = sum(np.abs(s.d).T)
+        thr = (2 * n - 3) / eps * a2 + (n - 1) * d1 + (n - 2) * eps / (2 * n - 3)
+    return thr if s is b else float(thr[0])
 
 
 def refinement_threshold(b: BorderedHermitian, eps: float) -> float:
     """Corner threshold for the weaker nearest-diagonal localization."""
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    _positive(eps)
     n = b.n
     a2 = sum(abs(x) ** 2 for x in b.a)
     return a2 / eps + sum(d + (n - 2) * abs(d) for d in b.d) + (n - 2) * eps
 
 
-@dataclass(frozen=True)
-class LocalizationVerdict:
-    """Outcome of matching eigenvalues to the localization intervals."""
+class LocalizationVerdict(NamedTuple):
+    """Outcome of matching eigenvalues to the localization intervals; for a
+    BorderedStack each field holds one entry per row."""
 
-    epsilon: float
-    threshold: float
-    intervals: tuple[tuple[float, float], ...]  # (d_i - eps, d_i + eps), input order
-    top_interval: tuple[float, float]  # [corner, corner + (n-1) eps)
     satisfied: bool
-    witness: tuple[float, ...]  # sorted eigenvalues
-    top_boundary_hit: bool  # top eigenvalue equal to the corner within slack
     max_offset: float  # worst |lambda_alpha - d_matched|
+    top_boundary_hit: bool  # top eigenvalue equal to the corner within slack
+    witness: tuple[float, ...]  # sorted eigenvalues
 
 
-def localize(b: BorderedHermitian, eps: float, slack_scale: float = 1e-10) -> LocalizationVerdict:
-    """Check the quantitative localization conclusion for a bordered matrix,
-    with eigenvalues from the Jacobi oracle (see localization_verdict)."""
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+def localize(b, eps, slack_scale: float = 1e-10):
+    """Check the quantitative localization conclusion for a bordered matrix, or
+    for every row of a BorderedStack by one stacked sweep, with eigenvalues from
+    the Jacobi oracle (see localization_verdict)."""
+    _positive(eps)
     return localization_verdict(b, eps, eig_hermitian(b.embed()), slack_scale)
 
 
-def localization_verdict(
-    b: BorderedHermitian, eps: float, lam, slack_scale: float = 1e-10
-) -> LocalizationVerdict:
+def localization_verdict(b, eps, lam, slack_scale: float = 1e-10):
     """Match the ascending eigenvalues lam of b.embed() to the localization
     intervals.
 
@@ -336,26 +362,22 @@ def localization_verdict(
     minimal-total-displacement assignment (sort both sides and pair in order;
     the conclusion is only claimed up to a proper permutation).  Strict
     inequalities are relaxed by slack_scale * (1 + |A|_F) to absorb eigensolver
-    error, with |A|_F = |lam|_2 for the Hermitian A.
+    error, with |A|_F = |lam|_2 for the Hermitian A.  b is a BorderedHermitian
+    with lam (n,), or a BorderedStack with lam (m, n) and eps scalar or per row.
     """
-    lam = np.asarray(lam, dtype=float).tolist()
-    slack = slack_scale * (1.0 + math.hypot(*lam))
-    n = b.n
-    offsets = [abs(x - di) for x, di in zip(lam[: n - 1], sorted(b.d))]
-    top = lam[-1]
-    hi_lim = b.corner + (n - 1) * eps
-    ok = (all(x < eps + slack for x in offsets)
-          and b.corner - slack <= top < hi_lim + slack)
-    return LocalizationVerdict(
-        epsilon=float(eps),
-        threshold=growth_threshold(b, eps),
-        intervals=tuple((di - eps, di + eps) for di in b.d),
-        top_interval=(b.corner, hi_lim),
-        satisfied=ok,
-        witness=tuple(lam),
-        top_boundary_hit=abs(top - b.corner) <= slack,
-        max_offset=max(offsets),
-    )
+    s = b if isinstance(b, BorderedStack) else b.stack()
+    lam = np.asarray(lam, dtype=float).reshape(len(s.corner), s.n)
+    slack = slack_scale * (1.0 + np.array([math.hypot(*row) for row in lam.tolist()]))
+    offsets = np.abs(lam[:, :-1] - np.sort(s.d, axis=1))
+    top = lam[:, -1]
+    hi_lim = s.corner + (s.n - 1) * eps
+    ok = (np.all(offsets < (eps + slack)[:, None], axis=1)
+          & (s.corner - slack <= top) & (top < hi_lim + slack))
+    worst, hit = np.max(offsets, axis=1), np.abs(top - s.corner) <= slack
+    if s is b:
+        return LocalizationVerdict(ok, worst, hit, lam)
+    return LocalizationVerdict(bool(ok[0]), float(worst[0]), bool(hit[0]),
+                               tuple(lam[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -377,8 +399,7 @@ def refinement_localize(
     """Check the weaker conclusion: every non-top eigenvalue within eps of SOME
     diagonal entry, and 0 <= lambda_n - corner < (n-1) eps + |sum(d_a - d_{i_a})|.
     """
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    threshold = refinement_threshold(b, eps)  # rejects eps <= 0 first
     a = b.embed()
     lam = eig_hermitian(a)
     slack = slack_scale * (1.0 + float(np.linalg.norm(a)))
@@ -392,7 +413,7 @@ def refinement_localize(
     ok = bool(near_ok and -slack <= top_excess < top_bound + slack)
     return RefinementVerdict(
         epsilon=float(eps),
-        threshold=refinement_threshold(b, eps),
+        threshold=threshold,
         satisfied=ok,
         matches=tuple(int(i) for i in matches),
         top_excess=top_excess,
@@ -406,9 +427,8 @@ def char_poly_terms(b: BorderedHermitian, x: float) -> tuple[float, float]:
     d = np.asarray(b.d)
     diffs = x - d
     term1 = (x - b.corner) * float(np.prod(diffs))
-    term2 = 0.0
-    for i, ai in enumerate(b.a):
-        term2 += abs(ai) ** 2 * float(np.prod(np.delete(diffs, i)))
+    term2 = sum(abs(ai) ** 2 * float(np.prod(np.delete(diffs, i)))
+                for i, ai in enumerate(b.a))
     return term1, term2
 
 
@@ -454,8 +474,6 @@ def interval_census(b: BorderedHermitian, eps: float, corners) -> CensusReport:
     argument assumes (automatic for n >= 3 with a nonzero border, but violable
     for n = 2 with a tiny border).
     """
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
     corners = [float(c) for c in corners]
     thr = growth_threshold(b, eps)
     for c in corners:
@@ -466,39 +484,22 @@ def interval_census(b: BorderedHermitian, eps: float, corners) -> CensusReport:
     n = b.n
     hw = eps / (2 * n - 3)
     d = np.asarray(b.d)
-    # connected components of the union of intervals (d_i - hw, d_i + hw)
+    # connected components of the union of intervals (d_i - hw, d_i + hw): in
+    # ascending order, one ends where the next interval starts past its reach
     order = np.argsort(d, kind="stable")
-    components: list[list[int]] = [[int(order[0])]]
-    reach = d[order[0]] + hw
-    for idx in order[1:]:
-        if d[idx] - hw < reach:
-            components[-1].append(int(idx))
-        else:
-            components.append([int(idx)])
-        reach = max(reach, d[idx] + hw)
-    spans = [
-        (min(d[list(grp)]) - hw, max(d[list(grp)]) + hw) for grp in components
-    ]
-    counts = []
-    top_flags = []
+    ds = d[order]
+    cut = np.flatnonzero(~(ds[1:] - hw < ds[:-1] + hw)) + 1
+    components = np.split(order, cut)
+    lo, hi = ds[np.r_[0, cut]] - hw, ds[np.r_[cut - 1, -1]] + hw
     ladder = np.array([b.with_corner(c).embed() for c in corners]).reshape(-1, n, n)
-    for lam in eig_hermitian(ladder):
-        low = lam[: n - 1]
-        counts.append(
-            tuple(
-                int(np.count_nonzero((low > lo) & (low < hi)))
-                for lo, hi in spans
-            )
-        )
-        top_flags.append(
-            bool(any(lo < lam[-1] < hi for lo, hi in spans))
-        )
+    lam = eig_hermitian(ladder)[:, :, None]
+    inside = (lam > lo) & (lam < hi)  # (corner, eigenvalue, component)
     return CensusReport(
         half_width=float(hw),
         corners=tuple(corners),
-        components=tuple(tuple(grp) for grp in components),
-        counts=tuple(counts),
-        top_in_interval=tuple(top_flags),
+        components=tuple(tuple(grp.tolist()) for grp in components),
+        counts=tuple(map(tuple, np.count_nonzero(inside[:, :-1], axis=1).tolist())),
+        top_in_interval=tuple(np.any(inside[:, -1], axis=1).tolist()),
     )
 
 
@@ -516,27 +517,38 @@ def matrix_derivative(family: FuncFamily, g) -> np.ndarray:
     return hermitize((p * f[None, :]) @ p.conj().T)
 
 
+def _draws(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d and a from rows of 3(n-1) uniform doubles: uniform(-1, 1), uniform(0, 1)
+    and uniform(0, 2 pi) draws, made as numpy makes them, low + (high - low) u."""
+    d, r, th = np.split(u, 3, axis=1)
+    return -1.0 + 2.0 * d, np.sqrt(r) * np.exp(1j * (2.0 * np.pi * th))
+
+
 def random_instance(rng: np.random.Generator, n: int) -> BorderedHermitian:
     """Random bordered instance: d uniform in [-1, 1], a uniform in the unit disk."""
-    d = rng.uniform(-1.0, 1.0, n - 1)
-    r = np.sqrt(rng.uniform(0.0, 1.0, n - 1))
-    th = rng.uniform(0.0, 2.0 * np.pi, n - 1)
-    a = r * np.exp(1j * th)
-    return BorderedHermitian.make(d, a, 0.0)  # corner set by the caller
+    d, a = _draws(rng.random((1, 3 * (n - 1))))
+    return BorderedHermitian.make(d[0], a[0], 0.0)  # corner set by the caller
 
 
-def battery_instances(count: int, seed: int):
-    """Deterministic battery: cycles n in 2..6, eps in {0.1, 0.3, 1.0} and
-    corner multiplier in {1, 1.5, 10}; yields (instance, eps, multiplier)
-    with the corner already set to multiplier * threshold.
+def battery(count: int, seed: int) -> list:
+    """Deterministic battery as one block per matrix size.
+
+    Instance i has n = 2 + i % 5, eps = (0.1, 0.3, 1.0)[(i // 5) % 3] and
+    corner multiplier (1, 1.5, 10)[(i // 15) % 3]; its d and a are the next
+    random_instance draws of one generator.  Returns [(rows, BorderedStack with
+    corner 0, eps, multiplier)] per size; the caller sets the corners.
     """
-    rng = np.random.default_rng(seed)
-    eps_cycle = (0.1, 0.3, 1.0)
-    mult_cycle = (1.0, 1.5, 10.0)
-    for i in range(count):
-        n = 2 + i % 5
-        eps = eps_cycle[(i // 5) % 3]
-        mult = mult_cycle[(i // 15) % 3]
-        b = random_instance(rng, n)
-        corner = mult * growth_threshold(b, eps)
-        yield b.with_corner(corner), eps, mult
+    i = np.arange(count)
+    sizes, width = 2 + i % 5, 3 * (1 + i % 5)
+    eps = np.array([0.1, 0.3, 1.0])[i // 5 % 3]
+    mult = np.array([1.0, 1.5, 10.0])[i // 15 % 3]
+    start = np.cumsum(width) - width
+    u = np.random.default_rng(seed).random(int(width.sum()))
+    blocks = []
+    for n in range(2, 7):
+        rows = np.flatnonzero(sizes == n)
+        if rows.size:
+            d, a = _draws(u[start[rows, None] + np.arange(3 * (n - 1))])
+            blocks.append((rows, BorderedStack(d, a, np.zeros(rows.size)),
+                           eps[rows], mult[rows]))
+    return blocks

@@ -292,40 +292,13 @@ def _sigma_derivatives(lam: np.ndarray, top: int):
     return d1, d2
 
 
-def hess_f(family: FuncFamily, lam, method: str = "analytic",
-           step: float = 1e-4) -> np.ndarray:
-    """n x n second-derivative matrix of f.
-
-    Analytic by the chain rule through the elementary symmetric polynomials;
-    method="fd" gives the second-order central-difference alternative used as
-    an independent cross-check on well-conditioned points.
-    """
+def hess_f(family: FuncFamily, lam) -> np.ndarray:
+    """n x n second-derivative matrix of f, analytic by the chain rule through
+    the elementary symmetric polynomials."""
     lam = lambda_tuple(lam)
     if lam.ndim != 1:
         raise DomainError("hess_f expects a single eigenvalue tuple")
     n, k = family.n, family.k
-    if method == "fd":
-        h = step * (1.0 + np.abs(lam))
-        hess = np.zeros((n, n))
-        f0 = eval_f(family, lam)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h[i]
-            hess[i, i] = (
-                eval_f(family, lam + ei) - 2.0 * f0 + eval_f(family, lam - ei)
-            ) / h[i] ** 2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h[j]
-                mixed = (
-                    eval_f(family, lam + ei + ej)
-                    - eval_f(family, lam + ei - ej)
-                    - eval_f(family, lam - ei + ej)
-                    + eval_f(family, lam - ei - ej)
-                ) / (4.0 * h[i] * h[j])
-                hess[i, j] = hess[j, i] = mixed
-        return hess
-
     e = _admissible_sigmas(family, lam)
     if family.kind == "log-det":
         return np.diag(-1.0 / lam**2)

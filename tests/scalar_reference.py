@@ -5,12 +5,18 @@ These are the one-ray-at-a-time loops that `hcl.subsol` and
 one `in_cone`/`eval_f` call on one point.  `check_structure` is the version
 whose finite-difference gradient check made one `eval_f` call per point and
 axis, and `gamma_g_criteria` the one that evaluated its t-ladder one rung per
-`eval_f` call.  They are kept verbatim (only the
-imports differ) so the tests can require bit-identical points, contexts,
-verdicts and error messages from the stacked code.
+`eval_f` call.  `battery_instances` is the lemma battery drawn one
+`random_instance` at a time, with the corner set from the per-instance
+`growth_threshold` sums, and `localize` the one-matrix localization verdict
+through the scalar Jacobi sweep.  They are kept verbatim (only the imports
+and `localize`'s return type differ) so the tests can require bit-identical
+points, contexts, draws, thresholds, verdicts and error messages from the
+stacked code.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +26,7 @@ from hcl.errors import (
     LemmaViolationError,
     RangeError,
 )
+from hcl.spectra import BorderedHermitian, LocalizationVerdict, eig_hermitian
 from hcl.subsol import DichotomyContext, DichotomyOutcome
 from hcl.symfunc import (
     FuncFamily,
@@ -458,3 +465,70 @@ def gamma_g_criteria(
     pairings = np.sum(grad_f(family, mus) * lam, axis=-1)
     crit3 = bool(np.min(pairings) >= -1e-9 * (1.0 + np.max(np.abs(pairings))))
     return crit1, crit2, crit3
+
+
+def growth_threshold(b: BorderedHermitian, eps: float) -> float:
+    """Quadratic growth threshold for the corner at localization width eps.
+
+    (2n-3)/eps * sum|a_i|^2 + (n-1) * sum|d_i| + (n-2) eps / (2n-3);
+    for n = 2 this reduces to |a_1|^2/eps + |d_1|.
+    """
+    if eps <= 0.0:
+        raise DomainError("eps must be positive")
+    n = b.n
+    a2 = sum(abs(x) ** 2 for x in b.a)
+    d1 = sum(abs(x) for x in b.d)
+    return (2 * n - 3) / eps * a2 + (n - 1) * d1 + (n - 2) * eps / (2 * n - 3)
+
+
+def embed(b: BorderedHermitian) -> np.ndarray:
+    """The full n x n Hermitian matrix."""
+    n = b.n
+    m = np.zeros((n, n), dtype=complex)
+    m.flat[:: n + 1] = b.d + (b.corner,)
+    m[:-1, -1] = b.a
+    m[-1, :-1] = [x.conjugate() for x in b.a]
+    return m
+
+
+def localize(b: BorderedHermitian, eps: float, slack_scale: float = 1e-10):
+    """The localization verdict of one bordered matrix, from the eigenvalues of
+    the scalar Jacobi sweep (eig_hermitian on one matrix)."""
+    if eps <= 0.0:
+        raise DomainError("eps must be positive")
+    lam = eig_hermitian(embed(b)).tolist()
+    slack = slack_scale * (1.0 + math.hypot(*lam))
+    n = b.n
+    offsets = [abs(x - di) for x, di in zip(lam[: n - 1], sorted(b.d))]
+    top = lam[-1]
+    hi_lim = b.corner + (n - 1) * eps
+    ok = (all(x < eps + slack for x in offsets)
+          and b.corner - slack <= top < hi_lim + slack)
+    return LocalizationVerdict(ok, max(offsets), abs(top - b.corner) <= slack,
+                               tuple(lam))
+
+
+def random_instance(rng: np.random.Generator, n: int) -> BorderedHermitian:
+    """Random bordered instance: d uniform in [-1, 1], a uniform in the unit disk."""
+    d = rng.uniform(-1.0, 1.0, n - 1)
+    r = np.sqrt(rng.uniform(0.0, 1.0, n - 1))
+    th = rng.uniform(0.0, 2.0 * np.pi, n - 1)
+    a = r * np.exp(1j * th)
+    return BorderedHermitian.make(d, a, 0.0)  # corner set by the caller
+
+
+def battery_instances(count: int, seed: int):
+    """Deterministic battery: cycles n in 2..6, eps in {0.1, 0.3, 1.0} and
+    corner multiplier in {1, 1.5, 10}; yields (instance, eps, multiplier)
+    with the corner already set to multiplier * threshold.
+    """
+    rng = np.random.default_rng(seed)
+    eps_cycle = (0.1, 0.3, 1.0)
+    mult_cycle = (1.0, 1.5, 10.0)
+    for i in range(count):
+        n = 2 + i % 5
+        eps = eps_cycle[(i // 5) % 3]
+        mult = mult_cycle[(i // 15) % 3]
+        b = random_instance(rng, n)
+        corner = mult * growth_threshold(b, eps)
+        yield b.with_corner(corner), eps, mult

@@ -1,10 +1,14 @@
+import copy
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import hcl.solve as solve_mod
-from hcl.cli import _domain_from, main
+from hcl import spectra
+from hcl.cli import BATTERY_CAP, _domain_from, _read, main
+from hcl.errors import ConfigError
 
 
 def write_config(tmp_path, name, payload):
@@ -422,3 +426,105 @@ class TestArtifacts:
                      "--quiet"]) == 0
         rows = (out / "exhaustion.csv").read_text().splitlines()
         assert len(rows) == 3 + 2
+
+
+class TestNumberBounds:
+    """Integer keys take integral numbers up to 2**53 in magnitude, and
+    battery.count is capped; beyond that exit 4, naming the key."""
+
+    # (command, config, path to the integer key; an int entry picks an array slot)
+    INTEGER_KEYS = [
+        ("cone-check", CONE, ("samples",)),
+        ("cone-check", CONE, ("family", "n")),
+        ("cone-check", CONE, ("family", "k")),
+        ("cone-check", {"family": {"kind": "sigma-quotient", "k": 2, "l": 1, "n": 3}},
+         ("family", "l")),
+        ("subsol-check", SUBSOL, ("samples",)),
+        ("solve-closed", CLOSED_CONSTANTS, ("domain", "shape", 1)),
+        ("solve-closed", CLOSED_CONSTANTS, ("domain", "n")),
+        ("solve-closed", dict(CLOSED_CONSTANTS, options={"max_newton": 5}),
+         ("options", "max_newton")),
+        ("solve-closed", dict(CLOSED_CONSTANTS, options={"continuation": 2}),
+         ("options", "continuation")),
+        ("solve-dirichlet", DIRICHLET_SMALL, ("domain", "x_shape", 0)),
+        ("solve-dirichlet", DIRICHLET_SMALL, ("domain", "s_shape", 1)),
+        ("lemma-check", {"battery": {"count": 5}}, ("battery", "count")),
+        ("lemma-check", {"battery": {"count": 5, "seed": 1}}, ("battery", "seed")),
+        ("lemma-check", {"instances": [INSTANCE]}, ("instances", 0, "n")),
+    ]
+
+    @pytest.mark.parametrize("value", [1e300, -1e300, 10**400],
+                             ids=["1e300", "-1e300", "10**400"])
+    @pytest.mark.parametrize("command, payload, path", INTEGER_KEYS,
+                             ids=[".".join(map(str, k[2])) + "-" + k[0]
+                                  for k in INTEGER_KEYS])
+    def test_huge_integer_exit_four(self, tmp_path, capsys, command, payload,
+                                    path, value):
+        cfg = copy.deepcopy(payload)
+        node = cfg
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        key = next(k for k in reversed(path) if isinstance(k, str))
+        assert main([command, "--config", write_config(tmp_path, "big.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err
+
+    def test_integer_limit_is_two_to_the_53(self):
+        for ok in (2**53, -(2**53), float(2**53), 80.0):
+            assert _read({"k": ok}, "k", int) == int(ok)
+        for bad in (2**53 + 1, -(2**53) - 1, 2.0**54, 1e300):
+            with pytest.raises(ConfigError, match="'k'"):
+                _read({"k": bad}, "k", int)
+
+    @pytest.mark.parametrize("count", [1e300, 10**400, BATTERY_CAP + 1],
+                             ids=["1e300", "10**400", "cap+1"])
+    def test_battery_count_cap(self, tmp_path, capsys, monkeypatch, count):
+        def no_battery(*args):
+            raise AssertionError("battery drawn before the count was checked")
+
+        monkeypatch.setattr(spectra, "battery", no_battery)
+        cfg = write_config(tmp_path, "l.json", {"battery": {"count": count}})
+        assert main(["lemma-check", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "'count'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("a_re", [1e300, 0.1]),
+                                              ("d", [-1e308, -1e308])])
+    def test_overflowing_corner_names_instance(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, "o.json",
+                           {"instances": [INSTANCE, dict(INSTANCE, **{field: value})]})
+        assert main(["lemma-check", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "instance #1" in capsys.readouterr().err
+
+
+# lemma_check.csv digests taken at the commit before the stacked lemma-check
+# pipeline, which had to reproduce them byte for byte
+VIOLATING = {"n": 2, "d": [0.0], "a_re": [1.0], "a_im": [0.0], "epsilon": 0.1,
+             "corner_multipliers": [0.01, 1.0, 1.5]}
+WIDE = {"n": 5, "d": [0.1, 0.9, -0.4, 0.0], "a_re": [1e-3, 0.5, -0.7, 2.0],
+        "a_im": [0.25, 0.0, 1e-8, -1.5], "epsilon": 0.05,
+        "corner_multipliers": [1.0, 2.0, 1e3]}
+PINNED_LEMMA = [
+    ({"battery": {"count": 3000, "seed": 0}}, 0, 0,
+     "2ca5e3595e6262b539e04df79a502cb7c82bb69933d453aa9679db5d77bddfa9"),
+    ({"battery": {"count": 3000, "seed": 17}}, 17, 0,
+     "5d456210ff327e553fbf532e018f9e57ff634a05d94398069fd43608027badad"),
+    ({"instances": [INSTANCE]}, 0, 0,
+     "622e2785015826fa2694b778daf5e2aa3ad960afbe4f1012bdbc77de77aeb8c4"),
+    ({"instances": [INSTANCE, VIOLATING, WIDE, INSTANCE]}, 2, 2,
+     "e2e88e0b97fbc9a518746a4f17bb5c79e49518d374b83508c9eeb3b60216319a"),
+]
+
+
+@pytest.mark.parametrize("payload, seed, code, digest", PINNED_LEMMA,
+                         ids=["battery-0", "battery-17", "instances", "mixed-sizes"])
+def test_pinned_lemma_artifact(tmp_path, payload, seed, code, digest):
+    cfg = write_config(tmp_path, "l.json", payload)
+    out = tmp_path / "out"
+    assert main(["lemma-check", "--config", cfg, "--out", str(out),
+                 "--seed", str(seed), "--quiet"]) == code
+    got = hashlib.sha256((out / "lemma_check.csv").read_bytes()).hexdigest()
+    assert got == digest

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as reference
 from hcl import spectra
 from hcl.errors import AdmissibilityError, DomainError, NumericError, PreconditionError
 from hcl.spectra import (
     BorderedHermitian,
-    battery_instances,
+    BorderedStack,
+    battery,
     char_poly_residual,
     char_poly_terms,
     closed_form_2x2,
@@ -127,14 +131,14 @@ class TestStackedEig:
             eig_hermitian(a)
 
     def test_stacked_verdicts_match_localize(self):
-        items = [(b, eps) for b, eps, _ in battery_instances(60, 8) if b.n == 4]
-        lam = eig_hermitian(np.array([b.embed() for b, _ in items]))
-        for (b, eps), row in zip(items, lam):
-            want = localize(b, eps)
-            got = localization_verdict(b, eps, row)
-            assert got.satisfied == want.satisfied
-            assert got.top_boundary_hit == want.top_boundary_hit
-            assert got.max_offset == pytest.approx(want.max_offset, abs=1e-12)
+        ((rows, b0, eps, mult),) = [blk for blk in battery(60, 8) if blk[1].n == 4]
+        b = replace(b0, corner=mult * growth_threshold(b0, eps))
+        got = localization_verdict(b, eps, eig_hermitian(b.embed()))
+        for i in range(rows.size):
+            want = localize(BorderedHermitian.make(b.d[i], b.a[i], b.corner[i]), eps[i])
+            assert got.satisfied[i] == want.satisfied
+            assert got.top_boundary_hit[i] == want.top_boundary_hit
+            assert got.max_offset[i] == pytest.approx(want.max_offset, abs=1e-12)
 
 
 class TestGrowthThreshold:
@@ -365,16 +369,79 @@ class TestTraceIdentity:
 
 class TestBattery:
     def test_deterministic(self):
-        a = [(b.d, b.a, b.corner, e, m) for b, e, m in battery_instances(30, 5)]
-        b = [(b.d, b.a, b.corner, e, m) for b, e, m in battery_instances(30, 5)]
-        assert a == b
+        for x, y in zip(battery(30, 5), battery(30, 5), strict=True):
+            for u, v in zip((x[0], x[1].d, x[1].a, x[2], x[3]),
+                            (y[0], y[1].d, y[1].a, y[2], y[3])):
+                np.testing.assert_array_equal(u, v)
 
     def test_covers_parameter_grid(self):
         seen_n, seen_eps, seen_mult = set(), set(), set()
-        for b, eps, mult in battery_instances(135, 0):
+        for rows, b, eps, mult in battery(135, 0):
+            assert b.d.shape == b.a.shape == (rows.size, b.n - 1)
             seen_n.add(b.n)
-            seen_eps.add(eps)
-            seen_mult.add(mult)
+            seen_eps.update(eps.tolist())
+            seen_mult.update(mult.tolist())
         assert seen_n == {2, 3, 4, 5, 6}
         assert seen_eps == {0.1, 0.3, 1.0}
         assert seen_mult == {1.0, 1.5, 10.0}
+
+
+def bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+class TestStackedBattery:
+    """The stacked battery against the per-instance path of scalar_reference:
+    draws, corners and thresholds bit for bit, verdicts against localize."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 17, 91])
+    def test_draws_thresholds_corners_bit_identical(self, seed):
+        want = list(reference.battery_instances(200, seed))
+        rows_seen = []
+        for rows, b0, eps, mult in battery(200, seed):
+            thr = growth_threshold(b0, eps)
+            corner = mult * thr
+            for i, row in enumerate(rows.tolist()):
+                wb, weps, wmult = want[row]
+                assert b0.n == wb.n
+                assert bits(b0.d[i]) == bits(wb.d) and bits(b0.a[i]) == bits(wb.a)
+                assert (eps[i], mult[i]) == (weps, wmult)
+                assert bits(thr[i]) == bits(reference.growth_threshold(wb, weps))
+                assert bits(corner[i]) == bits(wb.corner)
+            rows_seen += rows.tolist()
+        assert sorted(rows_seen) == list(range(200))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_random_instance_matches_reference(self, n):
+        for seed in (0, 3, 11):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                got, want = random_instance(rng, n), reference.random_instance(ref, n)
+                assert bits(got.d) == bits(want.d) and bits(got.a) == bits(want.a)
+                assert bits(got.embed()) == bits(reference.embed(want))
+                assert bits(growth_threshold(got, 0.3)) == bits(
+                    reference.growth_threshold(want, 0.3))
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_verdict_columns_match_localize(self, seed):
+        want = list(reference.battery_instances(200, seed))
+        for rows, b0, eps, mult in battery(200, seed):
+            b = replace(b0, corner=mult * growth_threshold(b0, eps))
+            v = localize(b, eps)
+            for i, row in enumerate(rows.tolist()):
+                ref = reference.localize(want[row][0], want[row][1])
+                assert v.satisfied[i] == ref.satisfied
+                assert v.top_boundary_hit[i] == ref.top_boundary_hit
+                assert v.max_offset[i] == pytest.approx(ref.max_offset, abs=1e-12)
+                # the one-instance verdict is the one-row call of the stacked one
+                one = localization_verdict(want[row][0], eps[i], v.witness[i])
+                assert one == (v.satisfied[i], v.max_offset[i],
+                               v.top_boundary_hit[i], tuple(v.witness[i].tolist()))
+
+    def test_stack_embeds_rows(self):
+        (_, b0, eps, mult), *_ = battery(20, 2)
+        b = replace(b0, corner=mult * growth_threshold(b0, eps))
+        for i, m in enumerate(b.embed()):
+            one = BorderedHermitian.make(b.d[i], b.a[i], b.corner[i])
+            assert bits(m) == bits(reference.embed(one))
+        assert isinstance(b, BorderedStack) and b.embed().shape == (b.d.shape[0], b.n, b.n)
