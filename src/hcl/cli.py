@@ -104,11 +104,11 @@ def _family_from(cfg: dict) -> symfunc.FuncFamily:
         raise ConfigError(f"unknown family kind {kind!r}")
     make, keys = _FAMILIES[kind]
     args = [_read(cfg, key, how) for key, how in keys.items()]
-    return make(*args, _read(cfg, "n", int))
+    return make(*args, _read(cfg, "n", int, high=symfunc.DIMENSION_CAP))
 
 
 def _domain_from(cfg: dict) -> GridDomain:
-    kind, n = _read(cfg, "kind", str), _read(cfg, "n", int)
+    kind, n = _read(cfg, "kind", str), _read(cfg, "n", int, high=symfunc.DIMENSION_CAP)
     if kind == "torus":
         return GridDomain.torus(n, _read(cfg, "shape", [int]),
                                 _read(cfg, "lengths", [float], None))
@@ -195,8 +195,8 @@ def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
 # ----------------------------------------------------------------- commands
 
 
-# battery.count: the battery is drawn and checked as arrays, all at once
-BATTERY_CAP = 100_000
+# battery.count and samples: each is drawn and checked as arrays, all at once
+COUNT_CAP = 100_000
 
 
 def _lemma_blocks(cfg: dict, seed: int) -> list:
@@ -204,7 +204,7 @@ def _lemma_blocks(cfg: dict, seed: int) -> list:
     matrix size, from either lemma-check config form."""
     if "instances" not in cfg:
         battery = _read(cfg, "battery", dict, {})
-        count = _read(battery, "count", int, 1000, low=1, high=BATTERY_CAP)
+        count = _read(battery, "count", int, 1000, low=1, high=COUNT_CAP)
         bseed = _read(battery, "seed", int, seed, low=0)
         return [(rows, rows, *rest) for rows, *rest in spectra.battery(count, bseed)]
     by_size: dict[int, list] = {}
@@ -253,7 +253,7 @@ def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
 
 def _cmd_cone_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     family = _family_from(_read(cfg, "family", dict))
-    samples = _read(cfg, "samples", int, 100, low=1)
+    samples = _read(cfg, "samples", int, 100, low=1, high=COUNT_CAP)
     rep = symfunc.check_structure(family, samples, seed)
     writer = hio.CsvWriter(
         out / "cone_check.csv",
@@ -274,7 +274,7 @@ def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     family = _family_from(_read(cfg, "family", dict))
     sigma, delta, radius = (_read(cfg, k, float) for k in ("sigma", "delta", "radius"))
     mu = np.asarray(_read(cfg, "mu", [float]))
-    samples = _read(cfg, "samples", int, 500, low=1)
+    samples = _read(cfg, "samples", int, 500, low=1, high=COUNT_CAP)
     ctx = subsol.build_context(family, sigma, mu, delta, radius, seed=seed)
     pts = subsol.sample_level_set(family, ctx.sigma, samples, seed)
     writer = hio.CsvWriter(

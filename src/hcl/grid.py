@@ -46,6 +46,10 @@ __all__ = [
 
 INTERIOR, BOUNDARY, EXTERIOR = 0, 1, 2
 
+# Most nodes of one grid, about four times the largest one tested (513 x 513);
+# an n = 2 Newton solve holds about 2 KB per node, so 2 GB at the cap.
+NODE_CAP = 2**20
+
 
 @dataclass(frozen=True)
 class GridDomain:
@@ -64,7 +68,7 @@ class GridDomain:
         if n < 1 or len(shape) != 2 * n:
             raise DomainError("torus needs n >= 1 and 2n node counts")
         lengths = tuple(float(x) for x in (lengths or (2.0 * np.pi,) * (2 * n)))
-        _check_axes(shape, lengths)
+        _check_axes(shape, lengths, (True,) * (2 * n), ("",) * (2 * n))
         roles = np.zeros(shape, dtype=np.uint8)
         return cls(n, shape, lengths, (True,) * (2 * n), "torus", roles)
 
@@ -94,8 +98,8 @@ class GridDomain:
             float(x) for x in (x_lengths or (2.0 * np.pi,) * (2 * (n - 1)))
         )
         lengths = x_lengths + tuple(float(x) for x in s_lengths)
-        _check_axes(shape, lengths)
         periodic = (True,) * (2 * (n - 1)) + tuple(bool(p) for p in s_periodic)
+        _check_axes(shape, lengths, periodic, ("x_",) * (2 * (n - 1)) + ("s_",) * 2)
         roles = np.zeros(shape, dtype=np.uint8)
         for ax in range(2 * (n - 1), 2 * n):
             if not periodic[ax]:
@@ -182,11 +186,24 @@ class GridDomain:
                           self.kind, roles)
 
 
-def _check_axes(shape: tuple[int, ...], lengths: tuple[float, ...]) -> None:
+def _check_axes(shape, lengths, periodic, keys) -> None:
+    """Reject axes no stencil can use, before any per-node array exists; errors
+    name axis a's parameters (and config keys) keys[a] + "shape"/"lengths"."""
     if len(lengths) != len(shape):
         raise DomainError("one length per axis needed")
     if min(shape) < 1 or not all(x > 0 for x in lengths):  # also rejects NaN
         raise DomainError("node counts must be >= 1 and lengths > 0")
+    nodes = np.prod(shape, dtype=object)  # Python ints: no overflow
+    if nodes > NODE_CAP:
+        names = " and ".join(dict.fromkeys(f"'{key}shape'" for key in keys))
+        raise DomainError(f"{names}: {nodes} nodes, above the cap of {NODE_CAP}")
+    for ax, (L, N, p, key) in enumerate(zip(lengths, shape, periodic, keys)):
+        if N < 3 and not p:
+            raise DomainError(f"'{key}shape' needs >= 3 nodes on the non-periodic axis {ax}")
+        h = L / (N if p else N - 1)  # the spacing, as `spacings` gives it
+        if not (0.0 < h * h < np.inf and 1.0 / (h * h) < np.inf):
+            raise DomainError(f"'{key}lengths': axis {ax} has the spacing {h!r}, whose"
+                              " square or its inverse is not a positive finite float")
 
 
 @dataclass

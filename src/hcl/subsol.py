@@ -161,11 +161,15 @@ def sample_level_set(
     family: FuncFamily, sigma: float, count: int, seed: int, spread: float = 2.0
 ) -> np.ndarray:
     """Fan of level-set points from 1-shift rays through quasi-random bases;
-    each round draws a base per missing point and drops those that miss."""
+    each round draws a base per missing point and drops those that miss.
+    Raises once 100 * count rays are drawn, fewer than 1% of them hits."""
     rng = np.random.default_rng(seed)
     pts = np.empty((count, family.n))
-    got = 0
+    got = drawn = 0
     while got < count:
+        if drawn >= 100 * count:
+            raise RangeError(f"level {sigma} met by {got} of {drawn} shifted rays")
+        drawn += count - got
         found, errors = _shift_to_level(
             family, sigma, rng.normal(0.0, spread, (count - got, family.n)))
         keep = [i for i, err in enumerate(errors) if err is None]
@@ -402,21 +406,14 @@ def is_c_subsolution(
         raise DomainError("base point must lie in Gamma")
     n = family.n
     rungs = 2.0 ** np.arange(0, int(np.log2(max(t_max, 2.0))) + 1)
-    sups = np.empty(n)
-    exceeded = np.zeros(n, dtype=bool)
-    rising = np.zeros(n, dtype=bool)
-    for i in range(n):
-        e = np.eye(n)[i]
-        vals = [eval_f(family, lam_sub)]
-        for t in rungs:
-            vals.append(eval_f(family, lam_sub + t * e))
-            if vals[-1] > psi_val:
-                exceeded[i] = True
-                break
-        sups[i] = max(vals)
-        if not exceeded[i]:
-            rise_tol = 1e-9 * (1.0 + abs(vals[-1]))
-            rising[i] = (vals[-1] - vals[-2]) > rise_tol
+    # vals[i, 0] = f(lam_sub) and vals[i, 1 + r] = f(lam_sub + rungs[r] e_i)
+    steps = np.append(0.0, rungs)[:, None] * np.eye(n)[:, None, :]
+    vals = eval_f(family, lam_sub + steps)
+    hit = vals[:, 1:] > psi_val
+    exceeded = hit.any(axis=1)
+    stop = np.where(exceeded, np.argmax(hit, axis=1) + 1, rungs.size)  # last one walked
+    sups = np.maximum.accumulate(vals, axis=1)[np.arange(n), stop]
+    rising = vals[:, -1] - vals[:, -2] > 1e-9 * (1.0 + np.abs(vals[:, -1]))
     ok = bool(np.all(exceeded))
     return CSubVerdict(
         is_subsolution=ok,

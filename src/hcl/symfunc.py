@@ -14,8 +14,9 @@ verifiers (ellipticity, concavity, the chord inequality), membership in the
 sub-cone where f stays bounded below along outward rays, and the empirical
 coercivity floor of |lambda| * sum_i f_i(lambda).
 
-All evaluators are vectorized over leading axes: `lam` may have shape
-(..., n).  Everything is pure and deterministic given (seed, samples).
+All evaluators, `hess_f` included, are vectorized over leading axes: `lam`
+may have shape (..., n), and one point gives its row of a stack bit for bit.
+Everything is pure and deterministic given (seed, samples).
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 LADDER_T_MAX = float(2 ** 20)
+# Largest dimension n of a family, and through the CLI of a grid (2n axes):
+# the stacked Hessian table holds (n + 1) n^2 values per point.
+DIMENSION_CAP = 8
 
 
 def lambda_tuple(values) -> np.ndarray:
@@ -133,8 +137,8 @@ class FuncFamily:
     betas: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DomainError("dimension n must be >= 2")
+        if not 2 <= self.n <= DIMENSION_CAP:
+            raise DomainError(f"dimension n must be between 2 and {DIMENSION_CAP}")
         if not 1 <= self.k <= self.n:
             raise DomainError("cone index k must satisfy 1 <= k <= n")
         if self.kind == "log-det" and self.k != self.n:
@@ -219,7 +223,9 @@ def eval_f(family: FuncFamily, lam) -> np.ndarray | float:
         val = np.log(e[..., k])
     elif family.kind == "sigma-quotient":
         l, m = family.l, family.k - family.l
-        val = (e[..., k] / e[..., l]) ** (1.0 / m)
+        # an array, also for one point: `**` on a numpy scalar calls libm pow,
+        # on an array sqrt or numpy's own pow, and one point must match a stack
+        val = np.asarray(e[..., k] / e[..., l]) ** (1.0 / m)
     else:  # quotient-log
         skp1 = e[..., k + 1] if k + 1 <= family.n else np.zeros(lam.shape[:-1])
         val = skp1 / e[..., k]
@@ -260,91 +266,66 @@ def grad_f(family: FuncFamily, lam) -> np.ndarray:
     return g
 
 
-def _sigma_pair_excluding(lam: np.ndarray) -> np.ndarray:
-    """sigma_m(lam with entries i and j removed); shape (n, n, n-1)."""
+def _sigma_derivatives(lam: np.ndarray, e: np.ndarray) -> list:
+    """(sigma_m, gradient, Hessian) for m = 0..n, shaped (..., 1, 1), (..., 1, n)
+    and (..., n, n), from lam and e = elementary_all(lam): the gradient holds
+    sigma_{m-1}(lam | i), the Hessian sigma_{m-2}(lam | i, j) for i != j."""
     n = lam.shape[-1]
-    out = np.zeros((n, n, n))
-    idx = np.arange(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = elementary_all(lam[(idx != i) & (idx != j)])
-            out[i, j, : n - 1] = e
-            out[j, i, : n - 1] = e
-    return out
+    d1 = np.zeros((n + 1,) + lam.shape[:-1] + (1, n))
+    d1[1:, ..., 0, :] = np.moveaxis(_sigma_all_excluding(lam), -1, 0)
+    d2 = np.zeros((n + 1,) + lam.shape + (n,))
+    i, j = np.triu_indices(n, 1)
+    rest = np.array([np.delete(np.arange(n), pair) for pair in zip(i, j)], dtype=int)
+    pairs = elementary_all(lam[..., rest])  # [..., p, m] = sigma_m(lam | i[p], j[p])
+    d2[2:, ..., i, j] = d2[2:, ..., j, i] = np.moveaxis(pairs, -1, 0)
+    return list(zip(np.moveaxis(e, -1, 0)[..., None, None], d1, d2))
 
 
-def _sigma_derivatives(lam: np.ndarray, top: int):
-    """First and second derivatives of sigma_m for m <= top.
+def _outer(g, h):
+    return np.swapaxes(g, -1, -2) * h
 
-    d1[m, i] = sigma_{m-1}(lam | i); d2[m, i, j] = sigma_{m-2}(lam | i, j)
-    for i != j and zero on the diagonal.
-    """
-    n = lam.shape[-1]
-    ex = _sigma_all_excluding(lam)  # (n, n) -> sigma_j(lam | i)
-    pair = _sigma_pair_excluding(lam)  # (n, n, n)
-    d1 = np.zeros((top + 1, n))
-    d2 = np.zeros((top + 1, n, n))
-    for m in range(1, top + 1):
-        d1[m] = ex[:, m - 1]
-        if m >= 2:
-            d2[m] = pair[:, :, m - 2]
-            np.fill_diagonal(d2[m], 0.0)
-    return d1, d2
+
+def _log_hess(s, g, h):  # of log s, from the (value, gradient, Hessian) parts
+    return h / s - _outer(g, g) / np.float_power(s, 2)
+
+
+def _power_hess(a, s, g, h):  # of s**a
+    return (a * np.float_power(s, a - 1.0) * h
+            + a * (a - 1.0) * np.float_power(s, a - 2.0) * _outer(g, g))
+
+
+def _quotient(num, den):  # parts of num / den
+    (sn, gn, hn), (sd, gd, hd) = num, den
+    sd2 = np.float_power(sd, 2)
+    hq = (hn / sd - (_outer(gn, gd) + _outer(gd, gn)) / sd2 - sn * hd / sd2
+          + 2.0 * sn * _outer(gd, gd) / np.float_power(sd, 3))
+    return sn / sd, gn / sd - sn * gd / sd2, hq
 
 
 def hess_f(family: FuncFamily, lam) -> np.ndarray:
-    """n x n second-derivative matrix of f, analytic by the chain rule through
-    the elementary symmetric polynomials."""
+    """Hessians of f, shape (..., n, n) for lam of shape (..., n), analytic by
+    the chain rule through the elementary symmetric polynomials.  Powers are
+    np.float_power, the libm pow of `**` on a numpy scalar (on an array, `**`
+    squares by multiplication), so rows match one-point formulas bit for bit."""
     lam = lambda_tuple(lam)
-    if lam.ndim != 1:
-        raise DomainError("hess_f expects a single eigenvalue tuple")
-    n, k = family.n, family.k
+    n, k, l = family.n, family.k, family.l
     e = _admissible_sigmas(family, lam)
     if family.kind == "log-det":
-        return np.diag(-1.0 / lam**2)
-
-    def quotient_parts(num: int, den: int):
-        """Value, gradient and Hessian of sigma_num / sigma_den."""
-        d1, d2 = _sigma_derivatives(lam, num)
-        sn, sd = e[num], e[den]
-        gn, gd = d1[num], d1[den]
-        hn, hd = d2[num], d2[den]
-        q = sn / sd
-        dq = gn / sd - sn * gd / sd**2
-        outer_nd = np.outer(gn, gd)
-        hq = (
-            hn / sd
-            - (outer_nd + outer_nd.T) / sd**2
-            - sn * hd / sd**2
-            + 2.0 * sn * np.outer(gd, gd) / sd**3
-        )
-        return q, dq, hq
-
+        hess = np.zeros(lam.shape + (n,))
+        hess[..., range(n), range(n)] = -1.0 / lam**2
+        return hess
+    parts = _sigma_derivatives(lam, e)
     if family.kind == "sigma-root":
-        d1, d2 = _sigma_derivatives(lam, k)
-        s, g, h2 = e[k], d1[k], d2[k]
-        a = 1.0 / k
-        return a * s ** (a - 1.0) * h2 + a * (a - 1.0) * s ** (a - 2.0) * np.outer(g, g)
+        return _power_hess(1.0 / k, *parts[k])
     if family.kind == "log-sigma":
-        d1, d2 = _sigma_derivatives(lam, k)
-        s, g, h2 = e[k], d1[k], d2[k]
-        return h2 / s - np.outer(g, g) / s**2
+        return _log_hess(*parts[k])
     if family.kind == "sigma-quotient":
-        m = k - family.l
-        q, dq, hq = quotient_parts(k, family.l)
-        a = 1.0 / m
-        return a * q ** (a - 1.0) * hq + a * (a - 1.0) * q ** (a - 2.0) * np.outer(dq, dq)
-    # quotient-log
-    if k + 1 <= n:
-        _, _, hess = quotient_parts(k + 1, k)
-    else:
-        # sigma_{n+1} vanishes identically: the quotient term is zero
-        hess = np.zeros((n, n))
-    d1, d2 = _sigma_derivatives(lam, k)
+        return _power_hess(1.0 / (k - l), *_quotient(parts[k], parts[l]))
+    # quotient-log; sigma_{n+1} vanishes identically, and with it the quotient
+    hess = _quotient(parts[k + 1], parts[k])[2] if k < n else np.zeros(lam.shape + (n,))
     for j, beta in enumerate(family.betas, start=1):
         if beta:
-            s, g, h2 = e[j], d1[j], d2[j]
-            hess = hess + beta * (h2 / s - np.outer(g, g) / s**2)
+            hess = hess + beta * _log_hess(*parts[j])
     return hess
 
 
@@ -478,11 +459,13 @@ def check_structure(family: FuncFamily, samples: int, seed: int) -> StructureRep
     grads = grad_f(family, pts)
     min_grad = float(np.min(grads))
 
-    max_eig, scale = -np.inf, 0.0
-    for lam in pts:
-        hess = hess_f(family, lam)
-        scale = max(scale, float(np.linalg.norm(hess)))
-        max_eig = max(max_eig, float(np.linalg.eigvalsh(hess)[-1]))
+    # np.linalg.norm of one matrix is the square root of the BLAS dot of its
+    # entries, as a row times a column in matmul; fmax skips NaN as max() did
+    hess = hess_f(family, pts)
+    flat = hess.reshape(samples, 1, -1)
+    scale = float(np.fmax.reduce(np.sqrt(flat @ np.swapaxes(flat, 1, 2)).ravel(),
+                                 initial=0.0))
+    max_eig = float(np.fmax.reduce(np.linalg.eigvalsh(hess)[:, -1], initial=-np.inf))
 
     # chord inequality over cyclically shifted pairs
     mu = np.roll(pts, 1, axis=0)
@@ -630,16 +613,14 @@ def coercivity_floor(
         raise DomainError("radius floor must be positive")
     dirs = sample_cone(family, samples, seed)
     dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
-    radii = r1 * 2.0 ** np.arange(0, 24)
-    best = np.inf
-    for mu in dirs:
-        for r in radii:
-            lam = r * mu
-            if not in_cone(lam, family.k):
-                continue
-            val = eval_f(family, lam)
-            if sigma_lo <= val <= sigma_hi:
-                best = min(best, r * float(np.sum(grad_f(family, lam))))
+    # one row per (direction, radius), the 24 radii of a direction in a block
+    radii = np.tile(r1 * 2.0 ** np.arange(0, 24), samples)
+    lam = radii[:, None] * np.repeat(dirs, 24, axis=0)
+    rows = np.flatnonzero(in_cone(lam, family.k))
+    val = eval_f(family, lam[rows])
+    rows = rows[(sigma_lo <= val) & (val <= sigma_hi)]
+    best = np.fmin.reduce(radii[rows] * np.sum(grad_f(family, lam[rows]), axis=-1),
+                          initial=np.inf)
     if not np.isfinite(best):
         raise EmptyBandError(
             f"no sample with f in [{sigma_lo}, {sigma_hi}] and |lambda| >= {r1}"

@@ -8,10 +8,13 @@ axis, and `gamma_g_criteria` the one that evaluated its t-ladder one rung per
 `eval_f` call.  `battery_instances` is the lemma battery drawn one
 `random_instance` at a time, with the corner set from the per-instance
 `growth_threshold` sums, and `localize` the one-matrix localization verdict
-through the scalar Jacobi sweep.  They are kept verbatim (only the imports
-and `localize`'s return type differ) so the tests can require bit-identical
-points, contexts, draws, thresholds, verdicts and error messages from the
-stacked code.
+through the scalar Jacobi sweep.  `hess_f` is the one-point analytic Hessian
+with its per-point derivative tables, which `check_structure` here calls once
+per point, and `coercivity_floor` and `is_c_subsolution` are the per-point,
+per-radius and per-rung loops.  They are kept verbatim (only the imports and
+`localize`'s return type differ) so the tests can require bit-identical
+points, contexts, draws, thresholds, verdicts, Hessians and error messages
+from the stacked code.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ import numpy as np
 
 from hcl.errors import (
     DomainError,
+    EmptyBandError,
     HypothesisError,
     LemmaViolationError,
     RangeError,
 )
 from hcl.spectra import BorderedHermitian, LocalizationVerdict, eig_hermitian
-from hcl.subsol import DichotomyContext, DichotomyOutcome
+from hcl.subsol import CSubVerdict, DichotomyContext, DichotomyOutcome
 from hcl.symfunc import (
     FuncFamily,
     StructureReport,
@@ -35,10 +39,12 @@ from hcl.symfunc import (
     cone_margin,
     eval_f,
     grad_f,
-    hess_f,
     LADDER_T_MAX,
+    _admissible_sigmas,
     _ladder,
     _probe_set,
+    _sigma_all_excluding,
+    elementary_all,
     in_cone,
     lambda_tuple,
     well_conditioned,
@@ -379,6 +385,94 @@ def sample_cone(
     return pts
 
 
+def _sigma_pair_excluding(lam: np.ndarray) -> np.ndarray:
+    """sigma_m(lam with entries i and j removed); shape (n, n, n-1)."""
+    n = lam.shape[-1]
+    out = np.zeros((n, n, n))
+    idx = np.arange(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = elementary_all(lam[(idx != i) & (idx != j)])
+            out[i, j, : n - 1] = e
+            out[j, i, : n - 1] = e
+    return out
+
+
+def _sigma_derivatives(lam: np.ndarray, top: int):
+    """First and second derivatives of sigma_m for m <= top.
+
+    d1[m, i] = sigma_{m-1}(lam | i); d2[m, i, j] = sigma_{m-2}(lam | i, j)
+    for i != j and zero on the diagonal.
+    """
+    n = lam.shape[-1]
+    ex = _sigma_all_excluding(lam)  # (n, n) -> sigma_j(lam | i)
+    pair = _sigma_pair_excluding(lam)  # (n, n, n)
+    d1 = np.zeros((top + 1, n))
+    d2 = np.zeros((top + 1, n, n))
+    for m in range(1, top + 1):
+        d1[m] = ex[:, m - 1]
+        if m >= 2:
+            d2[m] = pair[:, :, m - 2]
+            np.fill_diagonal(d2[m], 0.0)
+    return d1, d2
+
+
+def hess_f(family: FuncFamily, lam) -> np.ndarray:
+    """n x n second-derivative matrix of f, analytic by the chain rule through
+    the elementary symmetric polynomials."""
+    lam = lambda_tuple(lam)
+    if lam.ndim != 1:
+        raise DomainError("hess_f expects a single eigenvalue tuple")
+    n, k = family.n, family.k
+    e = _admissible_sigmas(family, lam)
+    if family.kind == "log-det":
+        return np.diag(-1.0 / lam**2)
+
+    def quotient_parts(num: int, den: int):
+        """Value, gradient and Hessian of sigma_num / sigma_den."""
+        d1, d2 = _sigma_derivatives(lam, num)
+        sn, sd = e[num], e[den]
+        gn, gd = d1[num], d1[den]
+        hn, hd = d2[num], d2[den]
+        q = sn / sd
+        dq = gn / sd - sn * gd / sd**2
+        outer_nd = np.outer(gn, gd)
+        hq = (
+            hn / sd
+            - (outer_nd + outer_nd.T) / sd**2
+            - sn * hd / sd**2
+            + 2.0 * sn * np.outer(gd, gd) / sd**3
+        )
+        return q, dq, hq
+
+    if family.kind == "sigma-root":
+        d1, d2 = _sigma_derivatives(lam, k)
+        s, g, h2 = e[k], d1[k], d2[k]
+        a = 1.0 / k
+        return a * s ** (a - 1.0) * h2 + a * (a - 1.0) * s ** (a - 2.0) * np.outer(g, g)
+    if family.kind == "log-sigma":
+        d1, d2 = _sigma_derivatives(lam, k)
+        s, g, h2 = e[k], d1[k], d2[k]
+        return h2 / s - np.outer(g, g) / s**2
+    if family.kind == "sigma-quotient":
+        m = k - family.l
+        q, dq, hq = quotient_parts(k, family.l)
+        a = 1.0 / m
+        return a * q ** (a - 1.0) * hq + a * (a - 1.0) * q ** (a - 2.0) * np.outer(dq, dq)
+    # quotient-log
+    if k + 1 <= n:
+        _, _, hess = quotient_parts(k + 1, k)
+    else:
+        # sigma_{n+1} vanishes identically: the quotient term is zero
+        hess = np.zeros((n, n))
+    d1, d2 = _sigma_derivatives(lam, k)
+    for j, beta in enumerate(family.betas, start=1):
+        if beta:
+            s, g, h2 = e[j], d1[j], d2[j]
+            hess = hess + beta * (h2 / s - np.outer(g, g) / s**2)
+    return hess
+
+
 def check_structure(family: FuncFamily, samples: int, seed: int) -> StructureReport:
     """Verify ellipticity, concavity and the chord inequality on sampled points.
 
@@ -465,6 +559,81 @@ def gamma_g_criteria(
     pairings = np.sum(grad_f(family, mus) * lam, axis=-1)
     crit3 = bool(np.min(pairings) >= -1e-9 * (1.0 + np.max(np.abs(pairings))))
     return crit1, crit2, crit3
+
+
+def coercivity_floor(
+    family: FuncFamily,
+    sigma_lo: float,
+    sigma_hi: float,
+    r1: float,
+    samples: int,
+    seed: int = 0,
+) -> float:
+    """Empirical minimum of |lambda| * sum_i f_i over the band sigma_lo <= f <= sigma_hi.
+
+    Samples cone directions, sweeps a geometric radius ladder starting exactly
+    at |lambda| = r1, and keeps points inside the band.  Raises when the band
+    catches no sample.
+    """
+    if sigma_lo > sigma_hi:
+        raise DomainError("sigma_lo must not exceed sigma_hi")
+    if r1 <= 0:
+        raise DomainError("radius floor must be positive")
+    dirs = sample_cone(family, samples, seed)
+    dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+    radii = r1 * 2.0 ** np.arange(0, 24)
+    best = np.inf
+    for mu in dirs:
+        for r in radii:
+            lam = r * mu
+            if not in_cone(lam, family.k):
+                continue
+            val = eval_f(family, lam)
+            if sigma_lo <= val <= sigma_hi:
+                best = min(best, r * float(np.sum(grad_f(family, lam))))
+    if not np.isfinite(best):
+        raise EmptyBandError(
+            f"no sample with f in [{sigma_lo}, {sigma_hi}] and |lambda| >= {r1}"
+        )
+    return float(best)
+
+
+def is_c_subsolution(
+    family: FuncFamily, lam_sub, psi_val: float, t_max: float = LADDER_T_MAX
+) -> CSubVerdict:
+    """Truncated axis-limit surrogate for boundedness of the level-set slice.
+
+    True iff along every coordinate direction the truncated sup of
+    f(lam_sub + t e_i) over the geometric ladder t <= t_max exceeds psi_val.
+    When an axis value is still rising at t_max yet below psi_val the verdict
+    is false with the indeterminate flag set.
+    """
+    lam_sub = lambda_tuple(lam_sub)
+    if not in_cone(lam_sub, family.k):
+        raise DomainError("base point must lie in Gamma")
+    n = family.n
+    rungs = 2.0 ** np.arange(0, int(np.log2(max(t_max, 2.0))) + 1)
+    sups = np.empty(n)
+    exceeded = np.zeros(n, dtype=bool)
+    rising = np.zeros(n, dtype=bool)
+    for i in range(n):
+        e = np.eye(n)[i]
+        vals = [eval_f(family, lam_sub)]
+        for t in rungs:
+            vals.append(eval_f(family, lam_sub + t * e))
+            if vals[-1] > psi_val:
+                exceeded[i] = True
+                break
+        sups[i] = max(vals)
+        if not exceeded[i]:
+            rise_tol = 1e-9 * (1.0 + abs(vals[-1]))
+            rising[i] = (vals[-1] - vals[-2]) > rise_tol
+    ok = bool(np.all(exceeded))
+    return CSubVerdict(
+        is_subsolution=ok,
+        indeterminate=bool((~exceeded & rising).any()) and not ok,
+        axis_sups=tuple(float(s) for s in sups),
+    )
 
 
 def growth_threshold(b: BorderedHermitian, eps: float) -> float:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import hcl.solve as solve_mod
-from hcl import spectra
-from hcl.cli import BATTERY_CAP, _domain_from, _read, main
+from hcl import spectra, subsol, symfunc
+from hcl.cli import COUNT_CAP, _domain_from, _read, main
 from hcl.errors import ConfigError
 
 
@@ -238,6 +238,21 @@ class TestExitCodes:
         # levels that cut no nested exhaustion: each of these exited 0
         ("exhaustion", dict(DIRICHLET_SMALL, levels=[-0.1, 0.0]), LEVELS_ERROR),
         ("exhaustion", dict(DIRICHLET_SMALL, levels=[0.02, 0.04]), LEVELS_ERROR),
+        # spacings and dimensions the grid cannot carry: each raised in numpy or
+        # in a Python float square (exit 1)
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, domain=dict(
+            DIRICHLET_SMALL["domain"], x_lengths=[1e300, 1.0])), "x_lengths"),
+        ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
+            CLOSED_CONSTANTS["domain"], lengths=[1e300, 1.0, 1.0, 1.0])), "lengths"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, domain=dict(
+            DIRICHLET_SMALL["domain"], s_lengths=[1e-300, 1.0])), "s_lengths"),
+        ("solve-closed", dict(CLOSED_CONSTANTS, domain={
+            "kind": "torus", "n": 40, "shape": [2] * 80}), "n"),
+        ("cone-check", dict(CONE, family=dict(CONE["family"], n=9)), "n"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, domain=dict(
+            DIRICHLET_SMALL["domain"], s_shape=[2, 13])), "s_shape"),
+        ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
+            CLOSED_CONSTANTS["domain"], shape=[64, 64, 64, 64])), "shape"),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
@@ -259,7 +274,9 @@ class TestExitCodes:
             "ragged-chi-constant", "directory-field-file", "zero-count", "negative-count",
             "empty-instances", "empty-bare-array", "empty-multipliers",
             "empty-ladder", "empty-levels", "empty-amplitudes",
-            "non-positive-levels", "increasing-levels"])
+            "non-positive-levels", "increasing-levels", "huge-x-length",
+            "huge-torus-length", "tiny-s-length", "torus-n-40", "family-n-9",
+            "two-node-s-axis", "node-cap"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload, key):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -478,7 +495,7 @@ class TestNumberBounds:
             with pytest.raises(ConfigError, match="'k'"):
                 _read({"k": bad}, "k", int)
 
-    @pytest.mark.parametrize("count", [1e300, 10**400, BATTERY_CAP + 1],
+    @pytest.mark.parametrize("count", [1e300, 10**400, COUNT_CAP + 1],
                              ids=["1e300", "10**400", "cap+1"])
     def test_battery_count_cap(self, tmp_path, capsys, monkeypatch, count):
         def no_battery(*args):
@@ -490,6 +507,22 @@ class TestNumberBounds:
                      "--out", str(tmp_path / "o")]) == 4
         assert "'count'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", [1e300, 10**400, COUNT_CAP + 1],
+                             ids=["1e300", "10**400", "cap+1"])
+    @pytest.mark.parametrize("command, payload, module, sampler", [
+        ("cone-check", CONE, symfunc, "sample_cone"),
+        ("subsol-check", SUBSOL, subsol, "sample_level_set"),
+    ], ids=["cone-check", "subsol-check"])
+    def test_samples_cap(self, tmp_path, capsys, monkeypatch, command, payload,
+                         module, sampler, samples):
+        def no_samples(*args):
+            raise AssertionError("points drawn before the samples were checked")
+
+        monkeypatch.setattr(module, sampler, no_samples)
+        cfg = write_config(tmp_path, "s.json", dict(payload, samples=samples))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "'samples'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [("a_re", [1e300, 0.1]),
                                               ("d", [-1e308, -1e308])])
     def test_overflowing_corner_names_instance(self, tmp_path, capsys, field, value):
@@ -500,31 +533,67 @@ class TestNumberBounds:
         assert "instance #1" in capsys.readouterr().err
 
 
-# lemma_check.csv digests taken at the commit before the stacked lemma-check
-# pipeline, which had to reproduce them byte for byte
+# CSV digests taken at the parent of the change that had to reproduce them byte
+# for byte: lemma_check.csv before the stacked lemma-check pipeline, and
+# cone_check.csv and subsol_check.csv before the stacked analytic Hessian
 VIOLATING = {"n": 2, "d": [0.0], "a_re": [1.0], "a_im": [0.0], "epsilon": 0.1,
              "corner_multipliers": [0.01, 1.0, 1.5]}
 WIDE = {"n": 5, "d": [0.1, 0.9, -0.4, 0.0], "a_re": [1e-3, 0.5, -0.7, 2.0],
         "a_im": [0.25, 0.0, 1e-8, -1.5], "epsilon": 0.05,
         "corner_multipliers": [1.0, 2.0, 1e3]}
-PINNED_LEMMA = [
-    ({"battery": {"count": 3000, "seed": 0}}, 0, 0,
+LEVEL_SET = {"family": {"kind": "sigma-root", "k": 2, "n": 3}, "sigma": 3.0,
+             "mu": [2.0, 2.0, 2.0], "delta": 0.5, "radius": 6.0, "samples": 500}
+PINNED = [
+    ("lemma-check", {"battery": {"count": 3000, "seed": 0}}, 0, 0,
      "2ca5e3595e6262b539e04df79a502cb7c82bb69933d453aa9679db5d77bddfa9"),
-    ({"battery": {"count": 3000, "seed": 17}}, 17, 0,
+    ("lemma-check", {"battery": {"count": 3000, "seed": 17}}, 17, 0,
      "5d456210ff327e553fbf532e018f9e57ff634a05d94398069fd43608027badad"),
-    ({"instances": [INSTANCE]}, 0, 0,
+    ("lemma-check", {"instances": [INSTANCE]}, 0, 0,
      "622e2785015826fa2694b778daf5e2aa3ad960afbe4f1012bdbc77de77aeb8c4"),
-    ({"instances": [INSTANCE, VIOLATING, WIDE, INSTANCE]}, 2, 2,
+    ("lemma-check", {"instances": [INSTANCE, VIOLATING, WIDE, INSTANCE]}, 2, 2,
      "e2e88e0b97fbc9a518746a4f17bb5c79e49518d374b83508c9eeb3b60216319a"),
+    *(("cone-check", {"family": family, "samples": 300}, seed, 0, digest)
+      for family, seed, digest in [
+          ({"kind": "log-det", "n": 3}, 0,
+           "c107781243071c9146d4cc16988c5b21dc6e9bfb07aef598d0f770860729bd8c"),
+          ({"kind": "log-det", "n": 3}, 19,
+           "8d34f76c04a9bc636a11cd379b7ddcd775c5d89f59f88d62ec841dbe44dc8c60"),
+          ({"kind": "sigma-root", "k": 2, "n": 3}, 0,
+           "6b4ecbc3aa84c5b1d6d461f7ae66bdf71a65e1fa9c96a48c1e01840f444c3594"),
+          ({"kind": "sigma-root", "k": 2, "n": 3}, 19,
+           "cb54ba53e90a83dbe2fef4a714b4f7c5cc845ab7586d5801287e519bd39c764c"),
+          ({"kind": "log-sigma", "k": 2, "n": 4}, 0,
+           "a7f50a0aca0c99f64aa71e94d47363483c6076247d80327349dad0b5acd3a588"),
+          ({"kind": "log-sigma", "k": 2, "n": 4}, 19,
+           "8a2f05eaf400733024571ec5f9cfa8f6c65e400adb0746727bb60ea4040b1ddb"),
+          ({"kind": "sigma-quotient", "k": 2, "l": 1, "n": 3}, 0,
+           "a32d3ffa0afb98ec06257eb3b5a837aedb2a9223e676d7aa5998e58c0c8d0264"),
+          ({"kind": "sigma-quotient", "k": 2, "l": 1, "n": 3}, 19,
+           "7fd39c0c84be119b87cfde0535561099372879a3f3d697aa108275ea55dea195"),
+          ({"kind": "quotient-log", "k": 2, "n": 3, "betas": [0.0, 1.0]}, 0,
+           "9dc09d75ddaca292da30d0487ac667970b60b2dbfc87ad91263d2cc765e1c137"),
+          ({"kind": "quotient-log", "k": 2, "n": 3, "betas": [0.0, 1.0]}, 19,
+           "fe7518b57ae8668c8e0db99ac32702b3dbb691b4100113139e1ce6d4b5c5ee1c"),
+      ]),
+    ("subsol-check", LEVEL_SET, 0, 0,
+     "ef6e598ea552952df30775907ef0c3636a74b0f6f50f01512f44df0a505027b6"),
+    ("subsol-check", LEVEL_SET, 19, 0,
+     "7776077e2d84af931b96f08a1f04e2d8a3338fe0e06672ab4c68fa12adc8362c"),
 ]
+ARTIFACT = {"lemma-check": "lemma_check.csv", "cone-check": "cone_check.csv",
+            "subsol-check": "subsol_check.csv"}
 
 
-@pytest.mark.parametrize("payload, seed, code, digest", PINNED_LEMMA,
-                         ids=["battery-0", "battery-17", "instances", "mixed-sizes"])
-def test_pinned_lemma_artifact(tmp_path, payload, seed, code, digest):
-    cfg = write_config(tmp_path, "l.json", payload)
+@pytest.mark.parametrize("command, payload, seed, code, digest", PINNED, ids=[
+    "battery-0", "battery-17", "instances", "mixed-sizes",
+    *(f"cone-{kind}-{seed}" for kind in ("log-det", "sigma-root", "log-sigma",
+                                         "sigma-quotient", "quotient-log")
+      for seed in (0, 19)),
+    "subsol-0", "subsol-19"])
+def test_pinned_artifact(tmp_path, command, payload, seed, code, digest):
+    cfg = write_config(tmp_path, "p.json", payload)
     out = tmp_path / "out"
-    assert main(["lemma-check", "--config", cfg, "--out", str(out),
+    assert main([command, "--config", cfg, "--out", str(out),
                  "--seed", str(seed), "--quiet"]) == code
-    got = hashlib.sha256((out / "lemma_check.csv").read_bytes()).hexdigest()
+    got = hashlib.sha256((out / ARTIFACT[command]).read_bytes()).hexdigest()
     assert got == digest

@@ -6,6 +6,7 @@ from hcl.grid import (
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
+    NODE_CAP,
     GridDomain,
     HermitianField,
     ScalarField,
@@ -65,12 +66,20 @@ class TestDomains:
         lambda: GridDomain.product(1, s_shape=(9, 0)),
         lambda: GridDomain.product(1, s_lengths=(1.0, -1.0)),
         lambda: GridDomain.product(2, x_shape=(4, 4), x_lengths=(0.0, 1.0)),
+        lambda: GridDomain.torus(1, (8, 8), (1e300, 1.0)),
+        lambda: GridDomain.product(1, s_lengths=(1e-300, 1.0)),
+        lambda: GridDomain.product(1, s_shape=(2, 9)),
+        lambda: GridDomain.torus(2, (32, 32, 32, 33)),
     ], ids=["zero-nodes", "negative-nodes", "zero-length", "short-lengths",
             "nan-length", "torus-n0", "product-n0", "zero-s-nodes",
-            "negative-s-length", "zero-x-length"])
+            "negative-s-length", "zero-x-length", "square-overflows",
+            "inverse-square-overflows", "two-node-s-axis", "node-cap"])
     def test_rejects_degenerate_axes(self, make):
         with pytest.raises(DomainError):
             make()
+
+    def test_node_cap_admits_its_own_size(self):
+        assert GridDomain.torus(2, (32, 32, 32, 32)).roles.size == NODE_CAP
 
     def test_restrict_roles_and_errors(self):
         dom = GridDomain.product(1, s_shape=(17, 17))

@@ -44,6 +44,12 @@ class TestLevelSetPoint:
             # sigma_1 along a ray through (1,1,1) cannot reach negative levels
             level_set_point(SIGMA1, -1.0, [1.0, 1.0, 1.0])
 
+    def test_level_below_every_ray_stops_drawing(self):
+        # every shifted ray enters the cone above sigma_1 = 1e-300: the fan
+        # drew new bases without end before it was bounded by 100 * count
+        with pytest.raises(RangeError, match="met by 0 of 500 shifted rays"):
+            sample_level_set(SIGMA1, 1e-300, 5, seed=0)
+
 
 class TestBuildContext:
     def test_worked_linear_context(self):
