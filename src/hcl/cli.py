@@ -48,16 +48,19 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-_NAMES = {int: "an integer of magnitude <= 2**53", float: "a number",
+_NAMES = {int: "an integer of magnitude <= 2**53",
+          float: "a number of magnitude <= 1e150",
           bool: "a boolean", str: "a string", dict: "an object"}
-_LIMITS = {int: 2**53, float: sys.float_info.max}  # 2**53: floats stop being exact
+# 2**53: floats stop being exact; 1e150: the square of a number stays finite
+_LIMITS = {int: 2**53, float: 1e150}
 
 
 def _read(cfg: dict, key: str, kind, default=..., low=None, high=None):
     """cfg[key] as `kind` (int, float, bool, str, dict, or object for any
     value), or as a JSON array of them, written [kind].  A number is a finite
-    JSON number, never a bool or a string, and an int is never truncated (80.0
-    reads as 80) and at most 2**53 in magnitude, where floats stop being exact.
+    JSON number, never a bool or a string, and at most 1e150 in magnitude, so
+    that its square is finite; an int is never truncated (80.0 reads as 80) and
+    at most 2**53 in magnitude, where floats stop being exact.
     A missing or null key gives `default`, an error if that is `...`; `low` and
     `high` bound a number, `low` also an array's length.  Errors name the key."""
     value = cfg.get(key)
@@ -231,10 +234,12 @@ def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
     parts = []
     for rows, ids, b, eps, mult in _lemma_blocks(cfg, seed):
         thr = spectra.growth_threshold(b, eps)
-        b = replace(b, corner=mult * thr)
-        if not np.all(np.isfinite(b.corner)):  # a threshold that overflowed
-            raise ConfigError(f"instance #{ids[~np.isfinite(b.corner)][0]}: corner "
-                              "multiplier * growth threshold is not finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = replace(b, corner=mult * thr)
+            finite = np.isfinite(np.linalg.norm(b.embed(), axis=(1, 2)))
+        if not np.all(finite):  # a threshold, a corner or a matrix norm overflowed
+            raise ConfigError(f"instance #{ids[~finite][0]}: the matrix with corner "
+                              "multiplier * growth threshold has no finite norm")
         v = spectra.localize(b, eps)
         parts.append((rows, ids, np.full(rows.size, b.n), eps, mult, b.corner, thr,
                       v.satisfied, v.max_offset, v.top_boundary_hit))

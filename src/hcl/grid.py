@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResolutionError, StencilError
+from .symfunc import DIMENSION_CAP
 
 __all__ = [
     "INTERIOR",
@@ -189,6 +190,9 @@ class GridDomain:
 def _check_axes(shape, lengths, periodic, keys) -> None:
     """Reject axes no stencil can use, before any per-node array exists; errors
     name axis a's parameters (and config keys) keys[a] + "shape"/"lengths"."""
+    if len(shape) > 2 * DIMENSION_CAP:
+        raise DomainError(f"'n' = {len(shape) // 2} is above the dimension cap "
+                          f"of {DIMENSION_CAP}")
     if len(lengths) != len(shape):
         raise DomainError("one length per axis needed")
     if min(shape) < 1 or not all(x > 0 for x in lengths):  # also rejects NaN
@@ -357,17 +361,8 @@ def complex_hessian(u: ScalarField) -> HermitianField:
 
 def chern_laplacian(u: ScalarField) -> ScalarField:
     """Trace of the complex Hessian: 1/4 of the Euclidean Laplacian per axis pair."""
-    dom = u.domain
-    d = 2 * dom.n
-    h = dom.spacings
-    p = _padded(u.values, dom)
-    out = np.zeros(dom.shape)
-    for j in range(dom.n):
-        xj, yj = 2 * j, 2 * j + 1
-        out += 0.25 * (_second_same(p, xj, h[xj], d)
-                       + _second_same(p, yj, h[yj], d))
-    out[dom.exterior] = 0.0
-    return ScalarField(dom, out)
+    hess = complex_hessian(u).values
+    return ScalarField(u.domain, np.trace(hess, axis1=-2, axis2=-1).real)
 
 
 def gradient_sup(u: ScalarField) -> float:

@@ -11,10 +11,10 @@ Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
 unmasked box it inverts a constant-coefficient operator by a real FFT along
 the axes that a mixed term pairs with another periodic axis and by a small
 dense eigenbasis (DST-I or real Fourier, one matmul) along every other axis.
-It solves the Poisson problems directly (diagonally preconditioned CG remains
-for masked domains and as a refinement when the sup-norm certificate fails)
-and, frozen at the mean Newton coefficient, preconditions BiCGStab, the only
-Newton-system solver.
+It solves the Poisson problems directly and, frozen at the mean Newton
+coefficient, preconditions BiCGStab, the only Krylov solver: it serves every
+Newton system and refines a Poisson solve on a masked domain or one that
+misses its sup-norm certificate.
 Closed mode solves the bordered (N+1) system for the update and the constant
 at once, with the mean-coefficient bordered operator inverted exactly as its
 preconditioner.  Each Newton step makes one Krylov solve; its iterations are
@@ -56,7 +56,15 @@ from .grid import (
     complex_hessian,
     gradient_sup,
 )
-from .symfunc import FuncFamily, boundary_sup, eval_f, grad_f, in_cone
+from .symfunc import (
+    LADDER_T_MAX,
+    FuncFamily,
+    _ladder,
+    boundary_sup,
+    eval_f,
+    grad_f,
+    in_cone,
+)
 
 __all__ = [
     "ProblemSpec",
@@ -66,6 +74,7 @@ __all__ = [
     "SweepReport",
     "ExhaustionReport",
     "poisson_dirichlet",
+    "s_factor_potential",
     "build_subsolution",
     "build_supersolution",
     "solve_dirichlet",
@@ -76,6 +85,10 @@ __all__ = [
     "assemble_linearized",
     "residual_field",
 ]
+
+LIN_TOL = 1e-11  # relative residual of every BiCGStab solve
+DAMPING_MIN = 1e-12  # smallest line-search step before a stall
+POISSON_SUP_TOL = 1e-10  # Poisson sup-norm residual, relative to 1 + |rhs|_inf
 
 @dataclass
 class ProblemSpec:
@@ -116,17 +129,14 @@ class ProblemSpec:
 class SolverOptions:
     residual_scale: float = 1e-9  # tol = residual_scale * (1 + |psi|_inf)
     max_newton: int = 80
-    damping_min: float = 1e-12
     delta: float = 0.1  # subsolution strictness
-    lin_tol: float = 1e-11
     continuation: int | None = None  # number of uniform steps; None = direct
     seed: int = 0
     subsolution: ScalarField | None = None
 
     def __post_init__(self):
-        # a zero damping floor would halve the line-search step forever
-        if not (self.residual_scale > 0 and self.damping_min > 0 and self.lin_tol > 0):
-            raise DomainError("residual_scale, damping_min and lin_tol must be positive")
+        if not self.residual_scale > 0:
+            raise DomainError("residual_scale must be positive")
         if self.max_newton < 1:
             raise DomainError("max_newton must be at least 1")
         if self.continuation is not None and self.continuation < 1:
@@ -463,41 +473,12 @@ def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
     return apply
 
 
-def _solve_spd(a_neg: sp.csr_matrix, b: np.ndarray, sup_target: float):
-    """Diagonally preconditioned CG on the SPD system; certify the sup-norm.
+def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0):
+    """BiCGStab to `LIN_TOL` on a sparse system; returns (x, krylov_iters).
 
-    CG's recurrence residual drifts from the true one near machine precision
-    on large grids, so the solve finishes with iterative refinement against
-    freshly computed residuals until the sup-norm target holds.
-    """
-    diag = a_neg.diagonal()
-    m = sp.diags(1.0 / diag)
-    maxiter = 200 * int(np.sqrt(b.size) + 10)
-    x, info = spla.cg(a_neg, b, rtol=0.0, atol=0.25 * sup_target, M=m,
-                      maxiter=maxiter)
-    resid = b - a_neg @ x
-    for _ in range(4):
-        if float(np.max(np.abs(resid))) <= sup_target:
-            return x
-        d, info = spla.cg(a_neg, resid, rtol=1e-2, atol=0.0, M=m,
-                          maxiter=maxiter)
-        x = x + d
-        resid = b - a_neg @ x
-    if float(np.max(np.abs(resid))) > sup_target:
-        raise NumericError(
-            f"CG stalled: sup residual {np.max(np.abs(resid)):.3e} "
-            f"above target {sup_target:.3e} (info={info})"
-        )
-    return x
-
-
-def _solve_general(a: sp.csr_matrix, b: np.ndarray, opts: SolverOptions,
-                   inverse=None):
-    """BiCGStab on a nonsymmetric sparse system; returns (x, krylov_iters).
-
-    The run starts from a fixed seeded start and is preconditioned by the map
-    of vectors `inverse` (such as `_spectral_inverse` at the mean coefficient)
-    or, when there is none, by the diagonal.  The system is scaled to
+    The run starts from a random start drawn with `seed` and is preconditioned
+    by the map of vectors `inverse` (such as `_spectral_inverse` at the mean
+    coefficient) or, when there is none, by the diagonal.  The system is scaled to
     sup |b| = 1 first: scipy's breakdown tests are absolute (|rho| < eps^2),
     and the small right-hand sides of the last Newton steps would trip them.
     A run that converges without certifying the true residual restarts once
@@ -519,13 +500,13 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, opts: SolverOptions,
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
     bs = b / scale
     bnorm = float(np.linalg.norm(bs))
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     x0 = 1e-3 * rng.standard_normal(n) * (bnorm / np.sqrt(n) + 1e-30)
 
     def certified(x):  # false for non-finite x too
-        return float(np.linalg.norm(a @ x - bs)) <= 10.0 * opts.lin_tol * (bnorm + 1e-30)
+        return float(np.linalg.norm(a @ x - bs)) <= 10.0 * LIN_TOL * (bnorm + 1e-30)
 
-    krylov = dict(rtol=opts.lin_tol, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
+    krylov = dict(rtol=LIN_TOL, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
                   M=spla.LinearOperator(a.shape, matvec=precondition, dtype=float))
     x, info = spla.bicgstab(a, bs, x0=x0, **krylov)
     if info == 0 and not certified(x):  # converged on the recurrence residual only
@@ -541,84 +522,71 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, opts: SolverOptions,
 # ------------------------------------------------------------------ Poisson
 
 
-def poisson_dirichlet(
-    domain: GridDomain, rhs, bc=0.0, sup_tol: float = 1e-10
-) -> ScalarField:
+def poisson_dirichlet(domain: GridDomain, rhs, bc=0.0) -> ScalarField:
     """Solve chern_laplacian(h) = rhs with h = bc on the boundary.
 
     The spectral inverse solves the system directly on an unmasked box; the
-    sup-norm residual is certified at sup_tol * (1 + |rhs|_inf), and only when
-    that certificate fails (or on a masked domain) does diagonally
-    preconditioned CG on the negated symmetric system refine the solution.
+    sup-norm residual is certified at POISSON_SUP_TOL * (1 + |rhs|_inf).  When
+    that certificate fails, or on a masked domain (no spectral inverse), one
+    `_solve_general` pass on the residual refines the solution, preconditioned
+    by the spectral inverse or by the diagonal; a second miss raises
+    `NumericError`.
     """
     if not domain.boundary.any():
         raise DomainError("poisson_dirichlet needs a domain with boundary")
-    rhs_vals = rhs.values if isinstance(rhs, ScalarField) else (
-        np.full(domain.shape, float(rhs)) if np.isscalar(rhs) else np.asarray(rhs)
-    )
-    bc_vals = bc.values if isinstance(bc, ScalarField) else (
-        np.full(domain.shape, float(bc)) if np.isscalar(bc) else np.asarray(bc)
-    )
+    rhs_vals, bc_vals = (x.values if isinstance(x, ScalarField) else
+                         np.broadcast_to(np.asarray(x, dtype=float), domain.shape)
+                         for x in (rhs, bc))
     n = domain.n
-    coeff = np.zeros((int(domain.interior.sum()), n, n), dtype=complex)
-    coeff[:, np.arange(n), np.arange(n)] = 1.0
-    a, b = assemble_linearized(domain, coeff)
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (int(domain.interior.sum()), n, n))
+    a, b = assemble_linearized(domain, eye)
     u_b = bc_vals.reshape(-1)[domain.roles.reshape(-1) == BOUNDARY]
     rhs_eff = rhs_vals[domain.interior] - b @ u_b
-    target = sup_tol * (1.0 + float(np.max(np.abs(rhs_vals[domain.interior]))))
+    target = POISSON_SUP_TOL * (1.0 + float(np.max(np.abs(rhs_vals[domain.interior]))))
     solve = _spectral_inverse(domain, np.eye(n))
     x = np.zeros(rhs_eff.size) if solve is None else solve(rhs_eff)
     resid = rhs_eff - a @ x
     if float(np.max(np.abs(resid), initial=0.0)) > target:
-        x = x + _solve_spd(-a, -resid, target)
+        x = x + _solve_general(a, resid, solve)[0]
+        miss = float(np.max(np.abs(rhs_eff - a @ x), initial=0.0))
+        if miss > target:
+            raise NumericError(f"Poisson solve: sup residual {miss:.3e} above "
+                               f"target {target:.3e} after one BiCGStab pass")
     out = np.zeros(domain.shape)
     out[domain.boundary] = bc_vals[domain.boundary]
     out[domain.interior] = x
     return ScalarField(domain, out)
 
 
-def s_factor_domain(domain: GridDomain) -> GridDomain:
-    """The one-complex-variable S factor of a product domain."""
+def s_factor_potential(domain: GridDomain) -> ScalarField:
+    """h on a product domain, constant along the X factor, where h on the
+    box of the S factor solves chern_laplacian(h) = 1 with h = 0 on its
+    boundary (negative inside)."""
     if domain.kind != "product":
         raise DomainError("S factor only exists for product domains")
-    d = len(domain.shape)
-    return GridDomain.product(
-        1,
-        x_shape=(),
-        s_shape=domain.shape[d - 2 :],
-        s_lengths=domain.lengths[d - 2 :],
-        s_periodic=domain.periodic[d - 2 :],
-    )
-
-
-def pullback_from_s(domain: GridDomain, s_field: ScalarField) -> ScalarField:
-    """Extend a field on the S factor constantly along the X factor."""
-    d = len(domain.shape)
-    shape = (1,) * (d - 2) + domain.shape[d - 2 :]
-    return ScalarField(
-        domain, np.broadcast_to(s_field.values.reshape(shape), domain.shape).copy()
-    )
+    s = slice(len(domain.shape) - 2, None)
+    s_dom = GridDomain.product(1, s_shape=domain.shape[s], s_lengths=domain.lengths[s],
+                               s_periodic=domain.periodic[s])
+    h = poisson_dirichlet(s_dom, 1.0, 0.0).values
+    return ScalarField(domain, np.broadcast_to(h, domain.shape).copy())
 
 
 # ------------------------------------------------- sub- and supersolutions
 
 
 def build_subsolution(
-    spec: ProblemSpec, delta: float, t_max: float = float(2 ** 20)
+    spec: ProblemSpec, delta: float, t_max: float = LADDER_T_MAX
 ) -> tuple[ScalarField, float]:
-    """phi + t * (pullback of the S-factor Poisson potential), smallest ladder t
+    """phi + t * `s_factor_potential`, smallest t of 0 and the geometric ladder
     with lambda(g) in Gamma and f >= psi + delta at every interior node."""
     if spec.mode != "dirichlet" or spec.domain.kind != "product":
         raise DomainError("subsolution construction needs a Dirichlet product domain")
     if delta <= 0:
         raise DomainError("strictness delta must be positive")
-    s_dom = s_factor_domain(spec.domain)
-    h_s = poisson_dirichlet(s_dom, 1.0, 0.0)
-    h = pullback_from_s(spec.domain, h_s)
+    h = s_factor_potential(spec.domain)
     psi_int = spec.psi.values[spec.domain.interior]
-    ladder = [0.0] + [2.0 ** j for j in range(0, int(np.log2(t_max)) + 1)]
     last_reason = ""
-    for t in ladder:
+    for t in [0.0, *_ladder(t_max)]:
         u_vals = spec.phi.values + t * h.values
         g = _g_interior(spec.chi.values, u_vals, spec.domain)
         lam = _eigvalsh(g)
@@ -673,7 +641,7 @@ def _bordered_inverse(inverse):
     return None if inverse is None else apply
 
 
-def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, opts: SolverOptions, inverse):
+def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0):
     """Solve the (N+1)-dimensional bordered system
 
         A v - dc * 1 = -r,   sum(v) = 0
@@ -682,8 +650,8 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, opts: SolverOptions, invers
     map `inverse`.  Returns (v, dc, the Krylov iterations)."""
     n = r.size
     try:
-        x, iters = _solve_general(_bordered_matrix(a), np.append(-r, 0.0), opts,
-                                  _bordered_inverse(inverse))
+        x, iters = _solve_general(_bordered_matrix(a), np.append(-r, 0.0),
+                                  _bordered_inverse(inverse), seed)
     except NumericError as exc:
         raise GaugeError(f"augmented system failed: {exc}") from exc
     return x[:n] - x[:n].sum() / n, float(x[n]), iters
@@ -719,13 +687,13 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
         a, _ = assemble_linearized(dom, coeff)
         inverse = _spectral_inverse(dom, coeff.mean(axis=0))
         if spec.mode == "closed":
-            v, dc, iters = _solve_bordered(a, r, opts, inverse)
+            v, dc, iters = _solve_bordered(a, r, inverse, opts.seed)
         else:
-            (v, iters), dc = _solve_general(a, -r, opts, inverse), 0.0
+            (v, iters), dc = _solve_general(a, -r, inverse, opts.seed), 0.0
         solves.append(iters)
         step = 1.0
         admissible_seen = False
-        while step >= opts.damping_min:
+        while step >= DAMPING_MIN:
             trial = u.copy()
             trial[dom.interior] += step * v
             c_t = c + step * dc
@@ -895,8 +863,7 @@ def domain_exhaustion(
         b >= a for a, b in zip(levels, levels[1:])
     ):
         raise DomainError("levels must be positive and strictly decreasing")
-    s_dom = s_factor_domain(spec.domain)
-    h = pullback_from_s(spec.domain, poisson_dirichlet(s_dom, 1.0, 0.0))
+    h = s_factor_potential(spec.domain)
     full = solve_dirichlet(spec, opts)
     report = ExhaustionReport(levels=[], interior_counts=[], results=[],
                               diffs_to_full=[], consecutive_diffs=[])

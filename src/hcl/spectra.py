@@ -15,7 +15,6 @@ polynomial identity and the interval census from the deformation proof.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -68,6 +67,13 @@ def _not_converged(sweeps: int, off: float, target: float) -> NumericError:
     )
 
 
+def _check_norm(finite: bool) -> None:
+    """Raise unless the Frobenius norm is finite: with an inf target no sweep
+    would run, and the invariants would compare NaN."""
+    if not finite:
+        raise DomainError("matrix has non-finite entries or an overflowing norm")
+
+
 def _check_invariants(lost_trace: bool, lost_norm: bool) -> None:
     """Raise if the rotations, which preserve both, lost the trace or the
     Frobenius norm beyond 1e-10 (relative to 1 + |trace| and to the norm)."""
@@ -104,10 +110,9 @@ def _jacobi(a, accumulate: bool):
             row[j] = x
             m[j][i] = x.conjugate()
             off_sq += 2.0 * (x.real * x.real + x.imag * x.imag)
-    if not all(cmath.isfinite(x) for row in m for x in row):
-        raise DomainError("matrix has non-finite entries")
-    v = np.eye(n, dtype=complex).tolist() if accumulate else None
     norm = math.sqrt(diag_sq + off_sq)
+    _check_norm(math.isfinite(norm))
+    v = np.eye(n, dtype=complex).tolist() if accumulate else None
     off = math.sqrt(off_sq)
     target = _OFF_TOL * norm
     # entries this small cannot block convergence; rotating on them would
@@ -158,10 +163,10 @@ def _jacobi_stack(a) -> np.ndarray:
     target leaves the live set and is not rotated again.
     """
     a = hermitize(a)
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix has non-finite entries")
     n = a.shape[-1]
-    norm = np.linalg.norm(a, axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(a, axis=(1, 2))
+    _check_norm(bool(np.all(np.isfinite(norm))))
     trace0 = np.trace(a, axis1=1, axis2=2).real
     target = _OFF_TOL * norm
     skip = np.maximum(1e-18 * norm, 5e-308)

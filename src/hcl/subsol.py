@@ -34,6 +34,7 @@ from .symfunc import (
     FuncFamily,
     _bisect_rows,
     _grow_rows,
+    _ladder,
     boundary_sup,
     eval_f,
     grad_f,
@@ -405,7 +406,7 @@ def is_c_subsolution(
     if not in_cone(lam_sub, family.k):
         raise DomainError("base point must lie in Gamma")
     n = family.n
-    rungs = 2.0 ** np.arange(0, int(np.log2(max(t_max, 2.0))) + 1)
+    rungs = _ladder(t_max)
     # vals[i, 0] = f(lam_sub) and vals[i, 1 + r] = f(lam_sub + rungs[r] e_i)
     steps = np.append(0.0, rungs)[:, None] * np.eye(n)[:, None, :]
     vals = eval_f(family, lam_sub + steps)

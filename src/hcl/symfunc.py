@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 LADDER_T_MAX = float(2 ** 20)
-# Largest dimension n of a family, and through the CLI of a grid (2n axes):
-# the stacked Hessian table holds (n + 1) n^2 values per point.
+# Largest dimension n of a family and of a grid (2n axes): the stacked
+# Hessian table holds (n + 1) n^2 values per point.
 DIMENSION_CAP = 8
 
 
@@ -496,6 +496,7 @@ def check_structure(family: FuncFamily, samples: int, seed: int) -> StructureRep
 
 
 def _ladder(t_max: float) -> np.ndarray:
+    """The geometric ladder 1, 2, 4, ... up to t_max (at least up to 2)."""
     rungs = int(np.floor(np.log2(max(t_max, 2.0))))
     return 2.0 ** np.arange(0, rungs + 1)
 

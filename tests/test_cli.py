@@ -51,6 +51,15 @@ SUBSOL = {
     "samples": 40,
 }
 
+# the degenerate sweep runs on a smaller grid, which keeps its mutations and
+# its pinned artifact quick: a perturbed solve that stalls at the precision of
+# a huge boundary_shift exits 3 only after every continuation bisection
+SWEEP = dict(DIRICHLET_SMALL, domain=dict(DIRICHLET_SMALL["domain"], x_shape=[4, 4],
+                                          s_shape=[7, 7]),
+             psi="logbump:0.01", ladder=[0.5, 0.25], boundary_shift=0.05)
+EXHAUSTION = dict(DIRICHLET_SMALL, levels=[0.04, 0.02])
+ESTIMATES = dict(DIRICHLET_SMALL, amplitudes=[0.5, 1.0])
+
 
 class TestExitCodes:
     def test_solve_closed_constants(self, tmp_path):
@@ -495,6 +504,13 @@ class TestNumberBounds:
             with pytest.raises(ConfigError, match="'k'"):
                 _read({"k": bad}, "k", int)
 
+    def test_float_limit_is_1e150(self):
+        for ok in (1e150, -1e150, 10**100, 1e-300):
+            assert _read({"k": ok}, "k", float) == float(ok)
+        for bad in (1.01e150, -1e151, 1e300, 10**400):
+            with pytest.raises(ConfigError, match="'k' needs a number of magnitude"):
+                _read({"k": bad}, "k", float)
+
     @pytest.mark.parametrize("count", [1e300, 10**400, COUNT_CAP + 1],
                              ids=["1e300", "10**400", "cap+1"])
     def test_battery_count_cap(self, tmp_path, capsys, monkeypatch, count):
@@ -523,19 +539,22 @@ class TestNumberBounds:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         assert "'samples'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("a_re", [1e300, 0.1]),
-                                              ("d", [-1e308, -1e308])])
+    # under the 1e150 cap: a_re overflows the threshold times the multiplier,
+    # d only the matrix norm, which the Jacobi oracle needs finite
+    @pytest.mark.parametrize("field, value", [("a_re", [1e150, 0.1]),
+                                              ("d", [1e150, -0.2])])
     def test_overflowing_corner_names_instance(self, tmp_path, capsys, field, value):
-        cfg = write_config(tmp_path, "o.json",
-                           {"instances": [INSTANCE, dict(INSTANCE, **{field: value})]})
+        huge = dict(INSTANCE, corner_multipliers=[1e150], **{field: value})
+        cfg = write_config(tmp_path, "o.json", {"instances": [INSTANCE, huge]})
         assert main(["lemma-check", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 4
         assert "instance #1" in capsys.readouterr().err
 
 
-# CSV digests taken at the parent of the change that had to reproduce them byte
-# for byte: lemma_check.csv before the stacked lemma-check pipeline, and
-# cone_check.csv and subsol_check.csv before the stacked analytic Hessian
+# artifact digests taken at the parent of the change that had to reproduce
+# them byte for byte: lemma_check.csv before the stacked lemma-check pipeline,
+# cone_check.csv and subsol_check.csv before the stacked analytic Hessian, and
+# the solver artifacts before BiCGStab became the only Krylov solver
 VIOLATING = {"n": 2, "d": [0.0], "a_re": [1.0], "a_im": [0.0], "epsilon": 0.1,
              "corner_multipliers": [0.01, 1.0, 1.5]}
 WIDE = {"n": 5, "d": [0.1, 0.9, -0.4, 0.0], "a_re": [1e-3, 0.5, -0.7, 2.0],
@@ -579,9 +598,26 @@ PINNED = [
      "ef6e598ea552952df30775907ef0c3636a74b0f6f50f01512f44df0a505027b6"),
     ("subsol-check", LEVEL_SET, 19, 0,
      "7776077e2d84af931b96f08a1f04e2d8a3338fe0e06672ab4c68fa12adc8362c"),
+    ("solve-closed", CLOSED_CONSTANTS, 0, 0,
+     ("ffbd6c521b301d394f861a9e5151893a6c02745be9069d97e5c02a63e18bc458",
+      "438d218c2996222a66260ee4c900ffdab0b3d43c93de41b7ce025930937d14b6")),
+    ("solve-dirichlet", DIRICHLET_SMALL, 0, 0,
+     ("5f4f86e3885c435b5bdf536b3399b35541fefb74057f7e573f52fb7d80b07213",
+      "3da05799b81392b7a0edd7a18d4bfa68e4bbd62ed07e91c5f8182cbfef3d2fd2")),
+    ("degenerate-sweep", SWEEP, 0, 0,
+     "623a0ecda44bf3c0e9cde065b56f3844e82f6d2c3c34018e473eda85d92a350d"),
+    ("exhaustion", EXHAUSTION, 0, 0,
+     "9a3eca8a9a1538896d5816a9e8b9504ff9aab06e619693c60f11ba6bef060490"),
+    ("estimate-report", ESTIMATES, 0, 0,
+     "20dcbadd860bedcbcdc17394525e727776b316df54f64c44b57168063042fdf9"),
 ]
-ARTIFACT = {"lemma-check": "lemma_check.csv", "cone-check": "cone_check.csv",
-            "subsol-check": "subsol_check.csv"}
+# the files each command's digests cover, in order
+ARTIFACT = {"lemma-check": ["lemma_check.csv"], "cone-check": ["cone_check.csv"],
+            "subsol-check": ["subsol_check.csv"],
+            "solve-closed": ["results.csv", "u_0.hcl"],
+            "solve-dirichlet": ["results.csv", "u_0.hcl"],
+            "degenerate-sweep": ["degenerate_sweep.csv"],
+            "exhaustion": ["exhaustion.csv"], "estimate-report": ["estimates.csv"]}
 
 
 @pytest.mark.parametrize("command, payload, seed, code, digest", PINNED, ids=[
@@ -589,11 +625,13 @@ ARTIFACT = {"lemma-check": "lemma_check.csv", "cone-check": "cone_check.csv",
     *(f"cone-{kind}-{seed}" for kind in ("log-det", "sigma-root", "log-sigma",
                                          "sigma-quotient", "quotient-log")
       for seed in (0, 19)),
-    "subsol-0", "subsol-19"])
+    "subsol-0", "subsol-19", "solve-closed", "solve-dirichlet", "degenerate-sweep",
+    "exhaustion", "estimate-report"])
 def test_pinned_artifact(tmp_path, command, payload, seed, code, digest):
     cfg = write_config(tmp_path, "p.json", payload)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out),
                  "--seed", str(seed), "--quiet"]) == code
-    got = hashlib.sha256((out / ARTIFACT[command]).read_bytes()).hexdigest()
-    assert got == digest
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ARTIFACT[command])
+    assert got == (digest if isinstance(digest, tuple) else (digest,))

@@ -1,10 +1,12 @@
 """Single-key mutations of the pinned CLI configs end in a documented exit code.
 
-Every numeric key of every command's config is set to 1e300, -1e300 and
-1e-300 in turn, and a seeded sample of other values (null, booleans, strings,
-zero, negatives, fractions, empty containers, NaN) replaces the other keys.
-Each mutated config must exit 0, 2, 3 or 4: a raised exception is a traceback
-at the command line.
+Every numeric key of every command's config is set to 1e300, -1e300, 10**400
+and 1e-300 in turn, and a seeded sample of other values (null, booleans,
+strings, zero, negatives, fractions, empty containers, NaN) replaces the other
+keys.  Each mutated config must exit 0, 2, 3 or 4: a raised exception is a
+traceback at the command line.  A number too large to mean anything (1e300,
+-1e300 and 10**400; integers stop at 2**53 and other numbers at 1e150) must
+exit 4 with a message naming its key.
 """
 
 import copy
@@ -12,29 +14,34 @@ import json
 import random
 
 import pytest
-from test_cli import CLOSED_CONSTANTS, CONE, DIRICHLET_SMALL, INSTANCE, SUBSOL
+from test_cli import (
+    CLOSED_CONSTANTS,
+    CONE,
+    DIRICHLET_SMALL,
+    ESTIMATES,
+    EXHAUSTION,
+    INSTANCE,
+    SUBSOL,
+    SWEEP,
+)
 
 from hcl.cli import main
 
 # the pinned configs of the CLI tests, with an option block that puts the
-# solver options under mutation too.  The degenerate sweep runs on a smaller
-# grid: with boundary_shift = +-1e300 its perturbed solve stalls at the
-# precision of 1e300 and exits 3 only after every continuation bisection.
+# solver options under mutation too
 OPTIONS = {"residual_scale": 1e-9, "max_newton": 20, "delta": 0.1, "continuation": 2}
-SWEEP = dict(DIRICHLET_SMALL, domain=dict(DIRICHLET_SMALL["domain"], x_shape=[4, 4],
-                                          s_shape=[7, 7]))
 BASES = {
     "lemma-check": [{"battery": {"count": 5, "seed": 1}}, {"instances": [INSTANCE]}],
     "cone-check": [CONE],
     "subsol-check": [SUBSOL],
     "solve-closed": [dict(CLOSED_CONSTANTS, options=OPTIONS)],
     "solve-dirichlet": [DIRICHLET_SMALL],
-    "degenerate-sweep": [dict(SWEEP, psi="logbump:0.01", ladder=[0.5, 0.25],
-                              boundary_shift=0.05)],
-    "exhaustion": [dict(DIRICHLET_SMALL, levels=[0.04, 0.02])],
-    "estimate-report": [dict(DIRICHLET_SMALL, amplitudes=[0.5, 1.0])],
+    "degenerate-sweep": [SWEEP],
+    "exhaustion": [EXHAUSTION],
+    "estimate-report": [ESTIMATES],
 }
-EXTREMES = [1e300, -1e300, 1e-300]
+HUGE = [1e300, -1e300, 10**400]
+EXTREMES = [*HUGE, 1e-300]
 OTHERS = [None, True, "x", 0, -1, 0.5, [], {}, float("nan")]
 SAMPLED = 8  # seeded draws of (key, other value) per command
 
@@ -79,7 +86,11 @@ def test_mutated_config_exits_with_a_documented_code(tmp_path, capsys, command):
                          "--out", str(tmp_path / "o"), "--quiet"])
         except Exception as exc:  # a traceback at the command line
             code = f"{type(exc).__name__}: {exc}"
-        if code not in (0, 2, 3, 4):
+        err = capsys.readouterr().err
+        key = next(k for k in reversed(path) if isinstance(k, str))
+        if value in HUGE:
+            if code != 4 or repr(key) not in err:
+                bad.append((path, value, code, err))
+        elif code not in (0, 2, 3, 4):
             bad.append((path, value, code))
-    capsys.readouterr()
     assert not bad

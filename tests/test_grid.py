@@ -70,10 +70,13 @@ class TestDomains:
         lambda: GridDomain.product(1, s_lengths=(1e-300, 1.0)),
         lambda: GridDomain.product(1, s_shape=(2, 9)),
         lambda: GridDomain.torus(2, (32, 32, 32, 33)),
+        lambda: GridDomain.torus(40, [1] * 80),
+        lambda: GridDomain.product(40, x_shape=[1] * 78),
     ], ids=["zero-nodes", "negative-nodes", "zero-length", "short-lengths",
             "nan-length", "torus-n0", "product-n0", "zero-s-nodes",
             "negative-s-length", "zero-x-length", "square-overflows",
-            "inverse-square-overflows", "two-node-s-axis", "node-cap"])
+            "inverse-square-overflows", "two-node-s-axis", "node-cap",
+            "torus-above-dimension-cap", "product-above-dimension-cap"])
     def test_rejects_degenerate_axes(self, make):
         with pytest.raises(DomainError):
             make()

@@ -9,7 +9,9 @@ node 0 and made two solves per Newton step, and a sparse LU factorization
 of the bordered system; the single bordered Krylov solve must give the same
 (v, dc) as both.  Last, it keeps the constant-coefficient inverse that applied
 `dstn` and `rfftn` along every axis; the dense-eigenbasis map must apply the
-same preconditioner, exact or not.
+same preconditioner, exact or not.  It keeps, too, the CG with which
+`poisson_dirichlet` refined before BiCGStab did; `test_solve.py` checks the
+Poisson solves against it.
 """
 
 import newton_reference as ref
@@ -30,10 +32,8 @@ from hcl.solve import (
     _spectral_inverse,
     assemble_linearized,
     build_subsolution,
-    poisson_dirichlet,
-    pullback_from_s,
     residual_field,
-    s_factor_domain,
+    s_factor_potential,
 )
 from hcl.symfunc import FuncFamily, grad_f
 
@@ -64,7 +64,7 @@ def newton_like_coefficient(dom, seed):
 
 def exhaustion_domain(alpha, s_nodes=(21, 21)):
     dom = GridDomain.product(2, x_shape=(8, 4), s_shape=s_nodes)
-    h = pullback_from_s(dom, poisson_dirichlet(s_factor_domain(dom), 1.0, 0.0))
+    h = s_factor_potential(dom)
     return dom.restrict(h.values < -alpha)
 
 
@@ -282,27 +282,27 @@ class TestBorderedSolve:
             np.testing.assert_array_equal(getattr(new, attr), getattr(old, attr))
 
     @pytest.mark.parametrize("shape", [(8, 4, 6, 4), (8, 8, 8, 8)])
-    def test_matches_pinned_reference(self, shape):
+    def test_matches_pinned_reference(self, shape, monkeypatch):
         dom = GridDomain.torus(2, shape)
         coeff = smooth_coefficient(dom, 0.3)
         a, _ = assemble_linearized(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         # a tolerance below the default keeps both Krylov errors well under 1e-10
-        opts = SolverOptions(lin_tol=1e-12)
+        monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
         inverse = _spectral_inverse(dom, coeff.mean(axis=0))
-        v, dc, iters = _solve_bordered(a, r, opts, inverse)
-        v_ref, dc_ref, ref_iters = ref._solve_bordered(a, r, r.size, opts, inverse)
+        v, dc, iters = _solve_bordered(a, r, inverse)
+        v_ref, dc_ref, ref_iters = ref._solve_bordered(a, r, r.size, inverse)
         assert iters > 0 and min(ref_iters) > 0
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10
 
-    def test_matches_factorization(self):
+    def test_matches_factorization(self, monkeypatch):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
         coeff = smooth_coefficient(dom, 0.3)
         a, _ = assemble_linearized(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
-        v, dc, _ = _solve_bordered(a, r, SolverOptions(lin_tol=1e-12),
-                                   _spectral_inverse(dom, coeff.mean(axis=0)))
+        monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
+        v, dc, _ = _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))
         v_ref, dc_ref = ref.solve_bordered_direct(a, r)
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10

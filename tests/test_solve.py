@@ -1,3 +1,4 @@
+import newton_reference as ref
 import numpy as np
 import pytest
 
@@ -32,7 +33,6 @@ from hcl.solve import (
     _bordered_matrix,
     _solve_bordered,
     _solve_general,
-    _solve_spd,
     _spectral_inverse,
     assemble_linearized,
     build_subsolution,
@@ -40,9 +40,8 @@ from hcl.solve import (
     degenerate_sweep,
     domain_exhaustion,
     poisson_dirichlet,
-    pullback_from_s,
     residual_field,
-    s_factor_domain,
+    s_factor_potential,
     solve_closed,
     solve_dirichlet,
     verify_estimates,
@@ -153,19 +152,19 @@ class TestSpectralInverse:
         h = poisson_dirichlet(dom, ScalarField(dom, rhs), 0.0)
         a = constant_operator(dom, np.eye(1))
         target = 1e-10 * (1.0 + np.max(np.abs(rhs[dom.interior])))
-        x = _solve_spd(-a, -rhs[dom.interior], target)
+        x = ref._solve_spd(-a, -rhs[dom.interior], target)
         assert np.max(np.abs(h.values[dom.interior] - x)) <= 1e-12
 
-    def test_masked_domain_goes_through_cg(self, monkeypatch):
+    def test_masked_domain_goes_through_bicgstab(self, monkeypatch):
         dom = GridDomain.product(1, s_shape=(33, 33))
         calls = []
-        cg = solve_mod.spla.cg
+        bicgstab = solve_mod.spla.bicgstab
 
-        def counting_cg(*args, **kwargs):
+        def counting_bicgstab(*args, **kwargs):
             calls.append(1)
-            return cg(*args, **kwargs)
+            return bicgstab(*args, **kwargs)
 
-        monkeypatch.setattr(solve_mod.spla, "cg", counting_cg)
+        monkeypatch.setattr(solve_mod.spla, "bicgstab", counting_bicgstab)
         h = poisson_dirichlet(dom, 1.0, 0.0)
         assert calls == []  # the box is solved directly
         sub = dom.restrict(h.values < -0.02)
@@ -174,6 +173,43 @@ class TestSpectralInverse:
         assert calls
         resid = chern_laplacian(h_sub).values[sub.interior] - 1.0
         assert np.max(np.abs(resid)) <= 2e-10
+
+    def test_uncertified_direct_solve_is_refined_or_raises(self, monkeypatch):
+        dom = GridDomain.product(1, s_shape=(33, 33))
+        rhs = ScalarField(dom, np.random.default_rng(4).normal(0, 1, dom.shape))
+        exact = poisson_dirichlet(dom, rhs, 0.0)
+        inverse = solve_mod._spectral_inverse
+
+        def inverse_off(*args):  # a direct solve 0.1% off misses the certificate
+            apply = inverse(*args)
+            return lambda r: 1.001 * apply(r)
+
+        # the off inverse then preconditions the one BiCGStab pass
+        monkeypatch.setattr(solve_mod, "_spectral_inverse", inverse_off)
+        calls = []
+        general = solve_mod._solve_general
+
+        def counting_general(*args, **kwargs):
+            calls.append(1)
+            return general(*args, **kwargs)
+
+        monkeypatch.setattr(solve_mod, "_solve_general", counting_general)
+        h = poisson_dirichlet(dom, rhs, 0.0)
+        assert calls == [1]
+        resid = chern_laplacian(h).values[dom.interior] - rhs.values[dom.interior]
+        assert np.max(np.abs(resid)) <= 1e-10 * (1 + np.max(np.abs(rhs.values)))
+        assert np.max(np.abs(h.values - exact.values)) <= 1e-12
+        # a pass that corrects nothing misses the certificate again
+        monkeypatch.setattr(solve_mod, "_solve_general",
+                            lambda a, b, *args: (np.zeros_like(b), 0))
+        with pytest.raises(NumericError, match="after one BiCGStab pass"):
+            poisson_dirichlet(dom, rhs, 0.0)
+        # and a BiCGStab breakdown is a numeric error as well
+        monkeypatch.setattr(solve_mod, "_solve_general", general)
+        monkeypatch.setattr(solve_mod.spla, "bicgstab",
+                            lambda a, b, x0=None, **kwargs: (x0, -10))
+        with pytest.raises(NumericError, match="info=-10"):
+            poisson_dirichlet(dom, rhs, 0.0)
 
     def test_krylov_iterations_flat_under_refinement(self):
         peak = []
@@ -196,8 +232,7 @@ class TestSpectralInverse:
         coeff = smooth_coefficient(dom, 0.3)
         a, _ = assemble_linearized(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
-        v, dc, iters = _solve_bordered(
-            a, r, SolverOptions(), _spectral_inverse(dom, coeff.mean(axis=0)))
+        v, dc, iters = _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))
         assert iters > 0
         assert np.max(np.abs(a @ v - dc + r)) <= 1e-9
         assert abs(v.sum()) <= 1e-9
@@ -235,10 +270,9 @@ class TestSpectralInverse:
         x0, _, s0, s1 = dom.meshgrid()
         b = scale * (np.sin(x0) * np.sin(np.pi * s0) * np.sin(np.pi * s1))[
             dom.interior]
-        opts = SolverOptions()
-        x, iters = _solve_general(a, b, opts)
+        x, iters = _solve_general(a, b)
         assert iters > 0
-        assert np.linalg.norm(a @ x - b) <= 10 * opts.lin_tol * np.linalg.norm(b)
+        assert np.linalg.norm(a @ x - b) <= 10 * solve_mod.LIN_TOL * np.linalg.norm(b)
 
     def test_uncertified_run_restarts_before_factorization(self, monkeypatch):
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
@@ -252,10 +286,9 @@ class TestSpectralInverse:
             return (x + 1e-3 if len(runs) == 1 else x), info
 
         monkeypatch.setattr(solve_mod.spla, "bicgstab", first_run_misses)
-        opts = SolverOptions()
-        x, _ = _solve_general(a, b, opts)
+        x, _ = _solve_general(a, b)
         assert runs == [0, 0]
-        assert np.linalg.norm(a @ x - b) <= 10 * opts.lin_tol * np.linalg.norm(b)
+        assert np.linalg.norm(a @ x - b) <= 10 * solve_mod.LIN_TOL * np.linalg.norm(b)
 
     def test_failed_krylov_solve_raises(self, monkeypatch):
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
@@ -265,8 +298,7 @@ class TestSpectralInverse:
         monkeypatch.setattr(solve_mod.spla, "bicgstab",
                             lambda a, b, x0=None, **kwargs: (x0, -10))
         with pytest.raises(NumericError, match="info=-10"):
-            _solve_general(a, b, SolverOptions(),
-                           _spectral_inverse(dom, coeff.mean(axis=0)))
+            _solve_general(a, b, _spectral_inverse(dom, coeff.mean(axis=0)))
 
     def test_failed_bordered_solve_is_a_gauge_error(self, monkeypatch):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
@@ -276,8 +308,7 @@ class TestSpectralInverse:
         monkeypatch.setattr(solve_mod.spla, "bicgstab",
                             lambda a, b, x0=None, **kwargs: (x0, -10))
         with pytest.raises(GaugeError, match="info=-10"):
-            _solve_bordered(a, r, SolverOptions(),
-                            _spectral_inverse(dom, coeff.mean(axis=0)))
+            _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))
 
     def test_half_step_iterations_counted(self):
         # scipy returns on a small half-step residual without calling its
@@ -337,8 +368,7 @@ class TestSupersolution:
     def test_identity_background_scales_poisson(self):
         spec = small_dirichlet_spec()
         v = build_supersolution(spec)
-        s_dom = s_factor_domain(spec.domain)
-        h = pullback_from_s(spec.domain, poisson_dirichlet(s_dom, 1.0, 0.0))
+        h = s_factor_potential(spec.domain)
         np.testing.assert_allclose(v.values, -2.0 * h.values, atol=1e-9)
         assert np.min(v.values[spec.domain.interior]) > 0.0
 
@@ -539,11 +569,10 @@ def test_newton_budget_exhausted_stalls(solver, make_spec):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("damping_min", 0.0), ("residual_scale", 0.0), ("lin_tol", -1e-11),
-    ("residual_scale", float("nan")), ("max_newton", 0), ("continuation", 0),
+    ("residual_scale", 0.0), ("residual_scale", float("nan")), ("max_newton", 0),
+    ("continuation", 0),
 ])
 def test_options_reject_values_that_cannot_converge(field, value):
-    # damping_min = 0 used to halve the line-search step forever
     with pytest.raises(DomainError):
         SolverOptions(**{field: value})
 

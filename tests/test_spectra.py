@@ -73,6 +73,18 @@ class TestEig:
         with pytest.raises(DomainError):
             eig_hermitian(np.array([[np.nan, 0], [0, 1.0]]))
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_rejects_overflowing_norm(self, stacked):
+        # |A|_F overflows: the target was inf, no sweep ran, and the unrotated
+        # diagonal [-1e300, 1e300] came back for the eigenvalues +-1.414e300
+        m = np.array([[1e300, 1e300], [1e300, -1e300]])
+        with pytest.raises(DomainError, match="overflowing norm"):
+            eig_hermitian(m[None] if stacked else m)
+        small = m * 1e-150  # whose norm is finite: rotated as usual
+        want = [-np.sqrt(2) * 1e150, np.sqrt(2) * 1e150]
+        np.testing.assert_allclose(eig_hermitian(small[None] if stacked else small),
+                                   [want] if stacked else want, rtol=1e-14)
+
     def test_zero_matrix(self):
         np.testing.assert_allclose(eig_hermitian(np.zeros((3, 3))), np.zeros(3))
 
