@@ -140,13 +140,13 @@ class GridDomain:
     def exterior(self) -> np.ndarray:
         return self.roles == EXTERIOR
 
-    def restrict(self, keep: np.ndarray, min_width: int = 3) -> "GridDomain":
+    def restrict(self, keep: np.ndarray) -> "GridDomain":
         """Sub-domain carried by a node mask (True = kept).
 
         Kept nodes adjacent (including diagonally, along the S axes) to a
         dropped node become boundary nodes; kept original-boundary nodes stay
         boundary.  Raises when the kept S cross-section is thinner than
-        min_width nodes.
+        3 nodes.
         """
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != self.shape:
@@ -179,10 +179,8 @@ class GridDomain:
         # thinnest run of kept nodes along each S axis must carry the stencils
         for ax in s_axes:
             runs = keep.any(axis=tuple(i for i in range(d) if i != ax))
-            if int(np.count_nonzero(runs)) < min_width:
-                raise ResolutionError(
-                    f"sub-domain thinner than {min_width} nodes along axis {ax}"
-                )
+            if int(np.count_nonzero(runs)) < 3:
+                raise ResolutionError(f"sub-domain thinner than 3 nodes along axis {ax}")
         return GridDomain(self.n, self.shape, self.lengths, self.periodic,
                           self.kind, roles)
 
@@ -270,7 +268,6 @@ def constant_chi(domain: GridDomain, matrix) -> HermitianField:
     n = domain.n
     if m.shape != (n, n):
         raise DomainError("background form must be n x n")
-    m = 0.5 * (m + m.conj().T)
     v = np.broadcast_to(m, domain.shape + (n, n)).copy()
     return HermitianField(domain, v)
 
@@ -328,8 +325,10 @@ def _second_mixed(p, ax_a, ax_b, ha, hb, ndim):
     return (sh(+1, +1) - sh(+1, -1) - sh(-1, +1) + sh(-1, -1)) / (4.0 * ha * hb)
 
 
-def complex_hessian(u: ScalarField) -> HermitianField:
-    """Per-node matrix of mixed complex second derivatives of u.
+def complex_hessian(u: ScalarField) -> np.ndarray:
+    """Per-node matrix of mixed complex second derivatives of u, shape
+    (*shape, n, n), exactly Hermitian: each conjugate pair is written from
+    one value and the diagonal is real.
 
     Second-order centered stencils on the real axis pairs; exact on
     quadratics.  Values at boundary nodes use the extrapolated ghost ring and
@@ -356,13 +355,12 @@ def complex_hessian(u: ScalarField) -> HermitianField:
                 out[..., j, k] = re + 1j * im
                 out[..., k, j] = re - 1j * im
     out[dom.exterior] = 0.0
-    return HermitianField(dom, out)
+    return out
 
 
 def chern_laplacian(u: ScalarField) -> ScalarField:
     """Trace of the complex Hessian: 1/4 of the Euclidean Laplacian per axis pair."""
-    hess = complex_hessian(u).values
-    return ScalarField(u.domain, np.trace(hess, axis1=-2, axis2=-1).real)
+    return ScalarField(u.domain, np.trace(complex_hessian(u), axis1=-2, axis2=-1).real)
 
 
 def gradient_sup(u: ScalarField) -> float:

@@ -42,6 +42,7 @@ from .errors import (
     ConstructionError,
     DomainError,
     GaugeError,
+    HclError,
     NumericError,
     StallError,
 )
@@ -89,6 +90,7 @@ __all__ = [
 LIN_TOL = 1e-11  # relative residual of every BiCGStab solve
 DAMPING_MIN = 1e-12  # smallest line-search step before a stall
 POISSON_SUP_TOL = 1e-10  # Poisson sup-norm residual, relative to 1 + |rhs|_inf
+ESTIMATE_SLACK = 1e-8  # of the sandwich and the normal-derivative ordering
 
 @dataclass
 class ProblemSpec:
@@ -159,8 +161,6 @@ class SolveResult:
     c: float | None
     iterations: int
     residual_history: list[float]
-    admissible: bool
-    estimates: EstimateReport | None = None
     # the BiCGStab iterations of each Newton step in both modes (a final half
     # step counts as one); diagnostics only, written to no artifact
     linear_solves: list[int] = field(default_factory=list)
@@ -191,8 +191,7 @@ class ExhaustionReport:
 
 def _g_interior(spec_chi: np.ndarray, u_vals: np.ndarray, domain: GridDomain):
     """chi + complex Hessian of u at the interior nodes, stacked (N_int, n, n)."""
-    hess = complex_hessian(ScalarField(domain, u_vals)).values
-    g = spec_chi + hess
+    g = spec_chi + complex_hessian(ScalarField(domain, u_vals))
     return g[domain.interior]
 
 
@@ -740,7 +739,7 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
         try:
             u, _, history, solves = _damped_newton(spec, u0, opts)
             return SolveResult(ScalarField(dom, u), None, len(history) - 1,
-                               history, True, linear_solves=solves)
+                               history, linear_solves=solves)
         except StallError:
             opts = replace(opts, continuation=8)
     # continuation ladder from the subsolution level
@@ -772,7 +771,7 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
                 raise
             s_values.insert(0, 0.5 * (s_prev + s))
     return SolveResult(ScalarField(dom, current), None, total_iters, history_all,
-                       True, linear_solves=solves_all)
+                       linear_solves=solves_all)
 
 
 def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
@@ -784,7 +783,7 @@ def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveR
     u, c, history, solves = _damped_newton(spec, np.zeros(spec.domain.shape), opts)
     u = u - float(np.max(u))  # the equation sees only the Hessian; c is unchanged
     return SolveResult(ScalarField(spec.domain, u), float(c), len(history) - 1,
-                       history, True, linear_solves=solves)
+                       history, linear_solves=solves)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -820,7 +819,7 @@ def degenerate_sweep(
         psi_k = ScalarField(spec.domain, spec.psi.values + rho)
         try:
             res = solve_dirichlet(replace(spec, psi=psi_k), opts)
-        except Exception as exc:
+        except HclError as exc:
             report.error = f"solve at eps={eps} failed: {exc}"
             return report
         report.epsilons.append(eps)
@@ -835,7 +834,7 @@ def degenerate_sweep(
         psi_k = ScalarField(spec.domain, spec.psi.values + 0.5 * ladder[-1])
         try:
             res_p = solve_dirichlet(replace(spec, psi=psi_k, phi=perturbed_phi), opts)
-        except Exception as exc:
+        except HclError as exc:
             report.error = f"perturbed solve failed: {exc}"
             return report
         report.stability_diff = float(
@@ -898,13 +897,10 @@ def domain_exhaustion(
 
 
 def verify_estimates(
-    result: SolveResult,
-    spec: ProblemSpec,
-    usub: ScalarField | None = None,
-    usuper: ScalarField | None = None,
-    slack: float = 1e-8,
+    result: SolveResult, spec: ProblemSpec, usub: ScalarField, usuper: ScalarField
 ) -> EstimateReport:
-    """Sandwich, normal-derivative ordering and the quadratic-growth ratios.
+    """Sandwich usub <= u <= usuper, normal-derivative ordering (both within
+    ESTIMATE_SLACK) and the quadratic-growth ratios.
 
     The second-order ratio is sup |ddbar u| / (1 + sup |grad u|^2); the
     boundary ratio is max over boundary nodes of
@@ -913,26 +909,23 @@ def verify_estimates(
     """
     dom = spec.domain
     u = result.u
-    hess = complex_hessian(u).values
+    hess = complex_hessian(u)
     live = ~dom.exterior
     lam_u = _eigvalsh(hess[dom.interior])
     sup_dbar = float(np.max(np.abs(lam_u))) if lam_u.size else 0.0
     grad_sq = gradient_sup(u)
     ratio2nd = sup_dbar / (1.0 + grad_sq)
 
-    sandwich_ok = True
-    if usub is not None:
-        sandwich_ok &= bool(np.all(u.values[live] >= usub.values[live] - slack))
-    if usuper is not None:
-        sandwich_ok &= bool(np.all(u.values[live] <= usuper.values[live] + slack))
+    sandwich_ok = bool(np.all(u.values[live] >= usub.values[live] - ESTIMATE_SLACK)
+                       and np.all(u.values[live] <= usuper.values[live] + ESTIMATE_SLACK))
 
     normal_order_ok = True
-    if usub is not None and usuper is not None and dom.boundary.any():
+    if dom.boundary.any():
         d_sub = boundary_normal_derivatives(usub)
         d_u = boundary_normal_derivatives(u)
         d_sup = boundary_normal_derivatives(usuper)
         for (ax, side, lo), (_, _, mid), (_, _, hi) in zip(d_sub, d_u, d_sup):
-            scale = slack * (1.0 + float(np.max(np.abs(mid))))
+            scale = ESTIMATE_SLACK * (1.0 + float(np.max(np.abs(mid))))
             normal_order_ok &= bool(np.all(lo <= mid + scale))
             normal_order_ok &= bool(np.all(mid <= hi + scale))
 

@@ -49,6 +49,7 @@ __all__ = [
 
 _OFF_TOL = 1e-12
 _MAX_SWEEPS = 100
+SLACK_SCALE = 1e-10  # localization slack per unit of 1 + |A|_F
 
 
 def hermitize(a) -> np.ndarray:
@@ -351,28 +352,28 @@ class LocalizationVerdict(NamedTuple):
     witness: tuple[float, ...]  # sorted eigenvalues
 
 
-def localize(b, eps, slack_scale: float = 1e-10):
+def localize(b, eps):
     """Check the quantitative localization conclusion for a bordered matrix, or
     for every row of a BorderedStack by one stacked sweep, with eigenvalues from
     the Jacobi oracle (see localization_verdict)."""
     _positive(eps)
-    return localization_verdict(b, eps, eig_hermitian(b.embed()), slack_scale)
+    return localization_verdict(b, eps, eig_hermitian(b.embed()))
 
 
-def localization_verdict(b, eps, lam, slack_scale: float = 1e-10):
+def localization_verdict(b, eps, lam):
     """Match the ascending eigenvalues lam of b.embed() to the localization
     intervals.
 
     The n-1 smallest are matched to the diagonal entries by the
     minimal-total-displacement assignment (sort both sides and pair in order;
     the conclusion is only claimed up to a proper permutation).  Strict
-    inequalities are relaxed by slack_scale * (1 + |A|_F) to absorb eigensolver
+    inequalities are relaxed by SLACK_SCALE * (1 + |A|_F) to absorb eigensolver
     error, with |A|_F = |lam|_2 for the Hermitian A.  b is a BorderedHermitian
     with lam (n,), or a BorderedStack with lam (m, n) and eps scalar or per row.
     """
     s = b if isinstance(b, BorderedStack) else b.stack()
     lam = np.asarray(lam, dtype=float).reshape(len(s.corner), s.n)
-    slack = slack_scale * (1.0 + np.array([math.hypot(*row) for row in lam.tolist()]))
+    slack = SLACK_SCALE * (1.0 + np.array([math.hypot(*row) for row in lam.tolist()]))
     offsets = np.abs(lam[:, :-1] - np.sort(s.d, axis=1))
     top = lam[:, -1]
     hi_lim = s.corner + (s.n - 1) * eps
@@ -398,16 +399,14 @@ class RefinementVerdict:
     witness: tuple[float, ...]
 
 
-def refinement_localize(
-    b: BorderedHermitian, eps: float, slack_scale: float = 1e-10
-) -> RefinementVerdict:
+def refinement_localize(b: BorderedHermitian, eps: float) -> RefinementVerdict:
     """Check the weaker conclusion: every non-top eigenvalue within eps of SOME
     diagonal entry, and 0 <= lambda_n - corner < (n-1) eps + |sum(d_a - d_{i_a})|.
     """
     threshold = refinement_threshold(b, eps)  # rejects eps <= 0 first
     a = b.embed()
     lam = eig_hermitian(a)
-    slack = slack_scale * (1.0 + float(np.linalg.norm(a)))
+    slack = SLACK_SCALE * (1.0 + float(np.linalg.norm(a)))
     n = b.n
     d = np.asarray(b.d)
     low = lam[: n - 1]

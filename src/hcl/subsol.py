@@ -158,10 +158,8 @@ def level_set_point(
     return t_hi[0] * direction
 
 
-def sample_level_set(
-    family: FuncFamily, sigma: float, count: int, seed: int, spread: float = 2.0
-) -> np.ndarray:
-    """Fan of level-set points from 1-shift rays through quasi-random bases;
+def sample_level_set(family: FuncFamily, sigma: float, count: int, seed: int) -> np.ndarray:
+    """Fan of level-set points from 1-shift rays through normal(0, 2) bases;
     each round draws a base per missing point and drops those that miss.
     Raises once 100 * count rays are drawn, fewer than 1% of them hits."""
     rng = np.random.default_rng(seed)
@@ -172,7 +170,7 @@ def sample_level_set(
             raise RangeError(f"level {sigma} met by {got} of {drawn} shifted rays")
         drawn += count - got
         found, errors = _shift_to_level(
-            family, sigma, rng.normal(0.0, spread, (count - got, family.n)))
+            family, sigma, rng.normal(0.0, 2.0, (count - got, family.n)))
         keep = [i for i, err in enumerate(errors) if err is None]
         pts[got : got + len(keep)] = found[keep]
         got += len(keep)

@@ -11,8 +11,9 @@ axis, and `gamma_g_criteria` the one that evaluated its t-ladder one rung per
 through the scalar Jacobi sweep.  `hess_f` is the one-point analytic Hessian
 with its per-point derivative tables, which `check_structure` here calls once
 per point, and `coercivity_floor` and `is_c_subsolution` are the per-point,
-per-radius and per-rung loops.  They are kept verbatim (only the imports and
-`localize`'s return type differ) so the tests can require bit-identical
+per-radius and per-rung loops.  They are kept verbatim (only the imports,
+`localize`'s return type and `gamma_g_criteria`'s probe draw, which calls
+`sample_cone` here, differ) so the tests can require bit-identical
 points, contexts, draws, thresholds, verdicts, Hessians and error messages
 from the stacked code.
 """
@@ -42,7 +43,6 @@ from hcl.symfunc import (
     LADDER_T_MAX,
     _admissible_sigmas,
     _ladder,
-    _probe_set,
     _sigma_all_excluding,
     elementary_all,
     in_cone,
@@ -551,7 +551,7 @@ def gamma_g_criteria(
     crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
     slopes = vals[-4:] / ladder[-4:]
     crit2 = bool(np.max(slopes) >= -1e-7 * scale)
-    mus = [_probe_set(family, probes, seed)]
+    mus = [sample_cone(family, probes, seed)]
     for t_big in (2.0 ** 8, 2.0 ** 14, 2.0 ** 20):
         mus.append(t_big * mus[0][: max(probes // 4, 1)])
         mus.append(t_big * lam[None, :])

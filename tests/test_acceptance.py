@@ -59,7 +59,7 @@ class TestAcceptance:
         violations = 0
         for _, b, eps, mult in battery(1000, seed=42):
             b = replace(b, corner=mult * growth_threshold(b, eps))
-            violations += int(np.count_nonzero(~localize(b, eps, slack_scale=1e-10).satisfied))
+            violations += int(np.count_nonzero(~localize(b, eps).satisfied))
         elapsed = time.perf_counter() - t0
         report(
             "crit-01 lemma-battery",

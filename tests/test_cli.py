@@ -135,6 +135,15 @@ class TestExitCodes:
         assert main(["solve-dirichlet", "--config", path,
                      "--out", str(tmp_path / "out"), "--quiet"]) == 3
 
+    def test_degenerate_sweep_abort_exit_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "abort.json", dict(SWEEP, options={"max_newton": 1}))
+        out = tmp_path / "out"
+        assert main(["degenerate-sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert ("degenerate-sweep aborted: solve at eps=0.5 failed"
+                in capsys.readouterr().err)
+        rows = (out / "degenerate_sweep.csv").read_text().splitlines()
+        assert len(rows) == 3  # the header only
+
     # key: the config key the message must name; None where GridDomain,
     # SolverOptions, build_context or the field-expression parser rejects it
     @pytest.mark.parametrize("command, payload, key", [
@@ -262,6 +271,7 @@ class TestExitCodes:
             DIRICHLET_SMALL["domain"], s_shape=[2, 13])), "s_shape"),
         ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
             CLOSED_CONSTANTS["domain"], shape=[64, 64, 64, 64])), "shape"),
+        ("solve-closed", DIRICHLET_SMALL, "closed mode needs a fully periodic domain"),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
@@ -285,7 +295,7 @@ class TestExitCodes:
             "empty-ladder", "empty-levels", "empty-amplitudes",
             "non-positive-levels", "increasing-levels", "huge-x-length",
             "huge-torus-length", "tiny-s-length", "torus-n-40", "family-n-9",
-            "two-node-s-axis", "node-cap"])
+            "two-node-s-axis", "node-cap", "closed-on-product"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload, key):
         cfg = write_config(tmp_path, "bad.json", payload)

@@ -256,7 +256,7 @@ class TestStructureReport:
 class TestGammaG:
     def test_mixed_family_classification(self):
         v = in_gamma_g(MIXED, [-0.4, 1, 1])
-        assert v.in_gamma and not v.in_gamma_g and not v.indeterminate
+        assert not v.in_gamma_g and not v.indeterminate
         assert in_gamma_g(MIXED, [1, 1, 1]).in_gamma_g
 
     def test_log_det_always_inside(self):
@@ -274,21 +274,28 @@ class TestGammaG:
             analytic = sigma_k(lam, 3) >= 0.0
             assert c1 == c2 == c3 == analytic
 
+    @pytest.mark.parametrize("crit1, crit3, indeterminate", [
+        (False, False, True), (False, True, False), (True, False, False),
+        (True, True, False),
+    ], ids=["both-disagree", "ladder-disagrees", "pairing-disagrees", "both-agree"])
+    def test_indeterminate_only_when_both_criteria_disagree(
+            self, monkeypatch, crit1, crit3, indeterminate):
+        from hcl import symfunc
+
+        monkeypatch.setattr(symfunc, "_ray_criteria",
+                            lambda family, lam: (None, None, None, crit1, crit3))
+        v = in_gamma_g(LOGDET3, [1.0, 2.0, 3.0])  # analytic verdict: inside
+        assert v.in_gamma_g and v.indeterminate == indeterminate
+
     def test_probe_set_drawn_once(self, monkeypatch):
         from hcl import symfunc
 
-        probes = symfunc._probe_set(MIXED, 32, 0)
+        probes = symfunc._probe_set(MIXED)
         assert not probes.flags.writeable
         np.testing.assert_array_equal(probes, sample_cone(MIXED, 32, 0))
         monkeypatch.setattr(symfunc, "sample_cone", None)  # any new draw fails
         assert gamma_g_criteria(MIXED, [1.0, 1.0, 1.0]) == (True, True, True)
-        assert symfunc._probe_set(MIXED, 32, 0) is probes
-
-    def test_verdict_invariant(self):
-        with pytest.raises(DomainError):
-            from hcl.symfunc import ConeVerdict
-
-            ConeVerdict(in_gamma=False, in_gamma_g=True, margin=0.0)
+        assert symfunc._probe_set(MIXED) is probes
 
 
 class TestCoercivityFloor:
