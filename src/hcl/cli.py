@@ -26,6 +26,7 @@ from .errors import (
     HclError,
     HypothesisError,
     LemmaViolationError,
+    NumericError,
 )
 from .grid import GridDomain, HermitianField, ScalarField, constant_chi, identity_chi
 
@@ -170,7 +171,13 @@ def _chi_from(domain: GridDomain, spec, base_dir: Path) -> HermitianField:
     raise ConfigError(f"bad chi spec {spec!r}")
 
 
-def _problem_from(cfg: dict, mode: str) -> hsolve.ProblemSpec:
+# option -> (kind, low); SolverOptions holds the defaults and checks the rest
+_OPTIONS = {"residual_scale": (float, None), "max_newton": (int, 1),
+            "delta": (float, None), "continuation": (int, 1)}
+
+
+def _problem_from(cfg: dict, mode: str, seed: int):
+    """The ProblemSpec of a solver config, then its SolverOptions."""
     base_dir = Path(_read(cfg, "base_dir", str, "."))
     domain = _domain_from(_read(cfg, "domain", dict))
     family = _family_from(_read(cfg, "family", dict))
@@ -178,21 +185,14 @@ def _problem_from(cfg: dict, mode: str) -> hsolve.ProblemSpec:
     psi = _expression_field(domain, _read(cfg, "psi", object), base_dir)
     phi = _read(cfg, "phi", object, None)
     phi = None if phi is None else _expression_field(domain, phi, base_dir)
-    return hsolve.ProblemSpec(domain, family, chi, psi, phi, mode)
-
-
-# option -> (kind, default, low); SolverOptions checks the rest
-_OPTIONS = {"residual_scale": (float, 1e-9), "max_newton": (int, 80, 1),
-            "delta": (float, 0.1), "continuation": (int, None, 1)}
-
-
-def _options_from(cfg: dict, seed: int) -> hsolve.SolverOptions:
+    spec = hsolve.ProblemSpec(domain, family, chi, psi, phi, mode)
     opts = _read(cfg, "options", dict, {})
     unknown = sorted(set(opts) - set(_OPTIONS))
     if unknown:
         raise ConfigError("unknown option " + ", ".join(map(repr, unknown)))
-    return hsolve.SolverOptions(
-        seed=seed, **{key: _read(opts, key, *how) for key, how in _OPTIONS.items()})
+    given = {key: _read(opts, key, kind, None, low) for key, (kind, low) in _OPTIONS.items()}
+    return spec, hsolve.SolverOptions(
+        seed=seed, **{key: v for key, v in given.items() if v is not None})
 
 
 # ----------------------------------------------------------------- commands
@@ -227,9 +227,7 @@ def _lemma_blocks(cfg: dict, seed: int) -> list:
             for pos, ids, d, re, im, eps, mult in blocks]
 
 
-def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
-    if isinstance(cfg, list):
-        cfg = {"instances": cfg}
+def _cmd_lemma_check(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     # per matrix size: thresholds, corners and one stacked oracle call
     parts = []
     for rows, ids, b, eps, mult in _lemma_blocks(cfg, seed):
@@ -251,12 +249,11 @@ def _cmd_lemma_check(cfg, out: Path, seed: int, quiet: bool) -> int:
     writer.extend(*(col[order] for col in table))
     writer.flush()
     bad = int(np.count_nonzero(~table[6]))
-    if not quiet:
-        print(f"lemma-check: {rows.size} verdicts, {bad} violations")
-    return EXIT_FINDINGS if bad else EXIT_OK
+    return (EXIT_FINDINGS if bad else EXIT_OK,
+            f"lemma-check: {rows.size} verdicts, {bad} violations")
 
 
-def _cmd_cone_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def _cmd_cone_check(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     family = _family_from(_read(cfg, "family", dict))
     samples = _read(cfg, "samples", int, 100, low=1, high=COUNT_CAP)
     rep = symfunc.check_structure(family, samples, seed)
@@ -270,12 +267,11 @@ def _cmd_cone_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
                rep.max_hessian_eigenvalue, rep.worst_chord_violation,
                rep.worst_fd_gradient_mismatch, rep.violations)
     writer.flush()
-    if not quiet:
-        print(f"cone-check: {family.label()}: {rep.violations} violations")
-    return EXIT_FINDINGS if rep.violations else EXIT_OK
+    return (EXIT_FINDINGS if rep.violations else EXIT_OK,
+            f"cone-check: {family.label()}: {rep.violations} violations")
 
 
-def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def _cmd_subsol_check(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     family = _family_from(_read(cfg, "family", dict))
     sigma, delta, radius = (_read(cfg, k, float) for k in ("sigma", "delta", "radius"))
     mu = np.asarray(_read(cfg, "mu", [float]))
@@ -294,13 +290,10 @@ def _cmd_subsol_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
                         (o.case1, o.case2, o.margin1, o.margin2, o.weight)))
     neither = outcomes.count(None)
     writer.flush()
-    if not quiet:
-        print(
+    return (EXIT_FINDINGS if neither else EXIT_OK,
             f"subsol-check: eps={ctx.epsilon:.6g} (R0={ctx.r0:.6g}, "
             f"eps1={ctx.eps1:.6g}, delta0={ctx.delta0:.6g}); "
-            f"{samples} points, {neither} without a case"
-        )
-    return EXIT_FINDINGS if neither else EXIT_OK
+            f"{samples} points, {neither} without a case")
 
 
 def _result_row(writer, run_id, result, report=None):
@@ -326,9 +319,8 @@ def _dirichlet_run(writer, run_id, spec, opts) -> hsolve.SolveResult:
     return result
 
 
-def _cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool, mode: str) -> int:
-    spec = _problem_from(cfg, mode)
-    opts = _options_from(cfg, seed)
+def _cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> tuple[int, str]:
+    spec, opts = _problem_from(cfg, mode, seed)
     writer = hio.CsvWriter(out / "results.csv", _RESULT_COLUMNS, seed)
     if mode == "closed":
         result = hsolve.solve_closed(spec, opts)
@@ -337,16 +329,13 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool, mode: str) -> int:
         result = _dirichlet_run(writer, "dirichlet-0", spec, opts)
     writer.flush()
     hio.write_scalar_field(out / "u_0.hcl", result.u)
-    if not quiet:
-        c_txt = f", c={result.c:.3e}" if result.c is not None else ""
-        print(f"solve-{mode}: {result.iterations} iterations, "
-              f"residual {result.residual_history[-1]:.3e}{c_txt}")
-    return EXIT_OK
+    c_txt = f", c={result.c:.3e}" if result.c is not None else ""
+    return EXIT_OK, (f"solve-{mode}: {result.iterations} iterations, "
+                     f"residual {result.residual_history[-1]:.3e}{c_txt}")
 
 
-def _cmd_degenerate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    spec = _problem_from(cfg, "dirichlet")
-    opts = _options_from(cfg, seed)
+def _cmd_degenerate(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
+    spec, opts = _problem_from(cfg, "dirichlet", seed)
     ladder = _read(cfg, "ladder", [float], [1.0, 0.5, 0.25, 0.125], low=1)
     shift = _read(cfg, "boundary_shift", float, None)
     perturbed = None if shift is None else ScalarField(
@@ -365,20 +354,14 @@ def _cmd_degenerate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     for i, res in enumerate(report.results):
         hio.write_scalar_field(out / f"u_eps{i}.hcl", res.u)
     if report.error:
-        print(f"degenerate-sweep aborted: {report.error}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if not quiet:
-        extra = ""
-        if report.stability_diff is not None:
-            extra = (f"; stability diff {report.stability_diff:.6g}"
-                     f" vs bound {report.stability_bound:.6g}")
-        print(f"degenerate-sweep: {len(report.results)} solves{extra}")
-    return EXIT_OK
+        raise NumericError(f"degenerate-sweep aborted: {report.error}")
+    extra = "" if report.stability_diff is None else (
+        f"; stability diff {report.stability_diff:.6g} vs bound {report.stability_bound:.6g}")
+    return EXIT_OK, f"degenerate-sweep: {len(report.results)} solves{extra}"
 
 
-def _cmd_exhaustion(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    spec = _problem_from(cfg, "dirichlet")
-    opts = _options_from(cfg, seed)
+def _cmd_exhaustion(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
+    spec, opts = _problem_from(cfg, "dirichlet", seed)
     levels = _read(cfg, "levels", [float], low=1)
     report = hsolve.domain_exhaustion(spec, levels, opts)
     writer = hio.CsvWriter(
@@ -389,14 +372,11 @@ def _cmd_exhaustion(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     writer.extend(report.levels, report.interior_counts, report.diffs_to_full,
                   [float("nan"), *report.consecutive_diffs])
     writer.flush()
-    if not quiet:
-        print(f"exhaustion: {len(report.levels)} nested solves")
-    return EXIT_OK
+    return EXIT_OK, f"exhaustion: {len(report.levels)} nested solves"
 
 
-def _cmd_estimate_report(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    spec = _problem_from(cfg, "dirichlet")
-    opts = _options_from(cfg, seed)
+def _cmd_estimate_report(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
+    spec, opts = _problem_from(cfg, "dirichlet", seed)
     scales = _read(cfg, "amplitudes", [float], [0.25, 0.5, 1.0], low=1)
     # run ids keep the JSON spelling of each amplitude: amp-1 is not amp-1.0
     amplitudes = cfg.get("amplitudes") or scales
@@ -405,9 +385,7 @@ def _cmd_estimate_report(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         psi_a = ScalarField(spec.domain, scale * spec.psi.values)
         _dirichlet_run(writer, f"amp-{amp}", replace(spec, psi=psi_a), opts)
     writer.flush()
-    if not quiet:
-        print(f"estimate-report: {len(amplitudes)} amplitude runs")
-    return EXIT_OK
+    return EXIT_OK, f"estimate-report: {len(amplitudes)} amplitude runs"
 
 
 _COMMANDS = {
@@ -436,13 +414,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        if not isinstance(cfg, (dict, list)):
+        if isinstance(cfg, list):
+            if args.command != "lemma-check":
+                raise ConfigError("array configs are only valid for lemma-check")
+            cfg = {"instances": cfg}
+        if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object or array")
-        if isinstance(cfg, list) and args.command != "lemma-check":
-            raise ConfigError("array configs are only valid for lemma-check")
         seed = _read(vars(args), "seed", int, low=0)  # numpy seeds are >= 0
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, Path(args.out), seed, args.quiet)
+        code, summary = _COMMANDS[args.command](cfg, Path(args.out), seed)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -452,6 +432,9 @@ def main(argv=None) -> int:
     except HclError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    if not args.quiet:
+        print(summary)
+    return code
 
 
 if __name__ == "__main__":

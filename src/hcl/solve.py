@@ -726,6 +726,8 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
     bisected adaptively on further stalls.
     """
     opts = opts or SolverOptions()
+    if spec.mode != "dirichlet":
+        raise DomainError("solve_dirichlet needs Dirichlet mode")
     if spec.degenerate:
         raise AdmissibilityError("degenerate right-hand side: use degenerate_sweep")
     if opts.subsolution is not None:

@@ -12,14 +12,16 @@ through the scalar Jacobi sweep.  `hess_f` is the one-point analytic Hessian
 with its per-point derivative tables, which `check_structure` here calls once
 per point, and `coercivity_floor` and `is_c_subsolution` are the per-point,
 per-radius and per-rung loops.  They are kept verbatim (only the imports,
-`localize`'s return type and `gamma_g_criteria`'s probe draw, which calls
-`sample_cone` here, differ) so the tests can require bit-identical
+`localize`'s return type and `gamma_g_criteria`'s probe draw differ: it calls
+`sample_cone` here, once per (family, probes, seed), and reuses that read-only
+draw on every later call) so the tests can require bit-identical
 points, contexts, draws, thresholds, verdicts, Hessians and error messages
 from the stacked code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -529,6 +531,14 @@ def check_structure(family: FuncFamily, samples: int, seed: int) -> StructureRep
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _probe_draw(family: FuncFamily, probes: int, seed: int) -> np.ndarray:
+    """`sample_cone(family, probes, seed)`, drawn once and returned read-only."""
+    mus = sample_cone(family, probes, seed)
+    mus.flags.writeable = False
+    return mus
+
+
 def gamma_g_criteria(
     family: FuncFamily,
     lam,
@@ -551,7 +561,7 @@ def gamma_g_criteria(
     crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
     slopes = vals[-4:] / ladder[-4:]
     crit2 = bool(np.max(slopes) >= -1e-7 * scale)
-    mus = [sample_cone(family, probes, seed)]
+    mus = [_probe_draw(family, probes, seed)]
     for t_big in (2.0 ** 8, 2.0 ** 14, 2.0 ** 20):
         mus.append(t_big * mus[0][: max(probes // 4, 1)])
         mus.append(t_big * lam[None, :])

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import hcl.solve as solve_mod
+from hcl import io as hio
 from hcl import spectra, subsol, symfunc
 from hcl.cli import COUNT_CAP, _domain_from, _read, main
 from hcl.errors import ConfigError
+from hcl.grid import ScalarField, identity_chi
 
 
 def write_config(tmp_path, name, payload):
@@ -272,6 +274,8 @@ class TestExitCodes:
         ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
             CLOSED_CONSTANTS["domain"], shape=[64, 64, 64, 64])), "shape"),
         ("solve-closed", DIRICHLET_SMALL, "closed mode needs a fully periodic domain"),
+        ("cone-check", 3, "config must be a JSON object or array"),
+        ("solve-dirichlet", [DIRICHLET_SMALL], "array configs are only valid for lemma-check"),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
@@ -295,7 +299,8 @@ class TestExitCodes:
             "empty-ladder", "empty-levels", "empty-amplitudes",
             "non-positive-levels", "increasing-levels", "huge-x-length",
             "huge-torus-length", "tiny-s-length", "torus-n-40", "family-n-9",
-            "two-node-s-axis", "node-cap", "closed-on-product"])
+            "two-node-s-axis", "node-cap", "closed-on-product", "scalar-config",
+            "array-config"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload, key):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -645,3 +650,40 @@ def test_pinned_artifact(tmp_path, command, payload, seed, code, digest):
     got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in ARTIFACT[command])
     assert got == (digest if isinstance(digest, tuple) else (digest,))
+
+
+
+# the last pinned entry of each command, without its command name
+LAST_PINNED = {command: rest for command, *rest in PINNED}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT))
+def test_summary_line_unless_quiet(tmp_path, capsys, command):
+    payload, seed, code, _ = LAST_PINNED[command]
+    argv = [command, "--config", write_config(tmp_path, "p.json", payload),
+            "--out", str(tmp_path / "out"), "--seed", str(seed)]
+    assert main(argv) == code
+    printed = capsys.readouterr()
+    assert len(printed.out.splitlines()) == 1 and printed.out.startswith(f"{command}: ")
+    assert printed.err == ""
+    assert main([*argv, "--quiet"]) == code
+    assert capsys.readouterr() == ("", "")
+
+
+def test_dirichlet_field_forms_match_pinned(tmp_path):
+    # psi, phi and chi read from field files, and chi as a constant matrix,
+    # give the bytes of the expression forms
+    dom = _domain_from(DIRICHLET_SMALL["domain"])
+    hio.write_scalar_field(tmp_path / "psi.hcl", ScalarField.full(dom, 0.4))
+    hio.write_scalar_field(tmp_path / "phi.hcl", ScalarField.zeros(dom))
+    hio.write_hermitian_field(tmp_path / "chi.hcl", identity_chi(dom))
+    files = dict(DIRICHLET_SMALL, base_dir=str(tmp_path), psi={"file": "psi.hcl"},
+                 phi={"file": "phi.hcl"}, chi={"file": "chi.hcl"})
+    constant = dict(DIRICHLET_SMALL, chi={"constant": [[1, 0], [0, 1]]})
+    for form, payload in (("files", files), ("constant", constant)):
+        out = tmp_path / form
+        assert main(["solve-dirichlet", "--config", write_config(tmp_path, "p.json", payload),
+                     "--out", str(out), "--quiet"]) == 0
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ARTIFACT["solve-dirichlet"])
+        assert got == LAST_PINNED["solve-dirichlet"][-1]

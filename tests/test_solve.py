@@ -472,6 +472,16 @@ class TestDirichletSolve:
         with pytest.raises(AdmissibilityError):
             solve_dirichlet(spec)
 
+    def test_requires_dirichlet_mode(self):
+        # with a handed subsolution this read the closed spec's phi = None
+        # (AttributeError); without one, build_subsolution refused it
+        dom = GridDomain.torus(2, (8, 4, 8, 4))
+        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
+                           ScalarField.full(dom, 0.0), None, "closed")
+        for opts in (None, SolverOptions(subsolution=ScalarField.zeros(dom))):
+            with pytest.raises(DomainError, match="solve_dirichlet needs Dirichlet mode"):
+                solve_dirichlet(spec, opts)
+
 
 class TestLinearization:
     def test_jacobian_matches_directional_derivative(self):

@@ -268,11 +268,16 @@ class TestGammaG:
             in_gamma_g(MIXED, [-0.5, 1, 1])
 
     def test_criteria_agree_with_analytic_verdict(self):
-        pts = sample_cone(MIXED, 60, seed=5)
-        for lam in pts:
-            c1, c2, c3 = gamma_g_criteria(MIXED, lam)
-            analytic = sigma_k(lam, 3) >= 0.0
-            assert c1 == c2 == c3 == analytic
+        # quotient-log with k = n is inside everywhere: sigma_{n+1} vanishes
+        cases = [(MIXED, lambda lam: sigma_k(lam, 3) >= 0.0)] + [
+            (FuncFamily.quotient_log(n, (0.5,) * n, n), lambda lam: True)
+            for n in (2, 3, 4)]
+        for family, analytic in cases:
+            for lam in sample_cone(family, 60, seed=5):
+                c1, c2, c3 = gamma_g_criteria(family, lam)
+                v = in_gamma_g(family, lam)
+                assert c1 == c2 == c3 == v.in_gamma_g == analytic(lam)
+                assert not v.indeterminate
 
     @pytest.mark.parametrize("crit1, crit3, indeterminate", [
         (False, False, True), (False, True, False), (True, False, False),
