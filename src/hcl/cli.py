@@ -310,11 +310,10 @@ _RESULT_COLUMNS = ["run_id", "iterations", "residual", "c", "ratio2nd",
 
 
 def _dirichlet_run(writer, run_id, spec, opts) -> hsolve.SolveResult:
-    """Subsolution, Dirichlet solve from it, estimate check and result row."""
-    usub, _ = hsolve.build_subsolution(spec, opts.delta)
-    result = hsolve.solve_dirichlet(spec, replace(opts, subsolution=usub))
+    """Dirichlet solve, estimate check against its subsolution, result row."""
+    result = hsolve.solve_dirichlet(spec, opts)
     usuper = hsolve.build_supersolution(spec)
-    report = hsolve.verify_estimates(result, spec, usub, usuper)
+    report = hsolve.verify_estimates(result, spec, result.subsolution, usuper)
     _result_row(writer, run_id, result, report)
     return result
 

@@ -4,8 +4,10 @@ One damped-Newton core serves both modes: every accepted step must keep
 lambda(g[u]) inside the cone at all interior nodes and decrease the sup-norm
 residual.  Closed mode solves for the pair (u, c) in f(...) = psi + c on a
 fully periodic domain with a zero-mean gauge on the updates and sup u = 0
-applied after convergence.  Dirichlet mode starts from a strict subsolution
-with u = phi on the boundary, optionally along a continuation ladder.
+applied after convergence.  Dirichlet mode builds a strict subsolution with
+u = phi on the boundary, starts from it (optionally along a continuation
+ladder) and returns it.  `residual_field` alone evaluates g = chi + i ddbar u,
+lambda(g), the cone test and f.
 
 Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
 unmasked box it inverts a constant-coefficient operator by a real FFT along
@@ -134,7 +136,6 @@ class SolverOptions:
     delta: float = 0.1  # subsolution strictness
     continuation: int | None = None  # number of uniform steps; None = direct
     seed: int = 0
-    subsolution: ScalarField | None = None
 
     def __post_init__(self):
         if not self.residual_scale > 0:
@@ -164,6 +165,7 @@ class SolveResult:
     # the BiCGStab iterations of each Newton step in both modes (a final half
     # step counts as one); diagnostics only, written to no artifact
     linear_solves: list[int] = field(default_factory=list)
+    subsolution: ScalarField | None = None  # the start of a Dirichlet solve
 
 
 @dataclass
@@ -187,12 +189,6 @@ class ExhaustionReport:
 
 
 # ----------------------------------------------------------------- helpers
-
-
-def _g_interior(spec_chi: np.ndarray, u_vals: np.ndarray, domain: GridDomain):
-    """chi + complex Hessian of u at the interior nodes, stacked (N_int, n, n)."""
-    g = spec_chi + complex_hessian(ScalarField(domain, u_vals))
-    return g[domain.interior]
 
 
 def _eigvalsh(g: np.ndarray) -> np.ndarray:
@@ -232,16 +228,15 @@ def _newton_coefficient(family: FuncFamily, g: np.ndarray, lam: np.ndarray):
 
 
 def residual_field(spec: ProblemSpec, u_vals: np.ndarray, c: float = 0.0):
-    """(residual over interior nodes, admissible flag, eigenvalues, g), where
-    g = chi + i ddbar u is the stacked interior matrix the eigenvalues are of."""
-    g = _g_interior(spec.chi.values, u_vals, spec.domain)
+    """(r, lam, g) at the interior nodes: g = chi + i ddbar u, lam = lambda(g)
+    and r = f(lam) - psi - c, or None if some lam is outside Gamma_k or not finite."""
+    dom = spec.domain
+    g = (spec.chi.values + complex_hessian(ScalarField(dom, u_vals)))[dom.interior]
     lam = _eigvalsh(g)
-    ok = in_cone(lam, spec.family.k)
-    if not np.all(ok):
-        return None, False, lam, g
-    psi_int = spec.psi.values[spec.domain.interior]
-    r = eval_f(spec.family, lam) - psi_int - c
-    return r, True, lam, g
+    try:
+        return eval_f(spec.family, lam) - spec.psi.values[dom.interior] - c, lam, g
+    except (AdmissibilityError, DomainError):  # DomainError: lam not finite
+        return None, lam, g
 
 
 def _mixed_pieces(j: int, k: int, c):
@@ -583,26 +578,19 @@ def build_subsolution(
     if delta <= 0:
         raise DomainError("strictness delta must be positive")
     h = s_factor_potential(spec.domain)
-    psi_int = spec.psi.values[spec.domain.interior]
+    strict = replace(spec, psi=ScalarField(spec.domain, spec.psi.values + delta))
     last_reason = ""
     for t in [0.0, *_ladder(t_max)]:
         u_vals = spec.phi.values + t * h.values
-        g = _g_interior(spec.chi.values, u_vals, spec.domain)
-        lam = _eigvalsh(g)
-        ok = in_cone(lam, spec.family.k)
-        if not np.all(ok):
-            bad = int(np.flatnonzero(~ok)[0])
+        short, lam, _ = residual_field(strict, u_vals)
+        if short is None:
+            bad = int(np.argmin(in_cone(lam, spec.family.k)))
             last_reason = f"cone violation at interior node #{bad} for t={t}"
-            continue
-        vals = eval_f(spec.family, lam)
-        short = vals - (psi_int + delta)
-        if np.all(short >= 0.0):
+        elif np.all(short >= 0.0):
             return ScalarField(spec.domain, u_vals), float(t)
-        bad = int(np.argmin(short))
-        last_reason = (
-            f"level short by {-float(short.min()):.3e} at interior node #{bad} "
-            f"for t={t}"
-        )
+        else:
+            last_reason = (f"level short by {-float(short.min()):.3e} at interior "
+                           f"node #{int(np.argmin(short))} for t={t}")
     raise ConstructionError(f"subsolution ladder exhausted: {last_reason}")
 
 
@@ -673,8 +661,8 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     dom = spec.domain
     tol = opts.residual_scale * (1.0 + float(np.max(np.abs(spec.psi.values[~dom.exterior]))))
     c = 0.0
-    r, adm, lam, g = residual_field(spec, u, c)
-    if not adm:
+    r, lam, g = residual_field(spec, u, c)
+    if r is None:
         raise AdmissibilityError("initial iterate not admissible")
     res = float(np.max(np.abs(r)))
     history = [res]
@@ -696,8 +684,8 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
             trial = u.copy()
             trial[dom.interior] += step * v
             c_t = c + step * dc
-            r_t, adm_t, lam_t, g_t = residual_field(spec, trial, c_t)
-            if adm_t:
+            r_t, lam_t, g_t = residual_field(spec, trial, c_t)
+            if r_t is not None:
                 admissible_seen = True
                 res_t = float(np.max(np.abs(r_t)))
                 if res_t < res:
@@ -719,7 +707,8 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
 
 
 def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
-    """Damped Newton from a strict subsolution; optional continuation ladder.
+    """Damped Newton from `build_subsolution` at `opts.delta`, returned as
+    `SolveResult.subsolution`; optional continuation ladder.
 
     On a stall the solve restarts along the continuation family
     psi_s = (1 - s) f(lambda(g[subsolution])) + s psi with 8 uniform steps,
@@ -730,25 +719,20 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
         raise DomainError("solve_dirichlet needs Dirichlet mode")
     if spec.degenerate:
         raise AdmissibilityError("degenerate right-hand side: use degenerate_sweep")
-    if opts.subsolution is not None:
-        usub = opts.subsolution
-    else:
-        usub, _ = build_subsolution(spec, opts.delta)
+    usub, _ = build_subsolution(spec, opts.delta)
     dom = spec.domain
     u0 = usub.values.copy()
-    u0[dom.boundary] = spec.phi.values[dom.boundary]
+    u0[dom.boundary] = spec.phi.values[dom.boundary]  # phi + t h turns -0.0 to +0.0
     if opts.continuation is None:
         try:
             u, _, history, solves = _damped_newton(spec, u0, opts)
             return SolveResult(ScalarField(dom, u), None, len(history) - 1,
-                               history, linear_solves=solves)
+                               history, solves, usub)
         except StallError:
             opts = replace(opts, continuation=8)
     # continuation ladder from the subsolution level
-    g0 = _g_interior(spec.chi.values, usub.values, dom)
-    lam0 = _eigvalsh(g0)
     f0 = np.zeros(dom.shape)
-    f0[dom.interior] = eval_f(spec.family, lam0)
+    f0[dom.interior] = eval_f(spec.family, residual_field(spec, usub.values)[1])
     current = u0
     s_values = list(np.linspace(0.0, 1.0, opts.continuation + 1)[1:])
     total_iters = 0
@@ -773,7 +757,7 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
                 raise
             s_values.insert(0, 0.5 * (s_prev + s))
     return SolveResult(ScalarField(dom, current), None, total_iters, history_all,
-                       linear_solves=solves_all)
+                       solves_all, usub)
 
 
 def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
@@ -789,6 +773,14 @@ def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveR
 
 
 # ------------------------------------------------------------------ sweeps
+
+
+def _decreasing(values, name: str) -> list[float]:
+    """`values` as floats, checked positive and strictly decreasing."""
+    values = [float(v) for v in values]
+    if any(v <= 0 for v in values) or any(b >= a for a, b in zip(values, values[1:])):
+        raise DomainError(f"{name} must be positive and strictly decreasing")
+    return values
 
 
 def degenerate_sweep(
@@ -808,11 +800,7 @@ def degenerate_sweep(
     opts = opts or SolverOptions()
     if spec.mode != "dirichlet":
         raise DomainError("degenerate sweep needs Dirichlet mode")
-    ladder = [float(e) for e in ladder]
-    if any(e <= 0 for e in ladder) or any(
-        b >= a for a, b in zip(ladder, ladder[1:])
-    ):
-        raise DomainError("ladder must be positive and strictly decreasing")
+    ladder = _decreasing(ladder, "ladder")
     report = SweepReport(epsilons=[], rhos=[], results=[], cauchy=[])
     live = ~spec.domain.exterior
     prev = None
@@ -859,11 +847,7 @@ def domain_exhaustion(
     opts = opts or SolverOptions()
     if spec.domain.kind != "product":
         raise DomainError("exhaustion needs a product domain")
-    levels = [float(a) for a in levels]
-    if any(a <= 0 for a in levels) or any(
-        b >= a for a, b in zip(levels, levels[1:])
-    ):
-        raise DomainError("levels must be positive and strictly decreasing")
+    levels = _decreasing(levels, "levels")
     h = s_factor_potential(spec.domain)
     full = solve_dirichlet(spec, opts)
     report = ExhaustionReport(levels=[], interior_counts=[], results=[],
@@ -921,7 +905,7 @@ def verify_estimates(
     sandwich_ok = bool(np.all(u.values[live] >= usub.values[live] - ESTIMATE_SLACK)
                        and np.all(u.values[live] <= usuper.values[live] + ESTIMATE_SLACK))
 
-    normal_order_ok = True
+    normal_order_ok, bdry_ratio = True, float("nan")
     if dom.boundary.any():
         d_sub = boundary_normal_derivatives(usub)
         d_u = boundary_normal_derivatives(u)
@@ -930,11 +914,7 @@ def verify_estimates(
             scale = ESTIMATE_SLACK * (1.0 + float(np.max(np.abs(mid))))
             normal_order_ok &= bool(np.all(lo <= mid + scale))
             normal_order_ok &= bool(np.all(mid <= hi + scale))
-
-    bdry_ratio = float("nan")
-    if dom.boundary.any():
-        g = spec.chi.values + hess
-        gb = g[dom.boundary]
+        gb = (spec.chi.values + hess)[dom.boundary]
         n = dom.n
         num = gb[:, n - 1, n - 1].real
         den = 1.0 + np.sum(np.abs(gb[: , : n - 1, n - 1]) ** 2, axis=-1)

@@ -17,7 +17,6 @@ from hcl.grid import GridDomain, ScalarField, boundary_normal_derivatives, ident
 from hcl.solve import (
     ProblemSpec,
     SolverOptions,
-    build_subsolution,
     build_supersolution,
     degenerate_sweep,
     poisson_dirichlet,
@@ -244,9 +243,7 @@ class TestAcceptance:
             final = res
             t_final = time.perf_counter() - t_grid
         orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
-        usub, _ = build_subsolution(spec, 0.1)
-        usuper = build_supersolution(spec)
-        rep = verify_estimates(final, spec, usub, usuper)
+        rep = verify_estimates(final, spec, final.subsolution, build_supersolution(spec))
         ok = (
             min(orders) >= 1.8
             and final.residual_history[-1] <= 1e-9
@@ -324,9 +321,8 @@ class TestAcceptance:
             spec_a = ProblemSpec(spec.domain, spec.family, spec.chi, psi_a,
                                  spec.phi, "dirichlet")
             res = solve_dirichlet(spec_a, SolverOptions(delta=0.05))
-            usub, _ = build_subsolution(spec_a, 0.05)
-            usuper = build_supersolution(spec_a)
-            rep = verify_estimates(res, spec_a, usub, usuper)
+            rep = verify_estimates(res, spec_a, res.subsolution,
+                                   build_supersolution(spec_a))
             rows.append((amp, rep.ratio2nd, rep.bdry_ratio))
         finite = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
         report(

@@ -20,6 +20,7 @@ import pytest
 import scipy.sparse as sp
 
 import hcl.solve as solve_mod
+import hcl.symfunc as symfunc_mod
 from hcl.errors import DomainError
 from hcl.grid import EXTERIOR, GridDomain
 from hcl.solve import (
@@ -213,8 +214,8 @@ class TestNewtonCoefficient:
         spec, _ = manufactured_dirichlet_spec(8)
         dom = spec.domain
         u = spec.phi.values * 0.9
-        _, adm, lam, g = residual_field(spec, u)
-        assert adm
+        r, lam, g = residual_field(spec, u)
+        assert r is not None
         a, _ = assemble_linearized(dom, _newton_coefficient(spec.family, g, lam))
         v = np.zeros(dom.shape)
         v[dom.interior] = np.random.default_rng(23).normal(0, 1, a.shape[0])
@@ -235,8 +236,9 @@ class TestNewtonLoop:
             u0 = np.zeros(spec.domain.shape)
         else:
             u0 = build_subsolution(spec, 0.1)[0].values
-        hessians, evals = [], []
+        hessians, evals, sigmas = [], [], []
         hessian, residual = solve_mod.complex_hessian, solve_mod.residual_field
+        elementary = symfunc_mod.elementary_all
 
         def counting_hessian(u):
             hessians.append(1)
@@ -246,17 +248,24 @@ class TestNewtonLoop:
             evals.append(1)
             return residual(*args)
 
+        def counting_elementary(lam):
+            sigmas.append(1)
+            return elementary(lam)
+
         def no_lapack(*args, **kwargs):
             raise AssertionError("LAPACK called for n = 2")
 
         monkeypatch.setattr(solve_mod, "complex_hessian", counting_hessian)
         monkeypatch.setattr(solve_mod, "residual_field", counting_residual)
+        monkeypatch.setattr(symfunc_mod, "elementary_all", counting_elementary)
         monkeypatch.setattr(np.linalg, "eigh", no_lapack)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
         _, _, history, _ = solve_mod._damped_newton(spec, u0, SolverOptions())
         assert len(history) >= 3 and history[-1] <= 1e-8
         # every Hessian is one residual evaluation's; steps reuse the accepted g
         assert len(hessians) == len(evals) >= len(history)
+        # one cone test per evaluation (inside eval_f) and one grad_f per step
+        assert len(sigmas) == len(evals) + len(history) - 1
 
 
 class TestBorderedSolve:

@@ -334,8 +334,8 @@ class TestSubsolution:
         spec = small_dirichlet_spec(psi_value=0.5)
         usub, t = build_subsolution(spec, 0.1)
         assert t >= 1.0
-        r, adm, lam, _ = residual_field(spec, usub.values)
-        assert adm
+        r, lam, _ = residual_field(spec, usub.values)
+        assert r is not None
         assert np.min(eval_f(LOGDET2, lam) - (0.5 + 0.1)) >= 0.0
 
     def test_boundary_values_preserved(self):
@@ -353,8 +353,16 @@ class TestSubsolution:
             dom, fam, chi, ScalarField.full(dom, 0.2),
             ScalarField.zeros(dom), "dirichlet",
         )
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError,
+                           match="cone violation at interior node #0 for t=4096.0"):
             build_subsolution(spec, 0.05, t_max=2.0**12)
+
+    def test_level_failure(self):
+        # every rung is admissible, but none reaches psi + delta
+        spec = small_dirichlet_spec(psi_value=0.5)
+        with pytest.raises(ConstructionError, match=(
+                r"level short by 4\.218e\+01 at interior node #34 for t=4096\.0")):
+            build_subsolution(spec, 50.0, t_max=2.0**12)
 
 
 class TestSupersolution:
@@ -384,16 +392,17 @@ class TestDirichletSolve:
     def test_subsolution_level_is_exact_solution(self):
         spec = small_dirichlet_spec(psi_value=0.5)
         usub, _ = build_subsolution(spec, 0.1)
-        r, adm, lam, _ = residual_field(spec, usub.values)
+        _, lam, _ = residual_field(spec, usub.values)
         psi_exact = np.zeros(spec.domain.shape)
         psi_exact[spec.domain.interior] = eval_f(LOGDET2, lam)
         spec_exact = ProblemSpec(
             spec.domain, LOGDET2, spec.chi, ScalarField(spec.domain, psi_exact),
             spec.phi, "dirichlet",
         )
-        res = solve_dirichlet(spec_exact, SolverOptions(subsolution=usub))
-        assert res.iterations == 0
-        np.testing.assert_array_equal(res.u.values, usub.values)
+        u, _, history, _ = solve_mod._damped_newton(spec_exact, usub.values,
+                                                    SolverOptions())
+        assert len(history) == 1
+        np.testing.assert_array_equal(u, usub.values)
 
     def test_identity_constants(self):
         spec = small_dirichlet_spec(psi_value=0.0)
@@ -427,15 +436,21 @@ class TestDirichletSolve:
     def test_iterates_stay_admissible(self):
         spec, _ = manufactured_dirichlet_spec(8)
         res = solve_dirichlet(spec)
-        _, adm, _, _ = residual_field(spec, res.u.values)
-        assert adm
+        assert residual_field(spec, res.u.values)[0] is not None
 
-    def test_handed_subsolution_matches_built_one(self):
+    def test_overflowed_hessian_is_outside_the_cone(self):
+        # a non-finite eigenvalue reads as inadmissible, so the line search
+        # halves the step instead of raising DomainError
+        spec, _ = manufactured_dirichlet_spec(8)
+        u = spec.phi.values.copy()
+        u[np.unravel_index(np.flatnonzero(spec.domain.interior)[0], u.shape)] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert residual_field(spec, u)[0] is None
+
+    def test_returns_built_subsolution(self):
         spec = small_dirichlet_spec(psi_value=0.4)
-        usub, _ = build_subsolution(spec, 0.1)
-        handed = solve_dirichlet(spec, SolverOptions(subsolution=usub))
-        np.testing.assert_array_equal(handed.u.values,
-                                      solve_dirichlet(spec).u.values)
+        np.testing.assert_array_equal(solve_dirichlet(spec).subsolution.values,
+                                      build_subsolution(spec, 0.1)[0].values)
 
     def test_continuation_ladder_path(self):
         spec, ustar = manufactured_dirichlet_spec(8)
@@ -473,14 +488,13 @@ class TestDirichletSolve:
             solve_dirichlet(spec)
 
     def test_requires_dirichlet_mode(self):
-        # with a handed subsolution this read the closed spec's phi = None
-        # (AttributeError); without one, build_subsolution refused it
+        # checked before build_subsolution, whose message would name the
+        # product domain instead
         dom = GridDomain.torus(2, (8, 4, 8, 4))
         spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
                            ScalarField.full(dom, 0.0), None, "closed")
-        for opts in (None, SolverOptions(subsolution=ScalarField.zeros(dom))):
-            with pytest.raises(DomainError, match="solve_dirichlet needs Dirichlet mode"):
-                solve_dirichlet(spec, opts)
+        with pytest.raises(DomainError, match="solve_dirichlet needs Dirichlet mode"):
+            solve_dirichlet(spec)
 
 
 class TestLinearization:
@@ -503,8 +517,8 @@ class TestLinearization:
         v = np.zeros(dom.shape)
         v[dom.interior] = v_int
         t = 1e-6
-        rp, _, _, _ = residual_field(spec, u + t * v)
-        rm, _, _, _ = residual_field(spec, u - t * v)
+        rp, _, _ = residual_field(spec, u + t * v)
+        rm, _, _ = residual_field(spec, u - t * v)
         fd = (rp - rm) / (2 * t)
         jv = a @ v_int
         scale = np.max(np.abs(jv)) + 1.0
@@ -723,10 +737,8 @@ class TestEstimates:
 
     def test_manufactured_instance(self):
         spec, _ = manufactured_dirichlet_spec(16)
-        usub, _ = build_subsolution(spec, 0.05)
-        usuper = build_supersolution(spec)
         res = solve_dirichlet(spec, SolverOptions(delta=0.05))
-        rep = verify_estimates(res, spec, usub, usuper)
+        rep = verify_estimates(res, spec, res.subsolution, build_supersolution(spec))
         assert rep.sandwich_ok
         assert rep.normal_order_ok
         assert rep.grad_sq > 0
