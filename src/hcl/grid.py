@@ -38,6 +38,7 @@ __all__ = [
     "ScalarField",
     "HermitianField",
     "complex_hessian",
+    "box_hessian",
     "chern_laplacian",
     "gradient_sup",
     "boundary_normal_derivatives",
@@ -131,6 +132,11 @@ class GridDomain:
     @property
     def interior(self) -> np.ndarray:
         return self.roles == INTERIOR
+
+    @property
+    def interior_box(self) -> tuple[slice, ...]:
+        """Holds the interior: all of each periodic axis, 1:-1 of the others."""
+        return tuple(slice(None) if p else slice(1, -1) for p in self.periodic)
 
     @property
     def boundary(self) -> np.ndarray:
@@ -275,54 +281,65 @@ def constant_chi(domain: GridDomain, matrix) -> HermitianField:
 def _padded(u: np.ndarray, domain: GridDomain) -> np.ndarray:
     """One ghost node per axis: wrap on periodic axes, quadratic extrapolation
     through the boundary value on the others."""
-    p = u
-    for ax, per in enumerate(domain.periodic):
-        if per:
-            p = np.pad(p, [(1, 1) if a == ax else (0, 0) for a in range(p.ndim)],
-                       mode="wrap")
-        else:
-            if domain.shape[ax] < 3:
-                raise StencilError(
-                    f"non-periodic axis {ax} needs at least 3 nodes"
-                )
-            lo = [slice(None)] * p.ndim
-            lo[ax] = slice(0, 3)
-            head = p[tuple(lo)]
-            hi = [slice(None)] * p.ndim
-            hi[ax] = slice(-3, None)
-            tail = p[tuple(hi)]
-            w = np.array([3.0, -3.0, 1.0])
-            wshape = [1] * p.ndim
-            wshape[ax] = 3
-            w = w.reshape(wshape)
-            ghost_lo = np.sum(head * w, axis=ax, keepdims=True)
-            ghost_hi = np.sum(tail * np.flip(w, axis=ax), axis=ax, keepdims=True)
-            p = np.concatenate([ghost_lo, p, ghost_hi], axis=ax)
+    p = np.pad(u, [(1, 1) if per else (0, 0) for per in domain.periodic],
+               mode="wrap")
+    for ax in [a for a, per in enumerate(domain.periodic) if not per]:
+        if domain.shape[ax] < 3:
+            raise StencilError(
+                f"non-periodic axis {ax} needs at least 3 nodes"
+            )
+        lo = [slice(None)] * p.ndim
+        lo[ax] = slice(0, 3)
+        head = p[tuple(lo)]
+        hi = [slice(None)] * p.ndim
+        hi[ax] = slice(-3, None)
+        tail = p[tuple(hi)]
+        w = np.array([3.0, -3.0, 1.0])
+        wshape = [1] * p.ndim
+        wshape[ax] = 3
+        w = w.reshape(wshape)
+        ghost_lo = np.sum(head * w, axis=ax, keepdims=True)
+        ghost_hi = np.sum(tail * np.flip(w, axis=ax), axis=ax, keepdims=True)
+        p = np.concatenate([ghost_lo, p, ghost_hi], axis=ax)
     return p
 
 
-def _shift(p: np.ndarray, ax: int, step: int, ndim: int) -> np.ndarray:
-    """View of the padded array shifted by step in {-1, 0, +1} along ax."""
-    sl = [slice(1, -1)] * ndim
-    sl[ax] = slice(1 + step, p.shape[ax] - 1 + step)
-    return p[tuple(sl)]
+def _shift(p: np.ndarray, steps: dict) -> np.ndarray:
+    """View of the core p[1:-1, ..., 1:-1] shifted by steps[ax] in {-1, 0, +1}
+    along each axis ax in steps."""
+    return p[tuple(slice(1 + steps.get(a, 0), m - 1 + steps.get(a, 0))
+                   for a, m in enumerate(p.shape))]
 
 
-def _second_same(p, ax, h, ndim):
-    return (_shift(p, ax, +1, ndim) - 2.0 * _shift(p, ax, 0, ndim)
-            + _shift(p, ax, -1, ndim)) / h**2
+def _second_same(p, ax, h):
+    return (_shift(p, {ax: +1}) - 2.0 * _shift(p, {}) + _shift(p, {ax: -1})) / h**2
 
 
-def _second_mixed(p, ax_a, ax_b, ha, hb, ndim):
-    sl = [slice(1, -1)] * ndim
+def _second_mixed(p, ax_a, ax_b, ha, hb):
+    return (_shift(p, {ax_a: +1, ax_b: +1}) - _shift(p, {ax_a: +1, ax_b: -1})
+            - _shift(p, {ax_a: -1, ax_b: +1})
+            + _shift(p, {ax_a: -1, ax_b: -1})) / (4.0 * ha * hb)
 
-    def sh(da, db):
-        s = list(sl)
-        s[ax_a] = slice(1 + da, p.shape[ax_a] - 1 + da)
-        s[ax_b] = slice(1 + db, p.shape[ax_b] - 1 + db)
-        return p[tuple(s)]
 
-    return (sh(+1, +1) - sh(+1, -1) - sh(-1, +1) + sh(-1, -1)) / (4.0 * ha * hb)
+def _hessian_core(p: np.ndarray, h, n: int) -> np.ndarray:
+    """The complex Hessian at the nodes p[1:-1, ..., 1:-1], by their stencils in p."""
+    out = np.zeros(tuple(m - 2 for m in p.shape) + (n, n), dtype=complex)
+    for j in range(n):
+        xj, yj = 2 * j, 2 * j + 1
+        for k in range(j, n):
+            xk, yk = 2 * k, 2 * k + 1
+            if j == k:
+                re = 0.25 * (_second_same(p, xj, h[xj])
+                             + _second_same(p, yj, h[yj]))
+                out[..., j, j] = re
+            else:
+                re = 0.25 * (_second_mixed(p, xj, xk, h[xj], h[xk])
+                             + _second_mixed(p, yj, yk, h[yj], h[yk]))
+                im = 0.25 * (_second_mixed(p, xj, yk, h[xj], h[yk])
+                             - _second_mixed(p, yj, xk, h[yj], h[xk]))
+                out[..., j, k] = re + 1j * im
+                out[..., k, j] = re - 1j * im
+    return out
 
 
 def complex_hessian(u: ScalarField) -> np.ndarray:
@@ -335,27 +352,19 @@ def complex_hessian(u: ScalarField) -> np.ndarray:
     are meaningful for reporting only; exterior nodes are zeroed.
     """
     dom = u.domain
-    n, d = dom.n, 2 * dom.n
-    h = dom.spacings
-    p = _padded(u.values, dom)
-    out = np.zeros(dom.shape + (n, n), dtype=complex)
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        for k in range(j, n):
-            xk, yk = 2 * k, 2 * k + 1
-            if j == k:
-                re = 0.25 * (_second_same(p, xj, h[xj], d)
-                             + _second_same(p, yj, h[yj], d))
-                out[..., j, j] = re
-            else:
-                re = 0.25 * (_second_mixed(p, xj, xk, h[xj], h[xk], d)
-                             + _second_mixed(p, yj, yk, h[yj], h[yk], d))
-                im = 0.25 * (_second_mixed(p, xj, yk, h[xj], h[yk], d)
-                             - _second_mixed(p, yj, xk, h[yj], h[xk], d))
-                out[..., j, k] = re + 1j * im
-                out[..., k, j] = re - 1j * im
+    out = _hessian_core(_padded(u.values, dom), dom.spacings, dom.n)
     out[dom.exterior] = 0.0
     return out
+
+
+def box_hessian(u: ScalarField) -> np.ndarray:
+    """`complex_hessian` on `GridDomain.interior_box`, bit for bit, but with no
+    ghost ring (box stencils reach boundary nodes, not past them) and with the
+    box's non-interior nodes of a masked domain not zeroed."""
+    dom = u.domain
+    p = np.pad(u.values, [(1, 1) if per else (0, 0) for per in dom.periodic],
+               mode="wrap")
+    return _hessian_core(p, dom.spacings, dom.n)
 
 
 def chern_laplacian(u: ScalarField) -> ScalarField:
@@ -375,7 +384,7 @@ def gradient_sup(u: ScalarField) -> float:
     p = _padded(u.values, dom)
     g2 = np.zeros(dom.shape)
     for ax in range(d):
-        g2 += ((_shift(p, ax, +1, d) - _shift(p, ax, -1, d)) / (2.0 * h[ax])) ** 2
+        g2 += ((_shift(p, {ax: +1}) - _shift(p, {ax: -1})) / (2.0 * h[ax])) ** 2
     live = ~dom.exterior
     return float(np.max(g2[live]))
 

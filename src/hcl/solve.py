@@ -6,8 +6,8 @@ residual.  Closed mode solves for the pair (u, c) in f(...) = psi + c on a
 fully periodic domain with a zero-mean gauge on the updates and sup u = 0
 applied after convergence.  Dirichlet mode builds a strict subsolution with
 u = phi on the boundary, starts from it (optionally along a continuation
-ladder) and returns it.  `residual_field` alone evaluates g = chi + i ddbar u,
-lambda(g), the cone test and f.
+ladder) and returns it.  `residual_field` alone evaluates g = chi + i ddbar u
+(on the interior box, by `box_hessian`), lambda(g), the cone test and f.
 
 Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
 unmasked box it inverts a constant-coefficient operator by a real FFT along
@@ -56,6 +56,7 @@ from .grid import (
     HermitianField,
     ScalarField,
     boundary_normal_derivatives,
+    box_hessian,
     complex_hessian,
     gradient_sup,
 )
@@ -231,10 +232,16 @@ def residual_field(spec: ProblemSpec, u_vals: np.ndarray, c: float = 0.0):
     """(r, lam, g) at the interior nodes: g = chi + i ddbar u, lam = lambda(g)
     and r = f(lam) - psi - c, or None if some lam is outside Gamma_k or not finite."""
     dom = spec.domain
-    g = (spec.chi.values + complex_hessian(ScalarField(dom, u_vals)))[dom.interior]
+    box, n = dom.interior_box, dom.n
+    g = box_hessian(ScalarField(dom, u_vals))
+    g += spec.chi.values[box]
+    g, psi = g.reshape(-1, n, n), spec.psi.values[box].reshape(-1)
+    inside = dom.interior[box].reshape(-1)
+    if not inside.all():  # a masked domain
+        g, psi = g[inside], psi[inside]
     lam = _eigvalsh(g)
     try:
-        return eval_f(spec.family, lam) - spec.psi.values[dom.interior] - c, lam, g
+        return eval_f(spec.family, lam) - psi - c, lam, g
     except (AdmissibilityError, DomainError):  # DomainError: lam not finite
         return None, lam, g
 
@@ -390,14 +397,16 @@ def _axis_basis(m: int, periodic: bool):
     return q, theta
 
 
-def _along(x: np.ndarray, axis: int, q: np.ndarray) -> np.ndarray:
-    """q applied along one axis of x by one matmul on a reshaped view:
-    (rest, m) @ q^T for the last axis, q @ (before, m, after) otherwise
-    (`tensordot` with `moveaxis` copies and is slower)."""
+def _along(x: np.ndarray, axis: int, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """q applied along one axis of x by one matmul on reshaped views into `out`
+    (contiguous, of x's size): (rest, m) @ q^T for the last axis,
+    q @ (before, m, after) otherwise (`tensordot` with `moveaxis` copies and is
+    slower)."""
     shape, m = x.shape, x.shape[axis]
     if axis == x.ndim - 1:
-        return (x.reshape(-1, m) @ q.T).reshape(shape)
-    return (q @ x.reshape(-1, m, int(np.prod(shape[axis + 1:])))).reshape(shape)
+        return np.matmul(x.reshape(-1, m), q.T, out=out.reshape(-1, m)).reshape(shape)
+    xs = x.reshape(-1, m, int(np.prod(shape[axis + 1:])))
+    return np.matmul(q, xs, out=out.reshape(xs.shape)).reshape(shape)
 
 
 def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
@@ -414,8 +423,7 @@ def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
     exact for the identity and on the torus and a preconditioner otherwise.
     On a fully periodic domain the zero mode (the constants) is passed through.
     """
-    box = tuple(slice(None) if p else slice(1, -1) for p in domain.periodic)
-    roles = domain.roles[box]
+    roles = domain.roles[domain.interior_box]
     if np.count_nonzero(domain.interior) != roles.size or np.any(roles != INTERIOR):
         return None
     import scipy.fft as sfft
@@ -450,18 +458,21 @@ def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
     if not np.all(np.isfinite(sym)) or np.any(sym == 0.0):
         return None
     fft_shape = [shape[a] for a in fft_axes]
+    buffers = (np.empty(shape), np.empty(shape))
 
     def apply(r: np.ndarray) -> np.ndarray:
-        x = np.reshape(r, shape)
+        # intermediates alternate between two buffers that every application
+        # reuses; the result is new, as BiCGStab keeps it past the next one
+        x, outs = np.reshape(r, shape), iter(buffers * len(dense))
         for a, (q, _) in dense.items():
-            x = _along(x, a, q.T)
+            x = _along(x, a, q.T, next(outs))
         if fft_axes:
             x = sfft.irfftn(sfft.rfftn(x, axes=fft_axes) / sym, s=fft_shape,
                             axes=fft_axes)
-        else:
-            x = x / sym
-        for a, (q, _) in dense.items():
-            x = _along(x, a, q)
+        else:  # then every axis is dense
+            x = np.divide(x, sym, out=next(outs))
+        for i, (a, (q, _)) in enumerate(dense.items(), 1):
+            x = _along(x, a, q, next(outs) if i < len(dense) else np.empty(shape))
         return x.reshape(-1)
 
     return apply

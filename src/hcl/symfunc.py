@@ -69,16 +69,16 @@ def elementary_all(lam) -> np.ndarray:
     """All elementary symmetric values sigma_0..sigma_n of lam, shape (..., n+1).
 
     Uses the coefficient recurrence of prod_i (x + lambda_i); no subset
-    enumeration, stable for moderate n.
+    enumeration, stable for moderate n.  The recurrence runs on the contiguous
+    rows of an (n+1, ...) array, and the result is a view of it.
     """
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
-    e = np.zeros(lam.shape[:-1] + (n + 1,))
-    e[..., 0] = 1.0
+    e = np.zeros((n + 1,) + lam.shape[:-1])
+    e[0] = 1.0
     for i in range(n):
-        x = lam[..., i : i + 1]
-        e[..., 1:] = e[..., 1:] + x * e[..., :-1]
-    return e
+        e[1:] = e[1:] + lam[..., i] * e[:-1]
+    return np.moveaxis(e, 0, -1)
 
 
 def sigma_k(lam, k: int) -> np.ndarray | float:

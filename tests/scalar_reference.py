@@ -16,7 +16,9 @@ per-radius and per-rung loops.  They are kept verbatim (only the imports,
 `sample_cone` here, once per (family, probes, seed), and reuses that read-only
 draw on every later call) so the tests can require bit-identical
 points, contexts, draws, thresholds, verdicts, Hessians and error messages
-from the stacked code.
+from the stacked code.  `elementary_all_last_axis` is the sigma recurrence that
+ran along the last axis of an (..., n+1) array, before it ran on the rows of
+an (n+1, ...) one.
 """
 
 from __future__ import annotations
@@ -385,6 +387,22 @@ def sample_cone(
                 hi = mid
         pts[m] = lam - rng.uniform(0.0, shear_limit) * lo
     return pts
+
+
+def elementary_all_last_axis(lam) -> np.ndarray:
+    """All elementary symmetric values sigma_0..sigma_n of lam, shape (..., n+1).
+
+    Uses the coefficient recurrence of prod_i (x + lambda_i); no subset
+    enumeration, stable for moderate n.
+    """
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    e = np.zeros(lam.shape[:-1] + (n + 1,))
+    e[..., 0] = 1.0
+    for i in range(n):
+        x = lam[..., i : i + 1]
+        e[..., 1:] = e[..., 1:] + x * e[..., :-1]
+    return e
 
 
 def _sigma_pair_excluding(lam: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from hcl.grid import (
     HermitianField,
     ScalarField,
     boundary_normal_derivatives,
+    box_hessian,
     chern_laplacian,
     complex_hessian,
     constant_chi,
@@ -157,6 +158,44 @@ class TestComplexHessian:
             errors.append(np.max(np.abs(h[..., 0, 1] - exact)))
         orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8
+
+
+def masked_product(n):
+    """A product domain restricted to a disc in S: masked, so its interior
+    box also holds boundary and exterior nodes."""
+    dom = GridDomain.product(n, x_shape=(4, 3) * (n - 1), s_shape=(13, 11))
+    s, t = dom.meshgrid()[-2:]
+    return dom.restrict((s - 0.5) ** 2 + (t - 0.5) ** 2 < 0.2)
+
+
+BOX_DOMAINS = [
+    GridDomain.torus(2, (8, 6, 7, 4)),
+    GridDomain.torus(3, (4, 3, 5, 3, 4, 3)),
+    GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 7)),
+    GridDomain.product(3, x_shape=(4, 3, 5, 3), s_shape=(7, 8)),
+    GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 7), s_periodic=(False, True)),
+    masked_product(2),
+]
+BOX_IDS = ["torus-n2", "torus-n3", "product-n2", "product-n3", "annulus-n2",
+           "masked-n2"]
+
+
+class TestBoxHessian:
+    def test_interior_box(self):
+        dom = GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 7),
+                                 s_periodic=(False, True))
+        assert dom.interior_box == (slice(None),) * 2 + (slice(1, -1), slice(None))
+        assert dom.roles[dom.interior_box].shape == (6, 4, 7, 7)
+        assert GridDomain.torus(2, (8, 6, 7, 4)).interior_box == (slice(None),) * 4
+
+    @pytest.mark.parametrize("dom", BOX_DOMAINS, ids=BOX_IDS)
+    def test_matches_full_grid_bit_for_bit(self, dom):
+        u = ScalarField(dom, np.random.default_rng(3).normal(0, 1, dom.shape))
+        box = box_hessian(u)
+        assert box.shape == dom.roles[dom.interior_box].shape + (dom.n, dom.n)
+        want = complex_hessian(u)[dom.interior]
+        assert box[dom.interior[dom.interior_box]].tobytes() == want.tobytes()
+        assert dom.interior[dom.interior_box].sum() == dom.interior.sum()
 
 
 class TestChernLaplacian:

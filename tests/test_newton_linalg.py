@@ -22,9 +22,11 @@ import scipy.sparse as sp
 import hcl.solve as solve_mod
 import hcl.symfunc as symfunc_mod
 from hcl.errors import DomainError
-from hcl.grid import EXTERIOR, GridDomain
+from hcl.grid import EXTERIOR, GridDomain, HermitianField, ScalarField, complex_hessian
 from hcl.solve import (
+    ProblemSpec,
     SolverOptions,
+    _along,
     _axis_basis,
     _bordered_matrix,
     _eigvalsh,
@@ -36,7 +38,7 @@ from hcl.solve import (
     residual_field,
     s_factor_potential,
 )
-from hcl.symfunc import FuncFamily, grad_f
+from hcl.symfunc import FuncFamily, eval_f, grad_f
 
 from conftest import (
     manufactured_closed_spec,
@@ -226,6 +228,34 @@ class TestNewtonCoefficient:
         assert np.max(np.abs(fd - jv)) <= 1e-5 * (np.max(np.abs(jv)) + 1.0)
 
 
+class TestResidualField:
+    @pytest.mark.parametrize("dom", [
+        GridDomain.torus(2, (8, 6, 7, 4)),
+        GridDomain.torus(3, (4, 3, 5, 3, 4, 3)),
+        GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 7)),
+        GridDomain.product(3, x_shape=(4, 3, 5, 3), s_shape=(7, 8)),
+        exhaustion_domain(0.02, (13, 11)),
+    ], ids=["torus-n2", "torus-n3", "product-n2", "product-n3", "masked-n2"])
+    def test_g_on_the_box_matches_full_grid(self, dom):
+        # residual_field's g = chi + i ddbar u, formed on the interior box,
+        # is the full-grid one at the interior nodes, bit for bit
+        rng = np.random.default_rng(17)
+        n = dom.n
+        chi = HermitianField(dom, hermitian_stack(rng, dom.roles.size, n, shift=2.0)
+                             .reshape(dom.shape + (n, n)))
+        u = 1e-4 * rng.normal(0, 1, dom.shape)
+        mode = "dirichlet" if dom.boundary.any() else "closed"
+        spec = ProblemSpec(dom, FuncFamily.log_det(n), chi,
+                           ScalarField(dom, rng.normal(0, 1, dom.shape)),
+                           ScalarField(dom, u) if mode == "dirichlet" else None, mode)
+        r, lam, g = residual_field(spec, u, 0.25)
+        want = (chi.values + complex_hessian(ScalarField(dom, u)))[dom.interior]
+        assert g.tobytes() == want.tobytes()
+        assert r is not None
+        psi = spec.psi.values[dom.interior]
+        assert np.array_equal(r, eval_f(spec.family, lam) - psi - 0.25)
+
+
 class TestNewtonLoop:
     @pytest.mark.parametrize("make_spec", [
         manufactured_closed_spec, manufactured_dirichlet_spec,
@@ -237,7 +267,7 @@ class TestNewtonLoop:
         else:
             u0 = build_subsolution(spec, 0.1)[0].values
         hessians, evals, sigmas = [], [], []
-        hessian, residual = solve_mod.complex_hessian, solve_mod.residual_field
+        hessian, residual = solve_mod.box_hessian, solve_mod.residual_field
         elementary = symfunc_mod.elementary_all
 
         def counting_hessian(u):
@@ -255,7 +285,11 @@ class TestNewtonLoop:
         def no_lapack(*args, **kwargs):
             raise AssertionError("LAPACK called for n = 2")
 
-        monkeypatch.setattr(solve_mod, "complex_hessian", counting_hessian)
+        def no_full_grid_hessian(u):
+            raise AssertionError("full-grid Hessian in the Newton loop")
+
+        monkeypatch.setattr(solve_mod, "box_hessian", counting_hessian)
+        monkeypatch.setattr(solve_mod, "complex_hessian", no_full_grid_hessian)
         monkeypatch.setattr(solve_mod, "residual_field", counting_residual)
         monkeypatch.setattr(symfunc_mod, "elementary_all", counting_elementary)
         monkeypatch.setattr(np.linalg, "eigh", no_lapack)
@@ -358,6 +392,40 @@ class TestSpectralInverseReference:
             r = rng.standard_normal(int(dom.interior.sum()))
             want = old(r)
             assert np.max(np.abs(new(r) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dom, fbar", [
+        (GridDomain.product(2, x_shape=(8, 6), s_shape=(11, 9)), HERMITIAN2),
+        (GridDomain.product(3, x_shape=(6, 4, 5, 4), s_shape=(7, 9)), HERMITIAN3),
+        (GridDomain.torus(2, (8, 6, 10, 4)), HERMITIAN2),
+    ], ids=["product-n2", "product-n3", "torus-n2"])
+    def test_reused_buffers_keep_results(self, dom, fbar):
+        # BiCGStab holds one application's result across the next, so the
+        # reused buffers carry only intermediates; each result is the one a
+        # first application on a fresh map gives, bit for bit
+        rng = np.random.default_rng(12)
+        apply = _spectral_inverse(dom, fbar)
+        rs = [rng.standard_normal(int(dom.interior.sum())) for _ in range(3)]
+        outs = [apply(r) for r in rs]
+        kept = [x.copy() for x in outs]
+        apply(rs[0])
+        for r, x, k in zip(rs, outs, kept):
+            assert x.tobytes() == k.tobytes()
+            assert x.tobytes() == _spectral_inverse(dom, fbar)(r).tobytes()
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_along_into_a_buffer_is_bit_for_bit(self, axis):
+        rng = np.random.default_rng(axis)
+        x = rng.standard_normal((6, 5, 7, 4))
+        q = rng.standard_normal((x.shape[axis],) * 2)
+        out = np.empty(x.size)
+        got = _along(x, axis, q, out)
+        assert np.shares_memory(got, out)
+        m = x.shape[axis]  # the matmul that allocates its result
+        plain = (x.reshape(-1, m) @ q.T if axis == x.ndim - 1
+                 else q @ x.reshape(-1, m, int(np.prod(x.shape[axis + 1:]))))
+        assert got.tobytes() == plain.tobytes()
+        want = np.moveaxis(np.tensordot(q, x, axes=(1, axis)), 0, axis)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("dom, ffts", [
         (GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9)), 0),

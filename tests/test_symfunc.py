@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as ref
 from conftest import sigma_bruteforce
 from hcl.errors import AdmissibilityError, DomainError, EmptyBandError
 from hcl.symfunc import (
@@ -92,6 +93,28 @@ class TestSigmaK:
         e = elementary_all(lam)
         assert e.shape == (2, 4)
         np.testing.assert_allclose(e[0], [1, 6, 11, 6])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_last_axis_recurrence(self, n):
+        # the batch-first recurrence makes the same operations in the same
+        # order, so every value matches, also where rows overflow to +-inf
+        # and inf - inf gives NaN
+        rng = np.random.default_rng(n)
+        for batch in [(), (40,), (6, 7)]:  # 1-D, 2-D and 3-D stacks
+            lam = rng.normal(0.0, 3.0, batch + (n,)) * 10.0 ** rng.integers(
+                -5, 6, batch + (n,))
+            stacks = [lam]
+            for huge in ([1e200] * n, [-1e200, 1e200] + [3e150] * (n - 2)):
+                row = np.asarray(huge)
+                stacks.append(np.where(rng.random(batch + (1,)) < 0.3, row, lam)
+                              if batch else row)
+            for lam in stacks:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    e, want = elementary_all(lam), ref.elementary_all_last_axis(lam)
+                assert e.shape == want.shape
+                assert np.array_equal(e, want, equal_nan=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.all(np.isfinite(elementary_all(stacks[-1])))
 
 
 class TestCone:
