@@ -9,6 +9,12 @@ u = phi on the boundary, starts from it (optionally along a continuation
 ladder) and returns it.  `residual_field` alone evaluates g = chi + i ddbar u
 (on the interior box, by `box_hessian`), lambda(g), the cone test and f.
 
+The Newton operator is the exact derivative of the discrete residual: with
+F = sum_k f_k(lambda) P_k (`_newton_coefficient`) it is
+L v = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}, with the Hessian
+stencils of `grid.complex_hessian`.  Each Newton step solves its system
+only as far as its stopping test needs (the forcing floor of `_damped_newton`).
+
 Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
 unmasked box it inverts a constant-coefficient operator by a real FFT along
 the axes that a mixed term pairs with another periodic axis and by a small
@@ -248,18 +254,23 @@ def residual_field(spec: ProblemSpec, u_vals: np.ndarray, c: float = 0.0):
 
 def _mixed_pieces(j: int, k: int, c):
     """(axis a, axis b, factor) for the real mixed differences D_ab that make up
-    the (j, kbar) and (k, jbar) terms with coefficient c = F^{j kbar}, j < k."""
+    the (j, kbar) and (k, jbar) terms with coefficient c = F^{j kbar}, j < k.
+
+    In tr(F H) with H = Hess v these two terms are
+    F^{k jbar} H_{j kbar} + F^{j kbar} H_{k jbar} = 2 Re(conj(c) H_{j kbar}),
+    where Re H_{j kbar} = (D_{x_j x_k} + D_{y_j y_k}) / 4 and
+    Im H_{j kbar} = (D_{x_j y_k} - D_{y_j x_k}) / 4 (`grid.complex_hessian`)."""
     return (
         (2 * j, 2 * k, 0.5 * c.real),
         (2 * j + 1, 2 * k + 1, 0.5 * c.real),
-        (2 * j, 2 * k + 1, -0.5 * c.imag),
-        (2 * j + 1, 2 * k, 0.5 * c.imag),
+        (2 * j, 2 * k + 1, 0.5 * c.imag),
+        (2 * j + 1, 2 * k, -0.5 * c.imag),
     )
 
 
 def _stencil_values(spacings, coeff: np.ndarray) -> np.ndarray:
-    """Stencil weights of sum_{j,k} F^{j kbar} (Hess v)_{j kbar}, one row per
-    offset of `_stencil_offsets` and one column per interior node."""
+    """Stencil weights of tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar},
+    one row per offset of `_stencil_offsets` and one column per interior node."""
     n = coeff.shape[-1]
     # the centre, two offsets per real axis, sixteen per pair of complex axes
     out = np.empty((1 + 4 * n + 8 * n * (n - 1), coeff.shape[0]))
@@ -365,8 +376,11 @@ def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
     matrices F (shape (N_int, n, n), Hermitian).
 
     Returns (A, B) with A acting on interior values and B on boundary values,
-    so that the discrete operator is A v_int + B v_bdry.  The CSR patterns are
-    built once per domain and cached; each call only refills the data.
+    so that A v_int + B v_bdry = tr(F Hess v) = sum_{j,k} F^{k jbar}
+    (Hess v)_{j kbar} at the interior nodes, with the Hessian of
+    `grid.complex_hessian`: at the Newton coefficient, the derivative of the
+    residual.  The CSR patterns are built once per domain and cached; each
+    call only refills the data.
     """
     pat_a, pat_b = _stencil_pattern(domain.shape, domain.roles.tobytes())
     values = _stencil_values(domain.spacings, coeff).reshape(-1)
@@ -411,8 +425,9 @@ def _along(x: np.ndarray, axis: int, q: np.ndarray, out: np.ndarray) -> np.ndarr
 
 def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
     """Inverse of the constant-coefficient operator
-    sum_{j,k} fbar^{j kbar} (Hess v)_{j kbar} on the interior box, as a map of
-    flat interior vectors; None for a masked domain.
+    tr(fbar Hess v) = sum_{j,k} fbar^{k jbar} (Hess v)_{j kbar} on the interior
+    box (`assemble_linearized` at fbar everywhere), as a map of flat interior
+    vectors; None for a masked domain.
 
     Each second difference is diagonalized along its axis, symbol
     -(4/h^2) sin^2(theta/2); a mixed difference only by a DFT along both of its
@@ -420,7 +435,9 @@ def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
     mixed pieces that pair two periodic axes take `rfftn`; every other axis
     takes the small dense eigenbasis of `_axis_basis`, one matmul each way.
     Mixed terms that involve a non-periodic axis are dropped, so the map is
-    exact for the identity and on the torus and a preconditioner otherwise.
+    exact for the identity and on the torus (for a complex fbar too: there it
+    inverts the Newton operator at the mean coefficient) and a preconditioner
+    otherwise.
     On a fully periodic domain the zero mode (the constants) is passed through.
     """
     roles = domain.roles[domain.interior_box]
@@ -478,16 +495,21 @@ def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
     return apply
 
 
-def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0):
-    """BiCGStab to `LIN_TOL` on a sparse system; returns (x, krylov_iters).
+def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0,
+                   rtol: float = LIN_TOL):
+    """BiCGStab to the relative residual `rtol` on a sparse system; returns
+    (x, krylov_iters).
 
     The run starts from a random start drawn with `seed` and is preconditioned
     by the map of vectors `inverse` (such as `_spectral_inverse` at the mean
     coefficient) or, when there is none, by the diagonal.  The system is scaled to
     sup |b| = 1 first: scipy's breakdown tests are absolute (|rho| < eps^2),
     and the small right-hand sides of the last Newton steps would trip them.
-    A run that converges without certifying the true residual restarts once
-    from its result; a breakdown or a second miss raises `NumericError`.
+    The certificate is the true residual |A x - b|_2 <= 10 rtol |b|_2; a run
+    that converges without it restarts once from its result, and a breakdown
+    or a second miss raises `NumericError`.  `rtol` is `LIN_TOL` except for a
+    Newton step, whose forcing floor raises it to 0.5 tol / |r|_2 when that is
+    larger (see `_damped_newton`).
     Iterations are counted as preconditioner applications, two per iteration
     and one on a final half step, which scipy's `callback` misses.
     """
@@ -509,9 +531,9 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0)
     x0 = 1e-3 * rng.standard_normal(n) * (bnorm / np.sqrt(n) + 1e-30)
 
     def certified(x):  # false for non-finite x too
-        return float(np.linalg.norm(a @ x - bs)) <= 10.0 * LIN_TOL * (bnorm + 1e-30)
+        return float(np.linalg.norm(a @ x - bs)) <= 10.0 * rtol * (bnorm + 1e-30)
 
-    krylov = dict(rtol=LIN_TOL, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
+    krylov = dict(rtol=rtol, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
                   M=spla.LinearOperator(a.shape, matvec=precondition, dtype=float))
     x, info = spla.bicgstab(a, bs, x0=x0, **krylov)
     if info == 0 and not certified(x):  # converged on the recurrence residual only
@@ -639,17 +661,19 @@ def _bordered_inverse(inverse):
     return None if inverse is None else apply
 
 
-def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0):
+def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0,
+                    rtol: float = LIN_TOL):
     """Solve the (N+1)-dimensional bordered system
 
         A v - dc * 1 = -r,   sum(v) = 0
 
-    by one `_solve_general` call, preconditioned by `_bordered_inverse` of the
-    map `inverse`.  Returns (v, dc, the Krylov iterations)."""
+    by one `_solve_general` call to the relative residual `rtol`, preconditioned
+    by `_bordered_inverse` of the map `inverse`.  Returns (v, dc, the Krylov
+    iterations)."""
     n = r.size
     try:
         x, iters = _solve_general(_bordered_matrix(a), np.append(-r, 0.0),
-                                  _bordered_inverse(inverse), seed)
+                                  _bordered_inverse(inverse), seed, rtol)
     except NumericError as exc:
         raise GaugeError(f"augmented system failed: {exc}") from exc
     return x[:n] - x[:n].sum() / n, float(x[n]), iters
@@ -666,7 +690,12 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     iterate stays admissible and the sup-norm residual decreases; the accepted
     trial's g and eigenvalues give the next step's coefficient.  Each step
     makes one BiCGStab solve, preconditioned by `_spectral_inverse` at the
-    mean Newton coefficient.
+    mean Newton coefficient, to the relative residual
+    rtol = max(LIN_TOL, 0.5 tol / |r|_2).  BiCGStab then stops at a linear
+    residual |A v + r|_2 <= max(LIN_TOL |r|_2, 0.5 tol): near the solution at
+    most 0.5 tol in the 2-norm, so in the sup norm, and the last step reaches
+    tol without being solved further.  The stop is still the true sup-norm
+    residual <= tol.
     Returns (u, c, residual history, Krylov iterations per step).
     """
     dom = spec.domain
@@ -684,10 +713,11 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
         coeff = _newton_coefficient(spec.family, g, lam)
         a, _ = assemble_linearized(dom, coeff)
         inverse = _spectral_inverse(dom, coeff.mean(axis=0))
+        rtol = max(LIN_TOL, 0.5 * tol / float(np.linalg.norm(r)))
         if spec.mode == "closed":
-            v, dc, iters = _solve_bordered(a, r, inverse, opts.seed)
+            v, dc, iters = _solve_bordered(a, r, inverse, opts.seed, rtol)
         else:
-            (v, iters), dc = _solve_general(a, -r, inverse, opts.seed), 0.0
+            (v, iters), dc = _solve_general(a, -r, inverse, opts.seed, rtol), 0.0
         solves.append(iters)
         step = 1.0
         admissible_seen = False

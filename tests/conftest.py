@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hcl.grid import GridDomain, ScalarField, identity_chi
-from hcl.solve import ProblemSpec
+from hcl.solve import ProblemSpec, s_factor_potential
 from hcl.symfunc import FuncFamily
 
 
@@ -81,6 +81,21 @@ def manufactured_closed_spec(N, amplitude=0.1, ny=4):
         ScalarField(dom, psi), None, "closed",
     )
     return spec, ustar
+
+
+def hermitian_stack(rng, count, n=2, scale=1.0, shift=0.0):
+    """Random Hermitian (count, n, n) matrices, positive definite for shift > 0."""
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    g = a @ a.conj().transpose(0, 2, 1) if shift > 0 else a + a.conj().transpose(0, 2, 1)
+    return scale * (g + shift * np.eye(n))
+
+
+def exhaustion_domain(alpha, s_nodes=(21, 21)):
+    """A masked product domain: the sub-level set {h < -alpha} of the S-factor
+    potential on an (8, 4) x s_nodes grid."""
+    dom = GridDomain.product(2, x_shape=(8, 4), s_shape=s_nodes)
+    h = s_factor_potential(dom)
+    return dom.restrict(h.values < -alpha)
 
 
 def smooth_coefficient(dom, amp):

@@ -5,7 +5,10 @@ before the stencil pattern was cached: it rebuilds the COO triplets with one
 `np.roll` of the node grid per stencil offset and lets scipy's COO -> CSR
 conversion sort them and sum duplicates.  `_stencil_entries`,
 `_interior_info` and `_mixed_pieces` are its helpers.  They are kept verbatim
-(only the imports differ).  `newton_coefficient` is the LAPACK coefficient
+(only the imports differ), except that `_mixed_pieces` carries the corrected
+signs of the two imaginary pieces, as `hcl.solve` does: the old ones paired F
+with the transposed Hessian, tr(F^T Hess v), where the derivative of the
+residual is tr(F Hess v).  `newton_coefficient` is the LAPACK coefficient
 F = P diag(grad f(lambda)) P^* that the Newton loop formed with `eigh` and
 `einsum` before the closed form for n = 2.  `_solve_bordered` is the
 closed-mode Newton solve that pinned node 0 and eliminated the gauge constant
@@ -52,8 +55,8 @@ def _mixed_pieces(j: int, k: int, c):
     return (
         (2 * j, 2 * k, 0.5 * c.real),
         (2 * j + 1, 2 * k + 1, 0.5 * c.real),
-        (2 * j, 2 * k + 1, -0.5 * c.imag),
-        (2 * j + 1, 2 * k, 0.5 * c.imag),
+        (2 * j, 2 * k + 1, 0.5 * c.imag),
+        (2 * j + 1, 2 * k, -0.5 * c.imag),
     )
 
 

@@ -569,7 +569,10 @@ class TestNumberBounds:
 # artifact digests taken at the parent of the change that had to reproduce
 # them byte for byte: lemma_check.csv before the stacked lemma-check pipeline,
 # cone_check.csv and subsol_check.csv before the stacked analytic Hessian, and
-# the solver artifacts before BiCGStab became the only Krylov solver
+# results.csv and u_0.hcl of solve-closed before BiCGStab became the only
+# Krylov solver.  The Dirichlet solver artifacts are those of the exact Newton
+# Jacobian with the forcing floor, whose u moved by at most 1e-11 from the
+# solves before it
 VIOLATING = {"n": 2, "d": [0.0], "a_re": [1.0], "a_im": [0.0], "epsilon": 0.1,
              "corner_multipliers": [0.01, 1.0, 1.5]}
 WIDE = {"n": 5, "d": [0.1, 0.9, -0.4, 0.0], "a_re": [1e-3, 0.5, -0.7, 2.0],
@@ -617,14 +620,14 @@ PINNED = [
      ("ffbd6c521b301d394f861a9e5151893a6c02745be9069d97e5c02a63e18bc458",
       "438d218c2996222a66260ee4c900ffdab0b3d43c93de41b7ce025930937d14b6")),
     ("solve-dirichlet", DIRICHLET_SMALL, 0, 0,
-     ("5f4f86e3885c435b5bdf536b3399b35541fefb74057f7e573f52fb7d80b07213",
-      "3da05799b81392b7a0edd7a18d4bfa68e4bbd62ed07e91c5f8182cbfef3d2fd2")),
+     ("7d999f9b1a430178d33fa8b3bdf71b6e36f65b38ab5f86213b6f8e7a55166280",
+      "bd23b0d7b717ebff3716d4daf7f1cde3d3bc7e05c01a875c51a57e66f206b081")),
     ("degenerate-sweep", SWEEP, 0, 0,
-     "623a0ecda44bf3c0e9cde065b56f3844e82f6d2c3c34018e473eda85d92a350d"),
+     "e9eb628082837b0a55ef75d13a9976e519fbd78e5d89fd96e7d18fc044df91cb"),
     ("exhaustion", EXHAUSTION, 0, 0,
-     "9a3eca8a9a1538896d5816a9e8b9504ff9aab06e619693c60f11ba6bef060490"),
+     "715132d7dfd61689c65afbea2bf48cb30836d7c749cf158c1e19c87c33f3a35d"),
     ("estimate-report", ESTIMATES, 0, 0,
-     "20dcbadd860bedcbcdc17394525e727776b316df54f64c44b57168063042fdf9"),
+     "d53874c97970a08d4613794a4991e6df4d7b3208090d3e8d7b8c1fa0377a3a64"),
 ]
 # the files each command's digests cover, in order
 ARTIFACT = {"lemma-check": ["lemma_check.csv"], "cone-check": ["cone_check.csv"],

@@ -36,22 +36,16 @@ from hcl.solve import (
     assemble_linearized,
     build_subsolution,
     residual_field,
-    s_factor_potential,
 )
 from hcl.symfunc import FuncFamily, eval_f, grad_f
 
 from conftest import (
+    exhaustion_domain,
+    hermitian_stack,
     manufactured_closed_spec,
     manufactured_dirichlet_spec,
     smooth_coefficient,
 )
-
-
-def hermitian_stack(rng, count, n=2, scale=1.0, shift=0.0):
-    """Random Hermitian (count, n, n) matrices, positive definite for shift > 0."""
-    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    g = a @ a.conj().transpose(0, 2, 1) if shift > 0 else a + a.conj().transpose(0, 2, 1)
-    return scale * (g + shift * np.eye(n))
 
 
 def random_unitaries(rng, count):
@@ -63,12 +57,6 @@ def random_unitaries(rng, count):
 def newton_like_coefficient(dom, seed):
     rng = np.random.default_rng(seed)
     return hermitian_stack(rng, int(dom.interior.sum()), dom.n, shift=0.5)
-
-
-def exhaustion_domain(alpha, s_nodes=(21, 21)):
-    dom = GridDomain.product(2, x_shape=(8, 4), s_shape=s_nodes)
-    h = s_factor_potential(dom)
-    return dom.restrict(h.values < -alpha)
 
 
 def assert_same_csr(new, old, rtol=0.0):
@@ -213,19 +201,33 @@ class TestNewtonCoefficient:
             ref.newton_coefficient(family, g))
 
     def test_jacobian_matches_directional_derivative(self):
+        # the closed-form coefficient of each nonlinear n = 2 family, assembled,
+        # is the derivative of the residual at a generic iterate: chi random
+        # Hermitian per node and u off the trace, so F has complex off-diagonal
+        # entries
         spec, _ = manufactured_dirichlet_spec(8)
         dom = spec.domain
-        u = spec.phi.values * 0.9
-        r, lam, g = residual_field(spec, u)
-        assert r is not None
-        a, _ = assemble_linearized(dom, _newton_coefficient(spec.family, g, lam))
+        rng = np.random.default_rng(23)
+        chi = HermitianField(dom, hermitian_stack(rng, dom.roles.size, shift=2.0)
+                             .reshape(dom.shape + (2, 2)))
+        x1, y1, x2, y2 = dom.meshgrid()
+        u = 0.9 * spec.phi.values + 0.05 * np.cos(x1 - y2) * np.sin(x2 + y1)
         v = np.zeros(dom.shape)
-        v[dom.interior] = np.random.default_rng(23).normal(0, 1, a.shape[0])
-        t = 1e-6
-        fd = (residual_field(spec, u + t * v)[0]
-              - residual_field(spec, u - t * v)[0]) / (2 * t)
-        jv = a @ v[dom.interior]
-        assert np.max(np.abs(fd - jv)) <= 1e-5 * (np.max(np.abs(jv)) + 1.0)
+        v[dom.interior] = rng.standard_normal(int(dom.interior.sum()))
+        t = 1e-5
+        # sigma_1 is linear: its F is a multiple of the identity
+        for family in [f for f in FAMILIES_N2 if f.kind != "sigma-root"]:
+            fspec = ProblemSpec(dom, family, chi, ScalarField.full(dom, 1.0),
+                                spec.phi, "dirichlet")
+            r, lam, g = residual_field(fspec, u)
+            assert r is not None
+            coeff = _newton_coefficient(family, g, lam)
+            assert np.min(np.abs(coeff[:, 0, 1].imag)) > 0
+            a, _ = assemble_linearized(dom, coeff)
+            fd = (residual_field(fspec, u + t * v)[0]
+                  - residual_field(fspec, u - t * v)[0]) / (2 * t)
+            jv = a @ v[dom.interior]
+            assert np.max(np.abs(fd - jv)) <= 1e-5 * np.max(np.abs(jv)), family.kind
 
 
 class TestResidualField:

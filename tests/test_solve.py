@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    exhaustion_domain,
+    hermitian_stack,
     manufactured_closed_spec,
     manufactured_dirichlet_spec,
     poisson_square_series,
@@ -20,9 +22,11 @@ from hcl.errors import (
 )
 from hcl.grid import (
     GridDomain,
+    HermitianField,
     ScalarField,
     boundary_normal_derivatives,
     chern_laplacian,
+    complex_hessian,
     constant_chi,
     identity_chi,
 )
@@ -32,6 +36,7 @@ from hcl.solve import (
     SolverOptions,
     _bordered_inverse,
     _bordered_matrix,
+    _newton_coefficient,
     _solve_bordered,
     _solve_general,
     _spectral_inverse,
@@ -47,7 +52,7 @@ from hcl.solve import (
     solve_dirichlet,
     verify_estimates,
 )
-from hcl.symfunc import FuncFamily, eval_f, grad_f
+from hcl.symfunc import FuncFamily, eval_f
 
 LOGDET2 = FuncFamily.log_det(2)
 
@@ -275,6 +280,18 @@ class TestSpectralInverse:
         assert iters > 0
         assert np.linalg.norm(a @ x - b) <= 10 * solve_mod.LIN_TOL * np.linalg.norm(b)
 
+    def test_rtol_sets_the_krylov_tolerance(self):
+        # a Newton step's forcing floor reaches BiCGStab, not just the certificate
+        dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(17, 17))
+        coeff = smooth_coefficient(dom, 0.3)
+        a, _ = assemble_linearized(dom, coeff)
+        b = np.random.default_rng(6).standard_normal(a.shape[0])
+        inverse = _spectral_inverse(dom, coeff.mean(axis=0))
+        _, tight = _solve_general(a, b, inverse)
+        x, loose = _solve_general(a, b, inverse, rtol=1e-4)
+        assert loose < tight
+        assert np.linalg.norm(a @ x - b) <= 10 * 1e-4 * np.linalg.norm(b)
+
     def test_uncertified_run_restarts_before_factorization(self, monkeypatch):
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
         a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
@@ -498,31 +515,55 @@ class TestDirichletSolve:
 
 
 class TestLinearization:
+    """The Newton operator is the derivative of the residual: for Hermitian
+    F, A v_int + B v_bdry = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}.
+    A real F (or a diagonal one) cannot tell this pairing from tr(F^T Hess v);
+    every F here has complex off-diagonal entries."""
+
+    @pytest.mark.parametrize("dom", [
+        GridDomain.torus(2, (8, 6, 7, 4), (1.0, 2.0, 3.0, 1.5)),
+        GridDomain.torus(3, (4, 3, 5, 3, 4, 3)),
+        GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 7)),
+        GridDomain.product(3, x_shape=(4, 3, 5, 3), s_shape=(7, 8)),
+        GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 12),
+                           s_periodic=(False, True)),
+        exhaustion_domain(0.02, (13, 11)),
+    ], ids=["torus-n2", "torus-n3", "product-n2", "product-n3", "annulus",
+            "masked"])
+    def test_operator_is_the_trace_pairing(self, dom):
+        rng = np.random.default_rng(31)
+        n = dom.n
+        coeff = hermitian_stack(rng, int(dom.interior.sum()), n, shift=0.5)
+        assert np.min(np.abs(coeff[:, 0, 1].imag)) > 0
+        v = rng.standard_normal(dom.shape)
+        a, b = assemble_linearized(dom, coeff)
+        got = a @ v[dom.interior] + b @ v[dom.boundary]
+        hess = complex_hessian(ScalarField(dom, v))[dom.interior]
+        want = np.einsum("nkj,njk->n", coeff, hess).real
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_jacobian_matches_directional_derivative(self):
-        spec, _ = manufactured_dirichlet_spec(8)
-        dom = spec.domain
-        rng = np.random.default_rng(4)
-        usub, _ = build_subsolution(spec, 0.1)
-        u = usub.values
-        from hcl.grid import complex_hessian
-
-        g = (spec.chi.values + complex_hessian(ScalarField(dom, u)))[
-            dom.interior
-        ]
-        lam, p = np.linalg.eigh(g)
-        coeff = np.einsum("nik,nk,njk->nij", p, grad_f(LOGDET2, lam), p.conj())
-        a, _ = assemble_linearized(dom, coeff)
-
-        v_int = rng.normal(0, 1, int(dom.interior.sum()))
+        # a generic iterate: chi random Hermitian per node and a smooth u that
+        # mixes the X and S factors, so F has complex off-diagonal entries
+        dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
+        rng = np.random.default_rng(29)
+        chi = HermitianField(dom, hermitian_stack(rng, dom.roles.size, shift=2.0)
+                             .reshape(dom.shape + (2, 2)))
+        x0, y0, s0, s1 = dom.meshgrid()
+        u = 0.2 * np.sin(x0 + y0) * np.sin(np.pi * s0) * np.cos(0.5 * np.pi * s1)
+        spec = ProblemSpec(dom, LOGDET2, chi, ScalarField.zeros(dom),
+                           ScalarField.zeros(dom), "dirichlet")
+        r, lam, g = residual_field(spec, u)
+        assert r is not None
+        a, _ = assemble_linearized(dom, _newton_coefficient(LOGDET2, g, lam))
         v = np.zeros(dom.shape)
-        v[dom.interior] = v_int
-        t = 1e-6
-        rp, _, _ = residual_field(spec, u + t * v)
-        rm, _, _ = residual_field(spec, u - t * v)
-        fd = (rp - rm) / (2 * t)
-        jv = a @ v_int
-        scale = np.max(np.abs(jv)) + 1.0
-        assert np.max(np.abs(fd - jv)) <= 1e-5 * scale
+        v[dom.interior] = rng.standard_normal(a.shape[0])
+        t = 1e-5
+        fd = (residual_field(spec, u + t * v)[0]
+              - residual_field(spec, u - t * v)[0]) / (2 * t)
+        jv = a @ v[dom.interior]
+        # the central difference errs by O(t^2), about 3e-7 here
+        assert np.max(np.abs(fd - jv)) <= 1e-5 * np.max(np.abs(jv))
 
 
 class TestClosedSolve:
@@ -581,6 +622,74 @@ class TestClosedSolve:
             solve_closed(spec)
 
 
+def mixed_dirichlet_spec():
+    """log-det on an 8 x 4 x 13^2 product with a psi like dirichlet-newton's,
+    mixing the X and S factors, so that F has complex off-diagonal entries."""
+    dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(13, 13),
+                             x_lengths=(2 * np.pi, 2 * np.pi))
+    x0, _, s0, s1 = dom.meshgrid()
+    psi = (0.4 + 0.1 * np.sin(x0 + 1.0) * np.cos(np.pi * s0 + 0.2)
+           + 0.1 * np.sin(np.pi * s1 + 0.5))
+    return ProblemSpec(dom, LOGDET2, identity_chi(dom), ScalarField(dom, psi),
+                       ScalarField.zeros(dom), "dirichlet")
+
+
+def mixed_closed_spec():
+    """log-det on an (8, 4, 8, 4) torus with psi depending on x of z_1 and y
+    of z_2, so that Im F^{1 2bar} is not zero."""
+    dom = GridDomain.torus(2, (8, 4, 8, 4))
+    x0, _, _, y1 = dom.meshgrid()
+    return ProblemSpec(dom, LOGDET2, identity_chi(dom),
+                       ScalarField(dom, 0.5 * np.sin(x0 + y1)), None, "closed")
+
+
+def newton_tol(spec, opts=SolverOptions()):
+    return opts.residual_scale * (1.0 + np.max(np.abs(spec.psi.values)))
+
+
+MIXED_SOLVES = pytest.mark.parametrize("solver, make_spec", [
+    (solve_dirichlet, mixed_dirichlet_spec),
+    (solve_closed, mixed_closed_spec),
+], ids=["dirichlet", "closed"])
+
+
+class TestNewtonConvergence:
+    """Newton on the exact Jacobian converges quadratically.  A last step that
+    lands at or below tol meets the stop: its forcing floor leaves it a linear
+    residual of about 0.5 tol, so only the steps above tol must contract."""
+
+    @MIXED_SOLVES
+    def test_quadratic_on_complex_coefficients(self, solver, make_spec):
+        spec = make_spec()
+        res = solver(spec)
+        tol, hist = newton_tol(spec), res.residual_history
+        assert res.iterations <= 5 and hist[-1] <= tol
+        for prev, nxt in zip(hist[-3:-1], hist[-2:]):
+            assert nxt <= max(prev ** 1.5, tol)
+
+    @MIXED_SOLVES
+    def test_forcing_floor(self, solver, make_spec, monkeypatch):
+        # rtol = max(LIN_TOL, 0.5 tol / |r|_2): at LIN_TOL while |r|_2 is
+        # large, never below it, and raised on the last step
+        calls, general = [], solve_mod._solve_general
+
+        def recording(a, b, inverse=None, seed=0, rtol=solve_mod.LIN_TOL):
+            calls.append((rtol, np.linalg.norm(b)))
+            return general(a, b, inverse, seed, rtol)
+
+        monkeypatch.setattr(solve_mod, "_solve_general", recording)
+        spec, opts = make_spec(), SolverOptions(residual_scale=1e-10)
+        res = solver(spec, opts)
+        tol = newton_tol(spec, opts)
+        assert len(calls) == len(res.linear_solves)
+        for rtol, r_norm in calls:  # |b|_2 = |r|_2 in both modes
+            assert rtol == pytest.approx(max(solve_mod.LIN_TOL, 0.5 * tol / r_norm),
+                                         rel=1e-12)
+        rtols = [rtol for rtol, _ in calls]
+        assert rtols[0] == solve_mod.LIN_TOL and rtols[-1] > solve_mod.LIN_TOL
+        assert res.residual_history[-1] <= tol
+
+
 @pytest.mark.parametrize("solver, make_spec", [
     (solve_closed, manufactured_closed_spec),
     (solve_dirichlet, manufactured_dirichlet_spec),
@@ -631,7 +740,8 @@ class TestNewtonExits:
         spec = small_dirichlet_spec()
         u0 = build_subsolution(spec, 0.1)[0].values
         monkeypatch.setattr(solve_mod, "_solve_general",
-                            lambda a, b, inverse=None, seed=0: (update(b), 0))
+                            lambda a, b, inverse=None, seed=0,
+                            rtol=solve_mod.LIN_TOL: (update(b), 0))
         return solve_mod._damped_newton(spec, u0, SolverOptions())
 
     def test_cone_exit_at_every_damping(self, monkeypatch):
