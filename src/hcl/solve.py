@@ -24,15 +24,18 @@ coefficient, preconditions BiCGStab, the only Krylov solver: it serves every
 Newton system and refines a Poisson solve on a masked domain or one that
 misses its sup-norm certificate.
 Closed mode solves the bordered (N+1) system for the update and the constant
-at once, with the mean-coefficient bordered operator inverted exactly as its
+at once, as an operator around A (`_bordered_operator`; no (N+1) matrix is
+built), with the mean-coefficient bordered operator inverted exactly as its
 preconditioner.  Each Newton step makes one Krylov solve; its iterations are
 recorded in `SolveResult.linear_solves`.
 
 For n = 2 the eigenvalues and the Newton coefficient are closed forms on the
 stacked 2 x 2 matrices (`_eigvalsh`, `_newton_coefficient`); n >= 3 uses
-LAPACK.  `assemble_linearized` builds the CSR pattern of its stencil once per
-domain (a small cache keyed on the shape and the node roles) and afterwards
-only refills the values.
+LAPACK.  `assemble_linearized` stores A row-major in stencil order, as in
+ELLPACK: every row holds its S = 1 + 4n + 8n(n-1) weights in the order of
+`_stencil_offsets`, so the data is one product of the coefficients' real
+view with a cached weight table, and the structure is built once per
+domain (cached on the shape and the node roles) with no sort.
 """
 
 from __future__ import annotations
@@ -270,7 +273,7 @@ def _mixed_pieces(j: int, k: int, c):
 
 def _stencil_values(spacings, coeff: np.ndarray) -> np.ndarray:
     """Stencil weights of tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar},
-    one row per offset of `_stencil_offsets` and one column per interior node."""
+    one row per offset of `_stencil_offsets` and one column per F of the stack."""
     n = coeff.shape[-1]
     # the centre, two offsets per real axis, sixteen per pair of complex axes
     out = np.empty((1 + 4 * n + 8 * n * (n - 1), coeff.shape[0]))
@@ -304,48 +307,27 @@ def _stencil_offsets(n: int) -> np.ndarray:
     return np.array(offs)
 
 
-@dataclass(frozen=True)
-class _CsrPattern:
-    """Canonical CSR structure plus the stencil weights that fill each slot:
-    slot i sums the flat stencil values src[starts[i]:starts[i + 1]] (one
-    value per slot unless two offsets reach the same neighbour)."""
-
-    shape: tuple[int, int]
-    indices: np.ndarray
-    indptr: np.ndarray
-    src: np.ndarray
-    starts: np.ndarray | None  # None when every slot has one value
-
-    @classmethod
-    def build(cls, rows, cols, src, shape):
-        order = np.lexsort((cols, rows))
-        rows, cols, src = rows[order], cols[order], src[order]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(first)
-        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows[starts], minlength=shape[0]), out=indptr[1:])
-        pattern = cls(shape, cols[starts], indptr, src,
-                      None if starts.size == src.size else starts)
-        for arr in (pattern.indices, indptr, src, starts):
-            arr.flags.writeable = False  # shared by every matrix it fills
-        return pattern
-
-    def fill(self, values: np.ndarray) -> sp.csr_matrix:
-        data = values.take(self.src)
-        if self.starts is not None:
-            data = np.add.reduceat(data, self.starts)
-        m = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-        m.has_canonical_format = True
-        return m
+@lru_cache(maxsize=8)
+def _stencil_weights(spacings: tuple[float, ...], n: int) -> np.ndarray:
+    """The (2 n^2, S) table W that maps the real view of F, (Re F_jk, Im F_jk)
+    for every entry in row-major order, to its stencil weights, one column per
+    offset of `_stencil_offsets`: W holds `_stencil_values` of the unit
+    matrices E_jk and i E_jk.  `_stencil_values` reads only Re F_jj and the
+    F_jk with j < k, so the rows of Im F_jj and of the lower triangle are 0."""
+    basis = np.kron(np.eye(n * n), [[1.0], [1j]]).reshape(2 * n * n, n, n)
+    w = np.ascontiguousarray(_stencil_values(spacings, basis).T)
+    w.flags.writeable = False
+    return w
 
 
 @lru_cache(maxsize=4)
 def _stencil_pattern(shape: tuple[int, ...], roles_bytes: bytes):
-    """CSR patterns of the interior block A and the boundary block B of
-    `assemble_linearized` on one grid, keyed by its node roles (two
-    restrictions of one grid differ only there).  Every axis wraps; on a
-    bounded axis no interior node reaches the wrap."""
+    """(indices, indptr, hits, b_indices, b_indptr, n_bdry): the read-only
+    structure of A and B in `assemble_linearized` on one grid, keyed by its
+    node roles (two restrictions of one grid differ only there).  A slot whose
+    neighbour is a boundary node keeps its own row as the column; `hits` are
+    those slots' flat positions, B's entries in row order.  Every axis wraps;
+    on a bounded axis no interior node reaches the wrap."""
     roles = np.frombuffer(roles_bytes, dtype=np.uint8)
     int_flat = np.flatnonzero(roles == INTERIOR)
     bdry_flat = np.flatnonzero(roles == BOUNDARY)
@@ -354,21 +336,20 @@ def _stencil_pattern(shape: tuple[int, ...], roles_bytes: bytes):
     rank[bdry_flat] = np.arange(bdry_flat.size)
     grid = np.arange(roles.size, dtype=np.int32).reshape(shape)
     axes = tuple(range(len(shape)))
-    nb = np.stack([
-        np.roll(grid, tuple(-off), axis=axes).reshape(-1)[int_flat]
-        for off in _stencil_offsets(len(shape) // 2)
-    ])
+    nb = np.stack([np.roll(grid, tuple(-off), axis=axes).reshape(-1)[int_flat]
+                   for off in _stencil_offsets(len(shape) // 2)], axis=1)
     nb_roles = roles[nb]
     if np.any(nb_roles == EXTERIOR):
         raise DomainError("stencil reached an exterior node; bad mask")
-    n_int = int_flat.size
-    rows = np.broadcast_to(np.arange(n_int, dtype=np.int32), nb.shape)
-    src = np.arange(nb.size, dtype=np.int32).reshape(nb.shape)
-    return tuple(
-        _CsrPattern.build(rows[hit], rank[nb[hit]], src[hit], (n_int, n_cols))
-        for hit, n_cols in ((nb_roles == INTERIOR, n_int),
-                            (nb_roles == BOUNDARY, bdry_flat.size))
-    )
+    n_int, hit, cols = int_flat.size, nb_roles == BOUNDARY, rank[nb]
+    b_indptr = np.zeros(n_int + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(hit, axis=1), out=b_indptr[1:])
+    arrays = (np.where(hit, np.arange(n_int, dtype=np.int32)[:, None], cols).reshape(-1),
+              np.arange(0, nb.size + 1, nb.shape[1], dtype=np.int32),
+              np.flatnonzero(hit), cols[hit], b_indptr)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (*arrays, bdry_flat.size)
 
 
 def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
@@ -379,12 +360,24 @@ def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
     so that A v_int + B v_bdry = tr(F Hess v) = sum_{j,k} F^{k jbar}
     (Hess v)_{j kbar} at the interior nodes, with the Hessian of
     `grid.complex_hessian`: at the Newton coefficient, the derivative of the
-    residual.  The CSR patterns are built once per domain and cached; each
-    call only refills the data.
+    residual.
+
+    Row i of A holds its S weights in the order of `_stencil_offsets`, so the
+    data is the one product of F's real view with `_stencil_weights`.  A slot
+    whose neighbour is a boundary node holds an explicit 0.0 at its own row's
+    column, and its weight goes to B.  Where two offsets reach one neighbour
+    (an axis of 1 or 2 nodes) the entries stay apart; the matvec and
+    `diagonal()` sum them.
     """
-    pat_a, pat_b = _stencil_pattern(domain.shape, domain.roles.tobytes())
-    values = _stencil_values(domain.spacings, coeff).reshape(-1)
-    return pat_a.fill(values), pat_b.fill(values)
+    indices, indptr, hits, b_indices, b_indptr, n_bdry = _stencil_pattern(
+        domain.shape, domain.roles.tobytes())
+    f = np.ascontiguousarray(coeff, dtype=complex).reshape(-1, domain.n ** 2).view(float)
+    data = (f @ _stencil_weights(domain.spacings, domain.n)).reshape(-1)
+    b_data = data[hits]
+    data[hits] = 0.0
+    n_int = indptr.size - 1
+    return (sp.csr_matrix((data, indices, indptr), shape=(n_int, n_int)),
+            sp.csr_matrix((b_data, b_indices, b_indptr), shape=(n_int, n_bdry)))
 
 
 @lru_cache(maxsize=16)
@@ -497,8 +490,8 @@ def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
 
 def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0,
                    rtol: float = LIN_TOL):
-    """BiCGStab to the relative residual `rtol` on a sparse system; returns
-    (x, krylov_iters).
+    """BiCGStab to the relative residual `rtol` on the system of a sparse
+    matrix or a `_bordered_operator` a; returns (x, krylov_iters).
 
     The run starts from a random start drawn with `seed` and is preconditioned
     by the map of vectors `inverse` (such as `_spectral_inverse` at the mean
@@ -635,16 +628,21 @@ def build_supersolution(spec: ProblemSpec) -> ScalarField:
     return poisson_dirichlet(spec.domain, ScalarField(spec.domain, -tr), spec.phi)
 
 
-def _bordered_matrix(a: sp.csr_matrix) -> sp.csr_matrix:
-    """[[A, -1], [1^T, 0]] for a square CSR matrix A: a -1 appended to every
-    row and a last row of ones, written straight into the CSR arrays."""
-    n, ends = a.shape[0], a.indptr[1:]
-    return sp.csr_matrix(
-        (np.concatenate((np.insert(a.data, ends, -1.0), np.ones(n))),
-         np.concatenate((np.insert(a.indices, ends, n), np.arange(n))),
-         np.append(a.indptr + np.arange(n + 1), a.indptr[-1] + 2 * n)),
-        shape=(n + 1, n + 1),
-    )
+def _bordered_operator(a: sp.csr_matrix) -> spla.LinearOperator:
+    """[[A, -1], [1^T, 0]] as an operator around the square matrix A:
+    (v, dc) -> (A v - dc * 1, sum(v)), with the bordered matrix's diagonal
+    (diag A, then 0) for the diagonal preconditioner; no (N+1) matrix is built."""
+    n = a.shape[0]
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        out = np.empty(n + 1)
+        np.subtract(a @ x[:n], x[n], out=out[:n])
+        out[n] = x[:n].sum()
+        return out
+
+    op = spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
+    op.diagonal = lambda: np.append(a.diagonal(), 0.0)
+    return op
 
 
 def _bordered_inverse(inverse):
@@ -667,12 +665,13 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0,
 
         A v - dc * 1 = -r,   sum(v) = 0
 
-    by one `_solve_general` call to the relative residual `rtol`, preconditioned
-    by `_bordered_inverse` of the map `inverse`.  Returns (v, dc, the Krylov
-    iterations)."""
+    by one `_solve_general` call on `_bordered_operator`(A) to the relative
+    residual `rtol`, preconditioned by `_bordered_inverse` of the map
+    `inverse` or, when there is none, by the diagonal: diag A, then 1 for the
+    constant.  Returns (v, dc, the Krylov iterations)."""
     n = r.size
     try:
-        x, iters = _solve_general(_bordered_matrix(a), np.append(-r, 0.0),
+        x, iters = _solve_general(_bordered_operator(a), np.append(-r, 0.0),
                                   _bordered_inverse(inverse), seed, rtol)
     except NumericError as exc:
         raise GaugeError(f"augmented system failed: {exc}") from exc

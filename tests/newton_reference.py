@@ -3,7 +3,10 @@
 `assemble_linearized` here is the roll-loop assembly that `hcl.solve` used
 before the stencil pattern was cached: it rebuilds the COO triplets with one
 `np.roll` of the node grid per stencil offset and lets scipy's COO -> CSR
-conversion sort them and sum duplicates.  `_stencil_entries`,
+conversion sort them and sum duplicates.  Its canonical CSR matrices are the
+operators that `hcl.solve` now stores row-major in stencil order, with
+duplicates apart and explicit zeros where a stencil reaches the boundary;
+the tests compare them after `sum_duplicates`.  `_stencil_entries`,
 `_interior_info` and `_mixed_pieces` are its helpers.  They are kept verbatim
 (only the imports differ), except that `_mixed_pieces` carries the corrected
 signs of the two imaginary pieces, as `hcl.solve` does: the old ones paired F
@@ -12,10 +15,11 @@ residual is tr(F Hess v).  `newton_coefficient` is the LAPACK coefficient
 F = P diag(grad f(lambda)) P^* that the Newton loop formed with `eigh` and
 `einsum` before the closed form for n = 2.  `_solve_bordered` is the
 closed-mode Newton solve that pinned node 0 and eliminated the gauge constant
-with two solves of the pinned matrix (`_pin_row0`), before one solve of the
-bordered (N+1) system replaced it.  `solve_bordered_direct` factors the
-bordered system with `spsolve`, as `hcl.solve` did for systems of up to 2000
-nodes before BiCGStab became its only Newton solver.  `spectral_inverse`
+with two solves of the pinned matrix (`_pin_row0`, which needs a canonical
+CSR matrix), before one solve of the bordered (N+1) system replaced it.
+`solve_bordered_direct` factors the bordered system with `spsolve`, as
+`hcl.solve` did for systems of up to 2000 nodes before BiCGStab became its
+only Newton solver.  `spectral_inverse`
 is the constant-coefficient inverse that `hcl.solve` applied with
 `scipy.fft.dstn` along every bounded axis and `rfftn` along every periodic
 one, before the axes that no kept mixed term couples took small dense

@@ -1,17 +1,18 @@
 """The Newton-step linear algebra against the code it replaced.
 
 `newton_reference` keeps the roll-loop assembly and the LAPACK coefficient.
-The cached stencil pattern must refill the same CSR matrices (bit for bit where
-no two stencil offsets reach the same neighbour), and the closed-form n = 2
-eigenvalues and Newton coefficient must match `np.linalg.eigvalsh` and the
-`eigh`/`einsum` coefficient.  It also keeps the closed-mode solve that pinned
-node 0 and made two solves per Newton step, and a sparse LU factorization
-of the bordered system; the single bordered Krylov solve must give the same
-(v, dc) as both.  Last, it keeps the constant-coefficient inverse that applied
-`dstn` and `rfftn` along every axis; the dense-eigenbasis map must apply the
-same preconditioner, exact or not.  It keeps, too, the CG with which
-`poisson_dirichlet` refined before BiCGStab did; `test_solve.py` checks the
-Poisson solves against it.
+The row-major stencil storage must hold the same operators: with duplicates
+summed and rows sorted, A and B have the reference's CSR structure and its
+values to 1e-15 of the largest, and the closed-form n = 2 eigenvalues and
+Newton coefficient must match `np.linalg.eigvalsh` and the `eigh`/`einsum`
+coefficient.  It also keeps the closed-mode solve that pinned node 0 and made
+two solves per Newton step, and a sparse LU factorization of the bordered
+system; the single bordered Krylov solve, on the bordered operator, must give
+the same (v, dc) as both.  Last, it keeps the constant-coefficient inverse
+that applied `dstn` and `rfftn` along every axis; the dense-eigenbasis map
+must apply the same preconditioner, exact or not.  It keeps, too, the CG with
+which `poisson_dirichlet` refined before BiCGStab did; `test_solve.py` checks
+the Poisson solves against it.
 """
 
 import newton_reference as ref
@@ -22,17 +23,19 @@ import scipy.sparse as sp
 import hcl.solve as solve_mod
 import hcl.symfunc as symfunc_mod
 from hcl.errors import DomainError
-from hcl.grid import EXTERIOR, GridDomain, HermitianField, ScalarField, complex_hessian
+from hcl.grid import (BOUNDARY, EXTERIOR, GridDomain, HermitianField, ScalarField,
+                      complex_hessian)
 from hcl.solve import (
     ProblemSpec,
     SolverOptions,
     _along,
     _axis_basis,
-    _bordered_matrix,
+    _bordered_operator,
     _eigvalsh,
     _newton_coefficient,
     _solve_bordered,
     _spectral_inverse,
+    _stencil_offsets,
     assemble_linearized,
     build_subsolution,
     residual_field,
@@ -59,28 +62,46 @@ def newton_like_coefficient(dom, seed):
     return hermitian_stack(rng, int(dom.interior.sum()), dom.n, shift=0.5)
 
 
-def assert_same_csr(new, old, rtol=0.0):
+def canonical(m):
+    """A copy of the CSR matrix m with its duplicates summed and its rows sorted."""
+    m = m.copy()
+    m.sum_duplicates()
+    return m
+
+
+def assert_same_csr(new, old):
+    # the stored layout may differ; the operator may not
+    new = canonical(new)
     np.testing.assert_array_equal(new.indptr, old.indptr)
     np.testing.assert_array_equal(new.indices, old.indices)
-    if rtol == 0.0:
-        np.testing.assert_array_equal(new.data, old.data)
-    else:
-        scale = np.max(np.abs(old.data), initial=0.0)
-        assert np.max(np.abs(new.data - old.data), initial=0.0) <= rtol * scale
+    scale = np.max(np.abs(old.data), initial=0.0)
+    assert np.max(np.abs(new.data - old.data), initial=0.0) <= 1e-15 * scale
+
+
+def boundary_slots(dom):
+    """(row, slot) of every stencil slot whose neighbour is a boundary node."""
+    grid = np.arange(dom.roles.size).reshape(dom.shape)
+    axes = tuple(range(grid.ndim))
+    nb = np.stack([np.roll(grid, tuple(-off), axis=axes)[dom.interior]
+                   for off in _stencil_offsets(dom.n)], axis=1)
+    return np.nonzero(dom.roles.reshape(-1)[nb] == BOUNDARY)
+
+
+ASSEMBLY_DOMAINS = {
+    "dirichlet-newton": GridDomain.product(2, x_shape=(16, 4), s_shape=(33, 33),
+                                           x_lengths=(6.2832, 6.2832)),
+    "closed-torus": GridDomain.torus(2, (16, 8, 16, 8)),
+    "annulus": GridDomain.product(2, x_shape=(8, 4), s_shape=(13, 17),
+                                  s_periodic=(False, True)),
+    "exhaustion": exhaustion_domain(0.02),
+    "s-factor": GridDomain.product(1, s_shape=(17, 13)),
+    "n3-product": GridDomain.product(3, x_shape=(4, 3, 3, 4), s_shape=(7, 6)),
+}
+BOUNDED_DOMAINS = {k: d for k, d in ASSEMBLY_DOMAINS.items() if d.boundary.any()}
 
 
 class TestCachedAssembly:
-    @pytest.mark.parametrize("dom", [
-        GridDomain.product(2, x_shape=(16, 4), s_shape=(33, 33),
-                           x_lengths=(6.2832, 6.2832)),
-        GridDomain.torus(2, (16, 8, 16, 8)),
-        GridDomain.product(2, x_shape=(8, 4), s_shape=(13, 17),
-                           s_periodic=(False, True)),
-        exhaustion_domain(0.02),
-        GridDomain.product(1, s_shape=(17, 13)),
-        GridDomain.product(3, x_shape=(4, 3, 3, 4), s_shape=(7, 6)),
-    ], ids=["dirichlet-newton", "closed-torus", "annulus", "exhaustion",
-            "s-factor", "n3-product"])
+    @pytest.mark.parametrize("dom", ASSEMBLY_DOMAINS.values(), ids=ASSEMBLY_DOMAINS)
     def test_refill_matches_roll_loop(self, dom):
         for seed in (0, 1):  # the second call refills the cached pattern
             coeff = newton_like_coefficient(dom, seed)
@@ -89,6 +110,19 @@ class TestCachedAssembly:
             assert_same_csr(a, a_ref)
             assert_same_csr(b, b_ref)
 
+    @pytest.mark.parametrize("dom", BOUNDED_DOMAINS.values(), ids=BOUNDED_DOMAINS)
+    def test_boundary_slots_hold_explicit_zeros(self, dom):
+        # every row has one slot per offset, in offset order; a slot that
+        # reaches the boundary keeps its own row's column and a 0.0, and its
+        # weight is B's
+        a, _ = assemble_linearized(dom, newton_like_coefficient(dom, 0))
+        width = _stencil_offsets(dom.n).shape[0]
+        np.testing.assert_array_equal(a.indptr, width * np.arange(a.shape[0] + 1))
+        rows, slots = boundary_slots(dom)
+        assert rows.size > 0
+        assert np.all(a.data[width * rows + slots] == 0.0)
+        np.testing.assert_array_equal(a.indices[width * rows + slots], rows)
+
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (1, 4, 4, 4)])
     def test_offsets_reaching_one_neighbour_are_summed(self, shape):
         # on axes of 1 or 2 nodes several stencil offsets reach one neighbour
@@ -96,7 +130,10 @@ class TestCachedAssembly:
         for seed in (0, 1):
             coeff = newton_like_coefficient(dom, seed)
             a, _ = assemble_linearized(dom, coeff)
-            assert_same_csr(a, ref.assemble_linearized(dom, coeff)[0], rtol=1e-15)
+            a_ref = ref.assemble_linearized(dom, coeff)[0]
+            assert_same_csr(a, a_ref)
+            diag, diag_ref = a.diagonal(), a_ref.diagonal()
+            assert np.max(np.abs(diag - diag_ref)) <= 1e-15 * np.max(np.abs(a_ref.data))
 
     def test_restrictions_of_one_grid_keep_their_own_patterns(self):
         small, large = exhaustion_domain(0.04), exhaustion_domain(0.01)
@@ -311,12 +348,16 @@ class TestBorderedSolve:
         a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
         ones = np.ones((a.shape[0], 1))
         old = sp.bmat([[a, -ones], [ones.T, None]], format="csr")
-        old.sort_indices()
-        assert_same_csr(_bordered_matrix(a), old)
+        new = _bordered_operator(a)
+        assert new.shape == old.shape
+        for x in np.random.default_rng(5).standard_normal((4, old.shape[0])):
+            # each product to 1e-15 of the sum of its terms' sizes
+            scale = abs(old) @ np.abs(x)
+            assert np.all(np.abs(new @ x - old @ x) <= 1e-15 * scale)
 
     def test_pinned_matrix_matches_lil_build(self):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
-        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        a = canonical(assemble_linearized(dom, smooth_coefficient(dom, 0.3))[0])
         old = a.tolil()
         old.rows[0] = [0]
         old.data[0] = [1.0]

@@ -35,7 +35,7 @@ from hcl.solve import (
     ProblemSpec,
     SolverOptions,
     _bordered_inverse,
-    _bordered_matrix,
+    _bordered_operator,
     _newton_coefficient,
     _solve_bordered,
     _solve_general,
@@ -243,12 +243,28 @@ class TestSpectralInverse:
         assert np.max(np.abs(a @ v - dc + r)) <= 1e-9
         assert abs(v.sum()) <= 1e-9
 
+    def test_diagonal_fallback_meets_every_row(self, monkeypatch):
+        # with no spectral inverse the bordered solve is preconditioned by the
+        # diagonal: diag A, then 1 for the constant
+        dom = GridDomain.torus(2, (8, 4, 6, 4))
+        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        r = np.random.default_rng(7).standard_normal(a.shape[0])
+        v, dc, iters = _solve_bordered(a, r, None)
+        assert iters > 0
+        assert np.max(np.abs(a @ v - dc + r)) <= 1e-9
+        assert abs(v.sum()) <= 1e-9
+        monkeypatch.setattr(solve_mod, "_spectral_inverse", lambda *args: None)
+        spec, _ = manufactured_closed_spec(8)
+        res = solve_closed(spec)
+        assert min(res.linear_solves) > 0
+        assert np.max(np.abs(residual_field(spec, res.u.values, res.c)[0])) <= 1e-9
+
     def test_bordered_preconditioner_inverts_constant_operator(self):
         # a full Hermitian fbar on unequal lengths: every symbol enters, and a
         # wrong sign of dc or a missing mean removal breaks one of the rows
         dom = GridDomain.torus(2, (8, 6, 10, 4), (1.0, 2.0, 3.0, 1.5))
         fbar = np.array([[1.2, 0.3 + 0.4j], [0.3 - 0.4j, 0.9]])
-        m = _bordered_matrix(constant_operator(dom, fbar))
+        m = _bordered_operator(constant_operator(dom, fbar))
         inverse = _bordered_inverse(_spectral_inverse(dom, fbar))
         y = np.random.default_rng(3).standard_normal(m.shape[0])
         assert np.max(np.abs(inverse(m @ y) - y)) <= 1e-12
