@@ -261,6 +261,15 @@ class HermitianField:
             self.values + np.conj(np.swapaxes(self.values, -1, -2))
         )
 
+    @property
+    def coords(self) -> np.ndarray:
+        """(n^2, *shape): the Hermitian coordinates (`_hessian_core`) of the
+        values, computed on first use and again once `values` is replaced."""
+        if self.__dict__.get("_coords_of") is not self.values:
+            self._coords, self._coords_of = _coords(self.values), self.values
+            self._coords.flags.writeable = False
+        return self._coords
+
 
 def identity_chi(domain: GridDomain) -> HermitianField:
     n = domain.n
@@ -304,10 +313,11 @@ def _padded(u: np.ndarray, domain: GridDomain) -> np.ndarray:
     return p
 
 
-def _shift(p: np.ndarray, steps: dict) -> np.ndarray:
+def _shift(p: np.ndarray, steps: dict, keep=()) -> np.ndarray:
     """View of the core p[1:-1, ..., 1:-1] shifted by steps[ax] in {-1, 0, +1}
-    along each axis ax in steps."""
-    return p[tuple(slice(1 + steps.get(a, 0), m - 1 + steps.get(a, 0))
+    along each axis ax in steps; the other axes in `keep` stay whole."""
+    return p[tuple(slice(None) if a in keep and a not in steps else
+                   slice(1 + steps.get(a, 0), m - 1 + steps.get(a, 0))
                    for a, m in enumerate(p.shape))]
 
 
@@ -315,52 +325,70 @@ def _second_same(p, ax, h):
     return (_shift(p, {ax: +1}) - 2.0 * _shift(p, {}) + _shift(p, {ax: -1})) / h**2
 
 
-def _second_mixed(p, ax_a, ax_b, ha, hb):
-    return (_shift(p, {ax_a: +1, ax_b: +1}) - _shift(p, {ax_a: +1, ax_b: -1})
-            - _shift(p, {ax_a: -1, ax_b: +1})
-            + _shift(p, {ax_a: -1, ax_b: -1})) / (4.0 * ha * hb)
+def _centred(p, ax, h, keep=()):
+    return (_shift(p, {ax: +1}, keep) - _shift(p, {ax: -1}, keep)) / (2.0 * h)
 
 
 def _hessian_core(p: np.ndarray, h, n: int) -> np.ndarray:
-    """The complex Hessian at the nodes p[1:-1, ..., 1:-1], by their stencils in p."""
-    out = np.zeros(tuple(m - 2 for m in p.shape) + (n, n), dtype=complex)
+    """The Hermitian coordinates of i ddbar u at the nodes p[1:-1, ..., 1:-1],
+    shape (n^2, *core): for each j, u_{j jbar}, then Re and Im u_{j kbar} for
+    each k > j.  A mixed difference D_ab is the centred difference along a of
+    the one along b: the four-corner stencil, algebraically."""
+    out = np.empty((n * n,) + tuple(m - 2 for m in p.shape))
+    first = {b: _centred(p, b, h[b], range(p.ndim)) for b in range(2, p.ndim)}
+    rows = iter(out)
     for j in range(n):
         xj, yj = 2 * j, 2 * j + 1
-        for k in range(j, n):
-            xk, yk = 2 * k, 2 * k + 1
-            if j == k:
-                re = 0.25 * (_second_same(p, xj, h[xj])
-                             + _second_same(p, yj, h[yj]))
-                out[..., j, j] = re
-            else:
-                re = 0.25 * (_second_mixed(p, xj, xk, h[xj], h[xk])
-                             + _second_mixed(p, yj, yk, h[yj], h[yk]))
-                im = 0.25 * (_second_mixed(p, xj, yk, h[xj], h[yk])
-                             - _second_mixed(p, yj, xk, h[yj], h[xk]))
-                out[..., j, k] = re + 1j * im
-                out[..., k, j] = re - 1j * im
+        np.multiply(0.25, _second_same(p, xj, h[xj]) + _second_same(p, yj, h[yj]),
+                    out=next(rows))
+        for k in range(j + 1, n):
+            d = {(a, b): _centred(first[b], a, h[a], (b,))
+                 for a in (xj, yj) for b in (2 * k, 2 * k + 1)}
+            np.multiply(0.25, d[xj, 2 * k] + d[yj, 2 * k + 1], out=next(rows))
+            np.multiply(0.25, d[xj, 2 * k + 1] - d[yj, 2 * k], out=next(rows))
+    return out
+
+
+def _layout(n: int) -> list:
+    """(j, k, imag) of each Hermitian coordinate, in the order of `_hessian_core`."""
+    return [(j, k, i) for j in range(n) for k in range(j, n) for i in range(1 + (k > j))]
+
+
+def _coords(m: np.ndarray) -> np.ndarray:
+    """The Hermitian coordinates (n^2, ...) of a stack (..., n, n), read from
+    the upper triangle."""
+    return np.stack([m[..., j, k].imag if i else m[..., j, k].real
+                     for j, k, i in _layout(m.shape[-1])])
+
+
+def _matrix(c: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian stack (..., n, n) with the coordinates c (n^2, ...)."""
+    n = int(np.sqrt(len(c)))
+    out = np.zeros(c.shape[1:] + (n, n), dtype=complex)
+    for (j, k, i), x in zip(_layout(n), c):
+        part = out.imag if i else out.real
+        part[..., j, k], part[..., k, j] = x, -x if i else x
     return out
 
 
 def complex_hessian(u: ScalarField) -> np.ndarray:
     """Per-node matrix of mixed complex second derivatives of u, shape
-    (*shape, n, n), exactly Hermitian: each conjugate pair is written from
-    one value and the diagonal is real.
-
-    Second-order centered stencils on the real axis pairs; exact on
-    quadratics.  Values at boundary nodes use the extrapolated ghost ring and
-    are meaningful for reporting only; exterior nodes are zeroed.
+    (*shape, n, n): `_matrix` of `box_hessian`'s coordinates, bit for bit on
+    the interior.  Second-order centered stencils on the real axis pairs;
+    exact on quadratics.  Values at boundary nodes use the extrapolated ghost
+    ring and are meaningful for reporting only; exterior nodes are zeroed.
     """
     dom = u.domain
-    out = _hessian_core(_padded(u.values, dom), dom.spacings, dom.n)
+    out = _matrix(_hessian_core(_padded(u.values, dom), dom.spacings, dom.n))
     out[dom.exterior] = 0.0
     return out
 
 
 def box_hessian(u: ScalarField) -> np.ndarray:
-    """`complex_hessian` on `GridDomain.interior_box`, bit for bit, but with no
-    ghost ring (box stencils reach boundary nodes, not past them) and with the
-    box's non-interior nodes of a masked domain not zeroed."""
+    """The Hermitian coordinates (n^2, *box) of i ddbar u on
+    `GridDomain.interior_box` (`_hessian_core`), with no ghost ring (box
+    stencils reach boundary nodes, not past them) and with the box's
+    non-interior nodes of a masked domain not zeroed."""
     dom = u.domain
     p = np.pad(u.values, [(1, 1) if per else (0, 0) for per in dom.periodic],
                mode="wrap")
@@ -384,7 +412,7 @@ def gradient_sup(u: ScalarField) -> float:
     p = _padded(u.values, dom)
     g2 = np.zeros(dom.shape)
     for ax in range(d):
-        g2 += ((_shift(p, {ax: +1}) - _shift(p, {ax: -1})) / (2.0 * h[ax])) ** 2
+        g2 += _centred(p, ax, h[ax]) ** 2
     live = ~dom.exterior
     return float(np.max(g2[live]))
 

@@ -7,12 +7,17 @@ fully periodic domain with a zero-mean gauge on the updates and sup u = 0
 applied after convergence.  Dirichlet mode builds a strict subsolution with
 u = phi on the boundary, starts from it (optionally along a continuation
 ladder) and returns it.  `residual_field` alone evaluates g = chi + i ddbar u
-(on the interior box, by `box_hessian`), lambda(g), the cone test and f.
+(on the interior box, by `box_hessian`), sigma(g), the cone test and f.
+
+g, chi and F are (n^2, N) arrays of Hermitian coordinates
+(`grid._hessian_core`).  Every family is a function of sigma_1..sigma_n(g),
+sums of principal minors (Horn & Johnson, Matrix Analysis, 2nd ed., 1.2): for
+n <= 3 the cone test, f and F need no eigenvalues, n >= 4 one LAPACK call each.
 
 The Newton operator is the exact derivative of the discrete residual: with
-F = sum_k f_k(lambda) P_k (`_newton_coefficient`) it is
+F = d f(lambda[g]) / dg (`_newton_coefficient`) it is
 L v = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}, with the Hessian
-stencils of `grid.complex_hessian`.  Each Newton step solves its system
+stencils of `grid.box_hessian`.  Each Newton step solves its system
 only as far as its stopping test needs (the forcing floor of `_damped_newton`).
 
 Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
@@ -29,13 +34,11 @@ built), with the mean-coefficient bordered operator inverted exactly as its
 preconditioner.  Each Newton step makes one Krylov solve; its iterations are
 recorded in `SolveResult.linear_solves`.
 
-For n = 2 the eigenvalues and the Newton coefficient are closed forms on the
-stacked 2 x 2 matrices (`_eigvalsh`, `_newton_coefficient`); n >= 3 uses
-LAPACK.  `assemble_linearized` stores A row-major in stencil order, as in
-ELLPACK: every row holds its S = 1 + 4n + 8n(n-1) weights in the order of
-`_stencil_offsets`, so the data is one product of the coefficients' real
-view with a cached weight table, and the structure is built once per
-domain (cached on the shape and the node roles) with no sort.
+`assemble_linearized` stores A row-major in stencil order, as in ELLPACK:
+every row holds its S = 1 + 4n + 8n(n-1) weights in the order of
+`_stencil_offsets`, so the data is one product of F's n^2 coordinates with a
+cached weight table, and the structure is built once per domain (cached on
+the shape and the node roles) with no sort.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ from .grid import (
     GridDomain,
     HermitianField,
     ScalarField,
+    _coords,
+    _matrix,
     boundary_normal_derivatives,
     box_hessian,
     complex_hessian,
@@ -74,9 +79,10 @@ from .symfunc import (
     FuncFamily,
     _ladder,
     boundary_sup,
-    eval_f,
+    df_dsigma,
+    elementary_all,
+    f_of_sigma,
     grad_f,
-    in_cone,
 )
 
 __all__ = [
@@ -201,58 +207,76 @@ class ExhaustionReport:
 # ----------------------------------------------------------------- helpers
 
 
-def _eigvalsh(g: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (N, n, n) Hermitian stack: m -+ r with
-    m = (p + q)/2 and r = hypot((p - q)/2, |b|) for n = 2, LAPACK otherwise."""
-    if g.shape[-1] != 2:
-        return np.linalg.eigvalsh(g)
-    p, q = g[:, 0, 0].real, g[:, 1, 1].real
-    m = 0.5 * (p + q)
-    r = np.hypot(0.5 * (p - q), np.abs(g[:, 0, 1]))
-    return np.stack((m - r, m + r), axis=-1)
+def _sigmas(g: np.ndarray) -> list:
+    """[1, sigma_1, ..., sigma_n] of the Hermitian coordinates g (n^2, N): sums
+    of principal minors for n <= 3, else from LAPACK's eigenvalues.  The n = 3
+    determinant is the product of the LDL^* pivots where the first two are
+    positive: the cofactor sum errs by eps |g|^3, 2e-9 relative at (1e-4, 1e-4, 1)."""
+    n = int(np.sqrt(len(g)))
+    if n == 2:
+        a, br, bi, d = g
+        return [1.0, a + d, a * d - br * br - bi * bi]
+    if n == 3:
+        a, br, bi, cr, ci, d, er, ei, f = g
+        bb, cc, ee = br * br + bi * bi, cr * cr + ci * ci, er * er + ei * ei
+        bec = (br * er - bi * ei) * cr + (br * ei + bi * er) * ci  # Re g01 g12 g20
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p2 = d - bb / a
+            sr, si = er - (br * cr + bi * ci) / a, ei - (br * ci - bi * cr) / a
+            ldl = a * p2 * (f - cc / a - (sr * sr + si * si) / p2)
+        det = a * (d * f - ee) - f * bb - d * cc + 2.0 * bec
+        return [1.0, a + d + f, a * d - bb + a * f - cc + d * f - ee,
+                np.where((a > 0.0) & (p2 > 0.0), ldl, det)]
+    return list(np.moveaxis(elementary_all(np.linalg.eigvalsh(_matrix(g))), -1, 0))
 
 
-def _newton_coefficient(family: FuncFamily, g: np.ndarray, lam: np.ndarray):
-    """F = sum_k f_k(lambda) P_k, the derivative of f(lambda[g]) in g, for a
-    stack g with eigenvalues lam (from `_eigvalsh`).
+def _f_of_g(family: FuncFamily, g: np.ndarray):
+    """(f(lambda[g]), sigma = `_sigmas`(g)); f is None if some sigma_1..sigma_k
+    is not > 0 (lambda[g] outside Gamma_k) or some f is not finite."""
+    s = _sigmas(g)
+    if not np.all(np.min(s[1:family.k + 1], axis=0) > 0.0):
+        return None, s
+    val = f_of_sigma(family, s)
+    return (val if np.all(np.isfinite(val)) else None), s
 
-    For n = 2 by spectral calculus without eigenvectors:
-    F = alpha I + beta (g - m I) with alpha = (f_1 + f_2)/2 and
-    beta = (f_2 - f_1)/(lambda_2 - lambda_1), beta = 0 on a double eigenvalue.
-    Otherwise from LAPACK's eigenvectors.
-    """
-    if g.shape[-1] != 2:
-        lam_g, p = np.linalg.eigh(g)
-        return np.einsum("nik,nk,njk->nij", p, grad_f(family, lam_g), p.conj())
-    f = grad_f(family, lam)
-    alpha = 0.5 * (f[:, 0] + f[:, 1])
-    gap = lam[:, 1] - lam[:, 0]
-    beta = np.divide(f[:, 1] - f[:, 0], gap, out=np.zeros_like(gap), where=gap > 0)
-    half = beta * 0.5 * (g[:, 0, 0].real - g[:, 1, 1].real)
-    coeff = np.empty_like(g)
-    coeff[:, 0, 0] = alpha + half
-    coeff[:, 1, 1] = alpha - half
-    coeff[:, 0, 1] = beta * g[:, 0, 1]
-    coeff[:, 1, 0] = coeff[:, 0, 1].conj()
+
+def _newton_coefficient(family: FuncFamily, g: np.ndarray, s: list) -> np.ndarray:
+    """F = d f(lambda[g]) / dg in Hermitian coordinates at g with sigma = s:
+    F = sum_m (df/dsigma_m) dsigma_m/dg, dsigma_m/dg = sum_{j<m} (-1)^j
+    sigma_{m-1-j} g^j (Jacobi's formula for m = n); for n = 2 that is
+    F = f_1 I + f_2 (sigma_1 I - g).  n >= 4, where the polynomial loses
+    accuracy, takes LAPACK: F = P diag(grad f(lambda)) P^*."""
+    n = len(s) - 1
+    if n > 3:
+        lam, p = np.linalg.eigh(_matrix(g))
+        return _coords(np.einsum("nik,nk,njk->nij", p, grad_f(family, lam), p.conj()))
+    # F = sum_j c_j g^j with c_j = (-1)^j sum_{m>j} (df/dsigma_m) sigma_{m-1-j}
+    c = [(-1) ** j * sum(fm * s[m - 1 - j] for m, fm in df_dsigma(family, s).items()
+                         if m > j) for j in range(n)]
+    coeff = c[1] * g
+    if n == 3:  # + c_2 g^2, by the coordinates of g^2
+        a, br, bi, cr, ci, d, er, ei, f = g
+        coeff += c[2] * np.array([
+            a * a + br * br + bi * bi + cr * cr + ci * ci, (a + d) * br + cr * er + ci * ei,
+            (a + d) * bi + ci * er - cr * ei, (a + f) * cr + br * er - bi * ei,
+            (a + f) * ci + br * ei + bi * er, br * br + bi * bi + d * d + er * er + ei * ei,
+            (d + f) * er + br * cr + bi * ci, (d + f) * ei + br * ci - bi * cr,
+            cr * cr + ci * ci + er * er + ei * ei + f * f])
+    coeff[[j * (2 * n - j) for j in range(n)]] += c[0]  # the diagonal
     return coeff
 
 
 def residual_field(spec: ProblemSpec, u_vals: np.ndarray, c: float = 0.0):
-    """(r, lam, g) at the interior nodes: g = chi + i ddbar u, lam = lambda(g)
-    and r = f(lam) - psi - c, or None if some lam is outside Gamma_k or not finite."""
+    """(r, sigma, g) at the interior nodes: g = chi + i ddbar u in Hermitian
+    coordinates (n^2, N), from `box_hessian` and `HermitianField.coords`,
+    sigma = `_sigmas`(g) and r = f - psi - c, or None as in `_f_of_g`."""
     dom = spec.domain
-    box, n = dom.interior_box, dom.n
     g = box_hessian(ScalarField(dom, u_vals))
-    g += spec.chi.values[box]
-    g, psi = g.reshape(-1, n, n), spec.psi.values[box].reshape(-1)
-    inside = dom.interior[box].reshape(-1)
-    if not inside.all():  # a masked domain
-        g, psi = g[inside], psi[inside]
-    lam = _eigvalsh(g)
-    try:
-        return eval_f(spec.family, lam) - psi - c, lam, g
-    except (AdmissibilityError, DomainError):  # DomainError: lam not finite
-        return None, lam, g
+    g += spec.chi.coords[(slice(None), *dom.interior_box)]
+    g, inside = g.reshape(len(g), -1), dom.interior[dom.interior_box].reshape(-1)
+    g = g if inside.all() else g[:, inside]
+    val, s = _f_of_g(spec.family, g)
+    return (None if val is None else val - spec.psi.values[dom.interior] - c), s, g
 
 
 def _mixed_pieces(j: int, k: int, c):
@@ -271,32 +295,9 @@ def _mixed_pieces(j: int, k: int, c):
     )
 
 
-def _stencil_values(spacings, coeff: np.ndarray) -> np.ndarray:
-    """Stencil weights of tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar},
-    one row per offset of `_stencil_offsets` and one column per F of the stack."""
-    n = coeff.shape[-1]
-    # the centre, two offsets per real axis, sixteen per pair of complex axes
-    out = np.empty((1 + 4 * n + 8 * n * (n - 1), coeff.shape[0]))
-    out[0] = 0.0
-    rows = iter(out[1:])
-    for j in range(n):
-        fjj = coeff[:, j, j].real
-        for ax in (2 * j, 2 * j + 1):
-            w = np.divide(0.25 * fjj, spacings[ax] ** 2, out=next(rows))
-            next(rows)[:] = w
-            out[0] -= 2.0 * w
-    for j in range(n):
-        for k in range(j + 1, n):
-            for ax_a, ax_b, fac in _mixed_pieces(j, k, coeff[:, j, k]):
-                w = fac / (4.0 * spacings[ax_a] * spacings[ax_b])
-                for sign in (+1, -1, -1, +1):  # sa * sb at the corners
-                    np.multiply(w, sign, out=next(rows))
-    return out
-
-
 def _stencil_offsets(n: int) -> np.ndarray:
     """The centre, -+1 along each real axis, then the four corners of each
-    mixed axis pair: the row order of `_stencil_values`."""
+    mixed axis pair: the column order of `_stencil_weights`."""
     eye = np.eye(2 * n, dtype=int)
     offs = [0 * eye[0]] + [s * eye[ax] for ax in range(2 * n) for s in (+1, -1)]
     for j in range(n):
@@ -309,13 +310,25 @@ def _stencil_offsets(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _stencil_weights(spacings: tuple[float, ...], n: int) -> np.ndarray:
-    """The (2 n^2, S) table W that maps the real view of F, (Re F_jk, Im F_jk)
-    for every entry in row-major order, to its stencil weights, one column per
-    offset of `_stencil_offsets`: W holds `_stencil_values` of the unit
-    matrices E_jk and i E_jk.  `_stencil_values` reads only Re F_jj and the
-    F_jk with j < k, so the rows of Im F_jj and of the lower triangle are 0."""
-    basis = np.kron(np.eye(n * n), [[1.0], [1j]]).reshape(2 * n * n, n, n)
-    w = np.ascontiguousarray(_stencil_values(spacings, basis).T)
+    """The read-only (n^2, S) table W of the stencil weights of
+    tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}: row c for the F whose
+    Hermitian coordinates (`grid._hessian_core`) are the unit vector e_c, one
+    column per offset of `_stencil_offsets`."""
+    w, col = np.zeros((n * n, 1 + 4 * n + 8 * n * (n - 1))), 1
+    for j in range(n):
+        for ax in (2 * j, 2 * j + 1):  # F_jj
+            w[j * (2 * n - j), col:col + 2] = 0.25 / spacings[ax] ** 2
+            w[j * (2 * n - j), 0] -= 2.0 * w[j * (2 * n - j), col]
+            col += 2
+    for j in range(n):
+        for k in range(j + 1, n):
+            re = j * (2 * n - j) + 2 * (k - j) - 1  # Re F_jk, then Im F_jk
+            # the factors of Re F_jk = 1 and Im F_jk = 1 at once
+            for (ax_a, ax_b, fac), row in zip(_mixed_pieces(j, k, 1 + 1j),
+                                              (re, re, re + 1, re + 1)):
+                w[row, col:col + 4] = np.array([1, -1, -1, 1]) * (
+                    fac / (4.0 * spacings[ax_a] * spacings[ax_b]))  # sa * sb
+                col += 4
     w.flags.writeable = False
     return w
 
@@ -323,11 +336,11 @@ def _stencil_weights(spacings: tuple[float, ...], n: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _stencil_pattern(shape: tuple[int, ...], roles_bytes: bytes):
     """(indices, indptr, hits, b_indices, b_indptr, n_bdry): the read-only
-    structure of A and B in `assemble_linearized` on one grid, keyed by its
-    node roles (two restrictions of one grid differ only there).  A slot whose
-    neighbour is a boundary node keeps its own row as the column; `hits` are
-    those slots' flat positions, B's entries in row order.  Every axis wraps;
-    on a bounded axis no interior node reaches the wrap."""
+    structure of A (`assemble_linearized`) and B (`_boundary_coupling`) on one
+    grid, keyed by its node roles (two restrictions of one grid differ only
+    there).  A slot whose neighbour is a boundary node keeps its own row as the
+    column; `hits` are those slots' flat positions, B's entries in row order.
+    Every axis wraps; on a bounded axis no interior node reaches the wrap."""
     roles = np.frombuffer(roles_bytes, dtype=np.uint8)
     int_flat = np.flatnonzero(roles == INTERIOR)
     bdry_flat = np.flatnonzero(roles == BOUNDARY)
@@ -352,32 +365,36 @@ def _stencil_pattern(shape: tuple[int, ...], roles_bytes: bytes):
     return (*arrays, bdry_flat.size)
 
 
-def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
-    """Sparse interior operator and boundary coupling for per-node coefficient
-    matrices F (shape (N_int, n, n), Hermitian).
+def assemble_linearized(domain: GridDomain, coeff: np.ndarray) -> sp.csr_matrix:
+    """Sparse interior operator A for per-node coefficient matrices F in
+    Hermitian coordinates (`grid._hessian_core`), shape (n^2, N_int).
 
-    Returns (A, B) with A acting on interior values and B on boundary values,
-    so that A v_int + B v_bdry = tr(F Hess v) = sum_{j,k} F^{k jbar}
-    (Hess v)_{j kbar} at the interior nodes, with the Hessian of
-    `grid.complex_hessian`: at the Newton coefficient, the derivative of the
-    residual.
+    With B of `_boundary_coupling`, A v_int + B v_bdry = tr(F Hess v) =
+    sum_{j,k} F^{k jbar} (Hess v)_{j kbar} at the interior nodes, with the
+    Hessian of `grid.box_hessian`: at the Newton coefficient, the derivative
+    of the residual.
 
     Row i of A holds its S weights in the order of `_stencil_offsets`, so the
-    data is the one product of F's real view with `_stencil_weights`.  A slot
-    whose neighbour is a boundary node holds an explicit 0.0 at its own row's
-    column, and its weight goes to B.  Where two offsets reach one neighbour
+    data is the one product of F's coordinates with `_stencil_weights`.  A
+    slot whose neighbour is a boundary node holds an explicit 0.0 at its own
+    row's column; its weight is B's.  Where two offsets reach one neighbour
     (an axis of 1 or 2 nodes) the entries stay apart; the matvec and
     `diagonal()` sum them.
     """
-    indices, indptr, hits, b_indices, b_indptr, n_bdry = _stencil_pattern(
-        domain.shape, domain.roles.tobytes())
-    f = np.ascontiguousarray(coeff, dtype=complex).reshape(-1, domain.n ** 2).view(float)
-    data = (f @ _stencil_weights(domain.spacings, domain.n)).reshape(-1)
-    b_data = data[hits]
+    indices, indptr, hits = _stencil_pattern(domain.shape, domain.roles.tobytes())[:3]
+    data = (coeff.T @ _stencil_weights(domain.spacings, domain.n)).reshape(-1)
     data[hits] = 0.0
     n_int = indptr.size - 1
-    return (sp.csr_matrix((data, indices, indptr), shape=(n_int, n_int)),
-            sp.csr_matrix((b_data, b_indices, b_indptr), shape=(n_int, n_bdry)))
+    return sp.csr_matrix((data, indices, indptr), shape=(n_int, n_int))
+
+
+def _boundary_coupling(domain: GridDomain, coeff: np.ndarray) -> sp.csr_matrix:
+    """B on the boundary values for the coefficients of `assemble_linearized`:
+    the weights of A's slots that reach a boundary node, in row order."""
+    _, indptr, hits, b_ind, b_ptr, n_bdry = _stencil_pattern(
+        domain.shape, domain.roles.tobytes())
+    data = (coeff.T @ _stencil_weights(domain.spacings, domain.n)).reshape(-1)[hits]
+    return sp.csr_matrix((data, b_ind, b_ptr), shape=(indptr.size - 1, n_bdry))
 
 
 @lru_cache(maxsize=16)
@@ -558,10 +575,10 @@ def poisson_dirichlet(domain: GridDomain, rhs, bc=0.0) -> ScalarField:
                          np.broadcast_to(np.asarray(x, dtype=float), domain.shape)
                          for x in (rhs, bc))
     n = domain.n
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (int(domain.interior.sum()), n, n))
-    a, b = assemble_linearized(domain, eye)
+    eye = np.repeat(_coords(np.eye(n))[:, None], domain.interior.sum(), axis=1)
+    a = assemble_linearized(domain, eye)
     u_b = bc_vals.reshape(-1)[domain.roles.reshape(-1) == BOUNDARY]
-    rhs_eff = rhs_vals[domain.interior] - b @ u_b
+    rhs_eff = rhs_vals[domain.interior] - _boundary_coupling(domain, eye) @ u_b
     target = POISSON_SUP_TOL * (1.0 + float(np.max(np.abs(rhs_vals[domain.interior]))))
     solve = _spectral_inverse(domain, np.eye(n))
     x = np.zeros(rhs_eff.size) if solve is None else solve(rhs_eff)
@@ -598,22 +615,27 @@ def build_subsolution(
     spec: ProblemSpec, delta: float, t_max: float = LADDER_T_MAX
 ) -> tuple[ScalarField, float]:
     """phi + t * `s_factor_potential`, smallest t of 0 and the geometric ladder
-    with lambda(g) in Gamma and f >= psi + delta at every interior node."""
+    with lambda(g) in Gamma and f >= psi + delta at every interior node; g is
+    linear in u, so g[phi + t h] = g[phi] + t i ddbar h from two Hessians."""
     if spec.mode != "dirichlet" or spec.domain.kind != "product":
         raise DomainError("subsolution construction needs a Dirichlet product domain")
     if delta <= 0:
         raise DomainError("strictness delta must be positive")
-    h = s_factor_potential(spec.domain)
-    strict = replace(spec, psi=ScalarField(spec.domain, spec.psi.values + delta))
+    dom = spec.domain
+    h = s_factor_potential(dom)
+    box, inside = (slice(None), *dom.interior_box), dom.interior[dom.interior_box].reshape(-1)
+    g_phi = (box_hessian(spec.phi) + spec.chi.coords[box]).reshape(dom.n ** 2, -1)[:, inside]
+    g_h = box_hessian(h).reshape(dom.n ** 2, -1)[:, inside]
+    level = spec.psi.values[dom.interior] + delta
     last_reason = ""
     for t in [0.0, *_ladder(t_max)]:
-        u_vals = spec.phi.values + t * h.values
-        short, lam, _ = residual_field(strict, u_vals)
+        val, s = _f_of_g(spec.family, g_phi + t * g_h)
+        short = None if val is None else val - level
         if short is None:
-            bad = int(np.argmin(in_cone(lam, spec.family.k)))
+            bad = int(np.argmin(np.min(s[1:spec.family.k + 1], axis=0) > 0.0))
             last_reason = f"cone violation at interior node #{bad} for t={t}"
         elif np.all(short >= 0.0):
-            return ScalarField(spec.domain, u_vals), float(t)
+            return ScalarField(dom, spec.phi.values + t * h.values), float(t)
         else:
             last_reason = (f"level short by {-float(short.min()):.3e} at interior "
                            f"node #{int(np.argmin(short))} for t={t}")
@@ -687,7 +709,7 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     with the zero-mean gauge in closed mode, the plain Newton system in
     Dirichlet mode (boundary values stay fixed).  The step is halved until the
     iterate stays admissible and the sup-norm residual decreases; the accepted
-    trial's g and eigenvalues give the next step's coefficient.  Each step
+    trial's g and sigma give the next step's coefficient.  Each step
     makes one BiCGStab solve, preconditioned by `_spectral_inverse` at the
     mean Newton coefficient, to the relative residual
     rtol = max(LIN_TOL, 0.5 tol / |r|_2).  BiCGStab then stops at a linear
@@ -700,7 +722,7 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     dom = spec.domain
     tol = opts.residual_scale * (1.0 + float(np.max(np.abs(spec.psi.values[~dom.exterior]))))
     c = 0.0
-    r, lam, g = residual_field(spec, u, c)
+    r, s, g = residual_field(spec, u, c)
     if r is None:
         raise AdmissibilityError("initial iterate not admissible")
     res = float(np.max(np.abs(r)))
@@ -709,9 +731,9 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     for _ in range(opts.max_newton):
         if res <= tol:
             break
-        coeff = _newton_coefficient(spec.family, g, lam)
-        a, _ = assemble_linearized(dom, coeff)
-        inverse = _spectral_inverse(dom, coeff.mean(axis=0))
+        coeff = _newton_coefficient(spec.family, g, s)
+        a = assemble_linearized(dom, coeff)
+        inverse = _spectral_inverse(dom, _matrix(coeff.mean(axis=1)))
         rtol = max(LIN_TOL, 0.5 * tol / float(np.linalg.norm(r)))
         if spec.mode == "closed":
             v, dc, iters = _solve_bordered(a, r, inverse, opts.seed, rtol)
@@ -724,12 +746,12 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
             trial = u.copy()
             trial[dom.interior] += step * v
             c_t = c + step * dc
-            r_t, lam_t, g_t = residual_field(spec, trial, c_t)
+            r_t, s_t, g_t = residual_field(spec, trial, c_t)
             if r_t is not None:
                 admissible_seen = True
                 res_t = float(np.max(np.abs(r_t)))
                 if res_t < res:
-                    u, c, r, res, lam, g = trial, c_t, r_t, res_t, lam_t, g_t
+                    u, c, r, res, s, g = trial, c_t, r_t, res_t, s_t, g_t
                     history.append(res)
                     break
             step *= 0.5
@@ -772,7 +794,7 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
             opts = replace(opts, continuation=8)
     # continuation ladder from the subsolution level
     f0 = np.zeros(dom.shape)
-    f0[dom.interior] = eval_f(spec.family, residual_field(spec, usub.values)[1])
+    f0[dom.interior] = f_of_sigma(spec.family, residual_field(spec, usub.values)[1])
     current = u0
     s_values = list(np.linspace(0.0, 1.0, opts.continuation + 1)[1:])
     total_iters = 0
@@ -937,7 +959,10 @@ def verify_estimates(
     u = result.u
     hess = complex_hessian(u)
     live = ~dom.exterior
-    lam_u = _eigvalsh(hess[dom.interior])
+    # sup |lambda| = sup |H|_2 sits where |H|_F reaches the largest column norm
+    h2 = np.abs(hess[dom.interior]) ** 2
+    near = h2.sum(axis=(1, 2)) >= (1 - 1e-9) * np.max(h2.sum(axis=1), initial=0.0)
+    lam_u = np.linalg.eigvalsh(hess[dom.interior][near])
     sup_dbar = float(np.max(np.abs(lam_u))) if lam_u.size else 0.0
     grad_sq = gradient_sup(u)
     ratio2nd = sup_dbar / (1.0 + grad_sq)

@@ -78,7 +78,7 @@ def elementary_all(lam) -> np.ndarray:
     e[0] = 1.0
     for i in range(n):
         e[1:] = e[1:] + lam[..., i] * e[:-1]
-    return np.moveaxis(e, 0, -1)
+    return e.transpose(*range(1, e.ndim), 0)  # np.moveaxis costs 3 us of a 19 us eval_f
 
 
 def sigma_k(lam, k: int) -> np.ndarray | float:
@@ -209,25 +209,44 @@ def eval_f(family: FuncFamily, lam) -> np.ndarray | float:
     if lam.shape[-1] != family.n:
         raise DomainError("eigenvalue tuple length does not match family dimension")
     e = _admissible_sigmas(family, lam)
-    k = family.k
     if family.kind == "log-det":
         val = np.sum(np.log(lam), axis=-1)
-    elif family.kind == "sigma-root":
-        val = e[..., k] ** (1.0 / k)
-    elif family.kind == "log-sigma":
-        val = np.log(e[..., k])
-    elif family.kind == "sigma-quotient":
-        l, m = family.l, family.k - family.l
+    else:
+        val = f_of_sigma(family, [e[..., m] for m in range(family.n + 1)])
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def f_of_sigma(family: FuncFamily, s) -> np.ndarray:
+    """f at s[m] = sigma_m, m = 0..n (rows of any shape, s[0] = 1), with no
+    cone test; log-det is log sigma_n, sigma-root the quotient with l = 0."""
+    n, k, l = family.n, family.k, family.l
+    if family.kind in ("log-det", "log-sigma"):
+        return np.log(s[n if family.kind == "log-det" else k])
+    if family.kind != "quotient-log":
         # an array, also for one point: `**` on a numpy scalar calls libm pow,
         # on an array sqrt or numpy's own pow, and one point must match a stack
-        val = np.asarray(e[..., k] / e[..., l]) ** (1.0 / m)
-    else:  # quotient-log
-        skp1 = e[..., k + 1] if k + 1 <= family.n else np.zeros(lam.shape[:-1])
-        val = skp1 / e[..., k]
-        for j, beta in enumerate(family.betas, start=1):
-            if beta:
-                val = val + beta * np.log(e[..., j])
-    return float(val) if np.ndim(val) == 0 else val
+        return np.asarray(s[k] / s[l] if l else s[k]) ** (1.0 / (k - l))
+    val = (s[k + 1] if k < n else 0.0) / s[k]  # quotient-log
+    for j, beta in enumerate(family.betas, start=1):
+        if beta:
+            val = val + beta * np.log(s[j])
+    return val
+
+
+def df_dsigma(family: FuncFamily, s) -> dict:
+    """{m: df/dsigma_m} at s as in `f_of_sigma`, for the m f depends on."""
+    n, k, l = family.n, family.k, family.l
+    if family.kind in ("log-det", "log-sigma"):
+        m = n if family.kind == "log-det" else k
+        return {m: 1.0 / s[m]}
+    if family.kind != "quotient-log":  # (sigma_k / sigma_l)^(1/(k-l))
+        dk = (s[k] / s[l]) ** (1.0 / (k - l) - 1.0) / ((k - l) * s[l])
+        return {k: dk, l: -dk * s[k] / s[l]} if l else {k: dk}
+    out = {j: beta / s[j] for j, beta in enumerate(family.betas, start=1) if beta}
+    if k < n:  # sigma_{n+1} vanishes identically
+        out[k] = out.get(k, 0.0) - s[k + 1] / s[k] ** 2
+        out[k + 1] = 1.0 / s[k]
+    return out
 
 
 def grad_f(family: FuncFamily, lam) -> np.ndarray:

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from hcl.grid import GridDomain, ScalarField, identity_chi
-from hcl.solve import ProblemSpec, s_factor_potential
+from hcl.grid import GridDomain, ScalarField, _coords, identity_chi
+from hcl.solve import (ProblemSpec, _boundary_coupling, assemble_linearized,
+                       s_factor_potential)
 from hcl.symfunc import FuncFamily
 
 
@@ -81,6 +82,13 @@ def manufactured_closed_spec(N, amplitude=0.1, ny=4):
         ScalarField(dom, psi), None, "closed",
     )
     return spec, ustar
+
+
+def assemble(dom, coeff):
+    """(A, B) of `assemble_linearized` and `_boundary_coupling` for the complex
+    coefficient stack coeff (N_int, n, n), in its Hermitian coordinates."""
+    coeff = _coords(np.asarray(coeff, dtype=complex))
+    return assemble_linearized(dom, coeff), _boundary_coupling(dom, coeff)
 
 
 def hermitian_stack(rng, count, n=2, scale=1.0, shift=0.0):

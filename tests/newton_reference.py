@@ -13,7 +13,11 @@ signs of the two imaginary pieces, as `hcl.solve` does: the old ones paired F
 with the transposed Hessian, tr(F^T Hess v), where the derivative of the
 residual is tr(F Hess v).  `newton_coefficient` is the LAPACK coefficient
 F = P diag(grad f(lambda)) P^* that the Newton loop formed with `eigh` and
-`einsum` before the closed form for n = 2.  `_solve_bordered` is the
+`einsum` before F came from sigma(g), and still forms for n >= 4; with
+`eval_f` of `np.linalg.eigvalsh` it is the LAPACK oracle of f and F.  Near
+the cone boundary LAPACK's own eigenvalue error, eps |g|, sets its accuracy,
+so `f_and_coefficient_mp` forms f and F from a 40-digit eigendecomposition
+(`mpmath`, which the tests that use it skip without).  `_solve_bordered` is the
 closed-mode Newton solve that pinned node 0 and eliminated the gauge constant
 with two solves of the pinned matrix (`_pin_row0`, which needs a canonical
 CSR matrix), before one solve of the bordered (N+1) system replaced it.
@@ -37,7 +41,7 @@ import scipy.sparse.linalg as spla
 from hcl.errors import DomainError, GaugeError, NumericError
 from hcl.grid import BOUNDARY, EXTERIOR, INTERIOR, GridDomain
 from hcl.solve import _solve_general
-from hcl.symfunc import FuncFamily, grad_f
+from hcl.symfunc import FuncFamily, eval_f, grad_f
 
 
 def newton_coefficient(family: FuncFamily, g: np.ndarray) -> np.ndarray:
@@ -298,3 +302,21 @@ def _solve_spd(a_neg: sp.csr_matrix, b: np.ndarray, sup_target: float):
             f"above target {sup_target:.3e} (info={info})"
         )
     return x
+
+
+def f_and_coefficient_mp(family: FuncFamily, g: np.ndarray, dps: int = 40):
+    """(f, F) of each matrix of the Hermitian stack g from its eigenvalues and
+    eigenvectors at `dps` digits (`mpmath.eighe`): f = eval_f and
+    grad f = grad_f at the eigenvalues rounded to floats, and
+    F = P diag(grad f) P^* formed at `dps` digits."""
+    import mpmath
+
+    f, coeff = np.empty(len(g)), np.empty(g.shape, dtype=complex)
+    with mpmath.workdps(dps):
+        for i, m in enumerate(g):
+            lam, p = mpmath.eighe(mpmath.matrix(m.tolist()))
+            lam = np.array([float(x) for x in lam])
+            f[i] = eval_f(family, lam)
+            grad = mpmath.diag([float(x) for x in grad_f(family, lam)])
+            coeff[i] = np.array((p * grad * p.H).tolist(), dtype=complex)
+    return f, coeff

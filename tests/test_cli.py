@@ -573,7 +573,9 @@ class TestNumberBounds:
 # Krylov solver.  The Dirichlet solver artifacts are those of the exact Newton
 # Jacobian with the forcing floor, whose u moved by at most 1e-11 from the
 # solves before it, then of the row-major stencil storage, whose matvec sums
-# each row in stencil order (u moved by at most 1e-14)
+# each row in stencil order (u moved by at most 1e-14), then of the Newton
+# residual in Hermitian coordinates, with nested mixed differences and f, F
+# from sigma(g) (u moved by at most 1e-14)
 VIOLATING = {"n": 2, "d": [0.0], "a_re": [1.0], "a_im": [0.0], "epsilon": 0.1,
              "corner_multipliers": [0.01, 1.0, 1.5]}
 WIDE = {"n": 5, "d": [0.1, 0.9, -0.4, 0.0], "a_re": [1e-3, 0.5, -0.7, 2.0],
@@ -621,14 +623,14 @@ PINNED = [
      ("ffbd6c521b301d394f861a9e5151893a6c02745be9069d97e5c02a63e18bc458",
       "438d218c2996222a66260ee4c900ffdab0b3d43c93de41b7ce025930937d14b6")),
     ("solve-dirichlet", DIRICHLET_SMALL, 0, 0,
-     ("5ceb18fbad9da5cfad56ad39cd8f3cebb5a8b6bf00e61047dbc243024352d3bc",
-      "bbff6cfabc9e3ea33baf2ddba3655d006a2a51b2f400dc38fedaae7380897df2")),
+     ("6b5ce6b88abb058195fda553affacb026a1b734c115739941fc495eb8eeb830c",
+      "df8fd5eb12fff7465316c02f3a8bcdfca08d0ca6a97b92057157be0fb8867d2e")),
     ("degenerate-sweep", SWEEP, 0, 0,
-     "2360a0a7b4e889f4f731fc04a39dd5066cc0bf09ad8af23dc872c022d6dedb92"),
+     "908afcde795d32fc0d101a2407bdb08bde7f07062160f481950b4a09545cff2f"),
     ("exhaustion", EXHAUSTION, 0, 0,
-     "c93e5a39fef3c3d3b0273409e54f8c97a1c6c39284813b5a154b7cd99c869133"),
+     "c9cce0cba2053cda7eaff2bd2d0ccb3ff0cc9130ec13261457967b9a39a9d75d"),
     ("estimate-report", ESTIMATES, 0, 0,
-     "d124e570354f044a72bd5cbcba6dbcf3025647501e74281a3403bb554abed04f"),
+     "c86c0b4c740b22de7fc556da7621557119f2924250bb191c78acee2c8a841a30"),
 ]
 # the files each command's digests cover, in order
 ARTIFACT = {"lemma-check": ["lemma_check.csv"], "cone-check": ["cone_check.csv"],

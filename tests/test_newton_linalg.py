@@ -3,10 +3,11 @@
 `newton_reference` keeps the roll-loop assembly and the LAPACK coefficient.
 The row-major stencil storage must hold the same operators: with duplicates
 summed and rows sorted, A and B have the reference's CSR structure and its
-values to 1e-15 of the largest, and the closed-form n = 2 eigenvalues and
-Newton coefficient must match `np.linalg.eigvalsh` and the `eigh`/`einsum`
-coefficient.  It also keeps the closed-mode solve that pinned node 0 and made
-two solves per Newton step, and a sparse LU factorization of the bordered
+values to 1e-15 of the largest, and the explicit sigma(g), f and Newton
+coefficient for n <= 3 must match `np.linalg.eigvalsh` and the `eigh`/`einsum`
+coefficient, or, near the cone boundary, a 40-digit eigendecomposition.  It
+also keeps the closed-mode solve that pinned node 0 and made two solves per
+Newton step, and a sparse LU factorization of the bordered
 system; the single bordered Krylov solve, on the bordered operator, must give
 the same (v, dc) as both.  Last, it keeps the constant-coefficient inverse
 that applied `dstn` and `rfftn` along every axis; the dense-eigenbasis map
@@ -24,15 +25,16 @@ import hcl.solve as solve_mod
 import hcl.symfunc as symfunc_mod
 from hcl.errors import DomainError
 from hcl.grid import (BOUNDARY, EXTERIOR, GridDomain, HermitianField, ScalarField,
-                      complex_hessian)
+                      _coords, _matrix, complex_hessian, identity_chi)
 from hcl.solve import (
     ProblemSpec,
     SolverOptions,
     _along,
     _axis_basis,
     _bordered_operator,
-    _eigvalsh,
+    _f_of_g,
     _newton_coefficient,
+    _sigmas,
     _solve_bordered,
     _spectral_inverse,
     _stencil_offsets,
@@ -40,9 +42,11 @@ from hcl.solve import (
     build_subsolution,
     residual_field,
 )
-from hcl.symfunc import FuncFamily, eval_f, grad_f
+from hcl.symfunc import (FuncFamily, df_dsigma, elementary_all, eval_f, f_of_sigma, grad_f,
+                         in_cone)
 
 from conftest import (
+    assemble,
     exhaustion_domain,
     hermitian_stack,
     manufactured_closed_spec,
@@ -105,7 +109,7 @@ class TestCachedAssembly:
     def test_refill_matches_roll_loop(self, dom):
         for seed in (0, 1):  # the second call refills the cached pattern
             coeff = newton_like_coefficient(dom, seed)
-            a, b = assemble_linearized(dom, coeff)
+            a, b = assemble(dom, coeff)
             a_ref, b_ref = ref.assemble_linearized(dom, coeff)
             assert_same_csr(a, a_ref)
             assert_same_csr(b, b_ref)
@@ -115,7 +119,7 @@ class TestCachedAssembly:
         # every row has one slot per offset, in offset order; a slot that
         # reaches the boundary keeps its own row's column and a 0.0, and its
         # weight is B's
-        a, _ = assemble_linearized(dom, newton_like_coefficient(dom, 0))
+        a, _ = assemble(dom, newton_like_coefficient(dom, 0))
         width = _stencil_offsets(dom.n).shape[0]
         np.testing.assert_array_equal(a.indptr, width * np.arange(a.shape[0] + 1))
         rows, slots = boundary_slots(dom)
@@ -129,7 +133,7 @@ class TestCachedAssembly:
         dom = GridDomain.torus(2, shape)
         for seed in (0, 1):
             coeff = newton_like_coefficient(dom, seed)
-            a, _ = assemble_linearized(dom, coeff)
+            a, _ = assemble(dom, coeff)
             a_ref = ref.assemble_linearized(dom, coeff)[0]
             assert_same_csr(a, a_ref)
             diag, diag_ref = a.diagonal(), a_ref.diagonal()
@@ -141,7 +145,7 @@ class TestCachedAssembly:
         assert small.interior.sum() < large.interior.sum()
         for dom in (small, large, small):
             coeff = newton_like_coefficient(dom, 3)
-            a, b = assemble_linearized(dom, coeff)
+            a, b = assemble(dom, coeff)
             a_ref, b_ref = ref.assemble_linearized(dom, coeff)
             assert_same_csr(a, a_ref)
             assert_same_csr(b, b_ref)
@@ -149,8 +153,8 @@ class TestCachedAssembly:
     def test_matrices_do_not_share_writable_arrays(self):
         dom = GridDomain.torus(2, (6, 4, 6, 4))
         coeff = newton_like_coefficient(dom, 0)
-        a1, _ = assemble_linearized(dom, coeff)
-        a2, _ = assemble_linearized(dom, 2.0 * coeff)
+        a1, _ = assemble(dom, coeff)
+        a2, _ = assemble(dom, 2.0 * coeff)
         assert not np.shares_memory(a1.data, a2.data)
         assert not a1.indices.flags.writeable and not a1.indptr.flags.writeable
         np.testing.assert_array_equal(2.0 * a1.data, a2.data)
@@ -161,44 +165,54 @@ class TestCachedAssembly:
         roles[dom.boundary] = EXTERIOR  # interior nodes now touch exterior
         bad = GridDomain(dom.n, dom.shape, dom.lengths, dom.periodic, dom.kind, roles)
         with pytest.raises(DomainError):
-            assemble_linearized(bad, newton_like_coefficient(bad, 0))
+            assemble(bad, newton_like_coefficient(bad, 0))
 
 
-def assert_eigenvalues_close(g, tol=1e-12):
-    lam, lam_ref = _eigvalsh(g), np.linalg.eigvalsh(g)
-    size = np.max(np.abs(lam_ref), axis=-1)
-    assert np.all(np.abs(lam - lam_ref) <= tol * size[:, None])
+def assert_sigmas_close(g, tol=1e-12):
+    # sigma_m to tol |lambda|_max^m of the sigma_m of LAPACK's eigenvalues
+    lam = np.linalg.eigvalsh(g)
+    s, want = _sigmas(_coords(g)), elementary_all(lam)
+    size = np.max(np.abs(lam), axis=-1)
+    for m in range(1, g.shape[-1] + 1):
+        assert np.all(np.abs(s[m] - want[:, m]) <= tol * size**m)
 
 
 class TestClosedFormEigenvalues:
+    """The explicit sigma(g) of `_sigmas`, which replaced the closed-form n = 2
+    eigenvalues, against the sigma of LAPACK's eigenvalues."""
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_random_stacks(self, scale):
-        g = hermitian_stack(np.random.default_rng(11), 4000, scale=scale)
-        assert_eigenvalues_close(g)
+        for n in (2, 3):
+            g = hermitian_stack(np.random.default_rng(11), 4000, n=n, scale=scale)
+            assert_sigmas_close(g)
 
     def test_near_singular_psd(self):
         rng = np.random.default_rng(12)
         v = rng.standard_normal((4000, 2)) + 1j * rng.standard_normal((4000, 2))
         tiny = 10.0 ** rng.uniform(-16, -6, 4000)
         g = v[:, :, None] * v[:, None, :].conj() + tiny[:, None, None] * np.eye(2)
-        assert_eigenvalues_close(g)
+        assert_sigmas_close(g)
 
     def test_touching_instance(self):
         # the touching instance psi = log(1e-4 + r^2) depends on S only, so
         # its g carries the eigenvalues (1e-4 + r^2, 1); rotations make the
-        # closed form cancel in m - r
+        # determinant cancel
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(17, 17))
         _, _, x2, y2 = dom.meshgrid()
         r2 = (((x2 - 0.5) ** 2 + (y2 - 0.5) ** 2) / 0.5)[dom.interior]
         q = random_unitaries(np.random.default_rng(13), r2.size)
         lam = np.stack((1e-4 + r2, np.ones_like(r2)), axis=-1)
         g = np.einsum("nik,nk,njk->nij", q, lam, q.conj())
-        assert_eigenvalues_close(g)
-        assert np.allclose(_eigvalsh(g), lam, rtol=0.0, atol=1e-12)
+        assert_sigmas_close(g)
+        s = _sigmas(_coords(g))
+        assert np.allclose(s[1], lam.sum(axis=-1), rtol=0.0, atol=1e-12)
+        assert np.allclose(s[2], lam.prod(axis=-1), rtol=0.0, atol=1e-12)
 
     def test_larger_n_keeps_lapack(self):
-        g = hermitian_stack(np.random.default_rng(14), 50, n=3)
-        np.testing.assert_array_equal(_eigvalsh(g), np.linalg.eigvalsh(g))
+        g = hermitian_stack(np.random.default_rng(14), 50, n=4)
+        want = elementary_all(np.linalg.eigvalsh(g))
+        np.testing.assert_array_equal(np.stack(_sigmas(_coords(g)), axis=-1), want)
 
 
 FAMILIES_N2 = [
@@ -210,32 +224,114 @@ FAMILIES_N2 = [
 ]
 
 
+FAMILIES_N3 = [
+    FuncFamily.log_det(3),
+    FuncFamily.sigma_root(2, 3),
+    FuncFamily.log_sigma(3, 3),
+    FuncFamily.sigma_quotient(3, 1, 3),
+    FuncFamily.quotient_log(2, (0.5, 1.0), 3),
+]
+
+
+def coefficient(family, g):
+    """`_newton_coefficient` of the complex stack g, as a complex stack."""
+    c = _coords(g)
+    return _matrix(_newton_coefficient(family, c, _sigmas(c)))
+
+
+def assert_matches(got, want, tol=1e-12):
+    # each matrix to tol of its largest entry
+    size = np.max(np.abs(want), axis=(1, 2))
+    assert np.all(np.abs(got - want) <= tol * size[:, None, None])
+
+
+def admissible_stack(family, rng, count, scale=1.0):
+    """Random Hermitian (count, n, n) matrices with lambda in Gamma_k: positive
+    definite ones, and for k < n shifted indefinite ones inside Gamma_k."""
+    g = hermitian_stack(rng, count, family.n, scale=scale, shift=0.2)
+    if family.k < family.n:
+        h = hermitian_stack(rng, 4 * count, family.n, scale=scale)
+        h = h + 2.0 * scale * np.eye(family.n)
+        g = np.concatenate([g, h[in_cone(np.linalg.eigvalsh(h), family.k)][:count]])
+    return _matrix(_coords(g))  # exactly Hermitian: both routes see one matrix
+
+
+def conditioned_stack(rng, count, n, lam):
+    """Hermitian (count, n, n) matrices with the eigenvalues lam times a random
+    scale in [1e-3, 1e3], rotated by random unitaries."""
+    q, _ = np.linalg.qr(rng.standard_normal((count, n, n))
+                        + 1j * rng.standard_normal((count, n, n)))
+    lam = np.asarray(lam) * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+    return _matrix(_coords(np.einsum("nik,nk,njk->nij", q, lam, q.conj())))
+
+
 class TestNewtonCoefficient:
     @pytest.mark.parametrize("family", FAMILIES_N2, ids=lambda f: f.kind)
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_matches_eigh_coefficient(self, family, scale):
         g = hermitian_stack(np.random.default_rng(21), 3000, shift=0.2, scale=scale)
-        coeff = _newton_coefficient(family, g, _eigvalsh(g))
-        expect = ref.newton_coefficient(family, g)
-        size = np.max(np.abs(expect), axis=(1, 2))
-        assert np.all(np.abs(coeff - expect) <= 1e-12 * size[:, None, None])
+        assert_matches(coefficient(family, g), ref.newton_coefficient(family, g))
+
+    @pytest.mark.parametrize("family", FAMILIES_N2 + FAMILIES_N3,
+                             ids=lambda f: f"{f.kind}-n{f.n}")
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_f_and_coefficient_match_lapack(self, family, scale):
+        # f and F from sigma(g) against eval_f of LAPACK's eigenvalues and the
+        # eigh/einsum coefficient, on random admissible stacks
+        g = admissible_stack(family, np.random.default_rng(24), 2000, scale)
+        f, f_ref = _f_of_g(family, _coords(g))[0], eval_f(family, np.linalg.eigvalsh(g))
+        assert np.all(np.abs(f - f_ref) <= 1e-12 * (1.0 + np.abs(f_ref)))
+        assert_matches(coefficient(family, g), ref.newton_coefficient(family, g))
+
+    @pytest.mark.parametrize("family", FAMILIES_N2 + FAMILIES_N3,
+                             ids=lambda f: f"{f.kind}-n{f.n}")
+    def test_near_the_cone_boundary(self, family):
+        # lambda_min / lambda_max = 1e-4: there LAPACK's f and F are off by up
+        # to 5e-12 (its eigenvalues carry an error of eps |g|), so the
+        # reference is a 40-digit eigendecomposition; sigma(g) meets 1e-12
+        pytest.importorskip("mpmath")
+        n, rng = family.n, np.random.default_rng(25)
+        mid = 10.0 ** rng.uniform(-2.0, 0.0, (100, n - 2))
+        lam = np.concatenate([np.full((100, 1), 1e-4), mid, np.ones((100, 1))], axis=1)
+        g = conditioned_stack(rng, 100, n, lam)
+        f_ref, coeff_ref = ref.f_and_coefficient_mp(family, g)
+        f = _f_of_g(family, _coords(g))[0]
+        assert np.all(np.abs(f - f_ref) <= 1e-12 * (1.0 + np.abs(f_ref)))
+        assert_matches(coefficient(family, g), coeff_ref)
+
+    @pytest.mark.parametrize("family", FAMILIES_N3, ids=lambda f: f.kind)
+    def test_two_small_eigenvalues(self, family):
+        # with two eigenvalues at 1e-4 |g| the inverse-like F is conditioned
+        # by 1e4 along a plane: 2 eps 1e4 = 4.4e-12 is the floor that both
+        # routes reach (LAPACK 3.7e-12 for log-det); the determinant takes
+        # the LDL^* pivots, whose cofactor sum would be off by 2e-9
+        pytest.importorskip("mpmath")
+        g = conditioned_stack(np.random.default_rng(26), 100, 3, [1e-4, 1e-4, 1.0])
+        f_ref, coeff_ref = ref.f_and_coefficient_mp(family, g)
+        f = _f_of_g(family, _coords(g))[0]
+        assert np.all(np.abs(f - f_ref) <= 1e-12 * (1.0 + np.abs(f_ref)))
+        assert_matches(coefficient(family, g), coeff_ref, tol=2 * np.finfo(float).eps * 1e4)
 
     @pytest.mark.parametrize("family", FAMILIES_N2, ids=lambda f: f.kind)
     def test_double_eigenvalue_gives_alpha_identity(self, family):
+        # F = f_1 I + f_2 (sigma_1 I - g) = alpha I exactly at g = c I, with
+        # alpha = f_1 + f_2 sigma_1 - f_2 c bit for bit, and grad_f's f_1 of
+        # LAPACK's eigenvalues to the oracle's 1e-12
         c = np.array([1e-3, 0.3, 1.0, 7.0, 1e3])
         g = c[:, None, None] * np.eye(2).astype(complex)
-        lam = _eigvalsh(g)
-        coeff = _newton_coefficient(family, g, lam)
-        alpha = grad_f(family, lam)[:, 0]
-        expect = alpha[:, None, None] * np.eye(2)
-        np.testing.assert_array_equal(coeff, expect)
+        d = df_dsigma(family, [1.0, c + c, c * c])
+        f1, f2 = d.get(1, 0.0), d.get(2, 0.0)
+        alpha = f1 + f2 * (c + c) - f2 * c
+        np.testing.assert_array_equal(coefficient(family, g), alpha[:, None, None] * np.eye(2))
+        expect = grad_f(family, np.linalg.eigvalsh(g))[:, 0]
+        assert np.all(np.abs(alpha - expect) <= 1e-12 * np.abs(expect))
 
     def test_larger_n_keeps_lapack(self):
-        family = FuncFamily.log_det(3)
-        g = hermitian_stack(np.random.default_rng(22), 50, n=3, shift=0.5)
+        family = FuncFamily.log_det(4)
+        c = _coords(hermitian_stack(np.random.default_rng(22), 50, n=4, shift=0.5))
         np.testing.assert_array_equal(
-            _newton_coefficient(family, g, _eigvalsh(g)),
-            ref.newton_coefficient(family, g))
+            _newton_coefficient(family, c, _sigmas(c)),
+            _coords(ref.newton_coefficient(family, _matrix(c))))
 
     def test_jacobian_matches_directional_derivative(self):
         # the closed-form coefficient of each nonlinear n = 2 family, assembled,
@@ -256,11 +352,11 @@ class TestNewtonCoefficient:
         for family in [f for f in FAMILIES_N2 if f.kind != "sigma-root"]:
             fspec = ProblemSpec(dom, family, chi, ScalarField.full(dom, 1.0),
                                 spec.phi, "dirichlet")
-            r, lam, g = residual_field(fspec, u)
+            r, s, g = residual_field(fspec, u)
             assert r is not None
-            coeff = _newton_coefficient(family, g, lam)
-            assert np.min(np.abs(coeff[:, 0, 1].imag)) > 0
-            a, _ = assemble_linearized(dom, coeff)
+            coeff = _newton_coefficient(family, g, s)
+            assert np.min(np.abs(coeff[2])) > 0  # Im F_01
+            a = assemble_linearized(dom, coeff)
             fd = (residual_field(fspec, u + t * v)[0]
                   - residual_field(fspec, u - t * v)[0]) / (2 * t)
             jv = a @ v[dom.interior]
@@ -276,8 +372,9 @@ class TestResidualField:
         exhaustion_domain(0.02, (13, 11)),
     ], ids=["torus-n2", "torus-n3", "product-n2", "product-n3", "masked-n2"])
     def test_g_on_the_box_matches_full_grid(self, dom):
-        # residual_field's g = chi + i ddbar u, formed on the interior box,
-        # is the full-grid one at the interior nodes, bit for bit
+        # residual_field's g = chi + i ddbar u in Hermitian coordinates, formed
+        # on the interior box, is the full-grid one at the interior nodes,
+        # bit for bit
         rng = np.random.default_rng(17)
         n = dom.n
         chi = HermitianField(dom, hermitian_stack(rng, dom.roles.size, n, shift=2.0)
@@ -287,27 +384,46 @@ class TestResidualField:
         spec = ProblemSpec(dom, FuncFamily.log_det(n), chi,
                            ScalarField(dom, rng.normal(0, 1, dom.shape)),
                            ScalarField(dom, u) if mode == "dirichlet" else None, mode)
-        r, lam, g = residual_field(spec, u, 0.25)
-        want = (chi.values + complex_hessian(ScalarField(dom, u)))[dom.interior]
+        r, s, g = residual_field(spec, u, 0.25)
+        want = _coords(chi.values + complex_hessian(ScalarField(dom, u)))[:, dom.interior]
         assert g.tobytes() == want.tobytes()
         assert r is not None
         psi = spec.psi.values[dom.interior]
-        assert np.array_equal(r, eval_f(spec.family, lam) - psi - 0.25)
+        assert np.array_equal(r, f_of_sigma(spec.family, _sigmas(want)) - psi - 0.25)
+
+
+def n3_closed_spec():
+    dom = GridDomain.torus(3, (6, 3, 6, 3, 4, 3))
+    x0, _, x1, _, x2, _ = dom.meshgrid()
+    psi = 0.3 * np.sin(x0) * np.cos(x1) + 0.2 * np.sin(x2)
+    spec = ProblemSpec(dom, FuncFamily.log_det(3), identity_chi(dom),
+                       ScalarField(dom, psi), None, "closed")
+    return spec, None
+
+
+def n3_dirichlet_spec():
+    dom = GridDomain.product(3, x_shape=(4, 3, 4, 3), s_shape=(7, 7))
+    x0, _, x1, _, s0, s1 = dom.meshgrid()
+    psi = 0.5 + 0.2 * np.sin(x0) * np.cos(x1) + 0.2 * s0 * s1
+    spec = ProblemSpec(dom, FuncFamily.sigma_root(2, 3), identity_chi(dom),
+                       ScalarField(dom, psi), ScalarField.zeros(dom), "dirichlet")
+    return spec, None
 
 
 class TestNewtonLoop:
     @pytest.mark.parametrize("make_spec", [
-        manufactured_closed_spec, manufactured_dirichlet_spec,
-    ], ids=["closed", "dirichlet"])
+        lambda: manufactured_closed_spec(8), lambda: manufactured_dirichlet_spec(8),
+        n3_closed_spec, n3_dirichlet_spec,
+    ], ids=["closed", "dirichlet", "closed-n3", "dirichlet-n3"])
     def test_one_hessian_per_iterate_and_no_lapack(self, make_spec, monkeypatch):
-        spec, _ = make_spec(8)
+        spec, _ = make_spec()
         if spec.mode == "closed":
             u0 = np.zeros(spec.domain.shape)
         else:
             u0 = build_subsolution(spec, 0.1)[0].values
         hessians, evals, sigmas = [], [], []
         hessian, residual = solve_mod.box_hessian, solve_mod.residual_field
-        elementary = symfunc_mod.elementary_all
+        sigma_of = solve_mod._sigmas
 
         def counting_hessian(u):
             hessians.append(1)
@@ -317,35 +433,40 @@ class TestNewtonLoop:
             evals.append(1)
             return residual(*args)
 
-        def counting_elementary(lam):
+        def counting_sigmas(g):
             sigmas.append(1)
-            return elementary(lam)
+            return sigma_of(g)
 
-        def no_lapack(*args, **kwargs):
-            raise AssertionError("LAPACK called for n = 2")
+        def no_eigenvalues(*args, **kwargs):
+            raise AssertionError("eigenvalues in the Newton loop for n <= 3")
 
         def no_full_grid_hessian(u):
             raise AssertionError("full-grid Hessian in the Newton loop")
 
+        def no_grad_f(*args):
+            raise AssertionError("grad_f in the Newton loop")
+
         monkeypatch.setattr(solve_mod, "box_hessian", counting_hessian)
         monkeypatch.setattr(solve_mod, "complex_hessian", no_full_grid_hessian)
         monkeypatch.setattr(solve_mod, "residual_field", counting_residual)
-        monkeypatch.setattr(symfunc_mod, "elementary_all", counting_elementary)
-        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        monkeypatch.setattr(solve_mod, "_sigmas", counting_sigmas)
+        monkeypatch.setattr(solve_mod, "grad_f", no_grad_f)
+        monkeypatch.setattr(symfunc_mod, "elementary_all", no_eigenvalues)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigenvalues)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
         _, _, history, _ = solve_mod._damped_newton(spec, u0, SolverOptions())
         assert len(history) >= 3 and history[-1] <= 1e-8
         # every Hessian is one residual evaluation's; steps reuse the accepted g
         assert len(hessians) == len(evals) >= len(history)
-        # one cone test per evaluation (inside eval_f) and one grad_f per step
-        assert len(sigmas) == len(evals) + len(history) - 1
+        # one sigma evaluation per residual; each step's F reuses it
+        assert len(sigmas) == len(evals)
 
 
 class TestBorderedSolve:
     @pytest.mark.parametrize("shape", [(8, 4, 6, 4), (16, 8, 16, 8)])
     def test_matrix_matches_bmat(self, shape):
         dom = GridDomain.torus(2, shape)
-        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        a, _ = assemble(dom, smooth_coefficient(dom, 0.3))
         ones = np.ones((a.shape[0], 1))
         old = sp.bmat([[a, -ones], [ones.T, None]], format="csr")
         new = _bordered_operator(a)
@@ -357,7 +478,7 @@ class TestBorderedSolve:
 
     def test_pinned_matrix_matches_lil_build(self):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
-        a = canonical(assemble_linearized(dom, smooth_coefficient(dom, 0.3))[0])
+        a = canonical(assemble(dom, smooth_coefficient(dom, 0.3))[0])
         old = a.tolil()
         old.rows[0] = [0]
         old.data[0] = [1.0]
@@ -371,7 +492,7 @@ class TestBorderedSolve:
     def test_matches_pinned_reference(self, shape, monkeypatch):
         dom = GridDomain.torus(2, shape)
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble_linearized(dom, coeff)
+        a, _ = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         # a tolerance below the default keeps both Krylov errors well under 1e-10
         monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
@@ -385,7 +506,7 @@ class TestBorderedSolve:
     def test_matches_factorization(self, monkeypatch):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble_linearized(dom, coeff)
+        a, _ = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
         v, dc, _ = _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assemble,
     exhaustion_domain,
     hermitian_stack,
     manufactured_closed_spec,
@@ -52,7 +53,7 @@ from hcl.solve import (
     solve_dirichlet,
     verify_estimates,
 )
-from hcl.symfunc import FuncFamily, eval_f
+from hcl.symfunc import FuncFamily, f_of_sigma
 
 LOGDET2 = FuncFamily.log_det(2)
 
@@ -114,7 +115,7 @@ def constant_operator(dom, fbar):
     """Interior operator of sum fbar^{j kbar} (Hess v)_{j kbar}, fbar constant."""
     fbar = np.asarray(fbar, dtype=complex)
     nint = int(dom.interior.sum())
-    a, _ = assemble_linearized(dom, np.broadcast_to(fbar, (nint,) + fbar.shape))
+    a, _ = assemble(dom, np.broadcast_to(fbar, (nint,) + fbar.shape))
     return a
 
 
@@ -236,7 +237,7 @@ class TestSpectralInverse:
     def test_bordered_solve_meets_every_row(self):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble_linearized(dom, coeff)
+        a, _ = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         v, dc, iters = _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))
         assert iters > 0
@@ -247,7 +248,7 @@ class TestSpectralInverse:
         # with no spectral inverse the bordered solve is preconditioned by the
         # diagonal: diag A, then 1 for the constant
         dom = GridDomain.torus(2, (8, 4, 6, 4))
-        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        a, _ = assemble(dom, smooth_coefficient(dom, 0.3))
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         v, dc, iters = _solve_bordered(a, r, None)
         assert iters > 0
@@ -288,7 +289,7 @@ class TestSpectralInverse:
         # scipy's absolute breakdown test |rho| < eps^2 used to end BiCGStab
         # on right-hand sides this small, and a breakdown now raises
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(17, 17))
-        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        a, _ = assemble(dom, smooth_coefficient(dom, 0.3))
         x0, _, s0, s1 = dom.meshgrid()
         b = scale * (np.sin(x0) * np.sin(np.pi * s0) * np.sin(np.pi * s1))[
             dom.interior]
@@ -300,7 +301,7 @@ class TestSpectralInverse:
         # a Newton step's forcing floor reaches BiCGStab, not just the certificate
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(17, 17))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble_linearized(dom, coeff)
+        a, _ = assemble(dom, coeff)
         b = np.random.default_rng(6).standard_normal(a.shape[0])
         inverse = _spectral_inverse(dom, coeff.mean(axis=0))
         _, tight = _solve_general(a, b, inverse)
@@ -310,7 +311,7 @@ class TestSpectralInverse:
 
     def test_uncertified_run_restarts_before_factorization(self, monkeypatch):
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
-        a, _ = assemble_linearized(dom, smooth_coefficient(dom, 0.3))
+        a, _ = assemble(dom, smooth_coefficient(dom, 0.3))
         b = np.random.default_rng(5).standard_normal(a.shape[0])
         bicgstab, runs = solve_mod.spla.bicgstab, []
 
@@ -327,7 +328,7 @@ class TestSpectralInverse:
     def test_failed_krylov_solve_raises(self, monkeypatch):
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble_linearized(dom, coeff)
+        a, _ = assemble(dom, coeff)
         b = np.random.default_rng(5).standard_normal(a.shape[0])
         monkeypatch.setattr(solve_mod.spla, "bicgstab",
                             lambda a, b, x0=None, **kwargs: (x0, -10))
@@ -337,7 +338,7 @@ class TestSpectralInverse:
     def test_failed_bordered_solve_is_a_gauge_error(self, monkeypatch):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble_linearized(dom, coeff)
+        a, _ = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         monkeypatch.setattr(solve_mod.spla, "bicgstab",
                             lambda a, b, x0=None, **kwargs: (x0, -10))
@@ -367,9 +368,9 @@ class TestSubsolution:
         spec = small_dirichlet_spec(psi_value=0.5)
         usub, t = build_subsolution(spec, 0.1)
         assert t >= 1.0
-        r, lam, _ = residual_field(spec, usub.values)
+        r, s, _ = residual_field(spec, usub.values)
         assert r is not None
-        assert np.min(eval_f(LOGDET2, lam) - (0.5 + 0.1)) >= 0.0
+        assert np.min(f_of_sigma(LOGDET2, s) - (0.5 + 0.1)) >= 0.0
 
     def test_boundary_values_preserved(self):
         spec = small_dirichlet_spec(psi_value=0.5, phi_value=0.25)
@@ -425,9 +426,9 @@ class TestDirichletSolve:
     def test_subsolution_level_is_exact_solution(self):
         spec = small_dirichlet_spec(psi_value=0.5)
         usub, _ = build_subsolution(spec, 0.1)
-        _, lam, _ = residual_field(spec, usub.values)
+        _, s, _ = residual_field(spec, usub.values)
         psi_exact = np.zeros(spec.domain.shape)
-        psi_exact[spec.domain.interior] = eval_f(LOGDET2, lam)
+        psi_exact[spec.domain.interior] = f_of_sigma(LOGDET2, s)
         spec_exact = ProblemSpec(
             spec.domain, LOGDET2, spec.chi, ScalarField(spec.domain, psi_exact),
             spec.phi, "dirichlet",
@@ -552,7 +553,7 @@ class TestLinearization:
         coeff = hermitian_stack(rng, int(dom.interior.sum()), n, shift=0.5)
         assert np.min(np.abs(coeff[:, 0, 1].imag)) > 0
         v = rng.standard_normal(dom.shape)
-        a, b = assemble_linearized(dom, coeff)
+        a, b = assemble(dom, coeff)
         got = a @ v[dom.interior] + b @ v[dom.boundary]
         hess = complex_hessian(ScalarField(dom, v))[dom.interior]
         want = np.einsum("nkj,njk->n", coeff, hess).real
@@ -569,9 +570,9 @@ class TestLinearization:
         u = 0.2 * np.sin(x0 + y0) * np.sin(np.pi * s0) * np.cos(0.5 * np.pi * s1)
         spec = ProblemSpec(dom, LOGDET2, chi, ScalarField.zeros(dom),
                            ScalarField.zeros(dom), "dirichlet")
-        r, lam, g = residual_field(spec, u)
+        r, s, g = residual_field(spec, u)
         assert r is not None
-        a, _ = assemble_linearized(dom, _newton_coefficient(LOGDET2, g, lam))
+        a = assemble_linearized(dom, _newton_coefficient(LOGDET2, g, s))
         v = np.zeros(dom.shape)
         v[dom.interior] = rng.standard_normal(a.shape[0])
         t = 1e-5
