@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     HclError,
     HypothesisError,
-    LemmaViolationError,
     NumericError,
 )
 from .grid import GridDomain, HermitianField, ScalarField, constant_chi, identity_chi
@@ -425,7 +424,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (LemmaViolationError, HypothesisError) as exc:
+    except HypothesisError as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
     except HclError as exc:

@@ -5,9 +5,10 @@ lambda(g[u]) inside the cone at all interior nodes and decrease the sup-norm
 residual.  Closed mode solves for the pair (u, c) in f(...) = psi + c on a
 fully periodic domain with a zero-mean gauge on the updates and sup u = 0
 applied after convergence.  Dirichlet mode builds a strict subsolution with
-u = phi on the boundary, starts from it (optionally along a continuation
-ladder) and returns it.  `residual_field` alone evaluates g = chi + i ddbar u
-(on the interior box, by `box_hessian`), sigma(g), the cone test and f.
+u = phi on the boundary, solves from it along continuation rungs (one rung
+for a direct solve) and returns it.  `residual_field` alone evaluates
+g = chi + i ddbar u (on the interior box, by `box_hessian`), sigma(g), the
+cone test and f.
 
 g, chi and F are (n^2, N) arrays of Hermitian coordinates
 (`grid._hessian_core`).  Every family is a function of sigma_1..sigma_n(g),
@@ -335,18 +336,16 @@ def _stencil_weights(spacings: tuple[float, ...], n: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _stencil_pattern(shape: tuple[int, ...], roles_bytes: bytes):
-    """(indices, indptr, hits, b_indices, b_indptr, n_bdry): the read-only
-    structure of A (`assemble_linearized`) and B (`_boundary_coupling`) on one
-    grid, keyed by its node roles (two restrictions of one grid differ only
-    there).  A slot whose neighbour is a boundary node keeps its own row as the
-    column; `hits` are those slots' flat positions, B's entries in row order.
-    Every axis wraps; on a bounded axis no interior node reaches the wrap."""
+    """(indices, indptr, hits): the read-only structure of A
+    (`assemble_linearized`) on one grid, keyed by its node roles (two
+    restrictions of one grid differ only there).  A slot whose neighbour is a
+    boundary node keeps its own row as the column; `hits` are those slots'
+    flat positions.  Every axis wraps; on a bounded axis no interior node
+    reaches the wrap."""
     roles = np.frombuffer(roles_bytes, dtype=np.uint8)
     int_flat = np.flatnonzero(roles == INTERIOR)
-    bdry_flat = np.flatnonzero(roles == BOUNDARY)
     rank = np.full(roles.size, -1, dtype=np.int32)
     rank[int_flat] = np.arange(int_flat.size)
-    rank[bdry_flat] = np.arange(bdry_flat.size)
     grid = np.arange(roles.size, dtype=np.int32).reshape(shape)
     axes = tuple(range(len(shape)))
     nb = np.stack([np.roll(grid, tuple(-off), axis=axes).reshape(-1)[int_flat]
@@ -354,47 +353,36 @@ def _stencil_pattern(shape: tuple[int, ...], roles_bytes: bytes):
     nb_roles = roles[nb]
     if np.any(nb_roles == EXTERIOR):
         raise DomainError("stencil reached an exterior node; bad mask")
-    n_int, hit, cols = int_flat.size, nb_roles == BOUNDARY, rank[nb]
-    b_indptr = np.zeros(n_int + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(hit, axis=1), out=b_indptr[1:])
-    arrays = (np.where(hit, np.arange(n_int, dtype=np.int32)[:, None], cols).reshape(-1),
+    n_int, hit = int_flat.size, nb_roles == BOUNDARY
+    arrays = (np.where(hit, np.arange(n_int, dtype=np.int32)[:, None], rank[nb]).reshape(-1),
               np.arange(0, nb.size + 1, nb.shape[1], dtype=np.int32),
-              np.flatnonzero(hit), cols[hit], b_indptr)
+              np.flatnonzero(hit))
     for arr in arrays:
         arr.flags.writeable = False
-    return (*arrays, bdry_flat.size)
+    return arrays
 
 
 def assemble_linearized(domain: GridDomain, coeff: np.ndarray) -> sp.csr_matrix:
     """Sparse interior operator A for per-node coefficient matrices F in
     Hermitian coordinates (`grid._hessian_core`), shape (n^2, N_int).
 
-    With B of `_boundary_coupling`, A v_int + B v_bdry = tr(F Hess v) =
-    sum_{j,k} F^{k jbar} (Hess v)_{j kbar} at the interior nodes, with the
-    Hessian of `grid.box_hessian`: at the Newton coefficient, the derivative
-    of the residual.
+    A v = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar} at the
+    interior nodes for every v that is 0 on the boundary, with the Hessian of
+    `grid.box_hessian`: at the Newton coefficient, the derivative of the
+    residual, whose boundary values stay fixed.
 
     Row i of A holds its S weights in the order of `_stencil_offsets`, so the
     data is the one product of F's coordinates with `_stencil_weights`.  A
     slot whose neighbour is a boundary node holds an explicit 0.0 at its own
-    row's column; its weight is B's.  Where two offsets reach one neighbour
+    row's column.  Where two offsets reach one neighbour
     (an axis of 1 or 2 nodes) the entries stay apart; the matvec and
     `diagonal()` sum them.
     """
-    indices, indptr, hits = _stencil_pattern(domain.shape, domain.roles.tobytes())[:3]
+    indices, indptr, hits = _stencil_pattern(domain.shape, domain.roles.tobytes())
     data = (coeff.T @ _stencil_weights(domain.spacings, domain.n)).reshape(-1)
     data[hits] = 0.0
     n_int = indptr.size - 1
     return sp.csr_matrix((data, indices, indptr), shape=(n_int, n_int))
-
-
-def _boundary_coupling(domain: GridDomain, coeff: np.ndarray) -> sp.csr_matrix:
-    """B on the boundary values for the coefficients of `assemble_linearized`:
-    the weights of A's slots that reach a boundary node, in row order."""
-    _, indptr, hits, b_ind, b_ptr, n_bdry = _stencil_pattern(
-        domain.shape, domain.roles.tobytes())
-    data = (coeff.T @ _stencil_weights(domain.spacings, domain.n)).reshape(-1)[hits]
-    return sp.csr_matrix((data, b_ind, b_ptr), shape=(indptr.size - 1, n_bdry))
 
 
 @lru_cache(maxsize=16)
@@ -562,6 +550,9 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0,
 def poisson_dirichlet(domain: GridDomain, rhs, bc=0.0) -> ScalarField:
     """Solve chern_laplacian(h) = rhs with h = bc on the boundary.
 
+    The system is A h_int = rhs - L b, with A of `assemble_linearized` at
+    F = I and L b the trace of `box_hessian` of b = bc on the boundary, 0
+    elsewhere: the boundary data's share of the Laplacian, by A's stencil.
     The spectral inverse solves the system directly on an unmasked box; the
     sup-norm residual is certified at POISSON_SUP_TOL * (1 + |rhs|_inf).  When
     that certificate fails, or on a masked domain (no spectral inverse), one
@@ -577,8 +568,9 @@ def poisson_dirichlet(domain: GridDomain, rhs, bc=0.0) -> ScalarField:
     n = domain.n
     eye = np.repeat(_coords(np.eye(n))[:, None], domain.interior.sum(), axis=1)
     a = assemble_linearized(domain, eye)
-    u_b = bc_vals.reshape(-1)[domain.roles.reshape(-1) == BOUNDARY]
-    rhs_eff = rhs_vals[domain.interior] - _boundary_coupling(domain, eye) @ u_b
+    lap_b = box_hessian(ScalarField(domain, np.where(domain.boundary, bc_vals, 0.0)))
+    lap_b = lap_b[[j * (2 * n - j) for j in range(n)]].sum(axis=0)  # the diagonal
+    rhs_eff = rhs_vals[domain.interior] - lap_b[domain.interior[domain.interior_box]]
     target = POISSON_SUP_TOL * (1.0 + float(np.max(np.abs(rhs_vals[domain.interior]))))
     solve = _spectral_inverse(domain, np.eye(n))
     x = np.zeros(rhs_eff.size) if solve is None else solve(rhs_eff)
@@ -770,11 +762,12 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
 
 def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
     """Damped Newton from `build_subsolution` at `opts.delta`, returned as
-    `SolveResult.subsolution`; optional continuation ladder.
+    `SolveResult.subsolution`, over a ladder of rungs s, each started from the
+    last: one rung (psi itself) for a direct solve, or `opts.continuation`
+    uniform rungs of psi_s = (1 - s) f(lambda(g[subsolution])) + s psi.
 
-    On a stall the solve restarts along the continuation family
-    psi_s = (1 - s) f(lambda(g[subsolution])) + s psi with 8 uniform steps,
-    bisected adaptively on further stalls.
+    A stalled direct solve restarts from the subsolution on 8 uniform rungs;
+    a stalled rung is bisected, at most 24 times and to a gap of 1e-6.
     """
     opts = opts or SolverOptions()
     if spec.mode != "dirichlet":
@@ -783,43 +776,35 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
         raise AdmissibilityError("degenerate right-hand side: use degenerate_sweep")
     usub, _ = build_subsolution(spec, opts.delta)
     dom = spec.domain
-    u0 = usub.values.copy()
-    u0[dom.boundary] = spec.phi.values[dom.boundary]  # phi + t h turns -0.0 to +0.0
-    if opts.continuation is None:
+    u = usub.values.copy()
+    u[dom.boundary] = spec.phi.values[dom.boundary]  # phi + t h turns -0.0 to +0.0
+
+    def ladder(steps: int):
+        f0 = np.zeros(dom.shape)
+        f0[dom.interior] = f_of_sigma(spec.family, residual_field(spec, usub.values)[1])
+        return f0, list(np.linspace(0.0, 1.0, steps + 1)[1:])
+
+    f0, rungs = (None, [1.0]) if opts.continuation is None else ladder(opts.continuation)
+    s_prev, bisections, history, solves = 0.0, 0, [], []
+    while rungs:
+        s = rungs[0]
+        spec_s = spec if f0 is None else replace(
+            spec, psi=ScalarField(dom, (1.0 - s) * f0 + s * spec.psi.values))
         try:
-            u, _, history, solves = _damped_newton(spec, u0, opts)
-            return SolveResult(ScalarField(dom, u), None, len(history) - 1,
-                               history, solves, usub)
+            u, _, hist, lin = _damped_newton(spec_s, u, opts)
         except StallError:
-            opts = replace(opts, continuation=8)
-    # continuation ladder from the subsolution level
-    f0 = np.zeros(dom.shape)
-    f0[dom.interior] = f_of_sigma(spec.family, residual_field(spec, usub.values)[1])
-    current = u0
-    s_values = list(np.linspace(0.0, 1.0, opts.continuation + 1)[1:])
-    total_iters = 0
-    history_all: list[float] = []
-    solves_all: list[int] = []
-    s_prev = 0.0
-    guard = 0
-    while s_values:
-        s = s_values[0]
-        psi_s = ScalarField(dom, (1.0 - s) * f0 + s * spec.psi.values)
-        try:
-            current, _, history, solves = _damped_newton(
-                replace(spec, psi=psi_s), current, opts)
-            total_iters += len(history) - 1
-            history_all.extend(history)
-            solves_all.extend(solves)
-            s_prev = s
-            s_values.pop(0)
-        except StallError:
-            guard += 1
-            if guard > 24 or s - s_prev < 1e-6:
+            if f0 is None:  # the direct solve stalled; u is still the start
+                f0, rungs = ladder(8)
+            elif bisections >= 24 or s - s_prev < 1e-6:
                 raise
-            s_values.insert(0, 0.5 * (s_prev + s))
-    return SolveResult(ScalarField(dom, current), None, total_iters, history_all,
-                       solves_all, usub)
+            else:
+                bisections += 1
+                rungs.insert(0, 0.5 * (s_prev + s))
+            continue
+        history += hist
+        solves += lin
+        s_prev = rungs.pop(0)
+    return SolveResult(ScalarField(dom, u), None, len(solves), history, solves, usub)
 
 
 def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:

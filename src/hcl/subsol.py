@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    HypothesisError,
-    LemmaViolationError,
-    RangeError,
-)
+from .errors import DomainError, HypothesisError, RangeError
 from .symfunc import (
     LADDER_T_MAX,
     FuncFamily,
@@ -46,11 +41,9 @@ __all__ = [
     "DichotomyContext",
     "DichotomyOutcome",
     "CSubVerdict",
-    "level_set_point",
     "sample_level_set",
     "certify_bounded_intersection",
     "build_context",
-    "dichotomy_check",
     "dichotomy_rows",
     "is_c_subsolution",
 ]
@@ -124,38 +117,6 @@ def _shift_to_level(family: FuncFamily, sigma: float, bases: np.ndarray):
         else:
             errors.append(None)
     return bases + t_hi[:, None] * ones, errors
-
-
-def level_set_point(
-    family: FuncFamily, sigma: float, direction, mode: str = "ray"
-) -> np.ndarray:
-    """A point lambda with f(lambda) = sigma to 1e-10 * (1 + |sigma|).
-
-    mode="ray": scales t*direction with direction in Gamma (f must attain
-    sigma along the ray).  mode="shift": walks base + t*1 from the given base
-    point; f is strictly increasing there by ellipticity, so bisection is
-    well-posed.
-    """
-    direction = lambda_tuple(direction)
-    if mode == "shift":
-        points, errors = _shift_to_level(family, sigma, direction[None, :])
-        if errors[0]:
-            raise RangeError(errors[0])
-        return points[0]
-    if not in_cone(direction, family.k):
-        raise DomainError("ray mode needs a direction inside Gamma")
-    ray, row = direction[None, :], np.arange(1)
-    t_lo, t_hi = np.ones(1), np.ones(1)
-    if not _grow_rows(lambda r, t: eval_f(family, t[:, None] * ray) < sigma,
-                      t_lo, row, 200, factor=0.5)[0]:
-        raise RangeError(f"level {sigma} below the attained range on the ray")
-    reached, f_hi = _walk_to_level(family, sigma, np.zeros(ray.shape), ray,
-                                   t_lo, t_hi, row)
-    if not reached[0]:
-        raise RangeError(f"level {sigma} above the attained range on the ray")
-    if abs(f_hi[0] - sigma) > 1e-8 * (1.0 + abs(sigma)):
-        raise RangeError(f"bisection stalled at f={f_hi[0]} for level {sigma}")
-    return t_hi[0] * direction
 
 
 def sample_level_set(family: FuncFamily, sigma: float, count: int, seed: int) -> np.ndarray:
@@ -346,8 +307,9 @@ def _dichotomy_terms(ctx: DichotomyContext, lams: np.ndarray):
 
 
 def dichotomy_rows(ctx: DichotomyContext, lams) -> list[DichotomyOutcome | None]:
-    """dichotomy_check at each row of an (m, n) stack, from one eval_f and one
-    grad_f call; None where neither case holds."""
+    """Both case inequalities at each level-set point, the rows of an (m, n)
+    stack, from one eval_f and one grad_f call; None where neither case holds
+    beyond tolerance.  Raises `DomainError` for a point off the level set."""
     weight, lhs1, lhs2 = (x.tolist() for x in _dichotomy_terms(ctx, lambda_tuple(lams)))
     out = []
     for w, a, b in zip(weight, lhs1, lhs2):
@@ -357,25 +319,6 @@ def dichotomy_rows(ctx: DichotomyContext, lams) -> list[DichotomyOutcome | None]
         out.append(DichotomyOutcome(case1, case2, w, a - ctx.epsilon * w, b - ctx.epsilon * w)
                    if case1 or case2 else None)
     return out
-
-
-def dichotomy_check(ctx: DichotomyContext, lam) -> DichotomyOutcome:
-    """Evaluate both case inequalities at a level-set point.
-
-    At exact sum f_i lambda_i = 0 the weight's absolute value is hit from the
-    nonnegative side; no branch choice is needed since the two scaling
-    branches only enter the proof, not the computed inequalities.  Raises
-    when neither case holds beyond tolerance.
-    """
-    lam = lambda_tuple(lam)
-    (outcome,) = dichotomy_rows(ctx, lam[None, :])
-    if outcome is None:
-        weight, lhs1, lhs2 = (float(x[0]) for x in _dichotomy_terms(ctx, lam[None, :]))
-        raise LemmaViolationError(
-            f"neither dichotomy case at lambda={lam.tolist()}: "
-            f"lhs1={lhs1:.6g}, lhs2={lhs2:.6g}, eps*W={ctx.epsilon * weight:.6g}"
-        )
-    return outcome
 
 
 @dataclass(frozen=True)

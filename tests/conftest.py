@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hcl.grid import GridDomain, ScalarField, _coords, identity_chi
-from hcl.solve import (ProblemSpec, _boundary_coupling, assemble_linearized,
-                       s_factor_potential)
+from hcl.solve import ProblemSpec, assemble_linearized, s_factor_potential
 from hcl.symfunc import FuncFamily
 
 
@@ -85,10 +84,11 @@ def manufactured_closed_spec(N, amplitude=0.1, ny=4):
 
 
 def assemble(dom, coeff):
-    """(A, B) of `assemble_linearized` and `_boundary_coupling` for the complex
-    coefficient stack coeff (N_int, n, n), in its Hermitian coordinates."""
-    coeff = _coords(np.asarray(coeff, dtype=complex))
-    return assemble_linearized(dom, coeff), _boundary_coupling(dom, coeff)
+    """A of `assemble_linearized` for the complex coefficient stack coeff
+    (N_int, n, n), in its Hermitian coordinates.  A acts on the interior
+    values; the boundary coupling B is the reference assembly's
+    (`newton_reference.assemble_linearized`)."""
+    return assemble_linearized(dom, _coords(np.asarray(coeff, dtype=complex)))
 
 
 def hermitian_stack(rng, count, n=2, scale=1.0, shift=0.0):

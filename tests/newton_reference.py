@@ -6,7 +6,9 @@ before the stencil pattern was cached: it rebuilds the COO triplets with one
 conversion sort them and sum duplicates.  Its canonical CSR matrices are the
 operators that `hcl.solve` now stores row-major in stencil order, with
 duplicates apart and explicit zeros where a stencil reaches the boundary;
-the tests compare them after `sum_duplicates`.  `_stencil_entries`,
+the tests compare them after `sum_duplicates`.  Its B, the boundary coupling,
+is the reference for the boundary share of the operator, which `hcl.solve`
+forms as no matrix.  `_stencil_entries`,
 `_interior_info` and `_mixed_pieces` are its helpers.  They are kept verbatim
 (only the imports differ), except that `_mixed_pieces` carries the corrected
 signs of the two imaginary pieces, as `hcl.solve` does: the old ones paired F

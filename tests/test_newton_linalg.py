@@ -109,17 +109,13 @@ class TestCachedAssembly:
     def test_refill_matches_roll_loop(self, dom):
         for seed in (0, 1):  # the second call refills the cached pattern
             coeff = newton_like_coefficient(dom, seed)
-            a, b = assemble(dom, coeff)
-            a_ref, b_ref = ref.assemble_linearized(dom, coeff)
-            assert_same_csr(a, a_ref)
-            assert_same_csr(b, b_ref)
+            assert_same_csr(assemble(dom, coeff), ref.assemble_linearized(dom, coeff)[0])
 
     @pytest.mark.parametrize("dom", BOUNDED_DOMAINS.values(), ids=BOUNDED_DOMAINS)
     def test_boundary_slots_hold_explicit_zeros(self, dom):
         # every row has one slot per offset, in offset order; a slot that
-        # reaches the boundary keeps its own row's column and a 0.0, and its
-        # weight is B's
-        a, _ = assemble(dom, newton_like_coefficient(dom, 0))
+        # reaches the boundary keeps its own row's column and a 0.0
+        a = assemble(dom, newton_like_coefficient(dom, 0))
         width = _stencil_offsets(dom.n).shape[0]
         np.testing.assert_array_equal(a.indptr, width * np.arange(a.shape[0] + 1))
         rows, slots = boundary_slots(dom)
@@ -133,7 +129,7 @@ class TestCachedAssembly:
         dom = GridDomain.torus(2, shape)
         for seed in (0, 1):
             coeff = newton_like_coefficient(dom, seed)
-            a, _ = assemble(dom, coeff)
+            a = assemble(dom, coeff)
             a_ref = ref.assemble_linearized(dom, coeff)[0]
             assert_same_csr(a, a_ref)
             diag, diag_ref = a.diagonal(), a_ref.diagonal()
@@ -145,16 +141,13 @@ class TestCachedAssembly:
         assert small.interior.sum() < large.interior.sum()
         for dom in (small, large, small):
             coeff = newton_like_coefficient(dom, 3)
-            a, b = assemble(dom, coeff)
-            a_ref, b_ref = ref.assemble_linearized(dom, coeff)
-            assert_same_csr(a, a_ref)
-            assert_same_csr(b, b_ref)
+            assert_same_csr(assemble(dom, coeff), ref.assemble_linearized(dom, coeff)[0])
 
     def test_matrices_do_not_share_writable_arrays(self):
         dom = GridDomain.torus(2, (6, 4, 6, 4))
         coeff = newton_like_coefficient(dom, 0)
-        a1, _ = assemble(dom, coeff)
-        a2, _ = assemble(dom, 2.0 * coeff)
+        a1 = assemble(dom, coeff)
+        a2 = assemble(dom, 2.0 * coeff)
         assert not np.shares_memory(a1.data, a2.data)
         assert not a1.indices.flags.writeable and not a1.indptr.flags.writeable
         np.testing.assert_array_equal(2.0 * a1.data, a2.data)
@@ -164,8 +157,14 @@ class TestCachedAssembly:
         roles = dom.roles.copy()
         roles[dom.boundary] = EXTERIOR  # interior nodes now touch exterior
         bad = GridDomain(dom.n, dom.shape, dom.lengths, dom.periodic, dom.kind, roles)
-        with pytest.raises(DomainError):
-            assemble(bad, newton_like_coefficient(bad, 0))
+        # `restrict` marks boundary along the S axes only, so a mask that
+        # varies along X leaves interior nodes next to a dropped node
+        keep = np.ones((4, 4, 9, 9), dtype=bool)
+        keep[1, :, 5, 5] = False
+        cut = GridDomain.product(2, x_shape=(4, 4), s_shape=(9, 9)).restrict(keep)
+        for dom in (bad, cut):
+            with pytest.raises(DomainError, match="bad mask"):
+                assemble(dom, newton_like_coefficient(dom, 0))
 
 
 def assert_sigmas_close(g, tol=1e-12):
@@ -466,7 +465,7 @@ class TestBorderedSolve:
     @pytest.mark.parametrize("shape", [(8, 4, 6, 4), (16, 8, 16, 8)])
     def test_matrix_matches_bmat(self, shape):
         dom = GridDomain.torus(2, shape)
-        a, _ = assemble(dom, smooth_coefficient(dom, 0.3))
+        a = assemble(dom, smooth_coefficient(dom, 0.3))
         ones = np.ones((a.shape[0], 1))
         old = sp.bmat([[a, -ones], [ones.T, None]], format="csr")
         new = _bordered_operator(a)
@@ -478,7 +477,7 @@ class TestBorderedSolve:
 
     def test_pinned_matrix_matches_lil_build(self):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
-        a = canonical(assemble(dom, smooth_coefficient(dom, 0.3))[0])
+        a = canonical(assemble(dom, smooth_coefficient(dom, 0.3)))
         old = a.tolil()
         old.rows[0] = [0]
         old.data[0] = [1.0]
@@ -492,7 +491,7 @@ class TestBorderedSolve:
     def test_matches_pinned_reference(self, shape, monkeypatch):
         dom = GridDomain.torus(2, shape)
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble(dom, coeff)
+        a = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         # a tolerance below the default keeps both Krylov errors well under 1e-10
         monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
@@ -506,7 +505,7 @@ class TestBorderedSolve:
     def test_matches_factorization(self, monkeypatch):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble(dom, coeff)
+        a = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
         v, dc, _ = _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))

@@ -1,3 +1,5 @@
+import hashlib
+
 import newton_reference as ref
 import numpy as np
 import pytest
@@ -105,6 +107,25 @@ class TestPoisson:
         resid = chern_laplacian(h).values[dom.interior] - rhs.values[dom.interior]
         assert np.max(np.abs(resid)) <= 1e-10 * (1 + np.max(np.abs(rhs.values)))
 
+    @pytest.mark.parametrize("dom", [
+        GridDomain.product(1, s_shape=(33, 33)),
+        GridDomain.product(2, x_shape=(4, 4), s_shape=(17, 17)),
+        GridDomain.product(1, s_shape=(33, 24), s_lengths=(1.0, 2 * np.pi),
+                           s_periodic=(False, True)),
+    ], ids=["box", "product-n2", "annulus"])
+    def test_boundary_data(self, dom):
+        # q is quadratic along the bounded axes only, so it stays periodic
+        s = [x for x, per in zip(dom.meshgrid(), dom.periodic) if not per]
+        q = 0.5 + s[0] - 2.0 * s[0] ** 2
+        if len(s) > 1:
+            q = q + 3.0 * s[0] * s[1] - s[1] ** 2
+        q = ScalarField(dom, q)
+        rhs = chern_laplacian(q)
+        assert np.max(np.abs(poisson_dirichlet(dom, rhs, q).values - q.values)) <= 1e-12
+        h0 = poisson_dirichlet(dom, rhs, 0.0).values
+        h = poisson_dirichlet(dom, rhs, 0.75).values
+        assert np.max(np.abs(h - 0.75 - h0)) <= 1e-12
+
     def test_needs_boundary(self):
         dom = GridDomain.torus(1, (8, 8))
         with pytest.raises(DomainError):
@@ -115,7 +136,7 @@ def constant_operator(dom, fbar):
     """Interior operator of sum fbar^{j kbar} (Hess v)_{j kbar}, fbar constant."""
     fbar = np.asarray(fbar, dtype=complex)
     nint = int(dom.interior.sum())
-    a, _ = assemble(dom, np.broadcast_to(fbar, (nint,) + fbar.shape))
+    a = assemble(dom, np.broadcast_to(fbar, (nint,) + fbar.shape))
     return a
 
 
@@ -237,7 +258,7 @@ class TestSpectralInverse:
     def test_bordered_solve_meets_every_row(self):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble(dom, coeff)
+        a = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         v, dc, iters = _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))
         assert iters > 0
@@ -248,7 +269,7 @@ class TestSpectralInverse:
         # with no spectral inverse the bordered solve is preconditioned by the
         # diagonal: diag A, then 1 for the constant
         dom = GridDomain.torus(2, (8, 4, 6, 4))
-        a, _ = assemble(dom, smooth_coefficient(dom, 0.3))
+        a = assemble(dom, smooth_coefficient(dom, 0.3))
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         v, dc, iters = _solve_bordered(a, r, None)
         assert iters > 0
@@ -289,7 +310,7 @@ class TestSpectralInverse:
         # scipy's absolute breakdown test |rho| < eps^2 used to end BiCGStab
         # on right-hand sides this small, and a breakdown now raises
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(17, 17))
-        a, _ = assemble(dom, smooth_coefficient(dom, 0.3))
+        a = assemble(dom, smooth_coefficient(dom, 0.3))
         x0, _, s0, s1 = dom.meshgrid()
         b = scale * (np.sin(x0) * np.sin(np.pi * s0) * np.sin(np.pi * s1))[
             dom.interior]
@@ -301,7 +322,7 @@ class TestSpectralInverse:
         # a Newton step's forcing floor reaches BiCGStab, not just the certificate
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(17, 17))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble(dom, coeff)
+        a = assemble(dom, coeff)
         b = np.random.default_rng(6).standard_normal(a.shape[0])
         inverse = _spectral_inverse(dom, coeff.mean(axis=0))
         _, tight = _solve_general(a, b, inverse)
@@ -311,7 +332,7 @@ class TestSpectralInverse:
 
     def test_uncertified_run_restarts_before_factorization(self, monkeypatch):
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
-        a, _ = assemble(dom, smooth_coefficient(dom, 0.3))
+        a = assemble(dom, smooth_coefficient(dom, 0.3))
         b = np.random.default_rng(5).standard_normal(a.shape[0])
         bicgstab, runs = solve_mod.spla.bicgstab, []
 
@@ -328,7 +349,7 @@ class TestSpectralInverse:
     def test_failed_krylov_solve_raises(self, monkeypatch):
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble(dom, coeff)
+        a = assemble(dom, coeff)
         b = np.random.default_rng(5).standard_normal(a.shape[0])
         monkeypatch.setattr(solve_mod.spla, "bicgstab",
                             lambda a, b, x0=None, **kwargs: (x0, -10))
@@ -338,7 +359,7 @@ class TestSpectralInverse:
     def test_failed_bordered_solve_is_a_gauge_error(self, monkeypatch):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
         coeff = smooth_coefficient(dom, 0.3)
-        a, _ = assemble(dom, coeff)
+        a = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         monkeypatch.setattr(solve_mod.spla, "bicgstab",
                             lambda a, b, x0=None, **kwargs: (x0, -10))
@@ -493,6 +514,20 @@ class TestDirichletSolve:
         direct = solve_dirichlet(spec)
         assert np.max(np.abs(res.u.values[live] - direct.u.values[live])) <= 1e-7
 
+    def test_stalled_direct_solve_recovers_on_the_ladder(self):
+        # three Newton steps are too few for the direct solve, so it restarts
+        # on 8 uniform rungs, and rungs that stall again are bisected: 64
+        # history entries over 48 steps are 16 rungs, 8 of them midpoints
+        dom = GridDomain.product(2, x_shape=(4, 4), s_shape=(9, 9))
+        x1, _, _, sy = dom.meshgrid()
+        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
+                           ScalarField(dom, 0.4 + np.sin(x1) * np.cos(3 * sy)),
+                           ScalarField.zeros(dom), "dirichlet")
+        res = solve_dirichlet(spec, SolverOptions(max_newton=3))
+        assert (res.iterations, len(res.residual_history)) == (48, 64)
+        assert hashlib.sha256(res.u.values.tobytes()).hexdigest() == (
+            "ad1d482fecb2bbdadc5c425be8615807590a1892fee256665dd0ebf20e6cad9a")
+
     def test_annulus_surface_factor(self):
         # radial axis bounded, angular axis periodic
         dom = GridDomain.product(
@@ -533,7 +568,8 @@ class TestDirichletSolve:
 
 class TestLinearization:
     """The Newton operator is the derivative of the residual: for Hermitian
-    F, A v_int + B v_bdry = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}.
+    F, A v_int + B v_bdry = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar},
+    with B of the reference assembly (`newton_reference.assemble_linearized`).
     A real F (or a diagonal one) cannot tell this pairing from tr(F^T Hess v);
     every F here has complex off-diagonal entries."""
 
@@ -553,7 +589,7 @@ class TestLinearization:
         coeff = hermitian_stack(rng, int(dom.interior.sum()), n, shift=0.5)
         assert np.min(np.abs(coeff[:, 0, 1].imag)) > 0
         v = rng.standard_normal(dom.shape)
-        a, b = assemble(dom, coeff)
+        a, b = assemble(dom, coeff), ref.assemble_linearized(dom, coeff)[1]
         got = a @ v[dom.interior] + b @ v[dom.boundary]
         hess = complex_hessian(ScalarField(dom, v))[dom.interior]
         want = np.einsum("nkj,njk->n", coeff, hess).real

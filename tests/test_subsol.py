@@ -3,11 +3,11 @@ import pytest
 
 from hcl.errors import DomainError, HypothesisError, RangeError
 from hcl.subsol import (
+    _shift_to_level,
     build_context,
     certify_bounded_intersection,
-    dichotomy_check,
+    dichotomy_rows,
     is_c_subsolution,
-    level_set_point,
     sample_level_set,
 )
 from hcl.symfunc import FuncFamily, eval_f, grad_f
@@ -19,30 +19,12 @@ MIXED = FuncFamily.quotient_log(2, (0.0, 1.0), 3)
 
 
 class TestLevelSetPoint:
-    def test_linear_family_ray(self):
-        p = level_set_point(SIGMA1, 3.0, [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(p, [1, 1, 1], atol=1e-9)
-
-    def test_log_det_ray(self):
-        p = level_set_point(LOGDET2, 0.0, [1.0, 2.0])
-        np.testing.assert_allclose(p, np.array([1.0, 2.0]) / np.sqrt(2), atol=1e-9)
-        assert eval_f(LOGDET2, p) == pytest.approx(0.0, abs=1e-9)
-
-    def test_mixed_family_by_bisection(self):
-        for sigma in (0.7, 1.5, 3.0):
-            p = level_set_point(MIXED, sigma, [1.0, 1.0, 1.0])
-            assert eval_f(MIXED, p) == pytest.approx(sigma, abs=1e-8)
-
     def test_shift_mode(self):
-        p = level_set_point(LOGDET2, 1.0, [-3.0, 0.5], mode="shift")
+        (p,), errors = _shift_to_level(LOGDET2, 1.0, np.array([[-3.0, 0.5]]))
+        assert errors == [None]
         assert eval_f(LOGDET2, p) == pytest.approx(1.0, abs=1e-9)
         # the point sits on the shifted ray
         assert p[0] - (-3.0) == pytest.approx(p[1] - 0.5, abs=1e-12)
-
-    def test_unattained_level(self):
-        with pytest.raises(RangeError):
-            # sigma_1 along a ray through (1,1,1) cannot reach negative levels
-            level_set_point(SIGMA1, -1.0, [1.0, 1.0, 1.0])
 
     def test_level_below_every_ray_stops_drawing(self):
         # every shifted ray enters the cone above sigma_1 = 1e-300: the fan
@@ -113,21 +95,21 @@ def linear_ctx():
 class TestDichotomyCheck:
 
     def test_symmetric_point_case2(self, linear_ctx):
-        out = dichotomy_check(linear_ctx, [1.0, 1.0, 1.0])
+        (out,) = dichotomy_rows(linear_ctx, [[1.0, 1.0, 1.0]])
         assert out.case2  # f_i = 1 >= 0.1 * (1 + 3 + 3) = 0.7
         assert out.weight == pytest.approx(7.0)
 
     def test_constant_gradient_always_case2(self, linear_ctx):
         rng = np.random.default_rng(3)
+        lams = []
         for _ in range(50):
             v = rng.normal(0, 2, 2)
-            lam = np.array([v[0], v[1], 3.0 - v.sum()])
-            out = dichotomy_check(linear_ctx, lam)
-            assert out.case2
+            lams.append([v[0], v[1], 3.0 - v.sum()])
+        assert all(out is not None and out.case2 for out in dichotomy_rows(linear_ctx, lams))
 
     def test_off_level_rejected(self, linear_ctx):
         with pytest.raises(DomainError):
-            dichotomy_check(linear_ctx, [2.0, 2.0, 2.0])
+            dichotomy_rows(linear_ctx, [[2.0, 2.0, 2.0]])
 
     @pytest.mark.parametrize(
         "family,sigma,mu,delta,radius",
@@ -140,13 +122,11 @@ class TestDichotomyCheck:
     def test_no_neither_on_sampled_boundary(self, family, sigma, mu, delta, radius):
         ctx = build_context(family, sigma, mu, delta, radius)
         pts = sample_level_set(family, sigma, 200, seed=5)
-        for lam in pts:
-            out = dichotomy_check(ctx, lam)  # raises on "neither"
-            assert out.case1 or out.case2
+        assert dichotomy_rows(ctx, pts).count(None) == 0
 
     def test_weight_matches_formula(self, linear_ctx):
         lam = np.array([0.5, 1.0, 1.5])
-        out = dichotomy_check(linear_ctx, lam)
+        (out,) = dichotomy_rows(linear_ctx, lam[None, :])
         f = grad_f(SIGMA1, lam)
         expected = 1.0 + f.sum() + abs(float(np.sum(f * lam)))
         assert out.weight == pytest.approx(expected)
