@@ -105,11 +105,7 @@ class GridDomain:
         roles = np.zeros(shape, dtype=np.uint8)
         for ax in range(2 * (n - 1), 2 * n):
             if not periodic[ax]:
-                sl = [slice(None)] * (2 * n)
-                sl[ax] = 0
-                roles[tuple(sl)] = BOUNDARY
-                sl[ax] = -1
-                roles[tuple(sl)] = BOUNDARY
+                np.moveaxis(roles, ax, 0)[[0, -1]] = BOUNDARY
         return cls(n, shape, lengths, periodic, "product", roles)
 
     @property
@@ -151,8 +147,8 @@ class GridDomain:
 
         Kept nodes adjacent (including diagonally, along the S axes) to a
         dropped node become boundary nodes; kept original-boundary nodes stay
-        boundary.  Raises when the kept S cross-section is thinner than
-        3 nodes.
+        boundary.  Nodes read their nine S neighbours by `_shift` on the mask
+        padded by one node along S (wrapped; dropped past a bounded edge).
         """
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != self.shape:
@@ -160,33 +156,17 @@ class GridDomain:
         if not keep.any():
             raise ResolutionError("empty sub-domain")
         d = len(self.shape)
-        edge = np.zeros(self.shape, dtype=bool)
-        s_axes = [d - 2, d - 1]
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                if da == 0 and db == 0:
-                    continue
-                nb = np.roll(np.roll(keep, da, axis=s_axes[0]), db, axis=s_axes[1])
-                # a roll across a non-periodic lattice edge wraps; mark those
-                # positions as outside by treating the physical edge as dropped
-                edge |= keep & ~nb
-        for ax in s_axes:
+        nb = np.pad(keep, [(0, 0)] * (d - 2) + [(1, 1)] * 2, mode="wrap")
+        for ax in (d - 2, d - 1):
             if not self.periodic[ax]:
-                sl = [slice(None)] * d
-                sl[ax] = 0
-                edge[tuple(sl)] |= keep[tuple(sl)]
-                sl[ax] = -1
-                edge[tuple(sl)] |= keep[tuple(sl)]
+                np.moveaxis(nb, ax, 0)[[0, -1]] = False
+        whole = np.logical_and.reduce([_shift(nb, {d - 2: a, d - 1: b}, range(d - 2))
+                                       for a in (-1, 0, 1) for b in (-1, 0, 1)])
         roles = np.full(self.shape, EXTERIOR, dtype=np.uint8)
         roles[keep] = INTERIOR
-        roles[keep & (edge | (self.roles == BOUNDARY))] = BOUNDARY
+        roles[keep & (~whole | (self.roles == BOUNDARY))] = BOUNDARY
         if not (roles == INTERIOR).any():
             raise ResolutionError("sub-domain has no interior nodes")
-        # thinnest run of kept nodes along each S axis must carry the stencils
-        for ax in s_axes:
-            runs = keep.any(axis=tuple(i for i in range(d) if i != ax))
-            if int(np.count_nonzero(runs)) < 3:
-                raise ResolutionError(f"sub-domain thinner than 3 nodes along axis {ax}")
         return GridDomain(self.n, self.shape, self.lengths, self.periodic,
                           self.kind, roles)
 
@@ -257,9 +237,9 @@ class HermitianField:
         n = self.domain.n
         if self.values.shape != self.domain.shape + (n, n):
             raise DomainError("hermitian field shape mismatch")
-        self.values = 0.5 * (
-            self.values + np.conj(np.swapaxes(self.values, -1, -2))
-        )
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("hermitian field values must be finite everywhere")
+        self.values = 0.5 * (self.values + np.conj(np.swapaxes(self.values, -1, -2)))
 
     @property
     def coords(self) -> np.ndarray:
@@ -289,27 +269,15 @@ def constant_chi(domain: GridDomain, matrix) -> HermitianField:
 
 def _padded(u: np.ndarray, domain: GridDomain) -> np.ndarray:
     """One ghost node per axis: wrap on periodic axes, quadratic extrapolation
-    through the boundary value on the others."""
-    p = np.pad(u, [(1, 1) if per else (0, 0) for per in domain.periodic],
-               mode="wrap")
+    through the boundary value on the others, written over the wrapped layers
+    one bounded axis after another (so a corner extrapolates a ghost)."""
+    p = np.pad(u, 1, mode="wrap")
     for ax in [a for a, per in enumerate(domain.periodic) if not per]:
         if domain.shape[ax] < 3:
-            raise StencilError(
-                f"non-periodic axis {ax} needs at least 3 nodes"
-            )
-        lo = [slice(None)] * p.ndim
-        lo[ax] = slice(0, 3)
-        head = p[tuple(lo)]
-        hi = [slice(None)] * p.ndim
-        hi[ax] = slice(-3, None)
-        tail = p[tuple(hi)]
-        w = np.array([3.0, -3.0, 1.0])
-        wshape = [1] * p.ndim
-        wshape[ax] = 3
-        w = w.reshape(wshape)
-        ghost_lo = np.sum(head * w, axis=ax, keepdims=True)
-        ghost_hi = np.sum(tail * np.flip(w, axis=ax), axis=ax, keepdims=True)
-        p = np.concatenate([ghost_lo, p, ghost_hi], axis=ax)
+            raise StencilError(f"non-periodic axis {ax} needs at least 3 nodes")
+        q = np.moveaxis(p, ax, 0)
+        q[0] = 3.0 * q[1] + -3.0 * q[2] + q[3]
+        q[-1] = q[-4] + -3.0 * q[-3] + 3.0 * q[-2]
     return p
 
 
@@ -407,40 +375,23 @@ def gradient_sup(u: ScalarField) -> float:
     the second-order one-sided form.
     """
     dom = u.domain
-    d = 2 * dom.n
-    h = dom.spacings
     p = _padded(u.values, dom)
-    g2 = np.zeros(dom.shape)
-    for ax in range(d):
-        g2 += _centred(p, ax, h[ax]) ** 2
-    live = ~dom.exterior
-    return float(np.max(g2[live]))
+    g2 = sum(_centred(p, ax, h) ** 2 for ax, h in enumerate(dom.spacings))
+    return float(np.max(g2[~dom.exterior]))
 
 
 def boundary_normal_derivatives(u: ScalarField):
-    """Inward one-sided 3-point normal derivatives on each non-periodic face.
+    """Inward normal derivatives on each non-periodic face: the centred
+    difference through the ghost ring, which is the one-sided 3-point form.
 
     Returns a list of (axis, side, derivative) tuples where side is 0 for the
     low face and -1 for the high face, and derivative is the array over that
     face; the derivative points into the domain.
     """
     dom = u.domain
-    d = len(dom.shape)
+    p = _padded(u.values, dom)
     out = []
-    for ax in range(d):
-        if dom.periodic[ax]:
-            continue
-        if dom.shape[ax] < 3:
-            raise StencilError("one-sided stencil needs 3 nodes across")
-        h = dom.spacings[ax]
-
-        def take(i):
-            sl = [slice(None)] * d
-            sl[ax] = i
-            return u.values[tuple(sl)]
-
-        low = (-3.0 * take(0) + 4.0 * take(1) - take(2)) / (2.0 * h)
-        high = (-3.0 * take(-1) + 4.0 * take(-2) - take(-3)) / (2.0 * h)
-        out.append((ax, 0, low))
-        out.append((ax, -1, high))
+    for ax in [a for a, per in enumerate(dom.periodic) if not per]:
+        q, h = np.moveaxis(p, ax, 0), dom.spacings[ax]
+        out += [(ax, 0, _centred(q[:3], 0, h)[0]), (ax, -1, -_centred(q[-3:], 0, h)[0])]
     return out

@@ -53,11 +53,13 @@ def read_array(path):
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ConfigError(f"{path}: not an HCL1 container")
-    n, rank = struct.unpack_from("<II", raw, 4)
-    dims = struct.unpack_from(f"<{rank}I", raw, 12)
-    flags = struct.unpack_from(f"<{rank}B", raw, 12 + 4 * rank)
+    n, rank = struct.unpack_from("<II", raw, 4) if len(raw) >= 12 else (0, 0)
     off = 12 + 5 * rank
-    count = int(np.prod(dims))
+    dims = struct.unpack_from(f"<{rank}I", raw, 12) if len(raw) >= off else ()
+    count = int(np.prod(dims, dtype=object))  # 8 bytes each, after 12 + 5 rank
+    if len(raw) < off + 8 * count:
+        raise ConfigError(f"{path}: HCL1 container cut short at {len(raw)} bytes")
+    flags = struct.unpack_from(f"<{rank}B", raw, 12 + 4 * rank)
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(dims)
     return values.copy(), int(n), tuple(bool(f) for f in flags)
 

@@ -70,6 +70,7 @@ from .grid import (
     ScalarField,
     _coords,
     _matrix,
+    _shift,
     boundary_normal_derivatives,
     box_hessian,
     complex_hessian,
@@ -346,9 +347,8 @@ def _stencil_pattern(shape: tuple[int, ...], roles_bytes: bytes):
     int_flat = np.flatnonzero(roles == INTERIOR)
     rank = np.full(roles.size, -1, dtype=np.int32)
     rank[int_flat] = np.arange(int_flat.size)
-    grid = np.arange(roles.size, dtype=np.int32).reshape(shape)
-    axes = tuple(range(len(shape)))
-    nb = np.stack([np.roll(grid, tuple(-off), axis=axes).reshape(-1)[int_flat]
+    grid = np.pad(np.arange(roles.size, dtype=np.int32).reshape(shape), 1, mode="wrap")
+    nb = np.stack([_shift(grid, dict(enumerate(off))).reshape(-1)[int_flat]
                    for off in _stencil_offsets(len(shape) // 2)], axis=1)
     nb_roles = roles[nb]
     if np.any(nb_roles == EXTERIOR):

@@ -84,6 +84,19 @@ def _check_invariants(lost_trace: bool, lost_norm: bool) -> None:
         raise NumericError("Jacobi lost the Frobenius norm beyond tolerance")
 
 
+def _exponent(a: np.ndarray):
+    """Per matrix of a (..., n, n), the e with all real and imaginary parts
+    below 2^e: a norm that overflows on finite entries rotates a * 2^-e."""
+    return np.frexp(np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1)))[1]
+
+
+def _scaled_back(d: np.ndarray, e) -> np.ndarray:
+    with np.errstate(over="ignore"):  # a spectrum past the float maximum: inf
+        d = np.ldexp(d, e)
+    _check_norm(bool(np.all(np.isfinite(d))))
+    return d
+
+
 def _off_norm(m: list) -> float:
     return math.hypot(*[abs(x) for i, row in enumerate(m)
                         for j, x in enumerate(row) if i != j])
@@ -112,6 +125,10 @@ def _jacobi(a, accumulate: bool):
             m[j][i] = x.conjugate()
             off_sq += 2.0 * (x.real * x.real + x.imag * x.imag)
     norm = math.sqrt(diag_sq + off_sq)
+    if norm == math.inf and np.all(np.isfinite(a)):
+        e = _exponent(a)
+        d, v = _jacobi(a * 2.0 ** -e, accumulate)
+        return list(_scaled_back(d, e)), v
     _check_norm(math.isfinite(norm))
     v = np.eye(n, dtype=complex).tolist() if accumulate else None
     off = math.sqrt(off_sq)
@@ -167,6 +184,11 @@ def _jacobi_stack(a) -> np.ndarray:
     n = a.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(a, axis=(1, 2))
+    big = np.isinf(norm) & np.all(np.isfinite(a), axis=(1, 2))
+    if big.any():
+        e = np.where(big, _exponent(a), 0)
+        a[big] *= np.ldexp(1.0, -e[big])[:, None, None]
+        return _scaled_back(_jacobi_stack(a), e[:, None])
     _check_norm(bool(np.all(np.isfinite(norm))))
     trace0 = np.trace(a, axis1=1, axis2=2).real
     target = _OFF_TOL * norm

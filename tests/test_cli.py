@@ -245,6 +245,10 @@ class TestExitCodes:
                                                                     [0.0]]}),
          "constant"),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, psi={"file": "."}), None),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, domain=dict(
+            DIRICHLET_SMALL["domain"], kind="sphere")), "unknown domain kind"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, psi="cosx:1"),
+         "unknown field expression"),
         # empty work: each of these wrote a header-only CSV and exited 0
         ("lemma-check", {"battery": {"count": 0}}, "count"),
         ("lemma-check", {"battery": {"count": -5}}, "count"),
@@ -294,7 +298,8 @@ class TestExitCodes:
             "negative-battery-seed", "string-multipliers", "string-ladder",
             "string-amplitudes", "numeric-base-dir", "numeric-instances",
             "wrong-instance-n", "short-a_im", "string-family",
-            "ragged-chi-constant", "directory-field-file", "zero-count", "negative-count",
+            "ragged-chi-constant", "directory-field-file", "unknown-domain-kind",
+            "unknown-field-expression", "zero-count", "negative-count",
             "empty-instances", "empty-bare-array", "empty-multipliers",
             "empty-ladder", "empty-levels", "empty-amplitudes",
             "non-positive-levels", "increasing-levels", "huge-x-length",
@@ -306,10 +311,67 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 4
-        err = capsys.readouterr().err
+        (err,) = capsys.readouterr().err.splitlines()  # one line, no traceback
         assert "config error" in err
         if key is not None:  # a quoted config key, or a solver's message
             assert (key if " " in key else repr(key)) in err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_path(self, tmp_path, capsys, name):
+        assert main(["lemma-check", "--config", str(tmp_path / name),
+                     "--out", str(tmp_path / "o")]) == 4
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("config error: cannot read config")
+
+    # the three cut-short files exited 1 with a traceback before the container
+    # checked its length; no test reached the other three exits
+    @pytest.mark.parametrize("field", ["psi", "chi"])
+    @pytest.mark.parametrize("s_shape, damage, message", [
+        ([13, 13], lambda raw: raw[:8], "cut short at 8 bytes"),
+        ([13, 13], lambda raw: raw[:-8], "cut short"),
+        ([13, 13], lambda raw: raw[:8] + (10**6).to_bytes(4, "little") + raw[12:],
+         "cut short"),
+        ([13, 13], lambda raw: b"HCL0" + raw[4:], "not an HCL1 container"),
+        ([13, 11], lambda raw: raw, "does not match the domain"),
+        ([13, 13], lambda raw: raw[:-8] + np.float64(np.nan).tobytes(), "finite"),
+    ], ids=["cut-after-8-bytes", "data-short-of-dims", "rank-1e6", "wrong-magic",
+            "wrong-shape", "nan"])
+    def test_malformed_field_container_exit_four(self, tmp_path, capsys, field,
+                                                 s_shape, damage, message):
+        dom = _domain_from(dict(DIRICHLET_SMALL["domain"], s_shape=s_shape))
+        path = tmp_path / f"{field}.hcl"
+        if field == "psi":
+            hio.write_scalar_field(path, ScalarField.full(dom, 0.4))
+        else:
+            hio.write_hermitian_field(path, identity_chi(dom))
+        path.write_bytes(damage(path.read_bytes()))
+        cfg = write_config(tmp_path, "bad.json", dict(
+            DIRICHLET_SMALL, base_dir=str(tmp_path), **{field: {"file": path.name}}))
+        assert main(["solve-dirichlet", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("config error:") and message in err
+        if message != "finite":
+            assert str(path) in err
+
+    @pytest.mark.parametrize("command, payload", [
+        ("solve-dirichlet", DIRICHLET_SMALL), ("solve-closed", CLOSED_CONSTANTS),
+    ], ids=["dirichlet", "closed"])
+    # each exited 3 with a cone violation, or an inadmissible initial iterate
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_chi_file_exit_four(self, tmp_path, capsys, command,
+                                           payload, bad):
+        dom = _domain_from(payload["domain"])
+        values = np.zeros(dom.shape + (dom.n, dom.n, 2))
+        values[..., [0, 1], [0, 1], 0] = 1.0
+        values[(2,) * len(dom.shape) + (1, 1, 0)] = bad
+        hio.write_array(tmp_path / "chi.hcl", values, dom.n,
+                        list(dom.periodic) + [0, 0, 0])
+        cfg = write_config(tmp_path, "chi.json", dict(
+            payload, base_dir=str(tmp_path), chi={"file": "chi.hcl"}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == "config error: hermitian field values must be finite everywhere"
 
     def test_unknown_option_is_named(self, tmp_path, capsys):
         # linear_solver chose a direct factorization before BiCGStab became

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hcl.grid import (
     HermitianField,
     ScalarField,
     _coords,
+    _padded,
     boundary_normal_derivatives,
     box_hessian,
     chern_laplacian,
@@ -105,6 +108,52 @@ class TestDomains:
         thin[8, :] = True
         with pytest.raises(ResolutionError):
             dom.restrict(thin)
+
+    def test_restrict_roles_pinned(self):
+        # sha256 of the roles each mask gave before `restrict` read its
+        # neighbours through one padded copy
+        ann = GridDomain.product(1, s_shape=(9, 12), s_periodic=(False, True))
+        r, t = np.indices(ann.shape)
+        seam = (r >= 1) & (r <= 7) & ((t <= 3) | (t >= 9))  # across angle 0
+        box = GridDomain.product(2, x_shape=(3, 2), s_shape=(8, 9))
+        idx = np.indices(box.shape)
+        edge = (idx[2] <= 5) & (idx[3] >= 1) & (idx[3] <= 6)  # on the face s = 0
+        disc = GridDomain.product(2, x_shape=(4, 2), s_shape=(11, 11))
+        x, _, s, t = disc.meshgrid()
+        along_x = (s - 0.5) ** 2 + (t - 0.5) ** 2 < 0.09 + 0.03 * np.cos(x)
+        assert not (along_x == along_x[:1]).all()
+        for dom, keep, digest in (
+                (ann, seam, "cb508cd79a0d87be93eea8ab9636df6b533ef8eaadcb530ebf08ab3d79beeda6"),
+                (box, edge, "e055ce77a6315308de2ab4da7145937728b711feafa7020ddc39332b99293dc8"),
+                (disc, along_x, "27a99c6b94609ab642f4e565699f995818a90a8d72bd770225e556117d425a1b")):
+            assert hashlib.sha256(dom.restrict(keep).roles.tobytes()).hexdigest() == digest
+
+    def test_restrict_two_node_periodic_axis(self):
+        # a whole mask keeps the domain's own roles; a thinness check on the
+        # kept S cross-section once rejected it
+        dom = GridDomain.product(1, s_shape=(9, 2), s_periodic=(False, True))
+        sub = dom.restrict(np.ones(dom.shape, dtype=bool))
+        np.testing.assert_array_equal(sub.roles, dom.roles)
+
+
+class TestGhostRing:
+    @pytest.mark.parametrize("dom", [
+        GridDomain.product(2, x_shape=(2, 2), s_shape=(7, 5)),
+        GridDomain.product(1, s_shape=(6, 7), s_periodic=(True, False)),
+    ], ids=["product", "annulus"])
+    def test_padded_sums(self, dom):
+        # the order of each ghost's sum is pinned here: no artifact digest
+        # changes when it does
+        u = np.random.default_rng(11).normal(0, 1, dom.shape)
+        p = _padded(u, dom)
+        core = tuple(slice(1, -1) for _ in dom.shape)
+        np.testing.assert_array_equal(p[core], u)
+        for ax, per in enumerate(dom.periodic):
+            q = np.moveaxis(p[core[:ax] + (slice(None),) + core[ax + 1:]], ax, 0)
+            w = np.moveaxis(u, ax, 0)
+            lo, hi = (w[-1], w[0]) if per else (3.0 * w[0] + -3.0 * w[1] + w[2],
+                                               w[-3] + -3.0 * w[-2] + 3.0 * w[-1])
+            assert (q[0] == lo).all() and (q[-1] == hi).all()
 
 
 class TestComplexHessian:
@@ -304,6 +353,13 @@ class TestSerialization:
         values, n, flags = read_array(path)
         assert n == 1 and values.shape == (5, 6) and flags == (False, False)
 
+    def test_trailing_bytes_are_ignored(self, tmp_path):
+        dom = GridDomain.product(1, s_shape=(5, 6))
+        path = tmp_path / "f.hcl"
+        write_scalar_field(path, ScalarField.full(dom, 2.5))
+        path.write_bytes(path.read_bytes() + b"tail")
+        np.testing.assert_array_equal(read_array(path)[0], np.full(dom.shape, 2.5))
+
     def test_csv_export(self, tmp_path):
         dom = GridDomain.product(1, s_shape=(3, 3))
         f = ScalarField.from_function(dom, lambda x, y: x + 10 * y)
@@ -322,6 +378,14 @@ class TestFieldValidation:
             ScalarField(dom, np.zeros((4, 5)))
         with pytest.raises(DomainError):
             HermitianField(dom, np.zeros((4, 4, 2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_hermitian_non_finite(self, bad):
+        dom = GridDomain.torus(1, (4, 4))
+        values = np.ones((4, 4, 1, 1), dtype=complex)
+        values[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            HermitianField(dom, values)
 
     def test_identity_chi(self):
         dom = GridDomain.torus(2, (4, 4, 4, 4))

@@ -75,15 +75,18 @@ class TestEig:
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
     def test_rejects_overflowing_norm(self, stacked):
-        # |A|_F overflows: the target was inf, no sweep ran, and the unrotated
-        # diagonal [-1e300, 1e300] came back for the eigenvalues +-1.414e300
+        # |A|_F overflows: unscaled, the target was inf, no sweep ran, and the
+        # unrotated diagonal [-1e300, 1e300] came back for +-1.414e300; the
+        # sweeps now rotate A / 2^e, and only a spectrum past the float
+        # maximum (here 1.8e308) is rejected
         m = np.array([[1e300, 1e300], [1e300, -1e300]])
+        for scale in (1.0, 1e-150):  # whose norm overflows, and is finite
+            want = [-np.sqrt(2) * 1e300 * scale, np.sqrt(2) * 1e300 * scale]
+            np.testing.assert_allclose(eig_hermitian(m[None] * scale if stacked else m * scale),
+                                       [want] if stacked else want, rtol=1e-14)
+        top = np.full((3, 3), 6e307)
         with pytest.raises(DomainError, match="overflowing norm"):
-            eig_hermitian(m[None] if stacked else m)
-        small = m * 1e-150  # whose norm is finite: rotated as usual
-        want = [-np.sqrt(2) * 1e150, np.sqrt(2) * 1e150]
-        np.testing.assert_allclose(eig_hermitian(small[None] if stacked else small),
-                                   [want] if stacked else want, rtol=1e-14)
+            eig_hermitian(top[None] if stacked else top)
 
     def test_zero_matrix(self):
         np.testing.assert_allclose(eig_hermitian(np.zeros((3, 3))), np.zeros(3))
@@ -134,6 +137,23 @@ class TestStackedEig:
         stack[where] = np.nan
         with pytest.raises(DomainError):
             eig_hermitian(stack)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_entries_up_to_1e300(self, rng, n):
+        # the sum of squares overflows: both paths rotate a power-of-two
+        # multiple of the matrix and scale its eigenvalues back
+        stack = np.array([random_hermitian(rng, n) * 10.0 ** rng.uniform(160, 300)
+                          for _ in range(12)] + [np.diag([1e300] + [0.0] * (n - 1))])
+        stack = np.concatenate([stack, np.eye(n)[None]])  # a normal-range row
+        want = np.linalg.eigvalsh(stack)
+        lam = eig_hermitian(stack)
+        assert_spectra_close(lam, want)
+        assert_spectra_close(np.array([eig_hermitian(m) for m in stack]), want)
+        np.testing.assert_array_equal(lam[-1], np.ones(n))
+        np.testing.assert_array_equal(lam[-2], [0.0] * (n - 1) + [1e300])
+        with_vectors, frame = eig_hermitian_with_vectors(stack[0])
+        assert_spectra_close(with_vectors, want[0])
+        np.testing.assert_allclose(frame.conj().T @ frame, np.eye(n), atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(6, 6), (3, 6, 6)])
     def test_sweep_cap_raises(self, rng, monkeypatch, shape):
