@@ -10,9 +10,18 @@ Modules:
     cli      - command-line front end
 """
 
-from . import errors, grid, solve, spectra, subsol, symfunc
+import importlib
+
+from . import errors, grid, spectra, subsol, symfunc
 from .symfunc import FuncFamily
 
 __version__ = "0.1.0"
 
 __all__ = ["errors", "symfunc", "spectra", "subsol", "grid", "solve", "FuncFamily"]
+
+
+def __getattr__(name):
+    # solve (and with it scipy) loads on first use: only the solver commands need it
+    if name == "solve":
+        return importlib.import_module(".solve", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io as hio
-from . import solve as hsolve
 from . import spectra, subsol, symfunc
 from .errors import (
     ConfigError,
@@ -177,6 +176,7 @@ _OPTIONS = {"residual_scale": (float, None), "max_newton": (int, 1),
 
 def _problem_from(cfg: dict, mode: str, seed: int):
     """The ProblemSpec of a solver config, then its SolverOptions."""
+    from . import solve as hsolve  # scipy loads for the solver commands only
     base_dir = Path(_read(cfg, "base_dir", str, "."))
     domain = _domain_from(_read(cfg, "domain", dict))
     family = _family_from(_read(cfg, "family", dict))
@@ -308,8 +308,10 @@ _RESULT_COLUMNS = ["run_id", "iterations", "residual", "c", "ratio2nd",
                    "bdry_ratio", "sandwich_ok"]
 
 
-def _dirichlet_run(writer, run_id, spec, opts) -> hsolve.SolveResult:
-    """Dirichlet solve, estimate check against its subsolution, result row."""
+def _dirichlet_run(writer, run_id, spec, opts):
+    """Dirichlet solve, estimate check against its subsolution, result row;
+    returns the SolveResult."""
+    from . import solve as hsolve
     result = hsolve.solve_dirichlet(spec, opts)
     usuper = hsolve.build_supersolution(spec)
     report = hsolve.verify_estimates(result, spec, result.subsolution, usuper)
@@ -318,6 +320,7 @@ def _dirichlet_run(writer, run_id, spec, opts) -> hsolve.SolveResult:
 
 
 def _cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> tuple[int, str]:
+    from . import solve as hsolve
     spec, opts = _problem_from(cfg, mode, seed)
     writer = hio.CsvWriter(out / "results.csv", _RESULT_COLUMNS, seed)
     if mode == "closed":
@@ -333,6 +336,7 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> tuple[int, str]:
 
 
 def _cmd_degenerate(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
+    from . import solve as hsolve
     spec, opts = _problem_from(cfg, "dirichlet", seed)
     ladder = _read(cfg, "ladder", [float], [1.0, 0.5, 0.25, 0.125], low=1)
     shift = _read(cfg, "boundary_shift", float, None)
@@ -359,6 +363,7 @@ def _cmd_degenerate(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
 
 
 def _cmd_exhaustion(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
+    from . import solve as hsolve
     spec, opts = _problem_from(cfg, "dirichlet", seed)
     levels = _read(cfg, "levels", [float], low=1)
     report = hsolve.domain_exhaustion(spec, levels, opts)

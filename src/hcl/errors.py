@@ -21,16 +21,8 @@ class RangeError(DomainError):
     """Requested level value not attained on the search ray."""
 
 
-class EmptyBandError(HclError):
-    """No sample fell inside the requested level band."""
-
-
 class HypothesisError(HclError):
     """A certified hypothesis (bounded level-set intersection) failed on a sampled ray."""
-
-
-class LemmaViolationError(HclError):
-    """A dichotomy/localization conclusion failed beyond tolerance; a genuine finding."""
 
 
 class PreconditionError(DomainError):

@@ -44,7 +44,7 @@ the shape and the node roles) with no sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -178,12 +178,15 @@ class EstimateReport:
 class SolveResult:
     u: ScalarField
     c: float | None
-    iterations: int
     residual_history: list[float]
     # the BiCGStab iterations of each Newton step in both modes (a final half
     # step counts as one); diagnostics only, written to no artifact
-    linear_solves: list[int] = field(default_factory=list)
+    linear_solves: list[int]
     subsolution: ScalarField | None = None  # the start of a Dirichlet solve
+
+    @property
+    def iterations(self) -> int:  # Newton steps: one linear solve each
+        return len(self.linear_solves)
 
 
 @dataclass
@@ -804,7 +807,7 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
         history += hist
         solves += lin
         s_prev = rungs.pop(0)
-    return SolveResult(ScalarField(dom, u), None, len(solves), history, solves, usub)
+    return SolveResult(ScalarField(dom, u), None, history, solves, usub)
 
 
 def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
@@ -815,8 +818,7 @@ def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveR
         raise DomainError("solve_closed needs closed mode")
     u, c, history, solves = _damped_newton(spec, np.zeros(spec.domain.shape), opts)
     u = u - float(np.max(u))  # the equation sees only the Hessian; c is unchanged
-    return SolveResult(ScalarField(spec.domain, u), float(c), len(history) - 1,
-                       history, linear_solves=solves)
+    return SolveResult(ScalarField(spec.domain, u), float(c), history, solves)
 
 
 # ------------------------------------------------------------------ sweeps

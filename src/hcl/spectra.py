@@ -21,28 +21,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, NumericError, PreconditionError
-from .symfunc import FuncFamily, grad_f, in_cone
+from .errors import DomainError, NumericError, PreconditionError
 
 __all__ = [
     "hermitize",
     "eig_hermitian",
-    "eig_hermitian_with_vectors",
     "closed_form_2x2",
     "BorderedHermitian",
     "BorderedStack",
     "growth_threshold",
-    "refinement_threshold",
     "LocalizationVerdict",
     "localize",
     "localization_verdict",
-    "RefinementVerdict",
-    "refinement_localize",
     "char_poly_terms",
     "char_poly_residual",
     "CensusReport",
     "interval_census",
-    "matrix_derivative",
     "random_instance",
     "battery",
 ]
@@ -54,11 +48,17 @@ SLACK_SCALE = 1e-10  # localization slack per unit of 1 + |A|_F
 
 def hermitize(a) -> np.ndarray:
     """Symmetrize to exact conjugate symmetry: (A + A^H)/2, per matrix of a
-    (B, n, n) stack."""
+    (B, n, n) stack; A/2 + A^H/2 at the entries where A + A^H overflows."""
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DomainError("expected a square matrix or a stack of them")
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    ah = np.conj(np.swapaxes(a, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.5 * (a + ah)
+    over = np.isinf(h)  # an infinite input stays infinite
+    if over.any():
+        h[over] = 0.5 * a[over] + 0.5 * ah[over]
+    return h
 
 
 def _not_converged(sweeps: int, off: float, target: float) -> NumericError:
@@ -77,7 +77,7 @@ def _check_norm(finite: bool) -> None:
 
 def _check_invariants(lost_trace: bool, lost_norm: bool) -> None:
     """Raise if the rotations, which preserve both, lost the trace or the
-    Frobenius norm beyond 1e-10 (relative to 1 + |trace| and to the norm)."""
+    Frobenius norm beyond 1e-10 (relative to 1 + |A|_F and to |A|_F)."""
     if lost_trace:
         raise NumericError("Jacobi lost the trace beyond tolerance")
     if lost_norm:
@@ -102,9 +102,9 @@ def _off_norm(m: list) -> float:
                         for j, x in enumerate(row) if i != j])
 
 
-def _jacobi(a, accumulate: bool):
+def _jacobi(a) -> list:
     """Cyclic complex Jacobi sweeps on one matrix, in Python scalars; returns
-    (diagonal, unitary or None).  The reference path for the stacked sweep."""
+    the diagonal.  The reference path for the stacked sweep."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("expected a square matrix")
@@ -127,10 +127,8 @@ def _jacobi(a, accumulate: bool):
     norm = math.sqrt(diag_sq + off_sq)
     if norm == math.inf and np.all(np.isfinite(a)):
         e = _exponent(a)
-        d, v = _jacobi(a * 2.0 ** -e, accumulate)
-        return list(_scaled_back(d, e)), v
+        return list(_scaled_back(_jacobi(a * 2.0 ** -e), e))
     _check_norm(math.isfinite(norm))
-    v = np.eye(n, dtype=complex).tolist() if accumulate else None
     off = math.sqrt(off_sq)
     target = _OFF_TOL * norm
     # entries this small cannot block convergence; rotating on them would
@@ -156,7 +154,7 @@ def _jacobi(a, accumulate: bool):
                 s = t * c
                 # A <- U^H A U with U = [[c, s], [-s conj(w), c conj(w)]] on (p, q)
                 u10, u11 = -s * w.conjugate(), c * w.conjugate()
-                for row in (m if v is None else m + v):
+                for row in m:
                     x, y = row[p], row[q]
                     row[p] = x * c + y * u10
                     row[q] = x * s + y * u11
@@ -168,9 +166,9 @@ def _jacobi(a, accumulate: bool):
                 mp[q] = mq[p] = 0j
         off = _off_norm(m)
     d = [m[i][i].real for i in range(n)]
-    _check_invariants(abs(sum(d) - trace0) > 1e-10 * (1.0 + abs(trace0)),
+    _check_invariants(abs(sum(d) - trace0) > 1e-10 * (1.0 + norm),
                       abs(math.sqrt(sum([x * x for x in d])) - norm) > 1e-10 * norm)
-    return d, (None if v is None else np.array(v))
+    return d
 
 
 def _jacobi_stack(a) -> np.ndarray:
@@ -217,7 +215,7 @@ def _jacobi_stack(a) -> np.ndarray:
         off = off_norms(sub)
     d = np.diagonal(a, axis1=1, axis2=2).real
     _check_invariants(
-        bool(np.any(np.abs(d.sum(axis=1) - trace0) > 1e-10 * (1.0 + np.abs(trace0)))),
+        bool(np.any(np.abs(d.sum(axis=1) - trace0) > 1e-10 * (1.0 + norm))),
         bool(np.any(np.abs(np.linalg.norm(d, axis=1) - norm) > 1e-10 * norm)),
     )
     return d
@@ -260,16 +258,7 @@ def eig_hermitian(a) -> np.ndarray:
     """
     if np.ndim(a) == 3:
         return np.sort(_jacobi_stack(a), axis=-1)
-    d, _ = _jacobi(a, accumulate=False)
-    return np.array(sorted(d))
-
-
-def eig_hermitian_with_vectors(a):
-    """(eigenvalues ascending, unitary eigenframe) with A = P diag(lam) P^H."""
-    d, v = _jacobi(a, accumulate=True)
-    lam = np.array(d)
-    order = np.argsort(lam, kind="stable")
-    return lam[order], v[:, order]
+    return np.array(sorted(_jacobi(a)))
 
 
 def closed_form_2x2(d1: float, a1: complex, corner: float) -> tuple[float, float]:
@@ -356,14 +345,6 @@ def growth_threshold(b, eps):
     return thr if s is b else float(thr[0])
 
 
-def refinement_threshold(b: BorderedHermitian, eps: float) -> float:
-    """Corner threshold for the weaker nearest-diagonal localization."""
-    _positive(eps)
-    n = b.n
-    a2 = sum(abs(x) ** 2 for x in b.a)
-    return a2 / eps + sum(d + (n - 2) * abs(d) for d in b.d) + (n - 2) * eps
-
-
 class LocalizationVerdict(NamedTuple):
     """Outcome of matching eigenvalues to the localization intervals; for a
     BorderedStack each field holds one entry per row."""
@@ -406,46 +387,6 @@ def localization_verdict(b, eps, lam):
         return LocalizationVerdict(ok, worst, hit, lam)
     return LocalizationVerdict(bool(ok[0]), float(worst[0]), bool(hit[0]),
                                tuple(lam[0].tolist()))
-
-
-@dataclass(frozen=True)
-class RefinementVerdict:
-    """Nearest-diagonal localization with the displacement-corrected top bound."""
-
-    epsilon: float
-    threshold: float
-    satisfied: bool
-    matches: tuple[int, ...]  # index of the nearest diagonal entry per eigenvalue
-    top_excess: float  # lambda_n - corner
-    top_bound: float  # (n-1) eps + |sum(d_alpha - d_matched)|
-    witness: tuple[float, ...]
-
-
-def refinement_localize(b: BorderedHermitian, eps: float) -> RefinementVerdict:
-    """Check the weaker conclusion: every non-top eigenvalue within eps of SOME
-    diagonal entry, and 0 <= lambda_n - corner < (n-1) eps + |sum(d_a - d_{i_a})|.
-    """
-    threshold = refinement_threshold(b, eps)  # rejects eps <= 0 first
-    a = b.embed()
-    lam = eig_hermitian(a)
-    slack = SLACK_SCALE * (1.0 + float(np.linalg.norm(a)))
-    n = b.n
-    d = np.asarray(b.d)
-    low = lam[: n - 1]
-    matches = np.argmin(np.abs(low[:, None] - d[None, :]), axis=1)
-    near_ok = np.all(np.abs(low - d[matches]) < eps + slack)
-    top_excess = float(lam[-1] - b.corner)
-    top_bound = (n - 1) * eps + abs(float(np.sum(d) - np.sum(d[matches])))
-    ok = bool(near_ok and -slack <= top_excess < top_bound + slack)
-    return RefinementVerdict(
-        epsilon=float(eps),
-        threshold=threshold,
-        satisfied=ok,
-        matches=tuple(int(i) for i in matches),
-        top_excess=top_excess,
-        top_bound=float(top_bound),
-        witness=tuple(float(x) for x in lam),
-    )
 
 
 def char_poly_terms(b: BorderedHermitian, x: float) -> tuple[float, float]:
@@ -527,20 +468,6 @@ def interval_census(b: BorderedHermitian, eps: float, corners) -> CensusReport:
         counts=tuple(map(tuple, np.count_nonzero(inside[:, :-1], axis=1).tolist())),
         top_in_interval=tuple(np.any(inside[:, -1], axis=1).tolist()),
     )
-
-
-def matrix_derivative(family: FuncFamily, g) -> np.ndarray:
-    """Derivative matrix of G -> f(lambda(G)) in the unitary eigenframe.
-
-    Returns sum_k f_k(lambda) P_{.k} P_{.k}^H with P the Jacobi eigenframe of
-    the Hermitian input; positive definite on admissible input.
-    """
-    g = hermitize(g)
-    lam, p = eig_hermitian_with_vectors(g)
-    if not in_cone(lam, family.k):
-        raise AdmissibilityError("matrix spectrum outside the family cone")
-    f = grad_f(family, lam)
-    return hermitize((p * f[None, :]) @ p.conj().T)
 
 
 def _draws(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,11 +25,9 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError, RangeError
 from .symfunc import (
-    LADDER_T_MAX,
     FuncFamily,
     _bisect_rows,
     _grow_rows,
-    _ladder,
     boundary_sup,
     eval_f,
     grad_f,
@@ -40,12 +38,10 @@ from .symfunc import (
 __all__ = [
     "DichotomyContext",
     "DichotomyOutcome",
-    "CSubVerdict",
     "sample_level_set",
     "certify_bounded_intersection",
     "build_context",
     "dichotomy_rows",
-    "is_c_subsolution",
 ]
 
 _R0_MARGIN = 1.2  # multiplicative safety on the smallest admissible clearance
@@ -320,45 +316,3 @@ def dichotomy_rows(ctx: DichotomyContext, lams) -> list[DichotomyOutcome | None]
                    if case1 or case2 else None)
     return out
 
-
-@dataclass(frozen=True)
-class CSubVerdict:
-    """Axis-limit test outcome; truthy iff the point certifies a subsolution."""
-
-    is_subsolution: bool
-    indeterminate: bool
-    axis_sups: tuple[float, ...]
-
-    def __bool__(self) -> bool:
-        return self.is_subsolution
-
-
-def is_c_subsolution(
-    family: FuncFamily, lam_sub, psi_val: float, t_max: float = LADDER_T_MAX
-) -> CSubVerdict:
-    """Truncated axis-limit surrogate for boundedness of the level-set slice.
-
-    True iff along every coordinate direction the truncated sup of
-    f(lam_sub + t e_i) over the geometric ladder t <= t_max exceeds psi_val.
-    When an axis value is still rising at t_max yet below psi_val the verdict
-    is false with the indeterminate flag set.
-    """
-    lam_sub = lambda_tuple(lam_sub)
-    if not in_cone(lam_sub, family.k):
-        raise DomainError("base point must lie in Gamma")
-    n = family.n
-    rungs = _ladder(t_max)
-    # vals[i, 0] = f(lam_sub) and vals[i, 1 + r] = f(lam_sub + rungs[r] e_i)
-    steps = np.append(0.0, rungs)[:, None] * np.eye(n)[:, None, :]
-    vals = eval_f(family, lam_sub + steps)
-    hit = vals[:, 1:] > psi_val
-    exceeded = hit.any(axis=1)
-    stop = np.where(exceeded, np.argmax(hit, axis=1) + 1, rungs.size)  # last one walked
-    sups = np.maximum.accumulate(vals, axis=1)[np.arange(n), stop]
-    rising = vals[:, -1] - vals[:, -2] > 1e-9 * (1.0 + np.abs(vals[:, -1]))
-    ok = bool(np.all(exceeded))
-    return CSubVerdict(
-        is_subsolution=ok,
-        indeterminate=bool((~exceeded & rising).any()) and not ok,
-        axis_sups=tuple(float(s) for s in sups),
-    )

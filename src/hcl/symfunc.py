@@ -10,9 +10,8 @@ Implements the five operator families
                          + sum_{j<=k} beta_j log sigma_j        on Gamma_k
 
 together with cone membership, analytic gradients, structural-condition
-verifiers (ellipticity, concavity, the chord inequality), membership in the
-sub-cone where f stays bounded below along outward rays, and the empirical
-coercivity floor of |lambda| * sum_i f_i(lambda).
+verifiers (ellipticity, concavity, the chord inequality) and membership in the
+sub-cone where f stays bounded below along outward rays.
 
 All evaluators, `hess_f` included, are vectorized over leading axes: `lam`
 may have shape (..., n), and one point gives its row of a stack bit for bit.
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, EmptyBandError
+from .errors import AdmissibilityError, DomainError
 
 __all__ = [
     "FuncFamily",
@@ -45,7 +44,6 @@ __all__ = [
     "well_conditioned",
     "in_gamma_g",
     "gamma_g_criteria",
-    "coercivity_floor",
     "sample_cone",
 ]
 
@@ -578,37 +576,3 @@ def in_gamma_g(family: FuncFamily, lam) -> ConeVerdict:
         indeterminate=crit1 == crit3 != analytic,
     )
 
-
-def coercivity_floor(
-    family: FuncFamily,
-    sigma_lo: float,
-    sigma_hi: float,
-    r1: float,
-    samples: int,
-    seed: int = 0,
-) -> float:
-    """Empirical minimum of |lambda| * sum_i f_i over the band sigma_lo <= f <= sigma_hi.
-
-    Samples cone directions, sweeps a geometric radius ladder starting exactly
-    at |lambda| = r1, and keeps points inside the band.  Raises when the band
-    catches no sample.
-    """
-    if sigma_lo > sigma_hi:
-        raise DomainError("sigma_lo must not exceed sigma_hi")
-    if r1 <= 0:
-        raise DomainError("radius floor must be positive")
-    dirs = sample_cone(family, samples, seed)
-    dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
-    # one row per (direction, radius), the 24 radii of a direction in a block
-    radii = np.tile(r1 * 2.0 ** np.arange(0, 24), samples)
-    lam = radii[:, None] * np.repeat(dirs, 24, axis=0)
-    rows = np.flatnonzero(in_cone(lam, family.k))
-    val = eval_f(family, lam[rows])
-    rows = rows[(sigma_lo <= val) & (val <= sigma_hi)]
-    best = np.fmin.reduce(radii[rows] * np.sum(grad_f(family, lam[rows]), axis=-1),
-                          initial=np.inf)
-    if not np.isfinite(best):
-        raise EmptyBandError(
-            f"no sample with f in [{sigma_lo}, {sigma_hi}] and |lambda| >= {r1}"
-        )
-    return float(best)

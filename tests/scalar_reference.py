@@ -10,9 +10,8 @@ axis, and `gamma_g_criteria` the one that evaluated its t-ladder one rung per
 `growth_threshold` sums, and `localize` the one-matrix localization verdict
 through the scalar Jacobi sweep.  `hess_f` is the one-point analytic Hessian
 with its per-point derivative tables, which `check_structure` here calls once
-per point, and `coercivity_floor` and `is_c_subsolution` are the per-point,
-per-radius and per-rung loops.  They are kept verbatim (only the imports,
-`localize`'s return type and `gamma_g_criteria`'s probe draw differ: it calls
+per point.  They are kept verbatim (only the imports, `localize`'s return
+type and `gamma_g_criteria`'s probe draw differ: it calls
 `sample_cone` here, once per (family, probes, seed), and reuses that read-only
 draw on every later call) so the tests can require bit-identical
 points, contexts, draws, thresholds, verdicts, Hessians and error messages
@@ -28,15 +27,9 @@ import math
 
 import numpy as np
 
-from hcl.errors import (
-    DomainError,
-    EmptyBandError,
-    HypothesisError,
-    LemmaViolationError,
-    RangeError,
-)
+from hcl.errors import DomainError, HclError, HypothesisError, RangeError
 from hcl.spectra import BorderedHermitian, LocalizationVerdict, eig_hermitian
-from hcl.subsol import CSubVerdict, DichotomyContext, DichotomyOutcome
+from hcl.subsol import DichotomyContext, DichotomyOutcome
 from hcl.symfunc import (
     FuncFamily,
     StructureReport,
@@ -56,6 +49,10 @@ from hcl.symfunc import (
 
 _R0_MARGIN = 1.2
 _LEVEL_TOL = 1e-10
+
+
+class LemmaViolationError(HclError):
+    """Neither dichotomy case held at a point beyond tolerance."""
 
 
 def _cone_entry(family: FuncFamily, base: np.ndarray, direction: np.ndarray) -> float:
@@ -587,81 +584,6 @@ def gamma_g_criteria(
     pairings = np.sum(grad_f(family, mus) * lam, axis=-1)
     crit3 = bool(np.min(pairings) >= -1e-9 * (1.0 + np.max(np.abs(pairings))))
     return crit1, crit2, crit3
-
-
-def coercivity_floor(
-    family: FuncFamily,
-    sigma_lo: float,
-    sigma_hi: float,
-    r1: float,
-    samples: int,
-    seed: int = 0,
-) -> float:
-    """Empirical minimum of |lambda| * sum_i f_i over the band sigma_lo <= f <= sigma_hi.
-
-    Samples cone directions, sweeps a geometric radius ladder starting exactly
-    at |lambda| = r1, and keeps points inside the band.  Raises when the band
-    catches no sample.
-    """
-    if sigma_lo > sigma_hi:
-        raise DomainError("sigma_lo must not exceed sigma_hi")
-    if r1 <= 0:
-        raise DomainError("radius floor must be positive")
-    dirs = sample_cone(family, samples, seed)
-    dirs = dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
-    radii = r1 * 2.0 ** np.arange(0, 24)
-    best = np.inf
-    for mu in dirs:
-        for r in radii:
-            lam = r * mu
-            if not in_cone(lam, family.k):
-                continue
-            val = eval_f(family, lam)
-            if sigma_lo <= val <= sigma_hi:
-                best = min(best, r * float(np.sum(grad_f(family, lam))))
-    if not np.isfinite(best):
-        raise EmptyBandError(
-            f"no sample with f in [{sigma_lo}, {sigma_hi}] and |lambda| >= {r1}"
-        )
-    return float(best)
-
-
-def is_c_subsolution(
-    family: FuncFamily, lam_sub, psi_val: float, t_max: float = LADDER_T_MAX
-) -> CSubVerdict:
-    """Truncated axis-limit surrogate for boundedness of the level-set slice.
-
-    True iff along every coordinate direction the truncated sup of
-    f(lam_sub + t e_i) over the geometric ladder t <= t_max exceeds psi_val.
-    When an axis value is still rising at t_max yet below psi_val the verdict
-    is false with the indeterminate flag set.
-    """
-    lam_sub = lambda_tuple(lam_sub)
-    if not in_cone(lam_sub, family.k):
-        raise DomainError("base point must lie in Gamma")
-    n = family.n
-    rungs = 2.0 ** np.arange(0, int(np.log2(max(t_max, 2.0))) + 1)
-    sups = np.empty(n)
-    exceeded = np.zeros(n, dtype=bool)
-    rising = np.zeros(n, dtype=bool)
-    for i in range(n):
-        e = np.eye(n)[i]
-        vals = [eval_f(family, lam_sub)]
-        for t in rungs:
-            vals.append(eval_f(family, lam_sub + t * e))
-            if vals[-1] > psi_val:
-                exceeded[i] = True
-                break
-        sups[i] = max(vals)
-        if not exceeded[i]:
-            rise_tol = 1e-9 * (1.0 + abs(vals[-1]))
-            rising[i] = (vals[-1] - vals[-2]) > rise_tol
-    ok = bool(np.all(exceeded))
-    return CSubVerdict(
-        is_subsolution=ok,
-        indeterminate=bool((~exceeded & rising).any()) and not ok,
-        axis_sups=tuple(float(s) for s in sups),
-    )
 
 
 def growth_threshold(b: BorderedHermitian, eps: float) -> float:

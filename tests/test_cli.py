@@ -1,10 +1,15 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hcl
 import hcl.solve as solve_mod
 from hcl import io as hio
 from hcl import spectra, subsol, symfunc
@@ -116,6 +121,19 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["lemma-check", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 2
+
+    @pytest.mark.parametrize("multiplier, code, satisfied", [(1, 0, "true"), (0, 2, "false")])
+    def test_entries_near_1e6(self, tmp_path, multiplier, code, satisfied):
+        # a trace of 0 against a norm of 2e6: the oracle's trace check must
+        # scale with the norm; at multiplier 0 the corner 0 is far below the
+        # threshold, a genuine violation
+        big = {"n": 3, "d": [1e6, -1e6], "a_re": [3e5, 2e5], "a_im": [1e5, -4e5],
+               "epsilon": 0.3, "corner_multipliers": [multiplier]}
+        cfg = write_config(tmp_path, "big.json", {"instances": [big]})
+        out = tmp_path / "out"
+        assert main(["lemma-check", "--config", cfg, "--out", str(out), "--quiet"]) == code
+        (row,) = (out / "lemma_check.csv").read_text().splitlines()[3:]
+        assert row.split(",")[6] == satisfied
 
     def test_bare_array_instances(self, tmp_path):
         cfg = write_config(
@@ -435,6 +453,31 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "s.json", SUBSOL)
         assert main(["subsol-check", "--config", cfg,
                      "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+def fresh_python(code: str) -> str:
+    """stdout of code run in a new interpreter that imports this hcl."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hcl.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+class TestLazySolverImport:
+    # each in a fresh interpreter: this one imported hcl.solve long ago
+    @pytest.mark.parametrize("command, payload", [
+        ("lemma-check", {"instances": [INSTANCE]}), ("cone-check", CONE),
+        ("subsol-check", SUBSOL), ("solve-closed", CLOSED_CONSTANTS)])
+    def test_only_solver_commands_load_scipy(self, tmp_path, command, payload):
+        argv = [command, "--config", write_config(tmp_path, "c.json", payload),
+                "--out", str(tmp_path / "out"), "--quiet"]
+        out = fresh_python("import sys; from hcl.cli import main; "
+                           f"print(main({argv!r}), 'scipy' in sys.modules)")
+        assert out.split() == ["0", str(command == "solve-closed")]
+
+    def test_package_attribute_loads_solve(self):
+        out = fresh_python("import sys, hcl; print('hcl.solve' in sys.modules, "
+                           "hcl.solve.solve_dirichlet.__name__, 'scipy' in sys.modules)")
+        assert out.split() == ["False", "solve_dirichlet", "True"]
 
 
 class TestArtifacts:

@@ -264,6 +264,15 @@ def conditioned_stack(rng, count, n, lam):
     return _matrix(_coords(np.einsum("nik,nk,njk->nij", q, lam, q.conj())))
 
 
+def structure_pairs(family, count=200):
+    """count pairs (g, gbar) of random rotated stacks with ascending spectra
+    from `sample_cone`, each matrix at its own scale in [1e-3, 1e3]."""
+    rng = np.random.default_rng(27)
+    pts = np.sort(symfunc_mod.sample_cone(family, 2 * count, 2), axis=-1)
+    g, gbar = (conditioned_stack(rng, count, family.n, pts[i::2]) for i in (0, 1))
+    return g, gbar
+
+
 class TestNewtonCoefficient:
     @pytest.mark.parametrize("family", FAMILIES_N2, ids=lambda f: f.kind)
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -324,6 +333,54 @@ class TestNewtonCoefficient:
         np.testing.assert_array_equal(coefficient(family, g), alpha[:, None, None] * np.eye(2))
         expect = grad_f(family, np.linalg.eigvalsh(g))[:, 0]
         assert np.all(np.abs(alpha - expect) <= 1e-12 * np.abs(expect))
+
+    @pytest.mark.parametrize("family", FAMILIES_N3 + FAMILIES_N2[4:],
+                             ids=lambda f: f"{f.kind}-n{f.n}")
+    def test_positive_definite(self, family):
+        # the paper's ellipticity of the F that Newton uses: F > 0 at 200
+        # random rotated cone points
+        g, _ = structure_pairs(family)
+        assert np.min(np.linalg.eigvalsh(coefficient(family, g))) > 0
+
+    @pytest.mark.parametrize("family", FAMILIES_N3 + FAMILIES_N2[4:],
+                             ids=lambda f: f"{f.kind}-n{f.n}")
+    def test_pairing_inequality(self, family):
+        # by concavity and symmetry of f, at 200 random rotated pairs:
+        # tr(F(g) (gbar - g)) >= sum_i f_i(lambda) (lambda-bar_i - lambda_i),
+        # both spectra ascending
+        g, gbar = structure_pairs(family)
+        lhs = np.einsum("nij,nji->n", coefficient(family, g), gbar - g).real
+        lam, lam_bar = np.linalg.eigvalsh(g), np.linalg.eigvalsh(gbar)
+        rhs = np.sum(grad_f(family, lam) * (lam_bar - lam), axis=-1)
+        assert np.all(lhs >= rhs - 1e-8 * (1.0 + np.abs(lhs) + np.abs(rhs)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_log_det_identity(self, n):
+        # F = g^-1 for log det, so I at the identity
+        g = np.eye(n).astype(complex)[None]
+        np.testing.assert_allclose(coefficient(FuncFamily.log_det(n), g)[0], np.eye(n),
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_log_det_diagonal(self, n):
+        d = np.arange(1.0, n + 1.0)
+        g = np.diag(d).astype(complex)[None]
+        np.testing.assert_allclose(coefficient(FuncFamily.log_det(n), g)[0], np.diag(1.0 / d),
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("family", FAMILIES_N2 + FAMILIES_N3,
+                             ids=lambda f: f"{f.kind}-n{f.n}")
+    def test_directional_derivative_oracle(self, family):
+        # tr(F(g) h) is the derivative of f(lambda(g + t h)) at t = 0, against
+        # a central difference of eval_f on LAPACK's eigenvalues
+        rng = np.random.default_rng(28)
+        g, _ = structure_pairs(family, 50)
+        h = hermitian_stack(rng, 50, family.n)
+        t = 1e-6 * np.max(np.abs(g), axis=(1, 2))[:, None, None]
+        fd = (eval_f(family, np.linalg.eigvalsh(g + t * h))
+              - eval_f(family, np.linalg.eigvalsh(g - t * h))) / (2 * t[:, 0, 0])
+        got = np.einsum("nij,nji->n", coefficient(family, g), h).real
+        assert np.all(np.abs(got - fd) <= 1e-5 * np.abs(fd) + 1e-8)
 
     def test_larger_n_keeps_lapack(self):
         family = FuncFamily.log_det(4)

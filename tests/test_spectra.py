@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as reference
 from hcl import spectra
-from hcl.errors import AdmissibilityError, DomainError, NumericError, PreconditionError
+from hcl.errors import DomainError, NumericError, PreconditionError
 from hcl.spectra import (
     BorderedHermitian,
     BorderedStack,
@@ -16,18 +16,13 @@ from hcl.spectra import (
     char_poly_terms,
     closed_form_2x2,
     eig_hermitian,
-    eig_hermitian_with_vectors,
     growth_threshold,
     hermitize,
     interval_census,
     localization_verdict,
     localize,
-    matrix_derivative,
     random_instance,
-    refinement_localize,
-    refinement_threshold,
 )
-from hcl.symfunc import FuncFamily, eval_f, grad_f, sample_cone
 
 
 def random_hermitian(rng, n):
@@ -57,17 +52,6 @@ class TestEig:
                     eig_hermitian(m), np.linalg.eigvalsh(m),
                     rtol=1e-10, atol=1e-10,
                 )
-
-    def test_eigenframe_reconstructs(self, rng):
-        for n in (2, 3, 5):
-            m = random_hermitian(rng, n)
-            lam, p = eig_hermitian_with_vectors(m)
-            np.testing.assert_allclose(
-                (p * lam[None, :]) @ p.conj().T, m, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                p.conj().T @ p, np.eye(n), atol=1e-12
-            )
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
@@ -151,9 +135,46 @@ class TestStackedEig:
         assert_spectra_close(np.array([eig_hermitian(m) for m in stack]), want)
         np.testing.assert_array_equal(lam[-1], np.ones(n))
         np.testing.assert_array_equal(lam[-2], [0.0] * (n - 1) + [1e300])
-        with_vectors, frame = eig_hermitian_with_vectors(stack[0])
-        assert_spectra_close(with_vectors, want[0])
-        np.testing.assert_allclose(frame.conj().T @ frame, np.eye(n), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_traceless_at_every_scale(self, rng, n):
+        # rounding loses about eps |A|_F of the trace, which no bound on
+        # 1 + |trace| = 1 covers once the entries pass about 1e6
+        unit = np.array([random_hermitian(rng, n) for _ in range(100)])
+        unit -= np.trace(unit, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+        want = np.linalg.eigvalsh(unit)
+        for scale in (1e4, 1e6, 1e8, 1e100, 1e300):
+            stack = unit * scale
+            assert_spectra_close(eig_hermitian(stack), want * scale)
+            assert_spectra_close(np.array([eig_hermitian(m) for m in stack]), want * scale)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_planted_non_unitary_rotation_raises(self, rng, monkeypatch, stacked):
+        # c = 1 / hypot(1, t) off by 1e-6 scales A by about 1 - 2e-6 per
+        # rotation, far past the trace check's 1e-10 (1 + |A|_F)
+        class Skewed:
+            def __init__(self, module):
+                self.module = module
+
+            def __getattr__(self, name):
+                return getattr(self.module, name)
+
+            def hypot(self, *x):
+                return self.module.hypot(*x) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(spectra, "np" if stacked else "math",
+                            Skewed(np if stacked else spectra.math))
+        m = 1e8 * (random_hermitian(rng, 3) + 5.0 * np.eye(3))
+        with pytest.raises(NumericError, match="lost the trace"):
+            eig_hermitian(m[None] if stacked else m)
+
+    def test_hermitize_near_float_max(self):
+        # A + A^H overflows only on the diagonal entry: both paths return it
+        m = np.diag([1.7e308, 1.0])
+        np.testing.assert_array_equal(eig_hermitian(m[None]), [[1.0, 1.7e308]])
+        np.testing.assert_array_equal(eig_hermitian(m), [1.0, 1.7e308])
+        a = np.array([[1.0, 2e-310 + 3j], [5e-324 - 1j, 1.25]])
+        np.testing.assert_array_equal(hermitize(a), 0.5 * (a + a.conj().T))
 
     @pytest.mark.parametrize("shape", [(6, 6), (3, 6, 6)])
     def test_sweep_cap_raises(self, rng, monkeypatch, shape):
@@ -218,6 +239,28 @@ class TestLocalize:
             b = b0.with_corner(growth_threshold(b0, eps))
             assert localize(b, eps).satisfied
 
+    def test_degenerate_diagonal_example(self):
+        # a repeated diagonal entry at the growth threshold
+        b0 = BorderedHermitian.make([1.0, 1.0], [1.0, 1.0], 0.0)
+        b = b0.with_corner(growth_threshold(b0, 1.0))
+        assert b.corner == pytest.approx(31.0 / 3.0)
+        v = localize(b, 1.0)
+        assert v.satisfied
+        # (1, -1, 0) / sqrt 2 is an eigenvector with the exact eigenvalue d = 1
+        assert min(abs(w - 1.0) for w in v.witness) < 1e-12
+
+    def test_zero_border_exact(self):
+        b = BorderedHermitian.make([0.3, -0.7], [0.0, 0.0], 2.0)
+        v = localize(b, 0.5)
+        assert v.satisfied and v.top_boundary_hit
+        np.testing.assert_allclose(v.witness, [-0.7, 0.3, 2.0], atol=1e-14)
+        assert v.max_offset == pytest.approx(0.0, abs=1e-14)
+
+    def test_spread_diagonal(self):
+        b0 = BorderedHermitian.make([0.0, 2.0], [0.5, 0.5], 0.0)
+        b = b0.with_corner(growth_threshold(b0, 0.4))
+        assert localize(b, 0.4).satisfied
+
     def test_embed_shape(self):
         b = BorderedHermitian.make([1.0, 2.0], [1j, 2.0], 7.0)
         m = b.embed()
@@ -231,31 +274,6 @@ class TestLocalize:
             b = random_instance(rng, n).with_corner(rng.normal(0, 3))
             lam = eig_hermitian(b.embed())
             assert lam[-1] >= b.corner - 1e-12
-
-
-class TestRefinement:
-    def test_degenerate_diagonal_example(self):
-        d, a = [1.0, 1.0], [1.0, 1.0]
-        b0 = BorderedHermitian.make(d, a, 0.0)
-        b = b0.with_corner(refinement_threshold(b0, 1.0))
-        assert b.corner == pytest.approx(7.0)
-        v = refinement_localize(b, 1.0)
-        assert v.satisfied
-        # block structure gives one exact eigenvalue at d = 1
-        assert min(abs(w - 1.0) for w in v.witness) < 1e-12
-
-    def test_zero_border_exact(self):
-        b = BorderedHermitian.make([0.3, -0.7], [0.0, 0.0], 2.0)
-        v = refinement_localize(b, 0.5)
-        assert v.satisfied
-        np.testing.assert_allclose(sorted(v.witness), [-0.7, 0.3, 2.0], atol=1e-14)
-        assert v.top_excess == pytest.approx(0.0, abs=1e-13)
-
-    def test_spread_diagonal(self):
-        d, a = [0.0, 2.0], [0.5, 0.5]
-        b0 = BorderedHermitian.make(d, a, 0.0)
-        b = b0.with_corner(refinement_threshold(b0, 0.4))
-        assert refinement_localize(b, 0.4).satisfied
 
 
 class TestCharPoly:
@@ -309,72 +327,6 @@ class TestCensus:
         b0 = BorderedHermitian.make([0.0, 2.0], [1.0, 1.0], 0.0)
         with pytest.raises(PreconditionError):
             interval_census(b0, 1.0, [0.5 * growth_threshold(b0, 1.0)])
-
-
-class TestMatrixDerivative:
-    def test_log_det_identity(self):
-        f = matrix_derivative(FuncFamily.log_det(2), np.eye(2))
-        np.testing.assert_allclose(f, np.eye(2), atol=1e-13)
-
-    def test_log_det_diagonal(self):
-        f = matrix_derivative(FuncFamily.log_det(2), np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(f, np.diag([1.0, 0.5]), atol=1e-13)
-
-    def test_rejects_inadmissible(self):
-        with pytest.raises(AdmissibilityError):
-            matrix_derivative(FuncFamily.log_det(2), np.diag([-1.0, 2.0]))
-
-    def test_directional_derivative_oracle(self, rng):
-        fam = FuncFamily.sigma_root(2, 3)
-        for _ in range(5):
-            q, _ = np.linalg.qr(
-                rng.normal(0, 1, (3, 3)) + 1j * rng.normal(0, 1, (3, 3))
-            )
-            lam0 = 1.0 + rng.uniform(0, 1, 3)
-            g = (q * lam0[None, :]) @ q.conj().T
-            h = hermitize(rng.normal(0, 1, (3, 3)) + 1j * rng.normal(0, 1, (3, 3)))
-            fmat = matrix_derivative(fam, g)
-            t = 1e-6
-
-            def val(m):
-                return eval_f(fam, np.linalg.eigvalsh(m))
-
-            fd = (val(g + t * h) - val(g - t * h)) / (2 * t)
-            assert float(np.trace(fmat @ h).real) == pytest.approx(
-                fd, rel=1e-5, abs=1e-8
-            )
-
-    def test_pairing_inequality(self, rng):
-        fam = FuncFamily.log_det(3)
-        pts = sample_cone(fam, 1000, seed=2)
-        for i in range(500):
-            lam = pts[2 * i]
-            lam_bar = pts[2 * i + 1]
-            q, _ = np.linalg.qr(
-                rng.normal(0, 1, (3, 3)) + 1j * rng.normal(0, 1, (3, 3))
-            )
-            q2, _ = np.linalg.qr(
-                rng.normal(0, 1, (3, 3)) + 1j * rng.normal(0, 1, (3, 3))
-            )
-            g = (q * np.sort(lam)[None, :]) @ q.conj().T
-            g_bar = (q2 * np.sort(lam_bar)[None, :]) @ q2.conj().T
-            fmat = matrix_derivative(fam, g)
-            lhs = float(np.trace(fmat @ (g_bar - g)).real)
-            lam_s = np.sort(np.linalg.eigvalsh(g))
-            rhs = float(np.sum(grad_f(fam, lam_s) * (np.sort(lam_bar) - lam_s)))
-            scale = 1.0 + abs(lhs) + abs(rhs)
-            assert lhs >= rhs - 1e-8 * scale
-
-    def test_positive_definite(self, rng):
-        fam = FuncFamily.sigma_root(2, 3)
-        for _ in range(10):
-            q, _ = np.linalg.qr(
-                rng.normal(0, 1, (3, 3)) + 1j * rng.normal(0, 1, (3, 3))
-            )
-            lam0 = np.sort(0.2 + rng.uniform(0, 2, 3))
-            g = (q * lam0[None, :]) @ q.conj().T
-            fmat = matrix_derivative(fam, g)
-            assert np.min(np.linalg.eigvalsh(fmat)) > 0
 
 
 @st.composite

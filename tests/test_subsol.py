@@ -7,7 +7,6 @@ from hcl.subsol import (
     build_context,
     certify_bounded_intersection,
     dichotomy_rows,
-    is_c_subsolution,
     sample_level_set,
 )
 from hcl.symfunc import FuncFamily, eval_f, grad_f
@@ -15,7 +14,6 @@ from hcl.symfunc import FuncFamily, eval_f, grad_f
 SIGMA1 = FuncFamily.sigma_root(1, 3)
 LOGDET2 = FuncFamily.log_det(2)
 SQRT_SIGMA2 = FuncFamily.sigma_root(2, 3)
-MIXED = FuncFamily.quotient_log(2, (0.0, 1.0), 3)
 
 
 class TestLevelSetPoint:
@@ -130,51 +128,3 @@ class TestDichotomyCheck:
         f = grad_f(SIGMA1, lam)
         expected = 1.0 + f.sum() + abs(float(np.sum(f * lam)))
         assert out.weight == pytest.approx(expected)
-
-
-class TestCSubsolution:
-    def test_log_det_reachable_level(self):
-        v = is_c_subsolution(LOGDET2, [1.0, 1.0], 5.0)
-        assert bool(v) and not v.indeterminate
-
-    def test_linear_family_unbounded(self):
-        v = is_c_subsolution(SIGMA1, [1.0, 1.0, 1.0], 100.0)
-        assert bool(v)
-
-    def test_unbounded_families_always_subsolutions(self):
-        # every admissible point passes for families with unbounded axis
-        # limits, at levels within reach of the truncated t-ladder
-        from hcl.symfunc import sample_cone
-
-        for fam in (LOGDET2, SIGMA1, SQRT_SIGMA2):
-            for lam in sample_cone(fam, 20, seed=7):
-                level = eval_f(fam, lam) + 5.0
-                v = is_c_subsolution(fam, lam, level)
-                assert bool(v) and not v.indeterminate
-
-    def test_mixed_family_truncated_above(self):
-        # level far above the truncated sup: verdict false, flagged
-        # indeterminate because the log term is still rising at t_max
-        v = is_c_subsolution(MIXED, [-0.3, 1.0, 1.0], 50.0)
-        assert not bool(v)
-        assert v.indeterminate
-
-    def test_quotient_family_definitive_false(self):
-        fam = FuncFamily.sigma_quotient(2, 1, 3)
-        # axis limits converge; a level above them is a clean rejection
-        v = is_c_subsolution(fam, [0.2, 0.2, 0.2], 50.0, t_max=2.0**48)
-        assert not bool(v)
-        assert not v.indeterminate
-
-    def test_quotient_family_axis_limit_value(self):
-        fam = FuncFamily.sigma_quotient(2, 1, 3)
-        lam = np.array([0.2, 0.2, 0.2])
-        # oracle: f(lam + t e_1) -> sigma_1(lam|1) * ... computed directly
-        t = 2.0**40
-        lim = eval_f(fam, lam + t * np.eye(3)[0])
-        v = is_c_subsolution(fam, lam, lim - 0.05, t_max=2.0**48)
-        assert bool(v)
-
-    def test_rejects_outside_cone(self):
-        with pytest.raises(DomainError):
-            is_c_subsolution(LOGDET2, [-1.0, 1.0], 0.0)

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from conftest import sigma_bruteforce
-from hcl.errors import AdmissibilityError, DomainError, EmptyBandError
+from hcl.errors import AdmissibilityError, DomainError
 from hcl.symfunc import (
     FuncFamily,
     check_structure,
-    coercivity_floor,
     cone_margin,
     elementary_all,
     eval_f,
@@ -25,7 +24,6 @@ from hcl.symfunc import (
 )
 
 LOGDET3 = FuncFamily.log_det(3)
-SIGMA1 = FuncFamily.sigma_root(1, 3)
 SQRT_SIGMA2 = FuncFamily.sigma_root(2, 3)
 MIXED = FuncFamily.quotient_log(2, (0.0, 1.0), 3)
 
@@ -324,34 +322,6 @@ class TestGammaG:
         monkeypatch.setattr(symfunc, "sample_cone", None)  # any new draw fails
         assert gamma_g_criteria(MIXED, [1.0, 1.0, 1.0]) == (True, True, True)
         assert symfunc._probe_set(MIXED) is probes
-
-
-class TestCoercivityFloor:
-    def test_linear_family_floor(self):
-        val = coercivity_floor(SIGMA1, 1.0, 3.0, 1.0, samples=200, seed=3)
-        assert val == pytest.approx(3.0, rel=1e-9)
-
-    def test_log_det_band(self):
-        fam = FuncFamily.log_det(2)
-        val = coercivity_floor(fam, 0.0, 1.0, 10.0, samples=200, seed=5)
-        assert val >= np.sqrt(2.0)
-        # brute-grid oracle over the band: lam on a log grid
-        grid = np.exp(np.linspace(np.log(1e-2), np.log(1e3), 400))
-        l1, l2 = np.meshgrid(grid, grid)
-        f = np.log(l1) + np.log(l2)
-        r = np.hypot(l1, l2)
-        band = (f >= 0) & (f <= 1) & (r >= 10.0)
-        oracle = float(np.min((r * (1 / l1 + 1 / l2))[band]))
-        assert oracle >= np.sqrt(2.0)
-        assert val >= 0.95 * oracle
-
-    def test_mixed_band_positive(self):
-        val = coercivity_floor(MIXED, 0.0, 1.0, 5.0, samples=150, seed=11)
-        assert val > 0.0
-
-    def test_empty_band(self):
-        with pytest.raises(EmptyBandError):
-            coercivity_floor(SIGMA1, -100.0, -99.0, 1.0, samples=50, seed=1)
 
 
 class TestValidation:
