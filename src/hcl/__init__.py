@@ -6,7 +6,7 @@ Modules:
     spectra  - Hermitian eigenvalue machinery and bordered-matrix localization
     subsol   - subsolution verification and the epsilon-dichotomy machinery
     grid     - discrete flat geometries and complex finite-difference operators
-    solve    - Newton/continuation solvers and a priori estimate reports
+    solve    - damped-Newton solvers and a priori estimate reports
     cli      - command-line front end
 """
 

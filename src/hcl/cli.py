@@ -170,8 +170,7 @@ def _chi_from(domain: GridDomain, spec, base_dir: Path) -> HermitianField:
 
 
 # option -> (kind, low); SolverOptions holds the defaults and checks the rest
-_OPTIONS = {"residual_scale": (float, None), "max_newton": (int, 1),
-            "delta": (float, None), "continuation": (int, 1)}
+_OPTIONS = {"residual_scale": (float, None), "max_newton": (int, 1), "delta": (float, None)}
 
 
 def _problem_from(cfg: dict, mode: str, seed: int):

@@ -38,7 +38,8 @@ class ConstructionError(HclError):
 
 
 class StallError(NumericError):
-    """Newton damping underflowed without an acceptable step."""
+    """Newton damping underflowed without an acceptable step, or `max_newton`
+    steps ran out above tol."""
 
 
 class ConeExitError(NumericError):

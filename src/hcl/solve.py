@@ -1,14 +1,13 @@
-"""Newton/continuation solvers for f(lambda[chi + i ddbar u]) = psi.
+"""Damped-Newton solvers for f(lambda[chi + i ddbar u]) = psi.
 
 One damped-Newton core serves both modes: every accepted step must keep
 lambda(g[u]) inside the cone at all interior nodes and decrease the sup-norm
 residual.  Closed mode solves for the pair (u, c) in f(...) = psi + c on a
 fully periodic domain with a zero-mean gauge on the updates and sup u = 0
 applied after convergence.  Dirichlet mode builds a strict subsolution with
-u = phi on the boundary, solves from it along continuation rungs (one rung
-for a direct solve) and returns it.  `residual_field` alone evaluates
-g = chi + i ddbar u (on the interior box, by `box_hessian`), sigma(g), the
-cone test and f.
+u = phi on the boundary, makes one damped-Newton run from it and returns it.
+`residual_field` alone evaluates g = chi + i ddbar u (on the interior box, by
+`box_hessian`), sigma(g), the cone test and f.
 
 g, chi and F are (n^2, N) arrays of Hermitian coordinates
 (`grid._hessian_core`).  Every family is a function of sigma_1..sigma_n(g),
@@ -152,7 +151,6 @@ class SolverOptions:
     residual_scale: float = 1e-9  # tol = residual_scale * (1 + |psi|_inf)
     max_newton: int = 80
     delta: float = 0.1  # subsolution strictness
-    continuation: int | None = None  # number of uniform steps; None = direct
     seed: int = 0
 
     def __post_init__(self):
@@ -160,8 +158,8 @@ class SolverOptions:
             raise DomainError("residual_scale must be positive")
         if self.max_newton < 1:
             raise DomainError("max_newton must be at least 1")
-        if self.continuation is not None and self.continuation < 1:
-            raise DomainError("continuation needs at least one step")
+        if not self.delta > 0:
+            raise DomainError("delta must be positive")
 
 
 @dataclass
@@ -606,9 +604,7 @@ def s_factor_potential(domain: GridDomain) -> ScalarField:
 # ------------------------------------------------- sub- and supersolutions
 
 
-def build_subsolution(
-    spec: ProblemSpec, delta: float, t_max: float = LADDER_T_MAX
-) -> tuple[ScalarField, float]:
+def build_subsolution(spec: ProblemSpec, delta: float) -> tuple[ScalarField, float]:
     """phi + t * `s_factor_potential`, smallest t of 0 and the geometric ladder
     with lambda(g) in Gamma and f >= psi + delta at every interior node; g is
     linear in u, so g[phi + t h] = g[phi] + t i ddbar h from two Hessians."""
@@ -623,7 +619,7 @@ def build_subsolution(
     g_h = box_hessian(h).reshape(dom.n ** 2, -1)[:, inside]
     level = spec.psi.values[dom.interior] + delta
     last_reason = ""
-    for t in [0.0, *_ladder(t_max)]:
+    for t in [0.0, *_ladder(LADDER_T_MAX)]:
         val, s = _f_of_g(spec.family, g_phi + t * g_h)
         short = None if val is None else val - level
         if short is None:
@@ -764,49 +760,18 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
 
 
 def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
-    """Damped Newton from `build_subsolution` at `opts.delta`, returned as
-    `SolveResult.subsolution`, over a ladder of rungs s, each started from the
-    last: one rung (psi itself) for a direct solve, or `opts.continuation`
-    uniform rungs of psi_s = (1 - s) f(lambda(g[subsolution])) + s psi.
-
-    A stalled direct solve restarts from the subsolution on 8 uniform rungs;
-    a stalled rung is bisected, at most 24 times and to a gap of 1e-6.
-    """
+    """One damped-Newton run from `build_subsolution` at `opts.delta`, returned
+    as `SolveResult.subsolution`; a stall raises `StallError` at once."""
     opts = opts or SolverOptions()
     if spec.mode != "dirichlet":
         raise DomainError("solve_dirichlet needs Dirichlet mode")
     if spec.degenerate:
-        raise AdmissibilityError("degenerate right-hand side: use degenerate_sweep")
+        raise DomainError("degenerate right-hand side: use degenerate_sweep")
     usub, _ = build_subsolution(spec, opts.delta)
     dom = spec.domain
     u = usub.values.copy()
     u[dom.boundary] = spec.phi.values[dom.boundary]  # phi + t h turns -0.0 to +0.0
-
-    def ladder(steps: int):
-        f0 = np.zeros(dom.shape)
-        f0[dom.interior] = f_of_sigma(spec.family, residual_field(spec, usub.values)[1])
-        return f0, list(np.linspace(0.0, 1.0, steps + 1)[1:])
-
-    f0, rungs = (None, [1.0]) if opts.continuation is None else ladder(opts.continuation)
-    s_prev, bisections, history, solves = 0.0, 0, [], []
-    while rungs:
-        s = rungs[0]
-        spec_s = spec if f0 is None else replace(
-            spec, psi=ScalarField(dom, (1.0 - s) * f0 + s * spec.psi.values))
-        try:
-            u, _, hist, lin = _damped_newton(spec_s, u, opts)
-        except StallError:
-            if f0 is None:  # the direct solve stalled; u is still the start
-                f0, rungs = ladder(8)
-            elif bisections >= 24 or s - s_prev < 1e-6:
-                raise
-            else:
-                bisections += 1
-                rungs.insert(0, 0.5 * (s_prev + s))
-            continue
-        history += hist
-        solves += lin
-        s_prev = rungs.pop(0)
+    u, _, history, solves = _damped_newton(spec, u, opts)
     return SolveResult(ScalarField(dom, u), None, history, solves, usub)
 
 

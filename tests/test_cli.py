@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import hcl
 import hcl.solve as solve_mod
 from hcl import io as hio
 from hcl import spectra, subsol, symfunc
-from hcl.cli import COUNT_CAP, _domain_from, _read, main
+from hcl.cli import _OPTIONS, COUNT_CAP, _domain_from, _read, main
 from hcl.errors import ConfigError
 from hcl.grid import ScalarField, identity_chi
 
@@ -59,8 +61,8 @@ SUBSOL = {
 }
 
 # the degenerate sweep runs on a smaller grid, which keeps its mutations and
-# its pinned artifact quick: a perturbed solve that stalls at the precision of
-# a huge boundary_shift exits 3 only after every continuation bisection
+# its pinned artifact quick, and a perturbed solve that stalls at the
+# precision of a huge boundary_shift exits 3 at once
 SWEEP = dict(DIRICHLET_SMALL, domain=dict(DIRICHLET_SMALL["domain"], x_shape=[4, 4],
                                           s_shape=[7, 7]),
              psi="logbump:0.01", ladder=[0.5, 0.25], boundary_shift=0.05)
@@ -164,6 +166,29 @@ class TestExitCodes:
         rows = (out / "degenerate_sweep.csv").read_text().splitlines()
         assert len(rows) == 3  # the header only
 
+    # a huge boundary_shift or phi puts the solve's tol below the rounding
+    # floor of its residual; no step can pass it, so the stall exits 3 without
+    # a retry (869, 849 and 824 evaluations when stalls were bisected)
+    @pytest.mark.parametrize("command, payload, message", [
+        ("degenerate-sweep", dict(SWEEP, boundary_shift=1e6), "perturbed solve failed"),
+        ("degenerate-sweep", dict(SWEEP, boundary_shift=1e10), "perturbed solve failed"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, phi="const:1e6"), "damping underflow"),
+    ], ids=["sweep-shift-1e6", "sweep-shift-1e10", "dirichlet-phi-1e6"])
+    def test_floor_stall_exits_three_at_once(self, tmp_path, capsys, monkeypatch,
+                                              command, payload, message):
+        calls = []
+        real = solve_mod.residual_field
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solve_mod, "residual_field", counting)
+        cfg = write_config(tmp_path, "floor.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+        assert len(calls) <= 120
+
     # key: the config key the message must name; None where GridDomain,
     # SolverOptions, build_context or the field-expression parser rejects it
     @pytest.mark.parametrize("command, payload, key", [
@@ -189,8 +214,6 @@ class TestExitCodes:
         ("degenerate-sweep", dict(DIRICHLET_SMALL, ladder=["x"]), "ladder"),
         ("estimate-report", dict(DIRICHLET_SMALL, amplitudes=["x"]),
          "amplitudes"),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": "x"}),
-         "continuation"),
         ("solve-dirichlet",
          dict(DIRICHLET_SMALL, options={"linear_solver": "bogus"}),
          "linear_solver"),
@@ -204,8 +227,6 @@ class TestExitCodes:
          "max_newton"),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"residual_scale": 0}),
          None),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": 0}),
-         "continuation"),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"lin_tol": "x"}),
          "lin_tol"),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"damping_min": 0}),
@@ -224,8 +245,6 @@ class TestExitCodes:
          "max_newton"),
         ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"max_newton": True}),
          "max_newton"),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, options={"continuation": 2.5}),
-         "continuation"),
         ("solve-dirichlet",
          dict(DIRICHLET_SMALL, options={"linear_solver": "auto"}),
          "linear_solver"),
@@ -298,17 +317,27 @@ class TestExitCodes:
         ("solve-closed", DIRICHLET_SMALL, "closed mode needs a fully periodic domain"),
         ("cone-check", 3, "config must be a JSON object or array"),
         ("solve-dirichlet", [DIRICHLET_SMALL], "array configs are only valid for lemma-check"),
+        # each of these ran: a degenerate psi exited 3 although no numeric
+        # kernel ran, and closed mode never read a negative delta (exit 0)
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, family={"kind": "sigma-root", "k": 1,
+                                                          "n": 2}, psi="const:0"),
+         "degenerate right-hand side"),
+        ("solve-closed", dict(CLOSED_CONSTANTS, options={"delta": -1}),
+         "delta must be positive"),
+        # closed mode accepted continuation and ignored it; it is now unknown
+        ("solve-closed", dict(CLOSED_CONSTANTS, options={"continuation": 2}),
+         "continuation"),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
-            "bad-amplitude", "bad-continuation", "unknown-linear-solver",
+            "bad-amplitude", "unknown-linear-solver",
             "subsol-missing-family", "cone-missing-family", "short-mu",
             "negative-samples", "zero-samples", "negative-max-newton",
-            "zero-residual-scale", "zero-continuation", "unread-lin-tol",
+            "zero-residual-scale", "unread-lin-tol",
             "unread-damping-min", "misspelt-option", "zero-node-count",
             "zero-torus-length", "zero-s-length", "zero-dimension",
             "fractional-max-newton", "boolean-max-newton",
-            "fractional-continuation", "removed-linear-solver",
+            "removed-linear-solver",
             "boolean-residual-scale", "string-delta", "huge-residual-scale",
             "fractional-family-k", "fractional-family-n", "string-family-n",
             "fractional-shape", "string-sigma", "fractional-samples",
@@ -323,7 +352,8 @@ class TestExitCodes:
             "non-positive-levels", "increasing-levels", "huge-x-length",
             "huge-torus-length", "tiny-s-length", "torus-n-40", "family-n-9",
             "two-node-s-axis", "node-cap", "closed-on-product", "scalar-config",
-            "array-config"])
+            "array-config", "degenerate-psi", "negative-delta-closed",
+            "removed-continuation-closed"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload, key):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -393,13 +423,24 @@ class TestExitCodes:
 
     def test_unknown_option_is_named(self, tmp_path, capsys):
         # linear_solver chose a direct factorization before BiCGStab became
-        # the only Newton solver; it is now an unknown option like a typo
-        for key, value in (("max_newtom", 5), ("linear_solver", "auto")):
+        # the only Newton solver, and continuation set rungs of psi before a
+        # Dirichlet solve became one Newton run; each is now unknown like a typo
+        for key, value in (("max_newtom", 5), ("linear_solver", "auto"),
+                           ("continuation", 4)):
             cfg = write_config(tmp_path, "typo.json",
                                dict(DIRICHLET_SMALL, options={key: value}))
             assert main(["solve-dirichlet", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 4
             assert repr(key) in capsys.readouterr().err
+
+    def test_options_match_solver_options_and_readme(self):
+        # the config keys, the SolverOptions fields (less seed, which --seed
+        # sets) and the keys README's options bullet names are one set
+        keys = {f.name for f in dataclasses.fields(solve_mod.SolverOptions)} - {"seed"}
+        assert set(_OPTIONS) == keys
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        bullet = readme.split("* `options` (solver commands):", 1)[1].split(";", 1)[0]
+        assert set(re.findall(r"`(\w+)`", bullet)) == keys
 
     @pytest.mark.parametrize("command, payload", [
         ("solve-closed", dict(CLOSED_CONSTANTS, psi="sinx:0.4")),
@@ -416,8 +457,8 @@ class TestExitCodes:
         assert "numeric error" in err and "info=-10" in err
 
     @pytest.mark.parametrize("key, value", [
-        ("max_newton", 1.9), ("max_newton", True), ("continuation", 2.5),
-        ("residual_scale", True), ("delta", "0.1"),
+        ("max_newton", 1.9), ("max_newton", True), ("residual_scale", True),
+        ("delta", "0.1"),
     ])
     def test_non_integral_option_is_named(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, "frac.json",
@@ -435,7 +476,7 @@ class TestExitCodes:
     def test_null_and_empty_values_that_stay_valid(self, tmp_path):
         # null reads as the default; an empty x_shape is the n = 1 product
         cfg = write_config(tmp_path, "null.json", dict(
-            DIRICHLET_SMALL, chi=None, options={"continuation": None}))
+            DIRICHLET_SMALL, chi=None, options={"delta": None}))
         assert main(["solve-dirichlet", "--config", cfg,
                      "--out", str(tmp_path / "o"), "--quiet"]) == 0
         dom = _domain_from({"kind": "product", "n": 1, "x_shape": []})
@@ -590,8 +631,6 @@ class TestNumberBounds:
         ("solve-closed", CLOSED_CONSTANTS, ("domain", "n")),
         ("solve-closed", dict(CLOSED_CONSTANTS, options={"max_newton": 5}),
          ("options", "max_newton")),
-        ("solve-closed", dict(CLOSED_CONSTANTS, options={"continuation": 2}),
-         ("options", "continuation")),
         ("solve-dirichlet", DIRICHLET_SMALL, ("domain", "x_shape", 0)),
         ("solve-dirichlet", DIRICHLET_SMALL, ("domain", "s_shape", 1)),
         ("lemma-check", {"battery": {"count": 5}}, ("battery", "count")),

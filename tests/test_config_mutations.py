@@ -29,7 +29,7 @@ from hcl.cli import main
 
 # the pinned configs of the CLI tests, with an option block that puts the
 # solver options under mutation too
-OPTIONS = {"residual_scale": 1e-9, "max_newton": 20, "delta": 0.1, "continuation": 2}
+OPTIONS = {"residual_scale": 1e-9, "max_newton": 20, "delta": 0.1}
 BASES = {
     "lemma-check": [{"battery": {"count": 5, "seed": 1}}, {"instances": [INSTANCE]}],
     "cone-check": [CONE],
