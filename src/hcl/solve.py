@@ -24,15 +24,17 @@ Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
 unmasked box it inverts a constant-coefficient operator by a real FFT along
 the axes that a mixed term pairs with another periodic axis and by a small
 dense eigenbasis (DST-I or real Fourier, one matmul) along every other axis.
-It solves the Poisson problems directly and, frozen at the mean Newton
-coefficient, preconditions BiCGStab, the only Krylov solver: it serves every
-Newton system and refines a Poisson solve on a masked domain or one that
-misses its sup-norm certificate.
+It solves the Poisson problems directly and, at the mean Newton coefficient,
+preconditions BiCGStab, the only Krylov solver: it serves every Newton system
+and refines a Poisson solve on a masked domain or one that misses its
+sup-norm certificate.
 Closed mode solves the bordered (N+1) system for the update and the constant
 at once, as an operator around A (`_bordered_operator`; no (N+1) matrix is
-built), with the mean-coefficient bordered operator inverted exactly as its
-preconditioner.  Each Newton step makes one Krylov solve; its iterations are
-recorded in `SolveResult.linear_solves`.
+built).  Its preconditioner follows the coefficient: averaged over every axis
+but the one whose profile spreads most (`_direct_axis`), it is inverted
+exactly by an FFT along the flat axes and one cyclic tridiagonal solve per
+mode along that axis (`_line_inverse`).  Each Newton step makes one Krylov
+solve; its iterations are recorded in `SolveResult.linear_solves`.
 
 `assemble_linearized` stores A row-major in stencil order, as in ELLPACK:
 every row holds its S = 1 + 4n + 8n(n-1) weights in the order of
@@ -110,6 +112,7 @@ LIN_TOL = 1e-11  # relative residual of every BiCGStab solve
 DAMPING_MIN = 1e-12  # smallest line-search step before a stall
 POISSON_SUP_TOL = 1e-10  # Poisson sup-norm residual, relative to 1 + |rhs|_inf
 ESTIMATE_SLACK = 1e-8  # of the sandwich and the normal-derivative ordering
+DIRECT_SPREAD = 1e-6  # of a torus coefficient's profiles, relative to max |F|
 
 @dataclass
 class ProblemSpec:
@@ -422,28 +425,117 @@ def _along(x: np.ndarray, axis: int, q: np.ndarray, out: np.ndarray) -> np.ndarr
     return np.matmul(q, xs, out=out.reshape(xs.shape)).reshape(shape)
 
 
-def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
-    """Inverse of the constant-coefficient operator
-    tr(fbar Hess v) = sum_{j,k} fbar^{k jbar} (Hess v)_{j kbar} on the interior
-    box (`assemble_linearized` at fbar everywhere), as a map of flat interior
-    vectors; None for a masked domain.
+def _direct_axis(shape: tuple[int, ...], coeff: np.ndarray):
+    """(D, the profile of the torus coefficient (n^2, N) or (n^2, 1) along D,
+    averaged over every other axis), or (None, None): D is the axis of at
+    least 3 nodes whose profile spreads most (max - min, of the worst
+    coordinate), if that spread exceeds DIRECT_SPREAD * max |F|."""
+    c = np.broadcast_to(coeff, (len(coeff), int(np.prod(shape)))).reshape(-1, *shape)
+    profiles = [c.mean(axis=tuple(np.delete(np.arange(1, c.ndim), a)))
+                for a in range(len(shape))]
+    spread = [np.ptp(p, axis=1).max() if p.shape[1] >= 3 else 0.0 for p in profiles]
+    d = int(np.argmax(spread))
+    big = spread[d] > DIRECT_SPREAD * np.max(np.abs(coeff))
+    return (d, profiles[d]) if big else (None, None)
 
-    Each second difference is diagonalized along its axis, symbol
+
+@lru_cache(maxsize=4)
+def _mode_phases(shape: tuple[int, ...], axis: int):
+    """(steps, phases): the step along `axis` of each offset o of
+    `_stencil_offsets`, and the read-only e^{i theta . o} for each o (rows)
+    and each mode theta of `rfftn` along the other axes (columns)."""
+    offs = _stencil_offsets(len(shape) // 2)
+    t_axes = [a for a in range(len(shape)) if a != axis]
+    grids = np.meshgrid(*[np.fft.fftfreq(shape[a]) for a in t_axes[:-1]],
+                        np.fft.rfftfreq(shape[t_axes[-1]]), indexing="ij")
+    phase = np.exp(2j * np.pi * sum(offs[:, a, None] * g.reshape(-1)
+                                    for a, g in zip(t_axes, grids)))
+    phase.flags.writeable = False
+    return offs[:, axis], phase
+
+
+def _line_inverse(domain: GridDomain, axis: int, profile: np.ndarray):
+    """The exact inverse of [[A, -1], [1^T, 0]] on the torus, A of
+    `assemble_linearized` at a coefficient that is the profile (n^2, m) along
+    `axis` and constant along the other axes T, as a map of (N+1)-vectors.
+    After `rfftn` along T, A is one cyclic tridiagonal system along `axis` per
+    mode, whose diagonals group the profile's stencil values by their step
+    along `axis`, times `_mode_phases`.  Numbered 0, m-1, 1, m-2, ..., each
+    ring is pentadiagonal, so all modes are one banded system, factored by
+    LAPACK's pivoted banded LU.  The zero mode carries the gauge: for the
+    T-sums of v and dc it is [[A_0, -P 1], [1^T, 0]], P the number of T nodes,
+    one dense system factored by pivoted LU.  A zero or non-finite pivot
+    raises `NumericError`."""
+    import scipy.fft as sfft
+    import scipy.linalg as sla
+
+    shape, m = domain.shape, domain.shape[axis]
+    t_axes, t_shape = range(1, len(shape)), [s for a, s in enumerate(shape) if a != axis]
+    stencil = profile.T @ _stencil_weights(domain.spacings, domain.n)
+    steps, phase = _mode_phases(shape, axis)
+    lo, dg, up = (stencil[:, steps == s] @ phase[steps == s] for s in (-1, 0, 1))
+    i, mode0 = np.arange(m), np.zeros((m + 1, m + 1))
+    order = np.ravel(np.column_stack((i, m - 1 - i)))[:m]  # 0, m-1, 1, m-2, ...
+    pos, cols = np.argsort(order), m * np.arange(dg.shape[1])
+    band = np.zeros((7, dg.size), dtype=complex, order="F")  # 2 sub-, 2 superdiagonals
+    for step, diag in zip((-1, 0, 1), (lo, dg, up)):
+        mode0[i, (i + step) % m] = diag[:, 0].real
+        diag[:, 0] = float(step == 0)  # the zero mode is left to the dense system
+        r, c = cols + pos[:, None], cols + pos[(i + step) % m][:, None]
+        band[4 + r - c, c] = diag
+    mode0[:m, m], mode0[m, :m] = -float(np.prod(t_shape)), 1.0
+    lu0 = sla.lu_factor(mode0, check_finite=False)
+    band, piv, info = sla.lapack.zgbtrf(band, 2, 2, overwrite_ab=True)
+    if info != 0 or not (np.isfinite(band).all() and np.isfinite(lu0[0]).all()
+                         and np.diag(lu0[0]).all()):
+        raise NumericError("zero or non-finite pivot in a per-mode line solve")
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        f = sfft.rfftn(np.moveaxis(y[:-1].reshape(shape), axis, 0), axes=t_axes)
+        x = f.reshape(m, -1)
+        z = sla.lu_solve(lu0, np.append(x[:, 0].real, y[-1]), check_finite=False)
+        x = sla.lapack.zgbtrs(band, 2, 2, x[order].T.reshape(-1, 1), piv, overwrite_b=True)[0]
+        x = x.reshape(-1, m)[:, pos]
+        x[0] = z[:m]
+        v = sfft.irfftn(x.T.reshape(f.shape), s=t_shape, axes=t_axes)
+        return np.append(np.moveaxis(v, 0, axis), z[m])
+
+    return apply
+
+
+def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
+    """Inverse of A of `assemble_linearized` at the coefficient (n^2, N) or
+    (n^2, 1), averaged as below, on the interior box as a map of flat interior
+    vectors; None for a masked domain.  On a fully periodic domain, where A
+    annihilates the constants, it inverts [[A, -1], [1^T, 0]]
+    (`_bordered_operator`) on (N+1)-vectors.  There the direct axis D is the
+    axis of at least 3 nodes whose profile (the coefficient averaged over all
+    other axes) spreads most, if past DIRECT_SPREAD max |F| (`_direct_axis`);
+    averaged over the other axes, the coefficient then takes `_line_inverse`.
+
+    Otherwise the coefficient is averaged over the grid to fbar.  Each second
+    difference is diagonalized along its axis, symbol
     -(4/h^2) sin^2(theta/2); a mixed difference only by a DFT along both of its
     axes, symbol -(sin theta_a / h_a)(sin theta_b / h_b).  So the axes of the
     mixed pieces that pair two periodic axes take `rfftn`; every other axis
     takes the small dense eigenbasis of `_axis_basis`, one matmul each way.
     Mixed terms that involve a non-periodic axis are dropped, so the map is
-    exact for the identity and on the torus (for a complex fbar too: there it
-    inverts the Newton operator at the mean coefficient) and a preconditioner
-    otherwise.
-    On a fully periodic domain the zero mode (the constants) is passed through.
+    exact for the identity and on the torus (for a complex fbar too) and a
+    preconditioner otherwise.  On a fully periodic domain that map P passes
+    the zero mode through, and the bordered inverse is exact, as constants
+    span both null spaces of A: for the right-hand side (f, s),
+    dc = -mean(f) and v = P(f - mean f) + s / N.
     """
     roles = domain.roles[domain.interior_box]
     if np.count_nonzero(domain.interior) != roles.size or np.any(roles != INTERIOR):
         return None
     import scipy.fft as sfft
 
+    if all(domain.periodic):
+        axis, profile = _direct_axis(roles.shape, coeff)
+        if axis is not None:
+            return _line_inverse(domain, axis, profile)
+    fbar = _matrix(coeff.mean(axis=1))
     shape, d, h, periodic = roles.shape, roles.ndim, domain.spacings, domain.periodic
     fft_axes = sorted({ax for j in range(domain.n) for k in range(j + 1, domain.n)
                        for a, b, _ in _mixed_pieces(j, k, 0j)
@@ -491,7 +583,14 @@ def _spectral_inverse(domain: GridDomain, fbar: np.ndarray):
             x = _along(x, a, q, next(outs) if i < len(dense) else np.empty(shape))
         return x.reshape(-1)
 
-    return apply
+    if not all(periodic):
+        return apply
+
+    def bordered(y: np.ndarray) -> np.ndarray:  # dc = -mean f, v = P(f - mean f) + s / N
+        mean = y[:-1].mean()
+        return np.append(apply(y[:-1] - mean) + y[-1] / (y.size - 1), -mean)
+
+    return bordered
 
 
 def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0,
@@ -500,15 +599,15 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0,
     matrix or a `_bordered_operator` a; returns (x, krylov_iters).
 
     The run starts from a random start drawn with `seed` and is preconditioned
-    by the map of vectors `inverse` (such as `_spectral_inverse` at the mean
-    coefficient) or, when there is none, by the diagonal.  The system is scaled to
+    by the map of vectors `inverse` (such as `_spectral_inverse`) or, when
+    there is none, by the diagonal.  The system is scaled to
     sup |b| = 1 first: scipy's breakdown tests are absolute (|rho| < eps^2),
     and the small right-hand sides of the last Newton steps would trip them.
     The certificate is the true residual |A x - b|_2 <= 10 rtol |b|_2; a run
     that converges without it restarts once from its result, and a breakdown
-    or a second miss raises `NumericError`.  `rtol` is `LIN_TOL` except for a
-    Newton step, whose forcing floor raises it to 0.5 tol / |r|_2 when that is
-    larger (see `_damped_newton`).
+    or a second miss (named with its true residual) raises `NumericError`.
+    `rtol` is `LIN_TOL` except for a Newton step, whose forcing floor raises
+    it to 0.5 tol / |r|_2 when that is larger (see `_damped_newton`).
     Iterations are counted as preconditioner applications, two per iteration
     and one on a final half step, which scipy's `callback` misses.
     """
@@ -529,19 +628,20 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0,
     rng = np.random.default_rng(seed)
     x0 = 1e-3 * rng.standard_normal(n) * (bnorm / np.sqrt(n) + 1e-30)
 
-    def certified(x):  # false for non-finite x too
-        return float(np.linalg.norm(a @ x - bs)) <= 10.0 * rtol * (bnorm + 1e-30)
-
+    target = 10.0 * rtol * (bnorm + 1e-30)
     krylov = dict(rtol=rtol, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
                   M=spla.LinearOperator(a.shape, matvec=precondition, dtype=float))
     x, info = spla.bicgstab(a, bs, x0=x0, **krylov)
-    if info == 0 and not certified(x):  # converged on the recurrence residual only
+    miss = float(np.linalg.norm(a @ x - bs)) if info == 0 else np.nan
+    if info == 0 and not miss <= target:  # converged on the recurrence residual only
         applied.append(0)
         x, info = spla.bicgstab(a, bs, x0=x, **krylov)
+        miss = float(np.linalg.norm(a @ x - bs)) if info == 0 else np.nan
     iters = sum((k + 1) // 2 for k in applied)
-    if info != 0 or not certified(x):
-        raise NumericError(f"BiCGStab failed on {n} unknowns after {iters} "
-                           f"iterations (info={info})")
+    if info != 0 or not miss <= target:  # a NaN x misses too
+        why = (f"(info={info})" if info else f"with true residual {scale * miss:.3e} "
+               f"above its target {scale * target:.3e} twice")
+        raise NumericError(f"BiCGStab failed on {n} unknowns after {iters} iterations {why}")
     return scale * x, iters
 
 
@@ -573,7 +673,7 @@ def poisson_dirichlet(domain: GridDomain, rhs, bc=0.0) -> ScalarField:
     lap_b = lap_b[[j * (2 * n - j) for j in range(n)]].sum(axis=0)  # the diagonal
     rhs_eff = rhs_vals[domain.interior] - lap_b[domain.interior[domain.interior_box]]
     target = POISSON_SUP_TOL * (1.0 + float(np.max(np.abs(rhs_vals[domain.interior]))))
-    solve = _spectral_inverse(domain, np.eye(n))
+    solve = _spectral_inverse(domain, eye)
     x = np.zeros(rhs_eff.size) if solve is None else solve(rhs_eff)
     resid = rhs_eff - a @ x
     if float(np.max(np.abs(resid), initial=0.0)) > target:
@@ -658,20 +758,6 @@ def _bordered_operator(a: sp.csr_matrix) -> spla.LinearOperator:
     return op
 
 
-def _bordered_inverse(inverse):
-    """The exact inverse of [[Abar, -1], [1^T, 0]] from a map P that inverts a
-    constant-coefficient torus operator Abar on zero-mean vectors (constants
-    span both its null spaces; P passes them through): for the right-hand
-    side (f, s), dc = -mean(f) and v = P(f - mean f) + s / N.  None for None."""
-
-    def apply(y: np.ndarray) -> np.ndarray:
-        f = y[:-1]
-        mean = f.mean()
-        return np.append(inverse(f - mean) + y[-1] / f.size, -mean)
-
-    return None if inverse is None else apply
-
-
 def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0,
                     rtol: float = LIN_TOL):
     """Solve the (N+1)-dimensional bordered system
@@ -679,13 +765,14 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0,
         A v - dc * 1 = -r,   sum(v) = 0
 
     by one `_solve_general` call on `_bordered_operator`(A) to the relative
-    residual `rtol`, preconditioned by `_bordered_inverse` of the map
-    `inverse` or, when there is none, by the diagonal: diag A, then 1 for the
-    constant.  Returns (v, dc, the Krylov iterations)."""
+    residual `rtol`, preconditioned by the map of (N+1)-vectors `inverse`
+    (`_spectral_inverse` on the torus) or, when there is none, by the
+    diagonal: diag A, then 1 for the constant.  Returns (v, dc, the Krylov
+    iterations)."""
     n = r.size
     try:
         x, iters = _solve_general(_bordered_operator(a), np.append(-r, 0.0),
-                                  _bordered_inverse(inverse), seed, rtol)
+                                  inverse, seed, rtol)
     except NumericError as exc:
         raise GaugeError(f"augmented system failed: {exc}") from exc
     return x[:n] - x[:n].sum() / n, float(x[n]), iters
@@ -701,8 +788,9 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     Dirichlet mode (boundary values stay fixed).  The step is halved until the
     iterate stays admissible and the sup-norm residual decreases; the accepted
     trial's g and sigma give the next step's coefficient.  Each step
-    makes one BiCGStab solve, preconditioned by `_spectral_inverse` at the
-    mean Newton coefficient, to the relative residual
+    makes one BiCGStab solve, preconditioned by `_spectral_inverse` factored
+    at its Newton coefficient (averaged over the grid, or on the torus over
+    the axes but `_direct_axis`), to the relative residual
     rtol = max(LIN_TOL, 0.5 tol / |r|_2).  BiCGStab then stops at a linear
     residual |A v + r|_2 <= max(LIN_TOL |r|_2, 0.5 tol): near the solution at
     most 0.5 tol in the 2-norm, so in the sup norm, and the last step reaches
@@ -724,12 +812,13 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
             break
         coeff = _newton_coefficient(spec.family, g, s)
         a = assemble_linearized(dom, coeff)
-        inverse = _spectral_inverse(dom, _matrix(coeff.mean(axis=1)))
+        inverse = _spectral_inverse(dom, coeff)
         rtol = max(LIN_TOL, 0.5 * tol / float(np.linalg.norm(r)))
         if spec.mode == "closed":
             v, dc, iters = _solve_bordered(a, r, inverse, opts.seed, rtol)
         else:
             (v, iters), dc = _solve_general(a, -r, inverse, opts.seed, rtol), 0.0
+        del inverse  # a torus factor holds an (N, 7) band: not kept past its solve
         solves.append(iters)
         step = 1.0
         admissible_seen = False

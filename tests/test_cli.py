@@ -81,6 +81,15 @@ class TestExitCodes:
         row = lines[3].split(",")
         assert float(row[3]) == pytest.approx(0.0, abs=1e-9)  # c column
 
+    def test_solve_closed_high_contrast(self, tmp_path):
+        # solvable for every amplitude (Yau); preconditioned at the grid-mean
+        # coefficient, BiCGStab hit its iteration cap here and the run exited 3
+        cfg = write_config(tmp_path, "c.json", dict(
+            CLOSED_CONSTANTS, domain=dict(CLOSED_CONSTANTS["domain"], shape=[16, 8, 16, 8]),
+            psi="sinx:8.0"))
+        assert main(["solve-closed", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+
     def test_missing_field_file(self, tmp_path):
         bad = dict(CLOSED_CONSTANTS)
         bad["chi"] = {"file": "nope.hcl"}

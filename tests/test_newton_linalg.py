@@ -552,9 +552,9 @@ class TestBorderedSolve:
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         # a tolerance below the default keeps both Krylov errors well under 1e-10
         monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
-        inverse = _spectral_inverse(dom, coeff.mean(axis=0))
-        v, dc, iters = _solve_bordered(a, r, inverse)
-        v_ref, dc_ref, ref_iters = ref._solve_bordered(a, r, r.size, inverse)
+        v, dc, iters = _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)))
+        v_ref, dc_ref, ref_iters = ref._solve_bordered(
+            a, r, r.size, ref.spectral_inverse(dom, coeff.mean(axis=0)))
         assert iters > 0 and min(ref_iters) > 0
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10
@@ -565,7 +565,7 @@ class TestBorderedSolve:
         a = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
-        v, dc, _ = _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))
+        v, dc, _ = _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)))
         v_ref, dc_ref = ref.solve_bordered_direct(a, r)
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10
@@ -607,11 +607,16 @@ class TestSpectralInverseReference:
             "torus-n2-hermitian", "annulus-n1", "product-n2-hermitian"])
     def test_matches_dst_reference(self, dom, fbar):
         rng = np.random.default_rng(11)
-        new, old = _spectral_inverse(dom, fbar), ref.spectral_inverse(dom, fbar)
+        new, old = _spectral_inverse(dom, _coords(fbar)[:, None]), ref.spectral_inverse(dom, fbar)
         for _ in range(3):
             r = rng.standard_normal(int(dom.interior.sum()))
+            if all(dom.periodic):  # the bordered map at (r, 0) for a zero-mean r
+                r -= r.mean()
+                got = new(np.append(r, 0.0))[:-1]
+            else:
+                got = new(r)
             want = old(r)
-            assert np.max(np.abs(new(r) - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dom, fbar", [
         (GridDomain.product(2, x_shape=(8, 6), s_shape=(11, 9)), HERMITIAN2),
@@ -623,14 +628,15 @@ class TestSpectralInverseReference:
         # reused buffers carry only intermediates; each result is the one a
         # first application on a fresh map gives, bit for bit
         rng = np.random.default_rng(12)
-        apply = _spectral_inverse(dom, fbar)
-        rs = [rng.standard_normal(int(dom.interior.sum())) for _ in range(3)]
+        apply = _spectral_inverse(dom, _coords(fbar)[:, None])
+        size = int(dom.interior.sum()) + all(dom.periodic)  # bordered on the torus
+        rs = [rng.standard_normal(size) for _ in range(3)]
         outs = [apply(r) for r in rs]
         kept = [x.copy() for x in outs]
         apply(rs[0])
         for r, x, k in zip(rs, outs, kept):
             assert x.tobytes() == k.tobytes()
-            assert x.tobytes() == _spectral_inverse(dom, fbar)(r).tobytes()
+            assert x.tobytes() == _spectral_inverse(dom, _coords(fbar)[:, None])(r).tobytes()
 
     @pytest.mark.parametrize("axis", range(4))
     def test_along_into_a_buffer_is_bit_for_bit(self, axis):
@@ -661,5 +667,6 @@ class TestSpectralInverseReference:
 
         monkeypatch.setattr(sfft, "rfftn", counting_rfftn)
         # a diagonal fbar: the split follows the axes, not the coefficients
-        _spectral_inverse(dom, np.eye(2))(np.ones(int(dom.interior.sum())))
+        _spectral_inverse(dom, _coords(np.eye(2))[:, None])(
+            np.ones(int(dom.interior.sum()) + all(dom.periodic)))
         assert calls == [[0, 1, 2, 3]] * ffts

@@ -1,3 +1,5 @@
+import re
+
 import newton_reference as ref
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from hcl.grid import (
     GridDomain,
     HermitianField,
     ScalarField,
+    _coords,
     boundary_normal_derivatives,
     chern_laplacian,
     complex_hessian,
@@ -34,8 +37,9 @@ import hcl.solve as solve_mod
 from hcl.solve import (
     ProblemSpec,
     SolverOptions,
-    _bordered_inverse,
     _bordered_operator,
+    _direct_axis,
+    _line_inverse,
     _newton_coefficient,
     _solve_bordered,
     _solve_general,
@@ -160,15 +164,11 @@ class TestSpectralInverse:
             "product-n2-odd-x", "annulus-n1", "product-n3-block"])
     def test_inverts_constant_operator(self, dom, fbar):
         a = constant_operator(dom, fbar)
-        solve = _spectral_inverse(dom, fbar)
+        if all(dom.periodic):  # constants span the kernel: the map is bordered
+            a = _bordered_operator(a)
+        solve = _spectral_inverse(dom, _coords(fbar)[:, None])
         v = np.random.default_rng(3).standard_normal(a.shape[0])
-        if all(dom.periodic):
-            v -= v.mean()  # constants span the kernel on the torus
-            np.testing.assert_allclose(solve(np.ones(v.size)), 1.0, atol=1e-12)
-        w = solve(a @ v)
-        if all(dom.periodic):
-            w -= w.mean()
-        assert np.max(np.abs(w - v)) <= 1e-12
+        assert np.max(np.abs(solve(a @ v) - v)) <= 1e-12
 
     @pytest.mark.parametrize("nodes", [33, 65])
     def test_poisson_matches_cg(self, nodes):
@@ -193,7 +193,7 @@ class TestSpectralInverse:
         h = poisson_dirichlet(dom, 1.0, 0.0)
         assert calls == []  # the box is solved directly
         sub = dom.restrict(h.values < -0.02)
-        assert _spectral_inverse(sub, np.eye(1)) is None
+        assert _spectral_inverse(sub, _coords(np.eye(1))[:, None]) is None
         h_sub = poisson_dirichlet(sub, 1.0, 0.0)
         assert calls
         resid = chern_laplacian(h_sub).values[sub.interior] - 1.0
@@ -257,7 +257,7 @@ class TestSpectralInverse:
         coeff = smooth_coefficient(dom, 0.3)
         a = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
-        v, dc, iters = _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))
+        v, dc, iters = _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)))
         assert iters > 0
         assert np.max(np.abs(a @ v - dc + r)) <= 1e-9
         assert abs(v.sum()) <= 1e-9
@@ -284,7 +284,7 @@ class TestSpectralInverse:
         dom = GridDomain.torus(2, (8, 6, 10, 4), (1.0, 2.0, 3.0, 1.5))
         fbar = np.array([[1.2, 0.3 + 0.4j], [0.3 - 0.4j, 0.9]])
         m = _bordered_operator(constant_operator(dom, fbar))
-        inverse = _bordered_inverse(_spectral_inverse(dom, fbar))
+        inverse = _spectral_inverse(dom, _coords(fbar)[:, None])
         y = np.random.default_rng(3).standard_normal(m.shape[0])
         assert np.max(np.abs(inverse(m @ y) - y)) <= 1e-12
         assert np.max(np.abs(m @ inverse(y) - y)) <= 1e-12
@@ -321,7 +321,7 @@ class TestSpectralInverse:
         coeff = smooth_coefficient(dom, 0.3)
         a = assemble(dom, coeff)
         b = np.random.default_rng(6).standard_normal(a.shape[0])
-        inverse = _spectral_inverse(dom, coeff.mean(axis=0))
+        inverse = _spectral_inverse(dom, _coords(coeff))
         _, tight = _solve_general(a, b, inverse)
         x, loose = _solve_general(a, b, inverse, rtol=1e-4)
         assert loose < tight
@@ -342,6 +342,19 @@ class TestSpectralInverse:
         x, _ = _solve_general(a, b)
         assert runs == [0, 0]
         assert np.linalg.norm(a @ x - b) <= 10 * solve_mod.LIN_TOL * np.linalg.norm(b)
+        # when the restart misses too, the error names the true residual and
+        # its target, not the info = 0 that both runs returned
+        runs.clear()
+        monkeypatch.setattr(solve_mod.spla, "bicgstab", lambda *args, **kwargs: (
+            runs.append(0) or (bicgstab(*args, **kwargs)[0] + 1e-3, 0)))
+        with pytest.raises(NumericError) as err:
+            _solve_general(a, b)
+        assert runs == [0, 0]
+        got = re.search(r"true residual (\S+) above its target (\S+) twice", str(err.value))
+        assert got and "info" not in str(err.value)
+        target = 10 * solve_mod.LIN_TOL * np.linalg.norm(b)
+        assert float(got[2]) == pytest.approx(target, rel=1e-3)
+        assert float(got[1]) > float(got[2])
 
     def test_failed_krylov_solve_raises(self, monkeypatch):
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
@@ -351,7 +364,7 @@ class TestSpectralInverse:
         monkeypatch.setattr(solve_mod.spla, "bicgstab",
                             lambda a, b, x0=None, **kwargs: (x0, -10))
         with pytest.raises(NumericError, match="info=-10"):
-            _solve_general(a, b, _spectral_inverse(dom, coeff.mean(axis=0)))
+            _solve_general(a, b, _spectral_inverse(dom, _coords(coeff)))
 
     def test_failed_bordered_solve_is_a_gauge_error(self, monkeypatch):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
@@ -361,7 +374,7 @@ class TestSpectralInverse:
         monkeypatch.setattr(solve_mod.spla, "bicgstab",
                             lambda a, b, x0=None, **kwargs: (x0, -10))
         with pytest.raises(GaugeError, match="info=-10"):
-            _solve_bordered(a, r, _spectral_inverse(dom, coeff.mean(axis=0)))
+            _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)))
 
     def test_half_step_iterations_counted(self):
         # scipy returns on a small half-step residual without calling its
@@ -373,6 +386,115 @@ class TestSpectralInverse:
         res = solve_closed(spec)
         assert len(res.linear_solves) == res.iterations == 4
         assert min(res.linear_solves) > 0
+
+
+def torus_profile_coefficient(dom, axis, flat):
+    """Hermitian coordinates (4, N) of a full Hermitian coefficient that varies
+    along `axis`, plus `flat` times a variation along the other axes."""
+    x = dom.meshgrid()
+    t = 2 * np.pi * x[axis] / dom.lengths[axis]
+    rest = flat * sum(np.sin(2 * np.pi * x[a] / dom.lengths[a] + a)
+                      for a in range(len(x)) if a != axis)
+    c = np.zeros(dom.shape + (2, 2), dtype=complex)
+    c[..., 0, 0] = 1.2 + 0.3 * np.sin(t) + rest
+    c[..., 1, 1] = 0.9 + 0.2 * np.cos(t)
+    c[..., 0, 1] = 0.3 + 0.4j + (0.1 - 0.05j) * np.sin(t) + 0.5j * rest
+    c[..., 1, 0] = c[..., 0, 1].conj()
+    return _coords(c.reshape(-1, 2, 2))
+
+
+class TestLineInverse:
+    # unequal lengths and a 3-node direct axis that is not axis 0
+    DOM = GridDomain.torus(2, (6, 3, 5, 4), (1.0, 2.0, 3.0, 1.5))
+
+    def averaged(self):
+        """(coefficient, its D, A at the coefficient averaged over the other axes)."""
+        dom = self.DOM
+        coeff = torus_profile_coefficient(dom, 1, 0.05)
+        axis, profile = _direct_axis(dom.shape, coeff)
+        want = coeff.reshape(4, *dom.shape).mean(axis=(1, 3, 4))
+        np.testing.assert_allclose(profile, want, rtol=0.0, atol=1e-15)
+        flat = np.broadcast_to(profile[:, None, :, None, None], (4, *dom.shape))
+        return coeff, axis, assemble_linearized(dom, flat.reshape(4, -1))
+
+    def test_inverts_bordered_operator_of_averaged_coefficient(self):
+        coeff, axis, a = self.averaged()
+        assert axis == 1
+        m = _bordered_operator(a)
+        inverse = _spectral_inverse(self.DOM, coeff)
+        y = np.random.default_rng(8).standard_normal(m.shape[0])
+        assert np.max(np.abs(inverse(m @ y) - y)) <= 1e-12
+        assert np.max(np.abs(m @ inverse(y) - y)) <= 1e-12
+
+    def test_matches_dense_per_mode_solves(self):
+        # the oracle: per rfftn mode k along the other axes T, the dense
+        # A_k = E_k^H A E_k / P (column j of E_k the wave of k on line j),
+        # solved by pivoted np.linalg.solve, the zero mode bordered by the gauge
+        coeff, axis, a = self.averaged()
+        dom, a = self.DOM, a.toarray()
+        shape, m = dom.shape, dom.shape[axis]
+        t_shape = [s for ax, s in enumerate(shape) if ax != axis]
+        y = np.random.default_rng(9).standard_normal(a.shape[0] + 1)
+        f = np.fft.rfftn(np.moveaxis(y[:-1].reshape(shape), axis, 0), axes=(1, 2, 3))
+        lines = np.moveaxis(np.arange(a.shape[0]).reshape(shape), axis, 0).reshape(m, -1)
+        xt = np.meshgrid(*[np.arange(s) for s in t_shape], indexing="ij")
+        x, p = np.empty_like(f), float(np.prod(t_shape))
+        for k in np.ndindex(f.shape[1:]):
+            wave = np.exp(2j * np.pi * sum(kk * g / s for kk, g, s in zip(k, xt, t_shape)))
+            e = np.zeros((a.shape[0], m), dtype=complex)
+            for j in range(m):
+                e[lines[j], j] = wave.reshape(-1)
+            ak, col = e.conj().T @ a @ e / p, (slice(None), *k)
+            if any(k):
+                x[col] = np.linalg.solve(ak, f[col])
+            else:
+                border = np.block([[ak.real, -p * np.ones((m, 1))],
+                                   [np.ones((1, m)), np.zeros((1, 1))]])
+                zero = np.linalg.solve(border, np.append(f[col].real, y[-1]))
+                x[col] = zero[:m]
+        v = np.fft.irfftn(x, s=t_shape, axes=(1, 2, 3))
+        want = np.append(np.moveaxis(v, 0, axis), zero[m])
+        got = _spectral_inverse(dom, coeff)(y)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_direct_axis_has_three_nodes(self):
+        # on 2 nodes the steps -1 and +1 reach one neighbour: no cyclic line
+        dom = GridDomain.torus(2, (6, 2, 5, 4), (1.0, 2.0, 3.0, 1.5))
+        assert _direct_axis(dom.shape, torus_profile_coefficient(dom, 1, 0.0)) == (None, None)
+        axis, _ = _direct_axis(dom.shape, torus_profile_coefficient(dom, 1, 0.01))
+        assert axis in (0, 2, 3)
+
+    @pytest.mark.parametrize("dom, coeff", [
+        (DOM, _coords(np.array([[1.2, 0.3 + 0.4j], [0.3 - 0.4j, 0.9]]))[:, None]),
+        (DOM, torus_profile_coefficient(DOM, 1, 0.0) * 1e-9 + 1.0),
+        (GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 9)), None),
+    ], ids=["torus-constant", "torus-flat", "product"])
+    def test_flat_coefficient_or_product_domain_keeps_mean_symbol(
+            self, dom, coeff, monkeypatch):
+        if coeff is None:  # a product domain averages any coefficient
+            coeff = _coords(smooth_coefficient(dom, 0.3))
+        else:
+            assert _direct_axis(dom.shape, coeff) == (None, None)
+
+        def no_line_inverse(*args):
+            raise AssertionError("a line solve on a flat coefficient")
+
+        monkeypatch.setattr(solve_mod, "_line_inverse", no_line_inverse)
+        y = np.random.default_rng(10).standard_normal(
+            int(dom.interior.sum()) + all(dom.periodic))
+        got = _spectral_inverse(dom, coeff)(y)
+        mean = _spectral_inverse(dom, coeff.mean(axis=1, keepdims=True))(y)
+        assert got.tobytes() == mean.tobytes()
+
+    @pytest.mark.parametrize("f11", [0.0, np.nan], ids=["zero", "nan"])
+    def test_bad_pivot_raises(self, f11):
+        # F = diag(1, 0): a mode flat along axis 0 sees only the cyclic second
+        # difference along D, whose constants give an exact zero pivot, while
+        # the bordered zero mode stays regular
+        profile = np.zeros((4, 3))
+        profile[0], profile[3] = 1.0, f11
+        with pytest.raises(NumericError, match="pivot"):
+            _line_inverse(self.DOM, 1, profile)
 
 
 class TestSubsolution:
@@ -669,6 +791,16 @@ class TestClosedSolve:
         spec = small_dirichlet_spec()
         with pytest.raises(DomainError):
             solve_closed(spec)
+
+    def test_high_contrast_takes_few_krylov_iterations(self):
+        # psi = 4 sin x0: u depends on x0 alone, and so does F; preconditioned
+        # at the grid-mean coefficient the worst Newton step took 271
+        dom = GridDomain.torus(2, (16, 8, 16, 8))
+        psi = ScalarField(dom, 4.0 * np.sin(dom.meshgrid()[0]))
+        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), psi, None, "closed")
+        res = solve_closed(spec)
+        assert max(res.linear_solves) <= 5
+        assert res.residual_history[-1] <= newton_tol(spec)
 
 
 def mixed_dirichlet_spec():
