@@ -21,20 +21,20 @@ stencils of `grid.box_hessian`.  Each Newton step solves its system
 only as far as its stopping test needs (the forcing floor of `_damped_newton`).
 
 Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
-unmasked box it inverts a constant-coefficient operator by a real FFT along
-the axes that a mixed term pairs with another periodic axis and by a small
-dense eigenbasis (DST-I or real Fourier, one matmul) along every other axis.
-It solves the Poisson problems directly and, at the mean Newton coefficient,
-preconditions BiCGStab, the only Krylov solver: it serves every Newton system
-and refines a Poisson solve on a masked domain or one that misses its
-sup-norm certificate.
+unmasked box with a boundary it inverts a constant-coefficient operator by a
+real FFT along the axes that a mixed term pairs with another periodic axis
+and by a small dense eigenbasis (DST-I or real Fourier, one matmul) along
+every other axis.  It solves the Poisson problems directly and, at the mean
+Newton coefficient, preconditions BiCGStab, the only Krylov solver: it serves
+every Newton system and refines a Poisson solve on a masked domain or one
+that misses its sup-norm certificate.
 Closed mode solves the bordered (N+1) system for the update and the constant
 at once, as an operator around A (`_bordered_operator`; no (N+1) matrix is
-built).  Its preconditioner follows the coefficient: averaged over every axis
-but the one whose profile spreads most (`_direct_axis`), it is inverted
-exactly by an FFT along the flat axes and one cyclic tridiagonal solve per
-mode along that axis (`_line_inverse`).  Each Newton step makes one Krylov
-solve; its iterations are recorded in `SolveResult.linear_solves`.
+built).  Its one preconditioner follows the coefficient: averaged over every
+axis but the one whose profile spreads most (`_direct_axis`), it is inverted
+exactly by an FFT along the other axes and one cyclic line solve per mode
+along that axis (`_line_inverse`).  Each Newton step makes one Krylov solve;
+its iterations are recorded in `SolveResult.linear_solves`.
 
 `assemble_linearized` stores A row-major in stencil order, as in ELLPACK:
 every row holds its S = 1 + 4n + 8n(n-1) weights in the order of
@@ -112,7 +112,6 @@ LIN_TOL = 1e-11  # relative residual of every BiCGStab solve
 DAMPING_MIN = 1e-12  # smallest line-search step before a stall
 POISSON_SUP_TOL = 1e-10  # Poisson sup-norm residual, relative to 1 + |rhs|_inf
 ESTIMATE_SLACK = 1e-8  # of the sandwich and the normal-derivative ordering
-DIRECT_SPREAD = 1e-6  # of a torus coefficient's profiles, relative to max |F|
 
 @dataclass
 class ProblemSpec:
@@ -131,6 +130,8 @@ class ProblemSpec:
         if self.mode == "closed":
             if not all(self.domain.periodic):
                 raise DomainError("closed mode needs a fully periodic domain")
+            if self.domain.roles.any():
+                raise DomainError("closed mode needs an unmasked torus")
         else:
             if not self.domain.boundary.any():
                 raise DomainError("dirichlet mode needs boundary nodes")
@@ -427,16 +428,14 @@ def _along(x: np.ndarray, axis: int, q: np.ndarray, out: np.ndarray) -> np.ndarr
 
 def _direct_axis(shape: tuple[int, ...], coeff: np.ndarray):
     """(D, the profile of the torus coefficient (n^2, N) or (n^2, 1) along D,
-    averaged over every other axis), or (None, None): D is the axis of at
-    least 3 nodes whose profile spreads most (max - min, of the worst
-    coordinate), if that spread exceeds DIRECT_SPREAD * max |F|."""
+    averaged over every other axis): D is the axis whose profile spreads most
+    (max - min, of the worst coordinate), the lowest one on a tie, so axis 0
+    for a constant coefficient."""
     c = np.broadcast_to(coeff, (len(coeff), int(np.prod(shape)))).reshape(-1, *shape)
     profiles = [c.mean(axis=tuple(np.delete(np.arange(1, c.ndim), a)))
                 for a in range(len(shape))]
-    spread = [np.ptp(p, axis=1).max() if p.shape[1] >= 3 else 0.0 for p in profiles]
-    d = int(np.argmax(spread))
-    big = spread[d] > DIRECT_SPREAD * np.max(np.abs(coeff))
-    return (d, profiles[d]) if big else (None, None)
+    d = int(np.argmax([np.ptp(p, axis=1).max() for p in profiles]))
+    return d, profiles[d]
 
 
 @lru_cache(maxsize=4)
@@ -457,15 +456,17 @@ def _mode_phases(shape: tuple[int, ...], axis: int):
 def _line_inverse(domain: GridDomain, axis: int, profile: np.ndarray):
     """The exact inverse of [[A, -1], [1^T, 0]] on the torus, A of
     `assemble_linearized` at a coefficient that is the profile (n^2, m) along
-    `axis` and constant along the other axes T, as a map of (N+1)-vectors.
-    After `rfftn` along T, A is one cyclic tridiagonal system along `axis` per
-    mode, whose diagonals group the profile's stencil values by their step
-    along `axis`, times `_mode_phases`.  Numbered 0, m-1, 1, m-2, ..., each
-    ring is pentadiagonal, so all modes are one banded system, factored by
-    LAPACK's pivoted banded LU.  The zero mode carries the gauge: for the
-    T-sums of v and dc it is [[A_0, -P 1], [1^T, 0]], P the number of T nodes,
-    one dense system factored by pivoted LU.  A zero or non-finite pivot
-    raises `NumericError`."""
+    `axis` and constant along the other axes T (a constant one included), as
+    a map of (N+1)-vectors.  After `rfftn` along T, A is one cyclic
+    tridiagonal system along `axis` per mode, whose diagonals group the
+    profile's stencil values by the node their step along `axis` reaches
+    (step % m: on 1 or 2 nodes the steps -1, 0 and +1 share nodes), times
+    `_mode_phases`.  Numbered 0, m-1, 1, m-2, ..., each ring is
+    pentadiagonal, so all modes are one banded system, factored by LAPACK's
+    pivoted banded LU.  The zero mode carries the gauge: for the T-sums of v
+    and dc it is [[A_0, -P 1], [1^T, 0]], P the number of T nodes, one dense
+    system factored by pivoted LU.  A zero or non-finite pivot raises
+    `NumericError`."""
     import scipy.fft as sfft
     import scipy.linalg as sla
 
@@ -473,12 +474,13 @@ def _line_inverse(domain: GridDomain, axis: int, profile: np.ndarray):
     t_axes, t_shape = range(1, len(shape)), [s for a, s in enumerate(shape) if a != axis]
     stencil = profile.T @ _stencil_weights(domain.spacings, domain.n)
     steps, phase = _mode_phases(shape, axis)
-    lo, dg, up = (stencil[:, steps == s] @ phase[steps == s] for s in (-1, 0, 1))
+    steps, modes = steps % m, phase.shape[1]
     i, mode0 = np.arange(m), np.zeros((m + 1, m + 1))
     order = np.ravel(np.column_stack((i, m - 1 - i)))[:m]  # 0, m-1, 1, m-2, ...
-    pos, cols = np.argsort(order), m * np.arange(dg.shape[1])
-    band = np.zeros((7, dg.size), dtype=complex, order="F")  # 2 sub-, 2 superdiagonals
-    for step, diag in zip((-1, 0, 1), (lo, dg, up)):
+    pos, cols = np.argsort(order), m * np.arange(modes)
+    band = np.zeros((7, m * modes), dtype=complex, order="F")  # 2 sub-, 2 superdiagonals
+    for step in np.unique(steps):  # 0, 1 and m-1 on 3 nodes or more
+        diag = stencil[:, steps == step] @ phase[steps == step]
         mode0[i, (i + step) % m] = diag[:, 0].real
         diag[:, 0] = float(step == 0)  # the zero mode is left to the dense system
         r, c = cols + pos[:, None], cols + pos[(i + step) % m][:, None]
@@ -507,34 +509,27 @@ def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
     """Inverse of A of `assemble_linearized` at the coefficient (n^2, N) or
     (n^2, 1), averaged as below, on the interior box as a map of flat interior
     vectors; None for a masked domain.  On a fully periodic domain, where A
-    annihilates the constants, it inverts [[A, -1], [1^T, 0]]
-    (`_bordered_operator`) on (N+1)-vectors.  There the direct axis D is the
-    axis of at least 3 nodes whose profile (the coefficient averaged over all
-    other axes) spreads most, if past DIRECT_SPREAD max |F| (`_direct_axis`);
-    averaged over the other axes, the coefficient then takes `_line_inverse`.
+    annihilates the constants, it is `_line_inverse` of [[A, -1], [1^T, 0]]
+    (`_bordered_operator`) on (N+1)-vectors, at the coefficient averaged over
+    every axis but `_direct_axis`.
 
-    Otherwise the coefficient is averaged over the grid to fbar.  Each second
-    difference is diagonalized along its axis, symbol
+    With a boundary the coefficient is averaged over the grid to fbar.  Each
+    second difference is diagonalized along its axis, symbol
     -(4/h^2) sin^2(theta/2); a mixed difference only by a DFT along both of its
     axes, symbol -(sin theta_a / h_a)(sin theta_b / h_b).  So the axes of the
     mixed pieces that pair two periodic axes take `rfftn`; every other axis
     takes the small dense eigenbasis of `_axis_basis`, one matmul each way.
     Mixed terms that involve a non-periodic axis are dropped, so the map is
-    exact for the identity and on the torus (for a complex fbar too) and a
-    preconditioner otherwise.  On a fully periodic domain that map P passes
-    the zero mode through, and the bordered inverse is exact, as constants
-    span both null spaces of A: for the right-hand side (f, s),
-    dc = -mean(f) and v = P(f - mean f) + s / N.
+    exact for a constant fbar whose mixed terms pair periodic axes only (the
+    identity among them) and a preconditioner otherwise.
     """
     roles = domain.roles[domain.interior_box]
     if np.count_nonzero(domain.interior) != roles.size or np.any(roles != INTERIOR):
         return None
+    if all(domain.periodic):
+        return _line_inverse(domain, *_direct_axis(roles.shape, coeff))
     import scipy.fft as sfft
 
-    if all(domain.periodic):
-        axis, profile = _direct_axis(roles.shape, coeff)
-        if axis is not None:
-            return _line_inverse(domain, axis, profile)
     fbar = _matrix(coeff.mean(axis=1))
     shape, d, h, periodic = roles.shape, roles.ndim, domain.spacings, domain.periodic
     fft_axes = sorted({ax for j in range(domain.n) for k in range(j + 1, domain.n)
@@ -561,8 +556,6 @@ def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
             for ax_a, ax_b, fac in _mixed_pieces(j, k, fbar[j, k]):
                 if periodic[ax_a] and periodic[ax_b]:
                     sym = sym - fac * sine[ax_a] * sine[ax_b]
-    if all(periodic):  # mode 0 is the constant on every axis
-        sym[(0,) * d] = 1.0
     if not np.all(np.isfinite(sym)) or np.any(sym == 0.0):
         return None
     fft_shape = [shape[a] for a in fft_axes]
@@ -583,14 +576,7 @@ def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
             x = _along(x, a, q, next(outs) if i < len(dense) else np.empty(shape))
         return x.reshape(-1)
 
-    if not all(periodic):
-        return apply
-
-    def bordered(y: np.ndarray) -> np.ndarray:  # dc = -mean f, v = P(f - mean f) + s / N
-        mean = y[:-1].mean()
-        return np.append(apply(y[:-1] - mean) + y[-1] / (y.size - 1), -mean)
-
-    return bordered
+    return apply
 
 
 def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0,
@@ -743,8 +729,7 @@ def build_supersolution(spec: ProblemSpec) -> ScalarField:
 
 def _bordered_operator(a: sp.csr_matrix) -> spla.LinearOperator:
     """[[A, -1], [1^T, 0]] as an operator around the square matrix A:
-    (v, dc) -> (A v - dc * 1, sum(v)), with the bordered matrix's diagonal
-    (diag A, then 0) for the diagonal preconditioner; no (N+1) matrix is built."""
+    (v, dc) -> (A v - dc * 1, sum(v)); no (N+1) matrix is built."""
     n = a.shape[0]
 
     def matvec(x: np.ndarray) -> np.ndarray:
@@ -753,9 +738,7 @@ def _bordered_operator(a: sp.csr_matrix) -> spla.LinearOperator:
         out[n] = x[:n].sum()
         return out
 
-    op = spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
-    op.diagonal = lambda: np.append(a.diagonal(), 0.0)
-    return op
+    return spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
 
 
 def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0,
@@ -766,8 +749,7 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0,
 
     by one `_solve_general` call on `_bordered_operator`(A) to the relative
     residual `rtol`, preconditioned by the map of (N+1)-vectors `inverse`
-    (`_spectral_inverse` on the torus) or, when there is none, by the
-    diagonal: diag A, then 1 for the constant.  Returns (v, dc, the Krylov
+    (`_spectral_inverse` on the torus).  Returns (v, dc, the Krylov
     iterations)."""
     n = r.size
     try:
@@ -790,7 +772,7 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     trial's g and sigma give the next step's coefficient.  Each step
     makes one BiCGStab solve, preconditioned by `_spectral_inverse` factored
     at its Newton coefficient (averaged over the grid, or on the torus over
-    the axes but `_direct_axis`), to the relative residual
+    every axis but `_direct_axis`), to the relative residual
     rtol = max(LIN_TOL, 0.5 tol / |r|_2).  BiCGStab then stops at a linear
     residual |A v + r|_2 <= max(LIN_TOL |r|_2, 0.5 tol): near the solution at
     most 0.5 tol in the 2-norm, so in the sup norm, and the last step reaches
@@ -818,7 +800,7 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
             v, dc, iters = _solve_bordered(a, r, inverse, opts.seed, rtol)
         else:
             (v, iters), dc = _solve_general(a, -r, inverse, opts.seed, rtol), 0.0
-        del inverse  # a torus factor holds an (N, 7) band: not kept past its solve
+        del a, inverse  # not kept while the next step assembles its own
         solves.append(iters)
         step = 1.0
         admissible_seen = False

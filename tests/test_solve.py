@@ -262,22 +262,6 @@ class TestSpectralInverse:
         assert np.max(np.abs(a @ v - dc + r)) <= 1e-9
         assert abs(v.sum()) <= 1e-9
 
-    def test_diagonal_fallback_meets_every_row(self, monkeypatch):
-        # with no spectral inverse the bordered solve is preconditioned by the
-        # diagonal: diag A, then 1 for the constant
-        dom = GridDomain.torus(2, (8, 4, 6, 4))
-        a = assemble(dom, smooth_coefficient(dom, 0.3))
-        r = np.random.default_rng(7).standard_normal(a.shape[0])
-        v, dc, iters = _solve_bordered(a, r, None)
-        assert iters > 0
-        assert np.max(np.abs(a @ v - dc + r)) <= 1e-9
-        assert abs(v.sum()) <= 1e-9
-        monkeypatch.setattr(solve_mod, "_spectral_inverse", lambda *args: None)
-        spec, _ = manufactured_closed_spec(8)
-        res = solve_closed(spec)
-        assert min(res.linear_solves) > 0
-        assert np.max(np.abs(residual_field(spec, res.u.values, res.c)[0])) <= 1e-9
-
     def test_bordered_preconditioner_inverts_constant_operator(self):
         # a full Hermitian fbar on unequal lengths: every symbol enters, and a
         # wrong sign of dc or a missing mean removal breaks one of the rows
@@ -407,31 +391,42 @@ class TestLineInverse:
     # unequal lengths and a 3-node direct axis that is not axis 0
     DOM = GridDomain.torus(2, (6, 3, 5, 4), (1.0, 2.0, 3.0, 1.5))
 
-    def averaged(self):
-        """(coefficient, its D, A at the coefficient averaged over the other axes)."""
-        dom = self.DOM
-        coeff = torus_profile_coefficient(dom, 1, 0.05)
-        axis, profile = _direct_axis(dom.shape, coeff)
-        want = coeff.reshape(4, *dom.shape).mean(axis=(1, 3, 4))
+    @staticmethod
+    def averaged(dom, axis, flat):
+        """(coefficient varying along `axis`, A at the coefficient averaged
+        over every axis but its D, which must be `axis`)."""
+        coeff = torus_profile_coefficient(dom, axis, flat)
+        d, profile = _direct_axis(dom.shape, coeff)
+        assert d == axis
+        others = tuple(a + 1 for a in range(len(dom.shape)) if a != axis)
+        want = coeff.reshape(4, *dom.shape).mean(axis=others)
         np.testing.assert_allclose(profile, want, rtol=0.0, atol=1e-15)
-        flat = np.broadcast_to(profile[:, None, :, None, None], (4, *dom.shape))
-        return coeff, axis, assemble_linearized(dom, flat.reshape(4, -1))
+        mean = np.broadcast_to(np.expand_dims(profile, others), (4, *dom.shape))
+        return coeff, assemble_linearized(dom, mean.reshape(4, -1))
 
     def test_inverts_bordered_operator_of_averaged_coefficient(self):
-        coeff, axis, a = self.averaged()
-        assert axis == 1
+        coeff, a = self.averaged(self.DOM, 1, 0.05)
         m = _bordered_operator(a)
         inverse = _spectral_inverse(self.DOM, coeff)
         y = np.random.default_rng(8).standard_normal(m.shape[0])
         assert np.max(np.abs(inverse(m @ y) - y)) <= 1e-12
         assert np.max(np.abs(m @ inverse(y) - y)) <= 1e-12
 
-    def test_matches_dense_per_mode_solves(self):
+    @pytest.mark.parametrize("dom, axis, flat", [
+        (DOM, 1, 0.05),
+        # on 2 nodes the steps -1 and +1 reach one neighbour
+        (GridDomain.torus(2, (6, 2, 5, 4), (1.0, 2.0, 3.0, 1.5)), 1, 0.05),
+        (GridDomain.torus(2, (2, 2, 2, 2)), 1, 0.05),
+        # a constant coefficient takes D = 0, here of 1 node, which the steps
+        # -1, 0 and +1 all reach
+        (GridDomain.torus(2, (1, 1, 3, 1), (1.0, 2.0, 3.0, 1.5)), 0, 0.0),
+    ], ids=["3-nodes", "2-nodes", "2-nodes-everywhere", "1-node"])
+    def test_matches_dense_per_mode_solves(self, dom, axis, flat):
         # the oracle: per rfftn mode k along the other axes T, the dense
         # A_k = E_k^H A E_k / P (column j of E_k the wave of k on line j),
         # solved by pivoted np.linalg.solve, the zero mode bordered by the gauge
-        coeff, axis, a = self.averaged()
-        dom, a = self.DOM, a.toarray()
+        coeff, a = self.averaged(dom, axis, flat)
+        a = a.toarray()
         shape, m = dom.shape, dom.shape[axis]
         t_shape = [s for ax, s in enumerate(shape) if ax != axis]
         y = np.random.default_rng(9).standard_normal(a.shape[0] + 1)
@@ -457,31 +452,15 @@ class TestLineInverse:
         got = _spectral_inverse(dom, coeff)(y)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_direct_axis_has_three_nodes(self):
-        # on 2 nodes the steps -1 and +1 reach one neighbour: no cyclic line
-        dom = GridDomain.torus(2, (6, 2, 5, 4), (1.0, 2.0, 3.0, 1.5))
-        assert _direct_axis(dom.shape, torus_profile_coefficient(dom, 1, 0.0)) == (None, None)
-        axis, _ = _direct_axis(dom.shape, torus_profile_coefficient(dom, 1, 0.01))
-        assert axis in (0, 2, 3)
-
-    @pytest.mark.parametrize("dom, coeff", [
-        (DOM, _coords(np.array([[1.2, 0.3 + 0.4j], [0.3 - 0.4j, 0.9]]))[:, None]),
-        (DOM, torus_profile_coefficient(DOM, 1, 0.0) * 1e-9 + 1.0),
-        (GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 9)), None),
-    ], ids=["torus-constant", "torus-flat", "product"])
-    def test_flat_coefficient_or_product_domain_keeps_mean_symbol(
-            self, dom, coeff, monkeypatch):
-        if coeff is None:  # a product domain averages any coefficient
-            coeff = _coords(smooth_coefficient(dom, 0.3))
-        else:
-            assert _direct_axis(dom.shape, coeff) == (None, None)
+    def test_product_domain_keeps_mean_symbol(self, monkeypatch):
+        dom = GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 9))
+        coeff = _coords(smooth_coefficient(dom, 0.3))
 
         def no_line_inverse(*args):
-            raise AssertionError("a line solve on a flat coefficient")
+            raise AssertionError("a line solve on a product domain")
 
         monkeypatch.setattr(solve_mod, "_line_inverse", no_line_inverse)
-        y = np.random.default_rng(10).standard_normal(
-            int(dom.interior.sum()) + all(dom.periodic))
+        y = np.random.default_rng(10).standard_normal(int(dom.interior.sum()))
         got = _spectral_inverse(dom, coeff)(y)
         mean = _spectral_inverse(dom, coeff.mean(axis=1, keepdims=True))(y)
         assert got.tobytes() == mean.tobytes()
@@ -802,6 +781,21 @@ class TestClosedSolve:
         assert max(res.linear_solves) <= 5
         assert res.residual_history[-1] <= newton_tol(spec)
 
+    @pytest.mark.parametrize("shape, wave, worst", [
+        ((2, 2, 2, 2), 0.0, 1),
+        ((2, 8, 16, 8), 0.3, 5),
+    ], ids=["2222", "2-8-16-8-wave"])
+    def test_coefficient_varying_on_two_nodes_takes_line_solve(self, shape, wave, worst):
+        # psi = 2 cos(pi i0) varies along a 2-node axis, and so does F: the
+        # line solve along that axis inverts (2,2,2,2)'s operators exactly
+        dom = GridDomain.torus(2, shape)
+        i0, x2 = np.indices(shape)[0], dom.meshgrid()[2]
+        psi = ScalarField(dom, 2.0 * np.cos(np.pi * i0) + wave * np.sin(x2))
+        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), psi, None, "closed")
+        res = solve_closed(spec)
+        assert max(res.linear_solves) <= worst
+        assert res.residual_history[-1] <= newton_tol(spec)
+
 
 def mixed_dirichlet_spec():
     """log-det on an 8 x 4 x 13^2 product with a psi like dirichlet-newton's,
@@ -899,17 +893,21 @@ def spec_args(dom, family=LOGDET2, psi=0.5, phi=0.0, mode="dirichlet"):
 @pytest.mark.parametrize("dom, change, message", [
     ("box", dict(mode="open"), "mode must be 'closed' or 'dirichlet'"),
     ("box", dict(mode="closed"), "closed mode needs a fully periodic domain"),
+    ("masked-torus", dict(mode="closed", phi=None), "closed mode needs an unmasked torus"),
     ("torus", {}, "dirichlet mode needs boundary nodes"),
     ("box", dict(phi=None), "dirichlet mode needs boundary data phi"),
     ("box", dict(family=FuncFamily.log_det(3)),
      "family dimension does not match the domain"),
     ("box", dict(family=FuncFamily.sigma_root(2, 2), psi=-0.1),
      "psi drops below the attainable range of f"),
-], ids=["bad-mode", "closed-not-periodic", "dirichlet-no-boundary",
-        "dirichlet-no-phi", "dimension-mismatch", "psi-below-range"])
+], ids=["bad-mode", "closed-not-periodic", "closed-masked-torus",
+        "dirichlet-no-boundary", "dirichlet-no-phi", "dimension-mismatch",
+        "psi-below-range"])
 def test_problem_spec_rejects(dom, change, message):
-    dom = (GridDomain.torus(2, (4, 4, 4, 4)) if dom == "torus"
-           else GridDomain.product(2, x_shape=(4, 4), s_shape=(5, 5)))
+    torus = GridDomain.torus(2, (4, 4, 4, 4))
+    # a mask that `GridDomain.restrict` cuts from a torus, as no command does
+    dom = {"torus": torus, "masked-torus": torus.restrict(np.indices(torus.shape)[3] > 0),
+           "box": GridDomain.product(2, x_shape=(4, 4), s_shape=(5, 5))}[dom]
     with pytest.raises(DomainError, match=message):
         ProblemSpec(*spec_args(dom, **change))
 
