@@ -137,7 +137,9 @@ def _expression_field(domain: GridDomain, spec, base_dir: Path) -> ScalarField:
     try:
         value = float(arg)
     except ValueError:
-        raise ConfigError(f"bad number in field expression {spec!r}") from None
+        value = np.nan
+    if not abs(value) <= _LIMITS[float]:  # the cap of every number; NaN fails it too
+        raise ConfigError(f"bad number in field expression {spec!r}")
     if name == "const":
         return ScalarField.full(domain, value)
     if name == "sinx":

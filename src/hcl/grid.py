@@ -143,13 +143,16 @@ class GridDomain:
         return self.roles == EXTERIOR
 
     def restrict(self, keep: np.ndarray) -> "GridDomain":
-        """Sub-domain carried by a node mask (True = kept).
+        """Sub-domain of a product domain carried by a node mask (True = kept).
 
         Kept nodes adjacent (including diagonally, along the S axes) to a
         dropped node become boundary nodes; kept original-boundary nodes stay
         boundary.  Nodes read their nine S neighbours by `_shift` on the mask
-        padded by one node along S (wrapped; dropped past a bounded edge).
+        padded by one node along S (wrapped; dropped past a bounded edge); a
+        torus has no S axes and raises `DomainError`.
         """
+        if self.kind != "product":
+            raise DomainError("restrict needs a product domain")
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != self.shape:
             raise DomainError("mask shape mismatch")

@@ -20,14 +20,14 @@ L v = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}, with the Hessian
 stencils of `grid.box_hessian`.  Each Newton step solves its system
 only as far as its stopping test needs (the forcing floor of `_damped_newton`).
 
-Linear sub-solves share one fast direct solver, `_spectral_inverse`: on an
-unmasked box with a boundary it inverts a constant-coefficient operator by a
-real FFT along the axes that a mixed term pairs with another periodic axis
-and by a small dense eigenbasis (DST-I or real Fourier, one matmul) along
-every other axis.  It solves the Poisson problems directly and, at the mean
-Newton coefficient, preconditions BiCGStab, the only Krylov solver: it serves
-every Newton system and refines a Poisson solve on a masked domain or one
-that misses its sup-norm certificate.
+Linear sub-solves share one fast direct solver, `_spectral_inverse`: on a box
+with a boundary it inverts a constant-coefficient operator by a real FFT
+along the axes that a mixed term pairs with another periodic axis and by a
+small dense eigenbasis (DST-I or real Fourier, one matmul) along every other
+axis; a masked sub-domain takes its box's map.  It solves the Poisson
+problems on a box directly and, at the mean Newton coefficient, preconditions
+BiCGStab, the only Krylov solver: it serves every Newton system and refines
+a Poisson solve on a masked domain or one that misses its certificate.
 Closed mode solves the bordered (N+1) system for the update and the constant
 at once, as an operator around A (`_bordered_operator`; no (N+1) matrix is
 built).  Its one preconditioner follows the coefficient: averaged over every
@@ -130,8 +130,6 @@ class ProblemSpec:
         if self.mode == "closed":
             if not all(self.domain.periodic):
                 raise DomainError("closed mode needs a fully periodic domain")
-            if self.domain.roles.any():
-                raise DomainError("closed mode needs an unmasked torus")
         else:
             if not self.domain.boundary.any():
                 raise DomainError("dirichlet mode needs boundary nodes")
@@ -380,8 +378,7 @@ def assemble_linearized(domain: GridDomain, coeff: np.ndarray) -> sp.csr_matrix:
     data is the one product of F's coordinates with `_stencil_weights`.  A
     slot whose neighbour is a boundary node holds an explicit 0.0 at its own
     row's column.  Where two offsets reach one neighbour
-    (an axis of 1 or 2 nodes) the entries stay apart; the matvec and
-    `diagonal()` sum them.
+    (an axis of 1 or 2 nodes) the entries stay apart; the matvec sums them.
     """
     indices, indptr, hits = _stencil_pattern(domain.shape, domain.roles.tobytes())
     data = (coeff.T @ _stencil_weights(domain.spacings, domain.n)).reshape(-1)
@@ -507,31 +504,32 @@ def _line_inverse(domain: GridDomain, axis: int, profile: np.ndarray):
 
 def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
     """Inverse of A of `assemble_linearized` at the coefficient (n^2, N) or
-    (n^2, 1), averaged as below, on the interior box as a map of flat interior
-    vectors; None for a masked domain.  On a fully periodic domain, where A
-    annihilates the constants, it is `_line_inverse` of [[A, -1], [1^T, 0]]
-    (`_bordered_operator`) on (N+1)-vectors, at the coefficient averaged over
-    every axis but `_direct_axis`.
+    (n^2, 1), averaged as below, as a map of flat interior vectors.  On a
+    fully periodic domain (never masked), where A annihilates the constants,
+    it is `_line_inverse` of [[A, -1], [1^T, 0]] (`_bordered_operator`) on
+    (N+1)-vectors, at the coefficient averaged over all axes but `_direct_axis`.
 
-    With a boundary the coefficient is averaged over the grid to fbar.  Each
-    second difference is diagonalized along its axis, symbol
-    -(4/h^2) sin^2(theta/2); a mixed difference only by a DFT along both of its
-    axes, symbol -(sin theta_a / h_a)(sin theta_b / h_b).  So the axes of the
-    mixed pieces that pair two periodic axes take `rfftn`; every other axis
-    takes the small dense eigenbasis of `_axis_basis`, one matmul each way.
-    Mixed terms that involve a non-periodic axis are dropped, so the map is
-    exact for a constant fbar whose mixed terms pair periodic axes only (the
-    identity among them) and a preconditioner otherwise.
+    With a boundary it is the map of the interior box at fbar, the coefficient
+    averaged over the interior.  Each second difference is diagonalized along
+    its axis, symbol -(4/h^2) sin^2(theta/2); a mixed difference only by a DFT
+    along both of its axes, symbol -(sin theta_a / h_a)(sin theta_b / h_b).
+    So the axes of the mixed pieces that pair two periodic axes take `rfftn`;
+    every other axis takes the small dense eigenbasis of `_axis_basis`, one
+    matmul each way.  Mixed terms that involve a non-periodic axis are
+    dropped, so the map is exact for a constant fbar whose mixed terms pair
+    periodic axes only (the identity among them) and a preconditioner
+    otherwise.  A masked sub-domain applies the box's map to its vector
+    scattered into the zero box and gathers its interior back (Buzbee, Dorr,
+    George & Golub, SIAM J. Numer. Anal. 8, 1971).  A zero or non-finite
+    symbol raises `NumericError`.
     """
-    roles = domain.roles[domain.interior_box]
-    if np.count_nonzero(domain.interior) != roles.size or np.any(roles != INTERIOR):
-        return None
     if all(domain.periodic):
-        return _line_inverse(domain, *_direct_axis(roles.shape, coeff))
+        return _line_inverse(domain, *_direct_axis(domain.shape, coeff))
     import scipy.fft as sfft
 
+    inside = domain.roles[domain.interior_box] == INTERIOR
     fbar = _matrix(coeff.mean(axis=1))
-    shape, d, h, periodic = roles.shape, roles.ndim, domain.spacings, domain.periodic
+    shape, d, h, periodic = inside.shape, inside.ndim, domain.spacings, domain.periodic
     fft_axes = sorted({ax for j in range(domain.n) for k in range(j + 1, domain.n)
                        for a, b, _ in _mixed_pieces(j, k, 0j)
                        if periodic[a] and periodic[b] for ax in (a, b)})
@@ -557,7 +555,7 @@ def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
                 if periodic[ax_a] and periodic[ax_b]:
                     sym = sym - fac * sine[ax_a] * sine[ax_b]
     if not np.all(np.isfinite(sym)) or np.any(sym == 0.0):
-        return None
+        raise NumericError("zero or non-finite symbol in the spectral inverse")
     fft_shape = [shape[a] for a in fft_axes]
     buffers = (np.empty(shape), np.empty(shape))
 
@@ -576,17 +574,24 @@ def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
             x = _along(x, a, q, next(outs) if i < len(dense) else np.empty(shape))
         return x.reshape(-1)
 
-    return apply
+    if inside.all():
+        return apply
+
+    def masked(r: np.ndarray) -> np.ndarray:
+        box = np.zeros(shape)
+        box[inside] = r
+        return apply(box).reshape(shape)[inside]
+
+    return masked
 
 
-def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0,
+def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse, seed: int = 0,
                    rtol: float = LIN_TOL):
     """BiCGStab to the relative residual `rtol` on the system of a sparse
     matrix or a `_bordered_operator` a; returns (x, krylov_iters).
 
     The run starts from a random start drawn with `seed` and is preconditioned
-    by the map of vectors `inverse` (such as `_spectral_inverse`) or, when
-    there is none, by the diagonal.  The system is scaled to
+    by `_spectral_inverse`'s map `inverse`.  The system is scaled to
     sup |b| = 1 first: scipy's breakdown tests are absolute (|rho| < eps^2),
     and the small right-hand sides of the last Newton steps would trip them.
     The certificate is the true residual |A x - b|_2 <= 10 rtol |b|_2; a run
@@ -598,10 +603,6 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse=None, seed: int = 0,
     and one on a final half step, which scipy's `callback` misses.
     """
     n = a.shape[0]
-    if inverse is None:
-        diag = a.diagonal()
-        inv_diag = 1.0 / np.where(np.abs(diag) > 0, diag, 1.0)
-        inverse = lambda r: inv_diag * r
     applied = [0]  # preconditioner applications per run
 
     def precondition(r):
@@ -640,12 +641,11 @@ def poisson_dirichlet(domain: GridDomain, rhs, bc=0.0) -> ScalarField:
     The system is A h_int = rhs - L b, with A of `assemble_linearized` at
     F = I and L b the trace of `box_hessian` of b = bc on the boundary, 0
     elsewhere: the boundary data's share of the Laplacian, by A's stencil.
-    The spectral inverse solves the system directly on an unmasked box; the
-    sup-norm residual is certified at POISSON_SUP_TOL * (1 + |rhs|_inf).  When
-    that certificate fails, or on a masked domain (no spectral inverse), one
-    `_solve_general` pass on the residual refines the solution, preconditioned
-    by the spectral inverse or by the diagonal; a second miss raises
-    `NumericError`.
+    The spectral inverse solves the system directly on an unmasked box, and
+    approximately on a masked one; the sup-norm residual is certified at
+    POISSON_SUP_TOL * (1 + |rhs|_inf).  When that certificate fails, one
+    `_solve_general` pass on the residual, preconditioned by the spectral
+    inverse, refines the solution; a second miss raises `NumericError`.
     """
     if not domain.boundary.any():
         raise DomainError("poisson_dirichlet needs a domain with boundary")
@@ -660,7 +660,7 @@ def poisson_dirichlet(domain: GridDomain, rhs, bc=0.0) -> ScalarField:
     rhs_eff = rhs_vals[domain.interior] - lap_b[domain.interior[domain.interior_box]]
     target = POISSON_SUP_TOL * (1.0 + float(np.max(np.abs(rhs_vals[domain.interior]))))
     solve = _spectral_inverse(domain, eye)
-    x = np.zeros(rhs_eff.size) if solve is None else solve(rhs_eff)
+    x = solve(rhs_eff)
     resid = rhs_eff - a @ x
     if float(np.max(np.abs(resid), initial=0.0)) > target:
         x = x + _solve_general(a, resid, solve)[0]
@@ -771,7 +771,7 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     iterate stays admissible and the sup-norm residual decreases; the accepted
     trial's g and sigma give the next step's coefficient.  Each step
     makes one BiCGStab solve, preconditioned by `_spectral_inverse` factored
-    at its Newton coefficient (averaged over the grid, or on the torus over
+    at its Newton coefficient (averaged over the interior, or on the torus over
     every axis but `_direct_axis`), to the relative residual
     rtol = max(LIN_TOL, 0.5 tol / |r|_2).  BiCGStab then stops at a linear
     residual |A v + r|_2 <= max(LIN_TOL |r|_2, 0.5 tol): near the solution at

@@ -248,34 +248,15 @@ def df_dsigma(family: FuncFamily, s) -> dict:
 
 
 def grad_f(family: FuncFamily, lam) -> np.ndarray:
-    """Gradient (f_1, ..., f_n); strictly positive on the cone (ellipticity)."""
+    """Gradient f_i = sum_m (df/dsigma_m) sigma_{m-1}(lam | i), positive on the
+    cone (ellipticity); log-det takes 1 / lam, which cannot overflow."""
     lam = lambda_tuple(lam)
     e = _admissible_sigmas(family, lam)
-    n, k = family.n, family.k
     if family.kind == "log-det":
         return 1.0 / lam
     ex = _sigma_all_excluding(lam)  # ex[..., i, j] = sigma_j(lam | i)
-    if family.kind == "sigma-root":
-        sk = e[..., k : k + 1]
-        return (1.0 / k) * sk ** (1.0 / k - 1.0) * ex[..., k - 1]
-    if family.kind == "log-sigma":
-        return ex[..., k - 1] / e[..., k : k + 1]
-    if family.kind == "sigma-quotient":
-        l, m = family.l, family.k - family.l
-        sk, sl = e[..., k : k + 1], e[..., l : l + 1]
-        dk = ex[..., k - 1]
-        dl = ex[..., l - 1] if l >= 1 else np.zeros_like(dk)
-        q = sk / sl
-        return (1.0 / m) * q ** (1.0 / m - 1.0) * (dk * sl - sk * dl) / sl**2
-    # quotient-log
-    sk = e[..., k : k + 1]
-    skp1 = e[..., k + 1 : k + 2] if k + 1 <= n else np.zeros_like(sk)
-    dkp1 = ex[..., k] if k + 1 <= n else np.zeros_like(ex[..., 0])
-    g = (dkp1 * sk - skp1 * ex[..., k - 1]) / sk**2
-    for j, beta in enumerate(family.betas, start=1):
-        if beta:
-            g = g + beta * ex[..., j - 1] / e[..., j : j + 1]
-    return g
+    s = [e[..., m : m + 1] for m in range(family.n + 1)]
+    return sum(dm * ex[..., m - 1] for m, dm in df_dsigma(family, s).items())
 
 
 def _sigma_derivatives(lam: np.ndarray, e: np.ndarray) -> list:

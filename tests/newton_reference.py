@@ -171,7 +171,7 @@ def _pin_row0(a: sp.csr_matrix) -> sp.csr_matrix:
     )
 
 
-def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int, inverse=None):
+def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, n_nodes: int, inverse):
     """Solve the (N+1)-dimensional bordered system
 
         A v - dc * 1 = -r,   sum(v) = 0

@@ -109,6 +109,13 @@ class TestDomains:
         with pytest.raises(ResolutionError):
             dom.restrict(thin)
 
+    def test_restrict_rejects_torus(self):
+        # its neighbours are read along the S axes only, so a torus mask would
+        # be cut along two of its axes
+        dom = GridDomain.torus(2, (4, 4, 4, 4))
+        with pytest.raises(DomainError, match="restrict needs a product domain"):
+            dom.restrict(np.indices(dom.shape)[3] > 0)
+
     def test_restrict_roles_pinned(self):
         # sha256 of the roles each mask gave before `restrict` read its
         # neighbours through one padded copy

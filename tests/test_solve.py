@@ -127,6 +127,19 @@ class TestPoisson:
         h = poisson_dirichlet(dom, rhs, 0.75).values
         assert np.max(np.abs(h - 0.75 - h0)) <= 1e-12
 
+    def test_masked_boundary_data_meets_certificate(self):
+        # preconditioned by the diagonal, the one BiCGStab pass missed the
+        # sup-norm certificate (1.39e-09 > 2.50e-10) and raised
+        dom = GridDomain.product(2, x_shape=(4, 4), s_shape=(21, 21))
+        sub = dom.restrict(s_factor_potential(dom).values < -0.02)
+        _, _, s0, s1 = sub.meshgrid()
+        q = ScalarField(sub, 0.5 + s0 - 2.0 * s0 ** 2 + 3.0 * s0 * s1 - s1 ** 2)
+        rhs = chern_laplacian(q)
+        u = poisson_dirichlet(sub, rhs, q)
+        resid = chern_laplacian(u).values[sub.interior] - rhs.values[sub.interior]
+        assert np.max(np.abs(resid)) <= 1e-10 * (1 + np.max(np.abs(rhs.values)))
+        assert np.max(np.abs(u.values - q.values)[~sub.exterior]) <= 1e-11
+
     def test_needs_boundary(self):
         dom = GridDomain.torus(1, (8, 8))
         with pytest.raises(DomainError):
@@ -193,11 +206,26 @@ class TestSpectralInverse:
         h = poisson_dirichlet(dom, 1.0, 0.0)
         assert calls == []  # the box is solved directly
         sub = dom.restrict(h.values < -0.02)
-        assert _spectral_inverse(sub, _coords(np.eye(1))[:, None]) is None
+        # the sub-domain takes the box's inverse, scattered and gathered
+        eye = _coords(np.eye(1))[:, None]
+        r = np.random.default_rng(8).standard_normal(int(sub.interior.sum()))
+        box = np.zeros(dom.shape)
+        box[sub.interior] = r
+        want = _spectral_inverse(dom, eye)(box[dom.interior])
+        got = _spectral_inverse(sub, eye)(r)
+        assert got.tobytes() == want[sub.interior[dom.interior_box].reshape(-1)].tobytes()
         h_sub = poisson_dirichlet(sub, 1.0, 0.0)
         assert calls
         resid = chern_laplacian(h_sub).values[sub.interior] - 1.0
         assert np.max(np.abs(resid)) <= 2e-10
+
+    def test_non_finite_coefficient_raises(self):
+        # a NaN symbol made the map None, and BiCGStab silently took the diagonal
+        dom = GridDomain.product(2, x_shape=(4, 4), s_shape=(9, 9))
+        coeff = _coords(smooth_coefficient(dom, 0.3))
+        coeff[0, 5] = np.nan
+        with pytest.raises(NumericError, match="non-finite symbol"):
+            _spectral_inverse(dom, coeff)
 
     def test_uncertified_direct_solve_is_refined_or_raises(self, monkeypatch):
         dom = GridDomain.product(1, s_shape=(33, 33))
@@ -291,11 +319,12 @@ class TestSpectralInverse:
         # scipy's absolute breakdown test |rho| < eps^2 used to end BiCGStab
         # on right-hand sides this small, and a breakdown now raises
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(17, 17))
-        a = assemble(dom, smooth_coefficient(dom, 0.3))
+        coeff = smooth_coefficient(dom, 0.3)
+        a = assemble(dom, coeff)
         x0, _, s0, s1 = dom.meshgrid()
         b = scale * (np.sin(x0) * np.sin(np.pi * s0) * np.sin(np.pi * s1))[
             dom.interior]
-        x, iters = _solve_general(a, b)
+        x, iters = _solve_general(a, b, _spectral_inverse(dom, _coords(coeff)))
         assert iters > 0
         assert np.linalg.norm(a @ x - b) <= 10 * solve_mod.LIN_TOL * np.linalg.norm(b)
 
@@ -313,7 +342,9 @@ class TestSpectralInverse:
 
     def test_uncertified_run_restarts_before_factorization(self, monkeypatch):
         dom = GridDomain.product(2, x_shape=(8, 4), s_shape=(9, 9))
-        a = assemble(dom, smooth_coefficient(dom, 0.3))
+        coeff = smooth_coefficient(dom, 0.3)
+        a = assemble(dom, coeff)
+        inverse = _spectral_inverse(dom, _coords(coeff))
         b = np.random.default_rng(5).standard_normal(a.shape[0])
         bicgstab, runs = solve_mod.spla.bicgstab, []
 
@@ -323,7 +354,7 @@ class TestSpectralInverse:
             return (x + 1e-3 if len(runs) == 1 else x), info
 
         monkeypatch.setattr(solve_mod.spla, "bicgstab", first_run_misses)
-        x, _ = _solve_general(a, b)
+        x, _ = _solve_general(a, b, inverse)
         assert runs == [0, 0]
         assert np.linalg.norm(a @ x - b) <= 10 * solve_mod.LIN_TOL * np.linalg.norm(b)
         # when the restart misses too, the error names the true residual and
@@ -332,7 +363,7 @@ class TestSpectralInverse:
         monkeypatch.setattr(solve_mod.spla, "bicgstab", lambda *args, **kwargs: (
             runs.append(0) or (bicgstab(*args, **kwargs)[0] + 1e-3, 0)))
         with pytest.raises(NumericError) as err:
-            _solve_general(a, b)
+            _solve_general(a, b, inverse)
         assert runs == [0, 0]
         got = re.search(r"true residual (\S+) above its target (\S+) twice", str(err.value))
         assert got and "info" not in str(err.value)
@@ -848,7 +879,7 @@ class TestNewtonConvergence:
         # large, never below it, and raised on the last step
         calls, general = [], solve_mod._solve_general
 
-        def recording(a, b, inverse=None, seed=0, rtol=solve_mod.LIN_TOL):
+        def recording(a, b, inverse, seed=0, rtol=solve_mod.LIN_TOL):
             calls.append((rtol, np.linalg.norm(b)))
             return general(a, b, inverse, seed, rtol)
 
@@ -893,20 +924,16 @@ def spec_args(dom, family=LOGDET2, psi=0.5, phi=0.0, mode="dirichlet"):
 @pytest.mark.parametrize("dom, change, message", [
     ("box", dict(mode="open"), "mode must be 'closed' or 'dirichlet'"),
     ("box", dict(mode="closed"), "closed mode needs a fully periodic domain"),
-    ("masked-torus", dict(mode="closed", phi=None), "closed mode needs an unmasked torus"),
     ("torus", {}, "dirichlet mode needs boundary nodes"),
     ("box", dict(phi=None), "dirichlet mode needs boundary data phi"),
     ("box", dict(family=FuncFamily.log_det(3)),
      "family dimension does not match the domain"),
     ("box", dict(family=FuncFamily.sigma_root(2, 2), psi=-0.1),
      "psi drops below the attainable range of f"),
-], ids=["bad-mode", "closed-not-periodic", "closed-masked-torus",
-        "dirichlet-no-boundary", "dirichlet-no-phi", "dimension-mismatch",
-        "psi-below-range"])
+], ids=["bad-mode", "closed-not-periodic", "dirichlet-no-boundary",
+        "dirichlet-no-phi", "dimension-mismatch", "psi-below-range"])
 def test_problem_spec_rejects(dom, change, message):
-    torus = GridDomain.torus(2, (4, 4, 4, 4))
-    # a mask that `GridDomain.restrict` cuts from a torus, as no command does
-    dom = {"torus": torus, "masked-torus": torus.restrict(np.indices(torus.shape)[3] > 0),
+    dom = {"torus": GridDomain.torus(2, (4, 4, 4, 4)),
            "box": GridDomain.product(2, x_shape=(4, 4), s_shape=(5, 5))}[dom]
     with pytest.raises(DomainError, match=message):
         ProblemSpec(*spec_args(dom, **change))
@@ -919,7 +946,7 @@ class TestNewtonExits:
         spec = small_dirichlet_spec()
         u0 = build_subsolution(spec, 0.1)[0].values
         monkeypatch.setattr(solve_mod, "_solve_general",
-                            lambda a, b, inverse=None, seed=0,
+                            lambda a, b, inverse, seed=0,
                             rtol=solve_mod.LIN_TOL: (update(b), 0))
         return solve_mod._damped_newton(spec, u0, SolverOptions())
 
@@ -1001,6 +1028,13 @@ class TestExhaustion:
         assert rep.interior_counts == sorted(rep.interior_counts)
         assert len(rep.diffs_to_full) == 3
         assert all(np.isfinite(d) for d in rep.diffs_to_full)
+
+    def test_sub_domains_take_few_krylov_iterations(self):
+        # each sub-domain takes its box's spectral inverse; with the diagonal
+        # the worst Newton step took 79 Krylov iterations
+        spec = small_dirichlet_spec(psi_value=0.4, s_nodes=(21, 21))
+        rep = domain_exhaustion(spec, [0.04, 0.02, 0.01])
+        assert max(max(res.linear_solves) for res in rep.results) <= 20
 
     def test_empty_domain(self):
         spec = small_dirichlet_spec(psi_value=0.4)
