@@ -175,7 +175,7 @@ def _chi_from(domain: GridDomain, spec, base_dir: Path) -> HermitianField:
 _OPTIONS = {"residual_scale": (float, None), "max_newton": (int, 1), "delta": (float, None)}
 
 
-def _problem_from(cfg: dict, mode: str, seed: int):
+def _problem_from(cfg: dict, mode: str):
     """The ProblemSpec of a solver config, then its SolverOptions."""
     from . import solve as hsolve  # scipy loads for the solver commands only
     base_dir = Path(_read(cfg, "base_dir", str, "."))
@@ -191,8 +191,7 @@ def _problem_from(cfg: dict, mode: str, seed: int):
     if unknown:
         raise ConfigError("unknown option " + ", ".join(map(repr, unknown)))
     given = {key: _read(opts, key, kind, None, low) for key, (kind, low) in _OPTIONS.items()}
-    return spec, hsolve.SolverOptions(
-        seed=seed, **{key: v for key, v in given.items() if v is not None})
+    return spec, hsolve.SolverOptions(**{key: v for key, v in given.items() if v is not None})
 
 
 # ----------------------------------------------------------------- commands
@@ -322,7 +321,7 @@ def _dirichlet_run(writer, run_id, spec, opts):
 
 def _cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> tuple[int, str]:
     from . import solve as hsolve
-    spec, opts = _problem_from(cfg, mode, seed)
+    spec, opts = _problem_from(cfg, mode)
     writer = hio.CsvWriter(out / "results.csv", _RESULT_COLUMNS, seed)
     if mode == "closed":
         result = hsolve.solve_closed(spec, opts)
@@ -338,7 +337,7 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> tuple[int, str]:
 
 def _cmd_degenerate(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     from . import solve as hsolve
-    spec, opts = _problem_from(cfg, "dirichlet", seed)
+    spec, opts = _problem_from(cfg, "dirichlet")
     ladder = _read(cfg, "ladder", [float], [1.0, 0.5, 0.25, 0.125], low=1)
     shift = _read(cfg, "boundary_shift", float, None)
     perturbed = None if shift is None else ScalarField(
@@ -365,7 +364,7 @@ def _cmd_degenerate(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
 
 def _cmd_exhaustion(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     from . import solve as hsolve
-    spec, opts = _problem_from(cfg, "dirichlet", seed)
+    spec, opts = _problem_from(cfg, "dirichlet")
     levels = _read(cfg, "levels", [float], low=1)
     report = hsolve.domain_exhaustion(spec, levels, opts)
     writer = hio.CsvWriter(
@@ -380,7 +379,7 @@ def _cmd_exhaustion(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
 
 
 def _cmd_estimate_report(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
-    spec, opts = _problem_from(cfg, "dirichlet", seed)
+    spec, opts = _problem_from(cfg, "dirichlet")
     scales = _read(cfg, "amplitudes", [float], [0.25, 0.5, 1.0], low=1)
     # run ids keep the JSON spelling of each amplitude: amp-1 is not amp-1.0
     amplitudes = cfg.get("amplitudes") or scales

@@ -50,7 +50,7 @@ class GaugeError(NumericError):
     """Bordered (closed-mode) linear system was singular."""
 
 
-class ResolutionError(HclError):
+class ResolutionError(DomainError):
     """Masked sub-domain too thin to carry the stencils."""
 
 

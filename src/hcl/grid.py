@@ -244,15 +244,6 @@ class HermitianField:
             raise DomainError("hermitian field values must be finite everywhere")
         self.values = 0.5 * (self.values + np.conj(np.swapaxes(self.values, -1, -2)))
 
-    @property
-    def coords(self) -> np.ndarray:
-        """(n^2, *shape): the Hermitian coordinates (`_hessian_core`) of the
-        values, computed on first use and again once `values` is replaced."""
-        if self.__dict__.get("_coords_of") is not self.values:
-            self._coords, self._coords_of = _coords(self.values), self.values
-            self._coords.flags.writeable = False
-        return self._coords
-
 
 def identity_chi(domain: GridDomain) -> HermitianField:
     n = domain.n

@@ -5,9 +5,11 @@ lambda(g[u]) inside the cone at all interior nodes and decrease the sup-norm
 residual.  Closed mode solves for the pair (u, c) in f(...) = psi + c on a
 fully periodic domain with a zero-mean gauge on the updates and sup u = 0
 applied after convergence.  Dirichlet mode builds a strict subsolution with
-u = phi on the boundary, makes one damped-Newton run from it and returns it.
-`residual_field` alone evaluates g = chi + i ddbar u (on the interior box, by
-`box_hessian`), sigma(g), the cone test and f.
+u = phi on the boundary and makes one damped-Newton run from it on the
+correction w = u - phi, 0 on the boundary; phi meets a Hessian only in
+`ProblemSpec.background` = chi + i ddbar phi, so its size adds no rounding
+to the iterates.  `residual_field` alone evaluates g = background + i ddbar w
+(on the interior box, by `box_hessian`), sigma(g), the cone test and f.
 
 g, chi and F are (n^2, N) arrays of Hermitian coordinates
 (`grid._hessian_core`).  Every family is a function of sigma_1..sigma_n(g),
@@ -45,7 +47,7 @@ the shape and the node roles) with no sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -60,6 +62,7 @@ from .errors import (
     GaugeError,
     HclError,
     NumericError,
+    ResolutionError,
     StallError,
 )
 from .grid import (
@@ -115,7 +118,9 @@ ESTIMATE_SLACK = 1e-8  # of the sandwich and the normal-derivative ordering
 
 @dataclass
 class ProblemSpec:
-    """Problem data (chi, psi, phi) over a domain for a function family."""
+    """Problem data (chi, psi, phi) over a domain for a function family, and
+    `background`, the one place where phi meets a Hessian: chi + i ddbar phi
+    (chi in closed mode) at the interior nodes, in Hermitian coordinates."""
 
     domain: GridDomain
     family: FuncFamily
@@ -123,6 +128,7 @@ class ProblemSpec:
     psi: ScalarField
     phi: ScalarField | None
     mode: str  # "closed" | "dirichlet"
+    background: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("closed", "dirichlet"):
@@ -130,6 +136,8 @@ class ProblemSpec:
         if self.mode == "closed":
             if not all(self.domain.periodic):
                 raise DomainError("closed mode needs a fully periodic domain")
+            if self.phi is not None:
+                raise DomainError("closed mode takes no boundary data phi")
         else:
             if not self.domain.boundary.any():
                 raise DomainError("dirichlet mode needs boundary nodes")
@@ -140,6 +148,11 @@ class ProblemSpec:
         lo = float(np.min(self.psi.values[~self.domain.exterior]))
         if lo < boundary_sup(self.family):
             raise DomainError("psi drops below the attainable range of f")
+        dom = self.domain
+        g = _coords(self.chi.values[dom.interior_box])
+        if self.phi is not None:
+            g += box_hessian(self.phi)
+        self.background = g.reshape(len(g), -1)[:, dom.interior[dom.interior_box].reshape(-1)]
 
     @property
     def degenerate(self) -> bool:
@@ -153,7 +166,6 @@ class SolverOptions:
     residual_scale: float = 1e-9  # tol = residual_scale * (1 + |psi|_inf)
     max_newton: int = 80
     delta: float = 0.1  # subsolution strictness
-    seed: int = 0
 
     def __post_init__(self):
         if not self.residual_scale > 0:
@@ -271,15 +283,16 @@ def _newton_coefficient(family: FuncFamily, g: np.ndarray, s: list) -> np.ndarra
     return coeff
 
 
-def residual_field(spec: ProblemSpec, u_vals: np.ndarray, c: float = 0.0):
-    """(r, sigma, g) at the interior nodes: g = chi + i ddbar u in Hermitian
-    coordinates (n^2, N), from `box_hessian` and `HermitianField.coords`,
+def residual_field(spec: ProblemSpec, w: np.ndarray, c: float = 0.0):
+    """(r, sigma, g) at the interior nodes for the correction w (u = phi + w in
+    Dirichlet mode, u = w in closed mode): g = `ProblemSpec.background` +
+    i ddbar w in Hermitian coordinates (n^2, N), by `box_hessian`,
     sigma = `_sigmas`(g) and r = f - psi - c, or None as in `_f_of_g`."""
     dom = spec.domain
-    g = box_hessian(ScalarField(dom, u_vals))
-    g += spec.chi.coords[(slice(None), *dom.interior_box)]
-    g, inside = g.reshape(len(g), -1), dom.interior[dom.interior_box].reshape(-1)
+    g = box_hessian(ScalarField(dom, w)).reshape(len(spec.background), -1)
+    inside = dom.interior[dom.interior_box].reshape(-1)
     g = g if inside.all() else g[:, inside]
+    g += spec.background  # in place: no second (n^2, N) array per evaluation
     val, s = _f_of_g(spec.family, g)
     return (None if val is None else val - spec.psi.values[dom.interior] - c), s, g
 
@@ -585,12 +598,11 @@ def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
     return masked
 
 
-def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse, seed: int = 0,
-                   rtol: float = LIN_TOL):
+def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse, rtol: float = LIN_TOL):
     """BiCGStab to the relative residual `rtol` on the system of a sparse
     matrix or a `_bordered_operator` a; returns (x, krylov_iters).
 
-    The run starts from a random start drawn with `seed` and is preconditioned
+    The run starts from a random start (the seed-0 draw) and is preconditioned
     by `_spectral_inverse`'s map `inverse`.  The system is scaled to
     sup |b| = 1 first: scipy's breakdown tests are absolute (|rho| < eps^2),
     and the small right-hand sides of the last Newton steps would trip them.
@@ -612,8 +624,7 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse, seed: int = 0,
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
     bs = b / scale
     bnorm = float(np.linalg.norm(bs))
-    rng = np.random.default_rng(seed)
-    x0 = 1e-3 * rng.standard_normal(n) * (bnorm / np.sqrt(n) + 1e-30)
+    x0 = 1e-3 * np.random.default_rng(0).standard_normal(n) * (bnorm / np.sqrt(n) + 1e-30)
 
     target = 10.0 * rtol * (bnorm + 1e-30)
     krylov = dict(rtol=rtol, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
@@ -635,12 +646,11 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse, seed: int = 0,
 # ------------------------------------------------------------------ Poisson
 
 
-def poisson_dirichlet(domain: GridDomain, rhs, bc=0.0) -> ScalarField:
-    """Solve chern_laplacian(h) = rhs with h = bc on the boundary.
+def poisson_dirichlet(domain: GridDomain, rhs) -> ScalarField:
+    """Solve chern_laplacian(h) = rhs with h = 0 on the boundary (boundary
+    data enter through the right side: `build_supersolution`).
 
-    The system is A h_int = rhs - L b, with A of `assemble_linearized` at
-    F = I and L b the trace of `box_hessian` of b = bc on the boundary, 0
-    elsewhere: the boundary data's share of the Laplacian, by A's stencil.
+    The system is A h_int = rhs, with A of `assemble_linearized` at F = I.
     The spectral inverse solves the system directly on an unmasked box, and
     approximately on a masked one; the sup-norm residual is certified at
     POISSON_SUP_TOL * (1 + |rhs|_inf).  When that certificate fails, one
@@ -649,27 +659,21 @@ def poisson_dirichlet(domain: GridDomain, rhs, bc=0.0) -> ScalarField:
     """
     if not domain.boundary.any():
         raise DomainError("poisson_dirichlet needs a domain with boundary")
-    rhs_vals, bc_vals = (x.values if isinstance(x, ScalarField) else
-                         np.broadcast_to(np.asarray(x, dtype=float), domain.shape)
-                         for x in (rhs, bc))
-    n = domain.n
-    eye = np.repeat(_coords(np.eye(n))[:, None], domain.interior.sum(), axis=1)
+    rhs = (rhs.values if isinstance(rhs, ScalarField) else
+           np.broadcast_to(np.asarray(rhs, dtype=float), domain.shape))[domain.interior]
+    eye = np.repeat(_coords(np.eye(domain.n))[:, None], rhs.size, axis=1)
     a = assemble_linearized(domain, eye)
-    lap_b = box_hessian(ScalarField(domain, np.where(domain.boundary, bc_vals, 0.0)))
-    lap_b = lap_b[[j * (2 * n - j) for j in range(n)]].sum(axis=0)  # the diagonal
-    rhs_eff = rhs_vals[domain.interior] - lap_b[domain.interior[domain.interior_box]]
-    target = POISSON_SUP_TOL * (1.0 + float(np.max(np.abs(rhs_vals[domain.interior]))))
+    target = POISSON_SUP_TOL * (1.0 + float(np.max(np.abs(rhs))))
     solve = _spectral_inverse(domain, eye)
-    x = solve(rhs_eff)
-    resid = rhs_eff - a @ x
+    x = solve(rhs)
+    resid = rhs - a @ x
     if float(np.max(np.abs(resid), initial=0.0)) > target:
         x = x + _solve_general(a, resid, solve)[0]
-        miss = float(np.max(np.abs(rhs_eff - a @ x), initial=0.0))
+        miss = float(np.max(np.abs(rhs - a @ x), initial=0.0))
         if miss > target:
             raise NumericError(f"Poisson solve: sup residual {miss:.3e} above "
                                f"target {target:.3e} after one BiCGStab pass")
     out = np.zeros(domain.shape)
-    out[domain.boundary] = bc_vals[domain.boundary]
     out[domain.interior] = x
     return ScalarField(domain, out)
 
@@ -683,7 +687,7 @@ def s_factor_potential(domain: GridDomain) -> ScalarField:
     s = slice(len(domain.shape) - 2, None)
     s_dom = GridDomain.product(1, s_shape=domain.shape[s], s_lengths=domain.lengths[s],
                                s_periodic=domain.periodic[s])
-    h = poisson_dirichlet(s_dom, 1.0, 0.0).values
+    h = poisson_dirichlet(s_dom, 1.0).values
     return ScalarField(domain, np.broadcast_to(h, domain.shape).copy())
 
 
@@ -693,20 +697,18 @@ def s_factor_potential(domain: GridDomain) -> ScalarField:
 def build_subsolution(spec: ProblemSpec, delta: float) -> tuple[ScalarField, float]:
     """phi + t * `s_factor_potential`, smallest t of 0 and the geometric ladder
     with lambda(g) in Gamma and f >= psi + delta at every interior node; g is
-    linear in u, so g[phi + t h] = g[phi] + t i ddbar h from two Hessians."""
+    linear in the correction t h, so g = `ProblemSpec.background` + t i ddbar h."""
     if spec.mode != "dirichlet" or spec.domain.kind != "product":
         raise DomainError("subsolution construction needs a Dirichlet product domain")
     if delta <= 0:
         raise DomainError("strictness delta must be positive")
     dom = spec.domain
     h = s_factor_potential(dom)
-    box, inside = (slice(None), *dom.interior_box), dom.interior[dom.interior_box].reshape(-1)
-    g_phi = (box_hessian(spec.phi) + spec.chi.coords[box]).reshape(dom.n ** 2, -1)[:, inside]
-    g_h = box_hessian(h).reshape(dom.n ** 2, -1)[:, inside]
+    g_h = box_hessian(h).reshape(dom.n ** 2, -1)[:, dom.interior[dom.interior_box].reshape(-1)]
     level = spec.psi.values[dom.interior] + delta
     last_reason = ""
     for t in [0.0, *_ladder(LADDER_T_MAX)]:
-        val, s = _f_of_g(spec.family, g_phi + t * g_h)
+        val, s = _f_of_g(spec.family, spec.background + t * g_h)
         short = None if val is None else val - level
         if short is None:
             bad = int(np.argmin(np.min(s[1:spec.family.k + 1], axis=0) > 0.0))
@@ -720,11 +722,15 @@ def build_subsolution(spec: ProblemSpec, delta: float) -> tuple[ScalarField, flo
 
 
 def build_supersolution(spec: ProblemSpec) -> ScalarField:
-    """Solution of chern_laplacian(v) + tr(chi) = 0 with v = phi on the boundary."""
+    """Solution of chern_laplacian(v) + tr(chi) = 0 with v = phi on the boundary:
+    v = phi + h, where chern_laplacian(h) = -tr(`ProblemSpec.background`) and
+    h = 0 on the boundary."""
     if spec.mode != "dirichlet":
         raise DomainError("supersolution needs Dirichlet mode")
-    tr = np.trace(spec.chi.values, axis1=-2, axis2=-1).real
-    return poisson_dirichlet(spec.domain, ScalarField(spec.domain, -tr), spec.phi)
+    dom = spec.domain
+    rhs = np.zeros(dom.shape)
+    rhs[dom.interior] = -spec.background[[j * (2 * dom.n - j) for j in range(dom.n)]].sum(axis=0)
+    return ScalarField(dom, spec.phi.values + poisson_dirichlet(dom, rhs).values)
 
 
 def _bordered_operator(a: sp.csr_matrix) -> spla.LinearOperator:
@@ -741,8 +747,7 @@ def _bordered_operator(a: sp.csr_matrix) -> spla.LinearOperator:
     return spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
 
 
-def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0,
-                    rtol: float = LIN_TOL):
+def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, rtol: float = LIN_TOL):
     """Solve the (N+1)-dimensional bordered system
 
         A v - dc * 1 = -r,   sum(v) = 0
@@ -753,8 +758,7 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0,
     iterations)."""
     n = r.size
     try:
-        x, iters = _solve_general(_bordered_operator(a), np.append(-r, 0.0),
-                                  inverse, seed, rtol)
+        x, iters = _solve_general(_bordered_operator(a), np.append(-r, 0.0), inverse, rtol)
     except NumericError as exc:
         raise GaugeError(f"augmented system failed: {exc}") from exc
     return x[:n] - x[:n].sum() / n, float(x[n]), iters
@@ -762,12 +766,13 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, seed: int = 0,
 
 # ------------------------------------------------------------------ Newton
 
-def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
-    """Damped Newton on the interior values of u, and on c in closed mode.
+def _damped_newton(spec: ProblemSpec, w: np.ndarray, opts: SolverOptions):
+    """Damped Newton on the interior values of the correction w
+    (`residual_field`), and on c in closed mode.
 
-    Each step linearizes at u and solves for the update: the bordered system
+    Each step linearizes at w and solves for the update: the bordered system
     with the zero-mean gauge in closed mode, the plain Newton system in
-    Dirichlet mode (boundary values stay fixed).  The step is halved until the
+    Dirichlet mode (w stays 0 on the boundary).  The step is halved until the
     iterate stays admissible and the sup-norm residual decreases; the accepted
     trial's g and sigma give the next step's coefficient.  Each step
     makes one BiCGStab solve, preconditioned by `_spectral_inverse` factored
@@ -778,12 +783,12 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
     most 0.5 tol in the 2-norm, so in the sup norm, and the last step reaches
     tol without being solved further.  The stop is still the true sup-norm
     residual <= tol.
-    Returns (u, c, residual history, Krylov iterations per step).
+    Returns (w, c, residual history, Krylov iterations per step).
     """
     dom = spec.domain
     tol = opts.residual_scale * (1.0 + float(np.max(np.abs(spec.psi.values[~dom.exterior]))))
     c = 0.0
-    r, s, g = residual_field(spec, u, c)
+    r, s, g = residual_field(spec, w, c)
     if r is None:
         raise AdmissibilityError("initial iterate not admissible")
     res = float(np.max(np.abs(r)))
@@ -797,15 +802,15 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
         inverse = _spectral_inverse(dom, coeff)
         rtol = max(LIN_TOL, 0.5 * tol / float(np.linalg.norm(r)))
         if spec.mode == "closed":
-            v, dc, iters = _solve_bordered(a, r, inverse, opts.seed, rtol)
+            v, dc, iters = _solve_bordered(a, r, inverse, rtol)
         else:
-            (v, iters), dc = _solve_general(a, -r, inverse, opts.seed, rtol), 0.0
+            (v, iters), dc = _solve_general(a, -r, inverse, rtol), 0.0
         del a, inverse  # not kept while the next step assembles its own
         solves.append(iters)
         step = 1.0
         admissible_seen = False
         while step >= DAMPING_MIN:
-            trial = u.copy()
+            trial = w.copy()
             trial[dom.interior] += step * v
             c_t = c + step * dc
             r_t, s_t, g_t = residual_field(spec, trial, c_t)
@@ -813,7 +818,7 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
                 admissible_seen = True
                 res_t = float(np.max(np.abs(r_t)))
                 if res_t < res:
-                    u, c, r, res, s, g = trial, c_t, r_t, res_t, s_t, g_t
+                    w, c, r, res, s, g = trial, c_t, r_t, res_t, s_t, g_t
                     history.append(res)
                     break
             step *= 0.5
@@ -827,23 +832,25 @@ def _damped_newton(spec: ProblemSpec, u: np.ndarray, opts: SolverOptions):
             )
     if res > tol:
         raise StallError(f"Newton did not reach tol {tol:.3e}; residual {res:.3e}")
-    return u, c, history, solves
+    return w, c, history, solves
 
 
 def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
-    """One damped-Newton run from `build_subsolution` at `opts.delta`, returned
-    as `SolveResult.subsolution`; a stall raises `StallError` at once."""
+    """One damped-Newton run on the correction w = u - phi from
+    `build_subsolution` at `opts.delta` (returned as `SolveResult.subsolution`),
+    starting at w = u_sub - phi; returns u = phi + w.  A stall raises
+    `StallError` at once."""
     opts = opts or SolverOptions()
     if spec.mode != "dirichlet":
         raise DomainError("solve_dirichlet needs Dirichlet mode")
     if spec.degenerate:
         raise DomainError("degenerate right-hand side: use degenerate_sweep")
     usub, _ = build_subsolution(spec, opts.delta)
-    dom = spec.domain
-    u = usub.values.copy()
-    u[dom.boundary] = spec.phi.values[dom.boundary]  # phi + t h turns -0.0 to +0.0
-    u, _, history, solves = _damped_newton(spec, u, opts)
-    return SolveResult(ScalarField(dom, u), None, history, solves, usub)
+    w = usub.values - spec.phi.values
+    w[spec.domain.boundary] = 0.0
+    w, _, history, solves = _damped_newton(spec, w, opts)
+    return SolveResult(ScalarField(spec.domain, spec.phi.values + w), None, history,
+                       solves, usub)
 
 
 def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
@@ -928,18 +935,22 @@ def domain_exhaustion(
     """Solve on the nested sub-domains {h < -alpha_k} cut by the S-factor
     Poisson potential, and report sup-norm differences on common interiors.
     The levels alpha_k must be positive and strictly decreasing, so that the
-    sub-domains grow and nest."""
+    sub-domains grow and nest.  Every level is cut before any solve: one that
+    leaves no interior node raises `ResolutionError`, naming the level."""
     opts = opts or SolverOptions()
     if spec.domain.kind != "product":
         raise DomainError("exhaustion needs a product domain")
     levels = _decreasing(levels, "levels")
     h = s_factor_potential(spec.domain)
-    full = solve_dirichlet(spec, opts)
-    report = ExhaustionReport(levels=[], interior_counts=[], results=[],
-                              diffs_to_full=[], consecutive_diffs=[])
-    prev = None
+    subs = []
     for alpha in levels:
-        sub = spec.domain.restrict(h.values < -alpha)
+        try:
+            subs.append(spec.domain.restrict(h.values < -alpha))
+        except ResolutionError as exc:
+            raise ResolutionError(f"level {alpha!r}: {exc}") from None
+    full = solve_dirichlet(spec, opts)
+    report = ExhaustionReport(levels, [int(sub.interior.sum()) for sub in subs], [], [], [])
+    for k, sub in enumerate(subs):
         spec_k = replace(
             spec,
             domain=sub,
@@ -948,19 +959,16 @@ def domain_exhaustion(
             phi=ScalarField(sub, spec.phi.values),
         )
         res = solve_dirichlet(spec_k, opts)
-        report.levels.append(alpha)
-        report.interior_counts.append(int(sub.interior.sum()))
         report.results.append(res)
         report.diffs_to_full.append(
             float(np.max(np.abs(res.u.values[sub.interior]
                                 - full.u.values[sub.interior])))
         )
-        if prev is not None:
-            common = prev[0].interior & sub.interior
+        if k:
+            common, prev = subs[k - 1].interior & sub.interior, report.results[k - 1].u
             report.consecutive_diffs.append(
-                float(np.max(np.abs(res.u.values[common] - prev[1].u.values[common])))
+                float(np.max(np.abs(res.u.values[common] - prev.values[common])))
             )
-        prev = (sub, res)
     return report
 
 

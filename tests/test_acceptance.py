@@ -203,10 +203,10 @@ class TestAcceptance:
         # 64^2 cells (65 nodes per axis) against the 512^2-cell reference and
         # the spectral series of the equivalent Euclidean problem
         dom64 = GridDomain.product(1, s_shape=(65, 65), s_lengths=(1.0, 1.0))
-        h64 = poisson_dirichlet(dom64, 1.0, 0.0)
+        h64 = poisson_dirichlet(dom64, 1.0)
         center64 = h64.values[32, 32]
         dom512 = GridDomain.product(1, s_shape=(513, 513), s_lengths=(1.0, 1.0))
-        h512 = poisson_dirichlet(dom512, 1.0, 0.0)
+        h512 = poisson_dirichlet(dom512, 1.0)
         center512 = h512.values[256, 256]
         series = -4.0 * poisson_square_series(0.5, 0.5)
         rel_ref = abs(center64 - center512) / abs(center512)

@@ -175,16 +175,10 @@ class TestExitCodes:
         rows = (out / "degenerate_sweep.csv").read_text().splitlines()
         assert len(rows) == 3  # the header only
 
-    # a huge boundary_shift or phi puts the solve's tol below the rounding
-    # floor of its residual; no step can pass it, so the stall exits 3 without
-    # a retry (869, 849 and 824 evaluations when stalls were bisected)
-    @pytest.mark.parametrize("command, payload, message", [
-        ("degenerate-sweep", dict(SWEEP, boundary_shift=1e6), "perturbed solve failed"),
-        ("degenerate-sweep", dict(SWEEP, boundary_shift=1e10), "perturbed solve failed"),
-        ("solve-dirichlet", dict(DIRICHLET_SMALL, phi="const:1e6"), "damping underflow"),
-    ], ids=["sweep-shift-1e6", "sweep-shift-1e10", "dirichlet-phi-1e6"])
-    def test_floor_stall_exits_three_at_once(self, tmp_path, capsys, monkeypatch,
-                                              command, payload, message):
+    # a residual_scale of 1e-16 puts the solve's tol (1.4e-16) below the
+    # rounding floor of its residual (2.05e-15); no step can pass it, so the
+    # stall exits 3 without a retry (46 evaluations)
+    def test_floor_stall_exits_three_at_once(self, tmp_path, capsys, monkeypatch):
         calls = []
         real = solve_mod.residual_field
 
@@ -193,9 +187,10 @@ class TestExitCodes:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solve_mod, "residual_field", counting)
-        cfg = write_config(tmp_path, "floor.json", payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-        assert message in capsys.readouterr().err
+        cfg = write_config(tmp_path, "floor.json",
+                           dict(DIRICHLET_SMALL, options={"residual_scale": 1e-16}))
+        assert main(["solve-dirichlet", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "damping underflow" in capsys.readouterr().err
         assert len(calls) <= 120
 
     # key: the config key the message must name; None where GridDomain,
@@ -342,6 +337,15 @@ class TestExitCodes:
         # closed mode accepted continuation and ignored it; it is now unknown
         ("solve-closed", dict(CLOSED_CONSTANTS, options={"continuation": 2}),
          "continuation"),
+        # closed mode ignored phi (exit 0)
+        ("solve-closed", dict(CLOSED_CONSTANTS, phi="const:5"),
+         "closed mode takes no boundary data phi"),
+        ("solve-closed", dict(CLOSED_CONSTANTS, phi="sinx:1"),
+         "closed mode takes no boundary data phi"),
+        # an empty level ran the full solve first, then exited 3
+        ("exhaustion", dict(DIRICHLET_SMALL, domain=dict(
+            DIRICHLET_SMALL["domain"], x_shape=[4, 4], s_shape=[9, 9]), levels=[0.5]),
+         "level 0.5: empty sub-domain"),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
@@ -369,7 +373,8 @@ class TestExitCodes:
             "huge-torus-length", "tiny-s-length", "torus-n-40", "family-n-9",
             "two-node-s-axis", "node-cap", "closed-on-product", "scalar-config",
             "array-config", "degenerate-psi", "negative-delta-closed",
-            "removed-continuation-closed"])
+            "removed-continuation-closed", "closed-const-phi", "closed-sinx-phi",
+            "empty-exhaustion-level"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload, key):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -450,9 +455,9 @@ class TestExitCodes:
             assert repr(key) in capsys.readouterr().err
 
     def test_options_match_solver_options_and_readme(self):
-        # the config keys, the SolverOptions fields (less seed, which --seed
-        # sets) and the keys README's options bullet names are one set
-        keys = {f.name for f in dataclasses.fields(solve_mod.SolverOptions)} - {"seed"}
+        # the config keys, the SolverOptions fields and the keys README's
+        # options bullet names are one set
+        keys = {f.name for f in dataclasses.fields(solve_mod.SolverOptions)}
         assert set(_OPTIONS) == keys
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         bullet = readme.split("* `options` (solver commands):", 1)[1].split(";", 1)[0]
@@ -559,6 +564,19 @@ class TestArtifacts:
         lines = (out / "lemma_check.csv").read_text().splitlines()
         assert lines[1] == "# seed 4"
 
+    def test_solver_output_does_not_depend_on_seed(self, tmp_path):
+        # --seed is recorded, and moves no solver number: BiCGStab always
+        # starts from the seed-0 draw
+        cfg = write_config(tmp_path, "d.json", DIRICHLET_SMALL)
+        outs = [tmp_path / "s0", tmp_path / "s7"]
+        for out, seed in zip(outs, ("0", "7")):
+            assert main(["solve-dirichlet", "--config", cfg, "--out", str(out),
+                         "--seed", seed, "--quiet"]) == 0
+        assert (outs[0] / "u_0.hcl").read_bytes() == (outs[1] / "u_0.hcl").read_bytes()
+        rows = [(out / "results.csv").read_text().splitlines() for out in outs]
+        assert [rows[0][1], rows[1][1]] == ["# seed 0", "# seed 7"]
+        assert rows[0][2:] == rows[1][2:]
+
     def test_dirichlet_writes_solution_container(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", DIRICHLET_SMALL)
         out = tmp_path / "out"
@@ -629,6 +647,51 @@ class TestArtifacts:
                      "--quiet"]) == 0
         rows = (out / "exhaustion.csv").read_text().splitlines()
         assert len(rows) == 3 + 2
+
+
+class TestLargeBoundaryData:
+    """Boundary data of size c put eps c / h^2 of rounding into a second
+    difference of u, above the Newton and Poisson tolerances; every Dirichlet
+    solve works on w = u - phi instead, so phi meets a Hessian only once.
+    With phi = const:c on these grids 7 of the 9 cells, and both sweep
+    shifts, exited 3."""
+
+    def solve(self, tmp_path, domain, phi, name):
+        cfg = dict(DIRICHLET_SMALL, domain=domain, phi=phi, base_dir=str(tmp_path))
+        path = write_config(tmp_path, f"{name}.json", cfg)
+        out = tmp_path / name
+        assert main(["solve-dirichlet", "--config", path, "--out", str(out),
+                     "--quiet"]) == 0
+        return hio.read_scalar_field(out / "u_0.hcl", _domain_from(domain)).values
+
+    @pytest.mark.parametrize("c", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("x_shape, s_nodes", [([8, 4], 13), ([4, 4], 33),
+                                                  ([4, 4], 65)])
+    def test_constant_data_shift_the_solution(self, tmp_path, x_shape, s_nodes, c):
+        domain = dict(DIRICHLET_SMALL["domain"], x_shape=x_shape,
+                      s_shape=[s_nodes, s_nodes])
+        u0 = self.solve(tmp_path, domain, "zero", "zero")
+        u = self.solve(tmp_path, domain, f"const:{c:g}", "c")
+        assert np.max(np.abs(u - u0 - c)) <= 1e-6
+
+    def test_affine_data(self, tmp_path):
+        # phi = 1e6 (1 + 0.1 s0) stalled at residual 1.27e-7 (tol 1.4e-9)
+        domain = dict(DIRICHLET_SMALL["domain"], x_shape=[4, 4], s_shape=[33, 33])
+        dom = _domain_from(domain)
+        phi = 1e6 * (1.0 + 0.1 * dom.meshgrid()[2])
+        hio.write_scalar_field(tmp_path / "phi.hcl", ScalarField(dom, phi))
+        u0 = self.solve(tmp_path, domain, "zero", "zero")
+        u = self.solve(tmp_path, domain, {"file": "phi.hcl"}, "affine")
+        assert np.max(np.abs(u - u0 - phi)) <= 1e-6
+
+    @pytest.mark.parametrize("shift", [1e6, 1e10])
+    def test_sweep_shift(self, tmp_path, capsys, shift):
+        # the perturbed solve differs from the last rung's by the shift alone
+        cfg = write_config(tmp_path, "sweep.json", dict(SWEEP, boundary_shift=shift))
+        assert main(["degenerate-sweep", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (f"stability diff {shift:.6g} vs bound {shift:.6g}"
+                in capsys.readouterr().out)
 
 
 class TestNumberBounds:

@@ -430,7 +430,7 @@ class TestResidualField:
     def test_g_on_the_box_matches_full_grid(self, dom):
         # residual_field's g = chi + i ddbar u in Hermitian coordinates, formed
         # on the interior box, is the full-grid one at the interior nodes,
-        # bit for bit
+        # bit for bit: in Dirichlet mode u = phi, at the correction w = 0
         rng = np.random.default_rng(17)
         n = dom.n
         chi = HermitianField(dom, hermitian_stack(rng, dom.roles.size, n, shift=2.0)
@@ -440,7 +440,8 @@ class TestResidualField:
         spec = ProblemSpec(dom, FuncFamily.log_det(n), chi,
                            ScalarField(dom, rng.normal(0, 1, dom.shape)),
                            ScalarField(dom, u) if mode == "dirichlet" else None, mode)
-        r, s, g = residual_field(spec, u, 0.25)
+        w = u if mode == "closed" else np.zeros(dom.shape)
+        r, s, g = residual_field(spec, w, 0.25)
         want = _coords(chi.values + complex_hessian(ScalarField(dom, u)))[:, dom.interior]
         assert g.tobytes() == want.tobytes()
         assert r is not None
@@ -476,7 +477,7 @@ class TestNewtonLoop:
         if spec.mode == "closed":
             u0 = np.zeros(spec.domain.shape)
         else:
-            u0 = build_subsolution(spec, 0.1)[0].values
+            u0 = build_subsolution(spec, 0.1)[0].values - spec.phi.values
         hessians, evals, sigmas = [], [], []
         hessian, residual = solve_mod.box_hessian, solve_mod.residual_field
         sigma_of = solve_mod._sigmas

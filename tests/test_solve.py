@@ -75,26 +75,26 @@ def small_dirichlet_spec(psi_value=0.5, phi_value=0.0, s_nodes=(13, 13)):
 class TestPoisson:
     def test_zero_data(self):
         dom = GridDomain.product(1, s_shape=(17, 17))
-        h = poisson_dirichlet(dom, 0.0, 0.0)
+        h = poisson_dirichlet(dom, 0.0)
         assert np.max(np.abs(h.values)) == 0.0
 
     def test_unit_square_center_vs_series(self):
         # Chern convention: lap h = 1 corresponds to lap_euc h = 4, so
         # h = -4 w with -lap_euc w = 1.
         dom = GridDomain.product(1, s_shape=(129, 129), s_lengths=(1.0, 1.0))
-        h = poisson_dirichlet(dom, 1.0, 0.0)
+        h = poisson_dirichlet(dom, 1.0)
         center = h.values[64, 64]
         expected = -4.0 * poisson_square_series(0.5, 0.5)
         assert center == pytest.approx(expected, rel=2e-4)
 
     def test_interior_negative(self):
         dom = GridDomain.product(1, s_shape=(33, 33), s_lengths=(1.0, 1.0))
-        h = poisson_dirichlet(dom, 1.0, 0.0)
+        h = poisson_dirichlet(dom, 1.0)
         assert np.max(h.values[dom.interior]) < 0.0
 
     def test_normal_derivative_negative(self):
         dom = GridDomain.product(1, s_shape=(33, 33), s_lengths=(1.0, 1.0))
-        h = poisson_dirichlet(dom, 1.0, 0.0)
+        h = poisson_dirichlet(dom, 1.0)
         for ax, side, dv in boundary_normal_derivatives(h):
             assert np.max(dv[1:-1]) < 0.0  # corners excluded
 
@@ -102,16 +102,29 @@ class TestPoisson:
         dom = GridDomain.product(1, s_shape=(33, 33), s_lengths=(1.0, 1.0))
         rng = np.random.default_rng(0)
         rhs = ScalarField(dom, rng.normal(0, 1, dom.shape))
-        h = poisson_dirichlet(dom, rhs, 0.0)
+        h = poisson_dirichlet(dom, rhs)
         from hcl.grid import chern_laplacian
 
         resid = chern_laplacian(h).values[dom.interior] - rhs.values[dom.interior]
         assert np.max(np.abs(resid)) <= 1e-10 * (1 + np.max(np.abs(rhs.values)))
 
+    # boundary data enter through the supersolution: v = phi + h, with h the
+    # Poisson solution for -tr(chi + i ddbar phi) and 0 on the boundary
+    @staticmethod
+    def with_data(dom, rhs, phi):
+        """`build_supersolution`'s v: chern_laplacian(v) = rhs, v = phi on the
+        boundary, for chi = diag(-rhs, 0, ...)."""
+        chi = np.zeros(dom.shape + (dom.n, dom.n))
+        chi[..., 0, 0] = -rhs.values
+        spec = ProblemSpec(dom, FuncFamily.log_det(dom.n), HermitianField(dom, chi),
+                           ScalarField.zeros(dom), phi, "dirichlet")
+        return build_supersolution(spec)
+
+    # a family needs n >= 2: the box and the annulus take a one-node X factor
     @pytest.mark.parametrize("dom", [
-        GridDomain.product(1, s_shape=(33, 33)),
+        GridDomain.product(2, x_shape=(1, 1), s_shape=(33, 33)),
         GridDomain.product(2, x_shape=(4, 4), s_shape=(17, 17)),
-        GridDomain.product(1, s_shape=(33, 24), s_lengths=(1.0, 2 * np.pi),
+        GridDomain.product(2, x_shape=(1, 1), s_shape=(33, 24), s_lengths=(1.0, 2 * np.pi),
                            s_periodic=(False, True)),
     ], ids=["box", "product-n2", "annulus"])
     def test_boundary_data(self, dom):
@@ -122,20 +135,21 @@ class TestPoisson:
             q = q + 3.0 * s[0] * s[1] - s[1] ** 2
         q = ScalarField(dom, q)
         rhs = chern_laplacian(q)
-        assert np.max(np.abs(poisson_dirichlet(dom, rhs, q).values - q.values)) <= 1e-12
-        h0 = poisson_dirichlet(dom, rhs, 0.0).values
-        h = poisson_dirichlet(dom, rhs, 0.75).values
+        assert np.max(np.abs(self.with_data(dom, rhs, q).values - q.values)) <= 1e-12
+        h0 = self.with_data(dom, rhs, ScalarField.zeros(dom)).values
+        h = self.with_data(dom, rhs, ScalarField.full(dom, 0.75)).values
         assert np.max(np.abs(h - 0.75 - h0)) <= 1e-12
 
     def test_masked_boundary_data_meets_certificate(self):
-        # preconditioned by the diagonal, the one BiCGStab pass missed the
-        # sup-norm certificate (1.39e-09 > 2.50e-10) and raised
+        # the Poisson system's right side, -tr(chi + i ddbar q), is about 0
+        # here; with q's share taken from the boundary instead, the masked
+        # solve missed its certificate (1.39e-09 > 2.50e-10)
         dom = GridDomain.product(2, x_shape=(4, 4), s_shape=(21, 21))
         sub = dom.restrict(s_factor_potential(dom).values < -0.02)
         _, _, s0, s1 = sub.meshgrid()
         q = ScalarField(sub, 0.5 + s0 - 2.0 * s0 ** 2 + 3.0 * s0 * s1 - s1 ** 2)
         rhs = chern_laplacian(q)
-        u = poisson_dirichlet(sub, rhs, q)
+        u = self.with_data(sub, rhs, q)
         resid = chern_laplacian(u).values[sub.interior] - rhs.values[sub.interior]
         assert np.max(np.abs(resid)) <= 1e-10 * (1 + np.max(np.abs(rhs.values)))
         assert np.max(np.abs(u.values - q.values)[~sub.exterior]) <= 1e-11
@@ -143,7 +157,7 @@ class TestPoisson:
     def test_needs_boundary(self):
         dom = GridDomain.torus(1, (8, 8))
         with pytest.raises(DomainError):
-            poisson_dirichlet(dom, 1.0, 0.0)
+            poisson_dirichlet(dom, 1.0)
 
 
 def constant_operator(dom, fbar):
@@ -187,7 +201,7 @@ class TestSpectralInverse:
     def test_poisson_matches_cg(self, nodes):
         dom = GridDomain.product(1, s_shape=(nodes, nodes))
         rhs = np.random.default_rng(nodes).normal(0, 1, dom.shape)
-        h = poisson_dirichlet(dom, ScalarField(dom, rhs), 0.0)
+        h = poisson_dirichlet(dom, ScalarField(dom, rhs))
         a = constant_operator(dom, np.eye(1))
         target = 1e-10 * (1.0 + np.max(np.abs(rhs[dom.interior])))
         x = ref._solve_spd(-a, -rhs[dom.interior], target)
@@ -203,7 +217,7 @@ class TestSpectralInverse:
             return bicgstab(*args, **kwargs)
 
         monkeypatch.setattr(solve_mod.spla, "bicgstab", counting_bicgstab)
-        h = poisson_dirichlet(dom, 1.0, 0.0)
+        h = poisson_dirichlet(dom, 1.0)
         assert calls == []  # the box is solved directly
         sub = dom.restrict(h.values < -0.02)
         # the sub-domain takes the box's inverse, scattered and gathered
@@ -214,7 +228,7 @@ class TestSpectralInverse:
         want = _spectral_inverse(dom, eye)(box[dom.interior])
         got = _spectral_inverse(sub, eye)(r)
         assert got.tobytes() == want[sub.interior[dom.interior_box].reshape(-1)].tobytes()
-        h_sub = poisson_dirichlet(sub, 1.0, 0.0)
+        h_sub = poisson_dirichlet(sub, 1.0)
         assert calls
         resid = chern_laplacian(h_sub).values[sub.interior] - 1.0
         assert np.max(np.abs(resid)) <= 2e-10
@@ -230,7 +244,7 @@ class TestSpectralInverse:
     def test_uncertified_direct_solve_is_refined_or_raises(self, monkeypatch):
         dom = GridDomain.product(1, s_shape=(33, 33))
         rhs = ScalarField(dom, np.random.default_rng(4).normal(0, 1, dom.shape))
-        exact = poisson_dirichlet(dom, rhs, 0.0)
+        exact = poisson_dirichlet(dom, rhs)
         inverse = solve_mod._spectral_inverse
 
         def inverse_off(*args):  # a direct solve 0.1% off misses the certificate
@@ -247,7 +261,7 @@ class TestSpectralInverse:
             return general(*args, **kwargs)
 
         monkeypatch.setattr(solve_mod, "_solve_general", counting_general)
-        h = poisson_dirichlet(dom, rhs, 0.0)
+        h = poisson_dirichlet(dom, rhs)
         assert calls == [1]
         resid = chern_laplacian(h).values[dom.interior] - rhs.values[dom.interior]
         assert np.max(np.abs(resid)) <= 1e-10 * (1 + np.max(np.abs(rhs.values)))
@@ -256,13 +270,13 @@ class TestSpectralInverse:
         monkeypatch.setattr(solve_mod, "_solve_general",
                             lambda a, b, *args: (np.zeros_like(b), 0))
         with pytest.raises(NumericError, match="after one BiCGStab pass"):
-            poisson_dirichlet(dom, rhs, 0.0)
+            poisson_dirichlet(dom, rhs)
         # and a BiCGStab breakdown is a numeric error as well
         monkeypatch.setattr(solve_mod, "_solve_general", general)
         monkeypatch.setattr(solve_mod.spla, "bicgstab",
                             lambda a, b, x0=None, **kwargs: (x0, -10))
         with pytest.raises(NumericError, match="info=-10"):
-            poisson_dirichlet(dom, rhs, 0.0)
+            poisson_dirichlet(dom, rhs)
 
     def test_krylov_iterations_flat_under_refinement(self):
         peak = []
@@ -620,16 +634,16 @@ class TestDirichletSolve:
     def test_iterates_stay_admissible(self):
         spec, _ = manufactured_dirichlet_spec(8)
         res = solve_dirichlet(spec)
-        assert residual_field(spec, res.u.values)[0] is not None
+        assert residual_field(spec, res.u.values - spec.phi.values)[0] is not None
 
     def test_overflowed_hessian_is_outside_the_cone(self):
         # a non-finite eigenvalue reads as inadmissible, so the line search
         # halves the step instead of raising DomainError
         spec, _ = manufactured_dirichlet_spec(8)
-        u = spec.phi.values.copy()
-        u[np.unravel_index(np.flatnonzero(spec.domain.interior)[0], u.shape)] = 1e308
+        w = np.zeros(spec.domain.shape)
+        w[np.unravel_index(np.flatnonzero(spec.domain.interior)[0], w.shape)] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
-            assert residual_field(spec, u)[0] is None
+            assert residual_field(spec, w)[0] is None
 
     def test_returns_built_subsolution(self):
         spec = small_dirichlet_spec(psi_value=0.4)
@@ -879,9 +893,9 @@ class TestNewtonConvergence:
         # large, never below it, and raised on the last step
         calls, general = [], solve_mod._solve_general
 
-        def recording(a, b, inverse, seed=0, rtol=solve_mod.LIN_TOL):
+        def recording(a, b, inverse, rtol=solve_mod.LIN_TOL):
             calls.append((rtol, np.linalg.norm(b)))
-            return general(a, b, inverse, seed, rtol)
+            return general(a, b, inverse, rtol)
 
         monkeypatch.setattr(solve_mod, "_solve_general", recording)
         spec, opts = make_spec(), SolverOptions(residual_scale=1e-10)
@@ -924,13 +938,14 @@ def spec_args(dom, family=LOGDET2, psi=0.5, phi=0.0, mode="dirichlet"):
 @pytest.mark.parametrize("dom, change, message", [
     ("box", dict(mode="open"), "mode must be 'closed' or 'dirichlet'"),
     ("box", dict(mode="closed"), "closed mode needs a fully periodic domain"),
+    ("torus", dict(mode="closed", phi=0.0), "closed mode takes no boundary data phi"),
     ("torus", {}, "dirichlet mode needs boundary nodes"),
     ("box", dict(phi=None), "dirichlet mode needs boundary data phi"),
     ("box", dict(family=FuncFamily.log_det(3)),
      "family dimension does not match the domain"),
     ("box", dict(family=FuncFamily.sigma_root(2, 2), psi=-0.1),
      "psi drops below the attainable range of f"),
-], ids=["bad-mode", "closed-not-periodic", "dirichlet-no-boundary",
+], ids=["bad-mode", "closed-not-periodic", "closed-with-phi", "dirichlet-no-boundary",
         "dirichlet-no-phi", "dimension-mismatch", "psi-below-range"])
 def test_problem_spec_rejects(dom, change, message):
     dom = {"torus": GridDomain.torus(2, (4, 4, 4, 4)),
@@ -946,8 +961,7 @@ class TestNewtonExits:
         spec = small_dirichlet_spec()
         u0 = build_subsolution(spec, 0.1)[0].values
         monkeypatch.setattr(solve_mod, "_solve_general",
-                            lambda a, b, inverse, seed=0,
-                            rtol=solve_mod.LIN_TOL: (update(b), 0))
+                            lambda a, b, inverse, rtol: (update(b), 0))
         return solve_mod._damped_newton(spec, u0, SolverOptions())
 
     def test_cone_exit_at_every_damping(self, monkeypatch):
@@ -1036,10 +1050,17 @@ class TestExhaustion:
         rep = domain_exhaustion(spec, [0.04, 0.02, 0.01])
         assert max(max(res.linear_solves) for res in rep.results) <= 20
 
-    def test_empty_domain(self):
+    def test_empty_domain(self, monkeypatch):
+        # every level is cut before the full solve, and an empty one is named
         spec = small_dirichlet_spec(psi_value=0.4)
-        with pytest.raises(ResolutionError):
-            domain_exhaustion(spec, [100.0])
+
+        def no_solve(*args):
+            raise AssertionError("solved before every level was cut")
+
+        monkeypatch.setattr(solve_mod, "solve_dirichlet", no_solve)
+        with pytest.raises(ResolutionError, match="level 100.0: empty sub-domain"):
+            domain_exhaustion(spec, [100.0, 0.02])
+        assert issubclass(ResolutionError, DomainError)  # a config error, exit 4
 
     @pytest.mark.parametrize("levels", [[-0.1, 0.0], [0.02, 0.04], [0.02, 0.02]])
     def test_bad_levels(self, levels):
