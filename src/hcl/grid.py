@@ -246,10 +246,7 @@ class HermitianField:
 
 
 def identity_chi(domain: GridDomain) -> HermitianField:
-    n = domain.n
-    v = np.zeros(domain.shape + (n, n), dtype=complex)
-    v[..., np.arange(n), np.arange(n)] = 1.0
-    return HermitianField(domain, v)
+    return constant_chi(domain, np.eye(domain.n))
 
 
 def constant_chi(domain: GridDomain, matrix) -> HermitianField:
@@ -347,14 +344,16 @@ def complex_hessian(u: ScalarField) -> np.ndarray:
 
 
 def box_hessian(u: ScalarField) -> np.ndarray:
-    """The Hermitian coordinates (n^2, *box) of i ddbar u on
-    `GridDomain.interior_box` (`_hessian_core`), with no ghost ring (box
-    stencils reach boundary nodes, not past them) and with the box's
-    non-interior nodes of a masked domain not zeroed."""
+    """The Hermitian coordinates (n^2, N) of i ddbar u at the N interior nodes,
+    in grid order: `_hessian_core` on `GridDomain.interior_box`, with no ghost
+    ring (box stencils reach boundary nodes, not past them).  A masked domain
+    drops the box's other nodes; an unmasked one returns the box uncopied."""
     dom = u.domain
     p = np.pad(u.values, [(1, 1) if per else (0, 0) for per in dom.periodic],
                mode="wrap")
-    return _hessian_core(p, dom.spacings, dom.n)
+    g = _hessian_core(p, dom.spacings, dom.n).reshape(dom.n ** 2, -1)
+    inside = dom.interior[dom.interior_box].reshape(-1)
+    return g if inside.all() else g[:, inside]
 
 
 def chern_laplacian(u: ScalarField) -> ScalarField:

@@ -4,12 +4,12 @@ One damped-Newton core serves both modes: every accepted step must keep
 lambda(g[u]) inside the cone at all interior nodes and decrease the sup-norm
 residual.  Closed mode solves for the pair (u, c) in f(...) = psi + c on a
 fully periodic domain with a zero-mean gauge on the updates and sup u = 0
-applied after convergence.  Dirichlet mode builds a strict subsolution with
-u = phi on the boundary and makes one damped-Newton run from it on the
-correction w = u - phi, 0 on the boundary; phi meets a Hessian only in
+applied after convergence.  Dirichlet mode builds a strict subsolution as
+its correction w = u - phi, 0 off the interior, and makes one damped-Newton
+run on w from exactly that start; phi meets a Hessian only in
 `ProblemSpec.background` = chi + i ddbar phi, so its size adds no rounding
 to the iterates.  `residual_field` alone evaluates g = background + i ddbar w
-(on the interior box, by `box_hessian`), sigma(g), the cone test and f.
+(at the interior nodes, by `box_hessian`), sigma(g), the cone test and f.
 
 g, chi and F are (n^2, N) arrays of Hermitian coordinates
 (`grid._hessian_core`).  Every family is a function of sigma_1..sigma_n(g),
@@ -81,9 +81,8 @@ from .grid import (
     gradient_sup,
 )
 from .symfunc import (
-    LADDER_T_MAX,
+    LADDER,
     FuncFamily,
-    _ladder,
     boundary_sup,
     df_dsigma,
     elementary_all,
@@ -148,11 +147,9 @@ class ProblemSpec:
         lo = float(np.min(self.psi.values[~self.domain.exterior]))
         if lo < boundary_sup(self.family):
             raise DomainError("psi drops below the attainable range of f")
-        dom = self.domain
-        g = _coords(self.chi.values[dom.interior_box])
+        self.background = _coords(self.chi.values[self.domain.interior])
         if self.phi is not None:
-            g += box_hessian(self.phi)
-        self.background = g.reshape(len(g), -1)[:, dom.interior[dom.interior_box].reshape(-1)]
+            self.background += box_hessian(self.phi)
 
     @property
     def degenerate(self) -> bool:
@@ -289,9 +286,7 @@ def residual_field(spec: ProblemSpec, w: np.ndarray, c: float = 0.0):
     i ddbar w in Hermitian coordinates (n^2, N), by `box_hessian`,
     sigma = `_sigmas`(g) and r = f - psi - c, or None as in `_f_of_g`."""
     dom = spec.domain
-    g = box_hessian(ScalarField(dom, w)).reshape(len(spec.background), -1)
-    inside = dom.interior[dom.interior_box].reshape(-1)
-    g = g if inside.all() else g[:, inside]
+    g = box_hessian(ScalarField(dom, w))
     g += spec.background  # in place: no second (n^2, N) array per evaluation
     val, s = _f_of_g(spec.family, g)
     return (None if val is None else val - spec.psi.values[dom.interior] - c), s, g
@@ -695,26 +690,27 @@ def s_factor_potential(domain: GridDomain) -> ScalarField:
 
 
 def build_subsolution(spec: ProblemSpec, delta: float) -> tuple[ScalarField, float]:
-    """phi + t * `s_factor_potential`, smallest t of 0 and the geometric ladder
-    with lambda(g) in Gamma and f >= psi + delta at every interior node; g is
-    linear in the correction t h, so g = `ProblemSpec.background` + t i ddbar h."""
+    """(t h, t): the correction w = u_sub - phi, with h `s_factor_potential` set
+    to 0 off the interior nodes and t the smallest of 0 and `LADDER` with
+    lambda(g) in Gamma and f >= psi + delta at every interior node, where
+    g = `ProblemSpec.background` + t i ddbar h is `residual_field`'s g at t h."""
     if spec.mode != "dirichlet" or spec.domain.kind != "product":
         raise DomainError("subsolution construction needs a Dirichlet product domain")
     if delta <= 0:
         raise DomainError("strictness delta must be positive")
     dom = spec.domain
-    h = s_factor_potential(dom)
-    g_h = box_hessian(h).reshape(dom.n ** 2, -1)[:, dom.interior[dom.interior_box].reshape(-1)]
+    h = np.where(dom.interior, s_factor_potential(dom).values, 0.0)
+    g_h = box_hessian(ScalarField(dom, h))
     level = spec.psi.values[dom.interior] + delta
     last_reason = ""
-    for t in [0.0, *_ladder(LADDER_T_MAX)]:
+    for t in [0.0, *LADDER]:
         val, s = _f_of_g(spec.family, spec.background + t * g_h)
         short = None if val is None else val - level
         if short is None:
             bad = int(np.argmin(np.min(s[1:spec.family.k + 1], axis=0) > 0.0))
             last_reason = f"cone violation at interior node #{bad} for t={t}"
         elif np.all(short >= 0.0):
-            return ScalarField(dom, spec.phi.values + t * h.values), float(t)
+            return ScalarField(dom, t * h), float(t)
         else:
             last_reason = (f"level short by {-float(short.min()):.3e} at interior "
                            f"node #{int(np.argmin(short))} for t={t}")
@@ -836,21 +832,20 @@ def _damped_newton(spec: ProblemSpec, w: np.ndarray, opts: SolverOptions):
 
 
 def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:
-    """One damped-Newton run on the correction w = u - phi from
-    `build_subsolution` at `opts.delta` (returned as `SolveResult.subsolution`),
-    starting at w = u_sub - phi; returns u = phi + w.  A stall raises
+    """One damped-Newton run on the correction w = u - phi from the one that
+    `build_subsolution` checked at `opts.delta`; returns u = phi + w, with
+    phi plus that start as `SolveResult.subsolution`.  A stall raises
     `StallError` at once."""
     opts = opts or SolverOptions()
     if spec.mode != "dirichlet":
         raise DomainError("solve_dirichlet needs Dirichlet mode")
     if spec.degenerate:
         raise DomainError("degenerate right-hand side: use degenerate_sweep")
-    usub, _ = build_subsolution(spec, opts.delta)
-    w = usub.values - spec.phi.values
-    w[spec.domain.boundary] = 0.0
-    w, _, history, solves = _damped_newton(spec, w, opts)
-    return SolveResult(ScalarField(spec.domain, spec.phi.values + w), None, history,
-                       solves, usub)
+    w0 = build_subsolution(spec, opts.delta)[0].values
+    w, _, history, solves = _damped_newton(spec, w0, opts)
+    phi = spec.phi.values
+    return SolveResult(ScalarField(spec.domain, phi + w), None, history, solves,
+                       ScalarField(spec.domain, phi + w0))
 
 
 def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveResult:

@@ -47,7 +47,8 @@ __all__ = [
     "sample_cone",
 ]
 
-LADDER_T_MAX = float(2 ** 20)
+LADDER = 2.0 ** np.arange(21)  # the geometric ray ladder 1, 2, 4, ..., 2^20
+LADDER.flags.writeable = False
 # Largest dimension n of a family and of a grid (2n axes): the stacked
 # Hessian table holds (n + 1) n^2 values per point.
 DIMENSION_CAP = 8
@@ -334,9 +335,8 @@ def boundary_sup(family: FuncFamily) -> float:
     return 0.0
 
 
-def _grow_rows(hit, t: np.ndarray, rows: np.ndarray, tries: int,
-               factor: float = 2.0) -> np.ndarray:
-    """Row-wise doubling: scale t[rows] by `factor` until hit(rows, t[rows])
+def _grow_rows(hit, t: np.ndarray, rows: np.ndarray, tries: int) -> np.ndarray:
+    """Row-wise doubling: scale t[rows] by 2 until hit(rows, t[rows])
     holds, at most `tries` probes per row and one call per round on the live
     rows.  Updates t in place; returns the mask of the rows that hit."""
     found = np.zeros(t.shape, dtype=bool)
@@ -346,7 +346,7 @@ def _grow_rows(hit, t: np.ndarray, rows: np.ndarray, tries: int,
         ok = hit(rows, t[rows])
         found[rows[ok]] = True
         rows = rows[~ok]
-        t[rows] *= factor
+        t[rows] *= 2.0
     return found
 
 
@@ -481,12 +481,6 @@ def check_structure(family: FuncFamily, samples: int, seed: int) -> StructureRep
     )
 
 
-def _ladder(t_max: float) -> np.ndarray:
-    """The geometric ladder 1, 2, 4, ... up to t_max (at least up to 2)."""
-    rungs = int(np.floor(np.log2(max(t_max, 2.0))))
-    return 2.0 ** np.arange(0, rungs + 1)
-
-
 @functools.lru_cache(maxsize=64)
 def _probe_set(family: FuncFamily) -> np.ndarray:
     """The 32 `sample_cone` probes of `gamma_g_criteria` (seed 0), drawn once
@@ -498,9 +492,8 @@ def _probe_set(family: FuncFamily) -> np.ndarray:
 
 def _ray_criteria(family: FuncFamily, lam: np.ndarray):
     """(ladder, f on the ladder, scale, crit1, crit3) of `gamma_g_criteria`,
-    the whole ladder up to LADDER_T_MAX in one stacked `eval_f` call."""
-    ladder = _ladder(LADDER_T_MAX)
-    vals = eval_f(family, ladder[:, None] * lam)
+    the whole `LADDER` in one stacked `eval_f` call."""
+    vals = eval_f(family, LADDER[:, None] * lam)
     scale = 1.0 + abs(float(vals[0]))
     crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
     mus = [_probe_set(family)]
@@ -510,7 +503,7 @@ def _ray_criteria(family: FuncFamily, lam: np.ndarray):
     mus = np.vstack(mus)
     pairings = np.sum(grad_f(family, mus) * lam, axis=-1)
     crit3 = bool(np.min(pairings) >= -1e-9 * (1.0 + np.max(np.abs(pairings))))
-    return ladder, vals, scale, crit1, crit3
+    return LADDER, vals, scale, crit1, crit3
 
 
 def gamma_g_criteria(family: FuncFamily, lam) -> tuple[bool, bool, bool]:

@@ -11,11 +11,11 @@ axis, and `gamma_g_criteria` the one that evaluated its t-ladder one rung per
 through the scalar Jacobi sweep.  `hess_f` is the one-point analytic Hessian
 with its per-point derivative tables, which `check_structure` here calls once
 per point.  They are kept verbatim (only the imports, `localize`'s return
-type and `gamma_g_criteria`'s probe draw differ: it calls
-`sample_cone` here, once per (family, probes, seed), and reuses that read-only
-draw on every later call) so the tests can require bit-identical
-points, contexts, draws, thresholds, verdicts, Hessians and error messages
-from the stacked code.  `elementary_all_last_axis` is the sigma recurrence that
+type and `gamma_g_criteria`'s ladder and probe draw differ: it walks the
+library's `LADDER`, and calls `sample_cone` here, once per (family, probes,
+seed), and reuses that read-only draw on every later call) so the tests can
+require bit-identical points, contexts, draws, thresholds, verdicts, Hessians
+and error messages from the stacked code.  `elementary_all_last_axis` is the sigma recurrence that
 ran along the last axis of an (..., n+1) array, before it ran on the rows of
 an (n+1, ...) one.
 """
@@ -37,9 +37,8 @@ from hcl.symfunc import (
     cone_margin,
     eval_f,
     grad_f,
-    LADDER_T_MAX,
+    LADDER,
     _admissible_sigmas,
-    _ladder,
     _sigma_all_excluding,
     elementary_all,
     in_cone,
@@ -557,7 +556,6 @@ def _probe_draw(family: FuncFamily, probes: int, seed: int) -> np.ndarray:
 def gamma_g_criteria(
     family: FuncFamily,
     lam,
-    t_max: float = LADDER_T_MAX,
     probes: int = 32,
     seed: int = 0,
 ) -> tuple[bool, bool, bool]:
@@ -570,11 +568,10 @@ def gamma_g_criteria(
         of the tested ray itself (where the pairing degenerates first).
     """
     lam = lambda_tuple(lam)
-    ladder = _ladder(t_max)
-    vals = np.array([eval_f(family, t * lam) for t in ladder])
+    vals = np.array([eval_f(family, t * lam) for t in LADDER])
     scale = 1.0 + abs(float(vals[0]))
     crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
-    slopes = vals[-4:] / ladder[-4:]
+    slopes = vals[-4:] / LADDER[-4:]
     crit2 = bool(np.max(slopes) >= -1e-7 * scale)
     mus = [_probe_draw(family, probes, seed)]
     for t_big in (2.0 ** 8, 2.0 ** 14, 2.0 ** 20):

@@ -15,7 +15,7 @@ import hcl
 import hcl.solve as solve_mod
 from hcl import io as hio
 from hcl import spectra, subsol, symfunc
-from hcl.cli import _OPTIONS, COUNT_CAP, _domain_from, _read, main
+from hcl.cli import _OPTIONS, COUNT_CAP, _domain_from, _problem_from, _read, main
 from hcl.errors import ConfigError
 from hcl.grid import ScalarField, identity_chi
 
@@ -673,6 +673,17 @@ class TestLargeBoundaryData:
         u0 = self.solve(tmp_path, domain, "zero", "zero")
         u = self.solve(tmp_path, domain, f"const:{c:g}", "c")
         assert np.max(np.abs(u - u0 - c)) <= 1e-6
+
+    def test_constant_data_repeat_the_zero_iterates(self):
+        # the Newton start is the correction the subsolution ladder checked, not
+        # (phi + t h) - phi: phi = const:1e6 ended at 4.7750692289127983e-13
+        # against phi = zero's 4.767297667740422e-13
+        def history(phi):
+            spec, opts = _problem_from(dict(DIRICHLET_SMALL, phi=phi), "dirichlet")
+            return solve_mod.solve_dirichlet(spec, opts).residual_history
+
+        zero = history("zero")
+        assert history("const:1e2") == zero and history("const:1e6") == zero
 
     def test_affine_data(self, tmp_path):
         # phi = 1e6 (1 + 0.1 s0) stalled at residual 1.27e-7 (tol 1.4e-9)

@@ -477,7 +477,7 @@ class TestNewtonLoop:
         if spec.mode == "closed":
             u0 = np.zeros(spec.domain.shape)
         else:
-            u0 = build_subsolution(spec, 0.1)[0].values - spec.phi.values
+            u0 = build_subsolution(spec, 0.1)[0].values
         hessians, evals, sigmas = [], [], []
         hessian, residual = solve_mod.box_hessian, solve_mod.residual_field
         sigma_of = solve_mod._sigmas

@@ -537,11 +537,24 @@ class TestSubsolution:
         assert np.min(f_of_sigma(LOGDET2, s) - (0.5 + 0.1)) >= 0.0
 
     def test_boundary_values_preserved(self):
+        # the correction u_sub - phi is 0 on the boundary, so u_sub is phi there
         spec = small_dirichlet_spec(psi_value=0.5, phi_value=0.25)
-        usub, _ = build_subsolution(spec, 0.1)
-        np.testing.assert_allclose(
-            usub.values[spec.domain.boundary], 0.25, atol=1e-14
-        )
+        w, _ = build_subsolution(spec, 0.1)
+        bdry = spec.domain.boundary
+        assert np.all(w.values[bdry] == 0.0)
+        assert np.all(solve_dirichlet(spec).subsolution.values[bdry] == 0.25)
+
+    def test_masked_correction_is_the_checked_start(self):
+        # the box potential is not 0 on a sub-domain's boundary: the correction
+        # is 0 off the interior, and residual_field's g at it is the g whose
+        # level the ladder checked
+        dom = exhaustion_domain(0.02)
+        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), ScalarField.full(dom, 0.5),
+                           ScalarField.full(dom, 0.25), "dirichlet")
+        w, t = build_subsolution(spec, 0.1)
+        assert t >= 1.0 and np.all(w.values[~dom.interior] == 0.0)
+        r, s, _ = residual_field(spec, w.values)
+        assert r is not None and np.min(f_of_sigma(LOGDET2, s) - (0.5 + 0.1)) >= 0.0
 
     def test_cone_condition_failure(self):
         fam = FuncFamily.quotient_log(2, (0.0, 1.0), 3)
@@ -646,9 +659,9 @@ class TestDirichletSolve:
             assert residual_field(spec, w)[0] is None
 
     def test_returns_built_subsolution(self):
-        spec = small_dirichlet_spec(psi_value=0.4)
+        spec = small_dirichlet_spec(psi_value=0.4, phi_value=0.25)
         np.testing.assert_array_equal(solve_dirichlet(spec).subsolution.values,
-                                      build_subsolution(spec, 0.1)[0].values)
+                                      0.25 + build_subsolution(spec, 0.1)[0].values)
 
     def test_stalled_solve_stops_at_once(self, monkeypatch):
         # three Newton steps are too few: the solve raises after its third
@@ -1049,6 +1062,17 @@ class TestExhaustion:
         spec = small_dirichlet_spec(psi_value=0.4, s_nodes=(21, 21))
         rep = domain_exhaustion(spec, [0.04, 0.02, 0.01])
         assert max(max(res.linear_solves) for res in rep.results) <= 20
+
+    def test_sub_domain_subsolution_is_phi_on_the_boundary(self):
+        # the exhaustion config's grid and levels, with phi = 0.25: the box
+        # potential of a sub-domain put 0.108 and 0.099 on its boundary, and
+        # u kept it on the exterior nodes
+        spec = small_dirichlet_spec(psi_value=0.4, phi_value=0.25)
+        rep = domain_exhaustion(spec, [0.04, 0.02])
+        for res in rep.results:
+            off = ~res.u.domain.interior
+            assert np.all(res.subsolution.values[off] == 0.25)
+            assert np.all(res.u.values[off] == 0.25)
 
     def test_empty_domain(self, monkeypatch):
         # every level is cut before the full solve, and an empty one is named
