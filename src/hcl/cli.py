@@ -125,10 +125,7 @@ def _domain_from(cfg: dict) -> GridDomain:
 
 def _expression_field(domain: GridDomain, spec, base_dir: Path) -> ScalarField:
     if isinstance(spec, dict):
-        path = base_dir / _read(spec, "file", str)
-        if not path.is_file():
-            raise ConfigError(f"field file missing: {path}")
-        return hio.read_scalar_field(path, domain)
+        return hio.read_scalar_field(base_dir / _read(spec, "file", str), domain)
     if not isinstance(spec, str):
         raise ConfigError(f"bad field spec {spec!r}")
     name, _, arg = {"zero": "const:0", "one": "const:1"}.get(spec, spec).partition(":")
@@ -164,10 +161,7 @@ def _chi_from(domain: GridDomain, spec, base_dir: Path) -> HermitianField:
             raise ConfigError(f"'constant' must be a square matrix, got {rows!r}")
         return constant_chi(domain, rows)
     if isinstance(spec, dict) and "file" in spec:
-        path = base_dir / _read(spec, "file", str)
-        if not path.is_file():
-            raise ConfigError(f"field file missing: {path}")
-        return hio.read_hermitian_values(path, domain)
+        return hio.read_hermitian_values(base_dir / _read(spec, "file", str), domain)
     raise ConfigError(f"bad chi spec {spec!r}")
 
 
@@ -242,11 +236,10 @@ def _cmd_lemma_check(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
                       v.satisfied, v.max_offset, v.top_boundary_hit))
     rows, *table = map(np.concatenate, zip(*parts))
     order = np.argsort(rows)  # rows back in input order
-    writer = hio.CsvWriter(out / "lemma_check.csv", [
+    hio.CsvWriter(out / "lemma_check.csv", [
         "instance", "n", "epsilon", "multiplier", "corner", "threshold",
-        "satisfied", "max_offset", "top_boundary_hit"], seed)
-    writer.extend(*(col[order] for col in table))
-    writer.flush()
+        "satisfied", "max_offset", "top_boundary_hit"], seed).flush(
+        *(col[order] for col in table))
     bad = int(np.count_nonzero(~table[6]))
     return (EXIT_FINDINGS if bad else EXIT_OK,
             f"lemma-check: {rows.size} verdicts, {bad} violations")
@@ -256,16 +249,11 @@ def _cmd_cone_check(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     family = _family_from(_read(cfg, "family", dict))
     samples = _read(cfg, "samples", int, 100, low=1, high=COUNT_CAP)
     rep = symfunc.check_structure(family, samples, seed)
-    writer = hio.CsvWriter(
-        out / "cone_check.csv",
-        ["family", "samples", "min_gradient", "max_hessian_eig",
-         "worst_chord_violation", "worst_fd_mismatch", "violations"],
-        seed,
-    )
-    writer.add(family.label(), samples, rep.min_gradient,
-               rep.max_hessian_eigenvalue, rep.worst_chord_violation,
-               rep.worst_fd_gradient_mismatch, rep.violations)
-    writer.flush()
+    hio.CsvWriter(out / "cone_check.csv", [
+        "family", "samples", "min_gradient", "max_hessian_eig",
+        "worst_chord_violation", "worst_fd_mismatch", "violations"], seed).flush(
+        *zip((family.label(), samples, rep.min_gradient, rep.max_hessian_eigenvalue,
+              rep.worst_chord_violation, rep.worst_fd_gradient_mismatch, rep.violations)))
     return (EXIT_FINDINGS if rep.violations else EXIT_OK,
             f"cone-check: {family.label()}: {rep.violations} violations")
 
@@ -277,58 +265,51 @@ def _cmd_subsol_check(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     samples = _read(cfg, "samples", int, 500, low=1, high=COUNT_CAP)
     ctx = subsol.build_context(family, sigma, mu, delta, radius, seed=seed)
     pts = subsol.sample_level_set(family, ctx.sigma, samples, seed)
-    writer = hio.CsvWriter(
-        out / "subsol_check.csv",
-        ["index", "case1", "case2", "margin1", "margin2", "weight"],
-        seed,
-    )
     nan = float("nan")
     outcomes = subsol.dichotomy_rows(ctx, pts)
-    for i, o in enumerate(outcomes):
-        writer.add(i, *((False, False, nan, nan, nan) if o is None else
-                        (o.case1, o.case2, o.margin1, o.margin2, o.weight)))
+    hio.CsvWriter(out / "subsol_check.csv", [
+        "index", "case1", "case2", "margin1", "margin2", "weight"], seed).flush(
+        range(samples), *zip(*((False, False, nan, nan, nan) if o is None else
+                               (o.case1, o.case2, o.margin1, o.margin2, o.weight)
+                               for o in outcomes)))
     neither = outcomes.count(None)
-    writer.flush()
     return (EXIT_FINDINGS if neither else EXIT_OK,
             f"subsol-check: eps={ctx.epsilon:.6g} (R0={ctx.r0:.6g}, "
             f"eps1={ctx.eps1:.6g}, delta0={ctx.delta0:.6g}); "
             f"{samples} points, {neither} without a case")
 
 
-def _result_row(writer, run_id, result, report=None):
+def _result_row(run_id, result, report=None) -> tuple:
     nan = float("nan")
-    writer.add(run_id, result.iterations, result.residual_history[-1],
-               nan if result.c is None else result.c,
-               report.ratio2nd if report else nan,
-               report.bdry_ratio if report else nan,
-               report.sandwich_ok if report else True)
+    return (run_id, result.iterations, result.residual_history[-1],
+            nan if result.c is None else result.c,
+            report.ratio2nd if report else nan,
+            report.bdry_ratio if report else nan,
+            report.sandwich_ok if report else True)
 
 
 _RESULT_COLUMNS = ["run_id", "iterations", "residual", "c", "ratio2nd",
                    "bdry_ratio", "sandwich_ok"]
 
 
-def _dirichlet_run(writer, run_id, spec, opts):
-    """Dirichlet solve, estimate check against its subsolution, result row;
-    returns the SolveResult."""
+def _dirichlet_run(run_id, spec, opts):
+    """Dirichlet solve and estimate check; returns (SolveResult, result row)."""
     from . import solve as hsolve
     result = hsolve.solve_dirichlet(spec, opts)
     usuper = hsolve.build_supersolution(spec)
     report = hsolve.verify_estimates(result, spec, result.subsolution, usuper)
-    _result_row(writer, run_id, result, report)
-    return result
+    return result, _result_row(run_id, result, report)
 
 
 def _cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> tuple[int, str]:
     from . import solve as hsolve
     spec, opts = _problem_from(cfg, mode)
-    writer = hio.CsvWriter(out / "results.csv", _RESULT_COLUMNS, seed)
     if mode == "closed":
         result = hsolve.solve_closed(spec, opts)
-        _result_row(writer, "closed-0", result)
+        row = _result_row("closed-0", result)
     else:
-        result = _dirichlet_run(writer, "dirichlet-0", spec, opts)
-    writer.flush()
+        result, row = _dirichlet_run("dirichlet-0", spec, opts)
+    hio.CsvWriter(out / "results.csv", _RESULT_COLUMNS, seed).flush(*zip(row))
     hio.write_scalar_field(out / "u_0.hcl", result.u)
     c_txt = f", c={result.c:.3e}" if result.c is not None else ""
     return EXIT_OK, (f"solve-{mode}: {result.iterations} iterations, "
@@ -343,17 +324,13 @@ def _cmd_degenerate(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     perturbed = None if shift is None else ScalarField(
         spec.domain, spec.phi.values + shift)
     report = hsolve.degenerate_sweep(spec, ladder, opts, perturbed_phi=perturbed)
-    writer = hio.CsvWriter(
-        out / "degenerate_sweep.csv",
-        ["epsilon", "rho", "iterations", "residual", "cauchy_to_next"],
-        seed,
-    )
-    for i, (eps, res) in enumerate(zip(report.epsilons, report.results)):
-        cauchy = report.cauchy[i] if i < len(report.cauchy) else float("nan")
-        writer.add(eps, report.rhos[i], res.iterations,
-                   res.residual_history[-1], cauchy)
-    writer.flush()
-    for i, res in enumerate(report.results):
+    results = report.results
+    hio.CsvWriter(out / "degenerate_sweep.csv", [
+        "epsilon", "rho", "iterations", "residual", "cauchy_to_next"], seed).flush(
+        report.epsilons, report.rhos, [res.iterations for res in results],
+        [res.residual_history[-1] for res in results],
+        [*report.cauchy, float("nan")][:len(results)])
+    for i, res in enumerate(results):
         hio.write_scalar_field(out / f"u_eps{i}.hcl", res.u)
     if report.error:
         raise NumericError(f"degenerate-sweep aborted: {report.error}")
@@ -367,14 +344,10 @@ def _cmd_exhaustion(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     spec, opts = _problem_from(cfg, "dirichlet")
     levels = _read(cfg, "levels", [float], low=1)
     report = hsolve.domain_exhaustion(spec, levels, opts)
-    writer = hio.CsvWriter(
-        out / "exhaustion.csv",
-        ["level", "interior_nodes", "diff_to_full", "diff_to_previous"],
-        seed,
-    )
-    writer.extend(report.levels, report.interior_counts, report.diffs_to_full,
-                  [float("nan"), *report.consecutive_diffs])
-    writer.flush()
+    hio.CsvWriter(out / "exhaustion.csv", [
+        "level", "interior_nodes", "diff_to_full", "diff_to_previous"], seed).flush(
+        report.levels, report.interior_counts, report.diffs_to_full,
+        [float("nan"), *report.consecutive_diffs])
     return EXIT_OK, f"exhaustion: {len(report.levels)} nested solves"
 
 
@@ -383,11 +356,10 @@ def _cmd_estimate_report(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     scales = _read(cfg, "amplitudes", [float], [0.25, 0.5, 1.0], low=1)
     # run ids keep the JSON spelling of each amplitude: amp-1 is not amp-1.0
     amplitudes = cfg.get("amplitudes") or scales
-    writer = hio.CsvWriter(out / "estimates.csv", _RESULT_COLUMNS, seed)
-    for amp, scale in zip(amplitudes, scales):
-        psi_a = ScalarField(spec.domain, scale * spec.psi.values)
-        _dirichlet_run(writer, f"amp-{amp}", replace(spec, psi=psi_a), opts)
-    writer.flush()
+    rows = [_dirichlet_run(f"amp-{amp}", replace(
+        spec, psi=ScalarField(spec.domain, scale * spec.psi.values)), opts)[1]
+        for amp, scale in zip(amplitudes, scales)]
+    hio.CsvWriter(out / "estimates.csv", _RESULT_COLUMNS, seed).flush(*zip(*rows))
     return EXIT_OK, f"estimate-report: {len(amplitudes)} amplitude runs"
 
 

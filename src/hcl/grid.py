@@ -223,9 +223,6 @@ class ScalarField:
     def from_function(cls, domain: GridDomain, fn) -> "ScalarField":
         return cls(domain, fn(*domain.meshgrid()))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.domain, self.values.copy())
-
 
 @dataclass
 class HermitianField:

@@ -1,4 +1,4 @@
-"""Flat binary field container and schema-versioned CSV emission.
+"""HCL1 field containers and the one CSV writer.
 
 Container layout (little-endian):
     magic   4 bytes  b"HCL1"
@@ -8,7 +8,9 @@ Container layout (little-endian):
     flags   rank x uint8   (1 = periodic spatial axis, 0 otherwise)
     data    float64, C order (first axis slowest)
 
-Complex fields are stored with a trailing axis of size 2 (re, im).
+Complex fields are stored with a trailing axis of size 2 (re, im).  A field
+reads back only on a domain of its n, shape and flags; an unreadable path or a
+malformed container raises ConfigError.  `CsvWriter` writes every CSV artifact.
 """
 
 from __future__ import annotations
@@ -50,7 +52,10 @@ def write_array(path, values: np.ndarray, n: int, flags) -> None:
 
 
 def read_array(path):
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read field file: {exc}") from exc
     if raw[:4] != MAGIC:
         raise ConfigError(f"{path}: not an HCL1 container")
     n, rank = struct.unpack_from("<II", raw, 4) if len(raw) >= 12 else (0, 0)
@@ -68,11 +73,18 @@ def write_scalar_field(path, f: ScalarField) -> None:
     write_array(path, f.values, f.domain.n, f.domain.periodic)
 
 
-def read_scalar_field(path, domain: GridDomain) -> ScalarField:
+def _read_on(path, domain: GridDomain, tail=()) -> np.ndarray:
+    """A container's values, if its n, shape and flags are the domain's
+    followed by the non-periodic trailing axes `tail`."""
     values, n, flags = read_array(path)
-    if n != domain.n or values.shape != domain.shape:
+    if (n != domain.n or values.shape != domain.shape + tail
+            or flags != domain.periodic + (False,) * len(tail)):
         raise ConfigError(f"{path}: container does not match the domain")
-    return ScalarField(domain, values)
+    return values
+
+
+def read_scalar_field(path, domain: GridDomain) -> ScalarField:
+    return ScalarField(domain, _read_on(path, domain))
 
 
 def write_hermitian_field(path, f: HermitianField) -> None:
@@ -83,21 +95,15 @@ def write_hermitian_field(path, f: HermitianField) -> None:
 
 
 def read_hermitian_values(path, domain: GridDomain) -> HermitianField:
-    values, n, _ = read_array(path)
-    want = domain.shape + (domain.n, domain.n, 2)
-    if n != domain.n or values.shape != want:
-        raise ConfigError(f"{path}: container does not match the domain")
+    values = _read_on(path, domain, (domain.n, domain.n, 2))
     return HermitianField(domain, values[..., 0] + 1j * values[..., 1])
 
 
 def export_csv(path, f: ScalarField) -> None:
     """Axis indices plus value, one node per row."""
     d = len(f.domain.shape)
-    columns = [*np.indices(f.domain.shape).reshape(d, -1), f.values.reshape(-1)]
-    with open(path, "w", newline="") as fh:
-        fh.write(SCHEMA_LINE + "\n" + "".join(f"i{a}," for a in range(d)) + "value\n")
-        fh.writelines(",".join(row) + "\n"
-                      for row in zip(*(_cells(c.tolist()) for c in columns)))
+    CsvWriter(path, [*(f"i{a}" for a in range(d)), "value"]).flush(
+        *np.indices(f.domain.shape).reshape(d, -1), f.values.reshape(-1))
 
 
 def _formatter(kind):
@@ -119,30 +125,21 @@ def _cells(column: list) -> list[str]:
 
 
 class CsvWriter:
-    """Single-writer CSV emission with the frozen schema header.
+    """The schema line, `# seed N` unless seed is None, the header, then one
+    row per entry of the columns given to `flush`, formatted column by column;
+    identical (columns, seed, data) give identical bytes."""
 
-    Rows are kept as columns and formatted column by column.  Identical
-    (columns, rows, seed) produce identical bytes.
-    """
-
-    def __init__(self, path, columns, seed):
+    def __init__(self, path, columns, seed=None):
         self.path = Path(path)
         self.columns = list(columns)
         self.seed = seed
-        self._cols: list[list] = [[] for _ in self.columns]
 
-    def add(self, *row) -> None:
-        self.extend(*([x] for x in row))
-
-    def extend(self, *columns) -> None:
-        """Append one row per entry of equally long columns (lists or arrays)."""
-        if len(columns) != len(self.columns) or len(set(map(len, columns))) != 1:
+    def flush(self, *columns) -> None:
+        """Write the file from equally long columns (lists or arrays)."""
+        if len(columns) != len(self.columns) or len(set(map(len, columns))) > 1:
             raise ConfigError("row width does not match the column schema")
-        for col, values in zip(self._cols, columns):
-            col.extend(values.tolist() if isinstance(values, np.ndarray) else values)
-
-    def flush(self) -> None:
+        cells = [_cells(c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+        seed = "" if self.seed is None else f"# seed {self.seed}\n"
         with open(self.path, "w", newline="") as fh:
-            fh.write(f"{SCHEMA_LINE}\n# seed {self.seed}\n{','.join(self.columns)}\n")
-            fh.writelines(",".join(row) + "\n"
-                          for row in zip(*map(_cells, self._cols)))
+            fh.write(f"{SCHEMA_LINE}\n{seed}{','.join(self.columns)}\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))

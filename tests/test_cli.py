@@ -346,6 +346,16 @@ class TestExitCodes:
         ("exhaustion", dict(DIRICHLET_SMALL, domain=dict(
             DIRICHLET_SMALL["domain"], x_shape=[4, 4], s_shape=[9, 9]), levels=[0.5]),
          "level 0.5: empty sub-domain"),
+        # guards of the grid and the subsolution context that no other row reached
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, domain=dict(
+            DIRICHLET_SMALL["domain"], s_shape=[9, 9, 9])),
+         "S factor is one complex variable: 2 axes"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, chi={"constant": [
+            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+         "background form must be n x n"),
+        ("subsol-check", dict(SUBSOL, delta=0), "delta and radius must be positive"),
+        ("subsol-check", dict(SUBSOL, radius=-1), "delta and radius must be positive"),
+        ("subsol-check", dict(SUBSOL, mu=[-5, -5, 1]), "mu must lie in Gamma"),
     ], ids=["missing-psi", "missing-a_re", "field-without-file", "bad-const",
             "bad-option", "bad-count", "bad-samples", "missing-sigma",
             "missing-levels", "bad-boundary-shift", "bad-ladder",
@@ -374,7 +384,8 @@ class TestExitCodes:
             "two-node-s-axis", "node-cap", "closed-on-product", "scalar-config",
             "array-config", "degenerate-psi", "negative-delta-closed",
             "removed-continuation-closed", "closed-const-phi", "closed-sinx-phi",
-            "empty-exhaustion-level"])
+            "empty-exhaustion-level", "three-s-axes", "chi-constant-3x3-on-n-2",
+            "zero-delta", "negative-radius", "mu-outside-gamma"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
                                         payload, key):
         cfg = write_config(tmp_path, "bad.json", payload)
@@ -422,6 +433,25 @@ class TestExitCodes:
         assert err.startswith("config error:") and message in err
         if message != "finite":
             assert str(path) in err
+
+    # a field written on the annulus has the rectangle's shape but a periodic
+    # S axis, sampled at spacing L/N, not L/(N - 1): each solved (exit 0)
+    @pytest.mark.parametrize("field", ["psi", "chi"])
+    def test_container_of_other_periodicity_exit_four(self, tmp_path, capsys, field):
+        rectangle = dict(DIRICHLET_SMALL["domain"], x_shape=[4, 4], s_shape=[9, 9])
+        annulus = _domain_from(dict(rectangle, s_periodic=[False, True]))
+        path = tmp_path / f"{field}.hcl"
+        if field == "psi":
+            hio.write_scalar_field(path, ScalarField.full(annulus, 0.4))
+        else:
+            hio.write_hermitian_field(path, identity_chi(annulus))
+        cfg = write_config(tmp_path, "bad.json", dict(
+            DIRICHLET_SMALL, domain=rectangle, base_dir=str(tmp_path),
+            **{field: {"file": path.name}}))
+        assert main(["solve-dirichlet", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"config error: {path}: container does not match the domain"
 
     @pytest.mark.parametrize("command, payload", [
         ("solve-dirichlet", DIRICHLET_SMALL), ("solve-closed", CLOSED_CONSTANTS),

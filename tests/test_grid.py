@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hcl.errors import DomainError, ResolutionError, StencilError
+from hcl.errors import ConfigError, DomainError, ResolutionError, StencilError
 from hcl.grid import (
     BOUNDARY,
     EXTERIOR,
@@ -23,6 +23,7 @@ from hcl.grid import (
     identity_chi,
 )
 from hcl.io import (
+    CsvWriter,
     export_csv,
     read_array,
     read_hermitian_values,
@@ -375,6 +376,26 @@ class TestSerialization:
         assert lines[0] == "# hcl-schema v1"
         assert lines[1] == "i0,i1,value"
         assert len(lines) == 2 + 9
+
+    def test_csv_export_bytes(self, tmp_path):
+        dom = GridDomain.product(1, s_shape=(3, 3))
+        values = np.arange(9.0).reshape(3, 3) / 4 - 1
+        values[2, 1] = 0.1
+        path = tmp_path / "f.csv"
+        export_csv(path, ScalarField(dom, values))
+        assert path.read_bytes() == (
+            b"# hcl-schema v1\ni0,i1,value\n0,0,-1\n0,1,-0.75\n0,2,-0.5\n"
+            b"1,0,-0.25\n1,1,0\n1,2,0.25\n2,0,0.5\n2,1,0.10000000000000001\n2,2,1\n")
+
+    @pytest.mark.parametrize("columns", [
+        ([1, 2], [True, False]), ([1, 2], [True, False], [0.5, 1.5], [3, 4]),
+        ([1, 2], np.array([True]), [0.5, 1.5]), ([], [True], []),
+    ], ids=["too-few-columns", "too-many-columns", "short-array", "ragged"])
+    def test_csv_width_mismatch_writes_nothing(self, tmp_path, columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ConfigError, match="row width"):
+            CsvWriter(path, ["a", "b", "c"], 7).flush(*columns)
+        assert not path.exists()
 
 
 class TestFieldValidation:

@@ -3,7 +3,9 @@
 An AST walk over `src/hcl/*.py` collects each module-level function and
 class and each non-dunder method, and each name that a `Name` or
 `Attribute` node of the library uses.  Docstrings and `__all__` are string
-constants, so they reference nothing.  A definition that no node names is
+constants, so they reference nothing, and an attribute of a module bound by
+`import x [as y]` (`np.zeros`, `math.sqrt`) is that module's, not the
+library's.  A definition that no node names is
 dead code unless `ALLOWED` keeps it, with its reason.
 """
 
@@ -27,6 +29,7 @@ ALLOWED = {
     "gamma_g_criteria": "the tests' cross-check of `in_gamma_g`",
     "random_instance": "the tests' one-instance battery draw",
     "ScalarField.from_function": "the tests' field constructor",
+    "ScalarField.zeros": "the tests' zero field",
     "CensusReport.constant": "the tests' constant-verdict census",
 }
 
@@ -44,11 +47,23 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _used(tree: ast.Module):
+    """The names a module's `Name` and `Attribute` nodes read, less the
+    attributes read on a module it binds with `import`."""
+    modules = {alias.asname or alias.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield node.attr
+
+
 def _unreached() -> set[str]:
     trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    used = {name for tree in trees for name in _used(tree)}
     return {qual for tree in trees for qual, name in _definitions(tree) if name not in used}
 
 
