@@ -5,7 +5,7 @@ Container layout (little-endian):
     n       uint32   complex dimension
     rank    uint32   number of array axes (spatial axes first)
     dims    rank x uint32
-    flags   rank x uint8   (1 = periodic spatial axis, 0 otherwise)
+    flags   rank x uint8   (1 = periodic spatial axis, 0 otherwise; no other byte)
     data    float64, C order (first axis slowest)
 
 Complex fields are stored with a trailing axis of size 2 (re, im).  A field
@@ -65,6 +65,8 @@ def read_array(path):
     if len(raw) < off + 8 * count:
         raise ConfigError(f"{path}: HCL1 container cut short at {len(raw)} bytes")
     flags = struct.unpack_from(f"<{rank}B", raw, 12 + 4 * rank)
+    if not set(flags) <= {0, 1}:
+        raise ConfigError(f"{path}: periodicity flag not 0 or 1")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(dims)
     return values.copy(), int(n), tuple(bool(f) for f in flags)
 

@@ -19,8 +19,8 @@ n <= 3 the cone test, f and F need no eigenvalues, n >= 4 one LAPACK call each.
 The Newton operator is the exact derivative of the discrete residual: with
 F = d f(lambda[g]) / dg (`_newton_coefficient`) it is
 L v = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}, with the Hessian
-stencils of `grid.box_hessian`.  Each Newton step solves its system
-only as far as its stopping test needs (the forcing floor of `_damped_newton`).
+stencils of `grid.box_hessian`.  Each Newton step solves its system only as
+far as inexact Newton needs (the forcing term of `_damped_newton`).
 
 Linear sub-solves share one fast direct solver, `_spectral_inverse`: on a box
 with a boundary it inverts a constant-coefficient operator by a real FFT
@@ -110,7 +110,8 @@ __all__ = [
     "residual_field",
 ]
 
-LIN_TOL = 1e-11  # relative residual of every BiCGStab solve
+LIN_TOL = 1e-11  # tightest relative residual of a BiCGStab solve
+FORCING_MAX = 1e-2  # loosest Newton forcing term, after a step of length >= 1/2
 DAMPING_MIN = 1e-12  # smallest line-search step before a stall
 POISSON_SUP_TOL = 1e-10  # Poisson sup-norm residual, relative to 1 + |rhs|_inf
 ESTIMATE_SLACK = 1e-8  # of the sandwich and the normal-derivative ordering
@@ -604,8 +605,8 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse, rtol: float = LIN_T
     The certificate is the true residual |A x - b|_2 <= 10 rtol |b|_2; a run
     that converges without it restarts once from its result, and a breakdown
     or a second miss (named with its true residual) raises `NumericError`.
-    `rtol` is `LIN_TOL` except for a Newton step, whose forcing floor raises
-    it to 0.5 tol / |r|_2 when that is larger (see `_damped_newton`).
+    `rtol` is `LIN_TOL` except for a Newton step, whose forcing term raises
+    it up to 0.5 tol / |r|_2 or `FORCING_MAX` (see `_damped_newton`).
     Iterations are counted as preconditioner applications, two per iteration
     and one on a final half step, which scipy's `callback` misses.
     """
@@ -774,11 +775,13 @@ def _damped_newton(spec: ProblemSpec, w: np.ndarray, opts: SolverOptions):
     makes one BiCGStab solve, preconditioned by `_spectral_inverse` factored
     at its Newton coefficient (averaged over the interior, or on the torus over
     every axis but `_direct_axis`), to the relative residual
-    rtol = max(LIN_TOL, 0.5 tol / |r|_2).  BiCGStab then stops at a linear
-    residual |A v + r|_2 <= max(LIN_TOL |r|_2, 0.5 tol): near the solution at
-    most 0.5 tol in the 2-norm, so in the sup norm, and the last step reaches
-    tol without being solved further.  The stop is still the true sup-norm
-    residual <= tol.
+    rtol = max(LIN_TOL, 0.5 tol / |r_k|_2, eta_k).  The floor 0.5 tol / |r_k|_2
+    leaves a linear residual of at most 0.5 tol in the 2-norm, so in the sup
+    norm, and the last step reaches tol without being solved further.  The
+    forcing term eta_k = min(FORCING_MAX, 0.9 (res_k / res_{k-1})^2) of the
+    sup-norm residuals (Eisenstat & Walker 1996, choice 2) applies only after
+    a step of length >= 1/2, else 0: after shorter steps it costs Newton steps.
+    The stop is still the true sup-norm residual <= tol.
     Returns (w, c, residual history, Krylov iterations per step).
     """
     dom = spec.domain
@@ -790,13 +793,15 @@ def _damped_newton(spec: ProblemSpec, w: np.ndarray, opts: SolverOptions):
     res = float(np.max(np.abs(r)))
     history = [res]
     solves: list[int] = []
+    long_step = False  # was the last accepted step of length >= 1/2
     for _ in range(opts.max_newton):
         if res <= tol:
             break
         coeff = _newton_coefficient(spec.family, g, s)
         a = assemble_linearized(dom, coeff)
         inverse = _spectral_inverse(dom, coeff)
-        rtol = max(LIN_TOL, 0.5 * tol / float(np.linalg.norm(r)))
+        eta = min(FORCING_MAX, 0.9 * (history[-1] / history[-2]) ** 2) if long_step else 0.0
+        rtol = max(LIN_TOL, 0.5 * tol / float(np.linalg.norm(r)), eta)
         if spec.mode == "closed":
             v, dc, iters = _solve_bordered(a, r, inverse, rtol)
         else:
@@ -816,6 +821,7 @@ def _damped_newton(spec: ProblemSpec, w: np.ndarray, opts: SolverOptions):
                 if res_t < res:
                     w, c, r, res, s, g = trial, c_t, r_t, res_t, s_t, g_t
                     history.append(res)
+                    long_step = step >= 0.5
                     break
             step *= 0.5
         else:

@@ -453,6 +453,23 @@ class TestExitCodes:
         (err,) = capsys.readouterr().err.splitlines()
         assert err == f"config error: {path}: container does not match the domain"
 
+    # a flag byte of 7 read as periodic, so this container loaded (exit 0)
+    def test_flag_byte_outside_zero_one_exit_four(self, tmp_path, capsys):
+        rectangle = dict(DIRICHLET_SMALL["domain"], x_shape=[4, 4], s_shape=[9, 9])
+        path = tmp_path / "psi.hcl"
+        hio.write_scalar_field(path, ScalarField.full(_domain_from(rectangle), 0.4))
+        raw = bytearray(path.read_bytes())
+        assert raw[28:32] == bytes([1, 1, 0, 0])  # the flags follow 12 + 4 * 4 bytes
+        raw[28] = 7
+        path.write_bytes(raw)
+        cfg = write_config(tmp_path, "bad.json", dict(
+            DIRICHLET_SMALL, domain=rectangle, base_dir=str(tmp_path),
+            psi={"file": path.name}))
+        assert main(["solve-dirichlet", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 4
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"config error: {path}: periodicity flag not 0 or 1"
+
     @pytest.mark.parametrize("command, payload", [
         ("solve-dirichlet", DIRICHLET_SMALL), ("solve-closed", CLOSED_CONSTANTS),
     ], ids=["dirichlet", "closed"])
@@ -845,7 +862,12 @@ class TestNumberBounds:
 # tol of 1.4e-9), and cone_check.csv of log-sigma, sigma-quotient and
 # quotient-log, when grad_f became the chain rule through df_dsigma
 # (min_gradient moved by at most 1.4e-17, worst_fd_mismatch by 1.6e-16;
-# violations unchanged)
+# violations unchanged), and degenerate_sweep.csv and exhaustion.csv, when a
+# Newton step after one of length >= 1/2 stopped BiCGStab at the
+# Eisenstat-Walker forcing term, not at 1e-11 (the largest cell change:
+# cauchy_to_next moved by 2.4e-13, diff_to_full by 5.9e-13, diff_to_previous
+# by 1.1e-12, and the Newton residual column, below tol on both sides;
+# iterations unchanged)
 VIOLATING = {"n": 2, "d": [0.0], "a_re": [1.0], "a_im": [0.0], "epsilon": 0.1,
              "corner_multipliers": [0.01, 1.0, 1.5]}
 WIDE = {"n": 5, "d": [0.1, 0.9, -0.4, 0.0], "a_re": [1e-3, 0.5, -0.7, 2.0],
@@ -896,9 +918,9 @@ PINNED = [
      ("6b5ce6b88abb058195fda553affacb026a1b734c115739941fc495eb8eeb830c",
       "df8fd5eb12fff7465316c02f3a8bcdfca08d0ca6a97b92057157be0fb8867d2e")),
     ("degenerate-sweep", SWEEP, 0, 0,
-     "908afcde795d32fc0d101a2407bdb08bde7f07062160f481950b4a09545cff2f"),
+     "113f5a7f422b463e9b8f307bf38d1a7dcc894b756658042b0937eb5db333db6d"),
     ("exhaustion", EXHAUSTION, 0, 0,
-     "8a9dcf571b35a2628cb8980d457e3b0fa7917069f089b367b801fdc7b7a96e2f"),
+     "bb4d084c9ec78caabd59f57b7ef5d635de55b09c36b546684cb190c73fc9ac24"),
     ("estimate-report", ESTIMATES, 0, 0,
      "c86c0b4c740b22de7fc556da7621557119f2924250bb191c78acee2c8a841a30"),
 ]
