@@ -169,7 +169,7 @@ def _chi_from(domain: GridDomain, spec, base_dir: Path) -> HermitianField:
 _OPTIONS = {"residual_scale": (float, None), "max_newton": (int, 1), "delta": (float, None)}
 
 
-def _problem_from(cfg: dict, mode: str):
+def _problem_from(cfg: dict):
     """The ProblemSpec of a solver config, then its SolverOptions."""
     from . import solve as hsolve  # scipy loads for the solver commands only
     base_dir = Path(_read(cfg, "base_dir", str, "."))
@@ -179,7 +179,7 @@ def _problem_from(cfg: dict, mode: str):
     psi = _expression_field(domain, _read(cfg, "psi", object), base_dir)
     phi = _read(cfg, "phi", object, None)
     phi = None if phi is None else _expression_field(domain, phi, base_dir)
-    spec = hsolve.ProblemSpec(domain, family, chi, psi, phi, mode)
+    spec = hsolve.ProblemSpec(domain, family, chi, psi, phi)
     opts = _read(cfg, "options", dict, {})
     unknown = sorted(set(opts) - set(_OPTIONS))
     if unknown:
@@ -303,7 +303,7 @@ def _dirichlet_run(run_id, spec, opts):
 
 def _cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> tuple[int, str]:
     from . import solve as hsolve
-    spec, opts = _problem_from(cfg, mode)
+    spec, opts = _problem_from(cfg)
     if mode == "closed":
         result = hsolve.solve_closed(spec, opts)
         row = _result_row("closed-0", result)
@@ -318,10 +318,10 @@ def _cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> tuple[int, str]:
 
 def _cmd_degenerate(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     from . import solve as hsolve
-    spec, opts = _problem_from(cfg, "dirichlet")
+    spec, opts = _problem_from(cfg)
     ladder = _read(cfg, "ladder", [float], [1.0, 0.5, 0.25, 0.125], low=1)
     shift = _read(cfg, "boundary_shift", float, None)
-    perturbed = None if shift is None else ScalarField(
+    perturbed = None if shift is None or spec.phi is None else ScalarField(
         spec.domain, spec.phi.values + shift)
     report = hsolve.degenerate_sweep(spec, ladder, opts, perturbed_phi=perturbed)
     results = report.results
@@ -341,7 +341,7 @@ def _cmd_degenerate(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
 
 def _cmd_exhaustion(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
     from . import solve as hsolve
-    spec, opts = _problem_from(cfg, "dirichlet")
+    spec, opts = _problem_from(cfg)
     levels = _read(cfg, "levels", [float], low=1)
     report = hsolve.domain_exhaustion(spec, levels, opts)
     hio.CsvWriter(out / "exhaustion.csv", [
@@ -352,7 +352,7 @@ def _cmd_exhaustion(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
 
 
 def _cmd_estimate_report(cfg: dict, out: Path, seed: int) -> tuple[int, str]:
-    spec, opts = _problem_from(cfg, "dirichlet")
+    spec, opts = _problem_from(cfg)
     scales = _read(cfg, "amplitudes", [float], [0.25, 0.5, 1.0], low=1)
     # run ids keep the JSON spelling of each amplitude: amp-1 is not amp-1.0
     amplitudes = cfg.get("amplitudes") or scales

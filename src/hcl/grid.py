@@ -55,13 +55,14 @@ NODE_CAP = 2**20
 
 @dataclass(frozen=True)
 class GridDomain:
-    """Structured lattice over [0, L_1) x ... with per-axis periodicity."""
+    """Structured lattice over [0, L_1) x ... with per-axis periodicity; equal
+    grids have equal axes, whatever their node roles (a sub-domain equals its
+    parent).  Boundary nodes pose the Dirichlet problem, none the closed one."""
 
     n: int  # complex dimension
     shape: tuple[int, ...]  # node counts, 2n axes
     lengths: tuple[float, ...]
     periodic: tuple[bool, ...]
-    kind: str
     roles: np.ndarray = field(repr=False, compare=False)  # INTERIOR/BOUNDARY/EXTERIOR
 
     @classmethod
@@ -72,7 +73,7 @@ class GridDomain:
         lengths = tuple(float(x) for x in (lengths or (2.0 * np.pi,) * (2 * n)))
         _check_axes(shape, lengths, (True,) * (2 * n), ("",) * (2 * n))
         roles = np.zeros(shape, dtype=np.uint8)
-        return cls(n, shape, lengths, (True,) * (2 * n), "torus", roles)
+        return cls(n, shape, lengths, (True,) * (2 * n), roles)
 
     @classmethod
     def product(
@@ -106,7 +107,7 @@ class GridDomain:
         for ax in range(2 * (n - 1), 2 * n):
             if not periodic[ax]:
                 np.moveaxis(roles, ax, 0)[[0, -1]] = BOUNDARY
-        return cls(n, shape, lengths, periodic, "product", roles)
+        return cls(n, shape, lengths, periodic, roles)
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -151,7 +152,7 @@ class GridDomain:
         padded by one node along S (wrapped; dropped past a bounded edge); a
         torus has no S axes and raises `DomainError`.
         """
-        if self.kind != "product":
+        if all(self.periodic):
             raise DomainError("restrict needs a product domain")
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != self.shape:
@@ -170,8 +171,7 @@ class GridDomain:
         roles[keep & (~whole | (self.roles == BOUNDARY))] = BOUNDARY
         if not (roles == INTERIOR).any():
             raise ResolutionError("sub-domain has no interior nodes")
-        return GridDomain(self.n, self.shape, self.lengths, self.periodic,
-                          self.kind, roles)
+        return GridDomain(self.n, self.shape, self.lengths, self.periodic, roles)
 
 
 def _check_axes(shape, lengths, periodic, keys) -> None:

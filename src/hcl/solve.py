@@ -1,12 +1,13 @@
 """Damped-Newton solvers for f(lambda[chi + i ddbar u]) = psi.
 
-One damped-Newton core serves both modes: every accepted step must keep
-lambda(g[u]) inside the cone at all interior nodes and decrease the sup-norm
-residual.  Closed mode solves for the pair (u, c) in f(...) = psi + c on a
-fully periodic domain with a zero-mean gauge on the updates and sup u = 0
-applied after convergence.  Dirichlet mode builds a strict subsolution as
-its correction w = u - phi, 0 off the interior, and makes one damped-Newton
-run on w from exactly that start; phi meets a Hessian only in
+The grid poses the problem (`ProblemSpec`); one damped-Newton core serves
+both: every accepted step must keep lambda(g[u]) inside the cone at all
+interior nodes and decrease the sup-norm residual.  On a torus (no boundary
+nodes, no phi) it solves for the pair (u, c) in f(...) = psi + c with a
+zero-mean gauge on the updates and sup u = 0 applied after convergence.  A
+grid with boundary nodes poses the Dirichlet problem: a strict subsolution
+gives its correction w = u - phi, 0 off the interior, and one damped-Newton
+run on w starts there; phi meets a Hessian only in
 `ProblemSpec.background` = chi + i ddbar phi, so its size adds no rounding
 to the iterates.  `residual_field` alone evaluates g = background + i ddbar w
 (at the interior nodes, by `box_hessian`), sigma(g), the cone test and f.
@@ -30,13 +31,13 @@ axis; a masked sub-domain takes its box's map.  It solves the Poisson
 problems on a box directly and, at the mean Newton coefficient, preconditions
 BiCGStab, the only Krylov solver: it serves every Newton system and refines
 a Poisson solve on a masked domain or one that misses its certificate.
-Closed mode solves the bordered (N+1) system for the update and the constant
-at once, as an operator around A (`_bordered_operator`; no (N+1) matrix is
-built).  Its one preconditioner follows the coefficient: averaged over every
-axis but the one whose profile spreads most (`_direct_axis`), it is inverted
-exactly by an FFT along the other axes and one cyclic line solve per mode
-along that axis (`_line_inverse`).  Each Newton step makes one Krylov solve;
-its iterations are recorded in `SolveResult.linear_solves`.
+The closed problem solves the bordered (N+1) system for the update and the
+constant at once, as an operator around A (`_bordered_operator`; no (N+1)
+matrix is built).  Its one preconditioner follows the coefficient: averaged
+over every axis but the one whose profile spreads most (`_direct_axis`), it
+is inverted exactly by an FFT along the other axes and one cyclic line solve
+per mode along that axis (`_line_inverse`).  Each Newton step makes one
+Krylov solve; its iterations are recorded in `SolveResult.linear_solves`.
 
 `assemble_linearized` stores A row-major in stencil order, as in ELLPACK:
 every row holds its S = 1 + 4n + 8n(n-1) weights in the order of
@@ -118,31 +119,28 @@ ESTIMATE_SLACK = 1e-8  # of the sandwich and the normal-derivative ordering
 
 @dataclass
 class ProblemSpec:
-    """Problem data (chi, psi, phi) over a domain for a function family, and
+    """Problem data (chi, psi, phi) for a family on a grid, which poses the
+    problem: a torus takes no phi, a grid with boundary nodes needs it.  The
+    fields lie on grids equal to `domain` and are read through its node
+    roles, so a sub-domain, like a psi or phi variant, is one `replace`.
     `background`, the one place where phi meets a Hessian: chi + i ddbar phi
-    (chi in closed mode) at the interior nodes, in Hermitian coordinates."""
+    (chi on a torus) at the interior nodes, in Hermitian coordinates."""
 
     domain: GridDomain
     family: FuncFamily
     chi: HermitianField
     psi: ScalarField
-    phi: ScalarField | None
-    mode: str  # "closed" | "dirichlet"
+    phi: ScalarField | None = None
     background: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in ("closed", "dirichlet"):
-            raise DomainError("mode must be 'closed' or 'dirichlet'")
-        if self.mode == "closed":
-            if not all(self.domain.periodic):
-                raise DomainError("closed mode needs a fully periodic domain")
-            if self.phi is not None:
-                raise DomainError("closed mode takes no boundary data phi")
-        else:
-            if not self.domain.boundary.any():
-                raise DomainError("dirichlet mode needs boundary nodes")
-            if self.phi is None:
-                raise DomainError("dirichlet mode needs boundary data phi")
+        if any(f is not None and f.domain != self.domain
+               for f in (self.chi, self.psi, self.phi)):
+            raise DomainError("chi, psi and phi must lie on the problem's grid")
+        if self.domain.boundary.any() == (self.phi is None):
+            raise DomainError("a grid without boundary nodes takes no boundary data phi"
+                              if self.phi is not None else
+                              "a grid with boundary nodes needs boundary data phi")
         if self.family.n != self.domain.n:
             raise DomainError("family dimension does not match the domain")
         lo = float(np.min(self.psi.values[~self.domain.exterior]))
@@ -150,7 +148,7 @@ class ProblemSpec:
             raise DomainError("psi drops below the attainable range of f")
         self.background = _coords(self.chi.values[self.domain.interior])
         if self.phi is not None:
-            self.background += box_hessian(self.phi)
+            self.background += box_hessian(ScalarField(self.domain, self.phi.values))
 
     @property
     def degenerate(self) -> bool:
@@ -189,8 +187,8 @@ class SolveResult:
     u: ScalarField
     c: float | None
     residual_history: list[float]
-    # the BiCGStab iterations of each Newton step in both modes (a final half
-    # step counts as one); diagnostics only, written to no artifact
+    # the BiCGStab iterations of each Newton step, on either problem (a final
+    # half step counts as one); diagnostics only, written to no artifact
     linear_solves: list[int]
     subsolution: ScalarField | None = None  # the start of a Dirichlet solve
 
@@ -282,10 +280,10 @@ def _newton_coefficient(family: FuncFamily, g: np.ndarray, s: list) -> np.ndarra
 
 
 def residual_field(spec: ProblemSpec, w: np.ndarray, c: float = 0.0):
-    """(r, sigma, g) at the interior nodes for the correction w (u = phi + w in
-    Dirichlet mode, u = w in closed mode): g = `ProblemSpec.background` +
-    i ddbar w in Hermitian coordinates (n^2, N), by `box_hessian`,
-    sigma = `_sigmas`(g) and r = f - psi - c, or None as in `_f_of_g`."""
+    """(r, sigma, g) at the interior nodes for the correction w (u = phi + w,
+    or u = w on a torus): g = `ProblemSpec.background` + i ddbar w in
+    Hermitian coordinates (n^2, N), by `box_hessian`, sigma = `_sigmas`(g)
+    and r = f - psi - c, or None as in `_f_of_g`."""
     dom = spec.domain
     g = box_hessian(ScalarField(dom, w))
     g += spec.background  # in place: no second (n^2, N) array per evaluation
@@ -678,7 +676,7 @@ def s_factor_potential(domain: GridDomain) -> ScalarField:
     """h on a product domain, constant along the X factor, where h on the
     box of the S factor solves chern_laplacian(h) = 1 with h = 0 on its
     boundary (negative inside)."""
-    if domain.kind != "product":
+    if all(domain.periodic):
         raise DomainError("S factor only exists for product domains")
     s = slice(len(domain.shape) - 2, None)
     s_dom = GridDomain.product(1, s_shape=domain.shape[s], s_lengths=domain.lengths[s],
@@ -695,7 +693,7 @@ def build_subsolution(spec: ProblemSpec, delta: float) -> tuple[ScalarField, flo
     to 0 off the interior nodes and t the smallest of 0 and `LADDER` with
     lambda(g) in Gamma and f >= psi + delta at every interior node, where
     g = `ProblemSpec.background` + t i ddbar h is `residual_field`'s g at t h."""
-    if spec.mode != "dirichlet" or spec.domain.kind != "product":
+    if spec.phi is None or all(spec.domain.periodic):
         raise DomainError("subsolution construction needs a Dirichlet product domain")
     if delta <= 0:
         raise DomainError("strictness delta must be positive")
@@ -722,8 +720,8 @@ def build_supersolution(spec: ProblemSpec) -> ScalarField:
     """Solution of chern_laplacian(v) + tr(chi) = 0 with v = phi on the boundary:
     v = phi + h, where chern_laplacian(h) = -tr(`ProblemSpec.background`) and
     h = 0 on the boundary."""
-    if spec.mode != "dirichlet":
-        raise DomainError("supersolution needs Dirichlet mode")
+    if spec.phi is None:
+        raise DomainError("supersolution needs a grid with boundary nodes")
     dom = spec.domain
     rhs = np.zeros(dom.shape)
     rhs[dom.interior] = -spec.background[[j * (2 * dom.n - j) for j in range(dom.n)]].sum(axis=0)
@@ -765,11 +763,11 @@ def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, rtol: float = LIN_
 
 def _damped_newton(spec: ProblemSpec, w: np.ndarray, opts: SolverOptions):
     """Damped Newton on the interior values of the correction w
-    (`residual_field`), and on c in closed mode.
+    (`residual_field`), and on c on a torus.
 
     Each step linearizes at w and solves for the update: the bordered system
-    with the zero-mean gauge in closed mode, the plain Newton system in
-    Dirichlet mode (w stays 0 on the boundary).  The step is halved until the
+    with the zero-mean gauge on a torus (phi is None), else the plain Newton
+    system (w stays 0 on the boundary).  The step is halved until the
     iterate stays admissible and the sup-norm residual decreases; the accepted
     trial's g and sigma give the next step's coefficient.  Each step
     makes one BiCGStab solve, preconditioned by `_spectral_inverse` factored
@@ -802,7 +800,7 @@ def _damped_newton(spec: ProblemSpec, w: np.ndarray, opts: SolverOptions):
         inverse = _spectral_inverse(dom, coeff)
         eta = min(FORCING_MAX, 0.9 * (history[-1] / history[-2]) ** 2) if long_step else 0.0
         rtol = max(LIN_TOL, 0.5 * tol / float(np.linalg.norm(r)), eta)
-        if spec.mode == "closed":
+        if spec.phi is None:
             v, dc, iters = _solve_bordered(a, r, inverse, rtol)
         else:
             (v, iters), dc = _solve_general(a, -r, inverse, rtol), 0.0
@@ -843,8 +841,8 @@ def solve_dirichlet(spec: ProblemSpec, opts: SolverOptions | None = None) -> Sol
     phi plus that start as `SolveResult.subsolution`.  A stall raises
     `StallError` at once."""
     opts = opts or SolverOptions()
-    if spec.mode != "dirichlet":
-        raise DomainError("solve_dirichlet needs Dirichlet mode")
+    if spec.phi is None:
+        raise DomainError("solve_dirichlet needs a grid with boundary nodes")
     if spec.degenerate:
         raise DomainError("degenerate right-hand side: use degenerate_sweep")
     w0 = build_subsolution(spec, opts.delta)[0].values
@@ -858,14 +856,19 @@ def solve_closed(spec: ProblemSpec, opts: SolverOptions | None = None) -> SolveR
     """Augmented Newton for (u, c) with the zero-mean gauge on updates;
     normalizes sup u = 0 after convergence."""
     opts = opts or SolverOptions()
-    if spec.mode != "closed":
-        raise DomainError("solve_closed needs closed mode")
+    if spec.phi is not None:
+        raise DomainError("solve_closed needs a grid without boundary nodes")
     u, c, history, solves = _damped_newton(spec, np.zeros(spec.domain.shape), opts)
     u = u - float(np.max(u))  # the equation sees only the Hessian; c is unchanged
     return SolveResult(ScalarField(spec.domain, u), float(c), history, solves)
 
 
 # ------------------------------------------------------------------ sweeps
+
+
+def _sup_diff(a: ScalarField, b: ScalarField, mask: np.ndarray) -> float:
+    """|a - b|_inf over the nodes where mask is True."""
+    return float(np.max(np.abs(a.values[mask] - b.values[mask])))
 
 
 def _decreasing(values, name: str) -> list[float]:
@@ -891,42 +894,32 @@ def degenerate_sweep(
     partial results when a regularized solve fails.
     """
     opts = opts or SolverOptions()
-    if spec.mode != "dirichlet":
-        raise DomainError("degenerate sweep needs Dirichlet mode")
+    if spec.phi is None:
+        raise DomainError("degenerate sweep needs a grid with boundary nodes")
     ladder = _decreasing(ladder, "ladder")
     report = SweepReport(epsilons=[], rhos=[], results=[], cauchy=[])
     live = ~spec.domain.exterior
-    prev = None
     for eps in ladder:
         rho = 0.5 * eps
-        psi_k = ScalarField(spec.domain, spec.psi.values + rho)
+        spec_k = replace(spec, psi=ScalarField(spec.domain, spec.psi.values + rho))
         try:
-            res = solve_dirichlet(replace(spec, psi=psi_k), opts)
+            res = solve_dirichlet(spec_k, opts)
         except HclError as exc:
             report.error = f"solve at eps={eps} failed: {exc}"
             return report
         report.epsilons.append(eps)
         report.rhos.append(rho)
         report.results.append(res)
-        if prev is not None:
-            report.cauchy.append(
-                float(np.max(np.abs(res.u.values[live] - prev.values[live])))
-            )
-        prev = res.u
+        if len(report.results) > 1:
+            report.cauchy.append(_sup_diff(res.u, report.results[-2].u, live))
     if perturbed_phi is not None and report.results:
-        psi_k = ScalarField(spec.domain, spec.psi.values + 0.5 * ladder[-1])
-        try:
-            res_p = solve_dirichlet(replace(spec, psi=psi_k, phi=perturbed_phi), opts)
+        try:  # the last rung's problem, which solved, with phi perturbed
+            res_p = solve_dirichlet(replace(spec_k, phi=perturbed_phi), opts)
         except HclError as exc:
             report.error = f"perturbed solve failed: {exc}"
             return report
-        report.stability_diff = float(
-            np.max(np.abs(res_p.u.values[live] - report.results[-1].u.values[live]))
-        )
-        bdry = spec.domain.boundary
-        report.stability_bound = float(
-            np.max(np.abs(perturbed_phi.values[bdry] - spec.phi.values[bdry]))
-        )
+        report.stability_diff = _sup_diff(res_p.u, report.results[-1].u, live)
+        report.stability_bound = _sup_diff(perturbed_phi, spec.phi, spec.domain.boundary)
     return report
 
 
@@ -939,7 +932,7 @@ def domain_exhaustion(
     sub-domains grow and nest.  Every level is cut before any solve: one that
     leaves no interior node raises `ResolutionError`, naming the level."""
     opts = opts or SolverOptions()
-    if spec.domain.kind != "product":
+    if all(spec.domain.periodic):
         raise DomainError("exhaustion needs a product domain")
     levels = _decreasing(levels, "levels")
     h = s_factor_potential(spec.domain)
@@ -952,24 +945,12 @@ def domain_exhaustion(
     full = solve_dirichlet(spec, opts)
     report = ExhaustionReport(levels, [int(sub.interior.sum()) for sub in subs], [], [], [])
     for k, sub in enumerate(subs):
-        spec_k = replace(
-            spec,
-            domain=sub,
-            chi=HermitianField(sub, spec.chi.values),
-            psi=ScalarField(sub, spec.psi.values),
-            phi=ScalarField(sub, spec.phi.values),
-        )
-        res = solve_dirichlet(spec_k, opts)
+        res = solve_dirichlet(replace(spec, domain=sub), opts)
         report.results.append(res)
-        report.diffs_to_full.append(
-            float(np.max(np.abs(res.u.values[sub.interior]
-                                - full.u.values[sub.interior])))
-        )
+        report.diffs_to_full.append(_sup_diff(res.u, full.u, sub.interior))
         if k:
-            common, prev = subs[k - 1].interior & sub.interior, report.results[k - 1].u
-            report.consecutive_diffs.append(
-                float(np.max(np.abs(res.u.values[common] - prev.values[common])))
-            )
+            report.consecutive_diffs.append(_sup_diff(
+                res.u, report.results[k - 1].u, subs[k - 1].interior & sub.interior))
     return report
 
 

@@ -58,7 +58,7 @@ def manufactured_dirichlet_spec(N, amplitude=0.1, ny_x=4, ny_s=5,
     ustar = a * np.sin(x1) * np.sin(x2)
     spec = ProblemSpec(
         dom, family, identity_chi(dom), ScalarField(dom, psi),
-        ScalarField(dom, ustar), "dirichlet",
+        ScalarField(dom, ustar),
     )
     return spec, ustar
 
@@ -78,7 +78,7 @@ def manufactured_closed_spec(N, amplitude=0.1, ny=4):
     ustar = a * np.sin(x1) * np.sin(x2)
     spec = ProblemSpec(
         dom, FuncFamily.log_det(2), identity_chi(dom),
-        ScalarField(dom, psi), None, "closed",
+        ScalarField(dom, psi),
     )
     return spec, ustar
 

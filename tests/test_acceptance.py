@@ -259,10 +259,10 @@ class TestAcceptance:
         dom = GridDomain.torus(2, (8, 4, 8, 4))
         fam = FuncFamily.log_det(2)
         base = ProblemSpec(dom, fam, identity_chi(dom),
-                           ScalarField.full(dom, 0.0), None, "closed")
+                           ScalarField.full(dom, 0.0))
         r0 = solve_closed(base)
         shifted = ProblemSpec(dom, fam, identity_chi(dom),
-                              ScalarField.full(dom, -1.0), None, "closed")
+                              ScalarField.full(dom, -1.0))
         r1 = solve_closed(shifted)
         constants_ok = (
             np.max(np.abs(r0.u.values)) <= 1e-9
@@ -292,7 +292,7 @@ class TestAcceptance:
         psi = ScalarField(dom, np.log(1e-4 + r2))
         phi = ScalarField.zeros(dom)
         spec = ProblemSpec(dom, FuncFamily.log_det(2), identity_chi(dom),
-                           psi, phi, "dirichlet")
+                           psi, phi)
         bump = ScalarField(dom, phi.values + 0.05 * np.sin(x1))
         rep = degenerate_sweep(spec, [1.0, 0.5, 0.25, 0.125],
                                perturbed_phi=bump)
@@ -314,7 +314,7 @@ class TestAcceptance:
             spec, _ = manufactured_dirichlet_spec(16, amplitude=0.1)
             psi_a = ScalarField(spec.domain, amp * spec.psi.values)
             spec_a = ProblemSpec(spec.domain, spec.family, spec.chi, psi_a,
-                                 spec.phi, "dirichlet")
+                                 spec.phi)
             res = solve_dirichlet(spec_a, SolverOptions(delta=0.05))
             rep = verify_estimates(res, spec_a, res.subsolution,
                                    build_supersolution(spec_a))

@@ -324,24 +324,36 @@ class TestExitCodes:
             DIRICHLET_SMALL["domain"], s_shape=[2, 13])), "s_shape"),
         ("solve-closed", dict(CLOSED_CONSTANTS, domain=dict(
             CLOSED_CONSTANTS["domain"], shape=[64, 64, 64, 64])), "shape"),
-        ("solve-closed", DIRICHLET_SMALL, "closed mode needs a fully periodic domain"),
+        ("solve-closed", DIRICHLET_SMALL, "solve_closed needs a grid without boundary nodes"),
         ("cone-check", 3, "config must be a JSON object or array"),
         ("solve-dirichlet", [DIRICHLET_SMALL], "array configs are only valid for lemma-check"),
         # each of these ran: a degenerate psi exited 3 although no numeric
-        # kernel ran, and closed mode never read a negative delta (exit 0)
+        # kernel ran, and solve-closed never read a negative delta (exit 0)
         ("solve-dirichlet", dict(DIRICHLET_SMALL, family={"kind": "sigma-root", "k": 1,
                                                           "n": 2}, psi="const:0"),
          "degenerate right-hand side"),
         ("solve-closed", dict(CLOSED_CONSTANTS, options={"delta": -1}),
          "delta must be positive"),
-        # closed mode accepted continuation and ignored it; it is now unknown
+        # solve-closed accepted continuation and ignored it; it is now unknown
         ("solve-closed", dict(CLOSED_CONSTANTS, options={"continuation": 2}),
          "continuation"),
-        # closed mode ignored phi (exit 0)
+        # solve-closed ignored phi (exit 0)
         ("solve-closed", dict(CLOSED_CONSTANTS, phi="const:5"),
-         "closed mode takes no boundary data phi"),
+         "a grid without boundary nodes takes no boundary data phi"),
         ("solve-closed", dict(CLOSED_CONSTANTS, phi="sinx:1"),
-         "closed mode takes no boundary data phi"),
+         "a grid without boundary nodes takes no boundary data phi"),
+        # the grid poses the problem: a torus poses no Dirichlet problem, and a
+        # grid with boundary nodes needs phi
+        ("solve-dirichlet", CLOSED_CONSTANTS,
+         "solve_dirichlet needs a grid with boundary nodes"),
+        ("degenerate-sweep", dict(CLOSED_CONSTANTS, boundary_shift=0.1),
+         "degenerate sweep needs a grid with boundary nodes"),
+        ("exhaustion", dict(CLOSED_CONSTANTS, levels=[0.04, 0.02]),
+         "exhaustion needs a product domain"),
+        ("estimate-report", CLOSED_CONSTANTS,
+         "solve_dirichlet needs a grid with boundary nodes"),
+        ("solve-dirichlet", dict(DIRICHLET_SMALL, phi=None),
+         "a grid with boundary nodes needs boundary data phi"),
         # an empty level ran the full solve first, then exited 3
         ("exhaustion", dict(DIRICHLET_SMALL, domain=dict(
             DIRICHLET_SMALL["domain"], x_shape=[4, 4], s_shape=[9, 9]), levels=[0.5]),
@@ -384,6 +396,8 @@ class TestExitCodes:
             "two-node-s-axis", "node-cap", "closed-on-product", "scalar-config",
             "array-config", "degenerate-psi", "negative-delta-closed",
             "removed-continuation-closed", "closed-const-phi", "closed-sinx-phi",
+            "dirichlet-on-torus", "sweep-on-torus", "exhaustion-on-torus",
+            "estimates-on-torus", "product-without-phi",
             "empty-exhaustion-level", "three-s-axes", "chi-constant-3x3-on-n-2",
             "zero-delta", "negative-radius", "mu-outside-gamma"])
     def test_malformed_config_exit_four(self, tmp_path, capsys, command,
@@ -726,7 +740,7 @@ class TestLargeBoundaryData:
         # (phi + t h) - phi: phi = const:1e6 ended at 4.7750692289127983e-13
         # against phi = zero's 4.767297667740422e-13
         def history(phi):
-            spec, opts = _problem_from(dict(DIRICHLET_SMALL, phi=phi), "dirichlet")
+            spec, opts = _problem_from(dict(DIRICHLET_SMALL, phi=phi))
             return solve_mod.solve_dirichlet(spec, opts).residual_history
 
         zero = history("zero")

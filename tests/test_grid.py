@@ -325,7 +325,7 @@ class TestNormalDerivatives:
     def test_requires_three_nodes(self):
         dom = GridDomain.product(1, s_shape=(9, 9))
         bad = GridDomain(
-            dom.n, (2, 9), dom.lengths, dom.periodic, dom.kind,
+            dom.n, (2, 9), dom.lengths, dom.periodic,
             np.zeros((2, 9), dtype=np.uint8),
         )
         with pytest.raises(StencilError):

@@ -156,7 +156,7 @@ class TestCachedAssembly:
         dom = exhaustion_domain(0.02)
         roles = dom.roles.copy()
         roles[dom.boundary] = EXTERIOR  # interior nodes now touch exterior
-        bad = GridDomain(dom.n, dom.shape, dom.lengths, dom.periodic, dom.kind, roles)
+        bad = GridDomain(dom.n, dom.shape, dom.lengths, dom.periodic, roles)
         # `restrict` marks boundary along the S axes only, so a mask that
         # varies along X leaves interior nodes next to a dropped node
         keep = np.ones((4, 4, 9, 9), dtype=bool)
@@ -407,7 +407,7 @@ class TestNewtonCoefficient:
         # sigma_1 is linear: its F is a multiple of the identity
         for family in [f for f in FAMILIES_N2 if f.kind != "sigma-root"]:
             fspec = ProblemSpec(dom, family, chi, ScalarField.full(dom, 1.0),
-                                spec.phi, "dirichlet")
+                                spec.phi)
             r, s, g = residual_field(fspec, u)
             assert r is not None
             coeff = _newton_coefficient(family, g, s)
@@ -430,17 +430,17 @@ class TestResidualField:
     def test_g_on_the_box_matches_full_grid(self, dom):
         # residual_field's g = chi + i ddbar u in Hermitian coordinates, formed
         # on the interior box, is the full-grid one at the interior nodes,
-        # bit for bit: in Dirichlet mode u = phi, at the correction w = 0
+        # bit for bit: on a grid with a boundary u = phi, at the correction w = 0
         rng = np.random.default_rng(17)
         n = dom.n
         chi = HermitianField(dom, hermitian_stack(rng, dom.roles.size, n, shift=2.0)
                              .reshape(dom.shape + (n, n)))
         u = 1e-4 * rng.normal(0, 1, dom.shape)
-        mode = "dirichlet" if dom.boundary.any() else "closed"
+        bounded = dom.boundary.any()
         spec = ProblemSpec(dom, FuncFamily.log_det(n), chi,
                            ScalarField(dom, rng.normal(0, 1, dom.shape)),
-                           ScalarField(dom, u) if mode == "dirichlet" else None, mode)
-        w = u if mode == "closed" else np.zeros(dom.shape)
+                           ScalarField(dom, u) if bounded else None)
+        w = np.zeros(dom.shape) if bounded else u
         r, s, g = residual_field(spec, w, 0.25)
         want = _coords(chi.values + complex_hessian(ScalarField(dom, u)))[:, dom.interior]
         assert g.tobytes() == want.tobytes()
@@ -454,7 +454,7 @@ def n3_closed_spec():
     x0, _, x1, _, x2, _ = dom.meshgrid()
     psi = 0.3 * np.sin(x0) * np.cos(x1) + 0.2 * np.sin(x2)
     spec = ProblemSpec(dom, FuncFamily.log_det(3), identity_chi(dom),
-                       ScalarField(dom, psi), None, "closed")
+                       ScalarField(dom, psi))
     return spec, None
 
 
@@ -463,7 +463,7 @@ def n3_dirichlet_spec():
     x0, _, x1, _, s0, s1 = dom.meshgrid()
     psi = 0.5 + 0.2 * np.sin(x0) * np.cos(x1) + 0.2 * s0 * s1
     spec = ProblemSpec(dom, FuncFamily.sigma_root(2, 3), identity_chi(dom),
-                       ScalarField(dom, psi), ScalarField.zeros(dom), "dirichlet")
+                       ScalarField(dom, psi), ScalarField.zeros(dom))
     return spec, None
 
 
@@ -474,7 +474,7 @@ class TestNewtonLoop:
     ], ids=["closed", "dirichlet", "closed-n3", "dirichlet-n3"])
     def test_one_hessian_per_iterate_and_no_lapack(self, make_spec, monkeypatch):
         spec, _ = make_spec()
-        if spec.mode == "closed":
+        if spec.phi is None:
             u0 = np.zeros(spec.domain.shape)
         else:
             u0 = build_subsolution(spec, 0.1)[0].values
@@ -546,27 +546,25 @@ class TestBorderedSolve:
             np.testing.assert_array_equal(getattr(new, attr), getattr(old, attr))
 
     @pytest.mark.parametrize("shape", [(8, 4, 6, 4), (8, 8, 8, 8)])
-    def test_matches_pinned_reference(self, shape, monkeypatch):
+    def test_matches_pinned_reference(self, shape):
         dom = GridDomain.torus(2, shape)
         coeff = smooth_coefficient(dom, 0.3)
         a = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         # a tolerance below the default keeps both Krylov errors well under 1e-10
-        monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
-        v, dc, iters = _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)))
+        v, dc, iters = _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)), 1e-12)
         v_ref, dc_ref, ref_iters = ref._solve_bordered(
             a, r, r.size, ref.spectral_inverse(dom, coeff.mean(axis=0)))
         assert iters > 0 and min(ref_iters) > 0
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10
 
-    def test_matches_factorization(self, monkeypatch):
+    def test_matches_factorization(self):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
         coeff = smooth_coefficient(dom, 0.3)
         a = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
-        monkeypatch.setattr(solve_mod, "LIN_TOL", 1e-12)
-        v, dc, _ = _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)))
+        v, dc, _ = _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)), 1e-12)
         v_ref, dc_ref = ref.solve_bordered_direct(a, r)
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import newton_reference as ref
 import numpy as np
@@ -68,7 +69,7 @@ def small_dirichlet_spec(psi_value=0.5, phi_value=0.0, s_nodes=(13, 13)):
     )
     return ProblemSpec(
         dom, LOGDET2, identity_chi(dom), ScalarField.full(dom, psi_value),
-        ScalarField.full(dom, phi_value), "dirichlet",
+        ScalarField.full(dom, phi_value),
     )
 
 
@@ -117,7 +118,7 @@ class TestPoisson:
         chi = np.zeros(dom.shape + (dom.n, dom.n))
         chi[..., 0, 0] = -rhs.values
         spec = ProblemSpec(dom, FuncFamily.log_det(dom.n), HermitianField(dom, chi),
-                           ScalarField.zeros(dom), phi, "dirichlet")
+                           ScalarField.zeros(dom), phi)
         return build_supersolution(spec)
 
     # a family needs n >= 2: the box and the annulus take a one-node X factor
@@ -286,8 +287,7 @@ class TestSpectralInverse:
             psi = (0.4 + 0.1 * np.sin(x0) * np.cos(np.pi * s0)
                    + 0.1 * np.sin(np.pi * s1))
             spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
-                               ScalarField(dom, psi), ScalarField.zeros(dom),
-                               "dirichlet")
+                               ScalarField(dom, psi), ScalarField.zeros(dom))
             res = solve_dirichlet(spec)
             assert len(res.linear_solves) == res.iterations
             peak.append(max(res.linear_solves))
@@ -411,7 +411,7 @@ class TestSpectralInverse:
         dom = GridDomain.torus(2, (10, 4, 10, 5))
         x0 = dom.meshgrid()[0]
         psi = ScalarField(dom, 0.4 * np.sin(2 * np.pi / dom.lengths[0] * x0))
-        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), psi, None, "closed")
+        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), psi)
         res = solve_closed(spec)
         assert len(res.linear_solves) == res.iterations == 4
         assert min(res.linear_solves) > 0
@@ -550,7 +550,7 @@ class TestSubsolution:
         # level the ladder checked
         dom = exhaustion_domain(0.02)
         spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), ScalarField.full(dom, 0.5),
-                           ScalarField.full(dom, 0.25), "dirichlet")
+                           ScalarField.full(dom, 0.25))
         w, t = build_subsolution(spec, 0.1)
         assert t >= 1.0 and np.all(w.values[~dom.interior] == 0.0)
         r, s, _ = residual_field(spec, w.values)
@@ -562,7 +562,7 @@ class TestSubsolution:
         chi = constant_chi(dom, np.diag([-1.0, 0.5, 1.0]))
         spec = ProblemSpec(
             dom, fam, chi, ScalarField.full(dom, 0.2),
-            ScalarField.zeros(dom), "dirichlet",
+            ScalarField.zeros(dom),
         )
         with pytest.raises(ConstructionError,
                            match="cone violation at interior node #0 for t=1048576.0"):
@@ -581,7 +581,7 @@ class TestSupersolution:
         spec = small_dirichlet_spec()
         zero_chi = constant_chi(spec.domain, np.zeros((2, 2)))
         spec0 = ProblemSpec(spec.domain, LOGDET2, zero_chi, spec.psi,
-                            spec.phi, "dirichlet")
+                            spec.phi)
         v = build_supersolution(spec0)
         assert np.max(np.abs(v.values)) <= 1e-11
 
@@ -608,7 +608,7 @@ class TestDirichletSolve:
         psi_exact[spec.domain.interior] = f_of_sigma(LOGDET2, s)
         spec_exact = ProblemSpec(
             spec.domain, LOGDET2, spec.chi, ScalarField(spec.domain, psi_exact),
-            spec.phi, "dirichlet",
+            spec.phi,
         )
         u, _, history, _ = solve_mod._damped_newton(spec_exact, usub.values,
                                                     SolverOptions())
@@ -678,7 +678,7 @@ class TestDirichletSolve:
         x1, _, _, sy = dom.meshgrid()
         spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
                            ScalarField(dom, 0.4 + np.sin(x1) * np.cos(3 * sy)),
-                           ScalarField.zeros(dom), "dirichlet")
+                           ScalarField.zeros(dom))
         with pytest.raises(StallError, match=r"residual 6\.200e-02$"):
             solve_dirichlet(spec, SolverOptions(max_newton=3))
         assert len(calls) == 3
@@ -692,7 +692,7 @@ class TestDirichletSolve:
         )
         spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
                            ScalarField.full(dom, 0.4),
-                           ScalarField.zeros(dom), "dirichlet")
+                           ScalarField.zeros(dom))
         usub, t = build_subsolution(spec, 0.1)
         assert t >= 1.0
         res = solve_dirichlet(spec)
@@ -706,7 +706,7 @@ class TestDirichletSolve:
         dom = GridDomain.product(2, x_shape=(6, 4), s_shape=(9, 9))
         psi = ScalarField.zeros(dom)  # inf psi == boundary sup == 0
         spec = ProblemSpec(dom, fam, identity_chi(dom), psi,
-                           ScalarField.zeros(dom), "dirichlet")
+                           ScalarField.zeros(dom))
         assert spec.degenerate
         with pytest.raises(DomainError, match="degenerate right-hand side"):
             solve_dirichlet(spec)
@@ -716,8 +716,9 @@ class TestDirichletSolve:
         # product domain instead
         dom = GridDomain.torus(2, (8, 4, 8, 4))
         spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
-                           ScalarField.full(dom, 0.0), None, "closed")
-        with pytest.raises(DomainError, match="solve_dirichlet needs Dirichlet mode"):
+                           ScalarField.full(dom, 0.0))
+        with pytest.raises(DomainError,
+                           match="solve_dirichlet needs a grid with boundary nodes"):
             solve_dirichlet(spec)
 
 
@@ -760,7 +761,7 @@ class TestLinearization:
         x0, y0, s0, s1 = dom.meshgrid()
         u = 0.2 * np.sin(x0 + y0) * np.sin(np.pi * s0) * np.cos(0.5 * np.pi * s1)
         spec = ProblemSpec(dom, LOGDET2, chi, ScalarField.zeros(dom),
-                           ScalarField.zeros(dom), "dirichlet")
+                           ScalarField.zeros(dom))
         r, s, g = residual_field(spec, u)
         assert r is not None
         a = assemble_linearized(dom, _newton_coefficient(LOGDET2, g, s))
@@ -778,7 +779,7 @@ class TestClosedSolve:
     def test_identity_constants(self):
         dom = GridDomain.torus(2, (8, 4, 8, 4))
         spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
-                           ScalarField.full(dom, 0.0), None, "closed")
+                           ScalarField.full(dom, 0.0))
         res = solve_closed(spec)
         assert abs(res.c) <= 1e-12
         assert np.max(np.abs(res.u.values)) <= 1e-12
@@ -786,7 +787,7 @@ class TestClosedSolve:
     def test_constant_shift_absorbed_by_c(self):
         dom = GridDomain.torus(2, (8, 4, 8, 4))
         spec = ProblemSpec(dom, LOGDET2, identity_chi(dom),
-                           ScalarField.full(dom, -1.0), None, "closed")
+                           ScalarField.full(dom, -1.0))
         res = solve_closed(spec)
         assert res.c == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(res.u.values)) <= 1e-9
@@ -801,7 +802,7 @@ class TestClosedSolve:
         res = solve_closed(spec)
         shifted = ProblemSpec(
             spec.domain, spec.family, spec.chi,
-            ScalarField(spec.domain, spec.psi.values + 0.3), None, "closed",
+            ScalarField(spec.domain, spec.psi.values + 0.3),
         )
         res_s = solve_closed(shifted)
         # f = psi + c: raising psi lowers c by the same constant
@@ -834,7 +835,7 @@ class TestClosedSolve:
         # at the grid-mean coefficient the worst Newton step took 271
         dom = GridDomain.torus(2, (16, 8, 16, 8))
         psi = ScalarField(dom, 4.0 * np.sin(dom.meshgrid()[0]))
-        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), psi, None, "closed")
+        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), psi)
         res = solve_closed(spec)
         assert max(res.linear_solves) <= 5
         assert res.residual_history[-1] <= newton_tol(spec)
@@ -849,7 +850,7 @@ class TestClosedSolve:
         dom = GridDomain.torus(2, shape)
         i0, x2 = np.indices(shape)[0], dom.meshgrid()[2]
         psi = ScalarField(dom, 2.0 * np.cos(np.pi * i0) + wave * np.sin(x2))
-        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), psi, None, "closed")
+        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), psi)
         res = solve_closed(spec)
         assert max(res.linear_solves) <= worst
         assert res.residual_history[-1] <= newton_tol(spec)
@@ -864,7 +865,7 @@ def mixed_dirichlet_spec():
     psi = (0.4 + 0.1 * np.sin(x0 + 1.0) * np.cos(np.pi * s0 + 0.2)
            + 0.1 * np.sin(np.pi * s1 + 0.5))
     return ProblemSpec(dom, LOGDET2, identity_chi(dom), ScalarField(dom, psi),
-                       ScalarField.zeros(dom), "dirichlet")
+                       ScalarField.zeros(dom))
 
 
 def mixed_closed_spec():
@@ -873,7 +874,7 @@ def mixed_closed_spec():
     dom = GridDomain.torus(2, (8, 4, 8, 4))
     x0, _, _, y1 = dom.meshgrid()
     return ProblemSpec(dom, LOGDET2, identity_chi(dom),
-                       ScalarField(dom, 0.5 * np.sin(x0 + y1)), None, "closed")
+                       ScalarField(dom, 0.5 * np.sin(x0 + y1)))
 
 
 def newton_tol(spec, opts=SolverOptions()):
@@ -951,7 +952,7 @@ class TestNewtonConvergence:
 
         def spec(amplitude):
             psi = ScalarField(dom, amplitude * np.sin(dom.meshgrid()[0]))
-            return ProblemSpec(dom, LOGDET2, identity_chi(dom), psi, None, "closed")
+            return ProblemSpec(dom, LOGDET2, identity_chi(dom), psi)
 
         assert solve_closed(spec(8.0)).linear_solves == [1] * 16
         with pytest.raises(GaugeError):
@@ -978,28 +979,72 @@ def test_options_reject_values_that_cannot_converge(field, value):
         SolverOptions(**{field: value})
 
 
-def spec_args(dom, family=LOGDET2, psi=0.5, phi=0.0, mode="dirichlet"):
+def spec_args(dom, family=LOGDET2, psi=0.5, phi=0.0):
     return (dom, family, identity_chi(dom), ScalarField.full(dom, psi),
-            None if phi is None else ScalarField.full(dom, phi), mode)
+            None if phi is None else ScalarField.full(dom, phi))
 
 
 @pytest.mark.parametrize("dom, change, message", [
-    ("box", dict(mode="open"), "mode must be 'closed' or 'dirichlet'"),
-    ("box", dict(mode="closed"), "closed mode needs a fully periodic domain"),
-    ("torus", dict(mode="closed", phi=0.0), "closed mode takes no boundary data phi"),
-    ("torus", {}, "dirichlet mode needs boundary nodes"),
-    ("box", dict(phi=None), "dirichlet mode needs boundary data phi"),
+    ("torus", {}, "a grid without boundary nodes takes no boundary data phi"),
+    ("box", dict(phi=None), "a grid with boundary nodes needs boundary data phi"),
     ("box", dict(family=FuncFamily.log_det(3)),
      "family dimension does not match the domain"),
     ("box", dict(family=FuncFamily.sigma_root(2, 2), psi=-0.1),
      "psi drops below the attainable range of f"),
-], ids=["bad-mode", "closed-not-periodic", "closed-with-phi", "dirichlet-no-boundary",
-        "dirichlet-no-phi", "dimension-mismatch", "psi-below-range"])
+], ids=["torus-with-phi", "box-without-phi", "dimension-mismatch", "psi-below-range"])
 def test_problem_spec_rejects(dom, change, message):
     dom = {"torus": GridDomain.torus(2, (4, 4, 4, 4)),
            "box": GridDomain.product(2, x_shape=(4, 4), s_shape=(5, 5))}[dom]
     with pytest.raises(DomainError, match=message):
         ProblemSpec(*spec_args(dom, **change))
+
+
+@pytest.mark.parametrize("dom", [
+    GridDomain.torus(2, (4, 4, 4, 4)),
+    GridDomain.product(2, x_shape=(4, 4), s_shape=(5, 5)),
+    GridDomain.product(2, x_shape=(4, 4), s_shape=(7, 8), s_periodic=(False, True)),
+    exhaustion_domain(0.02),
+], ids=["torus", "rectangle", "annulus", "restricted"])
+def test_the_grid_decides_the_problem(dom):
+    # no boundary nodes: the closed problem, which takes no phi; boundary
+    # nodes: the Dirichlet problem, which needs phi
+    closed = not dom.boundary.any()
+    assert closed == all(dom.periodic)
+    with pytest.raises(DomainError, match="takes no boundary data phi" if closed
+                       else "needs boundary data phi"):
+        ProblemSpec(*spec_args(dom, phi=0.0 if closed else None))
+    spec = ProblemSpec(*spec_args(dom, phi=None if closed else 0.0))
+    other, kind = (solve_dirichlet, "with") if closed else (solve_closed, "without")
+    with pytest.raises(DomainError, match=f"needs a grid {kind} boundary nodes"):
+        other(spec)
+
+
+@pytest.mark.parametrize("which", [2, 3, 4], ids=["chi", "psi", "phi"])
+def test_problem_spec_rejects_a_field_off_its_grid(which):
+    # psi on a 4x4x11^2 grid for a 4x4x9^2 problem raised IndexError
+    dom = GridDomain.product(2, x_shape=(4, 4), s_shape=(9, 9))
+    args = list(spec_args(dom))
+    args[which] = spec_args(GridDomain.product(2, x_shape=(4, 4), s_shape=(11, 11)))[which]
+    with pytest.raises(DomainError, match="chi, psi and phi must lie on the problem's grid"):
+        ProblemSpec(*args)
+
+
+def test_sub_domain_problem_is_one_replace():
+    # a parent-grid phi on a restricted problem raised a bare broadcast
+    # ValueError in the constructor: the sub-domain's 10624 interior nodes
+    # against the 12544 of the parent's box
+    parent = GridDomain.product(2, x_shape=(4, 4), s_shape=(30, 30))
+    x0, _, s0, s1 = parent.meshgrid()
+    phi = ScalarField(parent, np.sin(x0) * s0 * s1 + 3.0 * s0 ** 2)
+    spec = ProblemSpec(parent, LOGDET2, identity_chi(parent),
+                       ScalarField.full(parent, 0.5), phi)
+    sub = parent.restrict(s_factor_potential(parent).values < -0.02)
+    rebuilt = ProblemSpec(sub, LOGDET2, identity_chi(sub), ScalarField.full(sub, 0.5),
+                          ScalarField(sub, phi.values))
+    assert rebuilt.background.shape == (4, int(sub.interior.sum()))
+    for got in (replace(spec, domain=sub),
+                ProblemSpec(sub, LOGDET2, identity_chi(sub), spec.psi, phi)):
+        assert got.background.tobytes() == rebuilt.background.tobytes()
 
 
 class TestNewtonExits:
@@ -1036,7 +1081,7 @@ def touching_spec():
     r2 = ((x2 - 0.5) ** 2 + (y2 - 0.5) ** 2) / 0.5
     psi = ScalarField(dom, np.log(1e-4 + r2))
     return ProblemSpec(dom, LOGDET2, identity_chi(dom), psi,
-                       ScalarField.zeros(dom), "dirichlet")
+                       ScalarField.zeros(dom))
 
 
 class TestDegenerateSweep:
