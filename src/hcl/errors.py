@@ -29,10 +29,6 @@ class PreconditionError(DomainError):
     """Operation precondition violated (e.g. corner below growth threshold)."""
 
 
-class StencilError(HclError):
-    """Finite-difference stencil reached outside a non-periodic axis without data."""
-
-
 class ConstructionError(HclError):
     """Subsolution ladder exhausted without meeting the cone and level conditions."""
 

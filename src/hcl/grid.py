@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, StencilError
+from .errors import DomainError, ResolutionError
 from .symfunc import DIMENSION_CAP
 
 __all__ = [
@@ -63,17 +63,35 @@ class GridDomain:
     shape: tuple[int, ...]  # node counts, 2n axes
     lengths: tuple[float, ...]
     periodic: tuple[bool, ...]
-    roles: np.ndarray = field(repr=False, compare=False)  # INTERIOR/BOUNDARY/EXTERIOR
+    roles: np.ndarray = field(default=None, repr=False, compare=False)  # None: box roles
+
+    def __post_init__(self):
+        """Check the axes before any per-node array exists, then the roles
+        (INTERIOR/BOUNDARY/EXTERIOR; by default each bounded axis's end layers
+        are BOUNDARY, all else INTERIOR)."""
+        d, bounded = len(self.shape), [a for a, p in enumerate(self.periodic) if not p]
+        if self.n < 1 or d != 2 * self.n or len(self.periodic) != d:
+            raise DomainError("a grid needs n >= 1, 2n axes and one periodic flag per axis")
+        _check_axes(self.shape, self.lengths, self.periodic,
+                    ("x_",) * (d - 2) + ("s_",) * 2 if bounded else ("",) * d)
+        roles = np.zeros(self.shape, np.uint8) if self.roles is None else np.asarray(self.roles)
+        if roles.shape != self.shape:
+            raise DomainError(f"roles of shape {roles.shape} on a grid of shape {self.shape}")
+        if not np.isin(roles, (INTERIOR, BOUNDARY, EXTERIOR)).all():
+            raise DomainError("roles must be INTERIOR, BOUNDARY or EXTERIOR (0, 1 or 2)")
+        for ax in bounded:
+            ends = np.moveaxis(roles, ax, 0)[:: self.shape[ax] - 1]  # a view: layers 0, -1
+            if self.roles is None:
+                ends[...] = BOUNDARY
+            if (ends == INTERIOR).any():
+                raise DomainError(f"interior nodes on an end layer of the bounded axis {ax}")
+        object.__setattr__(self, "roles", roles.astype(np.uint8, copy=False))
 
     @classmethod
     def torus(cls, n: int, shape, lengths=None) -> "GridDomain":
         shape = tuple(int(s) for s in shape)
-        if n < 1 or len(shape) != 2 * n:
-            raise DomainError("torus needs n >= 1 and 2n node counts")
-        lengths = tuple(float(x) for x in (lengths or (2.0 * np.pi,) * (2 * n)))
-        _check_axes(shape, lengths, (True,) * (2 * n), ("",) * (2 * n))
-        roles = np.zeros(shape, dtype=np.uint8)
-        return cls(n, shape, lengths, (True,) * (2 * n), roles)
+        lengths = tuple(float(x) for x in (lengths or (2.0 * np.pi,) * len(shape)))
+        return cls(n, shape, lengths, (True,) * len(shape))
 
     @classmethod
     def product(
@@ -96,18 +114,12 @@ class GridDomain:
             raise DomainError("S factor is one complex variable: 2 axes")
         if all(s_periodic):
             raise DomainError("S needs at least one non-periodic axis")
-        shape = x_shape + s_shape
         x_lengths = tuple(
             float(x) for x in (x_lengths or (2.0 * np.pi,) * (2 * (n - 1)))
         )
         lengths = x_lengths + tuple(float(x) for x in s_lengths)
         periodic = (True,) * (2 * (n - 1)) + tuple(bool(p) for p in s_periodic)
-        _check_axes(shape, lengths, periodic, ("x_",) * (2 * (n - 1)) + ("s_",) * 2)
-        roles = np.zeros(shape, dtype=np.uint8)
-        for ax in range(2 * (n - 1), 2 * n):
-            if not periodic[ax]:
-                np.moveaxis(roles, ax, 0)[[0, -1]] = BOUNDARY
-        return cls(n, shape, lengths, periodic, roles)
+        return cls(n, x_shape + s_shape, lengths, periodic)
 
     @property
     def spacings(self) -> tuple[float, ...]:
@@ -261,8 +273,6 @@ def _padded(u: np.ndarray, domain: GridDomain) -> np.ndarray:
     one bounded axis after another (so a corner extrapolates a ghost)."""
     p = np.pad(u, 1, mode="wrap")
     for ax in [a for a, per in enumerate(domain.periodic) if not per]:
-        if domain.shape[ax] < 3:
-            raise StencilError(f"non-periodic axis {ax} needs at least 3 nodes")
         q = np.moveaxis(p, ax, 0)
         q[0] = 3.0 * q[1] + -3.0 * q[2] + q[3]
         q[-1] = q[-4] + -3.0 * q[-3] + 3.0 * q[-2]

@@ -74,11 +74,13 @@ from .grid import (
     HermitianField,
     ScalarField,
     _coords,
+    _hessian_core,
+    _layout,
     _matrix,
+    _padded,
     _shift,
     boundary_normal_derivatives,
     box_hessian,
-    complex_hessian,
     gradient_sup,
 )
 from .symfunc import (
@@ -596,9 +598,9 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse, rtol: float = LIN_T
     """BiCGStab to the relative residual `rtol` on the system of a sparse
     matrix or a `_bordered_operator` a; returns (x, krylov_iters).
 
-    The run starts from a random start (the seed-0 draw) and is preconditioned
-    by `_spectral_inverse`'s map `inverse`.  The system is scaled to
-    sup |b| = 1 first: scipy's breakdown tests are absolute (|rho| < eps^2),
+    The run starts from zero (scipy then takes r0 = b with no product) and is
+    preconditioned by `_spectral_inverse`'s map `inverse`.  The system is
+    scaled to sup |b| = 1 first: scipy's breakdown tests are absolute (|rho| < eps^2),
     and the small right-hand sides of the last Newton steps would trip them.
     The certificate is the true residual |A x - b|_2 <= 10 rtol |b|_2; a run
     that converges without it restarts once from its result, and a breakdown
@@ -618,12 +620,10 @@ def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse, rtol: float = LIN_T
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
     bs = b / scale
     bnorm = float(np.linalg.norm(bs))
-    x0 = 1e-3 * np.random.default_rng(0).standard_normal(n) * (bnorm / np.sqrt(n) + 1e-30)
-
     target = 10.0 * rtol * (bnorm + 1e-30)
     krylov = dict(rtol=rtol, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
                   M=spla.LinearOperator(a.shape, matvec=precondition, dtype=float))
-    x, info = spla.bicgstab(a, bs, x0=x0, **krylov)
+    x, info = spla.bicgstab(a, bs, **krylov)
     miss = float(np.linalg.norm(a @ x - bs)) if info == 0 else np.nan
     if info == 0 and not miss <= target:  # converged on the recurrence residual only
         applied.append(0)
@@ -966,16 +966,21 @@ def verify_estimates(
     The second-order ratio is sup |ddbar u| / (1 + sup |grad u|^2); the
     boundary ratio is max over boundary nodes of
     g_{n nbar} / (1 + sum_alpha |g_{alpha nbar}|^2), the quantity the
-    localization lemma bounds.
+    localization lemma bounds.  Both read one `_hessian_core` of u (ghost
+    ring included; `box_hessian`'s bit for bit at interior nodes).  |H|_2 lies
+    between H's largest column norm and |H|_F, so `eigvalsh` sees the node of
+    sup |H|_2 among those with |H|_F^2 >= (1 - 1e-9) max column norm^2; 1e-9
+    absorbs the rounding of the sums of squares.
     """
-    dom = spec.domain
-    u = result.u
-    hess = complex_hessian(u)
+    dom, u, n = spec.domain, result.u, spec.domain.n
+    core = _hessian_core(_padded(u.values, dom), dom.spacings, n).reshape(n * n, -1)
+    c = core[:, dom.interior.reshape(-1)]
     live = ~dom.exterior
-    # sup |lambda| = sup |H|_2 sits where |H|_F reaches the largest column norm
-    h2 = np.abs(hess[dom.interior]) ** 2
-    near = h2.sum(axis=(1, 2)) >= (1 - 1e-9) * np.max(h2.sum(axis=1), initial=0.0)
-    lam_u = np.linalg.eigvalsh(hess[dom.interior][near])
+    sq, lay = c * c, _layout(n)
+    frob = sum(s if j == k else 2.0 * s for (j, k, _), s in zip(lay, sq))
+    cols = [sum(s for (j, k, _), s in zip(lay, sq) if m in (j, k)) for m in range(n)]
+    near = frob >= (1 - 1e-9) * np.max(cols, initial=0.0)
+    lam_u = np.linalg.eigvalsh(_matrix(c[:, near]))
     sup_dbar = float(np.max(np.abs(lam_u))) if lam_u.size else 0.0
     grad_sq = gradient_sup(u)
     ratio2nd = sup_dbar / (1.0 + grad_sq)
@@ -992,17 +997,11 @@ def verify_estimates(
             scale = ESTIMATE_SLACK * (1.0 + float(np.max(np.abs(mid))))
             normal_order_ok &= bool(np.all(lo <= mid + scale))
             normal_order_ok &= bool(np.all(mid <= hi + scale))
-        gb = (spec.chi.values + hess)[dom.boundary]
-        n = dom.n
-        num = gb[:, n - 1, n - 1].real
-        den = 1.0 + np.sum(np.abs(gb[: , : n - 1, n - 1]) ** 2, axis=-1)
-        bdry_ratio = float(np.max(num / den))
+        gb = dict(zip(lay, _coords(spec.chi.values[dom.boundary])
+                      + core[:, dom.boundary.reshape(-1)]))
+        den = 1.0 + sum(np.hypot(gb[a, n - 1, 0], gb[a, n - 1, 1]) ** 2
+                        for a in range(n - 1))
+        bdry_ratio = float(np.max(gb[n - 1, n - 1, 0] / den))
 
-    return EstimateReport(
-        sup_dbar=sup_dbar,
-        grad_sq=grad_sq,
-        ratio2nd=ratio2nd,
-        sandwich_ok=sandwich_ok,
-        normal_order_ok=normal_order_ok,
-        bdry_ratio=bdry_ratio,
-    )
+    return EstimateReport(sup_dbar, grad_sq, ratio2nd, sandwich_ok, normal_order_ok,
+                          bdry_ratio)

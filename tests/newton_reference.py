@@ -31,7 +31,10 @@ is the constant-coefficient inverse that `hcl.solve` applied with
 one, before the axes that no kept mixed term couples took small dense
 eigenbases.  `_solve_spd` is the diagonally preconditioned CG that refined
 `poisson_dirichlet` on masked domains, and whenever the direct solve missed
-its sup-norm certificate, before one BiCGStab pass did.
+its sup-norm certificate, before one BiCGStab pass did.  `verify_estimates`
+is the estimate check that read the full (N, n, n) stack of
+`complex_hessian`, and added chi to it for the boundary ratio, before one
+`_hessian_core` in Hermitian coordinates served both ratios.
 """
 
 from __future__ import annotations
@@ -41,8 +44,23 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hcl.errors import DomainError, GaugeError, NumericError
-from hcl.grid import BOUNDARY, EXTERIOR, INTERIOR, GridDomain
-from hcl.solve import _solve_general
+from hcl.grid import (
+    BOUNDARY,
+    EXTERIOR,
+    INTERIOR,
+    GridDomain,
+    ScalarField,
+    boundary_normal_derivatives,
+    complex_hessian,
+    gradient_sup,
+)
+from hcl.solve import (
+    ESTIMATE_SLACK,
+    EstimateReport,
+    ProblemSpec,
+    SolveResult,
+    _solve_general,
+)
 from hcl.symfunc import FuncFamily, eval_f, grad_f
 
 
@@ -322,3 +340,54 @@ def f_and_coefficient_mp(family: FuncFamily, g: np.ndarray, dps: int = 40):
             grad = mpmath.diag([float(x) for x in grad_f(family, lam)])
             coeff[i] = np.array((p * grad * p.H).tolist(), dtype=complex)
     return f, coeff
+
+
+def verify_estimates(
+    result: SolveResult, spec: ProblemSpec, usub: ScalarField, usuper: ScalarField
+) -> EstimateReport:
+    """Sandwich usub <= u <= usuper, normal-derivative ordering (both within
+    ESTIMATE_SLACK) and the quadratic-growth ratios.
+
+    The second-order ratio is sup |ddbar u| / (1 + sup |grad u|^2); the
+    boundary ratio is max over boundary nodes of
+    g_{n nbar} / (1 + sum_alpha |g_{alpha nbar}|^2), the quantity the
+    localization lemma bounds.
+    """
+    dom = spec.domain
+    u = result.u
+    hess = complex_hessian(u)
+    live = ~dom.exterior
+    # sup |lambda| = sup |H|_2 sits where |H|_F reaches the largest column norm
+    h2 = np.abs(hess[dom.interior]) ** 2
+    near = h2.sum(axis=(1, 2)) >= (1 - 1e-9) * np.max(h2.sum(axis=1), initial=0.0)
+    lam_u = np.linalg.eigvalsh(hess[dom.interior][near])
+    sup_dbar = float(np.max(np.abs(lam_u))) if lam_u.size else 0.0
+    grad_sq = gradient_sup(u)
+    ratio2nd = sup_dbar / (1.0 + grad_sq)
+
+    sandwich_ok = bool(np.all(u.values[live] >= usub.values[live] - ESTIMATE_SLACK)
+                       and np.all(u.values[live] <= usuper.values[live] + ESTIMATE_SLACK))
+
+    normal_order_ok, bdry_ratio = True, float("nan")
+    if dom.boundary.any():
+        d_sub = boundary_normal_derivatives(usub)
+        d_u = boundary_normal_derivatives(u)
+        d_sup = boundary_normal_derivatives(usuper)
+        for (ax, side, lo), (_, _, mid), (_, _, hi) in zip(d_sub, d_u, d_sup):
+            scale = ESTIMATE_SLACK * (1.0 + float(np.max(np.abs(mid))))
+            normal_order_ok &= bool(np.all(lo <= mid + scale))
+            normal_order_ok &= bool(np.all(mid <= hi + scale))
+        gb = (spec.chi.values + hess)[dom.boundary]
+        n = dom.n
+        num = gb[:, n - 1, n - 1].real
+        den = 1.0 + np.sum(np.abs(gb[: , : n - 1, n - 1]) ** 2, axis=-1)
+        bdry_ratio = float(np.max(num / den))
+
+    return EstimateReport(
+        sup_dbar=sup_dbar,
+        grad_sq=grad_sq,
+        ratio2nd=ratio2nd,
+        sandwich_ok=sandwich_ok,
+        normal_order_ok=normal_order_ok,
+        bdry_ratio=bdry_ratio,
+    )

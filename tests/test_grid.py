@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hcl.errors import ConfigError, DomainError, ResolutionError, StencilError
+from hcl.errors import ConfigError, DomainError, ResolutionError
 from hcl.grid import (
     BOUNDARY,
     EXTERIOR,
@@ -86,6 +86,22 @@ class TestDomains:
     def test_rejects_degenerate_axes(self, make):
         with pytest.raises(DomainError):
             make()
+
+    # hand-built grids that were accepted: all-INTERIOR roles were read as a
+    # closed problem, on which `solve_closed` raised a bare broadcast
+    # ValueError ((4,784) against (4,1296)); the others were kept as given
+    @pytest.mark.parametrize("roles, message", [
+        (np.zeros((4, 4, 9, 9), dtype=np.uint8),
+         "interior nodes on an end layer of the bounded axis 2"),
+        (np.zeros((3, 3), dtype=np.uint8),
+         r"roles of shape \(3, 3\) on a grid of shape \(4, 4, 9, 9\)"),
+        (np.full((4, 4, 9, 9), 7, dtype=np.uint8),
+         r"roles must be INTERIOR, BOUNDARY or EXTERIOR \(0, 1 or 2\)"),
+    ], ids=["interior-end-layers", "roles-shape", "roles-values"])
+    def test_rejects_hand_built_roles(self, roles, message):
+        with pytest.raises(DomainError, match=message):
+            GridDomain(2, (4, 4, 9, 9), (2 * np.pi, 2 * np.pi, 1.0, 1.0),
+                       (True, True, False, False), roles)
 
     def test_node_cap_admits_its_own_size(self):
         assert GridDomain.torus(2, (32, 32, 32, 32)).roles.size == NODE_CAP
@@ -323,13 +339,12 @@ class TestNormalDerivatives:
         np.testing.assert_allclose(faces[(0, -1)], -2.0, atol=1e-12)
 
     def test_requires_three_nodes(self):
+        # a two-node bounded axis carries no one-sided stencil: the grid itself
+        # is rejected, so no ghost ring is asked of it
         dom = GridDomain.product(1, s_shape=(9, 9))
-        bad = GridDomain(
-            dom.n, (2, 9), dom.lengths, dom.periodic,
-            np.zeros((2, 9), dtype=np.uint8),
-        )
-        with pytest.raises(StencilError):
-            boundary_normal_derivatives(ScalarField.zeros(bad))
+        with pytest.raises(DomainError, match="needs >= 3 nodes on the non-periodic axis 0"):
+            GridDomain(dom.n, (2, 9), dom.lengths, dom.periodic,
+                       np.zeros((2, 9), dtype=np.uint8))
 
 
 class TestSerialization:
