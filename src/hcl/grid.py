@@ -24,6 +24,7 @@ forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -337,30 +338,120 @@ def _matrix(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mixed_pieces(j: int, k: int, c):
+    """(axis a, axis b, factor) for the real mixed differences D_ab that make up
+    the (j, kbar) and (k, jbar) terms with coefficient c = F^{j kbar}, j < k.
+
+    In tr(F H) with H = Hess v these two terms are
+    F^{k jbar} H_{j kbar} + F^{j kbar} H_{k jbar} = 2 Re(conj(c) H_{j kbar}),
+    where Re H_{j kbar} = (D_{x_j x_k} + D_{y_j y_k}) / 4 and
+    Im H_{j kbar} = (D_{x_j y_k} - D_{y_j x_k}) / 4 (`_hessian_core`)."""
+    return (
+        (2 * j, 2 * k, 0.5 * c.real),
+        (2 * j + 1, 2 * k + 1, 0.5 * c.real),
+        (2 * j, 2 * k + 1, 0.5 * c.imag),
+        (2 * j + 1, 2 * k, -0.5 * c.imag),
+    )
+
+
+def _stencil_offsets(n: int) -> np.ndarray:
+    """The centre, -+1 along each real axis, then the four corners of each
+    mixed axis pair: the column order of `_stencil_weights`."""
+    eye = np.eye(2 * n, dtype=int)
+    offs = [0 * eye[0]] + [s * eye[ax] for ax in range(2 * n) for s in (+1, -1)]
+    offs += [sa * eye[a] + sb * eye[b] for j in range(n) for k in range(j + 1, n)
+             for a, b, _ in _mixed_pieces(j, k, 0j) for sa in (+1, -1) for sb in (+1, -1)]
+    return np.array(offs)
+
+
+@lru_cache(maxsize=8)
+def _stencil_weights(spacings: tuple[float, ...], n: int) -> np.ndarray:
+    """The read-only (n^2, S) table W of the stencil weights of
+    tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}: row c for the F whose
+    Hermitian coordinates (`_hessian_core`) are the unit vector e_c, one
+    column per offset of `_stencil_offsets`: m_c (`_multiplicity`) times the
+    stencil of coordinate c of i ddbar v."""
+    w, col = np.zeros((n * n, 1 + 4 * n + 8 * n * (n - 1))), 1
+    for j in range(n):
+        for ax in (2 * j, 2 * j + 1):  # F_jj
+            w[j * (2 * n - j), col:col + 2] = 0.25 / spacings[ax] ** 2
+            w[j * (2 * n - j), 0] -= 2.0 * w[j * (2 * n - j), col]
+            col += 2
+    for j in range(n):
+        for k in range(j + 1, n):
+            re = j * (2 * n - j) + 2 * (k - j) - 1  # Re F_jk, then Im F_jk
+            # the factors of Re F_jk = 1 and Im F_jk = 1 at once
+            for (ax_a, ax_b, fac), row in zip(_mixed_pieces(j, k, 1 + 1j),
+                                              (re, re, re + 1, re + 1)):
+                w[row, col:col + 4] = np.array([1, -1, -1, 1]) * (
+                    fac / (4.0 * spacings[ax_a] * spacings[ax_b]))  # sa * sb
+                col += 4
+    w.flags.writeable = False
+    return w
+
+
+def _multiplicity(n: int) -> np.ndarray:
+    """m_c = 1 + (j != k), so that tr(F H) = sum_c m_c F_c H_c for Hermitian F, H."""
+    return np.array([1.0 + (j != k) for j, k, _ in _layout(n)])
+
+
+@lru_cache(maxsize=4)
+def _hessian_csr(shape: tuple[int, ...], roles_bytes: bytes, spacings: tuple):
+    """(H, cols): i ddbar as one read-only sparse matrix on one grid, cached
+    on its node roles too (two restrictions of one grid differ only there).
+    Row c N + i is the Hermitian coordinate c at the i-th of the N interior
+    nodes, so (H x).reshape(n^2, N) has `box_hessian`'s layout; the columns
+    are the interior nodes, then the boundary ones (`cols`, in grid order).
+    Row (c, i) holds the nonzero taps W[c] / m_c of `_stencil_weights` in
+    `_stencil_offsets` order, apart where two reach one neighbour (an axis of
+    1 or 2 nodes; the product sums them).  No interior node reaches a wrap."""
+    import scipy.sparse as sp  # scipy loads with the first Hessian, not with `hcl`
+
+    n, roles = len(shape) // 2, np.frombuffer(roles_bytes, dtype=np.uint8)
+    inside, cols = np.flatnonzero(roles == INTERIOR), np.flatnonzero(roles == BOUNDARY)
+    cols = np.concatenate((inside, cols))
+    rank = np.full(roles.size, -1, dtype=np.int32)
+    rank[cols] = np.arange(cols.size)
+    grid = np.pad(rank.reshape(shape), 1, mode="wrap")
+    nb = np.stack([_shift(grid, dict(enumerate(off))).reshape(-1)[inside]
+                   for off in _stencil_offsets(n)], axis=1)
+    if np.any(nb < 0):
+        raise DomainError("stencil reached an exterior node; bad mask")
+    w = _stencil_weights(spacings, n) / _multiplicity(n)[:, None]
+    taps = [np.flatnonzero(row) for row in w]
+    indptr = np.insert(np.cumsum(np.repeat([t.size for t in taps], inside.size),
+                                 dtype=np.int32), 0, 0)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    for c, t in enumerate(taps):  # filled in place: no second copy of H
+        at = slice(indptr[c * inside.size], indptr[(c + 1) * inside.size])
+        data[at], indices[at] = np.tile(w[c, t], inside.size), nb[:, t].reshape(-1)
+    h = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, cols.size))
+    for arr in (h.data, h.indices, h.indptr, cols):
+        arr.flags.writeable = False
+    return h, cols
+
+
 def complex_hessian(u: ScalarField) -> np.ndarray:
     """Per-node matrix of mixed complex second derivatives of u, shape
-    (*shape, n, n): `_matrix` of `box_hessian`'s coordinates, bit for bit on
-    the interior.  Second-order centered stencils on the real axis pairs;
-    exact on quadratics.  Values at boundary nodes use the extrapolated ghost
-    ring and are meaningful for reporting only; exterior nodes are zeroed.
-    """
+    (*shape, n, n), exact on quadratics: `box_hessian` at the interior nodes,
+    `_hessian_core` through the ghost ring at the boundary nodes (for
+    reporting only), zero at exterior nodes."""
     dom = u.domain
-    out = _matrix(_hessian_core(_padded(u.values, dom), dom.spacings, dom.n))
-    out[dom.exterior] = 0.0
-    return out
+    core = _hessian_core(_padded(u.values, dom), dom.spacings, dom.n)
+    core[:, dom.interior] = box_hessian(u)
+    core[:, dom.exterior] = 0.0
+    return _matrix(core)
 
 
 def box_hessian(u: ScalarField) -> np.ndarray:
     """The Hermitian coordinates (n^2, N) of i ddbar u at the N interior nodes,
-    in grid order: `_hessian_core` on `GridDomain.interior_box`, with no ghost
-    ring (box stencils reach boundary nodes, not past them).  A masked domain
-    drops the box's other nodes; an unmasked one returns the box uncopied."""
+    in grid order: one product of H (`_hessian_csr`) with u's values at the
+    interior and boundary nodes, which box stencils reach, not past them."""
     dom = u.domain
-    p = np.pad(u.values, [(1, 1) if per else (0, 0) for per in dom.periodic],
-               mode="wrap")
-    g = _hessian_core(p, dom.spacings, dom.n).reshape(dom.n ** 2, -1)
-    inside = dom.interior[dom.interior_box].reshape(-1)
-    return g if inside.all() else g[:, inside]
+    h, cols = _hessian_csr(dom.shape, dom.roles.tobytes(), dom.spacings)
+    x = u.values.reshape(-1)[cols]
+    x -= x[-1]  # i ddbar cannot see a constant: constant data give exact zeros
+    return (h @ x).reshape(dom.n ** 2, -1)
 
 
 def chern_laplacian(u: ScalarField) -> ScalarField:

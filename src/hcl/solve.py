@@ -20,8 +20,8 @@ n <= 3 the cone test, f and F need no eigenvalues, n >= 4 one LAPACK call each.
 The Newton operator is the exact derivative of the discrete residual: with
 F = d f(lambda[g]) / dg (`_newton_coefficient`) it is
 L v = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}, with the Hessian
-stencils of `grid.box_hessian`.  Each Newton step solves its system only as
-far as inexact Newton needs (the forcing term of `_damped_newton`).
+of `grid.box_hessian`.  Each Newton step solves its system only as far as
+inexact Newton needs (the forcing term of `_damped_newton`).
 
 Linear sub-solves share one fast direct solver, `_spectral_inverse`: on a box
 with a boundary it inverts a constant-coefficient operator by a real FFT
@@ -39,11 +39,12 @@ is inverted exactly by an FFT along the other axes and one cyclic line solve
 per mode along that axis (`_line_inverse`).  Each Newton step makes one
 Krylov solve; its iterations are recorded in `SolveResult.linear_solves`.
 
-`assemble_linearized` stores A row-major in stencil order, as in ELLPACK:
-every row holds its S = 1 + 4n + 8n(n-1) weights in the order of
-`_stencil_offsets`, so the data is one product of F's n^2 coordinates with a
-cached weight table, and the structure is built once per domain (cached on
-the shape and the node roles) with no sort.
+One sparse matrix H per grid (`grid._hessian_csr`, cached) gives the n^2
+Hermitian coordinates of i ddbar at the interior nodes: the residual's,
+phi's and the subsolution's Hessians are one product with H (`box_hessian`),
+and the Newton and Poisson operators its action v -> sum_c m_c F_c (H v)_c
+(`_newton_operator`, F = I for Poisson), so no Newton step or Poisson solve
+builds a matrix (Knoll & Keyes, J. Comput. Phys. 193, 2004).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -67,18 +67,20 @@ from .errors import (
     StallError,
 )
 from .grid import (
-    BOUNDARY,
-    EXTERIOR,
     INTERIOR,
     GridDomain,
     HermitianField,
     ScalarField,
     _coords,
     _hessian_core,
+    _hessian_csr,
     _layout,
     _matrix,
+    _mixed_pieces,
+    _multiplicity,
     _padded,
-    _shift,
+    _stencil_offsets,
+    _stencil_weights,
     boundary_normal_derivatives,
     box_hessian,
     gradient_sup,
@@ -109,7 +111,6 @@ __all__ = [
     "degenerate_sweep",
     "domain_exhaustion",
     "verify_estimates",
-    "assemble_linearized",
     "residual_field",
 ]
 
@@ -293,107 +294,20 @@ def residual_field(spec: ProblemSpec, w: np.ndarray, c: float = 0.0):
     return (None if val is None else val - spec.psi.values[dom.interior] - c), s, g
 
 
-def _mixed_pieces(j: int, k: int, c):
-    """(axis a, axis b, factor) for the real mixed differences D_ab that make up
-    the (j, kbar) and (k, jbar) terms with coefficient c = F^{j kbar}, j < k.
+def _newton_operator(domain: GridDomain, coeff: np.ndarray) -> spla.LinearOperator:
+    """v -> tr(F Hess v) = sum_c m_c F_c (H v)_c (`_multiplicity`, `_hessian_csr`)
+    on interior values, boundary values 0, F in coordinates (n^2, N) or (n^2, 1):
+    at the Newton coefficient, the derivative of the residual."""
+    h, _ = _hessian_csr(domain.shape, domain.roles.tobytes(), domain.spacings)
+    n_int = h.shape[0] // domain.n ** 2
+    mf = np.broadcast_to(_multiplicity(domain.n)[:, None] * coeff, (domain.n ** 2, n_int))
+    bdry = np.zeros(h.shape[1] - n_int)
 
-    In tr(F H) with H = Hess v these two terms are
-    F^{k jbar} H_{j kbar} + F^{j kbar} H_{k jbar} = 2 Re(conj(c) H_{j kbar}),
-    where Re H_{j kbar} = (D_{x_j x_k} + D_{y_j y_k}) / 4 and
-    Im H_{j kbar} = (D_{x_j y_k} - D_{y_j x_k}) / 4 (`grid.complex_hessian`)."""
-    return (
-        (2 * j, 2 * k, 0.5 * c.real),
-        (2 * j + 1, 2 * k + 1, 0.5 * c.real),
-        (2 * j, 2 * k + 1, 0.5 * c.imag),
-        (2 * j + 1, 2 * k, -0.5 * c.imag),
-    )
+    def matvec(v: np.ndarray) -> np.ndarray:
+        hv = h @ np.concatenate((np.ravel(v), bdry))
+        return np.einsum("ci,ci->i", mf, hv.reshape(mf.shape))
 
-
-def _stencil_offsets(n: int) -> np.ndarray:
-    """The centre, -+1 along each real axis, then the four corners of each
-    mixed axis pair: the column order of `_stencil_weights`."""
-    eye = np.eye(2 * n, dtype=int)
-    offs = [0 * eye[0]] + [s * eye[ax] for ax in range(2 * n) for s in (+1, -1)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            for ax_a, ax_b, _ in _mixed_pieces(j, k, 0j):
-                offs += [sa * eye[ax_a] + sb * eye[ax_b]
-                         for sa in (+1, -1) for sb in (+1, -1)]
-    return np.array(offs)
-
-
-@lru_cache(maxsize=8)
-def _stencil_weights(spacings: tuple[float, ...], n: int) -> np.ndarray:
-    """The read-only (n^2, S) table W of the stencil weights of
-    tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar}: row c for the F whose
-    Hermitian coordinates (`grid._hessian_core`) are the unit vector e_c, one
-    column per offset of `_stencil_offsets`."""
-    w, col = np.zeros((n * n, 1 + 4 * n + 8 * n * (n - 1))), 1
-    for j in range(n):
-        for ax in (2 * j, 2 * j + 1):  # F_jj
-            w[j * (2 * n - j), col:col + 2] = 0.25 / spacings[ax] ** 2
-            w[j * (2 * n - j), 0] -= 2.0 * w[j * (2 * n - j), col]
-            col += 2
-    for j in range(n):
-        for k in range(j + 1, n):
-            re = j * (2 * n - j) + 2 * (k - j) - 1  # Re F_jk, then Im F_jk
-            # the factors of Re F_jk = 1 and Im F_jk = 1 at once
-            for (ax_a, ax_b, fac), row in zip(_mixed_pieces(j, k, 1 + 1j),
-                                              (re, re, re + 1, re + 1)):
-                w[row, col:col + 4] = np.array([1, -1, -1, 1]) * (
-                    fac / (4.0 * spacings[ax_a] * spacings[ax_b]))  # sa * sb
-                col += 4
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=4)
-def _stencil_pattern(shape: tuple[int, ...], roles_bytes: bytes):
-    """(indices, indptr, hits): the read-only structure of A
-    (`assemble_linearized`) on one grid, keyed by its node roles (two
-    restrictions of one grid differ only there).  A slot whose neighbour is a
-    boundary node keeps its own row as the column; `hits` are those slots'
-    flat positions.  Every axis wraps; on a bounded axis no interior node
-    reaches the wrap."""
-    roles = np.frombuffer(roles_bytes, dtype=np.uint8)
-    int_flat = np.flatnonzero(roles == INTERIOR)
-    rank = np.full(roles.size, -1, dtype=np.int32)
-    rank[int_flat] = np.arange(int_flat.size)
-    grid = np.pad(np.arange(roles.size, dtype=np.int32).reshape(shape), 1, mode="wrap")
-    nb = np.stack([_shift(grid, dict(enumerate(off))).reshape(-1)[int_flat]
-                   for off in _stencil_offsets(len(shape) // 2)], axis=1)
-    nb_roles = roles[nb]
-    if np.any(nb_roles == EXTERIOR):
-        raise DomainError("stencil reached an exterior node; bad mask")
-    n_int, hit = int_flat.size, nb_roles == BOUNDARY
-    arrays = (np.where(hit, np.arange(n_int, dtype=np.int32)[:, None], rank[nb]).reshape(-1),
-              np.arange(0, nb.size + 1, nb.shape[1], dtype=np.int32),
-              np.flatnonzero(hit))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
-
-def assemble_linearized(domain: GridDomain, coeff: np.ndarray) -> sp.csr_matrix:
-    """Sparse interior operator A for per-node coefficient matrices F in
-    Hermitian coordinates (`grid._hessian_core`), shape (n^2, N_int).
-
-    A v = tr(F Hess v) = sum_{j,k} F^{k jbar} (Hess v)_{j kbar} at the
-    interior nodes for every v that is 0 on the boundary, with the Hessian of
-    `grid.box_hessian`: at the Newton coefficient, the derivative of the
-    residual, whose boundary values stay fixed.
-
-    Row i of A holds its S weights in the order of `_stencil_offsets`, so the
-    data is the one product of F's coordinates with `_stencil_weights`.  A
-    slot whose neighbour is a boundary node holds an explicit 0.0 at its own
-    row's column.  Where two offsets reach one neighbour
-    (an axis of 1 or 2 nodes) the entries stay apart; the matvec sums them.
-    """
-    indices, indptr, hits = _stencil_pattern(domain.shape, domain.roles.tobytes())
-    data = (coeff.T @ _stencil_weights(domain.spacings, domain.n)).reshape(-1)
-    data[hits] = 0.0
-    n_int = indptr.size - 1
-    return sp.csr_matrix((data, indices, indptr), shape=(n_int, n_int))
+    return spla.LinearOperator((n_int, n_int), matvec=matvec, dtype=float)
 
 
 @lru_cache(maxsize=16)
@@ -460,8 +374,8 @@ def _mode_phases(shape: tuple[int, ...], axis: int):
 
 
 def _line_inverse(domain: GridDomain, axis: int, profile: np.ndarray):
-    """The exact inverse of [[A, -1], [1^T, 0]] on the torus, A of
-    `assemble_linearized` at a coefficient that is the profile (n^2, m) along
+    """The exact inverse of [[A, -1], [1^T, 0]] on the torus, A the action of
+    `_newton_operator` at a coefficient that is the profile (n^2, m) along
     `axis` and constant along the other axes T (a constant one included), as
     a map of (N+1)-vectors.  After `rfftn` along T, A is one cyclic
     tridiagonal system along `axis` per mode, whose diagonals group the
@@ -512,7 +426,7 @@ def _line_inverse(domain: GridDomain, axis: int, profile: np.ndarray):
 
 
 def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
-    """Inverse of A of `assemble_linearized` at the coefficient (n^2, N) or
+    """Inverse of A (`_newton_operator`) at the coefficient (n^2, N) or
     (n^2, 1), averaged as below, as a map of flat interior vectors.  On a
     fully periodic domain (never masked), where A annihilates the constants,
     it is `_line_inverse` of [[A, -1], [1^T, 0]] (`_bordered_operator`) on
@@ -594,9 +508,9 @@ def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
     return masked
 
 
-def _solve_general(a: sp.csr_matrix, b: np.ndarray, inverse, rtol: float = LIN_TOL):
-    """BiCGStab to the relative residual `rtol` on the system of a sparse
-    matrix or a `_bordered_operator` a; returns (x, krylov_iters).
+def _solve_general(a: spla.LinearOperator, b: np.ndarray, inverse, rtol: float = LIN_TOL):
+    """BiCGStab to the relative residual `rtol` on the system of A
+    (`_newton_operator`) or its `_bordered_operator` a; returns (x, iters).
 
     The run starts from zero (scipy then takes r0 = b with no product) and is
     preconditioned by `_spectral_inverse`'s map `inverse`.  The system is
@@ -644,7 +558,7 @@ def poisson_dirichlet(domain: GridDomain, rhs) -> ScalarField:
     """Solve chern_laplacian(h) = rhs with h = 0 on the boundary (boundary
     data enter through the right side: `build_supersolution`).
 
-    The system is A h_int = rhs, with A of `assemble_linearized` at F = I.
+    The system is A h_int = rhs, with A of `_newton_operator` at F = I.
     The spectral inverse solves the system directly on an unmasked box, and
     approximately on a masked one; the sup-norm residual is certified at
     POISSON_SUP_TOL * (1 + |rhs|_inf).  When that certificate fails, one
@@ -655,8 +569,8 @@ def poisson_dirichlet(domain: GridDomain, rhs) -> ScalarField:
         raise DomainError("poisson_dirichlet needs a domain with boundary")
     rhs = (rhs.values if isinstance(rhs, ScalarField) else
            np.broadcast_to(np.asarray(rhs, dtype=float), domain.shape))[domain.interior]
-    eye = np.repeat(_coords(np.eye(domain.n))[:, None], rhs.size, axis=1)
-    a = assemble_linearized(domain, eye)
+    eye = _coords(np.eye(domain.n))[:, None]
+    a = _newton_operator(domain, eye)
     target = POISSON_SUP_TOL * (1.0 + float(np.max(np.abs(rhs))))
     solve = _spectral_inverse(domain, eye)
     x = solve(rhs)
@@ -728,8 +642,8 @@ def build_supersolution(spec: ProblemSpec) -> ScalarField:
     return ScalarField(dom, spec.phi.values + poisson_dirichlet(dom, rhs).values)
 
 
-def _bordered_operator(a: sp.csr_matrix) -> spla.LinearOperator:
-    """[[A, -1], [1^T, 0]] as an operator around the square matrix A:
+def _bordered_operator(a: spla.LinearOperator) -> spla.LinearOperator:
+    """[[A, -1], [1^T, 0]] as an operator around A (`_newton_operator`):
     (v, dc) -> (A v - dc * 1, sum(v)); no (N+1) matrix is built."""
     n = a.shape[0]
 
@@ -742,7 +656,7 @@ def _bordered_operator(a: sp.csr_matrix) -> spla.LinearOperator:
     return spla.LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
 
 
-def _solve_bordered(a: sp.csr_matrix, r: np.ndarray, inverse, rtol: float = LIN_TOL):
+def _solve_bordered(a: spla.LinearOperator, r: np.ndarray, inverse, rtol: float = LIN_TOL):
     """Solve the (N+1)-dimensional bordered system
 
         A v - dc * 1 = -r,   sum(v) = 0
@@ -796,7 +710,7 @@ def _damped_newton(spec: ProblemSpec, w: np.ndarray, opts: SolverOptions):
         if res <= tol:
             break
         coeff = _newton_coefficient(spec.family, g, s)
-        a = assemble_linearized(dom, coeff)
+        a = _newton_operator(dom, coeff)
         inverse = _spectral_inverse(dom, coeff)
         eta = min(FORCING_MAX, 0.9 * (history[-1] / history[-2]) ** 2) if long_step else 0.0
         rtol = max(LIN_TOL, 0.5 * tol / float(np.linalg.norm(r)), eta)
@@ -804,7 +718,7 @@ def _damped_newton(spec: ProblemSpec, w: np.ndarray, opts: SolverOptions):
             v, dc, iters = _solve_bordered(a, r, inverse, rtol)
         else:
             (v, iters), dc = _solve_general(a, -r, inverse, rtol), 0.0
-        del a, inverse  # not kept while the next step assembles its own
+        del a, inverse  # not kept while the next step builds its own
         solves.append(iters)
         step = 1.0
         admissible_seen = False
@@ -960,21 +874,20 @@ def domain_exhaustion(
 def verify_estimates(
     result: SolveResult, spec: ProblemSpec, usub: ScalarField, usuper: ScalarField
 ) -> EstimateReport:
-    """Sandwich usub <= u <= usuper, normal-derivative ordering (both within
-    ESTIMATE_SLACK) and the quadratic-growth ratios.
+    """Sandwich usub <= u <= usuper, normal-derivative ordering at the face
+    nodes that are boundary nodes (both within ESTIMATE_SLACK) and the
+    quadratic-growth ratios.
 
-    The second-order ratio is sup |ddbar u| / (1 + sup |grad u|^2); the
-    boundary ratio is max over boundary nodes of
+    The second-order ratio is sup |ddbar u| / (1 + sup |grad u|^2), from
+    `box_hessian`; the boundary ratio is max over boundary nodes of
     g_{n nbar} / (1 + sum_alpha |g_{alpha nbar}|^2), the quantity the
-    localization lemma bounds.  Both read one `_hessian_core` of u (ghost
-    ring included; `box_hessian`'s bit for bit at interior nodes).  |H|_2 lies
+    localization lemma bounds, from `_hessian_core` (ghost ring).  |H|_2 lies
     between H's largest column norm and |H|_F, so `eigvalsh` sees the node of
     sup |H|_2 among those with |H|_F^2 >= (1 - 1e-9) max column norm^2; 1e-9
     absorbs the rounding of the sums of squares.
     """
     dom, u, n = spec.domain, result.u, spec.domain.n
-    core = _hessian_core(_padded(u.values, dom), dom.spacings, n).reshape(n * n, -1)
-    c = core[:, dom.interior.reshape(-1)]
+    c = box_hessian(u)
     live = ~dom.exterior
     sq, lay = c * c, _layout(n)
     frob = sum(s if j == k else 2.0 * s for (j, k, _), s in zip(lay, sq))
@@ -994,11 +907,12 @@ def verify_estimates(
         d_u = boundary_normal_derivatives(u)
         d_sup = boundary_normal_derivatives(usuper)
         for (ax, side, lo), (_, _, mid), (_, _, hi) in zip(d_sub, d_u, d_sup):
-            scale = ESTIMATE_SLACK * (1.0 + float(np.max(np.abs(mid))))
-            normal_order_ok &= bool(np.all(lo <= mid + scale))
-            normal_order_ok &= bool(np.all(mid <= hi + scale))
-        gb = dict(zip(lay, _coords(spec.chi.values[dom.boundary])
-                      + core[:, dom.boundary.reshape(-1)]))
+            on = np.moveaxis(dom.boundary, ax, 0)[side]  # a masked box's faces are exterior
+            lo, mid, hi = lo[on], mid[on], hi[on]
+            scale = ESTIMATE_SLACK * (1.0 + float(np.max(np.abs(mid), initial=0.0)))
+            normal_order_ok &= bool(np.all(lo <= mid + scale) and np.all(mid <= hi + scale))
+        core = _hessian_core(_padded(u.values, dom), dom.spacings, n)
+        gb = dict(zip(lay, _coords(spec.chi.values[dom.boundary]) + core[:, dom.boundary]))
         den = 1.0 + sum(np.hypot(gb[a, n - 1, 0], gb[a, n - 1, 1]) ** 2
                         for a in range(n - 1))
         bdry_ratio = float(np.max(gb[n - 1, n - 1, 0] / den))

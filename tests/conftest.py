@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hcl.grid import GridDomain, ScalarField, _coords, identity_chi
-from hcl.solve import ProblemSpec, assemble_linearized, s_factor_potential
+from hcl.solve import ProblemSpec, _newton_operator, s_factor_potential
 from hcl.symfunc import FuncFamily
 
 
@@ -84,11 +84,12 @@ def manufactured_closed_spec(N, amplitude=0.1, ny=4):
 
 
 def assemble(dom, coeff):
-    """A of `assemble_linearized` for the complex coefficient stack coeff
-    (N_int, n, n), in its Hermitian coordinates.  A acts on the interior
-    values; the boundary coupling B is the reference assembly's
+    """The Newton action A (`_newton_operator`) for the complex coefficient
+    stack coeff (N_int, n, n), in its Hermitian coordinates.  A acts on the
+    interior values; the boundary coupling B, and A as a matrix where a test
+    reads its entries, are the reference assembly's
     (`newton_reference.assemble_linearized`)."""
-    return assemble_linearized(dom, _coords(np.asarray(coeff, dtype=complex)))
+    return _newton_operator(dom, _coords(np.asarray(coeff, dtype=complex)))
 
 
 def hermitian_stack(rng, count, n=2, scale=1.0, shift=0.0):

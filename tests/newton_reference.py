@@ -3,12 +3,13 @@
 `assemble_linearized` here is the roll-loop assembly that `hcl.solve` used
 before the stencil pattern was cached: it rebuilds the COO triplets with one
 `np.roll` of the node grid per stencil offset and lets scipy's COO -> CSR
-conversion sort them and sum duplicates.  Its canonical CSR matrices are the
-operators that `hcl.solve` now stores row-major in stencil order, with
-duplicates apart and explicit zeros where a stencil reaches the boundary;
-the tests compare them after `sum_duplicates`.  Its B, the boundary coupling,
-is the reference for the boundary share of the operator, which `hcl.solve`
-forms as no matrix.  `_stencil_entries`,
+conversion sort them and sum duplicates.  Its A is the operator that
+`hcl.solve` now applies as an action through the cached Hessian matrix H
+(`_newton_operator`), and its B, the boundary coupling, the reference for
+the boundary share of the operator, which `hcl.solve` forms as no matrix.
+`box_hessian` is the stencil form of the interior Hessian that `hcl.grid`
+computed before it became one product with H: `_hessian_core` on the
+interior box, with no ghost ring on the bounded axes.  `_stencil_entries`,
 `_interior_info` and `_mixed_pieces` are its helpers.  They are kept verbatim
 (only the imports differ), except that `_mixed_pieces` carries the corrected
 signs of the two imaginary pieces, as `hcl.solve` does: the old ones paired F
@@ -50,6 +51,7 @@ from hcl.grid import (
     INTERIOR,
     GridDomain,
     ScalarField,
+    _hessian_core,
     boundary_normal_derivatives,
     complex_hessian,
     gradient_sup,
@@ -176,6 +178,19 @@ def assemble_linearized(domain: GridDomain, coeff: np.ndarray):
     else:
         b = sp.csr_matrix((n_int, bdry_flat.size))
     return a, b
+
+
+def box_hessian(u: ScalarField) -> np.ndarray:
+    """The Hermitian coordinates (n^2, N) of i ddbar u at the N interior nodes,
+    in grid order: `_hessian_core` on `GridDomain.interior_box`, with no ghost
+    ring (box stencils reach boundary nodes, not past them).  A masked domain
+    drops the box's other nodes; an unmasked one returns the box uncopied."""
+    dom = u.domain
+    p = np.pad(u.values, [(1, 1) if per else (0, 0) for per in dom.periodic],
+               mode="wrap")
+    g = _hessian_core(p, dom.spacings, dom.n).reshape(dom.n ** 2, -1)
+    inside = dom.interior[dom.interior_box].reshape(-1)
+    return g if inside.all() else g[:, inside]
 
 
 def _pin_row0(a: sp.csr_matrix) -> sp.csr_matrix:

@@ -1,15 +1,15 @@
 """The Newton-step linear algebra against the code it replaced.
 
-`newton_reference` keeps the roll-loop assembly and the LAPACK coefficient.
-The row-major stencil storage must hold the same operators: with duplicates
-summed and rows sorted, A and B have the reference's CSR structure and its
-values to 1e-15 of the largest, and the explicit sigma(g), f and Newton
-coefficient for n <= 3 must match `np.linalg.eigvalsh` and the `eigh`/`einsum`
-coefficient, or, near the cone boundary, a 40-digit eigendecomposition.  It
-also keeps the closed-mode solve that pinned node 0 and made two solves per
-Newton step, and a sparse LU factorization of the bordered
-system; the single bordered Krylov solve, on the bordered operator, must give
-the same (v, dc) as both.  Last, it keeps the constant-coefficient inverse
+`newton_reference` keeps the roll-loop assembly, the stencil `box_hessian`
+and the LAPACK coefficient.  The cached Hessian matrix H must give the
+stencils' i ddbar u to 1e-14, the Newton action through it the reference
+A's products to 1e-14 of |A|_inf |v|_inf, and the explicit sigma(g), f and
+Newton coefficient for n <= 3 must match `np.linalg.eigvalsh` and the
+`eigh`/`einsum` coefficient, or, near the cone boundary, a 40-digit
+eigendecomposition.  It also keeps the closed-mode solve that pinned node 0
+and made two solves per Newton step, and a sparse LU factorization of the
+bordered system; the single bordered Krylov solve, on the bordered operator,
+must give the same (v, dc) as both.  Last, it keeps the constant-coefficient inverse
 that applied `dstn` and `rfftn` along every axis; the dense-eigenbasis map
 must apply the same preconditioner, exact or not.  It keeps, too, the CG with
 which `poisson_dirichlet` refined before BiCGStab did; `test_solve.py` checks
@@ -21,11 +21,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hcl.grid as grid_mod
 import hcl.solve as solve_mod
 import hcl.symfunc as symfunc_mod
 from hcl.errors import DomainError
-from hcl.grid import (BOUNDARY, EXTERIOR, GridDomain, HermitianField, ScalarField,
-                      _coords, _matrix, complex_hessian, identity_chi)
+from hcl.grid import (EXTERIOR, GridDomain, HermitianField, ScalarField, _coords,
+                      _hessian_csr, _layout, _matrix, box_hessian, complex_hessian,
+                      identity_chi)
 from hcl.solve import (
     ProblemSpec,
     SolverOptions,
@@ -34,11 +36,10 @@ from hcl.solve import (
     _bordered_operator,
     _f_of_g,
     _newton_coefficient,
+    _newton_operator,
     _sigmas,
     _solve_bordered,
     _spectral_inverse,
-    _stencil_offsets,
-    assemble_linearized,
     build_subsolution,
     residual_field,
 )
@@ -66,31 +67,6 @@ def newton_like_coefficient(dom, seed):
     return hermitian_stack(rng, int(dom.interior.sum()), dom.n, shift=0.5)
 
 
-def canonical(m):
-    """A copy of the CSR matrix m with its duplicates summed and its rows sorted."""
-    m = m.copy()
-    m.sum_duplicates()
-    return m
-
-
-def assert_same_csr(new, old):
-    # the stored layout may differ; the operator may not
-    new = canonical(new)
-    np.testing.assert_array_equal(new.indptr, old.indptr)
-    np.testing.assert_array_equal(new.indices, old.indices)
-    scale = np.max(np.abs(old.data), initial=0.0)
-    assert np.max(np.abs(new.data - old.data), initial=0.0) <= 1e-15 * scale
-
-
-def boundary_slots(dom):
-    """(row, slot) of every stencil slot whose neighbour is a boundary node."""
-    grid = np.arange(dom.roles.size).reshape(dom.shape)
-    axes = tuple(range(grid.ndim))
-    nb = np.stack([np.roll(grid, tuple(-off), axis=axes)[dom.interior]
-                   for off in _stencil_offsets(dom.n)], axis=1)
-    return np.nonzero(dom.roles.reshape(-1)[nb] == BOUNDARY)
-
-
 ASSEMBLY_DOMAINS = {
     "dirichlet-newton": GridDomain.product(2, x_shape=(16, 4), s_shape=(33, 33),
                                            x_lengths=(6.2832, 6.2832)),
@@ -101,56 +77,73 @@ ASSEMBLY_DOMAINS = {
     "s-factor": GridDomain.product(1, s_shape=(17, 13)),
     "n3-product": GridDomain.product(3, x_shape=(4, 3, 3, 4), s_shape=(7, 6)),
 }
-BOUNDED_DOMAINS = {k: d for k, d in ASSEMBLY_DOMAINS.items() if d.boundary.any()}
+# on axes of 1 or 2 nodes several stencil offsets reach one neighbour
+HESSIAN_DOMAINS = dict(ASSEMBLY_DOMAINS, **{
+    f"torus-{''.join(map(str, shape))}": GridDomain.torus(2, shape)
+    for shape in [(2, 2, 2, 2), (1, 4, 4, 4)]})
 
 
-class TestCachedAssembly:
-    @pytest.mark.parametrize("dom", ASSEMBLY_DOMAINS.values(), ids=ASSEMBLY_DOMAINS)
-    def test_refill_matches_roll_loop(self, dom):
-        for seed in (0, 1):  # the second call refills the cached pattern
-            coeff = newton_like_coefficient(dom, seed)
-            assert_same_csr(assemble(dom, coeff), ref.assemble_linearized(dom, coeff)[0])
+def hessian_matrix(dom):
+    """(H, cols) of the grid and node roles of dom (`grid._hessian_csr`)."""
+    return _hessian_csr(dom.shape, dom.roles.tobytes(), dom.spacings)
 
-    @pytest.mark.parametrize("dom", BOUNDED_DOMAINS.values(), ids=BOUNDED_DOMAINS)
-    def test_boundary_slots_hold_explicit_zeros(self, dom):
-        # every row has one slot per offset, in offset order; a slot that
-        # reaches the boundary keeps its own row's column and a 0.0
-        a = assemble(dom, newton_like_coefficient(dom, 0))
-        width = _stencil_offsets(dom.n).shape[0]
-        np.testing.assert_array_equal(a.indptr, width * np.arange(a.shape[0] + 1))
-        rows, slots = boundary_slots(dom)
-        assert rows.size > 0
-        assert np.all(a.data[width * rows + slots] == 0.0)
-        np.testing.assert_array_equal(a.indices[width * rows + slots], rows)
 
-    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (1, 4, 4, 4)])
-    def test_offsets_reaching_one_neighbour_are_summed(self, shape):
-        # on axes of 1 or 2 nodes several stencil offsets reach one neighbour
-        dom = GridDomain.torus(2, shape)
+def assert_action_matches_roll_loop(dom, seed):
+    # to 1e-14 of |A|_inf |v|_inf: the action sums in another order than A's rows
+    coeff = newton_like_coefficient(dom, seed)
+    v = np.random.default_rng(seed).standard_normal(coeff.shape[0])
+    a_ref = ref.assemble_linearized(dom, coeff)[0]
+    scale = np.max(abs(a_ref).sum(axis=1)) * np.max(np.abs(v))
+    assert np.max(np.abs(assemble(dom, coeff) @ v - a_ref @ v)) <= 1e-14 * scale
+
+
+class TestHessianOperator:
+    """The cached Hessian matrix H, and the Newton action through it, against
+    the stencil `box_hessian` and the roll-loop assembly that they replaced."""
+
+    @pytest.mark.parametrize("dom", HESSIAN_DOMAINS.values(), ids=HESSIAN_DOMAINS)
+    def test_box_hessian_matches_stencils(self, dom):
+        u = ScalarField(dom, np.random.default_rng(4).normal(0, 1, dom.shape))
+        got, want = box_hessian(u), ref.box_hessian(u)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dom", HESSIAN_DOMAINS.values(), ids=HESSIAN_DOMAINS)
+    def test_action_matches_roll_loop(self, dom):
         for seed in (0, 1):
-            coeff = newton_like_coefficient(dom, seed)
-            a = assemble(dom, coeff)
-            a_ref = ref.assemble_linearized(dom, coeff)[0]
-            assert_same_csr(a, a_ref)
-            diag, diag_ref = a.diagonal(), a_ref.diagonal()
-            assert np.max(np.abs(diag - diag_ref)) <= 1e-15 * np.max(np.abs(a_ref.data))
+            assert_action_matches_roll_loop(dom, seed)
 
-    def test_restrictions_of_one_grid_keep_their_own_patterns(self):
+    @pytest.mark.parametrize("dom", HESSIAN_DOMAINS.values(), ids=HESSIAN_DOMAINS)
+    def test_rows_hold_their_coordinates_taps(self, dom):
+        # coordinate-major rows over the interior nodes, interior columns first;
+        # 5 taps for u_{j jbar}, 8 for each of Re and Im u_{j kbar}, kept apart
+        # where they reach one neighbour
+        h, _ = hessian_matrix(dom)
+        n_int = int(dom.interior.sum())
+        assert h.shape == (dom.n ** 2 * n_int, n_int + int(dom.boundary.sum()))
+        widths = [5 if j == k else 8 for j, k, _ in _layout(dom.n)]
+        np.testing.assert_array_equal(np.diff(h.indptr), np.repeat(widths, n_int))
+
+    def test_restrictions_of_one_grid_keep_their_own_operators(self):
         small, large = exhaustion_domain(0.04), exhaustion_domain(0.01)
         assert small == large  # GridDomain equality ignores the roles
         assert small.interior.sum() < large.interior.sum()
         for dom in (small, large, small):
-            coeff = newton_like_coefficient(dom, 3)
-            assert_same_csr(assemble(dom, coeff), ref.assemble_linearized(dom, coeff)[0])
+            assert hessian_matrix(dom)[0].shape[0] == 4 * int(dom.interior.sum())
+            assert_action_matches_roll_loop(dom, 3)
 
-    def test_matrices_do_not_share_writable_arrays(self):
+    def test_arrays_are_read_only_and_cached(self):
         dom = GridDomain.torus(2, (6, 4, 6, 4))
-        coeff = newton_like_coefficient(dom, 0)
-        a1 = assemble(dom, coeff)
-        a2 = assemble(dom, 2.0 * coeff)
-        assert not np.shares_memory(a1.data, a2.data)
-        assert not a1.indices.flags.writeable and not a1.indptr.flags.writeable
-        np.testing.assert_array_equal(2.0 * a1.data, a2.data)
+        h, _ = hessian_matrix(dom)
+        assert hessian_matrix(GridDomain.torus(2, (6, 4, 6, 4)))[0] is h
+        for arr in (h.data, h.indices, h.indptr):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            h.data[0] = 1.0
+
+    def test_dirichlet_newton_grid_takes_at_most_20_mib(self):
+        h, _ = hessian_matrix(ASSEMBLY_DOMAINS["dirichlet-newton"])
+        assert h.data.nbytes + h.indices.nbytes + h.indptr.nbytes <= 20 * 2**20
 
     def test_exterior_neighbour_still_rejected(self):
         dom = exhaustion_domain(0.02)
@@ -165,6 +158,30 @@ class TestCachedAssembly:
         for dom in (bad, cut):
             with pytest.raises(DomainError, match="bad mask"):
                 assemble(dom, newton_like_coefficient(dom, 0))
+            with pytest.raises(DomainError, match="bad mask"):
+                box_hessian(ScalarField.zeros(dom))
+
+    def test_solves_build_no_matrix_after_their_first_iterate(self, monkeypatch):
+        events, csr, residual = [], sp.csr_matrix, solve_mod.residual_field
+
+        def counting_csr(*args, **kwargs):
+            events.append("build")
+            return csr(*args, **kwargs)
+
+        def counting_residual(*args):
+            events.append("residual")
+            return residual(*args)
+
+        monkeypatch.setattr(sp, "csr_matrix", counting_csr)
+        monkeypatch.setattr(solve_mod, "residual_field", counting_residual)
+        for make, solve in ((manufactured_dirichlet_spec, solve_mod.solve_dirichlet),
+                            (manufactured_closed_spec, solve_mod.solve_closed)):
+            grid_mod._hessian_csr.cache_clear()
+            events.clear()
+            res = solve(make(8)[0])
+            assert res.iterations >= 2 and "build" in events
+            second = [i for i, e in enumerate(events) if e == "residual"][1]
+            assert "build" not in events[second:]
 
 
 def assert_sigmas_close(g, tol=1e-12):
@@ -412,7 +429,7 @@ class TestNewtonCoefficient:
             assert r is not None
             coeff = _newton_coefficient(family, g, s)
             assert np.min(np.abs(coeff[2])) > 0  # Im F_01
-            a = assemble_linearized(dom, coeff)
+            a = _newton_operator(dom, coeff)
             fd = (residual_field(fspec, u + t * v)[0]
                   - residual_field(fspec, u - t * v)[0]) / (2 * t)
             jv = a @ v[dom.interior]
@@ -525,10 +542,11 @@ class TestBorderedSolve:
     @pytest.mark.parametrize("shape", [(8, 4, 6, 4), (16, 8, 16, 8)])
     def test_matrix_matches_bmat(self, shape):
         dom = GridDomain.torus(2, shape)
-        a = assemble(dom, smooth_coefficient(dom, 0.3))
+        coeff = smooth_coefficient(dom, 0.3)
+        a = ref.assemble_linearized(dom, coeff)[0]
         ones = np.ones((a.shape[0], 1))
         old = sp.bmat([[a, -ones], [ones.T, None]], format="csr")
-        new = _bordered_operator(a)
+        new = _bordered_operator(assemble(dom, coeff))
         assert new.shape == old.shape
         for x in np.random.default_rng(5).standard_normal((4, old.shape[0])):
             # each product to 1e-15 of the sum of its terms' sizes
@@ -537,7 +555,7 @@ class TestBorderedSolve:
 
     def test_pinned_matrix_matches_lil_build(self):
         dom = GridDomain.torus(2, (8, 4, 6, 4))
-        a = canonical(assemble(dom, smooth_coefficient(dom, 0.3)))
+        a = ref.assemble_linearized(dom, smooth_coefficient(dom, 0.3))[0]
         old = a.tolil()
         old.rows[0] = [0]
         old.data[0] = [1.0]
@@ -556,7 +574,8 @@ class TestBorderedSolve:
         # a tolerance below the default keeps both Krylov errors well under 1e-10
         v, dc, iters = _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)), 1e-12)
         v_ref, dc_ref, ref_iters = ref._solve_bordered(
-            a, r, r.size, ref.spectral_inverse(dom, coeff.mean(axis=0)))
+            ref.assemble_linearized(dom, coeff)[0], r, r.size,
+            ref.spectral_inverse(dom, coeff.mean(axis=0)))
         assert iters > 0 and min(ref_iters) > 0
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10
@@ -567,7 +586,7 @@ class TestBorderedSolve:
         a = assemble(dom, coeff)
         r = np.random.default_rng(7).standard_normal(a.shape[0])
         v, dc, _ = _solve_bordered(a, r, _spectral_inverse(dom, _coords(coeff)), 1e-12)
-        v_ref, dc_ref = ref.solve_bordered_direct(a, r)
+        v_ref, dc_ref = ref.solve_bordered_direct(ref.assemble_linearized(dom, coeff)[0], r)
         assert np.max(np.abs(v - v_ref)) <= 1e-10
         assert abs(dc - dc_ref) <= 1e-10
 

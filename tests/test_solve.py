@@ -28,6 +28,7 @@ from hcl.grid import (
     HermitianField,
     ScalarField,
     _coords,
+    _matrix,
     boundary_normal_derivatives,
     chern_laplacian,
     complex_hessian,
@@ -37,15 +38,16 @@ from hcl.grid import (
 import hcl.solve as solve_mod
 from hcl.solve import (
     ProblemSpec,
+    SolveResult,
     SolverOptions,
     _bordered_operator,
     _direct_axis,
     _line_inverse,
     _newton_coefficient,
+    _newton_operator,
     _solve_bordered,
     _solve_general,
     _spectral_inverse,
-    assemble_linearized,
     build_subsolution,
     build_supersolution,
     degenerate_sweep,
@@ -203,7 +205,7 @@ class TestSpectralInverse:
         dom = GridDomain.product(1, s_shape=(nodes, nodes))
         rhs = np.random.default_rng(nodes).normal(0, 1, dom.shape)
         h = poisson_dirichlet(dom, ScalarField(dom, rhs))
-        a = constant_operator(dom, np.eye(1))
+        a = ref.assemble_linearized(dom, np.ones((int(dom.interior.sum()), 1, 1)))[0]
         target = 1e-10 * (1.0 + np.max(np.abs(rhs[dom.interior])))
         x = ref._solve_spd(-a, -rhs[dom.interior], target)
         assert np.max(np.abs(h.values[dom.interior] - x)) <= 1e-12
@@ -474,8 +476,8 @@ class TestLineInverse:
 
     @staticmethod
     def averaged(dom, axis, flat):
-        """(coefficient varying along `axis`, A at the coefficient averaged
-        over every axis but its D, which must be `axis`)."""
+        """(coefficient varying along `axis`, the reference A at the
+        coefficient averaged over every axis but its D, which must be `axis`)."""
         coeff = torus_profile_coefficient(dom, axis, flat)
         d, profile = _direct_axis(dom.shape, coeff)
         assert d == axis
@@ -483,7 +485,7 @@ class TestLineInverse:
         want = coeff.reshape(4, *dom.shape).mean(axis=others)
         np.testing.assert_allclose(profile, want, rtol=0.0, atol=1e-15)
         mean = np.broadcast_to(np.expand_dims(profile, others), (4, *dom.shape))
-        return coeff, assemble_linearized(dom, mean.reshape(4, -1))
+        return coeff, ref.assemble_linearized(dom, _matrix(mean.reshape(4, -1)))[0]
 
     def test_inverts_bordered_operator_of_averaged_coefficient(self):
         coeff, a = self.averaged(self.DOM, 1, 0.05)
@@ -607,8 +609,10 @@ class TestSubsolution:
     def test_level_failure(self):
         # every rung is admissible, but none reaches psi + delta
         spec = small_dirichlet_spec(psi_value=0.5)
+        # many nodes fall short by 36.637055435 (#34 and #52 agree to 2e-12
+        # relative); the node named is the one whose rounding falls furthest
         with pytest.raises(ConstructionError, match=(
-                r"level short by 3\.664e\+01 at interior node #34 for t=1048576\.0")):
+                r"level short by 3\.664e\+01 at interior node #52 for t=1048576\.0")):
             build_subsolution(spec, 50.0)
 
 
@@ -800,7 +804,7 @@ class TestLinearization:
                            ScalarField.zeros(dom))
         r, s, g = residual_field(spec, u)
         assert r is not None
-        a = assemble_linearized(dom, _newton_coefficient(LOGDET2, g, s))
+        a = _newton_operator(dom, _newton_coefficient(LOGDET2, g, s))
         v = np.zeros(dom.shape)
         v[dom.interior] = rng.standard_normal(a.shape[0])
         t = 1e-5
@@ -1239,9 +1243,27 @@ class TestEstimates:
                            ScalarField.full(dom, phi))
         res = solve_dirichlet(spec)
         args = (res, spec, res.subsolution, build_supersolution(spec))
-        rep = verify_estimates(*args)
+        rep, want = verify_estimates(*args), ref.verify_estimates(*args)
         assert rep.sup_dbar > 0 and rep.sandwich_ok
-        assert rep == ref.verify_estimates(*args)
+        if dom.exterior.any():  # the reference read the box's faces, here exterior
+            assert rep.normal_order_ok and not want.normal_order_ok
+            want = replace(want, normal_order_ok=True)
+        assert rep == want
+
+    def test_normal_order_reads_boundary_face_nodes_only(self):
+        # the masked box's high s0 face is exterior: an ordering broken there is
+        # not the sub-domain's, one broken on its low s0 face is
+        box = GridDomain.product(2, x_shape=(4, 4), s_shape=(9, 9))
+        dom = box.restrict(box.meshgrid()[2] < 0.8)
+        spec = ProblemSpec(dom, LOGDET2, identity_chi(dom), ScalarField.full(dom, 0.4),
+                           ScalarField.zeros(dom))
+        zero = ScalarField.zeros(dom)
+        for layer, ok in ((-2, True), (1, False)):
+            bump = np.zeros(dom.shape)
+            bump[:, :, layer, 4] = 1.0
+            rep = verify_estimates(SolveResult(zero, None, [], []), spec,
+                                   ScalarField(dom, bump), zero)
+            assert rep.normal_order_ok == ok
 
     def test_manufactured_instance(self):
         spec, _ = manufactured_dirichlet_spec(16)
