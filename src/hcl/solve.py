@@ -517,36 +517,31 @@ def _solve_general(a: spla.LinearOperator, b: np.ndarray, inverse, rtol: float =
     scaled to sup |b| = 1 first: scipy's breakdown tests are absolute (|rho| < eps^2),
     and the small right-hand sides of the last Newton steps would trip them.
     The certificate is the true residual |A x - b|_2 <= 10 rtol |b|_2; a run
-    that converges without it restarts once from its result, and a breakdown
-    or a second miss (named with its true residual) raises `NumericError`.
+    that misses it (named with its true residual and target) or breaks down
+    raises `NumericError`.
     `rtol` is `LIN_TOL` except for a Newton step, whose forcing term raises
     it up to 0.5 tol / |r|_2 or `FORCING_MAX` (see `_damped_newton`).
     Iterations are counted as preconditioner applications, two per iteration
     and one on a final half step, which scipy's `callback` misses.
     """
     n = a.shape[0]
-    applied = [0]  # preconditioner applications per run
+    applied = 0  # preconditioner applications
 
     def precondition(r):
-        applied[-1] += 1
+        nonlocal applied
+        applied += 1
         return inverse(r)
 
     scale = float(np.max(np.abs(b), initial=0.0)) or 1.0
     bs = b / scale
-    bnorm = float(np.linalg.norm(bs))
-    target = 10.0 * rtol * (bnorm + 1e-30)
-    krylov = dict(rtol=rtol, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
-                  M=spla.LinearOperator(a.shape, matvec=precondition, dtype=float))
-    x, info = spla.bicgstab(a, bs, **krylov)
+    target = 10.0 * rtol * (float(np.linalg.norm(bs)) + 1e-30)
+    x, info = spla.bicgstab(a, bs, rtol=rtol, atol=0.0, maxiter=40 * int(np.sqrt(n) + 10),
+                            M=spla.LinearOperator(a.shape, matvec=precondition, dtype=float))
     miss = float(np.linalg.norm(a @ x - bs)) if info == 0 else np.nan
-    if info == 0 and not miss <= target:  # converged on the recurrence residual only
-        applied.append(0)
-        x, info = spla.bicgstab(a, bs, x0=x, **krylov)
-        miss = float(np.linalg.norm(a @ x - bs)) if info == 0 else np.nan
-    iters = sum((k + 1) // 2 for k in applied)
+    iters = (applied + 1) // 2
     if info != 0 or not miss <= target:  # a NaN x misses too
         why = (f"(info={info})" if info else f"with true residual {scale * miss:.3e} "
-               f"above its target {scale * target:.3e} twice")
+               f"above its target {scale * target:.3e}")
         raise NumericError(f"BiCGStab failed on {n} unknowns after {iters} iterations {why}")
     return scale * x, iters
 

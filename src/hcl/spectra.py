@@ -8,9 +8,11 @@ variable real corner: once the corner clears the quadratic growth threshold
 
 each of the n-1 non-top eigenvalues lies within eps of a diagonal entry
 (after a proper permutation) and the top eigenvalue lies in
-[corner, corner + (n-1) eps).  A cyclic complex Jacobi eigensolver serves as
-the brute-force oracle for every conclusion, together with the characteristic
-polynomial identity and the interval census from the deformation proof.
+[corner, corner + (n-1) eps).  Bordered matrices of one size come as a
+`BorderedStack` with one row per instance; one instance is a one-row stack.
+A cyclic complex Jacobi eigensolver serves as the brute-force oracle for every
+conclusion, together with the characteristic polynomial identity and the
+interval census from the deformation proof.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "hermitize",
     "eig_hermitian",
     "closed_form_2x2",
-    "BorderedHermitian",
     "BorderedStack",
     "growth_threshold",
     "LocalizationVerdict",
@@ -268,45 +269,17 @@ def closed_form_2x2(d1: float, a1: complex, corner: float) -> tuple[float, float
 
 
 @dataclass(frozen=True)
-class BorderedHermitian:
-    """Diagonal block d, border column a and variable real corner."""
-
-    d: tuple[float, ...]
-    a: tuple[complex, ...]
-    corner: float
-
-    def __post_init__(self):
-        if len(self.d) != len(self.a) or len(self.d) < 1:
-            raise DomainError("need n-1 >= 1 diagonal and border entries")
-
-    @classmethod
-    def make(cls, d, a, corner: float) -> "BorderedHermitian":
-        return cls(tuple(map(float, d)), tuple(map(complex, a)), float(corner))
-
-    @property
-    def n(self) -> int:
-        return len(self.d) + 1
-
-    def with_corner(self, corner: float) -> "BorderedHermitian":
-        return BorderedHermitian(self.d, self.a, float(corner))
-
-    def stack(self) -> "BorderedStack":  # as a one-row stack
-        return BorderedStack(np.array([self.d]), np.array([self.a], dtype=complex),
-                             np.array([self.corner]))
-
-    def embed(self) -> np.ndarray:
-        """The full n x n Hermitian matrix."""
-        return self.stack().embed()[0]
-
-
-@dataclass(frozen=True)
 class BorderedStack:
     """m bordered instances of one size n as arrays: row i has diagonal block
-    d[i], border a[i] and corner corner[i]."""
+    d[i], border a[i] and corner corner[i].  One instance is a one-row stack."""
 
     d: np.ndarray  # (m, n-1) real
     a: np.ndarray  # (m, n-1) complex
     corner: np.ndarray  # (m,)
+
+    def __post_init__(self):
+        if np.ndim(self.d) != 2 or np.shape(self.a) != np.shape(self.d) or self.n < 2:
+            raise DomainError("need d and a of one shape (m, n-1) with n-1 >= 1")
 
     @property
     def n(self) -> int:
@@ -327,43 +300,40 @@ def _positive(eps):
         raise DomainError("eps must be positive")
 
 
-def growth_threshold(b, eps):
+def growth_threshold(b: BorderedStack, eps) -> np.ndarray:
     """Quadratic growth threshold for the corner at localization width eps.
 
     (2n-3)/eps * sum|a_i|^2 + (n-1) * sum|d_i| + (n-2) eps / (2n-3);
-    for n = 2 this reduces to |a_1|^2/eps + |d_1|.  A BorderedHermitian gives
-    a float, a BorderedStack (eps scalar or per row) its (m,) thresholds; an
-    overflow reads inf.  Sums run left to right, |a_i|^2 as hypot ** 2.
+    for n = 2 this reduces to |a_1|^2/eps + |d_1|.  Returns the (m,)
+    thresholds of the rows of b, with eps scalar or per row; an overflow
+    reads inf.  Sums run left to right, |a_i|^2 as hypot ** 2.
     """
     _positive(eps)
-    s = b if isinstance(b, BorderedStack) else b.stack()
-    n = s.n
+    n = b.n
     with np.errstate(over="ignore"):
-        a2 = sum(np.float_power(np.hypot(s.a.real, s.a.imag), 2.0).T)
-        d1 = sum(np.abs(s.d).T)
-        thr = (2 * n - 3) / eps * a2 + (n - 1) * d1 + (n - 2) * eps / (2 * n - 3)
-    return thr if s is b else float(thr[0])
+        a2 = sum(np.float_power(np.hypot(b.a.real, b.a.imag), 2.0).T)
+        d1 = sum(np.abs(b.d).T)
+        return (2 * n - 3) / eps * a2 + (n - 1) * d1 + (n - 2) * eps / (2 * n - 3)
 
 
 class LocalizationVerdict(NamedTuple):
-    """Outcome of matching eigenvalues to the localization intervals; for a
-    BorderedStack each field holds one entry per row."""
+    """Outcome of matching eigenvalues to the localization intervals, one
+    entry (a witness row) per row of the BorderedStack."""
 
-    satisfied: bool
-    max_offset: float  # worst |lambda_alpha - d_matched|
-    top_boundary_hit: bool  # top eigenvalue equal to the corner within slack
-    witness: tuple[float, ...]  # sorted eigenvalues
+    satisfied: np.ndarray  # (m,) bool
+    max_offset: np.ndarray  # (m,) worst |lambda_alpha - d_matched|
+    top_boundary_hit: np.ndarray  # (m,) top eigenvalue equal to the corner within slack
+    witness: np.ndarray  # (m, n) sorted eigenvalues
 
 
-def localize(b, eps):
-    """Check the quantitative localization conclusion for a bordered matrix, or
-    for every row of a BorderedStack by one stacked sweep, with eigenvalues from
-    the Jacobi oracle (see localization_verdict)."""
+def localize(b: BorderedStack, eps) -> LocalizationVerdict:
+    """Check the quantitative localization conclusion for every row of b by
+    one stacked sweep of the Jacobi oracle (see localization_verdict)."""
     _positive(eps)
     return localization_verdict(b, eps, eig_hermitian(b.embed()))
 
 
-def localization_verdict(b, eps, lam):
+def localization_verdict(b: BorderedStack, eps, lam) -> LocalizationVerdict:
     """Match the ascending eigenvalues lam of b.embed() to the localization
     intervals.
 
@@ -371,39 +341,34 @@ def localization_verdict(b, eps, lam):
     minimal-total-displacement assignment (sort both sides and pair in order;
     the conclusion is only claimed up to a proper permutation).  Strict
     inequalities are relaxed by SLACK_SCALE * (1 + |A|_F) to absorb eigensolver
-    error, with |A|_F = |lam|_2 for the Hermitian A.  b is a BorderedHermitian
-    with lam (n,), or a BorderedStack with lam (m, n) and eps scalar or per row.
+    error, with |A|_F = |lam|_2 for the Hermitian A.  lam is (m, n), and eps
+    scalar or per row.
     """
-    s = b if isinstance(b, BorderedStack) else b.stack()
-    lam = np.asarray(lam, dtype=float).reshape(len(s.corner), s.n)
+    lam = np.asarray(lam, dtype=float).reshape(len(b.corner), b.n)
     slack = SLACK_SCALE * (1.0 + np.array([math.hypot(*row) for row in lam.tolist()]))
-    offsets = np.abs(lam[:, :-1] - np.sort(s.d, axis=1))
+    offsets = np.abs(lam[:, :-1] - np.sort(b.d, axis=1))
     top = lam[:, -1]
-    hi_lim = s.corner + (s.n - 1) * eps
+    hi_lim = b.corner + (b.n - 1) * eps
     ok = (np.all(offsets < (eps + slack)[:, None], axis=1)
-          & (s.corner - slack <= top) & (top < hi_lim + slack))
-    worst, hit = np.max(offsets, axis=1), np.abs(top - s.corner) <= slack
-    if s is b:
-        return LocalizationVerdict(ok, worst, hit, lam)
-    return LocalizationVerdict(bool(ok[0]), float(worst[0]), bool(hit[0]),
-                               tuple(lam[0].tolist()))
+          & (b.corner - slack <= top) & (top < hi_lim + slack))
+    return LocalizationVerdict(ok, np.max(offsets, axis=1),
+                               np.abs(top - b.corner) <= slack, lam)
 
 
-def char_poly_terms(b: BorderedHermitian, x: float) -> tuple[float, float]:
-    """Both sides of the bordered characteristic identity at x."""
-    d = np.asarray(b.d)
-    diffs = x - d
-    term1 = (x - b.corner) * float(np.prod(diffs))
+def char_poly_terms(b: BorderedStack, x: float) -> tuple[float, float]:
+    """Both sides of the bordered characteristic identity at x, for row 0 of b."""
+    diffs = x - b.d[0]
+    term1 = (x - b.corner[0]) * float(np.prod(diffs))
     term2 = sum(abs(ai) ** 2 * float(np.prod(np.delete(diffs, i)))
-                for i, ai in enumerate(b.a))
+                for i, ai in enumerate(b.a[0]))
     return term1, term2
 
 
-def char_poly_residual(b: BorderedHermitian, x: float) -> float:
+def char_poly_residual(b: BorderedStack, x: float) -> float:
     """Signed residual of (x - corner) prod(x - d_i) - sum |a_i|^2 prod_{j != i}(x - d_j).
 
     Vanishes, up to roundoff relative to the largest monomial, at every
-    eigenvalue of the embedded matrix.
+    eigenvalue of row 0 of b.embed().
     """
     term1, term2 = char_poly_terms(b, x)
     return term1 - term2
@@ -430,9 +395,9 @@ class CensusReport:
         return all(c == self.counts[0] for c in self.counts)
 
 
-def interval_census(b: BorderedHermitian, eps: float, corners) -> CensusReport:
+def interval_census(b: BorderedStack, eps: float, corners) -> CensusReport:
     """Count non-top eigenvalues in the intervals of half-width eps/(2n-3)
-    around each d_i.
+    around each d_i of row 0 of b, with its corner replaced by each corner.
 
     Every corner must clear the growth threshold for this eps-regime; the
     counts are then constant along the corner ladder.  Whether the top
@@ -442,7 +407,7 @@ def interval_census(b: BorderedHermitian, eps: float, corners) -> CensusReport:
     for n = 2 with a tiny border).
     """
     corners = [float(c) for c in corners]
-    thr = growth_threshold(b, eps)
+    thr = float(growth_threshold(b, eps)[0])
     for c in corners:
         if c < thr - 1e-12 * (1.0 + abs(thr)):
             raise PreconditionError(
@@ -450,7 +415,7 @@ def interval_census(b: BorderedHermitian, eps: float, corners) -> CensusReport:
             )
     n = b.n
     hw = eps / (2 * n - 3)
-    d = np.asarray(b.d)
+    d = b.d[0]
     # connected components of the union of intervals (d_i - hw, d_i + hw): in
     # ascending order, one ends where the next interval starts past its reach
     order = np.argsort(d, kind="stable")
@@ -458,8 +423,10 @@ def interval_census(b: BorderedHermitian, eps: float, corners) -> CensusReport:
     cut = np.flatnonzero(~(ds[1:] - hw < ds[:-1] + hw)) + 1
     components = np.split(order, cut)
     lo, hi = ds[np.r_[0, cut]] - hw, ds[np.r_[cut - 1, -1]] + hw
-    ladder = np.array([b.with_corner(c).embed() for c in corners]).reshape(-1, n, n)
-    lam = eig_hermitian(ladder)[:, :, None]
+    k = len(corners)
+    ladder = BorderedStack(np.repeat(b.d[:1], k, axis=0), np.repeat(b.a[:1], k, axis=0),
+                           np.array(corners, dtype=float))
+    lam = eig_hermitian(ladder.embed())[:, :, None]
     inside = (lam > lo) & (lam < hi)  # (corner, eigenvalue, component)
     return CensusReport(
         half_width=float(hw),
@@ -477,10 +444,11 @@ def _draws(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -1.0 + 2.0 * d, np.sqrt(r) * np.exp(1j * (2.0 * np.pi * th))
 
 
-def random_instance(rng: np.random.Generator, n: int) -> BorderedHermitian:
-    """Random bordered instance: d uniform in [-1, 1], a uniform in the unit disk."""
+def random_instance(rng: np.random.Generator, n: int) -> BorderedStack:
+    """Random bordered instance as a one-row stack: d uniform in [-1, 1], a
+    uniform in the unit disk."""
     d, a = _draws(rng.random((1, 3 * (n - 1))))
-    return BorderedHermitian.make(d[0], a[0], 0.0)  # corner set by the caller
+    return BorderedStack(d, a, np.zeros(1))  # corner set by the caller
 
 
 def battery(count: int, seed: int) -> list:

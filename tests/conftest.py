@@ -5,7 +5,15 @@ import pytest
 
 from hcl.grid import GridDomain, ScalarField, _coords, identity_chi
 from hcl.solve import ProblemSpec, _newton_operator, s_factor_potential
+from hcl.spectra import BorderedStack
 from hcl.symfunc import FuncFamily
+
+
+def bordered(d, a, corner) -> BorderedStack:
+    """One bordered instance (diagonal block d, border a, corner) as a
+    one-row stack."""
+    return BorderedStack(np.array([d], dtype=float), np.array([a], dtype=complex),
+                         np.array([corner], dtype=float))
 
 
 def sigma_bruteforce(lam, k):

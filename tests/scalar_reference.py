@@ -8,10 +8,13 @@ axis, and `gamma_g_criteria` the one that evaluated its t-ladder one rung per
 `eval_f` call.  `battery_instances` is the lemma battery drawn one
 `random_instance` at a time, with the corner set from the per-instance
 `growth_threshold` sums, and `localize` the one-matrix localization verdict
-through the scalar Jacobi sweep.  `hess_f` is the one-point analytic Hessian
-with its per-point derivative tables, which `check_structure` here calls once
-per point.  They are kept verbatim (only the imports, `localize`'s return
-type and `gamma_g_criteria`'s ladder and probe draw differ: it walks the
+through the scalar Jacobi sweep; their instance is a one-row
+`BorderedStack`, which `_row0` reads at row 0 in Python scalars, as the
+one-instance class they were written for stored it.  `hess_f` is the
+one-point analytic Hessian with its per-point derivative tables, which
+`check_structure` here calls once per point.  They are kept verbatim (only
+the imports, the instance holder, `localize`'s return type and
+`gamma_g_criteria`'s ladder and probe draw differ: it walks the
 library's `LADDER`, and calls `sample_cone` here, once per (family, probes,
 seed), and reuses that read-only draw on every later call) so the tests can
 require bit-identical points, contexts, draws, thresholds, verdicts, Hessians
@@ -24,11 +27,14 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from hcl.errors import DomainError, HclError, HypothesisError, RangeError
-from hcl.spectra import BorderedHermitian, LocalizationVerdict, eig_hermitian
+from conftest import bordered
+from hcl.spectra import BorderedStack, LocalizationVerdict, eig_hermitian
 from hcl.subsol import DichotomyContext, DichotomyOutcome
 from hcl.symfunc import (
     FuncFamily,
@@ -583,7 +589,20 @@ def gamma_g_criteria(
     return crit1, crit2, crit3
 
 
-def growth_threshold(b: BorderedHermitian, eps: float) -> float:
+class _Row(NamedTuple):
+    d: tuple[float, ...]
+    a: tuple[complex, ...]
+    corner: float
+    n: int
+
+
+def _row0(b: BorderedStack) -> _Row:
+    """Row 0 of a stack in Python scalars."""
+    return _Row(tuple(map(float, b.d[0])), tuple(map(complex, b.a[0])),
+                float(b.corner[0]), b.n)
+
+
+def growth_threshold(b: BorderedStack, eps: float) -> float:
     """Quadratic growth threshold for the corner at localization width eps.
 
     (2n-3)/eps * sum|a_i|^2 + (n-1) * sum|d_i| + (n-2) eps / (2n-3);
@@ -591,14 +610,16 @@ def growth_threshold(b: BorderedHermitian, eps: float) -> float:
     """
     if eps <= 0.0:
         raise DomainError("eps must be positive")
+    b = _row0(b)
     n = b.n
     a2 = sum(abs(x) ** 2 for x in b.a)
     d1 = sum(abs(x) for x in b.d)
     return (2 * n - 3) / eps * a2 + (n - 1) * d1 + (n - 2) * eps / (2 * n - 3)
 
 
-def embed(b: BorderedHermitian) -> np.ndarray:
+def embed(b: BorderedStack) -> np.ndarray:
     """The full n x n Hermitian matrix."""
+    b = _row0(b)
     n = b.n
     m = np.zeros((n, n), dtype=complex)
     m.flat[:: n + 1] = b.d + (b.corner,)
@@ -607,12 +628,13 @@ def embed(b: BorderedHermitian) -> np.ndarray:
     return m
 
 
-def localize(b: BorderedHermitian, eps: float, slack_scale: float = 1e-10):
+def localize(b: BorderedStack, eps: float, slack_scale: float = 1e-10):
     """The localization verdict of one bordered matrix, from the eigenvalues of
     the scalar Jacobi sweep (eig_hermitian on one matrix)."""
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     lam = eig_hermitian(embed(b)).tolist()
+    b = _row0(b)
     slack = slack_scale * (1.0 + math.hypot(*lam))
     n = b.n
     offsets = [abs(x - di) for x, di in zip(lam[: n - 1], sorted(b.d))]
@@ -624,13 +646,13 @@ def localize(b: BorderedHermitian, eps: float, slack_scale: float = 1e-10):
                                tuple(lam))
 
 
-def random_instance(rng: np.random.Generator, n: int) -> BorderedHermitian:
+def random_instance(rng: np.random.Generator, n: int) -> BorderedStack:
     """Random bordered instance: d uniform in [-1, 1], a uniform in the unit disk."""
     d = rng.uniform(-1.0, 1.0, n - 1)
     r = np.sqrt(rng.uniform(0.0, 1.0, n - 1))
     th = rng.uniform(0.0, 2.0 * np.pi, n - 1)
     a = r * np.exp(1j * th)
-    return BorderedHermitian.make(d, a, 0.0)  # corner set by the caller
+    return bordered(d, a, 0.0)  # corner set by the caller
 
 
 def battery_instances(count: int, seed: int):
@@ -647,4 +669,4 @@ def battery_instances(count: int, seed: int):
         mult = mult_cycle[(i // 15) % 3]
         b = random_instance(rng, n)
         corner = mult * growth_threshold(b, eps)
-        yield b.with_corner(corner), eps, mult
+        yield replace(b, corner=np.array([corner])), eps, mult

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as reference
+from conftest import bordered
 from hcl import spectra
 from hcl.errors import DomainError, NumericError, PreconditionError
 from hcl.spectra import (
-    BorderedHermitian,
     BorderedStack,
     battery,
     char_poly_residual,
@@ -77,7 +77,7 @@ class TestEig:
 
     def test_subnormal_diagonal(self):
         # the squares underflow to zero, so the norm checks see |A|_F = 0
-        m = BorderedHermitian.make([2.2250738585e-313], [0j], 0.0).embed()
+        m = bordered([2.2250738585e-313], [0j], 0.0).embed()[0]
         want = [0.0, 2.2250738585e-313]
         np.testing.assert_array_equal(eig_hermitian(m), want)
         np.testing.assert_array_equal(eig_hermitian(m[None]), [want])
@@ -184,105 +184,117 @@ class TestStackedEig:
             eig_hermitian(a)
 
     def test_stacked_verdicts_match_localize(self):
+        # row i of the stacked verdict is the verdict of the one-row stack of row i
         ((rows, b0, eps, mult),) = [blk for blk in battery(60, 8) if blk[1].n == 4]
         b = replace(b0, corner=mult * growth_threshold(b0, eps))
         got = localization_verdict(b, eps, eig_hermitian(b.embed()))
         for i in range(rows.size):
-            want = localize(BorderedHermitian.make(b.d[i], b.a[i], b.corner[i]), eps[i])
-            assert got.satisfied[i] == want.satisfied
-            assert got.top_boundary_hit[i] == want.top_boundary_hit
-            assert got.max_offset[i] == pytest.approx(want.max_offset, abs=1e-12)
+            want = localize(bordered(b.d[i], b.a[i], b.corner[i]), eps[i])
+            for g, w in zip(got, want, strict=True):
+                assert bits(g[i]) == bits(w[0])
+
+
+class TestBorderedStack:
+    @pytest.mark.parametrize("d, a", [
+        (np.zeros((2, 3)), np.zeros((2, 2))),  # n - 1 differs
+        (np.zeros((2, 2)), np.zeros((3, 2))),  # m differs
+        (np.zeros((2, 0)), np.zeros((2, 0))),  # n - 1 = 0
+        (np.zeros(3), np.zeros(3)),  # not (m, n-1)
+    ], ids=["width", "rows", "empty", "flat"])
+    def test_rejects_bad_shapes(self, d, a):
+        with pytest.raises(DomainError, match="one shape"):
+            BorderedStack(d, a, np.zeros(len(d)))
 
 
 class TestGrowthThreshold:
     def test_n2_example(self):
-        b = BorderedHermitian.make([1.0], [1.0], 0.0)
-        assert growth_threshold(b, 0.5) == pytest.approx(3.0)
+        b = bordered([1.0], [1.0], 0.0)
+        assert growth_threshold(b, 0.5) == pytest.approx([3.0])
 
     def test_zero_data(self):
-        b = BorderedHermitian.make([0.0], [0.0], 0.0)
+        b = bordered([0.0], [0.0], 0.0)
         for eps in (0.1, 1.0, 7.0):
-            assert growth_threshold(b, eps) == 0.0
+            np.testing.assert_array_equal(growth_threshold(b, eps), [0.0])
 
     def test_n3_example(self):
-        b = BorderedHermitian.make([1.0, -1.0], [1.0, 0.0], 0.0)
-        assert growth_threshold(b, 1.0) == pytest.approx(22.0 / 3.0)
+        b = bordered([1.0, -1.0], [1.0, 0.0], 0.0)
+        assert growth_threshold(b, 1.0) == pytest.approx([22.0 / 3.0])
 
     def test_rejects_bad_eps(self):
-        b = BorderedHermitian.make([1.0], [1.0], 0.0)
+        b = bordered([1.0], [1.0], 0.0)
         with pytest.raises(DomainError):
             growth_threshold(b, 0.0)
 
 
 class TestLocalize:
     def test_worked_2x2(self):
-        b = BorderedHermitian.make([1.0], [1.0], 3.0)
+        b = bordered([1.0], [1.0], 3.0)
         v = localize(b, 0.5)
-        assert v.satisfied
+        assert v.satisfied[0]
         np.testing.assert_allclose(
-            v.witness, [2 - np.sqrt(2), 2 + np.sqrt(2)], atol=1e-13
+            v.witness, [[2 - np.sqrt(2), 2 + np.sqrt(2)]], atol=1e-13
         )
-        assert abs(v.witness[0] - 1.0) < 0.5
-        assert 3.0 <= v.witness[1] < 3.5
+        assert abs(v.witness[0, 0] - 1.0) < 0.5
+        assert 3.0 <= v.witness[0, 1] < 3.5
 
     def test_block_diagonal_exact(self):
-        b = BorderedHermitian.make([0.0], [0.0], 5.0)
+        b = bordered([0.0], [0.0], 5.0)
         v = localize(b, 0.1)
-        assert v.satisfied
-        np.testing.assert_allclose(v.witness, [0.0, 5.0], atol=1e-14)
-        assert v.top_boundary_hit  # lambda_n = corner exactly for zero border
+        assert v.satisfied[0]
+        np.testing.assert_allclose(v.witness, [[0.0, 5.0]], atol=1e-14)
+        assert v.top_boundary_hit[0]  # lambda_n = corner exactly for zero border
 
     def test_random_n4_at_threshold(self, rng):
         for _ in range(25):
             b0 = random_instance(rng, 4)
             eps = 0.3
-            b = b0.with_corner(growth_threshold(b0, eps))
-            assert localize(b, eps).satisfied
+            b = replace(b0, corner=growth_threshold(b0, eps))
+            assert localize(b, eps).satisfied[0]
 
     def test_degenerate_diagonal_example(self):
         # a repeated diagonal entry at the growth threshold
-        b0 = BorderedHermitian.make([1.0, 1.0], [1.0, 1.0], 0.0)
-        b = b0.with_corner(growth_threshold(b0, 1.0))
-        assert b.corner == pytest.approx(31.0 / 3.0)
+        b0 = bordered([1.0, 1.0], [1.0, 1.0], 0.0)
+        b = replace(b0, corner=growth_threshold(b0, 1.0))
+        assert b.corner == pytest.approx([31.0 / 3.0])
         v = localize(b, 1.0)
-        assert v.satisfied
+        assert v.satisfied[0]
         # (1, -1, 0) / sqrt 2 is an eigenvector with the exact eigenvalue d = 1
-        assert min(abs(w - 1.0) for w in v.witness) < 1e-12
+        assert np.min(np.abs(v.witness[0] - 1.0)) < 1e-12
 
     def test_zero_border_exact(self):
-        b = BorderedHermitian.make([0.3, -0.7], [0.0, 0.0], 2.0)
+        b = bordered([0.3, -0.7], [0.0, 0.0], 2.0)
         v = localize(b, 0.5)
-        assert v.satisfied and v.top_boundary_hit
-        np.testing.assert_allclose(v.witness, [-0.7, 0.3, 2.0], atol=1e-14)
-        assert v.max_offset == pytest.approx(0.0, abs=1e-14)
+        assert v.satisfied[0] and v.top_boundary_hit[0]
+        np.testing.assert_allclose(v.witness, [[-0.7, 0.3, 2.0]], atol=1e-14)
+        assert v.max_offset == pytest.approx([0.0], abs=1e-14)
 
     def test_spread_diagonal(self):
-        b0 = BorderedHermitian.make([0.0, 2.0], [0.5, 0.5], 0.0)
-        b = b0.with_corner(growth_threshold(b0, 0.4))
-        assert localize(b, 0.4).satisfied
+        b0 = bordered([0.0, 2.0], [0.5, 0.5], 0.0)
+        b = replace(b0, corner=growth_threshold(b0, 0.4))
+        assert localize(b, 0.4).satisfied[0]
 
     def test_embed_shape(self):
-        b = BorderedHermitian.make([1.0, 2.0], [1j, 2.0], 7.0)
-        m = b.embed()
-        assert m.shape == (3, 3)
+        b = bordered([1.0, 2.0], [1j, 2.0], 7.0)
+        assert b.embed().shape == (1, 3, 3)
+        m = b.embed()[0]
         np.testing.assert_allclose(m, m.conj().T)
         assert m[0, 2] == 1j and m[2, 0] == -1j
         assert m[2, 2] == 7.0
 
     def test_top_eigenvalue_dominates_corner(self, rng):
         for n in (2, 3, 5):
-            b = random_instance(rng, n).with_corner(rng.normal(0, 3))
-            lam = eig_hermitian(b.embed())
-            assert lam[-1] >= b.corner - 1e-12
+            b = replace(random_instance(rng, n), corner=np.array([rng.normal(0, 3)]))
+            lam = eig_hermitian(b.embed()[0])
+            assert lam[-1] >= b.corner[0] - 1e-12
 
 
 class TestCharPoly:
     def test_factorized_zero_border(self):
-        b = BorderedHermitian.make([1.5, -2.0], [0.0, 0.0], 3.0)
+        b = bordered([1.5, -2.0], [0.0, 0.0], 3.0)
         assert char_poly_residual(b, 1.5) == 0.0
 
     def test_2x2_closed_form_root(self):
-        b = BorderedHermitian.make([1.0], [1.0], 3.0)
+        b = bordered([1.0], [1.0], 3.0)
         lo, hi = closed_form_2x2(1.0, 1.0, 3.0)
         assert abs(char_poly_residual(b, lo)) < 1e-12
         assert abs(char_poly_residual(b, hi)) < 1e-12
@@ -290,8 +302,8 @@ class TestCharPoly:
     def test_vanishes_at_oracle_eigenvalues(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 6))
-            b = random_instance(rng, n).with_corner(rng.normal(0, 2))
-            for x in eig_hermitian(b.embed()):
+            b = replace(random_instance(rng, n), corner=np.array([rng.normal(0, 2)]))
+            for x in eig_hermitian(b.embed()[0]):
                 t1, t2 = char_poly_terms(b, x)
                 scale = max(1.0, abs(t1), abs(t2))
                 assert abs(char_poly_residual(b, x)) <= 1e-8 * scale
@@ -299,8 +311,8 @@ class TestCharPoly:
 
 class TestCensus:
     def test_worked_n3(self):
-        b0 = BorderedHermitian.make([0.0, 2.0], [1.0, 1.0], 0.0)
-        thr = growth_threshold(b0, 1.0)
+        b0 = bordered([0.0, 2.0], [1.0, 1.0], 0.0)
+        thr = growth_threshold(b0, 1.0)[0]
         rep = interval_census(b0, 1.0, [thr, 2 * thr, 10 * thr])
         assert rep.counts == ((1, 1), (1, 1), (1, 1))
         assert rep.constant
@@ -308,25 +320,25 @@ class TestCensus:
 
     def test_zero_border_matches_multiplicities(self):
         # repeated diagonal entries merge into one component of multiplicity 2
-        b0 = BorderedHermitian.make([0.5, 0.5, -1.0], [0.0, 0.0, 0.0], 0.0)
-        thr = growth_threshold(b0, 0.2)
+        b0 = bordered([0.5, 0.5, -1.0], [0.0, 0.0, 0.0], 0.0)
+        thr = growth_threshold(b0, 0.2)[0]
         rep = interval_census(b0, 0.2, [thr + 1.0])
         assert rep.components == ((2,), (0, 1))
         assert rep.counts == ((1, 2),)
-        b1 = BorderedHermitian.make([0.5, -1.0], [0.0, 0.0], 0.0)
-        rep1 = interval_census(b1, 0.2, [growth_threshold(b1, 0.2) + 1.0])
+        b1 = bordered([0.5, -1.0], [0.0, 0.0], 0.0)
+        rep1 = interval_census(b1, 0.2, [growth_threshold(b1, 0.2)[0] + 1.0])
         assert rep1.counts == ((1, 1),)
 
     def test_2x2(self):
-        b0 = BorderedHermitian.make([1.0], [1.0], 0.0)
+        b0 = bordered([1.0], [1.0], 0.0)
         rep = interval_census(b0, 0.5, [3.0, 30.0])
         assert rep.counts == ((1,), (1,))
         assert rep.constant
 
     def test_below_threshold_rejected(self):
-        b0 = BorderedHermitian.make([0.0, 2.0], [1.0, 1.0], 0.0)
+        b0 = bordered([0.0, 2.0], [1.0, 1.0], 0.0)
         with pytest.raises(PreconditionError):
-            interval_census(b0, 1.0, [0.5 * growth_threshold(b0, 1.0)])
+            interval_census(b0, 1.0, [0.5 * growth_threshold(b0, 1.0)[0]])
 
 
 @st.composite
@@ -336,18 +348,16 @@ def bordered_strategy(draw):
     are = draw(st.lists(st.floats(-1, 1), min_size=m, max_size=m))
     aim = draw(st.lists(st.floats(-1, 1), min_size=m, max_size=m))
     corner = draw(st.floats(-3, 30))
-    return BorderedHermitian.make(
-        d, np.asarray(are) + 1j * np.asarray(aim), corner
-    )
+    return bordered(d, np.asarray(are) + 1j * np.asarray(aim), corner)
 
 
 class TestTraceIdentity:
     @given(b=bordered_strategy())
     @settings(max_examples=80, deadline=None)
     def test_trace(self, b):
-        lam = eig_hermitian(b.embed())
+        lam = eig_hermitian(b.embed()[0])
         lhs = float(np.sum(lam))
-        rhs = float(np.sum(b.d)) + b.corner
+        rhs = float(np.sum(b.d)) + b.corner[0]
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -388,10 +398,10 @@ class TestStackedBattery:
             for i, row in enumerate(rows.tolist()):
                 wb, weps, wmult = want[row]
                 assert b0.n == wb.n
-                assert bits(b0.d[i]) == bits(wb.d) and bits(b0.a[i]) == bits(wb.a)
+                assert bits(b0.d[i]) == bits(wb.d[0]) and bits(b0.a[i]) == bits(wb.a[0])
                 assert (eps[i], mult[i]) == (weps, wmult)
                 assert bits(thr[i]) == bits(reference.growth_threshold(wb, weps))
-                assert bits(corner[i]) == bits(wb.corner)
+                assert bits(corner[i]) == bits(wb.corner[0])
             rows_seen += rows.tolist()
         assert sorted(rows_seen) == list(range(200))
 
@@ -402,8 +412,8 @@ class TestStackedBattery:
             for _ in range(4):
                 got, want = random_instance(rng, n), reference.random_instance(ref, n)
                 assert bits(got.d) == bits(want.d) and bits(got.a) == bits(want.a)
-                assert bits(got.embed()) == bits(reference.embed(want))
-                assert bits(growth_threshold(got, 0.3)) == bits(
+                assert bits(got.embed()[0]) == bits(reference.embed(want))
+                assert bits(growth_threshold(got, 0.3)[0]) == bits(
                     reference.growth_threshold(want, 0.3))
 
     @pytest.mark.parametrize("seed", [0, 5, 17])
@@ -417,15 +427,15 @@ class TestStackedBattery:
                 assert v.satisfied[i] == ref.satisfied
                 assert v.top_boundary_hit[i] == ref.top_boundary_hit
                 assert v.max_offset[i] == pytest.approx(ref.max_offset, abs=1e-12)
-                # the one-instance verdict is the one-row call of the stacked one
+                # row i of the verdict is the verdict of the one-row stack of row i
                 one = localization_verdict(want[row][0], eps[i], v.witness[i])
-                assert one == (v.satisfied[i], v.max_offset[i],
-                               v.top_boundary_hit[i], tuple(v.witness[i].tolist()))
+                for f, g in zip(v, one, strict=True):
+                    assert bits(f[i]) == bits(g[0])
 
     def test_stack_embeds_rows(self):
         (_, b0, eps, mult), *_ = battery(20, 2)
         b = replace(b0, corner=mult * growth_threshold(b0, eps))
         for i, m in enumerate(b.embed()):
-            one = BorderedHermitian.make(b.d[i], b.a[i], b.corner[i])
-            assert bits(m) == bits(reference.embed(one))
+            one = bordered(b.d[i], b.a[i], b.corner[i])
+            assert bits(m) == bits(one.embed()[0]) == bits(reference.embed(one))
         assert isinstance(b, BorderedStack) and b.embed().shape == (b.d.shape[0], b.n, b.n)
