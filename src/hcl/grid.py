@@ -57,36 +57,44 @@ NODE_CAP = 2**20
 @dataclass(frozen=True)
 class GridDomain:
     """Structured lattice over [0, L_1) x ... with per-axis periodicity; equal
-    grids have equal axes, whatever their node roles (a sub-domain equals its
+    grids have equal axes, whatever their masks (a sub-domain equals its
     parent).  Boundary nodes pose the Dirichlet problem, none the closed one."""
 
     n: int  # complex dimension
     shape: tuple[int, ...]  # node counts, 2n axes
     lengths: tuple[float, ...]
     periodic: tuple[bool, ...]
-    roles: np.ndarray = field(default=None, repr=False, compare=False)  # None: box roles
+    mask: np.ndarray = field(default=None, repr=False, compare=False)  # None: all kept
+    roles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check the axes before any per-node array exists, then the roles
-        (INTERIOR/BOUNDARY/EXTERIOR; by default each bounded axis's end layers
-        are BOUNDARY, all else INTERIOR)."""
-        d, bounded = len(self.shape), [a for a, p in enumerate(self.periodic) if not p]
+        """Check the axes before any per-node array exists, then derive the
+        roles from the boolean mask of kept nodes: a kept node is INTERIOR when
+        its whole 3 x ... x 3 block of neighbours is kept (wrapped on periodic
+        axes; nothing lies past the ends of a bounded axis), BOUNDARY
+        otherwise, and a dropped node is EXTERIOR.  So every stencil of an
+        interior node reads kept nodes only."""
+        d = len(self.shape)
         if self.n < 1 or d != 2 * self.n or len(self.periodic) != d:
             raise DomainError("a grid needs n >= 1, 2n axes and one periodic flag per axis")
         _check_axes(self.shape, self.lengths, self.periodic,
-                    ("x_",) * (d - 2) + ("s_",) * 2 if bounded else ("",) * d)
-        roles = np.zeros(self.shape, np.uint8) if self.roles is None else np.asarray(self.roles)
-        if roles.shape != self.shape:
-            raise DomainError(f"roles of shape {roles.shape} on a grid of shape {self.shape}")
-        if not np.isin(roles, (INTERIOR, BOUNDARY, EXTERIOR)).all():
-            raise DomainError("roles must be INTERIOR, BOUNDARY or EXTERIOR (0, 1 or 2)")
-        for ax in bounded:
-            ends = np.moveaxis(roles, ax, 0)[:: self.shape[ax] - 1]  # a view: layers 0, -1
-            if self.roles is None:
-                ends[...] = BOUNDARY
-            if (ends == INTERIOR).any():
-                raise DomainError(f"interior nodes on an end layer of the bounded axis {ax}")
-        object.__setattr__(self, "roles", roles.astype(np.uint8, copy=False))
+                    ("x_",) * (d - 2) + ("s_",) * 2 if not all(self.periodic) else ("",) * d)
+        keep = np.ones(self.shape, bool) if self.mask is None else np.asarray(self.mask)
+        if keep.shape != self.shape or keep.dtype != bool:
+            raise DomainError(f"a mask of {keep.dtype} {keep.shape} on a grid of shape "
+                              f"{self.shape}; it needs bool")
+        whole = keep.copy()
+        for ax, p in enumerate(self.periodic):  # the 3 x ... x 3 block, axis by axis
+            q = np.moveaxis(whole, ax, 0)  # a view
+            e = np.pad(q, [(1, 1)] + [(0, 0)] * (d - 1), mode="wrap" if p else "constant")
+            q &= e[:-2] & e[2:]
+        if not whole.any():
+            raise ResolutionError("sub-domain has no interior nodes")
+        roles = np.full(self.shape, EXTERIOR, dtype=np.uint8)
+        roles[keep] = BOUNDARY
+        roles[whole] = INTERIOR
+        object.__setattr__(self, "mask", keep)
+        object.__setattr__(self, "roles", roles)
 
     @classmethod
     def torus(cls, n: int, shape, lengths=None) -> "GridDomain":
@@ -157,14 +165,8 @@ class GridDomain:
         return self.roles == EXTERIOR
 
     def restrict(self, keep: np.ndarray) -> "GridDomain":
-        """Sub-domain of a product domain carried by a node mask (True = kept).
-
-        Kept nodes adjacent (including diagonally, along the S axes) to a
-        dropped node become boundary nodes; kept original-boundary nodes stay
-        boundary.  Nodes read their nine S neighbours by `_shift` on the mask
-        padded by one node along S (wrapped; dropped past a bounded edge); a
-        torus has no S axes and raises `DomainError`.
-        """
+        """The sub-domain of a product domain that keeps the nodes of `keep`
+        (True = kept) among its own; `__post_init__` gives their roles."""
         if all(self.periodic):
             raise DomainError("restrict needs a product domain")
         keep = np.asarray(keep, dtype=bool)
@@ -172,19 +174,7 @@ class GridDomain:
             raise DomainError("mask shape mismatch")
         if not keep.any():
             raise ResolutionError("empty sub-domain")
-        d = len(self.shape)
-        nb = np.pad(keep, [(0, 0)] * (d - 2) + [(1, 1)] * 2, mode="wrap")
-        for ax in (d - 2, d - 1):
-            if not self.periodic[ax]:
-                np.moveaxis(nb, ax, 0)[[0, -1]] = False
-        whole = np.logical_and.reduce([_shift(nb, {d - 2: a, d - 1: b}, range(d - 2))
-                                       for a in (-1, 0, 1) for b in (-1, 0, 1)])
-        roles = np.full(self.shape, EXTERIOR, dtype=np.uint8)
-        roles[keep] = INTERIOR
-        roles[keep & (~whole | (self.roles == BOUNDARY))] = BOUNDARY
-        if not (roles == INTERIOR).any():
-            raise ResolutionError("sub-domain has no interior nodes")
-        return GridDomain(self.n, self.shape, self.lengths, self.periodic, roles)
+        return GridDomain(self.n, self.shape, self.lengths, self.periodic, keep & self.mask)
 
 
 def _check_axes(shape, lengths, periodic, keys) -> None:
@@ -415,8 +405,6 @@ def _hessian_csr(shape: tuple[int, ...], roles_bytes: bytes, spacings: tuple):
     grid = np.pad(rank.reshape(shape), 1, mode="wrap")
     nb = np.stack([_shift(grid, dict(enumerate(off))).reshape(-1)[inside]
                    for off in _stencil_offsets(n)], axis=1)
-    if np.any(nb < 0):
-        raise DomainError("stencil reached an exterior node; bad mask")
     w = _stencil_weights(spacings, n) / _multiplicity(n)[:, None]
     taps = [np.flatnonzero(row) for row in w]
     indptr = np.insert(np.cumsum(np.repeat([t.size for t in taps], inside.size),

@@ -334,16 +334,14 @@ def _axis_basis(m: int, periodic: bool):
     return q, theta
 
 
-def _along(x: np.ndarray, axis: int, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """q applied along one axis of x by one matmul on reshaped views into `out`
-    (contiguous, of x's size): (rest, m) @ q^T for the last axis,
-    q @ (before, m, after) otherwise (`tensordot` with `moveaxis` copies and is
-    slower)."""
+def _along(x: np.ndarray, axis: int, q: np.ndarray) -> np.ndarray:
+    """q applied along one axis of x by one matmul on reshaped views:
+    (rest, m) @ q^T for the last axis, q @ (before, m, after) otherwise
+    (`tensordot` with `moveaxis` copies and is slower)."""
     shape, m = x.shape, x.shape[axis]
     if axis == x.ndim - 1:
-        return np.matmul(x.reshape(-1, m), q.T, out=out.reshape(-1, m)).reshape(shape)
-    xs = x.reshape(-1, m, int(np.prod(shape[axis + 1:])))
-    return np.matmul(q, xs, out=out.reshape(xs.shape)).reshape(shape)
+        return (x.reshape(-1, m) @ q.T).reshape(shape)
+    return (q @ x.reshape(-1, m, int(np.prod(shape[axis + 1:])))).reshape(shape)
 
 
 def _direct_axis(shape: tuple[int, ...], coeff: np.ndarray):
@@ -480,21 +478,18 @@ def _spectral_inverse(domain: GridDomain, coeff: np.ndarray):
     if not np.all(np.isfinite(sym)) or np.any(sym == 0.0):
         raise NumericError("zero or non-finite symbol in the spectral inverse")
     fft_shape = [shape[a] for a in fft_axes]
-    buffers = (np.empty(shape), np.empty(shape))
 
     def apply(r: np.ndarray) -> np.ndarray:
-        # intermediates alternate between two buffers that every application
-        # reuses; the result is new, as BiCGStab keeps it past the next one
-        x, outs = np.reshape(r, shape), iter(buffers * len(dense))
+        x = np.reshape(r, shape)
         for a, (q, _) in dense.items():
-            x = _along(x, a, q.T, next(outs))
+            x = _along(x, a, q.T)
         if fft_axes:
             x = sfft.irfftn(sfft.rfftn(x, axes=fft_axes) / sym, s=fft_shape,
                             axes=fft_axes)
         else:  # then every axis is dense
-            x = np.divide(x, sym, out=next(outs))
-        for i, (a, (q, _)) in enumerate(dense.items(), 1):
-            x = _along(x, a, q, next(outs) if i < len(dense) else np.empty(shape))
+            x = x / sym
+        for a, (q, _) in dense.items():
+            x = _along(x, a, q)
         return x.reshape(-1)
 
     if inside.all():

@@ -490,24 +490,9 @@ def _probe_set(family: FuncFamily) -> np.ndarray:
     return mus
 
 
-def _ray_criteria(family: FuncFamily, lam: np.ndarray):
-    """(ladder, f on the ladder, scale, crit1, crit3) of `gamma_g_criteria`,
-    the whole `LADDER` in one stacked `eval_f` call."""
-    vals = eval_f(family, LADDER[:, None] * lam)
-    scale = 1.0 + abs(float(vals[0]))
-    crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
-    mus = [_probe_set(family)]
-    for t_big in (2.0 ** 8, 2.0 ** 14, 2.0 ** 20):
-        mus.append(t_big * mus[0][:8])
-        mus.append(t_big * lam[None, :])
-    mus = np.vstack(mus)
-    pairings = np.sum(grad_f(family, mus) * lam, axis=-1)
-    crit3 = bool(np.min(pairings) >= -1e-9 * (1.0 + np.max(np.abs(pairings))))
-    return LADDER, vals, scale, crit1, crit3
-
-
 def gamma_g_criteria(family: FuncFamily, lam) -> tuple[bool, bool, bool]:
-    """The three equivalent ray-boundedness criteria, evaluated numerically.
+    """The three equivalent ray-boundedness criteria, evaluated numerically,
+    the whole `LADDER` in one stacked `eval_f` call.
 
     (1) f(t*lam) bounded below on the ladder;
     (2) limsup_t f(t*lam)/t >= 0, the limsup approximated on the ladder tail;
@@ -515,8 +500,18 @@ def gamma_g_criteria(family: FuncFamily, lam) -> tuple[bool, bool, bool]:
         contains quasi-random cone points at several scales and far-out points
         of the tested ray itself (where the pairing degenerates first).
     """
-    ladder, vals, scale, crit1, crit3 = _ray_criteria(family, lambda_tuple(lam))
-    crit2 = bool(np.max(vals[-4:] / ladder[-4:]) >= -1e-7 * scale)
+    lam = lambda_tuple(lam)
+    vals = eval_f(family, LADDER[:, None] * lam)
+    scale = 1.0 + abs(float(vals[0]))
+    crit1 = bool(np.all(np.diff(vals[len(vals) // 2 :]) >= -1e-9 * scale))
+    crit2 = bool(np.max(vals[-4:] / LADDER[-4:]) >= -1e-7 * scale)
+    mus = [_probe_set(family)]
+    for t_big in (2.0 ** 8, 2.0 ** 14, 2.0 ** 20):
+        mus.append(t_big * mus[0][:8])
+        mus.append(t_big * lam[None, :])
+    mus = np.vstack(mus)
+    pairings = np.sum(grad_f(family, mus) * lam, axis=-1)
+    crit3 = bool(np.min(pairings) >= -1e-9 * (1.0 + np.max(np.abs(pairings))))
     return crit1, crit2, crit3
 
 
@@ -543,7 +538,7 @@ def in_gamma_g(family: FuncFamily, lam) -> ConeVerdict:
     else:
         analytic = True
 
-    _, _, _, crit1, crit3 = _ray_criteria(family, lam)
+    crit1, _, crit3 = gamma_g_criteria(family, lam)
     return ConeVerdict(
         in_gamma_g=analytic,
         margin=float(margin),

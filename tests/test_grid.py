@@ -87,21 +87,32 @@ class TestDomains:
         with pytest.raises(DomainError):
             make()
 
-    # hand-built grids that were accepted: all-INTERIOR roles were read as a
-    # closed problem, on which `solve_closed` raised a bare broadcast
-    # ValueError ((4,784) against (4,1296)); the others were kept as given
-    @pytest.mark.parametrize("roles, message", [
-        (np.zeros((4, 4, 9, 9), dtype=np.uint8),
-         "interior nodes on an end layer of the bounded axis 2"),
-        (np.zeros((3, 3), dtype=np.uint8),
-         r"roles of shape \(3, 3\) on a grid of shape \(4, 4, 9, 9\)"),
-        (np.full((4, 4, 9, 9), 7, dtype=np.uint8),
-         r"roles must be INTERIOR, BOUNDARY or EXTERIOR \(0, 1 or 2\)"),
-    ], ids=["interior-end-layers", "roles-shape", "roles-values"])
-    def test_rejects_hand_built_roles(self, roles, message):
-        with pytest.raises(DomainError, match=message):
+    # a hand-built grid with no interior node was accepted, and its Dirichlet
+    # solve died on numpy's zero-size reduction
+    @pytest.mark.parametrize("mask, error, message", [
+        (np.ones((3, 3), dtype=bool), DomainError,
+         r"a mask of bool \(3, 3\) on a grid of shape \(4, 4, 9, 9\)"),
+        (np.ones((4, 4, 9, 9), dtype=np.uint8), DomainError, "it needs bool"),
+        (np.indices((4, 4, 9, 9))[3] < 2, ResolutionError, "sub-domain has no interior nodes"),
+    ], ids=["mask-shape", "mask-dtype", "no-interior"])
+    def test_rejects_bad_masks(self, mask, error, message):
+        with pytest.raises(error, match=message):
             GridDomain(2, (4, 4, 9, 9), (2 * np.pi, 2 * np.pi, 1.0, 1.0),
-                       (True, True, False, False), roles)
+                       (True, True, False, False), mask)
+
+    @pytest.mark.parametrize("dom", [
+        GridDomain.product(2, x_shape=(4, 2), s_shape=(7, 5)),
+        GridDomain.product(1, s_shape=(9, 12), s_periodic=(False, True)),
+        GridDomain.torus(2, (4, 1, 2, 3)),
+    ], ids=["product", "annulus", "torus"])
+    def test_whole_mask_gives_the_box_roles(self, dom):
+        # each bounded axis's end layers are BOUNDARY, all else INTERIOR
+        want = np.full(dom.shape, INTERIOR, dtype=np.uint8)
+        for ax in [a for a, p in enumerate(dom.periodic) if not p]:
+            np.moveaxis(want, ax, 0)[[0, -1]] = BOUNDARY
+        whole = GridDomain(dom.n, dom.shape, dom.lengths, dom.periodic,
+                           np.ones(dom.shape, dtype=bool))
+        assert dom.roles.tobytes() == whole.roles.tobytes() == want.tobytes()
 
     def test_node_cap_admits_its_own_size(self):
         assert GridDomain.torus(2, (32, 32, 32, 32)).roles.size == NODE_CAP
@@ -126,16 +137,27 @@ class TestDomains:
         with pytest.raises(ResolutionError):
             dom.restrict(thin)
 
+    def test_restrict_twice_stays_inside_the_parent(self):
+        # a second restrict once revived the first one's exterior nodes
+        dom = GridDomain.product(1, s_shape=(17, 17))
+        s, t = dom.meshgrid()
+        first = dom.restrict((s - 0.5) ** 2 + (t - 0.5) ** 2 < 0.16)
+        second = first.restrict(s < 0.6)
+        assert second.exterior[first.exterior].all()
+        np.testing.assert_array_equal(second.mask, first.mask & (s < 0.6))
+
     def test_restrict_rejects_torus(self):
-        # its neighbours are read along the S axes only, so a torus mask would
-        # be cut along two of its axes
+        # the solvers read an all-periodic grid as the closed problem, so a
+        # torus with boundary nodes would pose neither problem
         dom = GridDomain.torus(2, (4, 4, 4, 4))
         with pytest.raises(DomainError, match="restrict needs a product domain"):
             dom.restrict(np.indices(dom.shape)[3] > 0)
 
     def test_restrict_roles_pinned(self):
-        # sha256 of the roles each mask gave before `restrict` read its
-        # neighbours through one padded copy
+        # sha256 of the roles of each sub-domain.  along_x varies along X: it
+        # was re-pinned when the roles came to follow the 3 x ... x 3 block on
+        # every axis, which made 24 of its 72 INTERIOR nodes BOUNDARY; its
+        # old roles raised "bad mask" at the first Hessian
         ann = GridDomain.product(1, s_shape=(9, 12), s_periodic=(False, True))
         r, t = np.indices(ann.shape)
         seam = (r >= 1) & (r <= 7) & ((t <= 3) | (t >= 9))  # across angle 0
@@ -149,7 +171,7 @@ class TestDomains:
         for dom, keep, digest in (
                 (ann, seam, "cb508cd79a0d87be93eea8ab9636df6b533ef8eaadcb530ebf08ab3d79beeda6"),
                 (box, edge, "e055ce77a6315308de2ab4da7145937728b711feafa7020ddc39332b99293dc8"),
-                (disc, along_x, "27a99c6b94609ab642f4e565699f995818a90a8d72bd770225e556117d425a1b")):
+                (disc, along_x, "6dd27ece6c25d632c95bf5126db1a333d331da37daab51913587dad836fc3f01")):
             assert hashlib.sha256(dom.restrict(keep).roles.tobytes()).hexdigest() == digest
 
     def test_restrict_two_node_periodic_axis(self):

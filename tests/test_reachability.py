@@ -2,10 +2,11 @@
 
 An AST walk over `src/hcl/*.py` collects each module-level function and
 class and each non-dunder method, and each name that a `Name` or
-`Attribute` node of the library uses.  Docstrings and `__all__` are string
-constants, so they reference nothing, and an attribute of a module bound by
-`import x [as y]` (`np.zeros`, `math.sqrt`) is that module's, not the
-library's.  A definition that no node names is
+`Attribute` node of the library reads (a `Load` context: an assignment
+target or an annotated field of the same name is no use).  Docstrings and
+`__all__` are string constants, so they reference nothing, and an attribute
+of a module bound by `import x [as y]` (`np.zeros`, `math.sqrt`) is that
+module's, not the library's.  A definition that no node names is
 dead code unless `ALLOWED` keeps it, with its reason.
 """
 
@@ -26,7 +27,7 @@ ALLOWED = {
     "export_csv": "public CSV export, documented in the README",
     "write_hermitian_field": "writes the README's Hermitian HCL1 container",
     "chern_laplacian": "the tests' Poisson oracle",
-    "gamma_g_criteria": "the tests' cross-check of `in_gamma_g`",
+    "in_gamma_g": "crit-06's ray-boundedness classification",
     "random_instance": "the tests' one-instance battery draw",
     "ScalarField.from_function": "the tests' field constructor",
     "ScalarField.zeros": "the tests' zero field",
@@ -54,6 +55,8 @@ def _used(tree: ast.Module):
                for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names}
     for node in ast.walk(tree):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute) and not (
@@ -65,6 +68,13 @@ def _unreached() -> set[str]:
     trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
     used = {name for tree in trees for name in _used(tree)}
     return {qual for tree in trees for qual, name in _definitions(tree) if name not in used}
+
+
+def test_an_annotated_field_is_no_use():
+    # a field annotated with a function's name once hid that nothing called it
+    tree = ast.parse("def verdict(): pass\nclass Report:\n    verdict: bool\n"
+                     "def make(r):\n    r.verdict = 1\n    return Report\n")
+    assert set(_used(tree)) == {"bool", "r", "Report"}
 
 
 def test_every_definition_is_reached_or_allowed():

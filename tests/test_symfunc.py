@@ -308,8 +308,8 @@ class TestGammaG:
             self, monkeypatch, crit1, crit3, indeterminate):
         from hcl import symfunc
 
-        monkeypatch.setattr(symfunc, "_ray_criteria",
-                            lambda family, lam: (None, None, None, crit1, crit3))
+        monkeypatch.setattr(symfunc, "gamma_g_criteria",
+                            lambda family, lam: (crit1, None, crit3))
         v = in_gamma_g(LOGDET3, [1.0, 2.0, 3.0])  # analytic verdict: inside
         assert v.in_gamma_g and v.indeterminate == indeterminate
 
